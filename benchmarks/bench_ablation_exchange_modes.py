@@ -9,8 +9,6 @@ read — precisely why the NIU keeps both mechanisms and the GCM uses PIO
 for global sums (8-byte messages) and VI for halo blocks.
 """
 
-import pytest
-
 from repro.network.costmodel import arctic_cost_model
 from repro.niu.startx import PIO_COST_MODEL, VI_FRAG_BYTES
 

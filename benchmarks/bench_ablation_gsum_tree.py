@@ -11,8 +11,9 @@ import math
 
 import pytest
 
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.hardware.cluster import HyadesCluster
-from repro.parallel.des_collectives import des_global_sum
 from repro.parallel.globalsum import butterfly_global_sum, tree_reduce_broadcast
 
 from _tables import emit, format_table, us
@@ -67,7 +68,7 @@ def test_bench_fabric_absorbs_butterfly_traffic(benchmark):
 
     def run():
         cl = HyadesCluster()
-        _, t = des_global_sum(cl, [1.0] * 16)
+        t = des_time_schedule(cl, allreduce_butterfly(16, 8))
         busy = max(
             link.stats.busy_time
             for links in list(cl.fabric.up_links.values()) + list(cl.fabric.down_links.values())

@@ -9,11 +9,10 @@ copies, rendezvous) — and shows the tax, while real, is still small
 next to the gap between interconnects.
 """
 
-import pytest
-
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.hardware.cluster import HyadesCluster
 from repro.network.costmodel import arctic_cost_model, fast_ethernet_cost_model
-from repro.parallel.des_collectives import des_global_sum
 from repro.parallel.mpi import MPIComm
 
 from _tables import emit, format_table, us
@@ -53,9 +52,7 @@ def mpi_exchange_time(nbytes, a=0, b=1):
 
 
 def custom_gsum_time(n=16):
-    cluster = HyadesCluster()
-    _, t = des_global_sum(cluster, [float(i) for i in range(n)])
-    return t
+    return des_time_schedule(HyadesCluster(), allreduce_butterfly(n, 8))
 
 
 def test_bench_generality_tax_table(benchmark):

@@ -16,8 +16,6 @@ communication and synchronization points* (3x fewer), whose jitter cost
 on a shared machine the analytic model cannot see.
 """
 
-import pytest
-
 from repro.network.costmodel import (
     arctic_cost_model,
     fast_ethernet_cost_model,

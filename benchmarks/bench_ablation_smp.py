@@ -9,8 +9,6 @@ Two design decisions of the production configuration:
   over all sixteen ranks.
 """
 
-import pytest
-
 from repro.gcm.ocean import ocean_model
 from repro.network.costmodel import arctic_cost_model
 from repro.parallel.tiling import Decomposition

@@ -15,7 +15,6 @@ Two measurable consequences:
 import time
 
 import numpy as np
-import pytest
 
 from repro.gcm.eos import LinearEOS
 from repro.gcm.grid import Grid, GridParams

@@ -18,9 +18,11 @@ import dataclasses
 
 import pytest
 
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.hardware.cluster import HyadesCluster
 from repro.network.costmodel import arctic_cost_model
-from repro.parallel.des_collectives import des_exchange, des_global_sum
+from repro.parallel.des_collectives import des_exchange
 from repro.parallel.tiling import Decomposition
 
 from _tables import emit, format_table
@@ -49,8 +51,9 @@ def des_replay_step(nz=8, ni=20, n_nodes=4):
                 if nbytes:
                     elapsed += des_exchange(HyadesCluster(), 0, 1, nbytes)
         for _g in range(2):
-            _, t = des_global_sum(HyadesCluster(), [1.0] * n_nodes)
-            elapsed += t
+            elapsed += des_time_schedule(
+                HyadesCluster(), allreduce_butterfly(n_nodes, 8)
+            )
     return elapsed
 
 

@@ -8,8 +8,6 @@ communication is an order of magnitude larger (3-D width-1 halos), so
 the PFPP analysis shifts: interconnect quality matters even more.
 """
 
-import pytest
-
 from repro.core.pfpp import pfpp_ds
 from repro.gcm.ocean import ocean_model
 from repro.network.costmodel import arctic_cost_model, gigabit_ethernet_cost_model

@@ -11,13 +11,14 @@ import time
 
 import pytest
 
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.hardware.cluster import HyadesCluster
 from repro.network.costmodel import (
     ARCTIC_GSUM_MEASURED,
     ARCTIC_GSUM_SMP_MEASURED,
     arctic_cost_model,
 )
-from repro.parallel.des_collectives import des_global_sum
 from repro.parallel.globalsum import butterfly_global_sum
 
 from _emit import emit_bench
@@ -25,18 +26,15 @@ from _tables import emit, format_table, us
 
 
 def des_gsum_latencies():
-    out = {}
-    for n in (2, 4, 8, 16):
-        cluster = HyadesCluster()
-        _, t = des_global_sum(cluster, [float(i) for i in range(n)])
-        out[n] = t
-    return out
+    return {
+        n: des_time_schedule(HyadesCluster(), allreduce_butterfly(n, 8))
+        for n in (2, 4, 8, 16)
+    }
 
 
 def test_bench_des_gsum_16way(benchmark):
     def one():
-        cluster = HyadesCluster()
-        return des_global_sum(cluster, [1.0] * 16)[1]
+        return des_time_schedule(HyadesCluster(), allreduce_butterfly(16, 8))
 
     t = benchmark(one)
     assert t == pytest.approx(18.2e-6, rel=0.10)
@@ -97,7 +95,7 @@ def test_bench_message_count(benchmark):
 
     def count():
         cluster = HyadesCluster()
-        des_global_sum(cluster, [1.0] * 16)
+        des_time_schedule(cluster, allreduce_butterfly(16, 8))
         return sum(cluster.niu(i).packets_sent for i in range(16))
 
     total = benchmark(count)

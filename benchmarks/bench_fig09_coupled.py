@@ -11,7 +11,6 @@ regime when extrapolated to the production configuration.
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.constants import COUPLED_SUSTAINED_RANGE, DS_PARAMS, OCN_PS_PARAMS, ATM_PS_PARAMS
 from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams

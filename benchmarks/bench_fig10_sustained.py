@@ -8,7 +8,7 @@ flop-weighted rate.
 
 import pytest
 
-from repro.core.constants import HYADES_16CPU_SUSTAINED, HYADES_1CPU_SUSTAINED
+from repro.core.constants import HYADES_1CPU_SUSTAINED
 from repro.core.sustained import fig10_table, hyades_sustained
 
 from _tables import emit, format_table

@@ -10,8 +10,6 @@ cleanest statement of why the paper's *interconnect* analysis, not its
 absolute numbers, is the durable contribution.
 """
 
-import pytest
-
 from repro.gcm.eos import LinearEOS
 from repro.gcm.grid import Grid, GridParams
 from repro.gcm.operators import FlopCounter

@@ -7,8 +7,6 @@ resolution (the grain-size crossover at which commodity interconnects
 become viable, per the "coarse grain scenarios" remark).
 """
 
-import pytest
-
 from repro.core.scaling import cpu_sweep, model_at, resolution_sweep
 from repro.network.costmodel import (
     arctic_cost_model,

@@ -8,7 +8,7 @@ bisection bandwidth, FIFO ordering and priority behaviour.
 import pytest
 
 from repro.network.fattree import FatTree
-from repro.network.packet import Packet, Priority
+from repro.network.packet import Packet
 from repro.network.router import ARCTIC_LINK_BANDWIDTH, ARCTIC_STAGE_LATENCY
 from repro.sim import Engine
 

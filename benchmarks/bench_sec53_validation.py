@@ -8,7 +8,6 @@ GCM on the lockstep runtime.
 
 import pytest
 
-from repro.core.constants import VALIDATION
 from repro.core.validation import observed_from_simulation, section53_validation
 
 from _tables import emit, format_table

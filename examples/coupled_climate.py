@@ -11,8 +11,6 @@ sustained performance.
 Run:  python examples/coupled_climate.py
 """
 
-import numpy as np
-
 from repro.gcm import diagnostics as diag
 from repro.gcm.coupled import coupled_model
 from repro.viz import ascii_map

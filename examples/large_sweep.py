@@ -14,12 +14,11 @@ rerun reproduces the digest bit-exactly.
 Run:  python examples/large_sweep.py
 """
 
-import json
 import pathlib
 import tempfile
 
 from repro.backend import format_sweep
-from repro.service import EnsembleService, JobSpec, ServiceClient
+from repro.service import JobSpec, run_jobs
 
 #: The full curve: Hyades (16) out to the machine DES cannot reach.
 FULL_CURVE = (16, 64, 256, 1024, 4096)
@@ -29,8 +28,6 @@ DES_CURVE = (16, 64)
 
 def main() -> None:
     root = pathlib.Path(tempfile.mkdtemp(prefix="repro-sweep-"))
-    client = ServiceClient(root)
-
     jobs = [
         JobSpec(kind="sweep", name="analytic-4096",
                 params={"n_values": FULL_CURVE, "backend": "analytic"}),
@@ -42,26 +39,19 @@ def main() -> None:
         JobSpec(kind="sweep", name="analytic-rerun",
                 params={"n_values": FULL_CURVE, "backend": "analytic"}),
     ]
-    ids = client.submit_many(jobs)
-    print(f"submitted {len(ids)} sweep jobs to {root}")
+    print(f"running {len(jobs)} sweep jobs in {root}")
+    ids, results, summary = run_jobs(root, jobs, max_wall_s=120.0)
 
-    service = EnsembleService(root)
-    service.startup()
-    summary = service.serve(drain=True, max_wall_s=120.0)
-    status = client.status()
-
-    print("\njob             status     digest")
-    for job_id, spec in zip(ids, jobs):
-        s = status[job_id]
-        print(f"{spec.name:15s} {s['status']:10s} {s['digest']}")
+    print("\njob             digest")
+    for spec, result in zip(jobs, results):
+        print(f"{spec.name:15s} {result['digest'] if result else 'no result'}")
     assert summary["completed"] == len(ids)
-    assert status[ids[0]]["digest"] == status[ids[3]]["digest"], (
+    assert results[0]["digest"] == results[3]["digest"], (
         "sweep digests are pure functions of the spec"
     )
 
     # the analytic curve, straight from the worker's result.json
-    result = json.loads((root / "jobs" / ids[0] / "result.json").read_text())
-    report = result["sweep"]
+    report = results[0]["sweep"]
     print()
     print(format_sweep(report))
     big = report["rows"][-1]

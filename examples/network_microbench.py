@@ -10,11 +10,13 @@ and prints them next to the paper's values.
 Run:  python examples/network_microbench.py
 """
 
+from repro.collectives.des_exec import des_run_schedule, des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.core.constants import FIG2_PAPER
 from repro.core.logp import measure_logp
 from repro.hardware.cluster import HyadesCluster
 from repro.network.costmodel import ARCTIC_GSUM_MEASURED, arctic_cost_model
-from repro.parallel.des_collectives import des_global_sum, des_transfer_bandwidth
+from repro.parallel.des_collectives import des_transfer_bandwidth
 
 US = 1e-6
 
@@ -44,9 +46,13 @@ def main() -> None:
     print("\n=== Section 4.2: butterfly global sum scaling ===")
     print(f"{'nodes':>6s} {'DES':>8s} {'paper':>8s}   messages")
     for n in (2, 4, 8, 16):
+        butterfly = allreduce_butterfly(n, 8)
         cluster = HyadesCluster()
-        res, t = des_global_sum(cluster, [float(i) for i in range(n)])
+        t = des_time_schedule(cluster, butterfly)
         msgs = sum(cluster.niu(i).packets_sent for i in range(n))
+        res, _ = des_run_schedule(
+            HyadesCluster(), butterfly, [float(i) for i in range(n)]
+        )
         assert all(r == res[0] for r in res), "nodes disagree!"
         print(
             f"{n:6d} {t / US:7.1f} {ARCTIC_GSUM_MEASURED[n] / US:7.1f}   "

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Continuous-integration entry point: the tier-1 test suite plus a fast
-# seeded fault-injection smoke test of the headline reliability demo.
+# Continuous-integration entry point: lint, the tier-1 test suite, an
+# import check of every benchmark and example, the fault/recovery and
+# cross-validation smokes, and the host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -10,7 +11,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 if command -v ruff >/dev/null 2>&1; then
   echo "== ruff lint =="
-  ruff check src tests
+  ruff check src tests benchmarks examples
 else
   echo "== ruff lint == (skipped: ruff not installed)"
 fi
@@ -18,6 +19,20 @@ fi
 echo
 echo "== tier-1 test suite =="
 python -m pytest -x -q "$@" tests/
+
+echo
+echo "== benchmarks + examples import check (a deleted name must not go unseen) =="
+python -m pytest --co -q -p no:cacheprovider benchmarks >/dev/null
+python -m compileall -q examples
+python - <<'PY'
+import importlib.util
+import pathlib
+
+for path in sorted(pathlib.Path("examples").glob("*.py")):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print("examples import clean")
+PY
 
 echo
 echo "== seeded fault smoke (reliable recovery must stay bit-exact) =="
@@ -108,6 +123,10 @@ PY
 echo
 echo "== chaos smoke (SIGKILL'd workers + service: nothing lost, bit-exact) =="
 python -m repro service --chaos --seed 0 --jobs 12 --workers 4 --max-wall 45
+
+echo
+echo "== host-time benchmark smoke (crossval band, bit-exact digests, no DeprecationWarning) =="
+python3 perf/run.py --smoke
 
 echo
 echo "ci.sh: all checks passed"

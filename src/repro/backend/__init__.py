@@ -5,14 +5,7 @@
 """
 
 from .analytic import AnalyticBackend
-from .base import (
-    BACKEND_NAMES,
-    BACKENDS,
-    CommBackend,
-    deprecated_kwarg,
-    register_backend,
-    resolve_backend,
-)
+from .base import BACKEND_NAMES, CommBackend, resolve_backend
 from .crossval import format_report, run_crossval
 from .des import DESBackend
 from .hybrid import HybridBackend
@@ -21,15 +14,12 @@ from .sweep import format_sweep, large_sweep, sweep_point
 __all__ = [
     "AnalyticBackend",
     "BACKEND_NAMES",
-    "BACKENDS",
     "CommBackend",
     "DESBackend",
     "HybridBackend",
-    "deprecated_kwarg",
     "format_report",
     "format_sweep",
     "large_sweep",
-    "register_backend",
     "resolve_backend",
     "run_crossval",
     "sweep_point",

@@ -34,13 +34,11 @@ class HybridBackend(CommBackend):
 
     def __init__(
         self,
-        model: Optional[CommCostModel] = None,
-        tuner=None,
         fault_windows: Iterable[int] = (),
         analytic: Optional[CommBackend] = None,
         des: Optional[CommBackend] = None,
     ) -> None:
-        self.analytic = analytic or AnalyticBackend(model=model, tuner=tuner)
+        self.analytic = analytic or AnalyticBackend()
         self.des = des or DESBackend(model=self.analytic.model)
         #: Window indices forced onto the DES tier even without
         #: ``faulted=True`` (e.g. a known-contested spin-up window).

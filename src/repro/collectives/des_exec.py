@@ -4,9 +4,9 @@ Two executors over the same :class:`~repro.collectives.schedules.Schedule`:
 
 * :func:`des_time_schedule` — the *timing* path: every send becomes
   real simulated traffic (single PIO packets for <= 88 B payloads with
-  the shared ``GSUM_SW_COST`` poll loop, exactly as
-  :func:`repro.parallel.des_collectives.des_global_sum`; VI block
-  transfers beyond, served through the shared
+  the shared ``GSUM_SW_COST`` poll loop — the Fig. 8 butterfly global
+  sum is ``allreduce_butterfly(n, 8)`` run here; VI block transfers
+  beyond, served through the shared
   :class:`~repro.parallel.des_spmd._VIDemux`).  This is what the
   autotuner cross-validates its analytic predictions against.
 * :func:`des_run_schedule` — the *data* path: the schedule's logical
@@ -44,7 +44,7 @@ from .schedules import Schedule
 from .semantics import ItemStore
 
 #: PIO collective rounds are tagged 0x600 | round to stay clear of the
-#: gsum (0..log N), exchange (< 0x400) and reliable-layer (0x7Fx) tags.
+#: exchange (< 0x400) and reliable-layer (0x7Fx) tags.
 _PIO_TAG_BASE = 0x600
 
 

@@ -29,7 +29,7 @@ algorithm allows it; recursive halving/doubling genuinely require
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.network.overheads import MIN_WIRE_BYTES

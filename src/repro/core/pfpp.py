@@ -227,7 +227,6 @@ class BestCollectiveRow:
 
 def best_collectives_table(
     n_values: tuple[int, ...] = (16, 64, 256),
-    tuner=None,
     nps: float = ATM_PS_PARAMS.nps,
     nxyz: int = ATM_PS_PARAMS.nxyz,
     nds: float = DS_PARAMS.nds,
@@ -241,10 +240,9 @@ def best_collectives_table(
     from the cost model on the matching process grid — the interconnect
     ceiling eq. (14)/(15) would impose on a scaled-up Hyades.
     """
-    if tuner is None:
-        from repro.collectives import default_tuner
+    from repro.collectives import default_tuner
 
-        tuner = default_tuner()
+    tuner = default_tuner()
     model = arctic_cost_model()
     rows = []
     for n in n_values:

@@ -149,13 +149,14 @@ def _fig7_section() -> ReportSection:
 
 
 def _fig8_section() -> ReportSection:
+    from repro.collectives.des_exec import des_time_schedule
+    from repro.collectives.schedules import allreduce_butterfly
     from repro.hardware.cluster import HyadesCluster
     from repro.network.costmodel import ARCTIC_GSUM_MEASURED
-    from repro.parallel.des_collectives import des_global_sum
 
     rows = []
     for n in (2, 4, 8, 16):
-        _, t = des_global_sum(HyadesCluster(), [1.0] * n)
+        t = des_time_schedule(HyadesCluster(), allreduce_butterfly(n, 8))
         rows.append(
             [f"{n}-way", f"{t / US:.1f}", f"{ARCTIC_GSUM_MEASURED[n] / US:.1f}"]
         )
@@ -325,39 +326,36 @@ def _service_section() -> ReportSection:
     import tempfile
 
     from repro.service import (
-        EnsembleService,
         JobSpec,
         ServiceClient,
         ServiceConfig,
         SupervisorConfig,
+        run_jobs,
     )
 
     root = tempfile.mkdtemp(prefix="repro-report-service-")
-    client = ServiceClient(root)
-    for i in range(3):
-        client.submit(
-            JobSpec(
-                kind="ocean",
-                name=f"member-{i}",
-                params={
-                    "nx": 12, "ny": 8, "nz": 3, "dt": 1200.0, "steps": 6,
-                    "perturb_seed": i, "perturb_amp": 0.01,
-                },
-            )
+    specs = [
+        JobSpec(
+            kind="ocean",
+            name=f"member-{i}",
+            params={
+                "nx": 12, "ny": 8, "nz": 3, "dt": 1200.0, "steps": 6,
+                "perturb_seed": i, "perturb_amp": 0.01,
+            },
         )
-    client.submit(JobSpec(kind="flaky", name="flaky-0", params={"fails_before": 1}))
-    client.submit(JobSpec(kind="fail", name="poison-0"))
+        for i in range(3)
+    ]
+    specs.append(JobSpec(kind="flaky", name="flaky-0", params={"fails_before": 1}))
+    specs.append(JobSpec(kind="fail", name="poison-0"))
     config = ServiceConfig(
         supervisor=SupervisorConfig(
             max_workers=2, max_attempts=2, backoff_base_s=0.05, backoff_cap_s=0.2
         )
     )
-    service = EnsembleService(root, config)
-    service.startup()
-    summary = service.serve(drain=True, max_wall_s=60.0)
+    _, _, summary = run_jobs(root, specs, config, max_wall_s=60.0)
     digests = sorted(
         f"{s['job_id']}:{s['digest']}"
-        for s in client.status().values()
+        for s in ServiceClient(root).status().values()
         if s["status"] == "completed" and s["kind"] == "ocean"
     )
     rows = [

@@ -639,17 +639,13 @@ def run_campaign(
     t_wall = time.monotonic()
     results: Dict[str, Optional[dict]] = {}
     if use_service and root is not None:
-        from repro.service.api import (
-            JOBS_DIR,
-            EnsembleService,
-            ServiceClient,
+        from repro.service import (
+            JobSpec,
             ServiceConfig,
+            SupervisorConfig,
+            run_jobs,
         )
-        from repro.service.jobs import JobSpec
-        from repro.service.supervisor import SupervisorConfig
-        from repro.service.worker import read_result
 
-        client = ServiceClient(root)
         specs = [
             JobSpec(
                 kind="campaign",
@@ -658,19 +654,14 @@ def run_campaign(
             )
             for sc in scenarios
         ]
-        job_ids = client.submit_many(specs)
-        service = EnsembleService(
-            root,
-            ServiceConfig(
-                supervisor=SupervisorConfig(
-                    max_workers=max_workers, deadline_s=deadline_s
-                )
-            ),
+        config = ServiceConfig(
+            supervisor=SupervisorConfig(
+                max_workers=max_workers, deadline_s=deadline_s
+            )
         )
-        service.serve(drain=True)
-        jobs_root = pathlib.Path(root) / JOBS_DIR
-        for sc, job_id in zip(scenarios, job_ids):
-            results[sc.scenario_id] = read_result(jobs_root / job_id, job_id)
+        _, job_results, _ = run_jobs(root, specs, config)
+        for sc, result in zip(scenarios, job_results):
+            results[sc.scenario_id] = result
     else:
         for sc in scenarios:
             results[sc.scenario_id] = run_scenario(sc.to_params())

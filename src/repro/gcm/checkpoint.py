@@ -78,6 +78,25 @@ def _norm_path(path: Union[str, pathlib.Path]) -> pathlib.Path:
     return path
 
 
+def _write_archive(path: pathlib.Path, payload: dict) -> None:
+    """Checksum ``payload`` and write it atomically and durably: tmp
+    sibling, fsync, :func:`os.replace`; a crash mid-write leaves at most
+    a stale ``*.tmp`` behind and never damages the previous archive."""
+    payload["checksum"] = np.array(_payload_checksum(payload), dtype=np.uint32)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # np.savez_compressed appends ".npz" to string paths, so hand it
+        # an open file object to keep the exact tmp name
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 def save_checkpoint(model: Model, path: Union[str, pathlib.Path]) -> pathlib.Path:
     """Atomically write the model's complete restart state to ``path``.
 
@@ -99,52 +118,49 @@ def save_checkpoint(model: Model, path: Union[str, pathlib.Path]) -> pathlib.Pat
         payload["f3_" + name] = model.state.to_global(name)
     for name in FIELDS_2D:
         payload["f2_" + name] = model.state.to_global(name)
-    payload["checksum"] = np.array(_payload_checksum(payload), dtype=np.uint32)
-
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        # np.savez_compressed appends ".npz" to string paths, so hand it
-        # an open file object to keep the exact tmp name
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    _write_archive(path, payload)
     return path
 
 
-def _open_verified(path: pathlib.Path) -> dict:
-    """Load and integrity-check an archive; returns the payload dict."""
+def _open_verified(
+    path: pathlib.Path,
+    required: tuple = _REQUIRED_KEYS,
+    version_key: str = "version",
+    version: int = CHECKPOINT_VERSION,
+    what: str = "checkpoint",
+) -> dict:
+    """Load and integrity-check an archive; returns the payload dict.
+
+    ``what`` names the archive flavour ("checkpoint" / "shard") in the
+    :class:`CheckpointError` raised on any defect.
+    """
     if not path.exists():
-        raise CheckpointError(f"checkpoint {path} does not exist")
+        raise CheckpointError(f"{what} {path} does not exist")
     try:
         with np.load(path) as data:
             payload = {key: data[key] for key in data.files}
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
         raise CheckpointError(
-            f"checkpoint {path} is corrupt or truncated: {exc}"
+            f"{what} {path} is corrupt or truncated: {exc}"
         ) from exc
-    missing = [k for k in _REQUIRED_KEYS if k not in payload]
+    missing = [k for k in required if k not in payload]
     if missing:
         raise CheckpointError(
-            f"checkpoint {path} is incomplete: missing entries {missing}"
+            f"{what} {path} is incomplete: missing entries {missing}"
         )
-    version = int(payload["version"])
-    if version != CHECKPOINT_VERSION:
+    found = int(payload[version_key])
+    if found != version:
         raise CheckpointError(
-            f"checkpoint {path} has unsupported version {version} "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"{what} {path} has unsupported version {found} "
+            f"(expected {version})"
         )
     if "checksum" not in payload:
-        raise CheckpointError(f"checkpoint {path} carries no checksum")
+        raise CheckpointError(f"{what} {path} carries no checksum")
     stored = int(payload["checksum"])
     actual = _payload_checksum(payload)
     if stored != actual:
         raise CheckpointError(
-            f"checkpoint {path} failed its checksum "
+            f"{what} {path} failed its checksum "
             f"(stored {stored:#010x}, recomputed {actual:#010x})"
         )
     return payload
@@ -250,18 +266,7 @@ def save_state_shard(
         payload["f2_" + name] = model.state.fields2d[name][rank]
     for name in sorted(model.coupling):
         payload["cpl_" + name] = model.coupling[name][rank]
-    payload["checksum"] = np.array(_payload_checksum(payload), dtype=np.uint32)
-
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    _write_archive(path, payload)
     return path, path.stat().st_size
 
 
@@ -278,31 +283,9 @@ def load_state_shard(
     integrity, version, rank or shape mismatch.
     """
     path = _norm_path(path)
-    if not path.exists():
-        raise CheckpointError(f"shard {path} does not exist")
-    try:
-        with np.load(path) as data:
-            payload = {key: data[key] for key in data.files}
-    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
-        raise CheckpointError(f"shard {path} is corrupt or truncated: {exc}") from exc
-    missing = [k for k in _SHARD_REQUIRED if k not in payload]
-    if missing:
-        raise CheckpointError(f"shard {path} is incomplete: missing {missing}")
-    version = int(payload["shard_version"])
-    if version != SHARD_VERSION:
-        raise CheckpointError(
-            f"shard {path} has unsupported version {version} "
-            f"(expected {SHARD_VERSION})"
-        )
-    if "checksum" not in payload:
-        raise CheckpointError(f"shard {path} carries no checksum")
-    stored = int(payload["checksum"])
-    actual = _payload_checksum(payload)
-    if stored != actual:
-        raise CheckpointError(
-            f"shard {path} failed its checksum "
-            f"(stored {stored:#010x}, recomputed {actual:#010x})"
-        )
+    payload = _open_verified(
+        path, _SHARD_REQUIRED, "shard_version", SHARD_VERSION, "shard"
+    )
     if int(payload["rank"]) != rank:
         raise CheckpointError(
             f"shard {path} belongs to rank {int(payload['rank'])}, not {rank}"
@@ -347,7 +330,7 @@ def load_state_shard(
         "time": float(payload["time"]),
         "step_count": int(payload["step_count"]),
         "first_step": bool(payload["first_step"]),
-        "checksum": stored,
+        "checksum": int(payload["checksum"]),
     }
 
 

@@ -335,7 +335,7 @@ def coupled_model(
     from repro.gcm.atmosphere import atmosphere_model
     from repro.gcm.ocean import ocean_model
 
-    backend = resolve_backend(backend, model=kw.pop("cost_model", None))
+    backend = resolve_backend(backend)
     atm = atmosphere_model(
         nx=nx, ny=ny, nz=nz_atm, px=px, py=py, dt=dt, backend=backend, **kw
     )

@@ -2,11 +2,9 @@
 
 One documented place for the per-message/per-round software costs that
 both the *analytic* models (:mod:`repro.network.costmodel`,
-:mod:`repro.collectives.cost`) and the *packet-level DES* paths
-(:mod:`repro.parallel.des_collectives`, :mod:`repro.collectives.des_exec`)
-consume.  Before this module the DES global sum and the analytic cost
-model each carried their own copy of these numbers; a calibration tweak
-in one silently diverged from the other.
+:mod:`repro.collectives.cost`) and the *packet-level DES* schedule
+executor (:mod:`repro.collectives.des_exec`) consume, so a calibration
+tweak cannot silently diverge between them.
 
 The calibration chain, for the record:
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricsRecorder
 from repro.obs.schema import assert_valid, validate_chrome_trace
 
 

@@ -14,9 +14,10 @@ data amongst tiles:
 executes an SPMD program over simulated ranks, charging virtual time for
 compute (flops / measured flop rate) and communication (interconnect
 cost models), while performing the *real* data movement so numerical
-results are genuine.  :mod:`repro.parallel.des_collectives` implements
-the same primitives at packet level on the discrete-event cluster for
-the stand-alone microbenchmarks.
+results are genuine.  :mod:`repro.parallel.des_collectives` holds the
+packet-level VI point-to-point microbenchmarks (Fig. 7 bandwidth, the
+pairwise exchange leg); packet-level global sums run as schedules
+through :mod:`repro.collectives.des_exec`.
 """
 
 from repro.parallel.tiling import Decomposition, Tile

@@ -1,93 +1,18 @@
-"""Packet-level collectives on the discrete-event cluster.
+"""VI point-to-point microbenchmarks on the discrete-event cluster.
 
-These are the *stand-alone benchmarks* of Sections 4.1-4.2: the same
-exchange and global-sum primitives, but executed message-by-message on
-the simulated Arctic/StarT-X hardware rather than costed analytically.
-The paper's Fig. 11 parameters come from exactly such stand-alone runs;
-here they validate the analytic models against the simulated hardware.
+What is left here are the two stand-alone VI-mode measurements of
+Section 4.1, executed packet-by-packet on the simulated Arctic/StarT-X
+hardware: :func:`des_transfer_bandwidth` (the one-direction stream
+behind Fig. 7) and :func:`des_exchange` (the two-way pair swap that is
+the DES tier's halo leg, :meth:`repro.backend.DESBackend.pair_time`).
+Global sums and barriers run as schedules through
+:func:`repro.collectives.des_exec.des_time_schedule` /
+:func:`~repro.collectives.des_exec.des_run_schedule`.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-from typing import Optional, Sequence
-
 from repro.hardware.cluster import HyadesCluster
-from repro.network.overheads import GSUM_SW_COST  # noqa: F401  (re-exported)
-from repro.network.packet import Priority
-
-# GSUM_SW_COST — the per-round software cost charged by the poll loop
-# below — is shared with the analytic models via repro.network.overheads
-# (see that module for the calibration story).
-
-
-def _pack(value: float) -> list[int]:
-    hi, lo = struct.unpack(">II", struct.pack(">d", value))
-    return [hi, lo]
-
-
-def _unpack(words: Sequence[int]) -> float:
-    return struct.unpack(">d", struct.pack(">II", words[0], words[1]))[0]
-
-
-def des_global_sum(
-    cluster: HyadesCluster,
-    values: Sequence[float],
-    record: Optional[list] = None,
-) -> tuple[list[float], float]:
-    """Run one butterfly global sum on the DES cluster.
-
-    Returns ``(per-node results, elapsed seconds)``.  Nodes 0..N-1 of the
-    cluster participate with ``values[i]``; each round exchanges 8-byte
-    payload PIO messages with the partner ``rank ^ 2**i`` (Fig. 8).
-    """
-    n = len(values)
-    if n & (n - 1) or n < 1:
-        raise ValueError("power-of-two node count required")
-    if n > cluster.n_nodes:
-        raise ValueError("more values than cluster nodes")
-    eng = cluster.engine
-    rounds = int(math.log2(n)) if n > 1 else 0
-    results: list[Optional[float]] = [None] * n
-    done_times: list[float] = [0.0] * n
-
-    def node_proc(me: int):
-        partial = float(values[me])
-        inbox: dict[int, float] = {}
-        for i in range(rounds):
-            partner = me ^ (1 << i)
-            yield from cluster.niu(me).pio_send(
-                partner, _pack(partial), tag=i, priority=Priority.LOW
-            )
-            while i not in inbox:
-                # software poll/loop cost, then block for the message
-                yield eng.timeout(GSUM_SW_COST)
-                pkt = yield from cluster.niu(me).pio_recv()
-                inbox[pkt.tag] = _unpack(pkt.payload_words)
-            other = inbox.pop(i)
-            # canonical order: lower group + higher group => bitwise
-            # identical partials on every node
-            partial = (partial + other) if me < partner else (other + partial)
-            if record is not None:
-                record.append((i, me, partial))
-        results[me] = partial
-        done_times[me] = eng.now
-
-    start = eng.now
-    for r in range(n):
-        eng.process(node_proc(r), name=f"gsum-rank{r}")
-    # watchdog: a dropped partial must surface as a DeadlockError naming
-    # the blocked ranks, not as an infinite hang
-    eng.run(watchdog=True)
-    elapsed = max(done_times) - start if n > 1 else 0.0
-    return [float(v) for v in results], elapsed  # type: ignore[arg-type]
-
-
-def des_barrier(cluster: HyadesCluster, n: int) -> float:
-    """Butterfly barrier on the DES cluster; returns elapsed seconds."""
-    _, elapsed = des_global_sum(cluster, [0.0] * n)
-    return elapsed
 
 
 def des_exchange(cluster: HyadesCluster, a: int, b: int, nbytes: int) -> float:
@@ -113,9 +38,12 @@ def des_exchange(cluster: HyadesCluster, a: int, b: int, nbytes: int) -> float:
         done["b"] = eng.now
 
     start = eng.now
-    eng.process(node_a())
-    eng.process(node_b())
-    eng.run()
+    eng.process(node_a(), name=f"exchange-node{a}")
+    eng.process(node_b(), name=f"exchange-node{b}")
+    # watchdog: a lost fragment must surface as a DeadlockError naming
+    # the blocked side, not as the other side's completion time; past
+    # it both processes have finished, so both sides are in ``done``
+    eng.run(watchdog=True)
     return max(done.values()) - start
 
 

@@ -4,10 +4,10 @@ Everywhere else the split is: functional data movement in NumPy, timing
 from cost models.  This module closes the last gap for validation: a
 halo exchange in which every edge slab actually travels through the
 simulated StarT-X NIUs and Arctic fat tree as VI transfers (bytes on
-the wire), and a global sum whose partial values ride PIO packets.  A
-tiled computation run this way must produce arrays *identical* to the
-functional :func:`repro.parallel.exchange.exchange_halos` — the
-strongest end-to-end check that the NIU/fabric models preserve data.
+the wire).  A tiled computation run this way must produce arrays
+*identical* to the functional
+:func:`repro.parallel.exchange.exchange_halos` — the strongest
+end-to-end check that the NIU/fabric models preserve data.
 
 Deadlock is avoided the way the real exchange primitive does it: each
 rank's NIU driver (a server process) accepts inbound transfer requests
@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.hardware.cluster import HyadesCluster
 from repro.niu.reliable import get_reliable
-from repro.parallel.des_collectives import des_global_sum
 from repro.parallel.tiling import Decomposition
 from repro.sim import Signal
 
@@ -434,16 +433,3 @@ class DESExchanger:
             for key, val in rn.stats().items():
                 totals[key] = totals.get(key, 0) + val
         return totals
-
-
-def des_global_mean(cluster: HyadesCluster, decomp: Decomposition, fields) -> float:
-    """Global mean of tile interiors via an on-the-wire global sum."""
-    o = decomp.olx
-    partials = []
-    counts = []
-    for r, t in enumerate(decomp.tiles):
-        sl = (Ellipsis, slice(o, o + t.ny), slice(o, o + t.nx))
-        partials.append(float(np.sum(fields[r][sl])))
-        counts.append(fields[r][sl].size)
-    results, _ = des_global_sum(cluster, partials)
-    return results[0] / sum(counts)

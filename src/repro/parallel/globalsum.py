@@ -25,7 +25,7 @@ association (see :func:`canonical_fold_reduce`).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,7 +168,6 @@ class GlobalSummer:
         cpus_per_node: int = 1,
         algorithm: str = "butterfly",
         backend=None,
-        tuner: Optional[object] = None,
     ) -> None:
         if n_ranks % max(cpus_per_node, 1):
             raise ValueError("n_ranks must be a multiple of cpus_per_node")
@@ -180,22 +179,15 @@ class GlobalSummer:
         self.count = 0
         self.algorithm = algorithm
         self.plan = None
-        if tuner is not None:
-            from repro.backend import deprecated_kwarg
-
-            if backend is not None:
-                raise ValueError("pass backend= alone; tuner= is deprecated")
-            deprecated_kwarg("GlobalSummer(tuner=)", "backend=")
         if algorithm == "auto":
+            from repro.backend import resolve_backend
+
+            be = resolve_backend(backend or "analytic")
+            tuner = getattr(be, "tuner", None)
             if tuner is None:
-                from repro.backend import resolve_backend
+                from repro.collectives.tuner import Autotuner
 
-                be = resolve_backend(backend or "analytic")
-                tuner = getattr(be, "tuner", None)
-                if tuner is None:
-                    from repro.collectives.tuner import Autotuner
-
-                    tuner = Autotuner(be.model)
+                tuner = Autotuner(be.model)
             self.plan = tuner.plan("allreduce", self.n_nodes, nbytes=8)
             self.algorithm = self.plan.algorithm
         elif algorithm != "butterfly":

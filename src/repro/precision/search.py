@@ -212,17 +212,13 @@ class ServiceRunner:
 
     def evaluate(self, param_batch: Sequence[dict]) -> List[dict]:
         """Submit the batch, drain the service, collect results in order."""
-        from repro.service.api import (
-            JOBS_DIR,
-            EnsembleService,
-            ServiceClient,
+        from repro.service import (
+            JobSpec,
             ServiceConfig,
+            SupervisorConfig,
+            run_jobs,
         )
-        from repro.service.jobs import JobSpec
-        from repro.service.supervisor import SupervisorConfig
-        from repro.service.worker import read_result
 
-        client = ServiceClient(self.root)
         specs = [
             JobSpec(
                 kind="precision",
@@ -231,24 +227,16 @@ class ServiceRunner:
             )
             for params in param_batch
         ]
-        job_ids = client.submit_many(specs)
-        service = EnsembleService(
-            self.root,
-            ServiceConfig(
-                supervisor=SupervisorConfig(
-                    max_workers=self.max_workers, deadline_s=self.deadline_s
-                )
-            ),
+        config = ServiceConfig(
+            supervisor=SupervisorConfig(
+                max_workers=self.max_workers, deadline_s=self.deadline_s
+            )
         )
-        service.serve(drain=True)
-        jobs_root = self.root / JOBS_DIR
-        out = []
-        for job_id in job_ids:
-            result = read_result(jobs_root / job_id, job_id)
+        job_ids, results, _ = run_jobs(self.root, specs, config)
+        for job_id, result in zip(job_ids, results):
             if result is None:
                 raise RuntimeError(f"precision job {job_id} produced no result")
-            out.append(result)
-        return out
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ feature is its fault story, built on the robustness stack of PRs 1–4:
   quarantined.
 """
 
-from .api import EnsembleService, ServiceClient, ServiceConfig
+from .api import EnsembleService, ServiceClient, ServiceConfig, run_jobs
 from .chaos import ChaosConfig, ChaosReport, build_ensemble, run_chaos
 from .degrade import DegradeConfig
 from .jobs import JobPriority, JobSpec, JobState, JobStatus, model_digest
@@ -59,4 +59,5 @@ __all__ = [
     "execute_job",
     "model_digest",
     "run_chaos",
+    "run_jobs",
 ]

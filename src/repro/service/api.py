@@ -32,7 +32,7 @@ import pathlib
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .degrade import DegradeConfig, shed_excess
 from .jobs import JobSpec, JobStatus
@@ -318,3 +318,23 @@ class EnsembleService:
         self.supervisor.kill_all()
         self.journal.close()
         self._started = False
+
+
+def run_jobs(
+    root: Union[str, pathlib.Path],
+    specs: Iterable[JobSpec],
+    config: Optional[ServiceConfig] = None,
+    max_wall_s: Optional[float] = None,
+) -> Tuple[List[str], List[Optional[dict]], dict]:
+    """Run a batch to completion: submit ``specs``, drain a service on
+    ``root``, read every job's ``result.json``.
+
+    Returns ``(job_ids, results, summary)`` with ids and results in
+    submission order; a job that left no valid result (quarantined,
+    shed, or cut off by ``max_wall_s``) has ``None`` in its slot.
+    """
+    root = pathlib.Path(root)
+    job_ids = ServiceClient(root).submit_many(specs)
+    summary = EnsembleService(root, config).serve(drain=True, max_wall_s=max_wall_s)
+    results = [read_result(root / JOBS_DIR / job_id, job_id) for job_id in job_ids]
+    return job_ids, results, summary

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.collectives import Autotuner, cost_table, schedule_cost
 from repro.collectives.schedules import build
 from repro.core.pfpp import best_collectives_table
@@ -84,10 +85,22 @@ class TestCaching:
         assert info["hits"] == 1 and info["misses"] == 2 and info["size"] == 2
 
 
+class TestBackendKwarg:
+    def test_backend_and_model_are_exclusive(self):
+        from repro.network.costmodel import arctic_cost_model
+
+        with pytest.raises(ValueError, match="not both"):
+            Autotuner(arctic_cost_model(), backend="analytic")
+
+    def test_backend_kwarg_supplies_the_model(self):
+        be = AnalyticBackend()
+        assert Autotuner(backend=be).model is be.model
+
+
 class TestRuntimeWiring:
     def test_runtime_charges_tuned_gsum(self):
         decomp = Decomposition(16, 16, 4, 4)
-        tuned = LockstepRuntime(decomp, tuner=Autotuner())
+        tuned = LockstepRuntime(decomp, backend=AnalyticBackend(tuner=Autotuner()))
         plain = LockstepRuntime(decomp)
         assert tuned.global_sum([1.0] * 16) == plain.global_sum([1.0] * 16)
         # both charge a 16-way gsum within 10% of the measured latency
@@ -98,7 +111,7 @@ class TestRuntimeWiring:
 
     def test_runtime_barrier_uses_tuner(self):
         decomp = Decomposition(16, 16, 4, 4)
-        rt = LockstepRuntime(decomp, tuner=Autotuner())
+        rt = LockstepRuntime(decomp, backend=AnalyticBackend(tuner=Autotuner()))
         rt.barrier()
         assert rt.elapsed == pytest.approx(Autotuner().barrier_time(16))
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.core.fits import fit_bandwidth_model, fit_gsum_model, least_squares
 from repro.hardware.cluster import HyadesCluster
 from repro.network.costmodel import ARCTIC_GSUM_MEASURED
-from repro.parallel.des_collectives import des_global_sum, des_transfer_bandwidth
+from repro.parallel.des_collectives import des_transfer_bandwidth
 
 US = 1e-6
 
@@ -55,8 +57,9 @@ class TestGsumFit:
         paper's model, land near the paper's slope."""
         measured = {}
         for n in (2, 4, 8, 16):
-            _, t = des_global_sum(HyadesCluster(), [1.0] * n)
-            measured[n] = t
+            measured[n] = des_time_schedule(
+                HyadesCluster(), allreduce_butterfly(n, 8)
+            )
         fit = fit_gsum_model(measured)
         assert fit.slope == pytest.approx(4.67 * US, rel=0.15)
         assert abs(fit.offset) < 1.0 * US

@@ -1,7 +1,5 @@
 """Degradation pricing: one penalty formula, every tier, DES honesty."""
 
-import math
-
 import pytest
 
 from repro.backend import resolve_backend

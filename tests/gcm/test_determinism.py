@@ -26,11 +26,16 @@ class TestBitwiseDeterminism:
         assert [h.ni for h in a.history] == [h.ni for h in b.history]
 
     def test_des_runs_bitwise_deterministic(self):
+        from repro.collectives.des_exec import des_run_schedule
+        from repro.collectives.schedules import allreduce_butterfly
         from repro.hardware.cluster import HyadesCluster
-        from repro.parallel.des_collectives import des_global_sum
 
         def run():
-            return des_global_sum(HyadesCluster(), [0.1 * i for i in range(16)])
+            return des_run_schedule(
+                HyadesCluster(),
+                allreduce_butterfly(16, 8),
+                [0.1 * i for i in range(16)],
+            )
 
         ra, ta = run()
         rb, tb = run()

@@ -7,6 +7,7 @@ model+runtime, not just from the standalone PFPP arithmetic.
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.gcm import diagnostics as diag
 from repro.gcm.ocean import ocean_model
 from repro.network.costmodel import (
@@ -18,7 +19,8 @@ from repro.network.costmodel import (
 
 def run_on(cost_model, steps=4):
     m = ocean_model(
-        nx=64, ny=32, nz=8, px=2, py=2, dt=900.0, cost_model=cost_model
+        nx=64, ny=32, nz=8, px=2, py=2, dt=900.0,
+        backend=AnalyticBackend(model=cost_model),
     )
     m.run(steps)
     return m

@@ -6,7 +6,6 @@ from repro.sim import Engine
 from repro.network.errors import EndpointCountError, TopologyError
 from repro.network.fabrics import (
     CrossbarFabric,
-    FabricParams,
     GridFabric,
     HubFabric,
     grid_distance,

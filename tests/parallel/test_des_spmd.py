@@ -8,10 +8,13 @@ fat tree's routers to get there.
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
-from repro.parallel.des_spmd import DESExchanger, des_global_mean
+from repro.parallel.des_collectives import des_exchange
+from repro.parallel.des_spmd import DESExchanger
 from repro.parallel.exchange import HaloExchanger, exchange_halos
 from repro.parallel.tiling import Decomposition
+from repro.sim.engine import DeadlockError
 
 
 def setup(nx=16, ny=8, px=2, py=2, olx=2, nz=None, seed=0, n_nodes=4):
@@ -131,8 +134,23 @@ class TestDESJacobiSweep:
         np.testing.assert_allclose(got, ref, atol=1e-14)
 
 
-class TestDESGlobalMean:
-    def test_matches_numpy_mean(self):
-        cluster, decomp, tiles, g = setup(seed=13)
-        got = des_global_mean(cluster, decomp, tiles)
-        assert got == pytest.approx(float(g.mean()), rel=1e-12)
+class TestDESExchangeOnLossyFabric:
+    """A dropped VI fragment stalls ``des_exchange``; that must surface
+    as the watchdog's DeadlockError naming the blocked side."""
+
+    @staticmethod
+    def _lossy_exchange(seed):
+        cluster = HyadesCluster(HyadesConfig(n_nodes=2))
+        FaultInjector(cluster.fabric, FaultPlan(seed=seed, drop_prob=0.002))
+        return des_exchange(cluster, 0, 1, 4096)
+
+    def test_both_sides_stalled_raises(self):
+        # seed 14 used to die with a bare ``max() arg is an empty sequence``
+        with pytest.raises(DeadlockError, match="exchange-node0.*exchange-node1"):
+            self._lossy_exchange(14)
+
+    def test_one_side_stalled_is_not_a_success(self):
+        # seed 3 used to return node 1's completion time (90.6 us)
+        # although node 0 never saw its transfer complete
+        with pytest.raises(DeadlockError, match="exchange-node0"):
+            self._lossy_exchange(3)

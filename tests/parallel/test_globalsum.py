@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import HyadesCluster
-from repro.parallel.des_collectives import des_barrier, des_global_sum
+from repro.backend import DESBackend
+from repro.collectives.des_exec import des_run_schedule, des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
+from repro.collectives.semantics import run_schedule
+from repro.hardware import HyadesCluster, HyadesConfig
 from repro.parallel.globalsum import (
     GlobalSummer,
     butterfly_global_sum,
@@ -143,51 +146,55 @@ class TestGlobalSummer:
         assert gs([1.0] * 16) == pytest.approx(16.0)
 
 
+def _des_gsum_time(n):
+    cluster = HyadesCluster(HyadesConfig(n_nodes=max(n, 16)))
+    return des_time_schedule(cluster, allreduce_butterfly(n, 8))
+
+
 class TestDESGlobalSum:
+    """The Fig. 8 butterfly as a schedule on the one DES executor."""
+
     paper = {2: 4.0e-6, 4: 8.3e-6, 8: 12.8e-6, 16: 18.2e-6}
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_value_correct(self, n):
-        cl = HyadesCluster()
-        vals = [float(i + 1) for i in range(n)]
-        res, _ = des_global_sum(cl, vals)
-        assert all(v == pytest.approx(sum(vals)) for v in res)
+        sch = allreduce_butterfly(n, 8)
+        vals = [0.1 * (i + 1) for i in range(n)]
+        res, _ = des_run_schedule(HyadesCluster(), sch, vals)
+        ref = run_schedule(sch, vals)
+        assert [r.tobytes() for r in res] == [r.tobytes() for r in ref]
+        assert all(r[0] == butterfly_global_sum(vals)[0][0] for r in res)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_latency_within_10pct_of_paper(self, n):
-        cl = HyadesCluster()
-        _, t = des_global_sum(cl, [1.0] * n)
-        assert t == pytest.approx(self.paper[n], rel=0.10)
+        assert _des_gsum_time(n) == pytest.approx(self.paper[n], rel=0.10)
 
     def test_latency_grows_with_log_n(self):
-        ts = []
-        for n in (2, 4, 8, 16):
-            cl = HyadesCluster()
-            _, t = des_global_sum(cl, [0.0] * n)
-            ts.append(t)
-        assert ts == sorted(ts)
-        # roughly linear in log2 N
-        slope1 = ts[1] - ts[0]
-        slope3 = ts[3] - ts[2]
-        assert slope3 == pytest.approx(slope1, rel=0.35)
+        """Pinned: k rounds cost k x (os + GSUM_SW_COST + or) = k x 4.22 us;
+        any drift in the executor's butterfly moves the DES tier."""
+        for k in range(1, 7):
+            assert _des_gsum_time(2**k) == pytest.approx(k * 4.22e-6, rel=1e-12)
 
     def test_fig8_partials_on_wire(self):
-        cl = HyadesCluster()
-        record = []
+        sch = allreduce_butterfly(8, 8)
+        for i, rnd in enumerate(sch.rounds):
+            for s in rnd:
+                assert s.dst == s.src ^ (1 << i)
+                # the payload is the partial over the sender's 2^i-group
+                group = s.src >> i << i
+                assert {it[1] for it in s.items} == set(range(group, group + (1 << i)))
         vals = [float(i) for i in range(8)]
-        des_global_sum(cl, vals, record=record)
-        by_round_node = {(i, r): v for i, r, v in record}
-        assert by_round_node[(0, 0)] == vals[0] + vals[1]
-        assert by_round_node[(2, 5)] == sum(vals)
+        res, _ = des_run_schedule(HyadesCluster(), sch, vals)
+        assert all(r[0] == sum(vals) for r in res)
 
     def test_barrier_is_a_dataless_gsum(self):
-        cl = HyadesCluster()
-        t = des_barrier(cl, 16)
-        assert t == pytest.approx(self.paper[16], rel=0.10)
+        be = DESBackend()
+        assert be.barrier_time(16) == be.gsum_time(16) == _des_gsum_time(16)
+        assert be.barrier_time(16) == pytest.approx(self.paper[16], rel=0.10)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            des_global_sum(HyadesCluster(), [1.0] * 3)
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_backend_quotes_the_executor_off_powers_of_two(self, n):
+        assert DESBackend().gsum_time(n) == _des_gsum_time(n)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=64))

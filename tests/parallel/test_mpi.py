@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly
 from repro.hardware.cluster import HyadesCluster
-from repro.parallel.des_collectives import des_global_sum
 from repro.parallel.mpi import MPI_EAGER_THRESHOLD, MPIComm
 
 
@@ -160,8 +161,7 @@ class TestGeneralityTax:
 
         res, _ = run_ranks(16, body)
         t_mpi = max(res.values())
-        cluster = HyadesCluster()
-        _, t_custom = des_global_sum(cluster, [float(i) for i in range(16)])
+        t_custom = des_time_schedule(HyadesCluster(), allreduce_butterfly(16, 8))
         assert t_mpi > 1.5 * t_custom
 
     def test_but_mpi_still_beats_ethernet_class_latency(self):

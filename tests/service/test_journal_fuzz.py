@@ -21,7 +21,7 @@ import zlib
 
 import pytest
 
-from repro.service import Journal, JournalWarning
+from repro.service import Journal
 
 
 def _make_records(rng, n):

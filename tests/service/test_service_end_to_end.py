@@ -3,8 +3,6 @@ checkpoint resume, status schema."""
 
 import json
 
-import pytest
-
 from repro.obs.schema import validate_service_summary
 from repro.service import (
     EnsembleService,
@@ -15,6 +13,7 @@ from repro.service import (
     ServiceConfig,
     SupervisorConfig,
     execute_job,
+    run_jobs,
 )
 from repro.service.api import JOURNAL_NAME
 from repro.service.jobs import JobStatus
@@ -67,6 +66,21 @@ class TestDrain:
         summary = service.serve(drain=True, max_wall_s=30.0)
         assert summary["completed"] == 1
         assert (client.spool / "garbage.rejected").exists()
+
+
+class TestRunJobs:
+    def test_results_in_submission_order_with_none_for_no_result(self, tmp_path):
+        specs = [
+            JobSpec(kind="sleep", name="a", params={"sleep_s": 0.05}),
+            JobSpec(kind="fail", name="poison"),
+            JobSpec(kind="sleep", name="b", params={"sleep_s": 0.0}),
+        ]
+        ids, results, summary = run_jobs(
+            tmp_path, specs, fast_config(max_attempts=1), max_wall_s=60.0
+        )
+        assert ids == [spec.job_id for spec in specs]
+        assert [r and r["job_id"] for r in results] == [ids[0], None, ids[2]]
+        assert summary["completed"] == 2 and summary["quarantined"] == 1
 
 
 class TestStartupRecovery:
