@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Continuous-integration entry point: lint, the tier-1 test suite, an
-# import check of every benchmark and example, the fault/recovery and
-# cross-validation smokes, and the host-time benchmark's smoke run.
+# Continuous-integration entry point: lint, the DES event-count budget,
+# the tier-1 test suite, an import check of every benchmark and example,
+# the fault/recovery and cross-validation smokes, and the host-time
+# benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -15,6 +16,10 @@ if command -v ruff >/dev/null 2>&1; then
 else
   echo "== ruff lint == (skipped: ruff not installed)"
 fi
+
+echo
+echo "== DES event budget (exact counts: a per-hop relay fails here, not by timing) =="
+python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 
 echo
 echo "== tier-1 test suite =="

@@ -64,13 +64,9 @@ class FaultInjector:
             self._schedule_slowdown(sl)
         for st in self.plan.stalls:
             for link in self.fabric.node_links(st.node):
-                self.engine.schedule(
-                    st.start, lambda l=link, d=st.duration: l.stall(d)
-                )
+                self.engine.schedule(st.start, link.stall, st.duration)
         for cr in self.plan.crashes:
-            self.engine.schedule(
-                cr.start, lambda n=cr.node: self.fabric.kill_endpoint(n)
-            )
+            self.engine.schedule(cr.start, self.fabric.kill_endpoint, cr.node)
 
     def _make_hook(self, link: Link, model) -> object:
         rng = random.Random(self.plan.link_seed(link.name))

@@ -66,6 +66,12 @@ class BaseFabric:
         self._endpoint_dead: List[bool] = [False] * self.n
         self._inject_seq: List[int] = [0] * self.n
         self.blackholed_packets = 0
+        #: Sends refused because the source itself is dead; only a fabric
+        #: without per-endpoint injection links (the hub) ever counts one.
+        self.dropped_at_source = 0
+        #: The per-endpoint delivery callbacks, built once: the last link
+        #: toward ``ep`` (or a loopback event) calls ``_deliver[ep]``.
+        self._deliver = [self._make_endpoint_sink(ep) for ep in range(self.n)]
         #: Called with the endpoint id whenever :meth:`kill_endpoint`
         #: fires (crash-recovery runtimes subscribe here).
         self.crash_listeners: List[Callable[[int], None]] = []
@@ -121,7 +127,7 @@ class BaseFabric:
         self._inject_seq[pkt.src] += 1
         if pkt.src == pkt.dst:
             # NIU loopback: no fabric traversal.
-            self.engine.schedule(0.0, lambda: self._make_endpoint_sink(pkt.dst)(pkt))
+            self.engine.schedule(0.0, self._deliver[pkt.dst], pkt)
             return
         pkt.send_time = self.engine.now
         self.inject_links[pkt.src].send(pkt)
@@ -167,7 +173,7 @@ class BaseFabric:
         if self._endpoint_dead[ep]:
             return
         self._endpoint_dead[ep] = True
-        self.inject_links[ep].stall(float("inf"))
+        self._silence(ep)
         self.engine.crashed_nodes[ep] = self.engine.now
         tr = obs_trace.TRACER
         if tr is not None:
@@ -177,6 +183,10 @@ class BaseFabric:
             )
         for listener in list(self.crash_listeners):
             listener(ep)
+
+    def _silence(self, ep: int) -> None:
+        """Stop a crashed endpoint from sending: its injection link dies."""
+        self.inject_links[ep].stall(float("inf"))
 
     def endpoint_dead(self, ep: int) -> bool:
         """True when endpoint ``ep`` has been crashed."""
@@ -200,6 +210,7 @@ class BaseFabric:
             "link_corruptions": corrupted,
             "router_crc_drops": self.total_crc_errors(),
             "blackholed": self.blackholed_packets,
+            "source_drops": self.dropped_at_source,
         }
 
 
@@ -262,7 +273,7 @@ class GridFabric(BaseFabric):
             ArcticRouter(engine, name=f"{kind}{i}") for i in range(self.n)
         ]
         self.deliver_links = [
-            self._mk_link(self._make_endpoint_sink(i), f"{kind}{i}_e")
+            self._mk_link(self._deliver[i], f"{kind}{i}_e")
             for i in range(self.n)
         ]
         #: neighbor_links[node][(axis, step)] with step in (+1, -1).
@@ -358,7 +369,7 @@ class CrossbarFabric(BaseFabric):
             ArcticRouter(engine, name=f"X{i}") for i in range(self.n)
         ]
         self.deliver_links = [
-            self._mk_link(self._make_endpoint_sink(i), f"X{i}_e")
+            self._mk_link(self._deliver[i], f"X{i}_e")
             for i in range(self.n)
         ]
         #: crossbar routers keyed by (axis, line id) where the line id is
@@ -471,26 +482,18 @@ class HubFabric(BaseFabric):
             )
         super().__init__(engine, n_endpoints, params or FabricParams())
         self.hub_link = self._mk_link(self._dispatch, "hub")
-        self.dropped_at_source = 0
+        self.inject_links = [self.hub_link] * self.n
 
     def _dispatch(self, pkt: Packet) -> None:
-        self._make_endpoint_sink(pkt.dst)(pkt)
+        self._deliver[pkt.dst](pkt)
 
     def inject(self, pkt: Packet) -> None:
         """Queue ``pkt`` on the shared medium (loopback bypasses it;
-        sends from a dead station are silently dropped)."""
-        if not (0 <= pkt.dst < self.n):
-            raise ValueError(f"destination {pkt.dst} out of range")
-        pkt.inject_seq = self._inject_seq[pkt.src]
-        self._inject_seq[pkt.src] += 1
-        if self._endpoint_dead[pkt.src]:
+        sends from a dead station are dropped and counted)."""
+        if 0 <= pkt.dst < self.n and self._endpoint_dead[pkt.src]:
             self.dropped_at_source += 1
             return
-        if pkt.src == pkt.dst:
-            self.engine.schedule(0.0, lambda: self._make_endpoint_sink(pkt.dst)(pkt))
-            return
-        pkt.send_time = self.engine.now
-        self.hub_link.send(pkt)
+        super().inject(pkt)
 
     def path_links(self, src: int, dst: int) -> int:
         """One hop for every distinct pair: the medium is flat."""
@@ -505,19 +508,6 @@ class HubFabric(BaseFabric):
         """Every station's traffic rides the one shared link."""
         return [self.hub_link]
 
-    def kill_endpoint(self, ep: int) -> None:
-        """Fail-stop station ``ep`` without jamming the medium."""
-        # A dead station must not stall the shared medium for everyone:
-        # its own sends vanish and receives blackhole, the hub lives on.
-        if self._endpoint_dead[ep]:
-            return
-        self._endpoint_dead[ep] = True
-        self.engine.crashed_nodes[ep] = self.engine.now
-        tr = obs_trace.TRACER
-        if tr is not None:
-            tr.instant(
-                "fabric", f"ep{ep}", "crash", self.engine.now,
-                cat="fault", args={"endpoint": ep},
-            )
-        for listener in list(self.crash_listeners):
-            listener(ep)
+    def _silence(self, ep: int) -> None:
+        """A dead station must not stall the shared medium for everyone:
+        its own sends vanish at :meth:`inject`, the hub lives on."""

@@ -138,7 +138,7 @@ class FatTree(BaseFabric):
                 kind, target = down_port_target(self.n, l, p, j, c)
                 if kind == "ep":
                     downs.append(
-                        self._mk_link(self._make_endpoint_sink(target), f"{router.name}_e{target}")
+                        self._mk_link(self._deliver[target], f"{router.name}_e{target}")
                     )
                 else:
                     downs.append(
@@ -170,7 +170,7 @@ class FatTree(BaseFabric):
                 # reproducible for identical (seed, workload) pairs no
                 # matter how events interleave or what else runs in the
                 # process; distinct levels draw distinct bits.
-                h = _mix32(seed, pkt.src, pkt.dst, getattr(pkt, "inject_seq", 0))
+                h = _mix32(seed, pkt.src, pkt.dst, pkt.inject_seq)
                 u = (h >> ((l - 1) % 32)) & 1
             else:
                 # Fixed function of the source: keeps all messages of a

@@ -63,6 +63,9 @@ class Packet:
     hops: int = 0
     send_time: float = 0.0
     recv_time: float = 0.0
+    #: Per-source injection number, stamped by ``fabric.inject``; the
+    #: fat tree's random up-routing hashes it (never on the wire).
+    inject_seq: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.payload_words)
@@ -88,7 +91,7 @@ class Packet:
     @property
     def wire_bytes(self) -> int:
         """Bytes serialized on a link: header + payload."""
-        return (HEADER_WORDS + self.size_words) * WORD_BYTES
+        return (HEADER_WORDS + len(self.payload_words)) * WORD_BYTES
 
     def header_words(self) -> list[int]:
         """Encode the two header words of Fig. 1(b)."""
@@ -97,13 +100,13 @@ class Packet:
             ((self.src & 0x3FFF) << 18)
             | (int(self.random_uproute) << 17)
             | ((self.tag & 0x7FF) << 5)
-            | (self.size_words & 0x1F)
+            | (len(self.payload_words) & 0x1F)
         )
         return [w0, w1]
 
     def compute_crc(self) -> int:
         """CRC-16 over header and payload words."""
-        return crc16_words(self.header_words() + list(self.payload_words))
+        return crc16_words([*self.header_words(), *self.payload_words])
 
     def check_crc(self) -> bool:
         """Verify packet integrity; ``corrupt`` packets always fail."""

@@ -9,8 +9,8 @@ The Arctic Switch Fabric is packet-switched with cut-through forwarding:
 * CRC verified at every router stage; corrupted packets are dropped and
   counted (software sees the 1-bit status at the endpoint).
 
-A :class:`Link` models one direction of a physical link: packets queue in
-a priority store, serialize at the link bandwidth, and the *head* of the
+A :class:`Link` models one direction of a physical link: packets queue on
+a priority heap, serialize at the link bandwidth, and the *head* of the
 packet arrives at the far side one stage latency after transmission
 starts (cut-through: the downstream hop forwards without waiting for the
 tail, so end-to-end latency is ``hops * stage + wire_bytes / bandwidth``).
@@ -18,11 +18,12 @@ tail, so end-to-end latency is ``hops * stage + wire_bytes / bandwidth``).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.obs import trace as obs_trace
-from repro.sim import Engine, PriorityStore
+from repro.sim import Engine
 from repro.network.packet import Packet, Priority
 
 #: Paper Section 2.2 hardware constants.
@@ -64,6 +65,15 @@ class Link:
     an additional per-packet delay in seconds (seeded NIC jitter), and
     :meth:`stall` blocks the transmitter outright for a window of
     virtual time.
+
+    The link is a callback state machine, not a process: an idle link
+    hands an arriving packet straight to :meth:`_transmit` (one event
+    later, at the same virtual time); a busy one parks it on a priority
+    heap that the end-of-serialization callback :meth:`_tx_done` pops —
+    last in its instant (``Engine.schedule_late``), because the next
+    packet of a back-to-back stream arrives exactly as the tail leaves
+    and must be seen by the arbitration.  Per packet-hop that is three
+    engine events (start, head downstream, tail gone), two when backlogged.
     """
 
     def __init__(
@@ -85,22 +95,33 @@ class Link:
         self.latency_extra: float = 0.0
         self.delay_hook: Optional[Callable[[Packet], float]] = None
         self._stalled_until: float = 0.0
-        self._queue = PriorityStore(engine, name=f"link:{name}")
-        engine.process(self._transmitter(), name=f"link:{name}", daemon=True)
+        #: (priority, arrival number, packet) waiting behind the wire.
+        self._waiting: list[tuple[int, int, Packet]] = []
+        self._arrivals = 0
+        #: True from the moment a packet is accepted for transmission
+        #: until the wire falls idle (forever, once the link is dead).
+        self._busy = False
 
     def send(self, packet: Packet) -> None:
         """Enqueue a packet for transmission (HIGH priority jumps LOW)."""
-        self._queue.try_put(packet, priority=int(packet.priority))
+        if self._busy:
+            self._arrivals += 1
+            heapq.heappush(
+                self._waiting, (int(packet.priority), self._arrivals, packet)
+            )
+        else:
+            self._busy = True
+            self.engine.schedule(0.0, self._transmit, packet)
         tr = obs_trace.TRACER
         if tr is not None:
             tr.counter(
                 "fabric", f"q:{self.name}", self.engine.now,
-                {"queued": len(self._queue)},
+                {"queued": len(self._waiting)},
             )
 
     @property
     def queued(self) -> int:
-        return len(self._queue)
+        return len(self._waiting)
 
     def stall(self, duration: float) -> None:
         """Block the transmitter for ``duration`` seconds of virtual time.
@@ -110,62 +131,64 @@ class Link:
         """
         self._stalled_until = max(self._stalled_until, self.engine.now + duration)
 
-    def _transmitter(self):
-        while True:
-            pkt: Packet = yield self._queue.get()
-            while self.engine.now < self._stalled_until:
-                if self._stalled_until == float("inf"):
-                    self.stats.dropped += 1
-                    return  # link is dead: stop transmitting entirely
-                yield self.engine.timeout(self._stalled_until - self.engine.now)
-            tr = obs_trace.TRACER
-            if tr is not None:
-                tr.counter(
-                    "fabric", f"q:{self.name}", self.engine.now,
-                    {"queued": len(self._queue)},
-                )
-            if self.fault_hook is not None:
-                verdict = self.fault_hook(pkt)
-                if verdict == FAULT_DROP:
-                    self.stats.dropped += 1
-                    if tr is not None:
-                        tr.instant(
-                            "fabric", self.name, "drop", self.engine.now,
-                            cat="fault", args=obs_trace.emit_arg_packet(pkt),
-                        )
-                    continue
-                if verdict == FAULT_CORRUPT:
-                    pkt.corrupt = True
-                    self.stats.corrupted += 1
-                    if tr is not None:
-                        tr.instant(
-                            "fabric", self.name, "corrupt", self.engine.now,
-                            cat="fault", args=obs_trace.emit_arg_packet(pkt),
-                        )
-            t_ser = pkt.wire_bytes / (self.bandwidth * max(self.rate_factor, 1e-9))
-            self.stats.packets += 1
-            self.stats.bytes += pkt.wire_bytes
-            self.stats.busy_time += t_ser
-            if pkt.priority == Priority.HIGH:
-                self.stats.high_priority_packets += 1
-            if tr is not None:
-                tr.complete(
-                    "fabric", self.name, f"{pkt.src}->{pkt.dst}",
-                    self.engine.now, self.engine.now + t_ser,
-                    cat="link", args=obs_trace.emit_arg_packet(pkt),
-                )
-            # Cut-through: head reaches the far side after the stage
-            # latency while the tail is still serializing here.  Degraded
-            # wires add a fixed latency_extra; a flaky NIC adds a seeded
-            # per-packet delay via delay_hook.  Both delay the head AND
-            # hold the transmitter, so back-to-back packets can't overtake.
-            t_delay = self.latency_extra
-            if self.delay_hook is not None:
-                t_delay += max(self.delay_hook(pkt), 0.0)
-            self.engine.schedule(
-                self.stage_latency + t_delay, lambda p=pkt: self.sink(p)
+    def _tx_done(self) -> None:
+        """The tail left the wire: start on the next packet or fall idle."""
+        if self._waiting:
+            self._transmit(heapq.heappop(self._waiting)[2])
+        else:
+            self._busy = False
+
+    def _transmit(self, pkt: Packet) -> None:
+        """Put ``pkt`` on the wire now (or after the stall it runs into)."""
+        engine = self.engine
+        now = engine.now
+        if now < self._stalled_until:
+            if self._stalled_until == float("inf"):
+                self.stats.dropped += 1
+                return  # link is dead: stays busy, later sends only queue
+            engine.schedule(self._stalled_until - now, self._transmit, pkt)
+            return
+        tr = obs_trace.TRACER
+        if tr is not None:
+            tr.counter(
+                "fabric", f"q:{self.name}", now, {"queued": len(self._waiting)},
             )
-            yield self.engine.timeout(t_ser + t_delay)
+        stats = self.stats
+        verdict = self.fault_hook(pkt) if self.fault_hook is not None else None
+        if verdict in (FAULT_DROP, FAULT_CORRUPT):
+            if tr is not None:
+                tr.instant(
+                    "fabric", self.name, verdict, now,
+                    cat="fault", args=obs_trace.emit_arg_packet(pkt),
+                )
+            if verdict == FAULT_DROP:
+                stats.dropped += 1
+                engine.schedule(0.0, self._tx_done)
+                return
+            pkt.corrupt = True
+            stats.corrupted += 1
+        wire_bytes = pkt.wire_bytes
+        t_ser = wire_bytes / (self.bandwidth * max(self.rate_factor, 1e-9))
+        stats.packets += 1
+        stats.bytes += wire_bytes
+        stats.busy_time += t_ser
+        if pkt.priority == Priority.HIGH:
+            stats.high_priority_packets += 1
+        if tr is not None:
+            tr.complete(
+                "fabric", self.name, f"{pkt.src}->{pkt.dst}", now, now + t_ser,
+                cat="link", args=obs_trace.emit_arg_packet(pkt),
+            )
+        # Cut-through: head reaches the far side after the stage
+        # latency while the tail is still serializing here.  Degraded
+        # wires add a fixed latency_extra; a flaky NIC adds a seeded
+        # per-packet delay via delay_hook.  Both delay the head AND
+        # hold the transmitter, so back-to-back packets can't overtake.
+        t_delay = self.latency_extra
+        if self.delay_hook is not None:
+            t_delay += max(self.delay_hook(pkt), 0.0)
+        engine.schedule(self.stage_latency + t_delay, self.sink, pkt)
+        engine.schedule_late(t_ser + t_delay, self._tx_done)
 
 
 class ArcticRouter:

@@ -137,7 +137,7 @@ class StarTX:
     def _head_arrival(self, pkt: Packet) -> None:
         """Packet head reached this endpoint; tail drains at link rate."""
         drain = pkt.wire_bytes / self.fabric.params.link_bandwidth
-        self.engine.schedule(drain, lambda: self._deliver(pkt))
+        self.engine.schedule(drain, self._deliver, pkt)
 
     def _deliver(self, pkt: Packet) -> None:
         # Endpoint CRC check: software sees only a 1-bit status.

@@ -15,11 +15,22 @@ from typing import Any, Callable, Iterator, Optional
 from repro.obs import trace as obs_trace
 
 
+#: Added to the sequence number of a late event so that it sorts behind
+#: every ordinary event with the same timestamp.
+_LATE = 1 << 62
+
+
 class SimTimeError(ValueError):
     """Raised when an event is scheduled in the (virtual) past — or at a
     non-finite time, which would silently corrupt heap ordering (``nan``
     compares False against everything, so it would sink into the heap
     and break the determinism invariant rather than erroring)."""
+
+
+def _bad_delay(delay: float) -> SimTimeError:
+    if not math.isfinite(delay):
+        return SimTimeError(f"cannot schedule a non-finite delay ({delay})")
+    return SimTimeError(f"cannot schedule {delay} s in the past")
 
 
 class DeadlockError(RuntimeError):
@@ -99,15 +110,15 @@ class Interrupt(Exception):
 class Engine:
     """Event heap + virtual clock.
 
-    The core loop pops ``(time, seq, callback)`` triples in order and runs
-    each callback at its scheduled virtual time.  Model processes (see
+    The core loop pops ``(time, seq, callback, args)`` entries in order and
+    runs each callback at its scheduled virtual time.  Model processes (see
     :class:`repro.sim.process.Process`) are generators driven by these
     callbacks.
     """
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._nevents = 0
         self._processes: list = []  # every Process ever registered (pruned lazily)
@@ -127,30 +138,42 @@ class Engine:
         """Total number of events the engine has dispatched."""
         return self._nevents
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after ``delay`` seconds of virtual time."""
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         # single comparison on the hot path: nan and negatives both fail
         # the chain (nan compares False), inf fails the upper bound
         if not 0.0 <= delay < math.inf:
-            if not math.isfinite(delay):
-                raise SimTimeError(f"cannot schedule a non-finite delay ({delay})")
-            raise SimTimeError(f"cannot schedule {delay} s in the past")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn))
+            raise _bad_delay(delay)
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn, args))
 
-    def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at absolute virtual time ``when``."""
+    def schedule_late(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Like :meth:`schedule`, but ``fn`` runs *last* in its instant:
+        after every ordinary event of that virtual time, including ones
+        scheduled later on.  A resource that frees up at ``t`` uses this
+        to arbitrate among everything that asked for it by ``t`` —
+        exact float ties are the norm on a cut-through pipeline, where
+        the next packet's head arrives the instant the previous tail
+        leaves.  Late events keep scheduling order among themselves."""
+        if not 0.0 <= delay < math.inf:
+            raise _bad_delay(delay)
+        heapq.heappush(
+            self._heap, (self._now + delay, _LATE + next(self._seq), fn, args)
+        )
+
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute virtual time ``when``."""
         if not self._now <= when < math.inf:
             if not math.isfinite(when):
                 raise SimTimeError(f"cannot schedule at a non-finite time ({when})")
             raise SimTimeError(f"cannot schedule at {when} < now {self._now}")
-        heapq.heappush(self._heap, (when, next(self._seq), fn))
+        heapq.heappush(self._heap, (when, next(self._seq), fn, args))
 
     def process(self, gen: Iterator[Any], name: Optional[str] = None, daemon: bool = False) -> "Process":
         """Register a generator as a simulation process and start it now.
 
-        ``daemon`` marks service processes (link transmitters, protocol
-        dispatchers) that legitimately block forever; the deadlock
-        watchdog ignores them.
+        ``daemon`` marks service processes (VI servers, protocol
+        dispatchers, heartbeat beacons) that legitimately block forever;
+        the deadlock watchdog ignores them.
         """
         from repro.sim.process import Process
 
@@ -161,9 +184,9 @@ class Engine:
         if len(self._processes) > self._prune_threshold:
             self._processes = [p for p in self._processes if p.alive]
             # Doubling threshold keeps registration amortized O(1): when
-            # most processes are long-lived daemons (e.g. the ~3N link
-            # transmitters of a large fabric) a fixed threshold would
-            # rescan the full list on every append — O(P^2) wiring.
+            # most processes are long-lived daemons (per-node servers,
+            # beacons and detectors of a large cluster) a fixed threshold
+            # would rescan the full list on every append — O(P^2) wiring.
             self._prune_threshold = max(4096, 2 * len(self._processes))
 
     def blocked_processes(self) -> list:
@@ -216,10 +239,10 @@ class Engine:
             if until is not None and heap[0][0] > until:
                 self._now = until
                 return self._now
-            when, _seq, fn = heappop(heap)
+            when, _seq, fn, args = heappop(heap)
             self._now = when
             self._nevents += 1
-            fn()
+            fn(*args)
             if self._nevents % 64 == 0:
                 tr = obs_trace.TRACER
                 if tr is not None:

@@ -44,7 +44,7 @@ class BaseEvent:
         if self.triggered:
             # Deliver asynchronously but at the same virtual time, so
             # subscription order never reorders the clock.
-            self.engine.schedule(0.0, lambda: fn(self))
+            self.engine.schedule(0.0, fn, self)
         else:
             self._subs.append(fn)
 
@@ -53,10 +53,7 @@ class BaseEvent:
         if self.triggered:
             raise RuntimeError("event already fired")
         self._value = value
-        subs, self._subs = self._subs, []
-        for fn in subs:
-            self.engine.schedule(0.0, lambda f=fn: f(self))
-        return self
+        return self._notify()
 
     def fail(self, exc: BaseException) -> "BaseEvent":
         """Fire the event with an exception; waiters see it raised."""
@@ -64,9 +61,12 @@ class BaseEvent:
             raise RuntimeError("event already fired")
         self._ok = False
         self._value = exc
+        return self._notify()
+
+    def _notify(self) -> "BaseEvent":
         subs, self._subs = self._subs, []
         for fn in subs:
-            self.engine.schedule(0.0, lambda f=fn: f(self))
+            self.engine.schedule(0.0, fn, self)
         return self
 
 
@@ -76,7 +76,7 @@ class Timeout(BaseEvent):
     def __init__(self, engine: Engine, delay: float, value: Any = None) -> None:
         super().__init__(engine)
         self.delay = delay
-        engine.schedule(delay, lambda: self.succeed(value))
+        engine.schedule(delay, self.succeed, value)
 
 
 class AllOf(BaseEvent):
@@ -144,7 +144,7 @@ class Process(BaseEvent):
         self._waiting_on: Optional[BaseEvent] = None
         self._trace_blocked = False
         engine._register_process(self)
-        engine.schedule(0.0, lambda: self._resume(None, None))
+        engine.schedule(0.0, self._resume, None, None)
 
     @property
     def alive(self) -> bool:
@@ -163,7 +163,7 @@ class Process(BaseEvent):
             return
         self._waiting_on = None  # stale wakeups are ignored via the token
         self._trace_unblock()
-        self.engine.schedule(0.0, lambda: self._resume(None, Interrupt(cause)))
+        self.engine.schedule(0.0, self._resume, None, Interrupt(cause))
 
     # -- tracing (block/unblock spans on the process track) --------------
 

@@ -31,9 +31,9 @@ class Store:
         self.engine = engine
         self.capacity = capacity
         self.name = name
-        self._items: deque[Any] = deque()
+        self._items: Any = deque()
         self._getters: deque[BaseEvent] = deque()
-        self._putters: deque[tuple[BaseEvent, Any]] = deque()
+        self._putters: deque[tuple[BaseEvent, Any, int]] = deque()
 
     def _label(self) -> str:
         return f"{type(self).__name__}({self.name})" if self.name else type(self).__name__
@@ -45,22 +45,36 @@ class Store:
     def full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
+    # the two operations a subclass with another queueing discipline
+    # replaces; ``priority`` is ignored by the FIFO
+    def _push(self, item: Any, priority: int) -> None:
+        self._items.append(item)
+
+    def _pop(self) -> Any:
+        return self._items.popleft()
+
     def put(self, item: Any) -> BaseEvent:
         """Waitable that fires once ``item`` is enqueued."""
-        ev = BaseEvent(self.engine)
-        if not self.full:
-            self._items.append(item)
-            ev.succeed(item)
-            self._wake_getter()
-        else:
-            self._putters.append((ev, item))
-        return ev
+        return self._put(item, 0)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the queue is full."""
+        return self._try_put(item, 0)
+
+    def _put(self, item: Any, priority: int) -> BaseEvent:
+        ev = BaseEvent(self.engine)
+        if not self.full:
+            self._push(item, priority)
+            ev.succeed(item)
+            self._wake_getter()
+        else:
+            self._putters.append((ev, item, priority))
+        return ev
+
+    def _try_put(self, item: Any, priority: int) -> bool:
         if self.full:
             return False
-        self._items.append(item)
+        self._push(item, priority)
         self._wake_getter()
         return True
 
@@ -92,10 +106,10 @@ class Store:
         return n
 
     def _take(self) -> Any:
-        item = self._items.popleft()
+        item = self._pop()
         if self._putters:
-            pev, pitem = self._putters.popleft()
-            self._items.append(pitem)
+            pev, pitem, ppriority = self._putters.popleft()
+            self._push(pitem, ppriority)
             pev.succeed(pitem)
         return item
 
@@ -106,7 +120,8 @@ class Store:
 
 
 class PriorityStore(Store):
-    """A store that always yields the lowest-priority-value item first.
+    """A store that always yields the lowest-priority-value item first
+    (FIFO among equal priorities).
 
     Models Arctic's two-priority rule: high-priority (lower value) messages
     can never be blocked behind low-priority ones.
@@ -116,69 +131,22 @@ class PriorityStore(Store):
         self, engine: Engine, capacity: Optional[int] = None, name: Optional[str] = None
     ) -> None:
         super().__init__(engine, capacity, name=name)
-        self._heap: list[tuple[Any, int, Any]] = []
+        self._items: list[tuple[int, int, Any]] = []  # a heap
         self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self._heap) >= self.capacity
 
     def put(self, item: Any, priority: int = 0) -> BaseEvent:
         """Waitable put honouring ``priority`` (lower value served first)."""
-        ev = BaseEvent(self.engine)
-        if not self.full:
-            heapq.heappush(self._heap, (priority, next(self._seq), item))
-            ev.succeed(item)
-            self._wake_getter()
-        else:
-            self._putters.append((ev, (priority, item)))
-        return ev
+        return self._put(item, priority)
 
     def try_put(self, item: Any, priority: int = 0) -> bool:
         """Non-blocking prioritized put; False when full."""
-        if self.full:
-            return False
-        heapq.heappush(self._heap, (priority, next(self._seq), item))
-        self._wake_getter()
-        return True
+        return self._try_put(item, priority)
 
-    def get(self) -> BaseEvent:
-        """Waitable yielding the highest-priority item."""
-        ev = BaseEvent(self.engine)
-        ev.desc = f"{self._label()}.get"
-        if self._heap:
-            ev.succeed(self._take())
-        else:
-            self._getters.append(ev)
-        return ev
+    def _push(self, item: Any, priority: int) -> None:
+        heapq.heappush(self._items, (priority, next(self._seq), item))
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking prioritized get; ``(ok, item)``."""
-        if self._heap:
-            return True, self._take()
-        return False, None
-
-    def clear(self) -> int:
-        """Discard all queued items (blocked getters stay subscribed)."""
-        n = len(self._heap)
-        self._heap.clear()
-        return n
-
-    def _take(self) -> Any:
-        _prio, _seq, item = heapq.heappop(self._heap)
-        if self._putters:
-            pev, (pprio, pitem) = self._putters.popleft()
-            heapq.heappush(self._heap, (pprio, next(self._seq), pitem))
-            pev.succeed(pitem)
-        return item
-
-    def _wake_getter(self) -> None:
-        while self._getters and self._heap:
-            gev = self._getters.popleft()
-            gev.succeed(self._take())
+    def _pop(self) -> Any:
+        return heapq.heappop(self._items)[2]
 
 
 class Resource:

@@ -155,6 +155,42 @@ class TestFabricDelivery:
         eng = Engine()
         self._deliver_all_pairs(HubFabric(eng, 8), eng, 8)
 
+    def test_hub_station_killed_mid_stream_is_fully_accounted(self):
+        """Sends from a dead station are refused at the source; the
+        counter must show up in ``fault_counters()`` or packets vanish
+        from the books on the shared medium."""
+        eng = Engine()
+        hub = HubFabric(eng, 4)
+        delivered = []
+        for ep in range(4):
+            hub.attach_endpoint(ep, delivered.append)
+        injected = 0
+        for k in range(12):  # stations 1 and 2 both stream, one packet / us
+            for src, dst in ((1, 0), (2, 1), (1, 1)):
+                eng.schedule_at(
+                    k * 1e-6, hub.inject, Packet(src=src, dst=dst, payload_words=[k, src])
+                )
+                injected += 1
+        eng.schedule_at(5.5e-6, hub.kill_endpoint, 1)
+        eng.run()
+        fc = hub.fault_counters()
+        assert fc["source_drops"] == hub.dropped_at_source == 12  # 6 us x (1->0, 1->1)
+        assert fc["blackholed"] == 6  # 2->1 after the crash
+        assert len(delivered) == 6 * 3
+        assert injected == (
+            len(delivered) + fc["link_drops"] + fc["router_crc_drops"]
+            + fc["blackholed"] + fc["source_drops"] + hub.hub_link.queued
+        )
+
+    def test_source_drops_is_zero_where_injection_links_exist(self):
+        eng = Engine()
+        for fabric in (GridFabric(eng, (2, 2)), CrossbarFabric(eng, (2, 2))):
+            fabric.kill_endpoint(0)
+            fabric.inject(Packet(src=0, dst=1))
+            eng.run()
+            fc = fabric.fault_counters()
+            assert fc["source_drops"] == 0 and fc["link_drops"] == 1
+
     def test_grid_coords_roundtrip(self):
         dims = (4, 2, 8)
         for node in (0, 1, 17, 63):

@@ -28,6 +28,37 @@ def test_same_time_events_fire_in_fifo_order():
     assert order == list(range(10))
 
 
+def test_schedule_passes_positional_arguments():
+    eng = Engine()
+    got = []
+    eng.schedule(1.0, got.append, "a")
+    eng.schedule_at(2.0, lambda x, y: got.append(x + y), "b", "c")
+    eng.run()
+    assert got == ["a", "bc"]
+
+
+def test_late_events_run_last_in_their_instant():
+    """A late event sorts behind every ordinary event of its timestamp,
+    even ones scheduled after it and ones spawned during that instant;
+    late events keep scheduling order among themselves."""
+    eng = Engine()
+    order = []
+    eng.schedule_late(1.0, order.append, "late1")
+    eng.schedule(1.0, lambda: (order.append("a"), eng.schedule(0.0, order.append, "a-child")))
+    eng.schedule_late(1.0, order.append, "late2")
+    eng.schedule(1.0, order.append, "b")
+    eng.schedule(1.5, order.append, "next")
+    eng.run()
+    assert order == ["a", "b", "a-child", "late1", "late2", "next"]
+    assert eng.events_executed == 6
+
+
+@pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
+def test_schedule_late_rejects_bad_delays(bad):
+    with pytest.raises(SimTimeError):
+        Engine().schedule_late(bad, lambda: None)
+
+
 def test_schedule_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(SimTimeError):
