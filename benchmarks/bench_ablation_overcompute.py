@@ -16,6 +16,7 @@ communication and synchronization points* (3x fewer), whose jitter cost
 on a shared machine the analytic model cannot see.
 """
 
+from repro.core.pfpp import comm_terms
 from repro.network.costmodel import (
     arctic_cost_model,
     fast_ethernet_cost_model,
@@ -32,19 +33,15 @@ FPS = 50e6
 MS = 1e-3
 
 
-def compare(cost_model, nz=10, n_ranks=16):
+def compare(cost_model, nz=10):
     deep = Decomposition(128, 64, 4, 4, olx=3)
     thin = Decomposition(128, 64, 4, 4, olx=1)
-    mix = cost_model.name == "Arctic"
-    t_once = FIELDS * cost_model.exchange_time(
-        deep.edge_bytes(nz=nz, rank=5), mixmode=mix, n_ranks=n_ranks
-    )
-    t_per_pass = PASSES * FIELDS * cost_model.exchange_time(
-        thin.edge_bytes(nz=nz, rank=5), mixmode=mix, n_ranks=n_ranks
-    )
+    mix = cost_model.slave_bw_factor is not None  # only the tailored fabric relays
+    t_once = FIELDS * comm_terms(cost_model, deep, nz, mixmode=mix).texchxyz
+    t_per_pass = PASSES * FIELDS * comm_terms(cost_model, thin, nz, mixmode=mix).texchxyz
     # redundant compute, upper bound: every PS flop recomputed over the
     # full wide-halo ring each pass (real kernels recompute far less)
-    t = deep.tile(5)
+    t = deep.tile(deep.critical_rank)
     vol3 = (t.ny + 6) * (t.nx + 6) * nz
     vol1 = (t.ny + 2) * (t.nx + 2) * nz
     t_redundant_ub = (vol3 - vol1) * NPS / FPS

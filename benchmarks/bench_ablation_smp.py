@@ -9,6 +9,7 @@ Two design decisions of the production configuration:
   over all sixteen ranks.
 """
 
+from repro.core.pfpp import comm_terms
 from repro.gcm.ocean import ocean_model
 from repro.network.costmodel import arctic_cost_model
 from repro.parallel.tiling import Decomposition
@@ -19,27 +20,24 @@ from _tables import emit, format_table, us
 def exchange_mixmode_comparison(nz=10):
     cm = arctic_cost_model()
     d = Decomposition(128, 64, 4, 4, olx=3)
-    edges = d.edge_bytes(nz=nz, rank=5)
+    single = comm_terms(cm, d, nz)
+    mix = comm_terms(cm, d, nz, mixmode=True, n_nodes=8)
     return {
-        "single": cm.exchange_time(edges, mixmode=False),
-        "mixmode": cm.exchange_time(edges, mixmode=True),
-        "gsum_16smp": cm.gsum_time(16, smp=False),
-        "gsum_2x8": cm.gsum_time(8, smp=True),
+        "single": single.texchxyz,
+        "mixmode": mix.texchxyz,
+        "gsum_16smp": single.tgsum,
+        "gsum_2x8": mix.tgsum,
     }
 
 
 def ds_placement_comparison():
     cm = arctic_cost_model()
+    ps = Decomposition(128, 64, 4, 4, olx=3)
     masters = Decomposition(128, 64, 2, 4, olx=1)  # 8 tiles of 1024 cols
     allranks = Decomposition(128, 64, 4, 4, olx=1)  # 16 tiles of 512 cols
     out = {}
-    for name, d, n_gsum, smp, nxy in (
-        ("masters", masters, 8, True, 1024),
-        ("all ranks", allranks, 8, True, 512),
-    ):
-        rank = max(range(d.n_ranks), key=lambda r: sum(d.edge_bytes(nz=1, width=1, rank=r)))
-        texch = cm.exchange_time(d.edge_bytes(nz=1, width=1, rank=rank))
-        tg = cm.gsum_time(n_gsum, smp=smp)
+    for name, d, nxy in (("masters", masters, 1024), ("all ranks", allranks, 512)):
+        tg, texch, _, _ = comm_terms(cm, ps, 10, ds_decomp=d, mixmode=True, n_nodes=8)
         tcomp = 36 * nxy / 60e6
         out[name] = {"texch": texch, "tgsum": tg, "tcomp": tcomp,
                      "tds": tcomp + 2 * texch + 2 * tg}

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from repro.core.pfpp import comm_terms
 from repro.gcm.eos import LinearEOS
 from repro.gcm.grid import Grid, GridParams
 from repro.gcm.operators import FlopCounter
@@ -27,13 +28,10 @@ from _tables import emit, format_table, us
 
 
 def comm_cost(px, py, nz=10):
-    cm = arctic_cost_model()
     d = Decomposition(128, 64, px, py, olx=3)
-    interior = max(
-        range(d.n_ranks), key=lambda r: sum(d.edge_bytes(nz=nz, rank=r))
-    )
-    edges = d.edge_bytes(nz=nz, rank=interior)
-    return cm.exchange_time(edges, mixmode=True), sum(edges), sum(1 for e in edges if e)
+    edges = d.edge_bytes(nz=nz, rank=d.critical_rank)
+    texchxyz = comm_terms(arctic_cost_model(), d, nz, mixmode=True).texchxyz
+    return texchxyz, sum(edges), sum(1 for e in edges if e)
 
 
 def kernel_time(px, py, nz=10, reps=3):

@@ -50,9 +50,11 @@ from repro.service.jobs import model_digest
 from _emit import emit_bench
 from _tables import emit, format_table
 
-# the seed's link and CRC live on as the test suite's oracles
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests" / "network"))
+# the seed's link, CRC and per-tile CG loop live on as the test suite's oracles
+_TESTS = pathlib.Path(__file__).resolve().parent.parent / "tests"
+sys.path[:0] = [str(_TESTS / "network"), str(_TESTS / "gcm")]
 import _reference_crc  # noqa: E402
+from _reference_cg import reference_cg  # noqa: E402
 from _reference_link import ReferenceLink  # noqa: E402
 
 #: The Fig. 9 reduced coupled configuration (same as bench_fig09_coupled).
@@ -107,14 +109,14 @@ def seed_hot_paths():
     (``op.xm`` etc.), so rebinding them here is enough to put the whole
     model back on the seed arithmetic: ``np.roll`` shifted views (same
     wrap semantics, extra full-array temporaries) and the unfused face
-    divergence.  The CG solver is forced onto its per-tile reference
+    divergence.  The CG solver is swapped for its per-tile reference
     loop, the DES dispatch loop is restored to the peek-then-pop form
     that re-read the tracer hook on every event, and every fabric is
     built from the generator-process link with the table-driven CRC.
     All results are bit-identical either way — only wall-clock moves.
     """
-    from repro.gcm import cg
     from repro.gcm import operators as op
+    from repro.gcm import timestepper
     from repro.network import fabrics, packet
     from repro.obs import trace as obs_trace
     from repro.sim.engine import DeadlockError, Engine
@@ -175,19 +177,19 @@ def seed_hot_paths():
 
     saved_ops = (op.xm, op.xp, op.ym, op.yp, op.face_divergence)
     saved_run = Engine.run
-    saved_force = cg.FORCE_REFERENCE
+    saved_cg = timestepper.preconditioned_cg
     saved_net = (fabrics.Link, packet.crc16_words)
     op.xm, op.xp, op.ym, op.yp = xm, xp, ym, yp
     op.face_divergence = face_divergence
     Engine.run = seed_run
-    cg.FORCE_REFERENCE = True
+    timestepper.preconditioned_cg = reference_cg
     fabrics.Link, packet.crc16_words = ReferenceLink, _reference_crc.crc16_words
     try:
         yield
     finally:
         op.xm, op.xp, op.ym, op.yp, op.face_divergence = saved_ops
         Engine.run = saved_run
-        cg.FORCE_REFERENCE = saved_force
+        timestepper.preconditioned_cg = saved_cg
         fabrics.Link, packet.crc16_words = saved_net
 
 

@@ -8,7 +8,7 @@ communication is an order of magnitude larger (3-D width-1 halos), so
 the PFPP analysis shifts: interconnect quality matters even more.
 """
 
-from repro.core.pfpp import pfpp_ds
+from repro.core.pfpp import comm_terms, pfpp_ds
 from repro.gcm.ocean import ocean_model
 from repro.network.costmodel import arctic_cost_model, gigabit_ethernet_cost_model
 from repro.parallel.tiling import Decomposition
@@ -16,16 +16,13 @@ from repro.parallel.tiling import Decomposition
 from _tables import emit, format_table, us
 
 
-def nh_comm_times(cost_model, nz=30, n_ranks=16):
+def nh_comm_times(cost_model, nz=30):
     """(tgsum, texch 3-D width-1) for the non-hydrostatic solve."""
-    d = Decomposition(128, 64, 4, 4, olx=3)
-    mix = cost_model.name == "Arctic"
-    texch = cost_model.exchange_time(
-        d.edge_bytes(nz=nz, width=1, rank=5), mixmode=mix, n_ranks=n_ranks
-    )
-    n_g = 8 if cost_model.name == "Arctic" else 16
-    tg = cost_model.gsum_time(n_g, smp=mix)
-    return tg, texch
+    d = Decomposition(128, 64, 4, 4, olx=1)  # the 3-D solver trades width-1 halos
+    # tailored primitives: mix-mode relay, gsum over the 8 SMP masters
+    smp = cost_model.slave_bw_factor is not None
+    terms = comm_terms(cost_model, d, nz, mixmode=smp, n_nodes=8 if smp else 16)
+    return terms.tgsum, terms.texchxyz
 
 
 def test_bench_nh_pfpp_table(benchmark):

@@ -9,6 +9,7 @@ against the paper's measured values.
 import pytest
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS, OCN_PS_PARAMS
+from repro.core.pfpp import comm_terms
 from repro.network.costmodel import arctic_cost_model
 from repro.parallel.tiling import Decomposition
 
@@ -19,12 +20,9 @@ def modelled_comm_params():
     """(texchxyz_atm, texchxyz_ocn, texchxy_ds, tgsum) from the models."""
     cm = arctic_cost_model()
     ps = Decomposition(128, 64, 4, 4, olx=3)
-    ds = Decomposition(128, 64, 2, 4, olx=1)
-    t_atm = cm.exchange_time(ps.edge_bytes(nz=10, rank=5), mixmode=True)
-    t_ocn = cm.exchange_time(ps.edge_bytes(nz=30, rank=5), mixmode=True)
-    ds_rank = max(range(8), key=lambda r: sum(ds.edge_bytes(nz=1, width=1, rank=r)))
-    t_ds = cm.exchange_time(ds.edge_bytes(nz=1, width=1, rank=ds_rank))
-    t_g = cm.gsum_time(8, smp=True)
+    hyades = dict(ds_decomp=Decomposition(128, 64, 2, 4, olx=1), mixmode=True)
+    t_g, t_ds, t_atm, _ = comm_terms(cm, ps, 10, **hyades)
+    t_ocn = comm_terms(cm, ps, 30, **hyades).texchxyz
     return t_atm, t_ocn, t_ds, t_g
 
 

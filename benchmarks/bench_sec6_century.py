@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS, VALIDATION
 from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
+from repro.core.pfpp import comm_terms
 from repro.network.costmodel import arctic_cost_model
 from repro.parallel.tiling import Decomposition
 
@@ -42,12 +43,10 @@ def ocean_1deg_century_time(dt=3600.0, ni=VALIDATION.ni):
     ds = Decomposition(nx, ny, 2, 4, olx=1)
     nxyz = nx * ny * nz // 16
     nxy = nx * ny // 8
-    texchxyz = cm.exchange_time(d.edge_bytes(nz=nz, rank=5), mixmode=True)
-    ds_rank = max(range(8), key=lambda r: sum(ds.edge_bytes(nz=1, width=1, rank=r)))
-    texchxy = cm.exchange_time(ds.edge_bytes(nz=1, width=1, rank=ds_rank))
+    tgsum, texchxy, texchxyz, _ = comm_terms(cm, d, nz, ds_decomp=ds, mixmode=True)
     pm = PerformanceModel(
         ps=PSPhaseParams(751, nxyz, texchxyz, 50e6),
-        ds=DSPhaseParams(36, nxy, cm.gsum_time(8, smp=True), texchxy, 60e6),
+        ds=DSPhaseParams(36, nxy, tgsum, texchxy, 60e6),
     )
     nt = int(100 * 365.25 * DAY / dt)
     return pm.trun(nt, ni), pm

@@ -13,13 +13,14 @@ Run:  python examples/interconnect_study.py
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS, VALIDATION
 from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
-from repro.core.pfpp import ds_comm_budget, interconnect_comm_times, pfpp_ds, pfpp_ps
+from repro.core.pfpp import comm_terms, ds_comm_budget, pfpp_ds, pfpp_ps
 from repro.network.costmodel import (
     arctic_cost_model,
     fast_ethernet_cost_model,
     gigabit_ethernet_cost_model,
 )
 from repro.network.myrinet import myrinet_hpvm_cost_model
+from repro.parallel.tiling import Decomposition
 
 FPS, FDS = 50e6, 60e6
 
@@ -47,9 +48,17 @@ def main() -> None:
         myrinet_hpvm_cost_model(),
         arctic_cost_model(),
     ]
+    ranks = Decomposition(128, 64, 4, 4, olx=3)
+    masters = Decomposition(128, 64, 2, 4, olx=1)
     year = {}
     for cm in models:
-        tg, t2, t3 = interconnect_comm_times(cm)
+        # each fabric the way the paper measured it: the tailored one on
+        # the production mapping (mix-mode, DS on the 8 SMP masters), the
+        # MPI ones flat over all 16 ranks
+        smp = cm.slave_bw_factor is not None
+        tg, t2, t3, _ = comm_terms(
+            cm, ranks, 10, ds_decomp=masters if smp else None, mixmode=smp
+        )
         p_ps = pfpp_ps(ATM_PS_PARAMS.nps, ATM_PS_PARAMS.nxyz, t3)
         p_ds = pfpp_ds(DS_PARAMS.nds, DS_PARAMS.nxy, tg, t2)
         print(

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Continuous-integration entry point: lint, the DES event-count budget,
-# the tier-1 test suite, an import check of every benchmark and example,
+# Continuous-integration entry point: lint, the docs' module names, the
+# line ledger, the DES event-count budget, the tier-1 test suite, an
+# import check of every benchmark and example,
 # the fault/recovery and cross-validation smokes, and the host-time
 # benchmark's smoke run.
 #
@@ -16,6 +17,16 @@ if command -v ruff >/dev/null 2>&1; then
 else
   echo "== ruff lint == (skipped: ruff not installed)"
 fi
+
+echo
+echo "== docs-modules (a backticked pkg.module in DESIGN.md / docs/*.md must exist) =="
+python scripts/check_docs_modules.py
+
+echo
+echo "== loc (the ROADMAP line ledger: src/ and tests/ Python lines) =="
+for tree in src tests; do
+  echo "$tree/ $(find "$tree" -name '*.py' | xargs cat | wc -l)"
+done
 
 echo
 echo "== DES event budget (exact counts: a per-hop relay fails here, not by timing) =="

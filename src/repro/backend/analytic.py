@@ -3,8 +3,9 @@
 Exchange costs come straight from
 :meth:`repro.network.costmodel.CommCostModel.exchange_time` — the
 first-principles composition that lands on the paper's measured Fig. 11
-values.  Global sums and barriers come from the collectives autotuner's
-per-rank schedule-cost evaluation (:mod:`repro.collectives.cost`), whose
+values.  Global sums — a barrier is a dataless one — come from the
+collectives autotuner's per-rank schedule-cost evaluation
+(:mod:`repro.collectives.cost`), whose
 butterfly rounds are *derived from the same calibrated per-message
 costs the DES charges* (``os(8 B) + GSUM_SW_COST + or(8 B) = 4.22 us``)
 — which is what keeps this tier inside the ≤5 % cross-validation band
@@ -109,16 +110,8 @@ class AnalyticBackend(CommBackend):
         return t + self._collective_penalty(n_nodes, nbytes, now)
 
     def barrier_time(self, n_nodes: int, now: Optional[float] = None) -> float:
-        """Tuned barrier (calibrated) or the dataless-gsum model cost."""
-        if self.tuner is not None:
-            if n_nodes > TUNER_MAX_N:
-                # the paper's barrier is a dataless gsum: same butterfly
-                t = self._butterfly_time(n_nodes, 8)
-            else:
-                t = self.tuner.barrier_time(n_nodes)
-        else:
-            t = self.model.barrier_time(n_nodes)
-        return t + self._collective_penalty(n_nodes, 8, now)
+        """The paper's barrier: a dataless (8-byte) global sum."""
+        return self.gsum_time(n_nodes, 8, now=now)
 
     def describe(self) -> dict:
         """Adds the calibration flavour to the base description."""

@@ -135,12 +135,9 @@ class DESBackend(CommBackend):
         return t + self._collective_penalty(n_nodes, nbytes, now)
 
     def barrier_time(self, n_nodes: int, now: Optional[float] = None) -> float:
-        """Measured dataless global sum."""
-        if n_nodes < 2:
-            return 0.0
-        # the paper's barrier is a dataless global sum: same rounds,
-        # same 8-byte beacons — measure it as one
-        return self._gsum_wire(n_nodes) + self._collective_penalty(n_nodes, 8, now)
+        """The paper's barrier: a dataless (8-byte) global sum — same
+        rounds, same beacons, measured as one."""
+        return self.gsum_time(n_nodes, 8, now=now)
 
     def describe(self) -> dict:
         """Adds simulation counts and memo sizes to the description."""

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from repro.parallel.tiling import Decomposition
 
-from .base import CommBackend, resolve_backend
+from .base import resolve_backend
 
 #: The paper's reference per-processor PS tile: 32 x 16 columns, 10
 #: levels -> nxyz = 5120 grid points (eq. 14's workload term).
@@ -34,16 +34,6 @@ REF_NZ = 10
 #: Default node counts for :func:`large_sweep` — Hyades (16) out to the
 #: N = 4096 machine the DES tier cannot reach.
 SWEEP_N_VALUES = (16, 64, 256, 1024, 4096)
-
-
-def square_process_grid(n_nodes: int) -> tuple[int, int]:
-    """Nearest-to-square ``px x py`` factorisation of a power-of-two N."""
-    if n_nodes < 1 or n_nodes & (n_nodes - 1):
-        raise ValueError(f"sweep node counts must be powers of two, got {n_nodes}")
-    px = 1
-    while px * px < n_nodes:
-        px <<= 1
-    return px, n_nodes // px
 
 
 def sweep_point(
@@ -57,37 +47,31 @@ def sweep_point(
     """Evaluate one weak-scaled configuration at ``n_nodes`` processors.
 
     The global grid is the reference tile replicated over the
-    nearest-to-square process grid, so per-processor work is constant
-    and the interconnect terms carry all the N-dependence: the 3-D halo
-    exchange (texchxyz), the 2-D width-1 exchange (texchxy) and the
-    N-way global sum (tgsum) are quoted from ``backend``, then fed to
+    near-square power-of-two process grid, so per-processor work is
+    constant and the interconnect terms carry all the N-dependence: the
+    3-D halo exchange (texchxyz), the 2-D width-1 exchange (texchxy) and
+    the N-way global sum (tgsum) are quoted from ``backend`` flat over
+    all ranks (:func:`~repro.core.pfpp.comm_terms`), then fed to
     eqs. (14)-(15).  Returns a JSON-ready row including the host
     seconds the quotes took (``wall_s``) — the number that separates
     the tiers at large N.
     """
-    # imported lazily: repro.core.pfpp itself reaches back into the
-    # backend package for its large-N tables
+    # imported lazily: repro.core reaches back into the backend package
+    # for its report sections
     from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS
-    from repro.core.pfpp import pfpp_ds, pfpp_ps
+    from repro.core.pfpp import comm_terms, pfpp_ds, pfpp_ps, reference_process_grid
 
-    be: CommBackend = resolve_backend(backend) if not isinstance(
-        backend, CommBackend
-    ) else backend
-    px, py = square_process_grid(n_nodes)
+    if not isinstance(n_nodes, int) or n_nodes < 2 or n_nodes & (n_nodes - 1):
+        raise ValueError(
+            f"n_nodes must be a power of two >= 2 (one node exchanges "
+            f"nothing, so Pfpp is undefined), got {n_nodes!r}"
+        )
+    be = resolve_backend(backend)
+    px, py = reference_process_grid(n_nodes)
     tnx, tny = tile
     t0 = time.perf_counter()
     decomp = Decomposition(tnx * px, tny * py, px, py, olx=1)
-    rank = max(
-        range(decomp.n_ranks),
-        key=lambda r: sum(decomp.edge_bytes(nz=nz, rank=r)),
-    )
-    texchxyz = be.exchange_time(
-        decomp.edge_bytes(nz=nz, rank=rank), n_ranks=n_nodes
-    )
-    texchxy = be.exchange_time(
-        decomp.edge_bytes(nz=1, width=1, rank=rank), n_ranks=n_nodes
-    )
-    tgsum = be.gsum_time(n_nodes)
+    tgsum, texchxy, texchxyz, _ = comm_terms(be, decomp, nz)
     wall = time.perf_counter() - t0
     nxyz = tnx * tny * nz
     nxy = tnx * tny * 2  # the DS tile holds two PS tiles (nxy = 1024)
@@ -118,7 +102,7 @@ def large_sweep(
     experiment the backend API exists to make unnecessary.  Returns a
     JSON-ready report with one :func:`sweep_point` row per N.
     """
-    be = resolve_backend(backend) if not isinstance(backend, CommBackend) else backend
+    be = resolve_backend(backend)
     t0 = time.perf_counter()
     rows = [sweep_point(n, be, tile=tile, nz=nz) for n in n_values]
     return {

@@ -18,7 +18,7 @@ butterfly global sum — Sections 4.1/4.2) into a reusable layer:
   engine guaranteeing bitwise-identical reductions everywhere.
 """
 
-from .cost import cost_table, recv_cost, schedule_cost, send_cost
+from .cost import cost_table, schedule_cost
 from .des_exec import des_run_schedule, des_time_schedule
 from .schedules import (
     BUILDERS,
@@ -44,9 +44,7 @@ __all__ = [
     "default_tuner",
     "des_run_schedule",
     "des_time_schedule",
-    "recv_cost",
     "reference_result",
     "run_schedule",
     "schedule_cost",
-    "send_cost",
 ]

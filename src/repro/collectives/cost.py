@@ -37,23 +37,6 @@ from repro.niu.startx import PIO_COST_MODEL
 from .schedules import Schedule, build, candidates
 
 
-def send_cost(nbytes: int, model: CommCostModel) -> float:
-    """Sender-side cost of one message (PIO store or VI transfer)."""
-    b = max(nbytes, MIN_WIRE_BYTES)
-    if b <= SMALL_MSG_MAX_BYTES:
-        return PIO_COST_MODEL.os_time(b)
-    return model.transfer_overhead + b / model.bandwidth
-
-
-def recv_cost(nbytes: int, model: CommCostModel) -> float:
-    """Receiver-side cost of one message (poll loop + mmap reads, or the
-    receive leg of a VI transfer)."""
-    b = max(nbytes, MIN_WIRE_BYTES)
-    if b <= SMALL_MSG_MAX_BYTES:
-        return GSUM_SW_COST + PIO_COST_MODEL.or_time(b)
-    return model.transfer_overhead + b / model.bandwidth
-
-
 def schedule_cost(
     schedule: Schedule,
     model: Optional[CommCostModel] = None,

@@ -6,7 +6,9 @@
   (Fig. 2), analytic and measured on the simulated hardware.
 * :mod:`repro.core.perf_model` — the performance model: eqs. (4)-(13).
 * :mod:`repro.core.pfpp` — Potential Floating-Point Performance,
-  eqs. (14)-(15), and the Fig. 12 table builder.
+  eqs. (14)-(15), :func:`~repro.core.pfpp.comm_terms` (the one mapping
+  from a configuration to its tgsum/texchxy/texchxyz) and the tables
+  built on it.
 * :mod:`repro.core.validation` — the Section 5.3 one-year-run check.
 * :mod:`repro.core.sustained` — the Fig. 10 sustained-performance table.
 """
@@ -21,11 +23,13 @@ from repro.core.constants import (
 from repro.core.logp import LogP, analytic_logp, measure_logp, fig2_table
 from repro.core.perf_model import PSPhaseParams, DSPhaseParams, PerformanceModel
 from repro.core.pfpp import (
+    CommTerms,
+    PfppRow,
+    comm_terms,
     pfpp_ps,
     pfpp_ds,
     ds_comm_budget,
     fig12_table,
-    interconnect_comm_times,
 )
 from repro.core.validation import ValidationReport, section53_validation
 from repro.core.sustained import hyades_sustained, fig10_table
@@ -47,7 +51,9 @@ __all__ = [
     "pfpp_ds",
     "ds_comm_budget",
     "fig12_table",
-    "interconnect_comm_times",
+    "comm_terms",
+    "CommTerms",
+    "PfppRow",
     "ValidationReport",
     "section53_validation",
     "hyades_sustained",

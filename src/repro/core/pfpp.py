@@ -14,7 +14,7 @@ CPUs helps; if Pfpp is *below* it, only a better interconnect can.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import NamedTuple, Optional
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS, FIG12_PAPER
 from repro.network.costmodel import (
@@ -50,56 +50,149 @@ def ds_comm_budget(nds: float, nxy: int, target_flops: float) -> float:
     return nds * nxy / (2.0 * target_flops)
 
 
-@dataclass(frozen=True)
-class Fig12Row:
-    """One interconnect's row of Fig. 12."""
+class CommTerms(NamedTuple):
+    """The three communication times of one configuration (Fig. 11)."""
 
+    tgsum: float
+    texchxy: float
+    texchxyz: float
+    #: what priced the global sum: "butterfly" (the tailored Section 4.2
+    #: primitive), "mpi-fit" (an MPI model's calibrated fit) or, on the
+    #: autotuned tables, the allreduce algorithm the tuner picked.
+    gsum_algorithm: str
+
+
+def _tailored(model: CommCostModel) -> bool:
+    """Whether the machine runs the paper's tailored primitives (mix-mode
+    relay through the SMP master, DS and global sum on the masters) or
+    flat MPI over every rank — read off the model's data, not its name."""
+    return model.slave_bw_factor is not None
+
+
+def comm_terms(
+    pricer,
+    decomp: Decomposition,
+    nz: int,
+    *,
+    ds_decomp: Optional[Decomposition] = None,
+    mixmode: bool = False,
+    n_nodes: Optional[int] = None,
+    itemsize: int = 8,
+    gsum_nbytes: int = 8,
+) -> CommTerms:
+    """Map one GCM configuration to ``(tgsum, texchxy, texchxyz)``.
+
+    The only code that knows which exchange and which global sum a
+    configuration pays (docs/backends.md, "Quoting a configuration"):
+
+    * ``texchxyz`` — the PS exchange: ``nz`` levels of ``decomp``'s full
+      halo on its critical rank; ``mixmode`` adds the SMP master's relay
+      of its slave's halo.
+    * ``texchxy`` — the DS exchange: one width-1 level on ``ds_decomp``
+      (the paper's one tile per SMP master, priced per master exactly as
+      the runtime charges it) or, without one, on the PS tiles.
+    * ``tgsum`` — the DS global sum over ``n_nodes`` participants
+      (default: one per DS tile), hierarchical 2xN when ``mixmode``.
+
+    ``pricer`` is a :class:`~repro.backend.CommBackend` or a bare
+    :class:`CommCostModel` (whose gsum fit has no byte term, so
+    ``gsum_nbytes`` only reaches a backend).  A shared medium sees the
+    volume of all ``decomp.n_ranks`` ranks — the rank count cannot
+    disagree with the decomposition.  ``itemsize``/``gsum_nbytes`` price
+    a mixed-precision wire.
+    """
+    if decomp.n_ranks < 2:
+        raise ValueError(
+            f"decomp has {decomp.n_ranks} rank: a single tile communicates "
+            f"nothing, so its terms (and Pfpp) are undefined; need >= 2 ranks"
+        )
+    model = getattr(pricer, "model", pricer)  # a backend carries its model
+    ds = ds_decomp or decomp
+    n_nodes = n_nodes or ds.n_ranks
+    rank = decomp.critical_rank
+    texchxyz = pricer.exchange_time(
+        decomp.edge_bytes(nz=nz, itemsize=itemsize, rank=rank),
+        mixmode=mixmode,
+        n_ranks=decomp.n_ranks,
+    )
+    if ds_decomp is None:
+        texchxy = pricer.exchange_time(
+            decomp.edge_bytes(nz=1, width=1, itemsize=itemsize, rank=rank),
+            n_ranks=decomp.n_ranks,
+        )
+    else:
+        texchxy = pricer.exchange_time(
+            ds.edge_bytes(nz=1, width=1, itemsize=itemsize, rank=ds.critical_rank)
+        )
+    if pricer is model:
+        tgsum = model.gsum_time(n_nodes, smp=mixmode)
+    else:
+        tgsum = pricer.gsum_time(n_nodes, gsum_nbytes, smp=mixmode)
+    algorithm = "butterfly" if _tailored(model) else "mpi-fit"
+    return CommTerms(tgsum, texchxy, texchxyz, algorithm)
+
+
+@dataclass(frozen=True)
+class PfppRow:
+    """One machine at one node count: its three communication terms and
+    the Pfpp ceilings eqs. (14)-(15) make of them — a row of Fig. 12, of
+    the best-collectives extension or of the topology scoreboard."""
+
+    #: interconnect (Fig. 12) or machine shape (scoreboard).
     name: str
+    n_nodes: int
+    #: PS process grid ``(px, py)``.
+    grid: tuple[int, int]
+    gsum_algorithm: str
     tgsum: float
     texchxy: float
     texchxyz: float
     pfpp_ps: float
     pfpp_ds: float
-    fps: float = 50e6
-    fds: float = 60e6
+    #: weak-scaling growth of the global grid vs the reference config.
+    area_scale: float = 1.0
+    #: wire precision the row is priced at ("all64" unless a
+    #: mixed-precision config narrowed the payloads).
+    precision: str = "all64"
+    #: fabric geometry, on scoreboard rows.
+    max_hops: Optional[int] = None
+    bisection_bandwidth: Optional[float] = None
+
+    @property
+    def topology(self) -> str:
+        """Scoreboard spelling of :attr:`name`."""
+        return self.name
 
 
-def interconnect_comm_times(
-    model: CommCostModel,
-    n_ranks: int = 16,
-    n_smps: int = 8,
-    mixmode: bool = True,
-) -> tuple[float, float, float]:
-    """(tgsum, texchxy, texchxyz) for the reference 2.8125-deg atmosphere.
+#: Levels of the reference atmosphere (nxyz = 32 x 16 x 10 = 5120).
+_ATM_NZ = 10
 
-    Arctic uses the tailored primitives (hierarchical SMP global sum over
-    the masters, mix-mode exchange, DS on one tile per SMP); the
-    Ethernet baselines use MPI over all ranks (flat 16-way gsum, halo-1
-    2-D exchange on the PS tiles), matching how the paper measured each.
-    """
-    ps_decomp = Decomposition(128, 64, 4, 4, olx=3)
-    if model.name == "Arctic":
-        tgsum = model.gsum_time(n_smps, smp=mixmode)
-        ds_decomp = Decomposition(128, 64, 2, 4, olx=1)
-        ds_rank = max(
-            range(ds_decomp.n_ranks),
-            key=lambda r: sum(ds_decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
-        texchxy = model.exchange_time(
-            ds_decomp.edge_bytes(nz=1, width=1, rank=ds_rank), mixmode=False
-        )
-        texchxyz = model.exchange_time(
-            ps_decomp.edge_bytes(nz=10, rank=5), mixmode=True
-        )
-    else:
-        tgsum = model.gsum_time(n_ranks)
-        texchxy = model.exchange_time(
-            ps_decomp.edge_bytes(nz=1, width=1, rank=5), n_ranks=n_ranks
-        )
-        texchxyz = model.exchange_time(
-            ps_decomp.edge_bytes(nz=10, rank=5), n_ranks=n_ranks
-        )
-    return tgsum, texchxy, texchxyz
+
+def _row(
+    name: str,
+    terms: CommTerms,
+    decomp: Decomposition,
+    points: tuple[float, int, float, int],
+    scale: float = 1.0,
+    **machine,
+) -> PfppRow:
+    """Eqs. (14)-(15) over one configuration's terms.  ``points`` is
+    ``(nps, nxyz, nds, nxy)``; the point counts grow with the
+    weak-scaled grid (``scale``)."""
+    nps, nxyz, nds, nxy = points
+    return PfppRow(
+        name=name,
+        n_nodes=decomp.n_ranks,
+        grid=(decomp.px, decomp.py),
+        gsum_algorithm=terms.gsum_algorithm,
+        tgsum=terms.tgsum,
+        texchxy=terms.texchxy,
+        texchxyz=terms.texchxyz,
+        pfpp_ps=pfpp_ps(nps, nxyz * scale, terms.texchxyz),
+        pfpp_ds=pfpp_ds(nds, nxy * scale, terms.tgsum, terms.texchxy),
+        area_scale=scale,
+        **machine,
+    )
 
 
 def fig12_table(
@@ -108,58 +201,40 @@ def fig12_table(
     nds: float = DS_PARAMS.nds,
     nxy: int = DS_PARAMS.nxy,
     from_models: bool = True,
-) -> list[Fig12Row]:
+) -> list[PfppRow]:
     """Build Fig. 12 for FE / GE / Arctic.
 
     ``from_models=True`` computes tgsum/texch from the interconnect cost
     models (the reproduction's own numbers); ``False`` uses the paper's
     measured values verbatim.  Either way the Pfpp columns come from
-    eqs. (14)-(15).
+    eqs. (14)-(15).  Each machine is quoted the way the paper measured
+    it: Arctic on the production mapping (16 ranks mix-mode, DS and the
+    2x8 global sum on the eight SMP masters), the Ethernets as flat MPI
+    over all 16 ranks.
     """
-    rows = []
+    ps, _scale = reference_decomposition(16)
     if from_models:
-        sources: Mapping[str, CommCostModel] = {
-            "Fast Ethernet": fast_ethernet_cost_model(),
-            "Gigabit Ethernet": gigabit_ethernet_cost_model(),
-            "Arctic": arctic_cost_model(),
-        }
-        for name, cm in sources.items():
-            tg, t2, t3 = interconnect_comm_times(cm)
-            rows.append(
-                Fig12Row(
-                    name=name,
-                    tgsum=tg,
-                    texchxy=t2,
-                    texchxyz=t3,
-                    pfpp_ps=pfpp_ps(nps, nxyz, t3),
-                    pfpp_ds=pfpp_ds(nds, nxy, tg, t2),
-                )
+        masters = Decomposition(REFERENCE_NX, REFERENCE_NY, 2, 4, olx=1)
+        terms = {}
+        for name, model in (
+            ("Fast Ethernet", fast_ethernet_cost_model()),
+            ("Gigabit Ethernet", gigabit_ethernet_cost_model()),
+            ("Arctic", arctic_cost_model()),
+        ):
+            smp = _tailored(model)
+            terms[name] = comm_terms(
+                model, ps, _ATM_NZ, ds_decomp=masters if smp else None, mixmode=smp
             )
     else:
-        for name, vals in FIG12_PAPER.items():
-            rows.append(
-                Fig12Row(
-                    name=name,
-                    tgsum=vals["tgsum"],
-                    texchxy=vals["texchxy"],
-                    texchxyz=vals["texchxyz"],
-                    pfpp_ps=pfpp_ps(nps, nxyz, vals["texchxyz"]),
-                    pfpp_ds=pfpp_ds(nds, nxy, vals["tgsum"], vals["texchxy"]),
-                )
-            )
-    return rows
+        terms = {
+            name: CommTerms(v["tgsum"], v["texchxy"], v["texchxyz"], "measured")
+            for name, v in FIG12_PAPER.items()
+        }
+    points = (nps, nxyz, nds, nxy)
+    return [_row(name, t, ps, points) for name, t in terms.items()]
 
 
-# -- PFPP under the best-known collective (autotuned, large N) ------------
-
-#: Legacy node-count -> process grid table, kept as a compatibility
-#: alias; :func:`reference_process_grid` now derives the grid for any
-#: power-of-two rank count (these three entries are what it returns).
-BEST_COLLECTIVE_GRIDS: Mapping[int, tuple[int, int]] = {
-    16: (4, 4),
-    64: (8, 8),
-    256: (16, 16),
-}
+# -- the reference atmosphere at large N -----------------------------------
 
 #: The reference 2.8125-degree atmosphere grid (Section 5).
 REFERENCE_NX, REFERENCE_NY = 128, 64
@@ -210,19 +285,18 @@ def reference_decomposition(
     return Decomposition(nx, ny, px, py, olx=olx), scale
 
 
-@dataclass(frozen=True)
-class BestCollectiveRow:
-    """Fig. 12-style row at one node count with autotuned collectives."""
-
-    n_nodes: int
-    #: winning allreduce algorithm for the DS gsum (8-byte payload).
-    gsum_algorithm: str
-    gsum_rounds: int
-    tgsum: float
-    texchxy: float
-    texchxyz: float
-    pfpp_ps: float
-    pfpp_ds: float
+def _tuned_row(
+    name, model, tuner, decomp, scale, points, itemsize=8, gsum_nbytes=8, **machine
+) -> PfppRow:
+    """The reference atmosphere on ``model``, flat over ``decomp``, with
+    the tuner's best-known allreduce as the global sum — except on a
+    shared medium, which keeps its measured MPI fit (no byte term, so
+    ``gsum_nbytes`` cannot move it)."""
+    terms = comm_terms(model, decomp, _ATM_NZ, itemsize=itemsize)
+    if not model.shared_medium:
+        plan = tuner.plan("allreduce", decomp.n_ranks, gsum_nbytes)
+        terms = terms._replace(tgsum=plan.predicted_s, gsum_algorithm=plan.algorithm)
+    return _row(name, terms, decomp, points, scale, **machine)
 
 
 def best_collectives_table(
@@ -231,7 +305,7 @@ def best_collectives_table(
     nxyz: int = ATM_PS_PARAMS.nxyz,
     nds: float = DS_PARAMS.nds,
     nxy: int = DS_PARAMS.nxy,
-) -> list[BestCollectiveRow]:
+) -> list[PfppRow]:
     """Extend Fig. 12's Arctic row to large flat clusters.
 
     At each node count the DS-phase tgsum is the autotuner's best-known
@@ -244,59 +318,12 @@ def best_collectives_table(
 
     tuner = default_tuner()
     model = arctic_cost_model()
-    rows = []
-    for n in n_values:
-        decomp, _scale = reference_decomposition(n)
-        worst = max(
-            range(decomp.n_ranks),
-            key=lambda r: sum(decomp.edge_bytes(nz=1, width=1, rank=r)),
+    return [
+        _tuned_row(
+            model.name, model, tuner, *reference_decomposition(n), (nps, nxyz, nds, nxy)
         )
-        texchxy = model.exchange_time(
-            decomp.edge_bytes(nz=1, width=1, rank=worst)
-        )
-        texchxyz = model.exchange_time(decomp.edge_bytes(nz=10, rank=worst))
-        plan = tuner.plan("allreduce", n, 8)
-        rows.append(
-            BestCollectiveRow(
-                n_nodes=n,
-                gsum_algorithm=plan.algorithm,
-                gsum_rounds=plan.n_rounds,
-                tgsum=plan.predicted_s,
-                texchxy=texchxy,
-                texchxyz=texchxyz,
-                pfpp_ps=pfpp_ps(nps, nxyz, texchxyz),
-                pfpp_ds=pfpp_ds(nds, nxy, plan.predicted_s, texchxy),
-            )
-        )
-    return rows
-
-
-# -- cross-architecture PFPP scoreboard (the topology zoo) -----------------
-
-
-@dataclass(frozen=True)
-class TopologyRow:
-    """One (machine shape, node count) row of the scoreboard."""
-
-    topology: str
-    n_nodes: int
-    grid: tuple[int, int]
-    #: allreduce algorithm the tuner picked on this machine ("mpi-fit"
-    #: on the shared-Ethernet baseline, whose gsum is the calibrated
-    #: measured fit rather than a tuned schedule).
-    gsum_algorithm: str
-    tgsum: float
-    texchxy: float
-    texchxyz: float
-    pfpp_ps: float
-    pfpp_ds: float
-    max_hops: int
-    bisection_bandwidth: float
-    #: weak-scaling growth of the global grid vs the reference config.
-    area_scale: float
-    #: wire precision the row is priced at ("all64" unless a
-    #: mixed-precision config narrowed the payloads).
-    precision: str = "all64"
+        for n in n_values
+    ]
 
 
 def topology_scoreboard(
@@ -309,7 +336,7 @@ def topology_scoreboard(
     itemsize: int = 8,
     gsum_nbytes: int = 8,
     precision: str = "all64",
-) -> list[TopologyRow]:
+) -> list[PfppRow]:
     """Where does the GCM land on each 1990s machine, and why.
 
     For every registered topology (or the default line-up) at every
@@ -337,42 +364,21 @@ def topology_scoreboard(
     rows = []
     for n in n_values:
         decomp, scale = reference_decomposition(n)
-        worst = max(
-            range(decomp.n_ranks),
-            key=lambda r: sum(decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
-        edges_xy = decomp.edge_bytes(nz=1, width=1, itemsize=itemsize, rank=worst)
-        edges_xyz = decomp.edge_bytes(nz=10, itemsize=itemsize, rank=worst)
         for name in names:
             topo = make_topology(name, n)
-            model = topo.cost_model()
-            texchxy = model.exchange_time(edges_xy, n_ranks=n)
-            texchxyz = model.exchange_time(edges_xyz, n_ranks=n)
-            if topo.shared_medium:
-                # MPI over the shared medium: the calibrated measured
-                # fit, exactly as the paper's Fig. 12 baselines (no
-                # byte term, so gsum_nbytes cannot move it).
-                tgsum = model.gsum_time(n)
-                algorithm = "mpi-fit"
-            else:
-                plan = Autotuner(topology=topo).plan("allreduce", n, gsum_nbytes)
-                tgsum = plan.predicted_s
-                algorithm = plan.algorithm
             rows.append(
-                TopologyRow(
-                    topology=topo.name,
-                    n_nodes=n,
-                    grid=(decomp.px, decomp.py),
-                    gsum_algorithm=algorithm,
-                    tgsum=tgsum,
-                    texchxy=texchxy,
-                    texchxyz=texchxyz,
-                    pfpp_ps=pfpp_ps(nps, nxyz * scale, texchxyz),
-                    pfpp_ds=pfpp_ds(nds, nxy * scale, tgsum, texchxy),
+                _tuned_row(
+                    topo.name,
+                    topo.cost_model(),
+                    Autotuner(topology=topo),
+                    decomp,
+                    scale,
+                    (nps, nxyz, nds, nxy),
+                    itemsize,
+                    gsum_nbytes,
+                    precision=precision,
                     max_hops=topo.max_hop_distance(),
                     bisection_bandwidth=topo.bisection_bandwidth(),
-                    area_scale=scale,
-                    precision=precision,
                 )
             )
     return rows

@@ -170,14 +170,16 @@ def _fig8_section() -> ReportSection:
 
 def _fig11_section() -> ReportSection:
     from repro.core.constants import OCN_PS_PARAMS
-    from repro.core.pfpp import interconnect_comm_times
+    from repro.core.pfpp import comm_terms
     from repro.network.costmodel import arctic_cost_model
     from repro.parallel.tiling import Decomposition
 
+    # the production mapping: 16 ranks mix-mode, DS on the 8 SMP masters
+    hyades = dict(ds_decomp=Decomposition(128, 64, 2, 4, olx=1), mixmode=True)
     cm = arctic_cost_model()
     ps = Decomposition(128, 64, 4, 4, olx=3)
-    tg, t2, t3_atm = interconnect_comm_times(cm)
-    t3_ocn = cm.exchange_time(ps.edge_bytes(nz=30, rank=5), mixmode=True)
+    tg, t2, t3_atm, _ = comm_terms(cm, ps, 10, **hyades)
+    t3_ocn = comm_terms(cm, ps, 30, **hyades).texchxyz
     rows = [
         ["texchxyz atmos (us)", f"{t3_atm / US:.0f}", f"{ATM_PS_PARAMS.texchxyz / US:.0f}"],
         ["texchxyz ocean (us)", f"{t3_ocn / US:.0f}", f"{OCN_PS_PARAMS.texchxyz / US:.0f}"],

@@ -17,6 +17,13 @@ from typing import Optional, Sequence
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS
 from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
+from repro.core.pfpp import (
+    _tailored,
+    comm_terms,
+    pfpp_ds,
+    pfpp_ps,
+    reference_process_grid,
+)
 from repro.network.costmodel import CommCostModel, arctic_cost_model
 from repro.parallel.tiling import Decomposition
 
@@ -37,15 +44,6 @@ class ScalingPoint:
     pfpp_ds: float
 
 
-def _proc_grid(n: int) -> tuple[int, int]:
-    """Near-square process grid for n CPUs (n a power of two)."""
-    px = 1
-    while px * px < n:
-        px *= 2
-    py = n // px
-    return (px, py) if px * py == n else (n, 1)
-
-
 def model_at(
     n_cpus: int,
     nx: int = 128,
@@ -61,9 +59,12 @@ def model_at(
 ) -> ScalingPoint:
     """Evaluate the performance model for one configuration.
 
-    Tiles follow a near-square process grid; two CPUs per SMP with DS
-    on the masters, mirroring the production mapping (Section 5).
-    Falls back to one CPU per node when the count is below one SMP.
+    Tiles follow the near-square power-of-two process grid
+    (:func:`~repro.core.pfpp.reference_process_grid`).  A machine with
+    the tailored primitives runs the production mapping (Section 5): two
+    CPUs per SMP in mix-mode, DS and the global sum on the masters; an
+    MPI machine is flat over all CPUs.  Falls back to one CPU per node
+    when the count is below one SMP.
     """
     cm = cost_model or arctic_cost_model()
     if n_cpus == 1:
@@ -71,53 +72,33 @@ def model_at(
         ds = DSPhaseParams(nds, nx * ny, 0.0, 0.0, fds)
         pm = PerformanceModel(ps, ds)
         rate = pm.flops_per_step(ni) / (pm.tps_compute + ni * pm.tds_compute)
-        blended = rate
         return ScalingPoint(
             1, nx, ny, nz, rate, 1.0, pm.tps_compute, pm.tds_compute, float("inf"), float("inf")
         )
 
     if n_cpus % cpus_per_node:
         cpus_per_node = 1
-    n_smps = n_cpus // cpus_per_node
-    px, py = _proc_grid(n_cpus)
+    px, py = reference_process_grid(n_cpus)
     if nx % px or ny % py:
         raise ValueError(f"grid {nx}x{ny} not tileable over {n_cpus} CPUs")
-    olx = min(3, nx // px, ny // py)
-    d = Decomposition(nx, ny, px, py, olx=olx)
-    interior = min(
-        range(d.n_ranks),
-        key=lambda r: -sum(d.edge_bytes(nz=nz, rank=r)),
-    )
-    mix = cpus_per_node > 1 and cm.name == "Arctic"
-    texchxyz = cm.exchange_time(
-        d.edge_bytes(nz=nz, rank=interior), mixmode=mix, n_ranks=n_cpus
-    )
-
-    dpx, dpy = _proc_grid(n_smps)
-    if cm.name == "Arctic" and nx % dpx == 0 and ny % dpy == 0 and min(nx // dpx, ny // dpy) >= 1:
-        ds_d = Decomposition(nx, ny, dpx, dpy, olx=1)
-        ds_rank = min(range(ds_d.n_ranks), key=lambda r: -sum(ds_d.edge_bytes(nz=1, width=1, rank=r)))
-        texchxy = cm.exchange_time(ds_d.edge_bytes(nz=1, width=1, rank=ds_rank))
-        nxy = nx * ny // n_smps
-        tg = cm.gsum_time(n_smps, smp=mix)
-        n_ds_ranks = n_smps
-    else:
-        texchxy = cm.exchange_time(
-            d.edge_bytes(nz=1, width=1, rank=interior), n_ranks=n_cpus
+    d = Decomposition(nx, ny, px, py, olx=min(3, nx // px, ny // py))
+    masters = None
+    if _tailored(cm):
+        masters = Decomposition(
+            nx, ny, *reference_process_grid(n_cpus // cpus_per_node), olx=1
         )
-        nxy = nx * ny // n_cpus
-        tg = cm.gsum_time(n_cpus)
-        n_ds_ranks = n_cpus
-
+    terms = comm_terms(
+        cm, d, nz, ds_decomp=masters, mixmode=masters is not None and cpus_per_node > 1
+    )
+    n_ds_ranks = (masters or d).n_ranks
     nxyz = nx * ny * nz // n_cpus
+    nxy = nx * ny // n_ds_ranks
     pm = PerformanceModel(
-        PSPhaseParams(nps, nxyz, texchxyz, fps),
-        DSPhaseParams(nds, nxy, tg, texchxy, fds),
+        PSPhaseParams(nps, nxyz, terms.texchxyz, fps),
+        DSPhaseParams(nds, nxy, terms.tgsum, terms.texchxy, fds),
     )
     sustained = pm.sustained_flops(ni, n_ps_ranks=n_cpus, n_ds_ranks=n_ds_ranks)
     single = model_at(1, nx, ny, nz, cm, ni, nps, nds, fps, fds).sustained
-    from repro.core.pfpp import pfpp_ds, pfpp_ps
-
     return ScalingPoint(
         n_cpus,
         nx,
@@ -127,8 +108,8 @@ def model_at(
         sustained / (n_cpus * single),
         pm.tps,
         pm.tds,
-        pfpp_ps(nps, nxyz, texchxyz),
-        pfpp_ds(nds, nxy, tg, texchxy),
+        pfpp_ps(nps, nxyz, terms.texchxyz),
+        pfpp_ds(nds, nxy, terms.tgsum, terms.texchxy),
     )
 
 

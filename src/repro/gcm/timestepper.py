@@ -430,8 +430,6 @@ class Model:
         exchange and two global sums per iteration — but over 3-D
         fields on the PS decomposition.
         """
-        from repro.gcm.cg import preconditioned_cg as pcg
-
         cfg = self.config
         st = self.state
         fc = FlopCounter()
@@ -447,7 +445,7 @@ class Model:
             operator = CastingOperator(self.nh_operator, self._cg_dtype)
             rhs = [b.astype(self._cg_dtype) for b in rhs]
         gsum_hook, exch_hook = self._cg_hooks(self.decomp)
-        result = pcg(
+        result = preconditioned_cg(
             operator, rhs, fc, tol=cfg.cg_tol, maxiter=cfg.cg_maxiter,
             global_sum=gsum_hook, exchange=exch_hook,
         )
@@ -467,14 +465,11 @@ class Model:
         be = rt.backend
         ni = max(result.iterations, 1)
         per_iter = fc.total / ni / self.decomp.n_ranks
-        interior = max(
-            range(self.decomp.n_ranks),
-            key=lambda r: sum(
-                self.decomp.edge_bytes(nz=self.grid.nz, width=1, rank=r)
-            ),
-        )
         edges = self.decomp.edge_bytes(
-            nz=self.grid.nz, width=1, itemsize=self._solver_itemsize, rank=interior
+            nz=self.grid.nz,
+            width=1,
+            itemsize=self._solver_itemsize,
+            rank=self.decomp.critical_rank,
         )
         rt.sync()
         rt.charge_phase(
@@ -500,13 +495,12 @@ class Model:
         # per-iteration per-DS-tile compute time at Fds
         per_iter_flops = counter.total / ni / n_ds_tiles
         t_compute = ni * per_iter_flops / rt.machine.fds
-        # one exchange of two 2-D fields per iteration (interior tile)
-        interior = max(
-            range(n_ds_tiles),
-            key=lambda r: sum(self.ds_decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
+        # one exchange of two 2-D fields per iteration (critical tile)
         edges = self.ds_decomp.edge_bytes(
-            nz=1, width=1, itemsize=self._solver_itemsize, rank=interior
+            nz=1,
+            width=1,
+            itemsize=self._solver_itemsize,
+            rank=self.ds_decomp.critical_rank,
         )
         t_exch = ni * 2 * be.exchange_time(edges, mixmode=False)
         t_gsum = ni * 2 * be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode)

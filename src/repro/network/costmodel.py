@@ -12,7 +12,8 @@ measured Fig. 11 exchange costs from first principles:
   1640 us measured (1.5 % off);
 * ocean 3-D exchange (69120 B halo, mix-mode): 4572 us model vs 4573 us
   measured (0.02 % off);
-* DS 2-D exchange on the 8 SMP masters: 108 us model vs 115 us measured.
+* DS 2-D exchange on the 8 SMP masters: 117.7 us model vs 115 us
+  measured (2.3 % off).
 
 The Fast/Gigabit Ethernet models use a shared-medium functional form
 (per-message MPI software overhead + total cluster volume over an

@@ -185,6 +185,8 @@ def phase_crosscheck(model) -> list[dict]:
     halo volume; DS runs two 2-field width-1 exchanges and two global
     sums per solver iteration.
     """
+    from repro.core.pfpp import comm_terms
+
     rt = model.runtime
     rec = rt.metrics
     if rec is None or not model.history:
@@ -195,34 +197,27 @@ def phase_crosscheck(model) -> list[dict]:
     ps = totals.get("ps", PhaseTotals())
     ds = totals.get("ds", PhaseTotals())
 
-    # PS: one five-field full-halo 3-D exchange per step, critical path =
-    # the rank whose halo volume prices highest.
-    d = model.decomp
-    nz = model.grid.nz
-    t_x3 = max(
-        cm.exchange_time(
-            d.edge_bytes(nz=nz, width=model.config.olx, rank=r),
+    # The run's own mapping: PS on every rank (one five-field full-halo
+    # 3-D exchange per step), DS on its own decomposition with one
+    # 2-field width-1 exchange and two global sums over the SMP masters
+    # per CG iteration (Sections 4.2, 5.2).  A serial run moves nothing.
+    ni_total = sum(max(h.ni, 1) for h in model.history)
+    tgsum = texchxy = texchxyz = 0.0
+    if rt.n_ranks > 1:
+        tgsum, texchxy, texchxyz, _ = comm_terms(
+            cm,
+            model.decomp,
+            model.grid.nz,
+            ds_decomp=model.ds_decomp,
             mixmode=rt.mixmode,
-            n_ranks=rt.n_ranks,
+            n_nodes=rt.n_nodes,
         )
-        for r in range(d.n_ranks)
-    )
-    ps_exch_pred = 5 * t_x3 * n_steps
+    ps_exch_pred = 5 * texchxyz * n_steps
+    ds_exch_pred = ni_total * 2 * texchxy
+    ds_gsum_pred = ni_total * 2 * tgsum
 
     # PS compute: counted flops at Fps, exact by construction.
     ps_comp_pred = ps.flops / rt.machine.fps if rt.n_ranks == 1 else None
-
-    # DS: per CG iteration one 2-field width-1 2-D exchange and two
-    # global sums over the SMP masters (Sections 4.2, 5.2).
-    ni_total = sum(max(h.ni, 1) for h in model.history)
-    dsd = model.ds_decomp
-    interior = max(
-        range(dsd.n_ranks),
-        key=lambda r: sum(dsd.edge_bytes(nz=1, width=1, rank=r)),
-    )
-    edges = dsd.edge_bytes(nz=1, width=1, rank=interior)
-    ds_exch_pred = ni_total * 2 * cm.exchange_time(edges, mixmode=False)
-    ds_gsum_pred = ni_total * 2 * cm.gsum_time(rt.n_nodes, smp=rt.mixmode)
 
     rows = [
         {

@@ -16,6 +16,7 @@ and tile-local arrays are ``(ny + 2*olx, nx + 2*olx)`` for 2-D fields or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -199,6 +200,17 @@ class Decomposition:
                 cells = w * t.nx * nz
             sizes.append(cells * itemsize)
         return sizes
+
+    @cached_property
+    def critical_rank(self) -> int:
+        """The first rank with the largest halo volume — the tile on the
+        exchange's critical path (an interior tile wherever one exists).
+
+        :meth:`edge_bytes` is linear in ``nz * width * itemsize``, so the
+        same rank is critical for every field shape and wire precision.
+        """
+        volumes = [sum(self.edge_bytes(width=1, rank=r)) for r in range(self.n_ranks)]
+        return volumes.index(max(volumes))
 
     def exchange_volume_bytes(
         self, nz: int = 1, width: Optional[int] = None, itemsize: int = 8, rank: int = 0
