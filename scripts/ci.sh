@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the DES event-count budget, the tier-1 test suite, an
+# line ledger, the one-durable-writer check, the DES event-count budget,
+# the tier-1 test suite, an
 # import check of every benchmark and example,
 # the fault/recovery and cross-validation smokes, and the host-time
 # benchmark's smoke run.
@@ -27,6 +28,14 @@ echo "== loc (the ROADMAP line ledger: src/ and tests/ Python lines) =="
 for tree in src tests; do
   echo "$tree/ $(find "$tree" -name '*.py' | xargs cat | wc -l)"
 done
+
+echo
+echo "== durable-writes (tmp sibling + fsync + rename is spelled once, in repro/durable.py) =="
+if grep -rnE 'os\.replace|\.tmp' src/repro --include='*.py' | grep -v '^src/repro/durable\.py:'; then
+  echo "durable-writes: make files durable through repro.durable.atomic_write" >&2
+  exit 1
+fi
+echo "durable-writes: clean"
 
 echo
 echo "== DES event budget (exact counts: a per-hop relay fails here, not by timing) =="

@@ -26,8 +26,6 @@ import math
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import itertools
-
 from repro.hardware.cluster import HyadesCluster
 from repro.network.overheads import (
     GSUM_SW_COST,
@@ -36,7 +34,7 @@ from repro.network.overheads import (
     TRANSFER_OVERHEAD,
 )
 from repro.network.packet import MAX_PAYLOAD_WORDS, Priority, WORD_BYTES
-from repro.niu.reliable import get_reliable
+from repro.niu.reliable import allocate_channel, get_reliable
 from repro.obs import trace as obs_trace
 from repro.parallel.des_spmd import _VIDemux
 
@@ -178,11 +176,7 @@ def des_run_schedule(
     stores = [ItemStore(schedule, r, inputs[r]) for r in range(n)]
     if schedule.n_rounds == 0:
         return [st.finish() for st in stores], 0.0
-    counter = getattr(cluster, "_rel_channels", None)
-    if counter is None:
-        counter = itertools.count(1)
-        cluster._rel_channels = counter
-    cid = next(counter)
+    cid = allocate_channel(cluster)
     params = dict(reliable_params or {})
     rnius = [get_reliable(cluster.niu(r), **params) for r in range(n)]
     done_times = [0.0] * n

@@ -8,53 +8,72 @@ one, because every array the stepping scheme consults (prognostic
 fields, both Adams-Bashforth G-term time levels, the surface pressure)
 plus the step bookkeeping is captured.
 
-Checkpoints are portable ``.npz`` archives of *global* fields, so a run
-may be restarted on a different decomposition.
+A *checkpoint* is a portable ``.npz`` archive of *global* fields, so a
+run may be restarted on a different decomposition; a *shard* is the
+same layout holding what one rank owns (tile-local arrays with halos),
+written per rank by :class:`repro.recover.CoordinatedCheckpointStore`.
 
 Durability contract (a century-scale run must survive a killed
 process):
 
-* **Atomic writes** — the archive is written to a ``*.tmp`` sibling,
-  fsynced, and moved into place with :func:`os.replace`, so a crash
-  mid-save can never destroy the previous good checkpoint.
-* **Self-verifying archives** — every checkpoint embeds a CRC-32 over
-  all payload arrays; truncation, corruption or a wrong
-  ``CHECKPOINT_VERSION`` raises :class:`CheckpointError` (never a raw
-  numpy/zipfile exception).
+* **Atomic writes** — every archive goes through
+  :func:`repro.durable.atomic_write`, so a crash mid-save can never
+  destroy the previous good checkpoint.
+* **Self-verifying archives** — every archive embeds a CRC-32 over
+  all payload arrays; truncation, corruption or a wrong version raises
+  :class:`CheckpointError` (never a raw numpy/zipfile exception).
 * **Auto-resume** — :func:`find_latest_good` scans a directory for the
-  newest checkpoint that still verifies, and :func:`resume_latest`
+  newest checkpoint that still verifies
+  (:func:`repro.durable.newest_good`), and :func:`resume_latest`
   restores a model from it.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
-import warnings
 import zipfile
 import zlib
-from typing import Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.durable import (  # noqa: F401  (the classes' public home is here)
+    CheckpointError,
+    CheckpointWarning,
+    atomic_write,
+    newest_good,
+)
 from repro.gcm.state import FIELDS_2D, FIELDS_3D
 from repro.gcm.timestepper import Model
 
 #: Format marker for forward compatibility.
 CHECKPOINT_VERSION = 2
 
-#: Scalar bookkeeping entries every archive must carry.
-_REQUIRED_KEYS = ("version", "time", "step_count", "first_step", "nx", "ny", "nz")
+#: Format marker for the sharded (per-rank) variant.
+SHARD_VERSION = 1
+
+#: Step bookkeeping and grid shape, carried by both flavours.
+_BOOKKEEPING = ("time", "step_count", "first_step", "nx", "ny", "nz")
+
+#: Archive key prefix -> the prognostic fields stored under it.
+_FIELD_GROUPS = (("f3_", FIELDS_3D), ("f2_", FIELDS_2D))
 
 
-class CheckpointError(ValueError):
-    """A checkpoint could not be written or restored: wrong version,
-    truncated/corrupt archive, checksum mismatch, or missing fields."""
+class _Flavour(NamedTuple):
+    """What tells a global checkpoint from a per-rank shard."""
+
+    what: str  # the noun CheckpointError messages use
+    version_key: str
+    version: int
+    required: Tuple[str, ...]  # scalar entries an archive must carry
 
 
-class CheckpointWarning(UserWarning):
-    """A damaged checkpoint was skipped during auto-resume; recovery
-    fell back to the previous complete one instead of raising."""
+_GLOBAL = _Flavour(
+    "checkpoint", "version", CHECKPOINT_VERSION, ("version",) + _BOOKKEEPING
+)
+_SHARD = _Flavour(
+    "shard", "shard_version", SHARD_VERSION, ("shard_version", "rank") + _BOOKKEEPING
+)
 
 
 def _payload_checksum(payload: dict) -> int:
@@ -78,62 +97,44 @@ def _norm_path(path: Union[str, pathlib.Path]) -> pathlib.Path:
     return path
 
 
-def _write_archive(path: pathlib.Path, payload: dict) -> None:
-    """Checksum ``payload`` and write it atomically and durably: tmp
-    sibling, fsync, :func:`os.replace`; a crash mid-write leaves at most
-    a stale ``*.tmp`` behind and never damages the previous archive."""
-    payload["checksum"] = np.array(_payload_checksum(payload), dtype=np.uint32)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        # np.savez_compressed appends ".npz" to string paths, so hand it
-        # an open file object to keep the exact tmp name
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
-def save_checkpoint(model: Model, path: Union[str, pathlib.Path]) -> pathlib.Path:
-    """Atomically write the model's complete restart state to ``path``.
-
-    The archive lands under its final name only after it is fully
-    written and fsynced; a crash mid-save leaves at most a stale
-    ``*.tmp`` file behind.
-    """
-    path = _norm_path(path)
+def _write_archive(
+    flavour: _Flavour,
+    model: Model,
+    path: pathlib.Path,
+    field_of: Callable[[str], np.ndarray],
+    head: dict,
+    tail: dict,
+) -> int:
+    """Write one archive atomically and durably: version marker,
+    ``head``, bookkeeping, ``field_of(name)`` for every prognostic
+    field, ``tail``, and the CRC over all of it (returned)."""
+    grid = model.config.grid
     payload = {
-        "version": np.array(CHECKPOINT_VERSION),
+        flavour.version_key: np.array(flavour.version),
+        **head,
         "time": np.array(model.state.time),
         "step_count": np.array(model.state.step_count),
         "first_step": np.array(model._first_step),
-        "nx": np.array(model.config.grid.nx),
-        "ny": np.array(model.config.grid.ny),
-        "nz": np.array(model.config.grid.nz),
+        "nx": np.array(grid.nx),
+        "ny": np.array(grid.ny),
+        "nz": np.array(grid.nz),
     }
-    for name in FIELDS_3D:
-        payload["f3_" + name] = model.state.to_global(name)
-    for name in FIELDS_2D:
-        payload["f2_" + name] = model.state.to_global(name)
-    _write_archive(path, payload)
-    return path
+    for prefix, names in _FIELD_GROUPS:
+        for name in names:
+            payload[prefix + name] = field_of(name)
+    payload.update(tail)
+    checksum = _payload_checksum(payload)
+    payload["checksum"] = np.array(checksum, dtype=np.uint32)
+    # np.savez_compressed appends ".npz" to string paths, so it gets the
+    # open file object
+    with atomic_write(path) as fh:
+        np.savez_compressed(fh, **payload)
+    return checksum
 
 
-def _open_verified(
-    path: pathlib.Path,
-    required: tuple = _REQUIRED_KEYS,
-    version_key: str = "version",
-    version: int = CHECKPOINT_VERSION,
-    what: str = "checkpoint",
-) -> dict:
-    """Load and integrity-check an archive; returns the payload dict.
-
-    ``what`` names the archive flavour ("checkpoint" / "shard") in the
-    :class:`CheckpointError` raised on any defect.
-    """
+def _open_verified(path: pathlib.Path, flavour: _Flavour = _GLOBAL) -> dict:
+    """Load and integrity-check an archive; returns the payload dict."""
+    what, version_key, version, required = flavour
     if not path.exists():
         raise CheckpointError(f"{what} {path} does not exist")
     try:
@@ -166,6 +167,36 @@ def _open_verified(
     return payload
 
 
+def _fields_for(
+    flavour: _Flavour, model: Model, payload: dict, path: pathlib.Path
+) -> Iterator[Tuple[str, np.ndarray]]:
+    """Check the archive's grid against ``model``'s, then yield every
+    prognostic field as ``(name, array)``; a mismatch or a missing
+    field raises :class:`CheckpointError`."""
+    what = flavour.what
+    shape = (int(payload["nx"]), int(payload["ny"]), int(payload["nz"]))
+    grid = model.config.grid
+    here = (grid.nx, grid.ny, grid.nz)
+    if shape != here:
+        raise CheckpointError(f"{what} grid {shape} != model grid {here}")
+    for prefix, names in _FIELD_GROUPS:
+        for name in names:
+            if prefix + name not in payload:
+                raise CheckpointError(f"{what} {path} lacks field {name!r}")
+            yield name, payload[prefix + name]
+
+
+def save_checkpoint(model: Model, path: Union[str, pathlib.Path]) -> pathlib.Path:
+    """Atomically write the model's complete restart state to ``path``.
+
+    The archive lands under its final name only after it is fully
+    written and fsynced.
+    """
+    path = _norm_path(path)
+    _write_archive(_GLOBAL, model, path, model.state.to_global, {}, {})
+    return path
+
+
 def verify_checkpoint(path: Union[str, pathlib.Path]) -> dict:
     """Integrity-check ``path`` without a model; returns its metadata.
 
@@ -180,6 +211,14 @@ def verify_checkpoint(path: Union[str, pathlib.Path]) -> dict:
     }
 
 
+def _restore_global(model: Model, payload: dict, path: pathlib.Path) -> None:
+    for name, arr in _fields_for(_GLOBAL, model, payload, path):
+        model.state.set_from_global(name, arr)
+    model.state.time = float(payload["time"])
+    model.state.step_count = int(payload["step_count"])
+    model._first_step = bool(payload["first_step"])
+
+
 def load_checkpoint(model: Model, path: Union[str, pathlib.Path]) -> Model:
     """Restore ``model``'s state from a checkpoint written by
     :func:`save_checkpoint`.
@@ -190,49 +229,16 @@ def load_checkpoint(model: Model, path: Union[str, pathlib.Path]) -> Model:
     integrity or shape mismatch.
     """
     path = _norm_path(path)
-    payload = _open_verified(path)
-    shape = (int(payload["nx"]), int(payload["ny"]), int(payload["nz"]))
-    here = (model.config.grid.nx, model.config.grid.ny, model.config.grid.nz)
-    if shape != here:
-        raise CheckpointError(f"checkpoint grid {shape} != model grid {here}")
-    for name in FIELDS_3D:
-        key = "f3_" + name
-        if key not in payload:
-            raise CheckpointError(f"checkpoint {path} lacks field {name!r}")
-        model.state.set_from_global(name, payload[key])
-    for name in FIELDS_2D:
-        key = "f2_" + name
-        if key not in payload:
-            raise CheckpointError(f"checkpoint {path} lacks field {name!r}")
-        model.state.set_from_global(name, payload[key])
-    model.state.time = float(payload["time"])
-    model.state.step_count = int(payload["step_count"])
-    model._first_step = bool(payload["first_step"])
+    _restore_global(model, _open_verified(path), path)
     return model
 
 
-# ----------------------------------------------------------------------
-# Per-rank shards (coordinated checkpointing, repro.recover)
-# ----------------------------------------------------------------------
-
-#: Format marker for the sharded (per-rank) variant.
-SHARD_VERSION = 1
-
-_SHARD_REQUIRED = (
-    "shard_version",
-    "rank",
-    "time",
-    "step_count",
-    "first_step",
-    "nx",
-    "ny",
-    "nz",
-)
+# -- per-rank shards (coordinated checkpointing, repro.recover) ---------
 
 
 def save_state_shard(
     model: Model, rank: int, path: Union[str, pathlib.Path]
-) -> tuple[pathlib.Path, int]:
+) -> Tuple[pathlib.Path, int, int]:
     """Atomically write rank ``rank``'s tile-local restart state.
 
     Unlike :func:`save_checkpoint` (a *global* archive, gatherable only
@@ -246,28 +252,19 @@ def save_state_shard(
     Halos are captured as-is, so a restored rank resumes mid-window
     without an extra halo exchange — restart stays bit-exact.
 
-    Returns ``(path, nbytes_on_disk)``; the byte size prices the DES
-    disk-write phase.
+    Returns ``(path, nbytes_on_disk, checksum)``: the byte size prices
+    the DES disk-write phase, the CRC binds the shard to its manifest.
     """
     path = _norm_path(path)
-    payload = {
-        "shard_version": np.array(SHARD_VERSION),
-        "rank": np.array(rank),
-        "time": np.array(model.state.time),
-        "step_count": np.array(model.state.step_count),
-        "first_step": np.array(model._first_step),
-        "nx": np.array(model.config.grid.nx),
-        "ny": np.array(model.config.grid.ny),
-        "nz": np.array(model.config.grid.nz),
-    }
-    for name in FIELDS_3D:
-        payload["f3_" + name] = model.state.fields3d[name][rank]
-    for name in FIELDS_2D:
-        payload["f2_" + name] = model.state.fields2d[name][rank]
-    for name in sorted(model.coupling):
-        payload["cpl_" + name] = model.coupling[name][rank]
-    _write_archive(path, payload)
-    return path, path.stat().st_size
+    checksum = _write_archive(
+        _SHARD,
+        model,
+        path,
+        lambda name: model.state[name][rank],
+        {"rank": np.array(rank)},
+        {"cpl_" + n: model.coupling[n][rank] for n in sorted(model.coupling)},
+    )
+    return path, path.stat().st_size, checksum
 
 
 def load_state_shard(
@@ -277,43 +274,26 @@ def load_state_shard(
 
     Arrays are copied *into* the existing tile-local buffers (shapes
     must match — shards are decomposition-bound, unlike global
-    checkpoints).  Returns the shard's bookkeeping metadata; the caller
-    applies ``time``/``step_count``/``first_step`` once after every
-    rank's shard has loaded.  Raises :class:`CheckpointError` on any
-    integrity, version, rank or shape mismatch.
+    checkpoints).  Returns the shard's bookkeeping metadata and its
+    ``checksum``; the caller applies ``time``/``step_count``/
+    ``first_step`` once after every rank's shard has loaded.  Raises
+    :class:`CheckpointError` on any integrity, version, rank or shape
+    mismatch.
     """
     path = _norm_path(path)
-    payload = _open_verified(
-        path, _SHARD_REQUIRED, "shard_version", SHARD_VERSION, "shard"
-    )
+    payload = _open_verified(path, _SHARD)
     if int(payload["rank"]) != rank:
         raise CheckpointError(
             f"shard {path} belongs to rank {int(payload['rank'])}, not {rank}"
         )
-    shape = (int(payload["nx"]), int(payload["ny"]), int(payload["nz"]))
-    here = (model.config.grid.nx, model.config.grid.ny, model.config.grid.nz)
-    if shape != here:
-        raise CheckpointError(f"shard grid {shape} != model grid {here}")
-
-    def _restore(target: np.ndarray, key: str) -> None:
-        arr = payload[key]
+    for name, arr in _fields_for(_SHARD, model, payload, path):
+        target = model.state[name][rank]
         if arr.shape != target.shape:
             raise CheckpointError(
-                f"shard {path}: {key} shape {arr.shape} != tile shape "
+                f"shard {path}: {name} shape {arr.shape} != tile shape "
                 f"{target.shape} (shards are decomposition-bound)"
             )
         target[...] = arr
-
-    for name in FIELDS_3D:
-        key = "f3_" + name
-        if key not in payload:
-            raise CheckpointError(f"shard {path} lacks field {name!r}")
-        _restore(model.state.fields3d[name][rank], key)
-    for name in FIELDS_2D:
-        key = "f2_" + name
-        if key not in payload:
-            raise CheckpointError(f"shard {path} lacks field {name!r}")
-        _restore(model.state.fields2d[name][rank], key)
     n_ranks = model.decomp.n_ranks
     for key in sorted(payload):
         if not key.startswith("cpl_"):
@@ -335,17 +315,28 @@ def load_state_shard(
 
 
 def _mtime_or_zero(path: pathlib.Path) -> float:
-    """A sort key that survives a file vanishing mid-scan (a dead
-    writer's ``*.tmp`` being reaped, a concurrent cleanup)."""
+    """A sort key that survives a file vanishing mid-scan (a concurrent
+    cleanup)."""
     try:
         return path.stat().st_mtime
     except OSError:
         return 0.0
 
 
-def find_latest_good(
-    directory: Union[str, pathlib.Path], pattern: str = "*.npz"
-) -> Optional[pathlib.Path]:
+def _newest_checkpoint(
+    directory: Union[str, pathlib.Path],
+) -> Optional[Tuple[pathlib.Path, dict]]:
+    """``(path, verified payload)`` of the newest good checkpoint."""
+    directory = pathlib.Path(directory)
+    if not directory.is_dir():
+        return None
+    return newest_good(
+        sorted(directory.glob("*.npz"), key=_mtime_or_zero, reverse=True),
+        _open_verified,
+    )
+
+
+def find_latest_good(directory: Union[str, pathlib.Path]) -> Optional[pathlib.Path]:
     """The newest checkpoint in ``directory`` that passes verification.
 
     Corrupt, truncated or foreign archives — e.g. the torn droppings of
@@ -353,27 +344,12 @@ def find_latest_good(
     (newest first), so a run killed mid-save resumes from the last
     complete state instead of raising over the damage.
     """
-    directory = pathlib.Path(directory)
-    if not directory.is_dir():
-        return None
-    candidates = sorted(directory.glob(pattern), key=_mtime_or_zero, reverse=True)
-    for cand in candidates:
-        try:
-            verify_checkpoint(cand)
-        except CheckpointError as exc:
-            warnings.warn(
-                f"skipping damaged checkpoint {cand.name}: {exc}; "
-                "falling back to the previous complete checkpoint",
-                CheckpointWarning,
-                stacklevel=2,
-            )
-            continue
-        return cand
-    return None
+    found = _newest_checkpoint(directory)
+    return None if found is None else found[0]
 
 
 def resume_latest(
-    model: Model, directory: Union[str, pathlib.Path], pattern: str = "*.npz"
+    model: Model, directory: Union[str, pathlib.Path]
 ) -> Optional[pathlib.Path]:
     """Restore ``model`` from the newest good checkpoint in ``directory``.
 
@@ -381,8 +357,9 @@ def resume_latest(
     (the model is left untouched).  Damaged candidates — a torn archive
     from a dead writer — are warned about and skipped, never raised.
     """
-    path = find_latest_good(directory, pattern)
-    if path is None:
+    found = _newest_checkpoint(directory)
+    if found is None:
         return None
-    load_checkpoint(model, path)
+    path, payload = found
+    _restore_global(model, payload, path)
     return path

@@ -79,7 +79,7 @@ class CoupledModel:
         # ocean -> atmosphere: SST
         sst = self.ocean.surface_temperature()
         sst_tiles = self._hx_atm.scatter_global(sst)
-        exchange_halos(self.atmosphere.decomp, sst_tiles)
+        self._fill_halos(self.atmosphere, sst_tiles)
         self.atmosphere.coupling["sst"] = sst_tiles
 
         # atmosphere -> ocean: wind stress from lowest-level winds
@@ -93,15 +93,23 @@ class CoupledModel:
         tsurf = self.atmosphere.surface_temperature()
         for name, g in (("taux", taux), ("tauy", tauy), ("theta_surf", tsurf)):
             tiles = self._hx_ocn.scatter_global(g)
-            exchange_halos(self.ocean.decomp, tiles)
+            self._fill_halos(self.ocean, tiles)
             self.ocean.coupling[name] = tiles
         self.couplings += 1
         tr = obs_trace.TRACER
         if tr is not None:
-            tr.instant(
-                "coupler", "events", "couple", self.elapsed, cat="coupler",
-                args={"coupling": self.couplings},
-            )
+            self._trace_coupling(tr)
+
+    def _fill_halos(self, model: Model, tiles: list) -> None:
+        """Fill the halos of one boundary field scattered onto
+        ``model``'s tiles (here: in shared memory)."""
+        exchange_halos(model.decomp, tiles)
+
+    def _trace_coupling(self, tr) -> None:
+        tr.instant(
+            "coupler", "events", "couple", self.elapsed, cat="coupler",
+            args={"coupling": self.couplings},
+        )
 
     def step_coupled(self, faulted: bool = False) -> None:
         """Advance both components one coupling window, then couple.
@@ -218,34 +226,19 @@ class DESCoupledModel(CoupledModel):
 
     def exchange_boundary_conditions(self) -> None:
         """One coupling event with the halo fills on the wire."""
-        tr = obs_trace.TRACER
-        t0 = self.cluster.engine.now
-        # ocean -> atmosphere: SST
-        sst = self.ocean.surface_temperature()
-        sst_tiles = self._hx_atm.scatter_global(sst)
-        self.des_elapsed += self._des_atm.exchange(sst_tiles)
-        self.atmosphere.coupling["sst"] = sst_tiles
+        self._wire_t0 = self.cluster.engine.now
+        super().exchange_boundary_conditions()
 
-        # atmosphere -> ocean: wind stress from lowest-level winds
-        ks = self.atmosphere.grid.nz - 1
-        ua = self.atmosphere.state.to_global("u")[ks]
-        va = self.atmosphere.state.to_global("v")[ks]
-        speed = np.sqrt(ua**2 + va**2)
-        rho_cd = self.params.air_density * self.params.drag_coeff
-        taux = rho_cd * speed * ua
-        tauy = rho_cd * speed * va
-        tsurf = self.atmosphere.surface_temperature()
-        for name, g in (("taux", taux), ("tauy", tauy), ("theta_surf", tsurf)):
-            tiles = self._hx_ocn.scatter_global(g)
-            self.des_elapsed += self._des_ocn.exchange(tiles)
-            self.ocean.coupling[name] = tiles
-        self.couplings += 1
-        if tr is not None:
-            tr.complete(
-                "coupler", "wire", "couple",
-                t0, self.cluster.engine.now, cat="coupler",
-                args={"coupling": self.couplings, "des_elapsed_s": self.des_elapsed},
-            )
+    def _fill_halos(self, model: Model, tiles: list) -> None:
+        des = self._des_atm if model is self.atmosphere else self._des_ocn
+        self.des_elapsed += des.exchange(tiles)
+
+    def _trace_coupling(self, tr) -> None:
+        tr.complete(
+            "coupler", "wire", "couple",
+            self._wire_t0, self.cluster.engine.now, cat="coupler",
+            args={"coupling": self.couplings, "des_elapsed_s": self.des_elapsed},
+        )
 
     # -- self-healing run loop -------------------------------------------
 

@@ -29,6 +29,7 @@ honestly in the virtual clock.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -500,3 +501,77 @@ def get_reliable(niu: StarTX, **params) -> ReliableNIU:
                     f"with {key}={getattr(layer, key)!r}, requested {value!r}"
                 )
     return layer
+
+
+def allocate_channel(cluster) -> int:
+    """A channel id no other client of ``cluster`` holds, so clients
+    sharing it (the isomorphs' exchangers, the recovery manager, a
+    collective run) never consume each other's messages."""
+    counter = getattr(cluster, "_rel_channels", None)
+    if counter is None:
+        counter = cluster._rel_channels = itertools.count(1)
+    return next(counter)
+
+
+class ReliableMailbox:
+    """One client's own channel plus, per :meth:`ensure`d node, a
+    consumer daemon filing every arrival under its tag.
+
+    Arrivals are stashed per *node* — after a crash remap two ranks may
+    share one, so callers embed the sending rank in the tag — and in
+    deques, not single slots: a fast sender's next message must not
+    overwrite an unconsumed one under the same tag.
+    """
+
+    def __init__(self, cluster, label: str) -> None:
+        self.cluster = cluster
+        self.label = label
+        self.channel = allocate_channel(cluster)
+        self._stash: Dict[int, Dict[int, deque]] = {}
+        self._signals: Dict[int, Signal] = {}
+
+    def ensure(self, node: int) -> None:
+        """Start ``node``'s consumer daemon (idempotent)."""
+        if node in self._stash:
+            return
+        engine = self.cluster.engine
+        stash = self._stash[node] = {}
+        signal = self._signals[node] = Signal(
+            engine, name=f"{self.label}-arrivals[node{node}]"
+        )
+        rniu = get_reliable(self.cluster.niu(node))
+
+        def consumer():
+            while True:
+                msg = yield from rniu.recv(channel=self.channel)
+                stash.setdefault(msg.tag, deque()).append(msg.data)
+                signal.fire()
+
+        engine.process(
+            consumer(),
+            name=f"{self.label}-consumer[node{node}.ch{self.channel}]",
+            daemon=True,
+        )
+
+    def send(self, src: int, dst: int, tag: int, data: bytes = b""):
+        """Process: deliver ``data`` from node ``src`` to node ``dst``."""
+        yield from get_reliable(self.cluster.niu(src)).send(
+            dst, tag=tag, data=data, channel=self.channel
+        )
+
+    def recv(self, node: int, tag: int):
+        """Process: block until a ``tag`` message has landed at the
+        :meth:`ensure`d ``node``; returns its data."""
+        stash = self._stash[node]
+        while not stash.get(tag):
+            yield self._signals[node].wait()
+        q = stash[tag]
+        data = q.popleft()
+        if not q:
+            del stash[tag]
+        return data
+
+    def clear(self) -> None:
+        """Drop every stashed arrival (an aborted round's leftovers)."""
+        for stash in self._stash.values():
+            stash.clear()

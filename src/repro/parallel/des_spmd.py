@@ -29,14 +29,12 @@ Two delivery modes are supported:
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.cluster import HyadesCluster
-from repro.niu.reliable import get_reliable
+from repro.niu.reliable import ReliableMailbox, get_reliable
 from repro.parallel.tiling import Decomposition
 from repro.sim import Signal
 
@@ -163,23 +161,10 @@ class DESExchanger:
             self._reliable_params = dict(reliable_params or {})
             for r in range(decomp.n_ranks):
                 get_reliable(cluster.niu(self._node_of(r)), **self._reliable_params)
-            # distinct channel per exchanger: two exchangers sharing the
-            # cluster (e.g. the two isomorphs of a coupled run) must not
-            # consume each other's messages
-            counter = getattr(cluster, "_rel_channels", None)
-            if counter is None:
-                counter = itertools.count(1)
-                cluster._rel_channels = counter
-            self._cid = next(counter)
-            # Arrivals are stashed per *node* and keyed by the full tag
-            # (which embeds the sending rank): after a crash remap two
-            # ranks may share one node, and a shared stash with
-            # sender-unique tags keeps their messages unambiguous.
-            # Deques, not single slots: a fast rank's next-pass message
-            # must not overwrite an unconsumed one under the same key.
-            self._arrived: Dict[int, Dict[int, deque]] = {}
-            self._signals: Dict[int, Signal] = {}
-            self._consumers_started: set = set()
+            # own channel: two exchangers sharing the cluster (e.g. the
+            # two isomorphs of a coupled run) must not consume each
+            # other's messages
+            self._mailbox = ReliableMailbox(cluster, "halo")
         else:
             self._demux = _VIDemux.of(cluster)
         if recovery is not None:
@@ -193,51 +178,12 @@ class DESExchanger:
             return self._recovery.rankmap.node_of(rank)
         return rank
 
-    def _rniu(self, rank: int):
-        return get_reliable(self.cluster.niu(self._node_of(rank)))
-
-    # -- reliable-mode plumbing ----------------------------------------
-
-    def _ensure_consumer(self, node: int) -> None:
-        if node in self._consumers_started:
-            return
-        self._consumers_started.add(node)
-        self._arrived.setdefault(node, {})
-        self._signals.setdefault(
-            node, Signal(self.engine, name=f"halo-arrivals[node{node}]")
-        )
-        rniu = get_reliable(self.cluster.niu(node))
-
-        def consumer():
-            while True:
-                msg = yield from rniu.recv(channel=self._cid)
-                self._arrived[node].setdefault(msg.tag, deque()).append(msg.data)
-                self._signals[node].fire()
-
-        self.engine.process(
-            consumer(), name=f"rel-consumer[node{node}.ch{self._cid}]", daemon=True
-        )
-
-    def _await_message(self, rank: int, tag: int):
-        """Process: block until the reliable message ``tag`` (which
-        embeds its sending rank) lands at ``rank``'s node."""
-        node = self._node_of(rank)
-        stash = self._arrived[node]
-        while not stash.get(tag):
-            yield self._signals[node].wait()
-        q = stash[tag]
-        data = q.popleft()
-        if not q:
-            del stash[tag]
-        return data
-
     # -- recovery hooks --------------------------------------------------
 
     def abort_round(self) -> None:
         """Drop every stashed arrival of the aborted round (the crash
         recovery path calls this right after epoch-fencing the layers)."""
-        for stash in self._arrived.values():
-            stash.clear()
+        self._mailbox.clear()
         for stash in self._barrier_stash:
             stash.clear()
 
@@ -248,7 +194,7 @@ class DESExchanger:
             return
         node = self._node_of(rank)
         get_reliable(self.cluster.niu(node), **self._reliable_params)
-        self._ensure_consumer(node)
+        self._mailbox.ensure(node)
 
     # -- the exchange ---------------------------------------------------
 
@@ -344,21 +290,21 @@ class DESExchanger:
         done[rank] = True
 
     def _rank_proc_reliable(self, rank: int, fields, w: int, done):
-        self._ensure_consumer(self._node_of(rank))
+        node = self._node_of(rank)
+        self._mailbox.ensure(node)
         arr = fields[rank]
-        rniu = self._rniu(rank)
         for pass_i, pass_dirs in enumerate((("west", "east"), ("south", "north"))):
             plan = self._pass_plan(rank, arr, pass_dirs, w)
             for d, nbr, raw in plan:
-                yield from rniu.send(
+                yield from self._mailbox.send(
+                    node,
                     self._node_of(nbr),
-                    tag=self._rel_tag(rank, self._dir_tag(d)),
-                    data=raw,
-                    channel=self._cid,
+                    self._rel_tag(rank, self._dir_tag(d)),
+                    raw,
                 )
             for d, nbr, _raw in plan:
-                raw = yield from self._await_message(
-                    rank, self._rel_tag(nbr, self._dir_tag(_OPPOSITE[d]))
+                raw = yield from self._mailbox.recv(
+                    node, self._rel_tag(nbr, self._dir_tag(_OPPOSITE[d]))
                 )
                 self._fill_halo(rank, arr, d, w, raw)
             yield from self._barrier_round_reliable(rank, pass_i)
@@ -406,17 +352,17 @@ class DESExchanger:
         n = self.decomp.n_ranks
         if n == 1:
             return
-        rniu = self._rniu(rank)
+        node = self._node_of(rank)
         shift = 1
         round_i = 0
         while shift < n:
             to = (rank + shift) % n
             frm = (rank - shift) % n
             base = (self._round % 16) * 64 + 32 + pass_i * 8 + round_i
-            yield from rniu.send(
-                self._node_of(to), tag=self._rel_tag(rank, base), channel=self._cid
+            yield from self._mailbox.send(
+                node, self._node_of(to), self._rel_tag(rank, base)
             )
-            yield from self._await_message(rank, self._rel_tag(frm, base))
+            yield from self._mailbox.recv(node, self._rel_tag(frm, base))
             shift <<= 1
             round_i += 1
 
@@ -428,7 +374,10 @@ class DESExchanger:
         if not self.reliable:
             return {}
         totals: dict = {}
-        layers = {self._rniu(r) for r in range(self.decomp.n_ranks)}
+        layers = {
+            get_reliable(self.cluster.niu(self._node_of(r)))
+            for r in range(self.decomp.n_ranks)
+        }
         for rn in layers:
             for key, val in rn.stats().items():
                 totals[key] = totals.get(key, 0) + val

@@ -8,13 +8,16 @@ One coordinated checkpoint = one directory::
         MANIFEST.json          <- written last; its presence = committed
 
 Each shard is the hardened per-rank format of
-:func:`repro.gcm.checkpoint.save_state_shard` (CRC-32 self-verifying,
-atomic tmp+rename).  The manifest names every shard with its checksum
-and byte size, and is itself written atomically — so a checkpoint is
-either *committed* (manifest present, every shard verifies) or it does
-not exist as far as recovery is concerned.  A crash mid-checkpoint
-leaves an uncommitted directory that :meth:`latest_good` skips; the
-previous committed checkpoint stays restorable.
+:func:`repro.gcm.checkpoint.save_state_shard` (CRC-32 self-verifying).
+The manifest names every shard with its checksum and byte size —
+:meth:`~CoordinatedCheckpointStore.restore` refuses a shard that is not
+the one recorded — and both are written through
+:func:`repro.durable.atomic_write`, so a checkpoint is either
+*committed* (manifest present, every shard verifies) or it does not
+exist as far as recovery is concerned.  A crash mid-checkpoint leaves
+an uncommitted directory that :meth:`latest_good` skips; the previous
+committed checkpoint stays restorable.  This module's own business is
+the lock, the two-phase commit and the consistent-cut check.
 
 Because tiles are checkpointed at a coupling-window boundary (a global
 synchronization point in the coupled run), the shard set is a
@@ -32,16 +35,11 @@ import json
 import os
 import pathlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from repro.gcm.checkpoint import (
-    CheckpointError,
-    CheckpointWarning,
-    load_state_shard,
-    save_state_shard,
-)
+from repro.durable import CheckpointError, newest_good, write_json_atomic
+from repro.gcm.checkpoint import load_state_shard, save_state_shard
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 1
@@ -225,8 +223,8 @@ class CoordinatedCheckpointStore:
             for comp, model in sorted(models.items()):
                 for rank in range(model.decomp.n_ranks):
                     name = _shard_name(comp, rank)
-                    path, nbytes = save_state_shard(model, rank, ckpt_dir / name)
-                    record.shards[name] = {"nbytes": nbytes}
+                    _, nbytes, checksum = save_state_shard(model, rank, ckpt_dir / name)
+                    record.shards[name] = {"nbytes": nbytes, "checksum": checksum}
             return record
 
     def commit(self, record: CheckpointRecord) -> pathlib.Path:
@@ -236,18 +234,9 @@ class CoordinatedCheckpointStore:
             "window": record.window,
             "shards": record.shards,
         }
+        path = record.directory / MANIFEST_NAME
         with self.lock:
-            path = record.directory / MANIFEST_NAME
-            tmp = path.with_name(path.name + ".tmp")
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(manifest, fh, indent=1, sort_keys=True)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
+            write_json_atomic(path, manifest)
         record.committed = True
         return path
 
@@ -283,10 +272,13 @@ class CoordinatedCheckpointStore:
             record = CheckpointRecord(
                 window=int(manifest["window"]),
                 directory=ckpt_dir,
-                shards=dict(manifest["shards"]),
+                shards={
+                    name: {"nbytes": int(e["nbytes"]), "checksum": int(e["checksum"])}
+                    for name, e in manifest["shards"].items()
+                },
                 committed=True,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # a torn/partial manifest from a dead writer may be valid
             # JSON and still miss (or mangle) required keys
             raise CheckpointError(
@@ -308,29 +300,21 @@ class CoordinatedCheckpointStore:
         around.  Shard payloads re-verify their CRCs at
         :meth:`restore` time.
         """
-        candidates = sorted(self.directory.glob("ckpt-w*"), reverse=True)
-        for ckpt_dir in candidates:
-            if not ckpt_dir.is_dir():
-                continue
-            try:
-                return self._load_record(ckpt_dir)
-            except CheckpointError as exc:
-                if (ckpt_dir / MANIFEST_NAME).exists():
-                    warnings.warn(
-                        f"skipping damaged checkpoint {ckpt_dir.name}: {exc}; "
-                        "falling back to the previous complete checkpoint",
-                        CheckpointWarning,
-                        stacklevel=2,
-                    )
-                continue
-        return None
+        committed = (
+            d
+            for d in sorted(self.directory.glob("ckpt-w*"), reverse=True)
+            if (d / MANIFEST_NAME).exists()
+        )
+        found = newest_good(committed, self._load_record)
+        return None if found is None else found[1]
 
     def restore(self, models: Dict[str, object], record: CheckpointRecord) -> dict:
         """Load every shard of ``record`` back into ``models``.
 
-        Every shard re-verifies its CRC on load; the shards' step
-        bookkeeping must agree across ranks (it was written at one
-        window boundary) and is applied to each model once.  Returns
+        Every shard re-verifies its CRC on load and must carry the
+        CRC the manifest recorded for it; the shards' step bookkeeping
+        must agree across ranks (it was written at one window boundary)
+        and is applied to each model once.  Returns
         ``{component: metadata}``.
         """
         out: dict = {}
@@ -342,9 +326,14 @@ class CoordinatedCheckpointStore:
                     raise CheckpointError(
                         f"checkpoint w{record.window} lacks shard {name}"
                     )
-                metas.append(
-                    load_state_shard(model, rank, record.directory / name)
-                )
+                meta = load_state_shard(model, rank, record.directory / name)
+                if meta["checksum"] != record.shards[name]["checksum"]:
+                    raise CheckpointError(
+                        f"checkpoint w{record.window}: shard {name} is not the "
+                        f"one its manifest names (CRC {meta['checksum']:#010x}, "
+                        f"recorded {record.shards[name]['checksum']:#010x})"
+                    )
+                metas.append(meta)
             first = metas[0]
             for rank, meta in enumerate(metas):
                 if (

@@ -30,14 +30,13 @@ clock — see ``benchmarks/bench_recovery_overhead.py``.
 
 from __future__ import annotations
 
-import itertools
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.gcm.checkpoint import CheckpointError
-from repro.niu.reliable import DeliveryError, get_reliable
+from repro.niu.reliable import DeliveryError, ReliableMailbox, get_reliable
 from repro.recover.checkpoint import CoordinatedCheckpointStore
 from repro.recover.membership import (
     FailureRecord,
@@ -48,7 +47,6 @@ from repro.recover.membership import (
     UnrecoverableError,
 )
 from repro.parallel.tiling import RankMap
-from repro.sim import Signal
 
 
 @dataclass(frozen=True)
@@ -149,15 +147,8 @@ class RecoveryManager:
         self.store = CoordinatedCheckpointStore(ckpt_dir)
 
         # Own reliable channel for the commit protocol.
-        counter = getattr(cluster, "_rel_channels", None)
-        if counter is None:
-            counter = itertools.count(1)
-            cluster._rel_channels = counter
-        self._cid = next(counter)
+        self._mailbox = ReliableMailbox(cluster, "recover")
         self._barrier_plan = None
-        self._stash: Dict[int, Dict[int, deque]] = {}
-        self._signals: Dict[int, object] = {}
-        self._consumers: set = set()
 
         self.epoch = 0
         self._phase_seq = 0
@@ -181,39 +172,6 @@ class RecoveryManager:
         """Register an exchanger for abort/rebind on recovery."""
         if exchanger not in self._exchangers:
             self._exchangers.append(exchanger)
-
-    def _layer(self, node: int):
-        return get_reliable(self.cluster.niu(node))
-
-    def _ensure_consumer(self, node: int) -> None:
-        if node in self._consumers:
-            return
-        self._consumers.add(node)
-        self._stash.setdefault(node, {})
-        self._signals.setdefault(
-            node, Signal(self.engine, name=f"recover-arrivals[node{node}]")
-        )
-        rniu = self._layer(node)
-
-        def consumer():
-            while True:
-                msg = yield from rniu.recv(channel=self._cid)
-                self._stash[node].setdefault(msg.tag, deque()).append(msg.data)
-                self._signals[node].fire()
-
-        self.engine.process(
-            consumer(), name=f"recover-consumer[node{node}]", daemon=True
-        )
-
-    def _await(self, node: int, tag: int):
-        stash = self._stash[node]
-        while not stash.get(tag):
-            yield self._signals[node].wait()
-        q = stash[tag]
-        data = q.popleft()
-        if not q:
-            del stash[tag]
-        return data
 
     @staticmethod
     def _tag(src_rank: int, seq: int, round_i: int) -> int:
@@ -353,16 +311,7 @@ class RecoveryManager:
         leaves the previous committed checkpoint authoritative.
         """
         record = self.store.write_shards(models, window)
-        comps = sorted(models)
-
-        def rank_nbytes(rank: int) -> int:
-            total = 0
-            for comp in comps:
-                if rank < models[comp].decomp.n_ranks:
-                    total += record.rank_nbytes(comp, rank)
-            return total
-
-        des = self._run_phase(rank_nbytes, label=f"ckpt-w{window}")
+        des = self._run_phase(models, record, label=f"ckpt-w{window}")
         self.store.commit(record)
         self.checkpoint_log.append(
             {
@@ -373,21 +322,28 @@ class RecoveryManager:
             }
         )
 
-    def _run_phase(self, rank_nbytes, label: str) -> float:
-        """One barrier-aligned disk phase: per-rank streaming + commit
-        barrier on the manager's reliable channel.  Returns DES time."""
+    def _run_phase(self, models: Dict[str, object], record, label: str) -> float:
+        """One barrier-aligned disk phase: every rank streams its shards
+        of ``record`` + commit barrier on the manager's reliable channel.
+        Returns DES time."""
         engine = self.engine
         start = engine.now
         self._phase_seq += 1
         seq = self._phase_seq
         done = [False] * self.n_ranks
         for node in {self.rankmap.node_of(r) for r in range(self.n_ranks)}:
-            self._ensure_consumer(node)
+            self._mailbox.ensure(node)
+        comps = sorted(models)
         procs = {}
         for rank in range(self.n_ranks):
             node = self.rankmap.node_of(rank)
+            nbytes = sum(
+                record.rank_nbytes(comp, rank)
+                for comp in comps
+                if rank < models[comp].decomp.n_ranks
+            )
             procs[rank] = engine.process(
-                self._phase_rank_proc(rank, rank_nbytes(rank), seq, done),
+                self._phase_rank_proc(rank, nbytes, seq, done),
                 name=f"{label}[rank{rank}.node{node}]",
             )
         self.watch(procs)
@@ -397,21 +353,20 @@ class RecoveryManager:
     def _phase_rank_proc(self, rank: int, nbytes: int, seq: int, done):
         engine = self.engine
         node = self.rankmap.node_of(rank)
-        rniu = self._layer(node)
         if nbytes:
             yield engine.timeout(nbytes / self.config.disk_bandwidth)
         if self.n_ranks > 1:
             for round_i, rnd in enumerate(self._barrier_schedule.rounds):
                 for s in rnd:
                     if s.src == rank:
-                        yield from rniu.send(
+                        yield from self._mailbox.send(
+                            node,
                             self.rankmap.node_of(s.dst),
-                            tag=self._tag(rank, seq, round_i),
-                            channel=self._cid,
+                            self._tag(rank, seq, round_i),
                         )
                 for s in rnd:
                     if s.dst == rank:
-                        yield from self._await(
+                        yield from self._mailbox.recv(
                             node, self._tag(s.src, seq, round_i)
                         )
         done[rank] = True
@@ -444,9 +399,8 @@ class RecoveryManager:
         self.epoch += 1
         for node in self.rankmap.nodes():
             if self.membership.is_live(node):
-                self._layer(node).fence(self.epoch)
-        for stash in self._stash.values():
-            stash.clear()
+                get_reliable(self.cluster.niu(node)).fence(self.epoch)
+        self._mailbox.clear()
         for ex in self._exchangers:
             ex.abort_round()
             for rank, _old, _new in remaps:
@@ -464,16 +418,9 @@ class RecoveryManager:
             raise UnrecoverableError(
                 f"restoring checkpoint w{record.window} failed: {exc}"
             ) from exc
-        comps = sorted(models)
-
-        def rank_nbytes(rank: int) -> int:
-            total = 0
-            for comp in comps:
-                if rank < models[comp].decomp.n_ranks:
-                    total += record.rank_nbytes(comp, rank)
-            return total
-
-        restore_des = self._run_phase(rank_nbytes, label=f"restore-w{record.window}")
+        restore_des = self._run_phase(
+            models, record, label=f"restore-w{record.window}"
+        )
         self.recovery_log.append(
             {
                 "node": failure.node,

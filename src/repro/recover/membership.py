@@ -24,22 +24,18 @@ funnelled through :class:`Membership`, which keeps the authoritative
 alive-set and notifies listeners (the :class:`~repro.recover.manager.
 RecoveryManager`) exactly once per death.
 
-Two detector modes are available (``HeartbeatConfig.detector``):
-
-* ``"fixed"`` — the classic fail-stop detector above: silence longer
-  than a wall-clock ``timeout`` means dead.  Simple, but on a degraded
-  machine it conflates *slow* with *dead*.
-* ``"phi"`` (default) — an adaptive phi-accrual-style detector
-  (Hayashibara et al. 2004): each observer learns the distribution of
-  its peers' beacon inter-arrival times and turns current silence into
-  a suspicion level ``phi = -log10 P(silence this long | peer alive)``.
-  Crossing ``phi_suspect`` marks the peer *suspected* (fed to straggler
-  mitigation, never to recovery); a declaration additionally requires
-  ``phi >= phi_dead`` **and** silence beyond ``k_dead`` learned mean
-  intervals — so a merely-degraded peer whose beacons stretched 4x is
-  suspected but not evicted, while a truly dead one is still declared
-  within the fixed detector's latency bound.  Until ``min_samples``
-  intervals are learned the fixed ``timeout`` applies (warmup).
+A bare silence timeout conflates *slow* with *dead* on a degraded
+machine, so the verdict is adaptive, phi-accrual style (Hayashibara et
+al. 2004): each observer learns the distribution of its peers' beacon
+inter-arrival times and turns current silence into a suspicion level
+``phi = -log10 P(silence this long | peer alive)``.  Crossing
+``phi_suspect`` marks the peer *suspected* (fed to straggler
+mitigation, never to recovery); a declaration additionally requires
+``phi >= phi_dead`` **and** silence beyond ``k_dead`` learned mean
+intervals — so a merely-degraded peer whose beacons stretched 4x is
+suspected but not evicted, while a truly dead one is still declared
+within the ``timeout + period`` bound.  Until ``min_samples`` intervals
+are learned the fixed ``timeout`` applies (warmup).
 """
 
 from __future__ import annotations
@@ -197,7 +193,7 @@ class SuspicionConfig:
     keeps a 4x-degraded peer (phi rises fast once the learned std is
     small) from being evicted while it is demonstrably still beaconing.
     Defaults keep declaration latency at ~``k_dead * period`` on a
-    healthy history, inside the fixed detector's documented bound.
+    healthy history, inside the ``timeout + period`` bound.
     """
 
     window: int = 32
@@ -317,17 +313,14 @@ class HeartbeatConfig:
     bounding detection latency at ``timeout + period`` = 300 us — small
     next to the multi-millisecond coupling windows it protects.
 
-    ``detector`` picks the classification rule: adaptive ``"phi"``
-    (default; see :class:`PhiAccrualDetector`) or the classic
-    ``"fixed"`` silence timeout.  Either way ``timeout`` stays load-
-    bearing as the phi detector's warmup fallback — and on a healthy
-    beacon history ``k_dead * period`` keeps phi declarations inside
-    the fixed detector's documented latency bound.
+    ``timeout`` is load-bearing as the phi detector's warmup fallback
+    (see :class:`PhiAccrualDetector`) — and on a healthy beacon history
+    ``k_dead * period`` keeps phi declarations inside the documented
+    ``timeout + period`` latency bound.
     """
 
     period: float = 50e-6
     timeout: float = 250e-6
-    detector: str = "phi"
     suspicion: SuspicionConfig = field(default_factory=SuspicionConfig)
 
     def __post_init__(self) -> None:
@@ -337,10 +330,6 @@ class HeartbeatConfig:
             raise ValueError(
                 f"timeout {self.timeout} must be at least twice the period "
                 f"{self.period} or every beacon jitter declares a death"
-            )
-        if self.detector not in ("phi", "fixed"):
-            raise ValueError(
-                f"detector must be 'phi' or 'fixed', got {self.detector!r}"
             )
 
 
@@ -370,7 +359,7 @@ class HeartbeatService:
         self.last_seen: dict[int, dict[int, float]] = {}
         self.beacons_sent = 0
         self.beacons_heard = 0
-        #: Per-observer adaptive detectors (phi mode only).
+        #: Per-observer adaptive detectors.
         self.detectors: dict[int, PhiAccrualDetector] = {}
         #: suspects[observer] -> peers the observer currently suspects
         #: of being slow (phi crossed phi_suspect but the peer is not
@@ -390,8 +379,7 @@ class HeartbeatService:
         for node in self.membership.participants:
             self.last_seen[node] = {}
             self.suspects[node] = set()
-            if self.config.detector == "phi":
-                self.detectors[node] = PhiAccrualDetector(self.config.suspicion)
+            self.detectors[node] = PhiAccrualDetector(self.config.suspicion)
             self._wrap_hook(node)
         for node in self.membership.participants:
             self.engine.process(
@@ -411,9 +399,7 @@ class HeartbeatService:
             if pkt.tag == TAG_HEARTBEAT:
                 self.beacons_heard += 1
                 self.last_seen[node][pkt.src] = self.engine.now
-                det = self.detectors.get(node)
-                if det is not None:
-                    det.heard(pkt.src, self.engine.now)
+                self.detectors[node].heard(pkt.src, self.engine.now)
                 return True
             return prev(pkt) if prev is not None else False
 
@@ -466,20 +452,7 @@ class HeartbeatService:
         """One observer's verdict on one peer at one scan."""
         last = self.last_seen[node].get(peer, self.armed_at)
         silent = now - last
-        det = self.detectors.get(node)
-        if det is None:
-            # fixed-timeout mode: silence alone decides
-            if silent > self.config.timeout:
-                self.membership.declare_dead(
-                    peer,
-                    by=node,
-                    when=now,
-                    reason=(
-                        f"no heartbeat for {silent:.3e} s "
-                        f"(timeout {self.config.timeout:.3e} s)"
-                    ),
-                )
-            return
+        det = self.detectors[node]
         state = det.state(peer, now, self.config.timeout)
         if state == PEER_DEAD:
             self.suspects[node].discard(peer)

@@ -34,13 +34,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.durable import write_json_atomic
+
 from .degrade import DegradeConfig, shed_excess
 from .jobs import JobSpec, JobStatus
 from .journal import Journal
 from .metrics import ServiceMetrics
 from .queue import JobQueue
 from .supervisor import Supervisor, SupervisorConfig
-from .worker import PID_NAME, read_result, write_json_atomic
+from .worker import PID_NAME, read_result
 
 JOURNAL_NAME = "journal.bin"
 SPOOL_DIR = "spool"

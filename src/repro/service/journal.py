@@ -14,8 +14,8 @@ Torn-tail contract (the service may die mid-``write``):
 * replay stops at the first frame that is short, overlong or fails its
   CRC — everything before it is intact by construction;
 * :meth:`Journal.recover` discards the torn tail by rewriting the good
-  prefix to a temporary file and atomically :func:`os.replace`-ing it
-  over the journal, so subsequent appends never land after garbage.
+  prefix through :func:`repro.durable.atomic_write`, so subsequent
+  appends never land after garbage.
 
 A record that was torn was by definition never acted on durably: either
 its effect is reconstructed from the run directory (a completed job's
@@ -33,6 +33,8 @@ import warnings
 import zlib
 from typing import List, Optional, Tuple, Union
 
+from repro.durable import atomic_write
+
 _FRAME = struct.Struct(">II")
 
 #: Refuse absurd frames (a corrupt length would otherwise make replay
@@ -46,6 +48,14 @@ class JournalError(ValueError):
 
 class JournalWarning(UserWarning):
     """A torn tail (or similar recoverable damage) was skipped."""
+
+
+def _frame(record: dict) -> bytes:
+    """One record as it sits in the file: ``>II`` header + JSON."""
+    payload = json.dumps(record, sort_keys=True).encode()
+    if len(payload) > MAX_RECORD_BYTES:
+        raise JournalError(f"record of {len(payload)} bytes exceeds frame cap")
+    return _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
 class Journal:
@@ -69,11 +79,7 @@ class Journal:
         """Durably append one record (framed, CRC'd, fsynced)."""
         if self._fh is None:
             self.open()
-        payload = json.dumps(record, sort_keys=True).encode()
-        if len(payload) > MAX_RECORD_BYTES:
-            raise JournalError(f"record of {len(payload)} bytes exceeds frame cap")
-        self._fh.write(_FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
-        self._fh.write(payload)
+        self._fh.write(_frame(record))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
@@ -143,8 +149,8 @@ class Journal:
     def recover(self) -> bool:
         """Atomically truncate a torn tail; returns True if repair ran.
 
-        The good prefix is copied to a sibling temp file and
-        :func:`os.replace`'d over the journal, so the repair itself can
+        The good prefix replaces the journal atomically
+        (:func:`repro.durable.atomic_write`), so the repair itself can
         crash at any point without losing intact records.
         """
         if self._fh is not None:
@@ -159,28 +165,16 @@ class Journal:
             JournalWarning,
             stacklevel=2,
         )
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(self.path, "rb") as src, open(tmp, "wb") as dst:
+        with open(self.path, "rb") as src, atomic_write(self.path) as dst:
             dst.write(src.read(good_bytes))
-            dst.flush()
-            os.fsync(dst.fileno())
-        os.replace(tmp, self.path)
         return True
 
     def compact(self, records: List[dict]) -> None:
         """Atomically rewrite the journal to exactly ``records``."""
         was_open = self._fh is not None
         self.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as dst:
+        with atomic_write(self.path) as dst:
             for record in records:
-                payload = json.dumps(record, sort_keys=True).encode()
-                dst.write(
-                    _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-                )
-                dst.write(payload)
-            dst.flush()
-            os.fsync(dst.fileno())
-        os.replace(tmp, self.path)
+                dst.write(_frame(record))
         if was_open:
             self._fh = open(self.path, "ab")

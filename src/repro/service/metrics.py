@@ -17,6 +17,7 @@ import pathlib
 import time
 from typing import Dict, Optional
 
+from repro.durable import write_json_atomic
 from repro.obs.schema import SERVICE_SUMMARY_SCHEMA, assert_valid, validate
 
 from .queue import JobQueue
@@ -78,8 +79,6 @@ class ServiceMetrics:
 
     def write_status(self, root: pathlib.Path, queue: Optional[JobQueue]) -> dict:
         """Atomically publish ``status.json`` under ``root``."""
-        from .worker import write_json_atomic
-
         record = self.summary(queue)
         write_json_atomic(pathlib.Path(root) / STATUS_NAME, record)
         return record

@@ -12,8 +12,9 @@ side is SIGKILL'd:
   CRC'd shards written every ``checkpoint_every`` steps; a killed
   attempt resumes from the latest committed shard set instead of
   restarting from step 0;
-* ``result.json`` — written atomically on success (tmp + rename), with
-  the bit-exact state digest; its presence *is* the completion signal,
+* ``result.json`` — written atomically on success
+  (:func:`repro.durable.write_json_atomic`), with the bit-exact state
+  digest; its presence *is* the completion signal,
   so a completion can be adopted after a service crash;
 * ``error.json`` — the captured traceback of a failed attempt (the
   evidence a quarantine records).
@@ -27,11 +28,12 @@ its first ``fails_before`` attempts to exercise the retry path.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 import traceback
 from typing import Callable, Optional
+
+from repro.durable import write_json_atomic
 
 from .jobs import JobSpec, model_digest
 
@@ -40,16 +42,6 @@ RESULT_NAME = "result.json"
 ERROR_NAME = "error.json"
 PID_NAME = "worker.pid"
 CKPT_DIR_NAME = "ckpt"
-
-
-def write_json_atomic(path: pathlib.Path, obj: dict) -> None:
-    """tmp + fsync + rename, so a reader never sees a half-written file."""
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _beat(job_dir: Optional[pathlib.Path]) -> None:

@@ -9,6 +9,7 @@ import pytest
 from repro.gcm.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
+    CheckpointWarning,
     find_latest_good,
     load_checkpoint,
     resume_latest,
@@ -29,7 +30,7 @@ class TestAtomicity:
     def test_no_tmp_file_left_behind(self, model, tmp_path):
         path = save_checkpoint(model, tmp_path / "ck.npz")
         assert path.exists()
-        leftovers = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
     def test_overwrite_is_atomic(self, model, tmp_path):
@@ -106,6 +107,41 @@ class TestAutoResume:
         raw = newer.read_bytes()
         newer.write_bytes(raw[:100])  # newest is torn (killed mid-write)
         assert find_latest_good(tmp_path) == good
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda raw: raw[:100], id="torn-head"),
+            pytest.param(lambda raw: raw[: len(raw) // 2], id="torn-half"),
+            pytest.param(lambda raw: b"", id="empty"),
+            pytest.param(lambda raw: b"not a zip archive", id="garbage"),
+            pytest.param(
+                lambda raw: raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:],
+                id="flipped-byte",
+            ),
+        ],
+    )
+    def test_torn_archive_warns_and_resumes_from_the_previous(
+        self, model, tmp_path, damage
+    ):
+        good = save_checkpoint(model, tmp_path / "a.npz")
+        os.utime(good, (1_000_000, 1_000_000))
+        theta_then = model.state.to_global("theta").copy()
+        model.run(1)
+        newer = save_checkpoint(model, tmp_path / "b.npz")
+        newer.write_bytes(damage(newer.read_bytes()))
+        os.utime(newer, (2_000_000, 2_000_000))
+        with pytest.warns(CheckpointWarning, match="skipping damaged checkpoint b.npz"):
+            assert resume_latest(model, tmp_path) == good
+        np.testing.assert_array_equal(model.state.to_global("theta"), theta_then)
+
+    def test_resume_reads_the_archive_it_picked_once(self, model, tmp_path, monkeypatch):
+        save_checkpoint(model, tmp_path / "ck.npz")
+        loads = []
+        real = np.load
+        monkeypatch.setattr(np, "load", lambda *a, **k: loads.append(a) or real(*a, **k))
+        assert resume_latest(model, tmp_path) is not None
+        assert len(loads) == 1
 
     def test_resume_latest_restores_state(self, model, tmp_path):
         save_checkpoint(model, tmp_path / "ck.npz")

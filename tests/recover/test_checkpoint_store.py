@@ -1,6 +1,7 @@
 """Coordinated checkpoint store: two-phase commit, CRC shards, restore."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -101,6 +102,30 @@ class TestRestore:
         shard.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             store.restore({"atm": model}, store.latest_good())
+
+    def test_shard_rolled_back_under_a_committed_manifest_raises(self, tmp_path):
+        """The same rank's shard from an earlier window is a perfectly
+        valid archive — only the manifest's recorded CRC tells it is not
+        the one this checkpoint committed."""
+        store = CoordinatedCheckpointStore(tmp_path)
+        model = atmosphere_model(nx=8, ny=4, nz=2, px=1, py=1, dt=600.0)
+        old = store.checkpoint({"atm": model}, window=1)
+        model.run(2)
+        new = store.checkpoint({"atm": model}, window=2)
+        shutil.copy(old.directory / "atm_rank000.npz", new.directory / "atm_rank000.npz")
+        latest = store.latest_good()
+        assert latest.window == 2  # the manifest itself is intact
+        with pytest.raises(CheckpointError, match="not the one its manifest names"):
+            store.restore({"atm": model}, latest)
+
+    def test_manifest_records_each_shards_checksum(self, tmp_path):
+        store = CoordinatedCheckpointStore(tmp_path)
+        rec = store.checkpoint({"atm": small_model()}, window=0)
+        manifest = json.loads((rec.directory / MANIFEST_NAME).read_text())
+        for name, entry in manifest["shards"].items():
+            with np.load(rec.directory / name) as raw:
+                assert entry["checksum"] == int(raw["checksum"])
+            assert entry["nbytes"] == (rec.directory / name).stat().st_size
 
     def test_manifest_is_valid_json_with_all_shards(self, tmp_path):
         store = CoordinatedCheckpointStore(tmp_path)

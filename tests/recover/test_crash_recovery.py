@@ -8,7 +8,19 @@ exhausted, no committed checkpoint) surface as structured errors, never
 as hangs.
 """
 
+import shutil
+
+import pytest
+
 from repro.faults import run_crash_recovery_demo
+from repro.gcm.atmosphere import atmosphere_model
+from repro.hardware.cluster import HyadesCluster, HyadesConfig
+from repro.recover import (
+    NodeFailure,
+    RecoveryConfig,
+    RecoveryManager,
+    UnrecoverableError,
+)
 
 
 class TestSelfHealing:
@@ -71,3 +83,22 @@ class TestStructuredFailure:
         assert res.error_type == "DeadlockError"
         assert "crashed" in res.error
         assert "enable crash recovery" in res.error
+
+    def test_rolled_back_shard_is_unrecoverable_like_other_shard_damage(self, tmp_path):
+        """A committed checkpoint whose shard was swapped for an older
+        one must not be restored from: recovery ends structured."""
+        cluster = HyadesCluster(HyadesConfig(n_nodes=4, n_spares=1))
+        mgr = RecoveryManager(
+            cluster, 2, RecoveryConfig(checkpoint_dir=str(tmp_path))
+        )
+        models = {"atm": atmosphere_model(nx=8, ny=4, nz=2, px=2, py=1, dt=600.0)}
+        mgr.checkpoint(models, 0)
+        models["atm"].run(2)
+        mgr.checkpoint(models, 2)
+        shutil.copy(
+            tmp_path / "ckpt-w000000" / "atm_rank001.npz",
+            tmp_path / "ckpt-w000002" / "atm_rank001.npz",
+        )
+        failure = NodeFailure(node=1, ranks=[1], declared_at=cluster.engine.now)
+        with pytest.raises(UnrecoverableError, match="not the one its manifest names"):
+            mgr.recover(models, failure)

@@ -36,6 +36,11 @@ TORN_MANIFESTS = [
         id="null-window",
     ),
     pytest.param('"just a string"', id="not-an-object"),
+    pytest.param(
+        '{"manifest_version": 1, "window": 2, "shards": '
+        '{"atm_rank000.npz": {"nbytes": 1}, "atm_rank001.npz": {"nbytes": 1}}}',
+        id="shard-without-checksum",
+    ),
     pytest.param("", id="empty-file"),
 ]
 
