@@ -2,14 +2,24 @@
 
 Each benchmark regenerates one table or figure of the paper and writes
 it under ``benchmarks/out/`` (also echoed to stdout with ``pytest -s``).
+Everything written there is a virtual-time / paper quantity, so the
+directory is byte-deterministic: ``scripts/ci.sh`` regenerates it and
+fails on ``git diff``.  Host time is measured by ``perf/``, not here.
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
 from typing import Iterable, Sequence
 
+from repro.obs.bench import write_bench
+
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+#: ``emit_bench(name, virtual_time_s=, model_error=, data=, units=)``
+#: writes the schema'd ``benchmarks/out/BENCH_<name>.json``.
+emit_bench = functools.partial(write_bench, OUT_DIR)
 
 
 def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -37,16 +37,12 @@ def overlapped_rate(nbytes: int, chunk: int) -> float:
     return nbytes / t
 
 
-def test_bench_overlap_table(benchmark):
+def test_bench_overlap_table():
     nbytes = 64 * 1024
 
-    def build():
-        rows = [("no overlap (copy then DMA)", serial_rate(nbytes))]
-        for chunk in (256, 1024, 2048, 8192, 32768):
-            rows.append((f"overlapped, {chunk} B chunks", overlapped_rate(nbytes, chunk)))
-        return rows
-
-    rows = benchmark(build)
+    rows = [("no overlap (copy then DMA)", serial_rate(nbytes))]
+    for chunk in (256, 1024, 2048, 8192, 32768):
+        rows.append((f"overlapped, {chunk} B chunks", overlapped_rate(nbytes, chunk)))
     emit(
         "ablation_chunk_overlap",
         format_table(
@@ -64,12 +60,10 @@ def test_bench_overlap_table(benchmark):
     assert overlapped_rate(nbytes, 2048) == pytest.approx(110e6, rel=0.05)
 
 
-def test_bench_chunk_size_tradeoff(benchmark):
+def test_bench_chunk_size_tradeoff():
     """Tiny chunks drown in per-chunk overhead; huge chunks lose the
     pipeline (first-copy latency and granularity)."""
     nbytes = 64 * 1024
-    rates = benchmark(
-        lambda: {c: overlapped_rate(nbytes, c) for c in (64, 256, 2048, 65536)}
-    )
+    rates = {c: overlapped_rate(nbytes, c) for c in (64, 256, 2048, 65536)}
     assert rates[64] < rates[2048]
     assert rates[65536] < rates[2048]

@@ -46,13 +46,13 @@ def measured_des_latency(src=0, dst=15, payload_words=2):
     return out["t"] - 0.36e-6
 
 
-def test_bench_cutthrough_table(benchmark):
+def test_bench_cutthrough_table():
     rows = []
     for name, wire in (("8 B payload (16 B wire)", 16), ("88 B payload (96 B wire)", 96)):
         ct = cut_through_latency(8, wire)
         sf = store_forward_latency(8, wire)
         rows.append([name, us(ct, 2), us(sf, 2), f"{sf / ct:.2f}x"])
-    measured = benchmark(measured_des_latency)
+    measured = measured_des_latency()
     rows.append(["DES-measured (16 B wire, 8 links)", us(measured, 2), "-", "-"])
     emit(
         "ablation_cutthrough",
@@ -69,19 +69,15 @@ def test_bench_cutthrough_table(benchmark):
     assert store_forward_latency(8, 96) > 3 * cut_through_latency(8, 96)
 
 
-def test_bench_gsum_under_store_forward(benchmark):
+def test_bench_gsum_under_store_forward():
     """What the 16-way global sum would cost without cut-through: the
     per-round wire latency grows by (hops-1) serializations."""
 
-    def totals():
-        ct = sf = 0.0
-        for i in range(4):  # rounds with growing partner distance
-            hops = 2 * (i + 1)
-            ct += cut_through_latency(hops, 16) + 2.22e-6 + 2.0e-6  # + Os+Or + sw
-            sf += store_forward_latency(hops, 16) + 2.22e-6 + 2.0e-6
-        return ct, sf
-
-    ct, sf = benchmark(totals)
+    ct = sf = 0.0
+    for i in range(4):  # rounds with growing partner distance
+        hops = 2 * (i + 1)
+        ct += cut_through_latency(hops, 16) + 2.22e-6 + 2.0e-6  # + Os+Or + sw
+        sf += store_forward_latency(hops, 16) + 2.22e-6 + 2.0e-6
     assert sf > ct
     # the penalty is real but modest for 16-byte packets (~0.1 us/hop);
     # for max-size packets it would dominate the round budget

@@ -44,8 +44,8 @@ def find_crossover():
     return s
 
 
-def test_bench_mode_sweep(benchmark):
-    rows = benchmark(sweep)
+def test_bench_mode_sweep():
+    rows = sweep()
     cross = find_crossover()
     table = [
         [s, us(tp), us(tv), mbs(s / tp), mbs(s / tv), "PIO" if tp < tv else "VI"]
@@ -69,8 +69,8 @@ def test_bench_mode_sweep(benchmark):
     assert 32 <= cross <= 256
 
 
-def test_bench_vi_peak_vs_pio_peak(benchmark):
-    cross = benchmark(find_crossover)
+def test_bench_vi_peak_vs_pio_peak():
+    cross = find_crossover()
     vi_peak = arctic_cost_model().perceived_bandwidth(1 << 20)
     pio_peak = (1 << 20) / pio_transfer_time(1 << 20)
     # Section 2.3's rationale: cached/DMA path is several times faster

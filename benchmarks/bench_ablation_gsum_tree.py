@@ -34,8 +34,8 @@ def compare(n=16):
     }
 
 
-def test_bench_gsum_strategy_table(benchmark):
-    c = benchmark(compare)
+def test_bench_gsum_strategy_table():
+    c = compare()
     emit(
         "ablation_gsum_tree",
         format_table(
@@ -53,29 +53,25 @@ def test_bench_gsum_strategy_table(benchmark):
     assert c["bf_latency"] < c["tree_latency"]
 
 
-def test_bench_values_agree(benchmark):
+def test_bench_values_agree():
     """Both strategies compute the same (bitwise-deterministic) sum."""
     vals = [0.1 * i for i in range(16)]
-    bf, _ = benchmark(butterfly_global_sum, vals)
+    bf, _ = butterfly_global_sum(vals)
     tr, _ = tree_reduce_broadcast(vals)
     assert bf[0] == pytest.approx(tr[0], rel=1e-14)
 
 
-def test_bench_fabric_absorbs_butterfly_traffic(benchmark):
+def test_bench_fabric_absorbs_butterfly_traffic():
     """'Ample network bandwidth': the N log2 N messages cause no
     measurable queueing on the fat tree — DES latency matches the
     zero-contention model within tolerance."""
 
-    def run():
-        cl = HyadesCluster()
-        t = des_time_schedule(cl, allreduce_butterfly(16, 8))
-        busy = max(
-            link.stats.busy_time
-            for links in list(cl.fabric.up_links.values()) + list(cl.fabric.down_links.values())
-            for link in links
-        )
-        return t, busy
-
-    t, busiest = benchmark(run)
+    cl = HyadesCluster()
+    t = des_time_schedule(cl, allreduce_butterfly(16, 8))
+    busiest = max(
+        link.stats.busy_time
+        for links in list(cl.fabric.up_links.values()) + list(cl.fabric.down_links.values())
+        for link in links
+    )
     # busiest link is idle almost the entire sum: bandwidth is ample
     assert busiest < 0.05 * t

@@ -28,17 +28,14 @@ def report_for(px, py, depth, nx=64, ny=32, nz=4):
     return load_balance_report(g)
 
 
-def test_bench_load_balance_table(benchmark):
+def test_bench_load_balance_table():
     depth = double_basin(64, 32, depth=4000.0, continent_width=8, polar_caps=3)
 
-    def build():
-        return {
-            "blocks 4x4": report_for(4, 4, depth),
-            "strips 8x1": report_for(8, 1, depth),
-            "aquaplanet 4x4": report_for(4, 4, flat_bottom(64, 32, 4000.0)),
-        }
-
-    reports = benchmark(build)
+    reports = {
+        "blocks 4x4": report_for(4, 4, depth),
+        "strips 8x1": report_for(8, 1, depth),
+        "aquaplanet 4x4": report_for(4, 4, flat_bottom(64, 32, 4000.0)),
+    }
     rows = []
     for name, rep in reports.items():
         rows.append(
@@ -65,12 +62,12 @@ def test_bench_load_balance_table(benchmark):
     assert reports["strips 8x1"]["imbalance"] <= reports["blocks 4x4"]["imbalance"]
 
 
-def test_bench_tuned_distribution_recovers_balance(benchmark):
+def test_bench_tuned_distribution_recovers_balance():
     """A wet-cell-proportional assignment (the 'tuned connectivity' the
     paper describes) bounds the achievable speedup over land-blind
     decomposition: imbalance -> ~1 for divisible work."""
     depth = double_basin(64, 32, depth=4000.0, continent_width=8, polar_caps=3)
-    rep = benchmark(report_for, 4, 4, depth)
+    rep = report_for(4, 4, depth)
     # land-blind dense compute wastes this much on dry cells
     waste = rep["land_compute_fraction"]
     # the tuned bound: ideal speedup = imbalance factor (wet-skipping

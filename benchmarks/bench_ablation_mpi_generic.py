@@ -55,8 +55,8 @@ def custom_gsum_time(n=16):
     return des_time_schedule(HyadesCluster(), allreduce_butterfly(n, 8))
 
 
-def test_bench_generality_tax_table(benchmark):
-    t_mpi_gsum = benchmark.pedantic(mpi_allreduce_time, rounds=1, iterations=1)
+def test_bench_generality_tax_table():
+    t_mpi_gsum = mpi_allreduce_time()
     t_custom_gsum = custom_gsum_time()
     arctic = arctic_cost_model()
     fe = fast_ethernet_cost_model()
@@ -95,8 +95,8 @@ def test_bench_generality_tax_table(benchmark):
     assert t_mpi_exch_1k > t_custom_exch_1k
 
 
-def test_bench_mpi_exchange_scales_with_size(benchmark):
-    t1k = benchmark.pedantic(mpi_exchange_time, args=(1024,), rounds=1, iterations=1)
+def test_bench_mpi_exchange_scales_with_size():
+    t1k = mpi_exchange_time(1024)
     t16k = mpi_exchange_time(16384)
     assert t16k > t1k
     # bulk MPI pays the bounce copies: effective bandwidth well under VI

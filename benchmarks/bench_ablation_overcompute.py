@@ -48,15 +48,13 @@ def compare(cost_model, nz=10):
     return t_once, t_per_pass, t_redundant_ub
 
 
-def test_bench_overcompute_across_interconnects(benchmark):
+def test_bench_overcompute_across_interconnects():
     models = {
         "Arctic": arctic_cost_model(),
         "Gigabit Ethernet": gigabit_ethernet_cost_model(),
         "Fast Ethernet": fast_ethernet_cost_model(),
     }
-    results = benchmark.pedantic(
-        lambda: {n: compare(m) for n, m in models.items()}, rounds=1, iterations=1
-    )
+    results = {n: compare(m) for n, m in models.items()}
     rows = []
     for name, (t_once, t_pp, t_red) in results.items():
         rows.append(
@@ -92,9 +90,9 @@ def test_bench_overcompute_across_interconnects(benchmark):
     assert savings["Fast Ethernet"] > results["Arctic"][0]
 
 
-def test_bench_sync_point_reduction(benchmark):
+def test_bench_sync_point_reduction():
     """Independent of time, overcomputation cuts PS synchronization
     points per step from PASSES to 1 (the paper's stated aim)."""
-    t_once, t_pp, _ = benchmark(compare, arctic_cost_model())
+    t_once, t_pp, _ = compare(arctic_cost_model())
     sync_overcompute, sync_thin = 1, PASSES
     assert sync_overcompute < sync_thin

@@ -44,8 +44,8 @@ def ds_placement_comparison():
     return out
 
 
-def test_bench_mixmode_table(benchmark):
-    c = benchmark(exchange_mixmode_comparison)
+def test_bench_mixmode_table():
+    c = exchange_mixmode_comparison()
     d = ds_placement_comparison()
     emit(
         "ablation_smp",
@@ -82,7 +82,7 @@ def test_bench_mixmode_table(benchmark):
     assert d["all ranks"]["tcomp"] < d["masters"]["tcomp"]
 
 
-def test_bench_gcm_both_smp_modes(benchmark):
+def test_bench_gcm_both_smp_modes():
     """End-to-end: the real (small) GCM under both SMP configurations;
     mix-mode pays a measurable exchange premium."""
 
@@ -92,6 +92,6 @@ def test_bench_gcm_both_smp_modes(benchmark):
         worst = max(m.runtime.stats, key=lambda s: s.exchange_time)
         return m.runtime.elapsed, worst.exchange_time
 
-    el2, ex2 = benchmark.pedantic(run, args=(2,), rounds=1, iterations=1)
+    el2, ex2 = run(2)
     el1, ex1 = run(1)
     assert ex2 > ex1  # mix-mode exchange premium

@@ -4,23 +4,13 @@
 consistent with vector memories.  Alternatively small, compact blocks
 can be created which are better suited to deep memory hierarchies."
 
-Two measurable consequences:
-
-* communication: strips trade two neighbours for longer edges; blocks
-  minimize halo volume (perimeter/area) at the cost of more transfers;
-* computation: on a cache machine, the *real* NumPy kernel time per
-  cell differs with tile aspect (measured live on this host).
+The communication consequence, priced here: strips trade two neighbours
+for longer edges; blocks minimize halo volume (perimeter/area) at the
+cost of more transfers.  (The cache consequence is host time and so
+``perf/``'s to measure: ``gcm.us_per_cell_step``.)
 """
 
-import time
-
-import numpy as np
-
 from repro.core.pfpp import comm_terms
-from repro.gcm.eos import LinearEOS
-from repro.gcm.grid import Grid, GridParams
-from repro.gcm.operators import FlopCounter
-from repro.gcm.prognostic import DynamicsParams, compute_g_terms
 from repro.network.costmodel import arctic_cost_model
 from repro.parallel.tiling import Decomposition
 
@@ -34,33 +24,10 @@ def comm_cost(px, py, nz=10):
     return texchxyz, sum(edges), sum(1 for e in edges if e)
 
 
-def kernel_time(px, py, nz=10, reps=3):
-    """Real per-cell time of the PS kernel on one tile of this shape."""
-    d = Decomposition(128, 64, px, py, olx=3)
-    g = Grid(GridParams(nx=128, ny=64, nz=nz, lat0=-80, lat1=80), d)
-    t = d.tile(0)
-    rng = np.random.default_rng(0)
-    shape = t.shape3d(nz)
-    u, v = 0.1 * rng.standard_normal(shape), 0.1 * rng.standard_normal(shape)
-    theta = 10.0 + rng.standard_normal(shape)
-    salt = np.full(shape, 35.0)
-    b = LinearEOS().buoyancy(theta, salt)
-    params = DynamicsParams()
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        compute_g_terms(0, g, u, v, theta, salt, b, params, FlopCounter())
-        best = min(best, time.perf_counter() - t0)
-    return best / (t.nx * t.ny * nz)
-
-
-def test_bench_tile_shape_table(benchmark):
+def test_bench_tile_shape_table():
     shapes = {"strips 16x1 (8x64 tiles)": (16, 1), "blocks 4x4 (32x16 tiles)": (4, 4)}
 
-    def build():
-        return {name: comm_cost(*pq) for name, pq in shapes.items()}
-
-    comm = benchmark(build)
+    comm = {name: comm_cost(*pq) for name, pq in shapes.items()}
     rows = []
     for name, (t_x, vol, nbrs) in comm.items():
         rows.append([name, us(t_x), f"{vol}", str(nbrs)])
@@ -79,24 +46,3 @@ def test_bench_tile_shape_table(benchmark):
     assert strip[2] == 2 and block[2] == 4
     assert strip[1] > block[1]
     assert block[0] < strip[0]
-
-
-def test_bench_tile_shape_cache_effect(benchmark):
-    """Per-cell kernel time is shape-dependent on a real memory
-    hierarchy (the 'deep memory hierarchies' clause of Fig. 5)."""
-    t_strip = benchmark.pedantic(kernel_time, args=(16, 1), rounds=1, iterations=1)
-    t_block = kernel_time(4, 4)
-    emit(
-        "ablation_tile_shape_cache",
-        format_table(
-            "Fig. 5 ablation - real per-cell kernel time on this host",
-            ["tile shape", "ns/cell"],
-            [
-                ["strip 8x64", f"{t_strip * 1e9:.1f}"],
-                ["block 32x16", f"{t_block * 1e9:.1f}"],
-            ],
-        ),
-    )
-    # both shapes must run; relative speed is host-dependent, so only
-    # sanity-bound the ratio
-    assert 0.2 < t_strip / t_block < 5.0

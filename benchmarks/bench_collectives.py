@@ -6,16 +6,13 @@ every allreduce algorithm at N=16/64/256, the tuner's winner per point
 cross-validation of the winning schedules at N=16.
 """
 
-import time
-
 import pytest
 
 from repro.collectives import Autotuner, cost_table, des_time_schedule
 from repro.hardware.cluster import HyadesCluster
 from repro.network.costmodel import ARCTIC_GSUM_MEASURED
 
-from _emit import emit_bench
-from _tables import emit, format_table, us
+from _tables import emit, emit_bench, format_table, us
 
 SIZES = [8, 64, 1024, 8192, 65536, 524288]
 NODE_COUNTS = (16, 64, 256)
@@ -32,10 +29,8 @@ def crossover_curves():
     return out
 
 
-def test_bench_collectives_crossover(benchmark):
-    t0 = time.perf_counter()
-    curves = benchmark(crossover_curves)
-    wall = time.perf_counter() - t0
+def test_bench_collectives_crossover():
+    curves = crossover_curves()
 
     for n, cur in curves.items():
         rows = []
@@ -76,7 +71,6 @@ def test_bench_collectives_crossover(benchmark):
 
     emit_bench(
         "collectives",
-        wall_clock_s=wall,
         virtual_time_s=crossval[8]["des_s"],
         model_error={
             f"allreduce_16x{size}B": cv["rel_err"]
@@ -107,13 +101,8 @@ def test_bench_collectives_crossover(benchmark):
     )
 
 
-def test_bench_des_timing_16way(benchmark):
+def test_bench_des_timing_16way():
     from repro.collectives import build
 
-    def one():
-        return des_time_schedule(
-            HyadesCluster(), build("allreduce", "butterfly", 16, 8)
-        )
-
-    t = benchmark(one)
+    t = des_time_schedule(HyadesCluster(), build("allreduce", "butterfly", 16, 8))
     assert t == pytest.approx(ARCTIC_GSUM_MEASURED[16], rel=0.10)

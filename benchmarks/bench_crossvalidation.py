@@ -70,8 +70,8 @@ def bsp_charge(nz=8, ni=20, n_nodes=4, include_pack=True):
     return t
 
 
-def test_bench_crossvalidation(benchmark):
-    t_des = benchmark.pedantic(des_replay_step, rounds=1, iterations=1)
+def test_bench_crossvalidation():
+    t_des = des_replay_step()
     t_wire = bsp_charge(include_pack=False)
     t_full = bsp_charge(include_pack=True)
     emit(
@@ -91,11 +91,11 @@ def test_bench_crossvalidation(benchmark):
     assert t_full > t_wire  # the pack term is a real, separate cost
 
 
-def test_bench_crossvalidation_scales_with_ni(benchmark):
+def test_bench_crossvalidation_scales_with_ni():
     def ratio(ni):
         return des_replay_step(ni=ni) / bsp_charge(ni=ni, include_pack=False)
 
-    r = benchmark.pedantic(ratio, args=(10,), rounds=1, iterations=1)
+    r = ratio(10)
     r40 = ratio(40)
     assert abs(r - 1.0) < 0.12
     assert abs(r40 - 1.0) < 0.12

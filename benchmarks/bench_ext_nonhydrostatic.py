@@ -25,20 +25,16 @@ def nh_comm_times(cost_model, nz=30):
     return terms.tgsum, terms.texchxyz
 
 
-def test_bench_nh_pfpp_table(benchmark):
+def test_bench_nh_pfpp_table():
     """Pfpp of the 3-D solver iteration, per interconnect."""
     rows = []
     # counted ~36 flops/cell/iteration over nxyz cells per rank
     nds3, nxyz = 36, 128 * 64 * 30 // 16
 
-    def build():
-        out = {}
-        for cm in (arctic_cost_model(), gigabit_ethernet_cost_model()):
-            tg, tx = nh_comm_times(cm)
-            out[cm.name] = (tg, tx, pfpp_ds(nds3, nxyz, tg, tx))
-        return out
-
-    out = benchmark(build)
+    out = {}
+    for cm in (arctic_cost_model(), gigabit_ethernet_cost_model()):
+        tg, tx = nh_comm_times(cm)
+        out[cm.name] = (tg, tx, pfpp_ds(nds3, nxyz, tg, tx))
     for name, (tg, tx, p) in out.items():
         rows.append([name, us(tg), us(tx), f"{p / 1e6:.1f}"])
     emit(
@@ -54,7 +50,7 @@ def test_bench_nh_pfpp_table(benchmark):
     assert out["Gigabit Ethernet"][2] < 60e6
 
 
-def test_bench_nh_step_cost_breakdown(benchmark):
+def test_bench_nh_step_cost_breakdown():
     """End-to-end: the measured virtual cost of hydrostatic vs
     non-hydrostatic steps of the same configuration."""
 
@@ -65,7 +61,7 @@ def test_bench_nh_step_cost_breakdown(benchmark):
         m.run(4)
         return m.performance_breakdown()
 
-    bd_nh = benchmark.pedantic(run, args=(True,), rounds=1, iterations=1)
+    bd_nh = run(True)
     bd_h = run(False)
     emit(
         "ext_nonhydrostatic_cost",

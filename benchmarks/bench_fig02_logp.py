@@ -5,31 +5,26 @@ Regenerates the table (Os, Or, Tround-trip/2, Lnetwork for 8-byte and
 alongside the paper's measured values.
 """
 
-import time
-
 import pytest
 
 from repro.core.constants import FIG2_PAPER
 from repro.core.logp import fig2_table, measure_logp
 
-from _emit import emit_bench
-from _tables import emit, format_table, us
+from _tables import emit, emit_bench, format_table, us
 
 
 @pytest.mark.parametrize("size", [8, 64])
-def test_bench_logp_ping_pong(benchmark, size):
+def test_bench_logp_ping_pong(size):
     """Benchmark the DES ping-pong measurement itself."""
-    lp = benchmark(measure_logp, size)
+    lp = measure_logp(size)
     p_os, p_or, p_half, p_lat = FIG2_PAPER[size]
     assert lp.os_ == pytest.approx(p_os, rel=0.11)
     assert lp.or_ == pytest.approx(p_or, rel=0.08)
     assert lp.half_rtt == pytest.approx(p_half, rel=0.06)
 
 
-def test_bench_fig2_table(benchmark):
-    t0 = time.perf_counter()
-    rows = benchmark(fig2_table, measured=True)
-    wall = time.perf_counter() - t0
+def test_bench_fig2_table():
+    rows = fig2_table(measured=True)
     table_rows = []
     for r in rows:
         table_rows.append(
@@ -52,7 +47,6 @@ def test_bench_fig2_table(benchmark):
     assert len(rows) == 2
     emit_bench(
         "fig02_logp",
-        wall_clock_s=wall,
         virtual_time_s=max(r["half_rtt"] for r in rows),
         model_error={
             f"{q}_{r['payload_bytes']}B": r[q] / r[f"paper_{q}"] - 1.0

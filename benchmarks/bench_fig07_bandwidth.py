@@ -3,11 +3,13 @@
 Regenerates the full curve (4 B to 128 KB) by running one VI transfer
 per block size on the simulated hardware, alongside the analytic model
 ``bw(s) = s / (8.6 us + s / 110 MB/s)`` that the paper quotes via its
-56.8 MB/s @ 1 KB and 90 %-of-peak @ 9 KB data points.
+56.8 MB/s @ 1 KB and 90 %-of-peak @ 9 KB data points, and fits the same
+two constants to the DES points.
 """
 
 import pytest
 
+from repro.core.fits import fit_bandwidth_model
 from repro.network.costmodel import arctic_cost_model
 from repro.parallel.des_collectives import des_transfer_bandwidth
 
@@ -26,14 +28,16 @@ def sweep(sizes=None):
     return rows
 
 
-def test_bench_single_transfer_64k(benchmark):
-    bw = benchmark(des_transfer_bandwidth, 65536)
+def test_bench_single_transfer_64k():
+    bw = des_transfer_bandwidth(65536)
     assert bw == pytest.approx(arctic_cost_model().perceived_bandwidth(65536), rel=0.05)
 
 
-def test_bench_fig7_curve(benchmark):
-    rows = benchmark(sweep, [256, 1024, 4096, 9216, 32768, 131072])
+def test_bench_fig7_curve():
+    rows = sweep([256, 1024, 4096, 9216, 32768, 131072])
     full = sweep()
+    model = arctic_cost_model()
+    overhead, bandwidth = fit_bandwidth_model({s: s / m for s, m, _ in full if m})
     table = [
         [s, mbs(m) if m else "-", mbs(a)]
         for s, m, a in full
@@ -44,10 +48,13 @@ def test_bench_fig7_curve(benchmark):
             "Fig. 7 - exchange transfer bandwidth vs block size",
             ["block (B)", "DES measured (MB/s)", "analytic model (MB/s)"],
             table,
-        ),
+        )
+        + f"least-squares fit of the DES points: bw(s) = s / ({overhead * 1e6:.2f} us"
+        f" + s / {mbs(bandwidth)} MB/s); the paper's curve: 8.6 us, 110 MB/s\n",
     )
+    assert overhead == pytest.approx(model.transfer_overhead, rel=0.05)
+    assert bandwidth == pytest.approx(model.bandwidth, rel=0.02)
     # paper's quoted points
-    model = arctic_cost_model()
     assert model.perceived_bandwidth(1024) == pytest.approx(56.8e6, rel=0.02)
     assert model.perceived_bandwidth(9 * 1024) >= 0.9 * 110e6
     # DES tracks the model across the sweep

@@ -8,8 +8,6 @@ the combined sustained rate scales toward the paper's 1.6-1.8 GFlop/s
 regime when extrapolated to the production configuration.
 """
 
-import time
-
 import numpy as np
 
 from repro.core.constants import COUPLED_SUSTAINED_RANGE, DS_PARAMS, OCN_PS_PARAMS, ATM_PS_PARAMS
@@ -17,8 +15,7 @@ from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
 from repro.gcm import diagnostics as diag
 from repro.gcm.coupled import coupled_model
 
-from _emit import emit_bench
-from _tables import emit, format_table
+from _tables import emit, emit_bench, format_table
 
 
 def run_coupled(windows=3):
@@ -40,10 +37,8 @@ def production_combined_rate(ni=60.0):
     return total
 
 
-def test_bench_coupled_integration(benchmark):
-    t0 = time.perf_counter()
-    cm = benchmark.pedantic(run_coupled, rounds=1, iterations=1)
-    wall = time.perf_counter() - t0
+def test_bench_coupled_integration():
+    cm = run_coupled()
     atm, ocn = cm.atmosphere, cm.ocean
     assert diag.is_finite(atm) and diag.is_finite(ocn)
     sst = ocn.surface_temperature()
@@ -81,7 +76,6 @@ def test_bench_coupled_integration(benchmark):
     paper_mid = 0.5 * (COUPLED_SUSTAINED_RANGE[0] + COUPLED_SUSTAINED_RANGE[1])
     emit_bench(
         "fig09_coupled",
-        wall_clock_s=wall,
         virtual_time_s=cm.elapsed,
         model_error={
             "production_combined_vs_paper_mid": combined_model_rate / paper_mid - 1.0
@@ -95,8 +89,8 @@ def test_bench_coupled_integration(benchmark):
     )
 
 
-def test_bench_coupler_moves_boundary_conditions(benchmark):
-    cm = benchmark.pedantic(run_coupled, rounds=1, iterations=1)
+def test_bench_coupler_moves_boundary_conditions():
+    cm = run_coupled()
     # atmosphere received an SST field spanning warm tropics/cold poles
     sst_tiles = cm.atmosphere.coupling["sst"]
     vals = np.concatenate([t.ravel() for t in sst_tiles])

@@ -14,13 +14,13 @@ from repro.core.sustained import fig10_table, hyades_sustained
 from _tables import emit, format_table
 
 
-def test_bench_hyades_rows(benchmark):
-    res = benchmark(hyades_sustained, 16)
+def test_bench_hyades_rows():
+    res = hyades_sustained(16)
     assert 0.55e9 < res.sustained_flops < 0.9e9
 
 
-def test_bench_fig10_table(benchmark):
-    rows = benchmark(fig10_table)
+def test_bench_fig10_table():
+    rows = fig10_table()
     table = []
     for r in rows:
         paper = r.get("paper_gflops")
@@ -50,7 +50,7 @@ def test_bench_fig10_table(benchmark):
     assert 10 < ours[("Hyades", 16)] / ours[("Hyades", 1)] < 16
 
 
-def test_bench_speedup_vs_gcm_run(benchmark):
+def test_bench_speedup_vs_gcm_run():
     """Cross-check: the lockstep-runtime GCM on 16 vs 1 ranks shows the
     same speedup regime as the model-derived Fig. 10 rows."""
     from repro.gcm.ocean import ocean_model
@@ -60,6 +60,6 @@ def test_bench_speedup_vs_gcm_run(benchmark):
         m.run(3)
         return m.runtime.sustained_flops()
 
-    s16 = benchmark.pedantic(run, args=(4, 4, 2), rounds=1, iterations=1)
+    s16 = run(4, 4, 2)
     s1 = run(1, 1, 1)
     assert 6 < s16 / s1 < 16.5

@@ -41,16 +41,16 @@ def counted_kernel_flops(nz=10, steps=2):
     return nps, nds, h.ni
 
 
-def test_bench_comm_parameters(benchmark):
-    t_atm, t_ocn, t_ds, t_g = benchmark(modelled_comm_params)
+def test_bench_comm_parameters():
+    t_atm, t_ocn, t_ds, t_g = modelled_comm_params()
     assert t_atm == pytest.approx(ATM_PS_PARAMS.texchxyz, rel=0.03)
     assert t_ocn == pytest.approx(OCN_PS_PARAMS.texchxyz, rel=0.03)
     assert t_ds == pytest.approx(DS_PARAMS.texchxy, rel=0.08)
     assert t_g == pytest.approx(DS_PARAMS.tgsum, rel=0.01)
 
 
-def test_bench_counted_flops(benchmark):
-    nps, nds, ni = benchmark.pedantic(counted_kernel_flops, rounds=1, iterations=1)
+def test_bench_counted_flops():
+    nps, nds, ni = counted_kernel_flops()
     # Our NumPy kernel runs a leaner numerical recipe than the 1999
     # Fortran model (2nd-order advection, linear EOS, lighter physics):
     # the counted Nps lands in the low hundreds vs the paper's 781.
@@ -58,8 +58,8 @@ def test_bench_counted_flops(benchmark):
     assert 10 < nds < 60
 
 
-def test_bench_fig11_table(benchmark):
-    t_atm, t_ocn, t_ds, t_g = benchmark(modelled_comm_params)
+def test_bench_fig11_table():
+    t_atm, t_ocn, t_ds, t_g = modelled_comm_params()
     nps, nds, ni = counted_kernel_flops()
     rows = [
         ["Nps (atmos, flops/cell)", f"{nps:.0f} (counted)", f"{ATM_PS_PARAMS.nps}"],

@@ -13,8 +13,8 @@ from repro.core.pfpp import ds_comm_budget, fig12_table
 from _tables import emit, format_table, mflops, us
 
 
-def test_bench_fig12_from_models(benchmark):
-    rows = benchmark(fig12_table, from_models=True)
+def test_bench_fig12_from_models():
+    rows = fig12_table(from_models=True)
     by_name = {r.name: r for r in rows}
     table = []
     for name, r in by_name.items():
@@ -44,8 +44,8 @@ def test_bench_fig12_from_models(benchmark):
     assert by_name["Fast Ethernet"].pfpp_ps < 50e6
 
 
-def test_bench_threshold_analysis(benchmark):
-    budget = benchmark(ds_comm_budget, DS_PARAMS.nds, DS_PARAMS.nxy, 60e6)
+def test_bench_threshold_analysis():
+    budget = ds_comm_budget(DS_PARAMS.nds, DS_PARAMS.nxy, 60e6)
     ge = FIG12_PAPER["Gigabit Ethernet"]
     factor = (ge["tgsum"] + ge["texchxy"]) / budget
     emit(

@@ -23,13 +23,10 @@ Three claims of the precision subsystem, measured live here:
 Results land in ``benchmarks/out/BENCH_precision.json``.
 """
 
-import time
-
 from repro.core.pfpp import topology_scoreboard
 from repro.precision.search import tune_precision, wire_byte_reduction
 
-from _emit import emit_bench
-from _tables import emit, format_table
+from _tables import emit, emit_bench, format_table
 
 #: The two scoreboard extremes re-priced under the tuned config.
 PFPP_TOPOLOGIES = ("fattree", "ethernet")
@@ -38,14 +35,9 @@ PFPP_N = 256
 REDUCTION_GATE = 0.50
 
 
-def run_search():
-    """The accuracy-gated search at smoke scale (inline evaluation)."""
-    return tune_precision(smoke=True)
-
-
-def test_bench_precision(benchmark):
+def test_bench_precision():
     """Search convergence + wire-byte reduction + PFPP shift."""
-    result = benchmark.pedantic(run_search, rounds=1, iterations=1)
+    result = tune_precision(smoke=True)  # inline evaluation, smoke scale
 
     # -- claim 1: converged, gated, non-trivial -------------------------
     assert result["passed"], f"tuned config fails gates: {result['final_report']}"
@@ -66,13 +58,11 @@ def test_bench_precision(benchmark):
 
     tuned = PrecisionConfig.from_dict(result["tuned"])
     kwargs = tuned.scoreboard_args()
-    t0 = time.perf_counter()
     base = topology_scoreboard(topologies=PFPP_TOPOLOGIES, n_values=(PFPP_N,))
     mixed = topology_scoreboard(
         topologies=PFPP_TOPOLOGIES, n_values=(PFPP_N,),
         precision="tuned", **kwargs,
     )
-    scoreboard_wall = time.perf_counter() - t0
     pfpp_shift = {}
     for b, m in zip(base, mixed):
         assert m.pfpp_ps > b.pfpp_ps, (
@@ -115,7 +105,6 @@ def test_bench_precision(benchmark):
     )
     emit_bench(
         "precision",
-        wall_clock_s=result["wall_clock_s"] + scoreboard_wall,
         model_error={
             f"rel_err_{k}": v for k, v in report["errors"].items()
         },

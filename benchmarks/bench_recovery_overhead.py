@@ -16,14 +16,11 @@ Results land in ``benchmarks/out/BENCH_recovery.json`` (machine-readable)
 and ``benchmarks/out/recovery_overhead.txt`` (the table).
 """
 
-import time
-
 from repro.faults import run_crash_recovery_demo
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
 from repro.recover import RecoveryConfig
 
-from _emit import emit_bench
-from _tables import emit, format_table
+from _tables import emit, emit_bench, format_table
 
 WINDOWS = 4
 
@@ -100,10 +97,8 @@ def heartbeat_tax(windows=3):
 
 
 def test_bench_recovery_overhead():
-    t0 = time.perf_counter()
     sweep = overhead_vs_interval()
     hb = heartbeat_tax()
-    wall = time.perf_counter() - t0
 
     table = [
         [
@@ -141,7 +136,6 @@ def test_bench_recovery_overhead():
     )
     emit_bench(
         "recovery",
-        wall_clock_s=wall,
         virtual_time_s=sweep[0]["clean_run_s"],
         model_error={"heartbeat_tax": hb["heartbeat_tax_pct"] / 100.0},
         data={"overhead_vs_interval": sweep, "heartbeat_tax": hb},

@@ -17,18 +17,14 @@ from repro.network.costmodel import (
 from _tables import emit, format_table
 
 
-def test_bench_cpu_scaling_per_interconnect(benchmark):
+def test_bench_cpu_scaling_per_interconnect():
     models = {
         "Arctic": arctic_cost_model(),
         "Gigabit Ethernet": gigabit_ethernet_cost_model(),
         "Fast Ethernet": fast_ethernet_cost_model(),
     }
     counts = (1, 2, 4, 8, 16, 32, 64)
-    sweeps = benchmark.pedantic(
-        lambda: {n: cpu_sweep(counts, cost_model=m) for n, m in models.items()},
-        rounds=1,
-        iterations=1,
-    )
+    sweeps = {n: cpu_sweep(counts, cost_model=m) for n, m in models.items()}
     rows = []
     for n_cpus_idx, n_cpus in enumerate(counts):
         row = [n_cpus]
@@ -56,15 +52,11 @@ def test_bench_cpu_scaling_per_interconnect(benchmark):
     assert max(fe_rates) != fe_rates[-1]
 
 
-def test_bench_resolution_crossover(benchmark):
+def test_bench_resolution_crossover():
     """Refining the grid makes tiles coarser-per-message: GE's
     efficiency recovers with problem size (the 'coarse grain' regime),
     while Arctic is already compute-bound at the paper's resolution."""
-    ge = benchmark.pedantic(
-        lambda: resolution_sweep((1, 2, 4), cost_model=gigabit_ethernet_cost_model()),
-        rounds=1,
-        iterations=1,
-    )
+    ge = resolution_sweep((1, 2, 4), cost_model=gigabit_ethernet_cost_model())
     arctic = resolution_sweep((1, 2, 4), cost_model=arctic_cost_model())
     rows = []
     for a, g in zip(arctic, ge):
@@ -92,19 +84,15 @@ def test_bench_resolution_crossover(benchmark):
     assert arctic[0].efficiency > 0.7
 
 
-def test_bench_ds_dominates_at_scale(benchmark):
+def test_bench_ds_dominates_at_scale():
     """As CPUs grow at fixed problem size, the fine-grain DS phase's
     share of the step grows — the fundamental strong-scaling limit the
     PFPP analysis predicts."""
 
-    def shares():
-        out = []
-        for n in (4, 16, 64):
-            p = model_at(n, cost_model=arctic_cost_model())
-            step = p.tps + 60 * p.tds
-            out.append((n, 60 * p.tds / step))
-        return out
-
-    res = benchmark(shares)
+    res = []
+    for n in (4, 16, 64):
+        p = model_at(n, cost_model=arctic_cost_model())
+        step = p.tps + 60 * p.tds
+        res.append((n, 60 * p.tds / step))
     fracs = [f for _, f in res]
     assert fracs == sorted(fracs)

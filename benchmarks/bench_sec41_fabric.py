@@ -79,8 +79,8 @@ def high_priority_latency_under_load():
     return seen[(2000 % 2048, Priority.HIGH)] - t0
 
 
-def test_bench_simultaneous_pairwise_bandwidth(benchmark):
-    bws = benchmark.pedantic(simultaneous_exchange_bandwidths, rounds=1, iterations=1)
+def test_bench_simultaneous_pairwise_bandwidth():
+    bws = simultaneous_exchange_bandwidths()
     solo = solo_exchange_bandwidth()
     worst = min(bws.values())
     emit(
@@ -101,8 +101,8 @@ def test_bench_simultaneous_pairwise_bandwidth(benchmark):
     assert worst == pytest.approx(solo, rel=0.02)
 
 
-def test_bench_priority_protection(benchmark):
-    t_hi = benchmark.pedantic(high_priority_latency_under_load, rounds=1, iterations=1)
+def test_bench_priority_protection():
+    t_hi = high_priority_latency_under_load()
     # 300 queued max-size LOW packets would serialize for ~190 us; the
     # HIGH packet bypasses all but the in-flight one
     zero_load = 8 * 0.15e-6  # head latency, 8 links
@@ -124,7 +124,7 @@ def test_bench_priority_protection(benchmark):
     assert t_hi < 0.05 * (300 * 96 / 150e6)  # nowhere near FIFO draining
 
 
-def test_bench_random_uproute_spreads_hotspot(benchmark):
+def test_bench_random_uproute_spreads_hotspot():
     """Many sources sending to distinct destinations through the same
     deterministic ascent get serialized; the random-uproute bit spreads
     them over the redundant upper links."""
@@ -149,7 +149,7 @@ def test_bench_random_uproute_spreads_hotspot(benchmark):
         eng.run()
         return max(last.values())
 
-    t_rand = benchmark.pedantic(run, args=(True,), rounds=1, iterations=1)
+    t_rand = run(True)
     t_det = run(False)
     emit(
         "sec41_uproute",

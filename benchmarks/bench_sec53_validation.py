@@ -15,8 +15,8 @@ from _tables import emit, format_table
 MIN = 60.0
 
 
-def test_bench_section53_arithmetic(benchmark):
-    rep = benchmark(section53_validation)
+def test_bench_section53_arithmetic():
+    rep = section53_validation()
     emit(
         "sec53_validation",
         format_table(
@@ -35,21 +35,13 @@ def test_bench_section53_arithmetic(benchmark):
     assert abs(rep.relative_error) < 0.02
 
 
-def test_bench_model_vs_simulated_observation(benchmark):
+def test_bench_model_vs_simulated_observation():
     """Both sides produced by the reproduction: analytic prediction vs
     the virtual wall-clock of an actual (small) GCM integration."""
     from repro.gcm.atmosphere import atmosphere_model
 
-    def observe():
-        m = atmosphere_model(nx=32, ny=16, nz=5, px=2, py=2, dt=300.0)
-        nt = 100
-        obs = observed_from_simulation(m, n_steps=8, nt=nt)
-        # predict with the same runtime's own accounting
-        st = max(m.runtime.stats, key=lambda s: s.compute_time + s.comm_time)
-        total_accounted = m.runtime.elapsed
-        return obs, total_accounted, m
-
-    obs, accounted, m = benchmark.pedantic(observe, rounds=1, iterations=1)
+    m = atmosphere_model(nx=32, ny=16, nz=5, px=2, py=2, dt=300.0)
+    obs = observed_from_simulation(m, n_steps=8, nt=100)
     # the scaled observation is a pure extrapolation of per-step cost;
     # sanity: positive minutes-scale number for 100 virtual steps
     assert obs > 0

@@ -15,15 +15,12 @@ Results land in ``benchmarks/out/BENCH_straggler.json`` and the table
 in ``benchmarks/out/straggler.txt``.
 """
 
-import time
-
 import numpy as np
 
 from repro.faults import DegradationSchedule, FaultPlan, SlowdownEvent
 from repro.parallel import Decomposition, LockstepRuntime, StragglerMitigator
 
-from _emit import emit_bench
-from _tables import emit, format_table
+from _tables import emit, emit_bench, format_table
 
 TILE = 16
 TILES_PER_NODE = 2
@@ -90,9 +87,7 @@ def sweep(factors=(2.0, 4.0, 8.0), scales=(64, 256)):
 
 
 def test_bench_straggler():
-    t0 = time.perf_counter()
     rows = sweep()
-    wall = time.perf_counter() - t0
 
     table = [
         [
@@ -118,7 +113,6 @@ def test_bench_straggler():
     )
     emit_bench(
         "straggler",
-        wall_clock_s=wall,
         virtual_time_s=rows[0]["clean_s"],
         model_error=None,
         data={"sweep": rows},

@@ -18,8 +18,6 @@ Two claims of the topology layer, both measured live here:
 Results land in ``benchmarks/out/BENCH_topology.json``.
 """
 
-import time
-
 from repro.core.pfpp import topology_scoreboard
 from repro.network.topology import (
     SCOREBOARD_TOPOLOGIES,
@@ -27,8 +25,7 @@ from repro.network.topology import (
     make_topology,
 )
 
-from _emit import emit_bench
-from _tables import emit, format_table
+from _tables import emit, emit_bench, format_table
 
 #: Node counts of the analytic scoreboard (weak-scaled past 256).
 SCOREBOARD_N = (256, 1024, 4096)
@@ -37,18 +34,11 @@ CROSSVAL_N = 16
 CROSSVAL_GATE = 0.10
 
 
-def run_scoreboard():
-    """The full cross-architecture scoreboard (analytic tier)."""
-    return topology_scoreboard(
+def test_bench_topology_pfpp():
+    """Scoreboard coverage + the per-topology DES anchoring gate."""
+    rows = topology_scoreboard(
         topologies=SCOREBOARD_TOPOLOGIES, n_values=SCOREBOARD_N
     )
-
-
-def test_bench_topology_pfpp(benchmark):
-    """Scoreboard coverage + the per-topology DES anchoring gate."""
-    t0 = time.perf_counter()
-    rows = benchmark.pedantic(run_scoreboard, rounds=1, iterations=1)
-    scoreboard_wall = time.perf_counter() - t0
 
     # -- coverage: every topology priced at every N --------------------
     assert {r.topology for r in rows} == set(SCOREBOARD_TOPOLOGIES)
@@ -60,7 +50,6 @@ def test_bench_topology_pfpp(benchmark):
 
     # -- DES cross-validation at N=16, one fabric per topology ---------
     crossval = {}
-    t0 = time.perf_counter()
     for name in SCOREBOARD_TOPOLOGIES:
         cv = crossvalidate_topology(make_topology(name, CROSSVAL_N))
         assert cv["rel_err"] <= CROSSVAL_GATE, (
@@ -69,7 +58,6 @@ def test_bench_topology_pfpp(benchmark):
             f"{cv['rel_err']:.1%} > {CROSSVAL_GATE:.0%}"
         )
         crossval[name] = cv
-    crossval_wall = time.perf_counter() - t0
 
     emit(
         "topology_pfpp",
@@ -93,7 +81,6 @@ def test_bench_topology_pfpp(benchmark):
     )
     emit_bench(
         "topology",
-        wall_clock_s=scoreboard_wall + crossval_wall,
         virtual_time_s=sum(cv["des_s"] for cv in crossval.values()),
         model_error={
             f"crossval_{name}": cv["rel_err"] for name, cv in crossval.items()

@@ -8,8 +8,8 @@ one analytic-tier curve reaching N = 4096, one hybrid-tier curve, and
 one DES-tier job pinned to the small N where instantiating a
 4096-endpoint fat tree per quote is still affordable.  The analytic
 curve is submitted twice to show the service's determinism contract:
-sweep digests cover quoted times only (never host wall-clock), so the
-rerun reproduces the digest bit-exactly.
+a sweep report holds quoted times only (no host timer), so the rerun
+reproduces the digest bit-exactly.
 
 Run:  python examples/large_sweep.py
 """
@@ -54,12 +54,11 @@ def main() -> None:
     report = results[0]["sweep"]
     print()
     print(format_sweep(report))
-    big = report["rows"][-1]
     print(
-        f"\nN = {big['n_nodes']} quoted in {big['wall_s'] * 1e3:.1f} ms of "
-        f"host time on the analytic tier; the DES job stopped at "
-        f"N = {DES_CURVE[-1]} by design (see benchmarks/bench_backend.py "
-        f"for the measured blow-up)"
+        f"\nN = {report['rows'][-1]['n_nodes']} is a handful of closed forms on "
+        f"the analytic tier; the DES job stopped at N = {DES_CURVE[-1]} by "
+        f"design (benchmarks/bench_backend.py counts the simulations and "
+        f"events a DES point costs, perf/ times them)"
     )
 
 

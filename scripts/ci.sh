@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
 # line ledger, the one-durable-writer check, the DES event-count budget,
-# the tier-1 test suite, an
-# import check of every benchmark and example,
-# the fault/recovery and cross-validation smokes, and the host-time
-# benchmark's smoke run.
+# the tier-1 test suite, an import check of every example, the
+# fault/recovery and cross-validation smokes, the regenerate-and-diff of
+# benchmarks/out/ (virtual time), and the host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -24,9 +23,9 @@ echo "== docs-modules (a backticked pkg.module in DESIGN.md / docs/*.md must exi
 python scripts/check_docs_modules.py
 
 echo
-echo "== loc (the ROADMAP line ledger: src/ and tests/ Python lines) =="
-for tree in src tests; do
-  echo "$tree/ $(find "$tree" -name '*.py' | xargs cat | wc -l)"
+echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
+for tree in src tests benchmarks scripts; do
+  echo "$tree/ $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
 
 echo
@@ -46,8 +45,7 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q "$@" tests/
 
 echo
-echo "== benchmarks + examples import check (a deleted name must not go unseen) =="
-python -m pytest --co -q -p no:cacheprovider benchmarks >/dev/null
+echo "== examples import check (a deleted name must not go unseen) =="
 python -m compileall -q examples
 python - <<'PY'
 import importlib.util
@@ -94,56 +92,23 @@ echo "== backend cross-validation gate (cheap tiers within 5% of DES) =="
 python -m repro backend --crossval
 
 echo
-echo "== fault-campaign smoke (bit-exact, bounded slowdown, no false evictions) =="
-python -m repro campaign --smoke --out benchmarks/out
-
-echo
 echo "== topology scoreboard smoke (every fabric within 10% of its DES) =="
 python -m repro pfpp --topology all --crossval
 
 echo
-echo "== mixed-precision tuning smoke (gated search must converge) =="
+echo "== benchmarks-regen (benchmarks/out/ holds virtual-time quantities only: regenerate all of it, then diff) =="
+rm -f benchmarks/out/*
+python -m pytest -q -p no:cacheprovider benchmarks
+python -m repro campaign --smoke --out benchmarks/out
 python -m repro tune-precision --smoke --out benchmarks/out
-
-echo
-echo "== machine-readable benchmarks (schema'd BENCH_*.json) =="
-python -m pytest -q -p no:cacheprovider --benchmark-disable \
-  benchmarks/bench_fig02_logp.py \
-  benchmarks/bench_fig08_globalsum.py \
-  benchmarks/bench_fig09_coupled.py \
-  benchmarks/bench_collectives.py \
-  benchmarks/bench_service_throughput.py \
-  benchmarks/bench_backend.py \
-  benchmarks/bench_straggler.py \
-  benchmarks/bench_topology_pfpp.py \
-  benchmarks/bench_precision.py
-
-python - <<'PY'
-from repro.obs.bench import read_bench
-
-record = read_bench("benchmarks/out/BENCH_topology.json")
-rows = record["data"]["rows"]
-gate = record["data"]["crossval_gate"]
-worst = max(record["model_error"].values())
-assert worst <= gate, f"topology crossval {worst:.1%} exceeds {gate:.0%}"
-print(f"BENCH_topology.json validates: {len(rows)} rows, worst crossval {worst:.2%}")
-
-record = read_bench("benchmarks/out/BENCH_precision.json")
-data = record["data"]
-assert data["wire"]["reduction"] >= data["reduction_gate"], (
-    f"wire-byte reduction {data['wire']['reduction']:.0%} below "
-    f"{data['reduction_gate']:.0%}"
-)
-for topo, shift in data["pfpp_shift"].items():
-    assert shift["speedup_ps"] > 1.0, f"{topo}: no Pfpp,ps gain from tuned wire"
-print(
-    f"BENCH_precision.json validates: {data['n_evaluations']} evaluations, "
-    f"{data['wire']['reduction']:.0%} wire-byte reduction, "
-    f"Pfpp,ps x{min(s['speedup_ps'] for s in data['pfpp_shift'].values()):.2f}"
-    "..."
-    f"x{max(s['speedup_ps'] for s in data['pfpp_shift'].values()):.2f}"
-)
-PY
+changed="$(git diff --name-only -- benchmarks/out; git ls-files --others --exclude-standard -- benchmarks/out)"
+if [ -n "$changed" ]; then
+  echo "benchmarks-regen: regenerated artefacts differ from the committed ones" >&2
+  echo "(a paper number moved: fix it, or commit the new file and name the cause in CHANGES.md):" >&2
+  echo "$changed" >&2
+  exit 1
+fi
+echo "benchmarks-regen: $(ls benchmarks/out | wc -l) artefacts byte-identical to the committed ones"
 
 echo
 echo "== chaos smoke (SIGKILL'd workers + service: nothing lost, bit-exact) =="

@@ -134,27 +134,21 @@ def crossval_fig08(tiers: Optional[Dict[str, CommBackend]] = None) -> List[Check
     return checks
 
 
-def crossval_fig09(windows: int = 2) -> tuple[List[Check], Dict[str, str], dict]:
+def crossval_fig09(windows: int = 2) -> tuple[List[Check], Dict[str, str]]:
     """Integrated workload: the reduced coupled run per tier.
 
-    Returns ``(checks, digests, wall_clock)`` where ``digests[tier]`` is
-    the concatenated CRC of both components' full prognostic state (the
-    bit-exactness assertion) and ``wall_clock[tier]`` the host seconds
-    each tier took.
+    Returns ``(checks, digests)`` where ``digests[tier]`` is the
+    concatenated CRC of both components' full prognostic state (the
+    bit-exactness assertion).
     """
-    import time
-
     from repro.gcm.coupled import coupled_model
     from repro.service.jobs import model_digest
 
     summaries: Dict[str, dict] = {}
     digests: Dict[str, str] = {}
-    wall: Dict[str, float] = {}
     for tier in ("des", "analytic", "hybrid"):
-        t0 = time.perf_counter()
         cm = coupled_model(backend=tier, **FIG09_CONFIG)
         cm.run(windows)
-        wall[tier] = time.perf_counter() - t0
         a, o = cm.atmosphere.runtime.summary(), cm.ocean.runtime.summary()
         summaries[tier] = {
             "exchange": a["exchange_time"] + o["exchange_time"],
@@ -172,7 +166,7 @@ def crossval_fig09(windows: int = 2) -> tuple[List[Check], Dict[str, str], dict]
         )
         for q in ("exchange", "gsum", "elapsed")
     ]
-    return checks, digests, wall
+    return checks, digests
 
 
 def run_crossval(
@@ -186,7 +180,7 @@ def run_crossval(
     """
     tiers = _tiers()
     checks = crossval_fig02(tiers) + crossval_fig08(tiers)
-    fig09_checks, digests, wall = crossval_fig09(windows=windows)
+    fig09_checks, digests = crossval_fig09(windows=windows)
     checks += fig09_checks
     max_err = max(max(c.err_analytic, c.err_hybrid) for c in checks)
     bit_exact = len(set(digests.values())) == 1
@@ -197,7 +191,6 @@ def run_crossval(
         "max_rel_err": max_err,
         "bit_exact": bit_exact,
         "digests": digests,
-        "wall_clock_s": wall,
         "passed": bool(max_err <= tolerance and bit_exact),
         "checks": [c.as_dict() for c in checks],
     }

@@ -47,9 +47,11 @@ class DESBackend(CommBackend):
         self.model = model or arctic_cost_model()
         self._pair: Dict[int, float] = {}
         self._gsum: Dict[int, float] = {}
-        #: DES runs actually executed (cache misses) — the honest price
-        #: of the tier, reported by :meth:`describe`.
+        #: DES runs actually executed (cache misses) and the engine
+        #: events they dispatched — the tier's price in host-independent
+        #: units, reported by :meth:`describe`.
         self.simulations = 0
+        self.events = 0
 
     # ---- measured primitives --------------------------------------------
 
@@ -66,7 +68,9 @@ class DESBackend(CommBackend):
         if t is None:
             from repro.parallel.des_collectives import des_exchange
 
-            t = des_exchange(self._cluster(2), 0, 1, nbytes)
+            cluster = self._cluster(2)
+            t = des_exchange(cluster, 0, 1, nbytes)
+            self.events += cluster.engine.events_executed
             self._pair[nbytes] = t
         return t
 
@@ -77,9 +81,9 @@ class DESBackend(CommBackend):
             from repro.collectives.des_exec import des_time_schedule
             from repro.collectives.schedules import allreduce_butterfly
 
-            t = des_time_schedule(
-                self._cluster(n_nodes), allreduce_butterfly(n_nodes, 8)
-            )
+            cluster = self._cluster(n_nodes)
+            t = des_time_schedule(cluster, allreduce_butterfly(n_nodes, 8))
+            self.events += cluster.engine.events_executed
             self._gsum[n_nodes] = t
         return t
 
@@ -140,8 +144,9 @@ class DESBackend(CommBackend):
         return self.gsum_time(n_nodes, 8, now=now)
 
     def describe(self) -> dict:
-        """Adds simulation counts and memo sizes to the description."""
+        """Adds simulation/event counts and memo sizes to the description."""
         d = super().describe()
         d["simulations"] = self.simulations
+        d["events"] = self.events
         d["cached_shapes"] = {"pair": len(self._pair), "gsum": len(self._gsum)}
         return d

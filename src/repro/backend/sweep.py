@@ -13,13 +13,12 @@ evaluations — N = 4096 takes milliseconds.  On the DES tier the same
 point requires instantiating a 4096-endpoint Arctic fat tree and
 pushing every butterfly beacon through it packet by packet, which is
 exactly the infeasibility the fidelity-switchable backend exists to
-route around (``benchmarks/bench_backend.py`` measures the blow-up on
-the small N where DES still completes).
+route around (``benchmarks/bench_backend.py`` counts the simulations
+and engine events a DES point costs on the small N where it completes).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from repro.parallel.tiling import Decomposition
@@ -52,9 +51,9 @@ def sweep_point(
     3-D halo exchange (texchxyz), the 2-D width-1 exchange (texchxy) and
     the N-way global sum (tgsum) are quoted from ``backend`` flat over
     all ranks (:func:`~repro.core.pfpp.comm_terms`), then fed to
-    eqs. (14)-(15).  Returns a JSON-ready row including the host
-    seconds the quotes took (``wall_s``) — the number that separates
-    the tiers at large N.
+    eqs. (14)-(15).  Returns a JSON-ready row of quoted (virtual-time)
+    quantities only, so equal inputs give equal rows; what a quote costs
+    the host is measured by ``perf/`` (``quote_sweep``).
     """
     # imported lazily: repro.core reaches back into the backend package
     # for its report sections
@@ -69,10 +68,8 @@ def sweep_point(
     be = resolve_backend(backend)
     px, py = reference_process_grid(n_nodes)
     tnx, tny = tile
-    t0 = time.perf_counter()
     decomp = Decomposition(tnx * px, tny * py, px, py, olx=1)
     tgsum, texchxy, texchxyz, _ = comm_terms(be, decomp, nz)
-    wall = time.perf_counter() - t0
     nxyz = tnx * tny * nz
     nxy = tnx * tny * 2  # the DS tile holds two PS tiles (nxy = 1024)
     return {
@@ -85,7 +82,6 @@ def sweep_point(
         "texchxyz_s": texchxyz,
         "pfpp_ps_flops": pfpp_ps(nps or ATM_PS_PARAMS.nps, nxyz, texchxyz),
         "pfpp_ds_flops": pfpp_ds(nds or DS_PARAMS.nds, nxy, tgsum, texchxy),
-        "wall_s": wall,
     }
 
 
@@ -103,14 +99,11 @@ def large_sweep(
     JSON-ready report with one :func:`sweep_point` row per N.
     """
     be = resolve_backend(backend)
-    t0 = time.perf_counter()
-    rows = [sweep_point(n, be, tile=tile, nz=nz) for n in n_values]
     return {
         "backend": be.name,
         "tile": list(tile),
         "nz": nz,
-        "rows": rows,
-        "wall_s": time.perf_counter() - t0,
+        "rows": [sweep_point(n, be, tile=tile, nz=nz) for n in n_values],
     }
 
 
@@ -121,7 +114,7 @@ def format_sweep(report: dict) -> str:
         f"(tile {report['tile'][0]}x{report['tile'][1]}x{report['nz']} "
         f"per processor)",
         f"{'N':>6s} {'grid':>12s} {'tgsum':>10s} {'texchxy':>10s} "
-        f"{'texchxyz':>10s} {'Pfpp,ps':>10s} {'Pfpp,ds':>10s} {'wall':>9s}",
+        f"{'texchxyz':>10s} {'Pfpp,ps':>10s} {'Pfpp,ds':>10s}",
     ]
     for r in report["rows"]:
         lines.append(
@@ -129,7 +122,5 @@ def format_sweep(report: dict) -> str:
             f" {r['tgsum_s'] * 1e6:8.1f}us {r['texchxy_s'] * 1e6:8.1f}us"
             f" {r['texchxyz_s'] * 1e6:8.1f}us"
             f" {r['pfpp_ps_flops'] / 1e6:7.1f}MF {r['pfpp_ds_flops'] / 1e6:7.1f}MF"
-            f" {r['wall_s'] * 1e3:7.2f}ms"
         )
-    lines.append(f"total sweep wall-clock: {report['wall_s']:.3f}s")
     return "\n".join(lines)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import pathlib
 import random
-import time
 import zlib
 from collections import defaultdict
 from dataclasses import asdict, dataclass
@@ -636,7 +635,6 @@ def run_campaign(
     exercise.  ``out_dir`` gets the schema'd ``BENCH_campaign.json``.
     """
     scenarios = build_grid(smoke=smoke, tiers=tiers)
-    t_wall = time.monotonic()
     results: Dict[str, Optional[dict]] = {}
     if use_service and root is not None:
         from repro.service import (
@@ -680,7 +678,6 @@ def run_campaign(
         write_bench(
             pathlib.Path(out_dir),
             "campaign",
-            wall_clock_s=time.monotonic() - t_wall,
             virtual_time_s=virtual,
             model_error={"max_tier_error": scorecard["max_tier_error"]},
             data=scorecard,

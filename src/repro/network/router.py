@@ -72,8 +72,11 @@ class Link:
     heap that the end-of-serialization callback :meth:`_tx_done` pops —
     last in its instant (``Engine.schedule_late``), because the next
     packet of a back-to-back stream arrives exactly as the tail leaves
-    and must be seen by the arbitration.  Per packet-hop that is three
-    engine events (start, head downstream, tail gone), two when backlogged.
+    and must be seen by the arbitration.  Packets handed over before the
+    engine has dispatched anything all park, and one start event pops
+    the heap: a batch injected at set-up is arbitrated as a whole.  Per
+    packet-hop that is three engine events (start, head downstream, tail
+    gone), two when backlogged.
     """
 
     def __init__(
@@ -101,14 +104,22 @@ class Link:
         #: True from the moment a packet is accepted for transmission
         #: until the wire falls idle (forever, once the link is dead).
         self._busy = False
+        #: the engine's event count when the link was built; see ``send``.
+        self._built_at = engine.events_executed
 
     def send(self, packet: Packet) -> None:
         """Enqueue a packet for transmission (HIGH priority jumps LOW)."""
-        if self._busy:
+        if self._busy or self.engine.events_executed == self._built_at:
             self._arrivals += 1
             heapq.heappush(
                 self._waiting, (int(packet.priority), self._arrivals, packet)
             )
+            if not self._busy:
+                # handed over before the engine ran: one start event
+                # arbitrates the whole batch, so a HIGH packet injected
+                # behind LOW ones at set-up does not wait for the first
+                self._busy = True
+                self.engine.schedule(0.0, self._tx_done)
         else:
             self._busy = True
             self.engine.schedule(0.0, self._transmit, packet)

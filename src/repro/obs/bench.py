@@ -1,13 +1,14 @@
-"""Schema'd benchmark records: the repo's perf trajectory.
+"""Schema'd benchmark records: the repo's virtual-time ledger.
 
-Every ``benchmarks/bench_*.py`` routes its result through
-:func:`write_bench` (via the thin ``benchmarks/_emit.py`` wrapper), so
-each run leaves a ``BENCH_<name>.json`` that validates against
-:data:`repro.obs.schema.BENCH_SCHEMA`.  Three fields are mandatory and
-uniform across benchmarks:
+Every ``benchmarks/bench_*.py`` with a machine-readable result routes it
+through :func:`write_bench`, so each run leaves a ``BENCH_<name>.json``
+that validates against :data:`repro.obs.schema.BENCH_SCHEMA`.  A record
+holds paper / virtual-time quantities only — equal inputs serialise to
+identical bytes, which is what lets ``scripts/ci.sh`` regenerate
+``benchmarks/out/`` and ``git diff`` it.  Host time is ``perf/``'s
+business (``perf/README.md``).  Two fields are uniform across
+benchmarks:
 
-* ``wall_clock_s`` — real seconds of the workload on the host (the
-  regression-gate signal);
 * ``virtual_time_s`` — simulated seconds, when the benchmark runs the
   DES or BSP clock (null for pure-model benchmarks);
 * ``model_error`` — named relative errors of the reproduction against
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import platform
-import time
 from typing import Optional, Union
 
 from repro.obs.schema import (
@@ -31,12 +30,10 @@ from repro.obs.schema import (
 
 def bench_record(
     name: str,
-    wall_clock_s: float,
     virtual_time_s: Optional[float] = None,
     model_error: Optional[dict] = None,
     data: Optional[dict] = None,
     units: Optional[dict] = None,
-    timestamp: Optional[float] = None,
 ) -> dict:
     """Build and validate one benchmark record.
 
@@ -47,15 +44,9 @@ def bench_record(
         "schema_version": BENCH_SCHEMA_VERSION,
         "kind": "benchmark",
         "name": name,
-        "wall_clock_s": float(wall_clock_s),
         "virtual_time_s": None if virtual_time_s is None else float(virtual_time_s),
         "model_error": model_error,
         "data": data or {},
-        "created_unix": time.time() if timestamp is None else timestamp,
-        "provenance": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
     }
     if units:
         record["units"] = units

@@ -2,11 +2,11 @@
 
 Two artifact families leave a run:
 
-* ``BENCH_<name>.json`` — one benchmark result, written by every
-  ``benchmarks/bench_*.py`` through the shared emitter.  The schema
-  guarantees the three fields a perf trajectory needs — wall-clock
-  seconds, virtual-time seconds, and model error — so CI can gate on
-  regressions without knowing each benchmark's internals.
+* ``BENCH_<name>.json`` — one benchmark result, written through the
+  shared emitter.  The schema admits virtual-time seconds, model error
+  and a payload of paper quantities — no host time, timestamp or
+  platform field — so a record is a pure function of the code and CI
+  can regenerate and diff it.
 * Chrome trace-event JSON — the DES trace written by ``repro trace``.
 
 Validation is a dependency-free subset of JSON Schema (type, required,
@@ -81,7 +81,7 @@ def validate(obj: Any, schema: dict, path: str = "$") -> list[str]:
 # ---------------------------------------------------------------------------
 
 #: Current BENCH record schema version.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: Schema of one ``benchmarks/out/BENCH_<name>.json`` record.
 BENCH_SCHEMA: dict = {
@@ -90,7 +90,6 @@ BENCH_SCHEMA: dict = {
         "schema_version",
         "kind",
         "name",
-        "wall_clock_s",
         "virtual_time_s",
         "model_error",
         "data",
@@ -100,8 +99,6 @@ BENCH_SCHEMA: dict = {
         "schema_version": {"type": "integer", "minimum": 1},
         "kind": {"enum": ["benchmark"]},
         "name": {"type": "string"},
-        #: Real seconds the benchmark's workload took on the host.
-        "wall_clock_s": {"type": "number", "minimum": 0},
         #: Simulated seconds of the run (null for pure-model benchmarks).
         "virtual_time_s": {"type": ["number", "null"]},
         #: Named relative errors of the reproduction vs the paper/model
@@ -113,8 +110,6 @@ BENCH_SCHEMA: dict = {
         #: Benchmark-specific payload (sweeps, tables, counters).
         "data": {"type": "object"},
         "units": {"type": "object", "additionalProperties": {"type": "string"}},
-        "created_unix": {"type": ["number", "null"]},
-        "provenance": {"type": "object"},
     },
 }
 
@@ -146,7 +141,7 @@ SERVICE_SUMMARY_SCHEMA: dict = {
         "worker_kills",
         "restarts",
         "scenarios_per_hour",
-        "wall_clock_s",
+        "uptime_s",
     ],
     "additionalProperties": False,
     "properties": {
@@ -164,7 +159,9 @@ SERVICE_SUMMARY_SCHEMA: dict = {
         "duplicate_submits": {"type": "integer", "minimum": 0},
         "restarts": {"type": "integer", "minimum": 0},
         "scenarios_per_hour": {"type": "number", "minimum": 0},
-        "wall_clock_s": {"type": "number", "minimum": 0},
+        #: Host seconds this service process has been up: operational
+        #: state, the one host-time field any schema here admits.
+        "uptime_s": {"type": "number", "minimum": 0},
     },
 }
 

@@ -55,8 +55,7 @@ def format_search_result(result: dict) -> str:
     lines.append(
         f"search: {result['n_evaluations']} candidate evaluations "
         f"({'service' if result['via_service'] else 'inline'}, "
-        f"{'smoke' if result['smoke'] else 'reference'} run, "
-        f"{result['wall_clock_s']:.1f}s)"
+        f"{'smoke' if result['smoke'] else 'reference'} run)"
     )
     for step in result["trajectory"]:
         reverted = ",".join(step["reverted"]) or "(none: pure all32)"

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-import time
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -332,7 +331,6 @@ def tune_precision(
     ``out_dir`` gets ``PRECISION_tuned.json`` (the tuned assignment +
     its gate report), which ``repro pfpp --precision tuned`` consumes.
     """
-    t0 = time.monotonic()
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -369,7 +367,6 @@ def tune_precision(
         "wire": wire,
         "smoke": smoke,
         "via_service": service_root is not None,
-        "wall_clock_s": time.monotonic() - t0,
         "describe": tuned.describe(),
     }
     if out_dir is not None:

@@ -43,20 +43,20 @@ class ServiceMetrics:
         """Current value of the named counter (zero if never counted)."""
         return self.counters.get(name, 0)
 
-    def wall_clock_s(self) -> float:
+    def uptime_s(self) -> float:
         """Seconds of service time elapsed since these metrics started."""
         return time.monotonic() - self.started_mono
 
     def scenarios_per_hour(self) -> float:
         """Completed scenarios extrapolated to an hour of service time."""
-        elapsed = max(self.wall_clock_s(), 1e-9)
+        elapsed = max(self.uptime_s(), 1e-9)
         return self.get("completed") * 3600.0 / elapsed
 
     def summary(self, queue: Optional[JobQueue] = None) -> dict:
         """The schema-validated ``service_summary`` record."""
         counts = queue.counts() if queue is not None else {}
         record = {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "service_summary",
             "queue_depth": counts.get("pending", 0),
             "running": counts.get("running", 0),
@@ -69,7 +69,7 @@ class ServiceMetrics:
             "workers_spawned": self.get("workers_spawned"),
             "duplicate_submits": queue.duplicate_submits if queue is not None else 0,
             "restarts": self.restarts,
-            "wall_clock_s": self.wall_clock_s(),
+            "uptime_s": self.uptime_s(),
             "scenarios_per_hour": self.scenarios_per_hour(),
         }
         assert_valid(

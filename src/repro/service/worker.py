@@ -132,8 +132,8 @@ def _run_sweep(
     fidelity tier quoting the costs (default ``"analytic"``; the DES
     tier at N=4096 is exactly the experiment this job kind exists to
     avoid), ``tile`` — per-processor ``[nx, ny]``, ``nz`` — levels.
-    The digest covers the quoted times and Pfpp values only (never the
-    host wall-clock), so retries reproduce it bit-exactly.
+    The report holds quoted times and Pfpp values only, so retries
+    reproduce the digest bit-exactly.
     """
     from repro.backend import large_sweep
 
@@ -147,13 +147,7 @@ def _run_sweep(
     beat()
     import hashlib
 
-    canon = json.dumps(
-        [
-            {k: v for k, v in row.items() if k != "wall_s"}
-            for row in report["rows"]
-        ],
-        sort_keys=True,
-    )
+    canon = json.dumps(report["rows"], sort_keys=True)
     return {
         "digest": "sweep:" + hashlib.sha1(canon.encode()).hexdigest()[:16],
         "steps": len(report["rows"]),

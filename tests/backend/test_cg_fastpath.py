@@ -3,8 +3,7 @@
 ``tests/gcm/_reference_cg.py`` keeps the per-tile reference loop the
 library used to carry; these tests run identical solves and identical
 model configurations through both and require bitwise-identical
-prognostic state and identical charged flops — the guarantee that lets
-``benchmarks/bench_backend.py`` reconstruct the seed solver cost live.
+prognostic state and identical charged flops.
 """
 
 import pathlib

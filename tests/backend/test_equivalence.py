@@ -75,6 +75,16 @@ class TestTimingBand:
         assert report["bit_exact"]
         assert report["max_rel_err"] <= report["tolerance"]
 
+    def test_reports_are_pure_functions_of_their_inputs(self):
+        """No timer rides along: two consecutive calls return ``==``
+        reports, which is what lets ``benchmarks/out/`` be diffed."""
+        from repro.backend import large_sweep
+
+        assert run_crossval(windows=1) == run_crossval(windows=1)
+        assert large_sweep((16, 64), backend="analytic") == large_sweep(
+            (16, 64), backend="analytic"
+        )
+
 
 class TestHybridWindows:
     def test_fault_plan_windows_served_by_des(self):

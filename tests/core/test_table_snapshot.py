@@ -1,9 +1,8 @@
 """The tables a refactor of the quoting code must not move.
 
-``table_snapshot.json`` pins the host-time-free output of every
-``repro pfpp`` mode, the Fig. 11 / Fig. 12 report sections and the
-scaling sweeps: printed tables as text (``wall`` columns removed),
-quoted values as ``repr(float)``.  Recorded at commit 2a68ba0, before
+``table_snapshot.json`` pins the output of every ``repro pfpp`` mode,
+the Fig. 11 / Fig. 12 report sections and the scaling sweeps: printed
+tables as text, quoted values as ``repr(float)``.  Recorded at commit 2a68ba0, before
 ``comm_terms`` replaced the per-table copies of the mapping.
 
 Re-record (only when a change is *meant* to move a paper number)::
@@ -17,7 +16,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -43,13 +41,7 @@ def _cli(argv) -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    lines = []
-    for line in out.getvalue().splitlines():
-        if line.startswith("total sweep wall-clock"):
-            continue
-        # the sweep table's last column is host wall-clock
-        lines.append(re.sub(r"\s+(wall|[0-9.]+ms)$", "", line.rstrip()))
-    return lines
+    return [line.rstrip() for line in out.getvalue().splitlines()]
 
 
 def _value(v):
@@ -104,8 +96,7 @@ def collect() -> dict:
     for backend, nz in ((None, 10), ("analytic", 10), ("analytic", 8), ("hybrid", 12)):
         report = large_sweep((16, 64, 256), backend=backend, nz=nz)
         snap[f"large_sweep(backend={backend}, nz={nz})"] = [
-            {k: _value(v) for k, v in row.items() if k != "wall_s"}
-            for row in report["rows"]
+            {k: _value(v) for k, v in row.items()} for row in report["rows"]
         ]
     models = {
         "arctic": arctic_cost_model(),

@@ -5,8 +5,7 @@ while the solver still carried two paths: one Python iteration per tile
 per vector operation.  Every in-tree operator is stacked-capable, so
 the library now always runs the stacked path;
 ``tests/backend/test_cg_fastpath.py`` checks it bitwise against this
-loop, and ``benchmarks/bench_backend.py::seed_hot_paths`` swaps it back
-in to reconstruct the seed revision's solver cost.
+loop.  It must never be imported from ``src/`` or ``benchmarks/``.
 """
 
 from __future__ import annotations

@@ -182,13 +182,44 @@ def test_high_priority_overtakes_queued_low_but_not_the_wire():
     engine = Engine()
     order = []
     link = Link(engine, lambda p: order.append(p.data))
-    for k in range(3):
+    link.send(Packet(src=0, dst=1, data="low0"))
+    engine.run(until=0.0)  # low0 starts serializing
+    for k in (1, 2):
         link.send(Packet(src=0, dst=1, data=f"low{k}"))
     link.send(Packet(src=0, dst=1, data="high", priority=Priority.HIGH))
     assert link.queued == 3  # the first LOW already owns the wire
     engine.run()
     assert order == ["low0", "high", "low1", "low2"]
     assert link.stats.high_priority_packets == 1
+
+
+@pytest.mark.parametrize("link_cls", [Link, ReferenceLink])
+def test_high_priority_in_a_batch_injected_before_the_run(link_cls, monkeypatch):
+    """300 LOW + 1 HIGH handed to an idle fat tree in one instant, before
+    the engine runs (``bench_sec41_fabric``): no LOW owns a wire yet, so
+    the HIGH packet crosses at the zero-load head latency on both link
+    classes.  Injected from inside the run, the first LOW of the instant
+    already has the injection link and HIGH waits one serialization."""
+    monkeypatch.setattr(fabrics_mod, "Link", link_cls)
+
+    def high_latency(inside_run):
+        engine = Engine()
+        fabric = FatTree(engine, N)
+        seen = {}
+        for ep in range(N):
+            fabric.attach_endpoint(ep, lambda p: seen.setdefault(p.priority, engine.now))
+        batch = [Packet(src=0, dst=15, payload_words=[0] * 22, tag=i) for i in range(300)]
+        batch.append(Packet(src=0, dst=15, payload_words=[1, 2], priority=Priority.HIGH))
+        for pkt in batch:
+            if inside_run:
+                engine.schedule(0.0, fabric.inject, pkt)
+            else:
+                fabric.inject(pkt)
+        engine.run()
+        return seen[Priority.HIGH]
+
+    assert high_latency(inside_run=False) == pytest.approx(8 * 0.15e-6, abs=1e-12)
+    assert high_latency(inside_run=True) == pytest.approx(8 * 0.15e-6 + 96 / 150e6, abs=1e-12)
 
 
 def test_dead_link_drops_one_and_holds_the_rest():

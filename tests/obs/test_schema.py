@@ -16,7 +16,6 @@ def _bench(**over):
         "schema_version": BENCH_SCHEMA_VERSION,
         "kind": "benchmark",
         "name": "demo",
-        "wall_clock_s": 0.5,
         "virtual_time_s": 1.25,
         "model_error": {"sustained_gflops": -0.01},
         "data": {"rows": 3},
@@ -67,16 +66,18 @@ class TestBenchSchema:
 
     def test_missing_field_rejected(self):
         rec = _bench()
-        del rec["wall_clock_s"]
-        assert any("wall_clock_s" in e for e in validate_bench(rec))
+        del rec["virtual_time_s"]
+        assert any("virtual_time_s" in e for e in validate_bench(rec))
 
     def test_unknown_field_rejected(self):
         assert any(
             "unexpected" in e for e in validate_bench(_bench(extra="nope"))
         )
 
-    def test_negative_wall_clock_rejected(self):
-        assert validate_bench(_bench(wall_clock_s=-1.0))
+    def test_host_time_fields_rejected(self):
+        for field in ("wall_clock_s", "created_unix", "provenance"):
+            errors = validate_bench(_bench(**{field: 0.5}))
+            assert any("unexpected" in e and field in e for e in errors)
 
 
 class TestChromeTraceSchema:
