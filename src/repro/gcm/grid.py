@@ -187,7 +187,6 @@ class Grid:
         self.hfac_w: list[np.ndarray] = []
         self.hfac_s: list[np.ndarray] = []
         self.mask_c: list[np.ndarray] = []
-        self.recip_hfac_c: list[np.ndarray] = []
         self.depth_c: list[np.ndarray] = []  # total open column depth at centers
 
         for r, t in enumerate(self.decomp.tiles):
@@ -204,9 +203,6 @@ class Grid:
             self.hfac_w.append(w)
             self.hfac_s.append(s)
             self.mask_c.append((c > 0).astype(self.dtype))
-            with np.errstate(divide="ignore"):
-                rh = np.where(c > 0, 1.0 / np.where(c > 0, c, 1.0), 0.0)
-            self.recip_hfac_c.append(rh)
             self.depth_c.append(np.sum(c * self.drf[:, None, None], axis=0))
 
     # -- convenience -------------------------------------------------------
