@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer check, the DES event-count budget,
-# the tier-1 test suite, an import check of every example, the
-# fault/recovery and cross-validation smokes, the regenerate-and-diff of
-# benchmarks/out/ (virtual time), and the host-time benchmark's smoke run.
+# line ledger, the one-durable-writer check, the DES event-count and GCM
+# step call-count budgets, the tier-1 test suite, an import check of
+# every example, the fault/recovery and cross-validation smokes, the
+# regenerate-and-diff of benchmarks/out/ (virtual time), and the
+# host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -39,6 +40,10 @@ echo "durable-writes: clean"
 echo
 echo "== DES event budget (exact counts: a per-hop relay fails here, not by timing) =="
 python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
+
+echo
+echo "== GCM step call budget (exact counts: a per-tile kernel or halo loop fails here, not by timing) =="
+python -m pytest -q -p no:cacheprovider tests/gcm/test_step_budget.py
 
 echo
 echo "== tier-1 test suite =="

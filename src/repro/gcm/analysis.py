@@ -42,22 +42,10 @@ def overturning_streamfunction(model: Model) -> np.ndarray:
     """
     v = model.state.to_global("v")  # (nz, ny, nx) at south faces
     nz, ny, nx = v.shape
-    # reassemble face widths/fractions globally
-    from repro.parallel.exchange import HaloExchanger
-
-    hx = HaloExchanger(model.decomp)
-    o = model.decomp.olx
-    # reassembled at the grid's working dtype so a float32 state is not
-    # silently promoted back to float64 by the metric products below
-    hfs = np.zeros((nz, ny, nx), dtype=model.grid.dtype)
-    dxg = np.zeros((ny, nx), dtype=model.grid.dtype)
-    for r, t in enumerate(model.decomp.tiles):
-        sl_src3 = (slice(None), slice(o, o + t.ny), slice(o, o + t.nx))
-        sl_dst = (slice(None), slice(t.y0, t.y0 + t.ny), slice(t.x0, t.x0 + t.nx))
-        hfs[sl_dst] = model.grid.hfac_s[r][sl_src3]
-        dxg[t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx] = model.grid.dxg[r][
-            o : o + t.ny, o : o + t.nx
-        ]
+    # face widths/fractions reassembled globally, at the grid's working
+    # dtype (a float32 state is not promoted by the products below)
+    hfs = model.decomp.to_global(model.grid.hfac_s)
+    dxg = model.decomp.to_global(model.grid.dxg)
     transport = v * hfs * model.grid.drf[:, None, None] * dxg[None]  # m^3/s
     northward_per_layer = transport.sum(axis=-1)  # (nz, ny)
     # Psi at the top face of layer k = sum of layers above it
@@ -69,13 +57,7 @@ def overturning_streamfunction(model: Model) -> np.ndarray:
 def barotropic_transport(model: Model) -> np.ndarray:
     """Depth-integrated zonal transport (m^2/s) at each column."""
     u = model.state.to_global("u")
-    from repro.parallel.exchange import HaloExchanger
-
-    o = model.decomp.olx
-    hfw = np.zeros_like(u)
-    for r, t in enumerate(model.decomp.tiles):
-        sl_src3 = (slice(None), slice(o, o + t.ny), slice(o, o + t.nx))
-        hfw[:, t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx] = model.grid.hfac_w[r][sl_src3]
+    hfw = model.decomp.to_global(model.grid.hfac_w)
     return np.sum(u * hfw * model.grid.drf[:, None, None], axis=0)
 
 

@@ -30,7 +30,7 @@ from repro.parallel.globalsum import butterfly_global_sum
 class CGResult:
     """Outcome of one elliptic solve."""
 
-    x: List[np.ndarray]
+    x: Sequence[np.ndarray]  # per-rank solution tiles (one stacked array)
     iterations: int
     residual: float  # final |r|_2
     initial_residual: float
@@ -41,15 +41,16 @@ def _interior_dot_stacked(decomp, a: np.ndarray, b: np.ndarray, flops: FlopCount
     """Per-rank partial dot products on a leading-rank-axis tile stack.
 
     Bit-identical to a per-tile ``np.sum(a[r] * b[r])`` over each
-    interior: the product commutes with slicing, and the per-rank
-    reduction runs over a contiguous buffer of the same shape and C
-    order as the per-tile product array, so NumPy's pairwise summation
-    visits elements in the same order.
+    interior: the product of the two interior views lands in a fresh
+    C-contiguous array, and the per-rank reduction runs over a
+    contiguous buffer of the same shape and C order as the per-tile
+    product array, so NumPy's pairwise summation visits elements in the
+    same order.
     """
     sl = (Ellipsis,) + decomp.tiles[0].interior
-    prod = np.ascontiguousarray((a * b)[sl])
+    prod = a[sl] * b[sl]
     flops.add("cg_dot", 2 * prod.size)
-    return np.sum(prod.reshape(len(prod), -1), axis=1).tolist()
+    return prod.reshape(len(prod), -1).sum(axis=1).tolist()
 
 
 def _default_gsum(partials: Sequence[float]) -> float:
@@ -79,9 +80,9 @@ def preconditioned_cg(
     ``operator`` provides ``apply_stacked``/``precondition_stacked``
     (every in-tree operator does).  All vectors live in ``(n_ranks, ...)``
     stacks, so each iteration is a handful of NumPy calls instead of a
-    Python loop per tile; the injected ``exchange`` still receives
-    per-tile views into those stacks, so halo fills mutate the stacked
-    storage in place and the charged runtime hooks work unchanged.
+    Python loop per tile; the injected ``exchange`` receives those
+    stacks themselves (``f[rank]`` is rank ``rank``'s tile), so halo
+    fills mutate the storage in place, one copy per direction.
     Every arithmetic statement mirrors the per-tile loop elementwise
     (``beta * p + z`` is commuted into the in-place update, which IEEE
     addition permits), so results are bit-identical to it — the loop
@@ -92,9 +93,8 @@ def preconditioned_cg(
     exch = exchange or (lambda fields: [exchange_halos(decomp, f, width=1) for f in fields])
     r_st = np.stack(rhs)
     x_st = np.stack(x0) if x0 is not None else np.zeros_like(r_st)
-    x_views = list(x_st)
     if x0 is not None:
-        exch([x_views])
+        exch([x_st])
         r_st -= operator.apply_stacked(x_st, flops)
     z_st = operator.precondition_stacked(r_st, flops)
     p_st = z_st.copy()
@@ -110,17 +110,15 @@ def preconditioned_cg(
         zb = operator.precondition_stacked(rhs_st, flops)
         initial = math.sqrt(abs(gsum(_interior_dot_stacked(decomp, rhs_st, zb, flops))))
     if initial == 0.0:
-        return CGResult(list(x_st), 0, 0.0, 0.0, True)
+        return CGResult(x_st, 0, 0.0, 0.0, True)
     if math.sqrt(abs(rz)) <= tol * initial:
-        return CGResult(list(x_st), 0, math.sqrt(abs(rz)), initial, True)
+        return CGResult(x_st, 0, math.sqrt(abs(rz)), initial, True)
 
-    p_views = list(p_st)
-    r_views = list(r_st)
     resid = initial
     it = 0
     for it in range(1, maxiter + 1):
         # One width-1 exchange of two fields per iteration.
-        exch([p_views, r_views])
+        exch([p_st, r_st])
         q_st = operator.apply_stacked(p_st, flops)
         pq = gsum(_interior_dot_stacked(decomp, p_st, q_st, flops))  # global sum #1
         if pq == 0.0:
@@ -141,5 +139,5 @@ def preconditioned_cg(
         p_st += z_st
         flops.add("cg_update", 2 * p_st.size)
 
-    exch([x_views])  # final halo refresh so grad(ps) is valid everywhere
-    return CGResult(list(x_st), it, resid, initial, resid <= tol * initial)
+    exch([x_st])  # final halo refresh so grad(ps) is valid everywhere
+    return CGResult(x_st, it, resid, initial, resid <= tol * initial)

@@ -7,6 +7,7 @@ import numpy as np
 from repro.gcm.operators import FlopCounter
 from repro.gcm.pressure import EllipticOperator
 from repro.gcm.timestepper import Model
+from repro.parallel.exchange import exchange_halos
 
 
 def depth_integrated_divergence(model: Model) -> float:
@@ -15,25 +16,12 @@ def depth_integrated_divergence(model: Model) -> float:
     After the DS correction the depth-integrated flow should be
     non-divergent (eq. 2) to solver tolerance.
     """
-    fc = FlopCounter()
     ell = EllipticOperator(model.grid) if model.ds_grid is not model.grid else model.elliptic
-    uints, vints = [], []
-    from repro.parallel.exchange import exchange_halos
-
-    u_t = [a.copy() for a in model.state["u"]]
-    v_t = [a.copy() for a in model.state["v"]]
-    exchange_halos(model.decomp, u_t)
-    exchange_halos(model.decomp, v_t)
-    for r in range(model.decomp.n_ranks):
-        ui, vi = ell.depth_integrate(r, u_t[r], v_t[r], fc)
-        uints.append(ui)
-        vints.append(vi)
-    divs = ell.divergence(uints, vints)
-    o = model.decomp.olx
-    worst = 0.0
-    for r, t in enumerate(model.decomp.tiles):
-        worst = max(worst, float(np.abs(divs[r][o : o + t.ny, o : o + t.nx]).max()))
-    return worst
+    u, v = model.state["u"].copy(), model.state["v"].copy()
+    exchange_halos(model.decomp, u)
+    exchange_halos(model.decomp, v)
+    divs = ell.divergence(*ell.depth_integrate(slice(None), u, v, FlopCounter()))
+    return float(np.abs(model.decomp.global_view(divs)).max())
 
 
 def total_kinetic_energy(model: Model) -> float:
@@ -78,8 +66,7 @@ def max_cfl(model: Model) -> float:
 
 def is_finite(model: Model) -> bool:
     """No NaNs/infs anywhere in the prognostic state."""
-    for name in ("u", "v", "theta", "tracer", "ps"):
-        for arr in model.state[name]:
-            if not np.all(np.isfinite(arr)):
-                return False
-    return True
+    return all(
+        bool(np.all(np.isfinite(model.state[name])))
+        for name in ("u", "v", "theta", "tracer", "ps")
+    )

@@ -19,12 +19,14 @@ special casing at tile edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.gcm.constants import EARTH, PhysicalConstants
-from repro.parallel.exchange import HaloExchanger, exchange_halos
+from repro.gcm.operators import xm, ym
+from repro.parallel.exchange import exchange_halos
 from repro.parallel.tiling import Decomposition
 
 
@@ -66,6 +68,11 @@ class GridParams:
 
 class Grid:
     """Tile-local metric arrays for one decomposition.
+
+    Every metric and mask is one array stacked on a leading rank axis
+    (tiles are uniform): ``(n_ranks, J, I)`` for lateral metrics,
+    ``(n_ranks, nz, J, I)`` for the hFacs.  ``grid.x[rank]`` is rank
+    ``rank``'s tile-local view; ``grid.x[a:b]`` a batch of tiles.
 
     ``depth`` is the global 2-D fluid depth in meters (0 marks land); by
     default the full-depth ocean/atmosphere column everywhere.
@@ -110,69 +117,48 @@ class Grid:
 
     # ------------------------------------------------------------------
 
-    def _lat_of_row(self, j_global: np.ndarray) -> np.ndarray:
-        """Latitude (deg) of cell-center row ``j_global`` (may be halo)."""
-        return self.params.lat0 + (j_global + 0.5) * self.params.dlat
-
     def _build_lateral_metrics(self) -> None:
         p = self.params
         a = self.c.radius
         dlam = np.deg2rad(p.dlon)
         dphi = np.deg2rad(p.dlat)
-        o = self.decomp.olx
+        o, tiles = self.decomp.olx, self.decomp.tiles
+        shape = (len(tiles),) + tiles[0].shape2d
 
-        self.dxc: list[np.ndarray] = []  # at u points
-        self.dyc: list[np.ndarray] = []  # at v points
-        self.dxg: list[np.ndarray] = []  # cell width at v-point latitude
-        self.dyg: list[np.ndarray] = []  # meridional face length
-        self.ra: list[np.ndarray] = []  # cell area
-        self.fc: list[np.ndarray] = []  # Coriolis at centers
-        self.lat_c: list[np.ndarray] = []  # latitude of centers, deg
+        # global row index of every local row of every tile: (T, J)
+        jj = np.arange(-o, tiles[0].ny + o) + np.array([t.y0 for t in tiles])[:, None]
+        lat_c = p.lat0 + (jj + 0.5) * p.dlat  # cell-center latitude, deg
+        # clamp halo rows beyond the walls to the wall latitude so
+        # metrics stay finite; masks make their values irrelevant
+        lat_c = np.clip(lat_c, p.lat0 + 0.5 * p.dlat, p.lat1 - 0.5 * p.dlat)
+        phi_c = np.deg2rad(lat_c)
+        phi_s = np.deg2rad(np.clip(p.lat0 + jj * p.dlat, p.lat0, p.lat1))  # southern edges
+        phi_n = np.deg2rad(np.clip(p.lat0 + (jj + 1) * p.dlat, p.lat0, p.lat1))
 
-        for t in self.decomp.tiles:
-            jj = np.arange(-o, t.ny + o) + t.y0  # global row index per local row
-            lat_c = self._lat_of_row(jj)
-            # clamp halo rows beyond the walls to the wall latitude so
-            # metrics stay finite; masks make their values irrelevant
-            lat_c = np.clip(lat_c, p.lat0 + 0.5 * p.dlat, p.lat1 - 0.5 * p.dlat)
-            phi_c = np.deg2rad(lat_c)
-            lat_s = np.clip(
-                p.lat0 + (jj) * p.dlat, p.lat0, p.lat1
-            )  # southern edges
-            phi_s = np.deg2rad(lat_s)
-            lat_n = np.clip(p.lat0 + (jj + 1) * p.dlat, p.lat0, p.lat1)
-            phi_n = np.deg2rad(lat_n)
+        def col(v):
+            return np.broadcast_to(
+                np.asarray(v, dtype=self.dtype)[:, :, None], shape
+            ).copy()
 
-            shape = t.shape2d
-            ones = np.ones(shape, dtype=self.dtype)
-
-            def col(v):
-                return np.broadcast_to(
-                    np.asarray(v, dtype=self.dtype)[:, None], shape
-                ).copy()
-
-            self.lat_c.append(col(lat_c))
-            self.dxc.append(col(a * np.cos(phi_c) * dlam))
-            self.dyc.append(ones * (a * dphi))
-            self.dxg.append(col(a * np.cos(phi_s) * dlam))
-            self.dyg.append(ones * (a * dphi))
-            # Halo rows beyond the walls have phi_n == phi_s after
-            # clamping; floor their (physically meaningless) area so
-            # divisions stay finite — masks zero any contribution.
-            area = a * a * dlam * (np.sin(phi_n) - np.sin(phi_s))
-            area = np.maximum(area, a * a * dlam * dphi * 1e-6)
-            self.ra.append(col(area))
-            self.fc.append(col(self.c.coriolis(phi_c)))
+        self.lat_c = col(lat_c)  # latitude of centers, deg
+        self.dxc = col(a * np.cos(phi_c) * dlam)  # at u points
+        self.dyc = np.full(shape, a * dphi, dtype=self.dtype)  # at v points
+        self.dxg = col(a * np.cos(phi_s) * dlam)  # cell width at v-point latitude
+        self.dyg = self.dyc.copy()  # meridional face length
+        # Halo rows beyond the walls have phi_n == phi_s after
+        # clamping; floor their (physically meaningless) area so
+        # divisions stay finite — masks zero any contribution.
+        area = a * a * dlam * (np.sin(phi_n) - np.sin(phi_s))
+        self.ra = col(np.maximum(area, a * a * dlam * dphi * 1e-6))  # cell area
+        self.fc = col(self.c.coriolis(phi_c))  # Coriolis at centers
 
         # areas/metrics must be identical in overlapping halos: they are
         # functions of the global row only, so no exchange is needed.
 
     def _build_hfacs(self) -> None:
         p = self.params
-        hx = HaloExchanger(self.decomp)
-        # global hFacC
+        decomp, o = self.decomp, self.decomp.olx
         depth = self.global_depth
-        nz, ny, nx = self.nz, p.ny, p.nx
         z_top = self.z_top[:, None, None]
         drf = self.drf[:, None, None]
         # open fraction of layer k: how much of [z_bot, z_top] is above -depth
@@ -182,28 +168,21 @@ class Grid:
         hf = np.where(open_frac < 0.5 * p.hfac_min, 0.0, np.maximum(open_frac, p.hfac_min))
         hf = np.where(open_frac >= 1.0, 1.0, hf)
 
-        self.hfac_c = hx.scatter_global(hf)
-        exchange_halos(self.decomp, self.hfac_c)
-        self.hfac_w: list[np.ndarray] = []
-        self.hfac_s: list[np.ndarray] = []
-        self.mask_c: list[np.ndarray] = []
-        self.depth_c: list[np.ndarray] = []  # total open column depth at centers
-
-        for r, t in enumerate(self.decomp.tiles):
-            c = self.hfac_c[r]
-            w = np.minimum(c, np.roll(c, 1, axis=-1))
-            s = np.minimum(c, np.roll(c, 1, axis=-2))
-            # wall: zero the southernmost physical face and everything
-            # rolled across the tile's y edge is halo anyway
-            o = self.decomp.olx
-            if self.decomp.neighbor(r, "south") is None:
-                s[:, : o + 1, :] = 0.0
-            if self.decomp.neighbor(r, "north") is None:
-                s[:, o + t.ny :, :] = 0.0
-            self.hfac_w.append(w)
-            self.hfac_s.append(s)
-            self.mask_c.append((c > 0).astype(self.dtype))
-            self.depth_c.append(np.sum(c * self.drf[:, None, None], axis=0))
+        t = decomp.tiles[0]
+        c = np.zeros((decomp.n_ranks,) + t.shape3d(self.nz), dtype=hf.dtype)
+        decomp.global_view(c)[...] = hf.reshape(self.nz, decomp.py, t.ny, decomp.px, t.nx)
+        exchange_halos(decomp, c)
+        self.hfac_c = c
+        self.hfac_w = np.minimum(c, np.roll(c, 1, axis=-1))
+        s = self.hfac_s = np.minimum(c, np.roll(c, 1, axis=-2))
+        # wall: zero the southernmost physical face and everything
+        # rolled across the tile's y edge is halo anyway
+        for d, rows in (("south", slice(None, o + 1)), ("north", slice(o + t.ny, None))):
+            wall = [r for r in range(decomp.n_ranks) if decomp.neighbor(r, d) is None]
+            s[np.array(wall, dtype=np.intp), :, rows, :] = 0.0
+        #: Open-cell mask (bool): multiplies like the 0/1 float it stands for.
+        self.mask_c = c > 0
+        self.depth_c = np.sum(c * drf, axis=-3)  # total open column depth at centers
 
     # -- convenience -------------------------------------------------------
 
@@ -211,22 +190,66 @@ class Grid:
     def n_ranks(self) -> int:
         return self.decomp.n_ranks
 
-    def cell_volumes(self, rank: int) -> np.ndarray:
-        """Open volume of each cell (nz, J, I)."""
-        return self.hfac_c[rank] * self.drf[:, None, None] * self.ra[rank][None]
+    @cached_property
+    def geometry(self) -> "StepGeometry":
+        """The step kernels' static factors, built on first use (the
+        model touches it at build; a DS-only grid never pays for it)."""
+        return StepGeometry(self)
+
+    def cell_volumes(self, rank) -> np.ndarray:
+        """Open volume of each cell, ``(nz, J, I)`` per tile."""
+        return self.hfac_c[rank] * self.drf[:, None, None] * self.ra[rank][..., None, :, :]
 
     def total_wet_cells(self) -> int:
         """Number of open (wet) interior cells over the whole domain."""
-        total = 0
-        for r, t in enumerate(self.decomp.tiles):
-            o = self.decomp.olx
-            total += int(np.count_nonzero(self.hfac_c[r][:, o : o + t.ny, o : o + t.nx] > 0))
-        return total
+        return int(np.count_nonzero(self.decomp.global_view(self.mask_c)))
 
     def min_dx(self) -> float:
         """Smallest lateral spacing (CFL-relevant)."""
-        o = self.decomp.olx
-        vals = []
-        for r, t in enumerate(self.decomp.tiles):
-            vals.append(float(self.dxc[r][o : o + t.ny, o : o + t.nx].min()))
-        return min(min(vals), float(self.dyc[0].min()))
+        return min(float(self.decomp.global_view(self.dxc).min()), float(self.dyc.min()))
+
+
+class StepGeometry:
+    """Everything the PS/DS kernels derive from the grid alone,
+    evaluated once with the expression (and association) the kernels
+    used to evaluate per call, so results stay bit-identical.
+
+    Every attribute is stacked on the leading rank axis and already
+    carries the level axis it broadcasts against: ``geo.x[rank]`` is
+    ``(1 or nz, J, I)`` for one tile and ``(B, 1 or nz, J, I)`` for a
+    slice of tiles.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        drf = grid.drf[:, None, None]
+        self.dxc, self.dyc, self.dxg, self.dyg, self.ra, self.fc = (
+            a[:, None] for a in (grid.dxc, grid.dyc, grid.dxg, grid.dyg, grid.ra, grid.fc)
+        )
+        self.open_w = grid.hfac_w > 0
+        self.open_s = grid.hfac_s > 0
+        self.dy_dx = self.dyg / self.dxc
+        self.dx_dy = self.dxg / self.dyc
+        self.dxc2 = self.dxc**2
+        self.dyc2 = self.dyc**2
+        self.tan_lat = np.tan(np.deg2rad(grid.lat_c))[:, None]
+        self.f_u = 0.5 * (self.fc + xm(self.fc))
+        self.f_v = 0.5 * (self.fc + ym(self.fc))
+        #: center-to-center layer spacing, ``(nz-1, 1, 1)``
+        self.drc = (0.5 * (grid.drf[:-1] + grid.drf[1:]))[:, None, None]
+        #: top faces with an open cell on both sides (the lid, k = 0, is closed)
+        self.open_face = np.zeros_like(grid.mask_c)
+        self.open_face[:, 1:] = grid.mask_c[:, :-1] * grid.mask_c[:, 1:]
+        # open volumes of tracer, u and v cells: the mask and the
+        # divide-safe divisor of every flux divergence
+        self.wet_c, self.vol_c = _wet_volume(grid.hfac_c * drf * self.ra)
+        self.wet_u, self.vol_u = _wet_volume(
+            grid.hfac_w * drf * 0.5 * (self.ra + xm(self.ra))
+        )
+        self.wet_v, self.vol_v = _wet_volume(
+            grid.hfac_s * drf * 0.5 * (self.ra + ym(self.ra))
+        )
+
+
+def _wet_volume(vol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    wet = vol > 0
+    return wet, np.where(wet, vol, 1.0)

@@ -41,7 +41,7 @@ from repro.gcm.operators import FlopCounter
 
 
 def compute_g_w(
-    rank: int,
+    rank,
     grid: Grid,
     w: np.ndarray,
     ut: np.ndarray,
@@ -68,18 +68,14 @@ def compute_g_w(
     ~30 flops/cell.
     """
     del buoyancy  # carried entirely by the hydrostatic pressure
-    nz = w.shape[0]
-    # face mask: open when both adjacent layers are open; lid closed
-    mask = np.zeros_like(w, dtype=bool)
-    if nz > 1:
-        mask[1:] = (grid.hfac_c[rank][1:] > 0) & (grid.hfac_c[rank][:-1] > 0)
     # advection of w (treated with the tracer machinery; adequate for
     # the tendency's nonlinear part)
     g = op.advect_tracer(w, ut, vt, wflux, grid, rank, flops)
-    g = g + op.laplacian_points(w, ah, grid.hfac_c[rank], grid, rank)
+    g = g + op.laplacian_points(w, ah, grid.mask_c[rank], grid, rank)
     g = g + op.vertical_second_derivative(w, az, grid)
     flops.add("g_w", 6 * w.size)
-    return g * mask
+    # face mask: open when both adjacent layers are open; lid closed
+    return g * grid.geometry.open_face[rank]
 
 
 class NonHydrostaticOperator:
@@ -95,43 +91,19 @@ class NonHydrostaticOperator:
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
         self.decomp = grid.decomp
+        geo = grid.geometry
         drf = grid.drf[:, None, None]
-        drc = 0.5 * (grid.drf[:-1] + grid.drf[1:])
-        self.cw: List[np.ndarray] = []
-        self.cs: List[np.ndarray] = []
-        self.cv: List[np.ndarray] = []  # vertical, index k = top face of layer k (k>=1)
-        self.diag: List[np.ndarray] = []
-        self.wet: List[np.ndarray] = []
-        for r, _t in enumerate(self.decomp.tiles):
-            cw = grid.hfac_w[r] * drf * (grid.dyg[r] / grid.dxc[r])[None]
-            cs = grid.hfac_s[r] * drf * (grid.dxg[r] / grid.dyc[r])[None]
-            nz = grid.nz
-            cv = np.zeros_like(cw)
-            if nz > 1:
-                face_open = np.minimum(grid.hfac_c[r][1:] > 0, grid.hfac_c[r][:-1] > 0)
-                cv[1:] = grid.ra[r][None] * face_open / drc[:, None, None]
-            wet = grid.hfac_c[r] > 0
-            self.cw.append(cw)
-            self.cs.append(cs)
-            self.cv.append(cv)
-            self.wet.append(wet)
-            d = -(cw + op.xp(cw) + cs + op.yp(cs))
-            d[:-1] -= cv[1:]
-            d -= cv
-            self.diag.append(np.where(wet, np.where(d != 0, d, -1.0), -1.0))
-
-    def _stacked_coeffs(self):
-        """Tile coefficients stacked on a leading rank axis (cached)."""
-        st = getattr(self, "_coeff_stack", None)
-        if st is None:
-            st = self._coeff_stack = (
-                np.stack(self.cw),
-                np.stack(self.cs),
-                np.stack(self.cv),
-                np.stack(self.wet),
-                np.stack(self.diag),
-            )
-        return st
+        # coefficients stacked on the leading rank axis, like the grid's
+        self.cw = grid.hfac_w * drf * geo.dy_dx
+        self.cs = grid.hfac_s * drf * geo.dx_dy
+        # vertical, index k = top face of layer k (k>=1)
+        self.cv = np.zeros_like(self.cw)
+        self.cv[:, 1:] = geo.ra * geo.open_face[:, 1:] / geo.drc
+        self.wet = grid.mask_c
+        d = -(self.cw + op.xp(self.cw) + self.cs + op.yp(self.cs))
+        d[:, :-1] -= self.cv[:, 1:]
+        d -= self.cv
+        self.diag = np.where(self.wet, np.where(d != 0, d, -1.0), -1.0)
 
     def apply_stacked(self, q: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """A q on a ``(n_ranks, nz, ...)`` tile stack (halos current).
@@ -140,22 +112,21 @@ class NonHydrostaticOperator:
         vertical flux indexing moves from axis 0 to axis 1 to skip the
         rank axis.
         """
-        cw, cs, cv, wet, _ = self._stacked_coeffs()
-        fx = cw * (q - op.xm(q))
-        fy = cs * (q - op.ym(q))
+        fx = self.cw * (q - op.xm(q))
+        fy = self.cs * (q - op.ym(q))
         aq = (op.xp(fx) - fx) + (op.yp(fy) - fy)
         fz = np.zeros_like(q)
-        fz[:, 1:] = cv[:, 1:] * (q[:, :-1] - q[:, 1:])
+        fz[:, 1:] = self.cv[:, 1:] * (q[:, :-1] - q[:, 1:])
         aq = aq + fz
         aq[:, :-1] -= fz[:, 1:]
-        aq = np.where(wet, aq, -q)
+        aq = np.where(self.wet, aq, -q)
         flops.add("nh_apply", 16 * q.size)
         return aq
 
     def precondition_stacked(self, r: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """Jacobi on the tile stack; matches :meth:`precondition`."""
         flops.add("nh_precondition", r.size)
-        return r / self._stacked_coeffs()[4]
+        return r / self.diag
 
     def apply(self, q_tiles: List[np.ndarray], flops: FlopCounter) -> List[np.ndarray]:
         """A q per tile (halos current).  ~16 flops/cell."""
@@ -181,36 +152,28 @@ class NonHydrostaticOperator:
             flops.add("nh_precondition", arr.size)
         return out
 
-    def rhs_from_velocity(
-        self,
-        u_tiles: List[np.ndarray],
-        v_tiles: List[np.ndarray],
-        w_tiles: List[np.ndarray],
-        dt: float,
-        flops: FlopCounter,
-    ) -> List[np.ndarray]:
-        """RHS = div3(v*) / dt in finite-volume form.  ~14 flops/cell.
+    def rhs_from_velocity(self, u, v, w, dt: float, flops: FlopCounter) -> np.ndarray:
+        """RHS = div3(v*) / dt in finite-volume form, on tile stacks (or
+        sequences of tiles).  ~14 flops/cell.
 
         ``w[k]`` is the velocity through the top face of layer k (the
         rigid lid keeps ``w[0] = 0``; the floor face is implicit).
         """
-        g = self.grid
+        g, geo = self.grid, self.grid.geometry
         drf = g.drf[:, None, None]
-        out = []
-        for r, (u, v, w) in enumerate(zip(u_tiles, v_tiles, w_tiles)):
-            fx = u * g.hfac_w[r] * drf * g.dyg[r][None]
-            fy = v * g.hfac_s[r] * drf * g.dxg[r][None]
-            div = (op.xp(fx) - fx) + (op.yp(fy) - fy)
-            fz = w * g.ra[r][None]  # upward volume flux through top of k
-            div = div + fz
-            div[:-1] -= fz[1:]
-            out.append(np.where(self.wet[r], div / dt, 0.0))
-            flops.add("nh_rhs", 12 * u.size)
-        return out
+        u, v, w = np.asarray(u), np.asarray(v), np.asarray(w)
+        fx = u * g.hfac_w * drf * geo.dyg
+        fy = v * g.hfac_s * drf * geo.dxg
+        div = (op.xp(fx) - fx) + (op.yp(fy) - fy)
+        fz = w * geo.ra  # upward volume flux through top of k
+        div = div + fz
+        div[:, :-1] -= fz[:, 1:]
+        flops.add("nh_rhs", 12 * u.size)
+        return np.where(self.wet, div / dt, 0.0)
 
     def correct(
         self,
-        rank: int,
+        rank,
         u: np.ndarray,
         v: np.ndarray,
         w: np.ndarray,
@@ -225,36 +188,19 @@ class NonHydrostaticOperator:
         corrected field is non-divergent to solver tolerance.
         ~10 flops/cell.
         """
-        g = self.grid
-        gx = (q - op.xm(q)) / g.dxc[rank][None]
-        gy = (q - op.ym(q)) / g.dyc[rank][None]
-        nz = q.shape[0]
+        geo = self.grid.geometry
+        gx = (q - op.xm(q)) / geo.dxc[rank]
+        gy = (q - op.ym(q)) / geo.dyc[rank]
         gz = np.zeros_like(q)  # at top faces; lid face stays zero
-        face_open = np.zeros_like(q, dtype=bool)
-        if nz > 1:
-            drc = 0.5 * (g.drf[:-1] + g.drf[1:])[:, None, None]
-            gz[1:] = (q[:-1] - q[1:]) / drc
-            face_open[1:] = (g.hfac_c[rank][1:] > 0) & (g.hfac_c[rank][:-1] > 0)
-        u2 = (u - dt * gx) * (g.hfac_w[rank] > 0)
-        v2 = (v - dt * gy) * (g.hfac_s[rank] > 0)
-        w2 = (w - dt * gz) * face_open
+        gz[..., 1:, :, :] = (q[..., :-1, :, :] - q[..., 1:, :, :]) / geo.drc
+        u2 = (u - dt * gx) * geo.open_w[rank]
+        v2 = (v - dt * gy) * geo.open_s[rank]
+        w2 = (w - dt * gz) * geo.open_face[rank]
         flops.add("nh_correct", 10 * q.size)
         return u2, v2, w2
 
 
-def divergence3(
-    operator: NonHydrostaticOperator,
-    u_tiles: List[np.ndarray],
-    v_tiles: List[np.ndarray],
-    w_tiles: List[np.ndarray],
-) -> float:
+def divergence3(operator: NonHydrostaticOperator, u, v, w) -> float:
     """Max |div3| over interiors (m^3/s) — the non-hydrostatic residual."""
-    fc = FlopCounter()
-    divs = operator.rhs_from_velocity(u_tiles, v_tiles, w_tiles, 1.0, fc)
-    worst = 0.0
-    o = operator.decomp.olx
-    for r, t in enumerate(operator.decomp.tiles):
-        worst = max(
-            worst, float(np.abs(divs[r][:, o : o + t.ny, o : o + t.nx]).max())
-        )
-    return worst
+    divs = operator.rhs_from_velocity(u, v, w, 1.0, FlopCounter())
+    return float(np.abs(operator.decomp.global_view(divs)).max())

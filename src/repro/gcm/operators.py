@@ -1,8 +1,17 @@
 """Finite-volume C-grid operators with analytic flop accounting.
 
 All operators act on tile-local arrays (``(nz, J, I)`` or ``(J, I)``)
-using wrapped shifted views (slice-copy equivalents of ``np.roll``).
-The shift wraps at the tile edge, so
+or on a batch of tiles stacked on a leading axis (``(B, nz, J, I)``):
+every kernel indexes levels, rows and columns from the right, and its
+``rank`` argument — one rank, or a ``slice`` of ranks matching the
+batch — only selects the grid's factors.  Elementwise arithmetic, the
+lateral shifts and the per-column sums are order-identical under the
+batch axis, so a batch computes bit for bit what its tiles would alone.
+Factors that depend on the grid alone come precomputed from
+``grid.geometry`` (:class:`repro.gcm.grid.StepGeometry`).
+
+Shifts are wrapped shifted views (slice-copy equivalents of
+``np.roll``).  The shift wraps at the tile edge, so
 each stencil application invalidates one more ring of the halo; with the
 paper's halo width of three and the deepest kernel chain here being two
 applications, interiors (and the innermost halo ring) remain exact
@@ -44,25 +53,27 @@ class FlopCounter:
 
 # -- shifted views ---------------------------------------------------------
 #
-# Semantically these are np.roll, but written as two slice copies into a
+# Semantically these are np.roll, but written as two copies into a
 # preallocated output: same wrap-at-tile-edge behaviour, bit-identical
 # values, and none of np.roll's index arithmetic — these shifts are the
 # innermost operation of every stencil below and dominate the GCM's
-# host-side cost.
+# host-side cost.  The x shifts move the whole C-ordered buffer by one
+# element in a single contiguous copy (a strided column-block copy
+# costs half as much again) and then repair the wrapped column.
 
 
 def xm(a: np.ndarray) -> np.ndarray:
     """Value at i-1 (wraps at tile edge; halo absorbs)."""
-    out = np.empty_like(a)
-    out[..., 1:] = a[..., :-1]
+    out = np.empty(a.shape, a.dtype)
+    out.reshape(-1)[1:] = a.reshape(-1)[:-1]
     out[..., 0] = a[..., -1]
     return out
 
 
 def xp(a: np.ndarray) -> np.ndarray:
     """Value at i+1."""
-    out = np.empty_like(a)
-    out[..., :-1] = a[..., 1:]
+    out = np.empty(a.shape, a.dtype)
+    out.reshape(-1)[:-1] = a.reshape(-1)[1:]
     out[..., -1] = a[..., 0]
     return out
 
@@ -104,9 +115,10 @@ def transports(u, v, grid, rank, flops: FlopCounter):
     ``uTrans[k,j,i] = u * dyG * drF * hFacW``; similarly vTrans.
     3 flops/cell each.
     """
+    geo = grid.geometry
     drf = grid.drf[:, None, None]
-    ut = u * grid.dyg[rank][None] * drf * grid.hfac_w[rank]
-    vt = v * grid.dxg[rank][None] * drf * grid.hfac_s[rank]
+    ut = u * geo.dyg[rank] * drf * grid.hfac_w[rank]
+    vt = v * geo.dxg[rank] * drf * grid.hfac_s[rank]
     flops.add("transports", 6 * u.size)
     return ut, vt
 
@@ -122,58 +134,86 @@ def vertical_transport(ut, vt, flops: FlopCounter):
     hdiv = face_divergence(ut, vt)
     # layer-k volume budget: hdiv[k] + wflux[k] - wflux[k+1] = 0 with
     # wflux[nz] = 0 at the floor  =>  wflux[k] = -sum_{k'>=k} hdiv[k']
-    wflux = -np.flip(np.cumsum(np.flip(hdiv, 0), axis=0), 0)
+    wflux = -np.flip(np.cumsum(np.flip(hdiv, -3), axis=-3), -3)
     flops.add("w_continuity", 4 * ut.size)
     return wflux
 
 
 def w_from_flux(wflux, grid, rank, flops: FlopCounter):
     """Vertical velocity at top faces: w = wFlux / rA (1 flop/cell)."""
-    w = wflux / grid.ra[rank][None]
+    w = wflux / grid.geometry.ra[rank]
     flops.add("w_diag", wflux.size)
     return w
+
+
+def _net_out(div, fz, wet, vol):
+    """``-(div + net vertical outflow) / vol`` over open cells, where
+    interface k carries ``fz[k]`` between layers k-1 and k: out through
+    a layer's top minus in through its bottom (the floor carries nothing)."""
+    net = np.empty_like(fz)
+    np.subtract(fz[..., :-1, :, :], fz[..., 1:, :, :], out=net[..., :-1, :, :])
+    net[..., -1, :, :] = fz[..., -1, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        net += div
+        np.negative(net, out=net)
+        net /= vol
+    return np.where(wet, net, 0.0)
+
+
+def _faces_below_lid(a):
+    """An array like ``a`` for top-face fluxes: the lid (k = 0) carries
+    none; the caller fills ``[..., 1:, :, :]``."""
+    out = np.empty_like(a)
+    out[..., 0, :, :] = 0.0
+    return out
 
 
 # -- tracer advection/diffusion ---------------------------------------------
 
 
-def advect_tracer(c, ut, vt, wflux, grid, rank, flops: FlopCounter, scheme: str = "centered"):
+def tracer_flux_factors(ut, vt, wflux, scheme: str = "centered"):
+    """The tracer-independent part of :func:`advect_tracer`'s fluxes,
+    shareable between tracers advected by the same transports: the
+    half-transports (centered) or the upstream masks (upwind)."""
+    wz = wflux[..., 1:, :, :]
+    if scheme == "centered":
+        return ut * 0.5, vt * 0.5, wz * 0.5
+    if scheme == "upwind":
+        return ut >= 0, vt >= 0, wz >= 0
+    raise ValueError(f"unknown advection scheme {scheme!r}")
+
+
+def advect_tracer(
+    c, ut, vt, wflux, grid, rank, flops: FlopCounter, scheme: str = "centered",
+    factors=None,
+):
     """Flux-form advection tendency of tracer c.
 
     ``scheme="centered"`` — 2nd-order centered fluxes (the model's
     default; non-diffusive but dispersive).  ``scheme="upwind"`` —
     1st-order donor-cell fluxes (monotone: creates no new extrema, at
-    the price of numerical diffusion).  Returns
-    Gc_adv = -div(flux)/vol over open cells.  ~16-20 flops/cell.
+    the price of numerical diffusion).  ``factors`` takes a
+    :func:`tracer_flux_factors` result computed once for several
+    tracers.  Returns Gc_adv = -div(flux)/vol over open cells.
+    ~16-20 flops/cell.
     """
+    fu, fv, fw = factors or tracer_flux_factors(ut, vt, wflux, scheme)
+    # vertical: interface k carries flux between layers k-1 and k; the
+    # top face of layer 0 (surface) is a rigid lid, no advective flux
+    fz = _faces_below_lid(c)
+    upper, lower = c[..., :-1, :, :], c[..., 1:, :, :]
     if scheme == "centered":
-        fx = ut * 0.5 * (c + xm(c))
-        fy = vt * 0.5 * (c + ym(c))
-    elif scheme == "upwind":
-        fx = np.where(ut >= 0, ut * xm(c), ut * c)
-        fy = np.where(vt >= 0, vt * ym(c), vt * c)
+        fx = fu * (c + xm(c))
+        fy = fv * (c + ym(c))
+        fz[..., 1:, :, :] = fw * (lower + upper)
     else:
-        raise ValueError(f"unknown advection scheme {scheme!r}")
-    # vertical: interface k carries flux between layers k-1 and k
-    nz = c.shape[0]
-    fz = np.zeros_like(c)
-    if nz > 1:
-        if scheme == "upwind":
-            # upward flux (w > 0) carries the lower cell's value
-            fz[1:] = np.where(
-                wflux[1:] >= 0, wflux[1:] * c[1:], wflux[1:] * c[:-1]
-            )
-        else:
-            fz[1:] = wflux[1:] * 0.5 * (c[1:] + c[:-1])
-    # top face of layer 0 (surface): rigid lid, no advective flux
-    div = face_divergence(fx, fy)
-    # vertical net out of layer k: out through its top minus in through
-    # its bottom (the floor, fz[nz], carries nothing)
-    net_vert = fz.copy()
-    net_vert[:-1] -= fz[1:]
-    vol = grid.hfac_c[rank] * grid.drf[:, None, None] * grid.ra[rank][None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(vol > 0, -(div + net_vert) / np.where(vol > 0, vol, 1.0), 0.0)
+        fx = np.where(fu, ut * xm(c), ut * c)
+        fy = np.where(fv, vt * ym(c), vt * c)
+        # upward flux (w > 0) carries the lower cell's value
+        wz = wflux[..., 1:, :, :]
+        fz[..., 1:, :, :] = np.where(fw, wz * lower, wz * upper)
+    geo = grid.geometry
+    g = _net_out(face_divergence(fx, fy), fz, geo.wet_c[rank], geo.vol_c[rank])
     flops.add("advect_tracer", 16 * c.size)
     return g
 
@@ -183,38 +223,42 @@ def laplacian_diffusion(c, kh, grid, rank, flops: FlopCounter):
 
     Masked FV form: fluxes through closed faces vanish.  ~14 flops/cell.
     """
+    geo = grid.geometry
     drf = grid.drf[:, None, None]
-    dy_dx = grid.dyg[rank][None] / grid.dxc[rank][None]
-    dx_dy = grid.dxg[rank][None] / grid.dyc[rank][None]
-    fx = kh * dy_dx * (c - xm(c)) * grid.hfac_w[rank] * drf
-    fy = kh * dx_dy * (c - ym(c)) * grid.hfac_s[rank] * drf
+    fx = kh * geo.dy_dx[rank] * (c - xm(c)) * grid.hfac_w[rank] * drf
+    fy = kh * geo.dx_dy[rank] * (c - ym(c)) * grid.hfac_s[rank] * drf
     div = face_divergence(fx, fy)
-    vol = grid.hfac_c[rank] * drf * grid.ra[rank][None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(vol > 0, div / np.where(vol > 0, vol, 1.0), 0.0)
+        g = np.where(geo.wet_c[rank], div / geo.vol_c[rank], 0.0)
     flops.add("laplacian_diffusion", 14 * c.size)
     return g
 
 
 def vertical_diffusion(c, kz, grid, rank, flops: FlopCounter):
     """Vertical diffusion tendency ``d/dz (kz dc/dz)``.  ~8 flops/cell."""
-    nz = c.shape[0]
-    if nz == 1:
+    if c.shape[-3] == 1:
         return np.zeros_like(c)
-    drf = grid.drf
-    drc = 0.5 * (drf[:-1] + drf[1:])  # center-to-center spacing
-    flux = np.zeros_like(c)  # flux through top face of layer k (k>=1)
-    flux[1:] = kz * (c[:-1] - c[1:]) / drc[:, None, None]
-    mask = grid.hfac_c[rank]
-    flux[1:] *= (mask[:-1] > 0) * (mask[1:] > 0)
-    g = np.zeros_like(c)
-    g[:] = flux / drf[:, None, None]  # in through top
-    g[:-1] -= flux[1:] / drf[:-1, None, None]  # out through bottom
+    geo = grid.geometry
+    drf = grid.drf[:, None, None]
+    flux = _faces_below_lid(c)  # flux through top face of layer k (k>=1)
+    flux[..., 1:, :, :] = kz * (c[..., :-1, :, :] - c[..., 1:, :, :]) / geo.drc
+    flux[..., 1:, :, :] *= geo.open_face[rank][..., 1:, :, :]
+    g = flux / drf  # in through top
+    g[..., :-1, :, :] -= flux[..., 1:, :, :] / drf[:-1]  # out through bottom
     flops.add("vertical_diffusion", 8 * c.size)
     return g
 
 
 # -- momentum ----------------------------------------------------------------
+
+
+def _vertical_momentum_flux(a, wflux, shift):
+    """Flux of ``a`` through the interfaces of its own (u- or v-point)
+    columns; ``shift`` averages wflux onto them."""
+    fver = _faces_below_lid(a)
+    wf = wflux[..., 1:, :, :]
+    fver[..., 1:, :, :] = 0.5 * (0.5 * (wf + shift(wf))) * (a[..., 1:, :, :] + a[..., :-1, :, :])
+    return fver
 
 
 def advect_u(u, ut, vt, wflux, grid, rank, flops: FlopCounter):
@@ -227,23 +271,9 @@ def advect_u(u, ut, vt, wflux, grid, rank, flops: FlopCounter):
     fzon = 0.25 * (ut + xp(ut)) * (u + xp(u))
     # meridional flux at corners (i-1/2, j-1/2)
     fmer = 0.25 * (vt + xm(vt)) * (u + ym(u))
-    # vertical flux at u-point interfaces
-    nz = u.shape[0]
-    fver = np.zeros_like(u)
-    if nz > 1:
-        wz = 0.5 * (wflux + xm(wflux))
-        fver[1:] = 0.5 * wz[1:] * (u[1:] + u[:-1])
     net = (fzon - xm(fzon)) + (yp(fmer) - fmer)
-    net_v = fver.copy()
-    net_v[:-1] -= fver[1:]
-    vol_u = (
-        grid.hfac_w[rank]
-        * grid.drf[:, None, None]
-        * 0.5
-        * (grid.ra[rank] + xm(grid.ra[rank]))[None]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(vol_u > 0, -(net + net_v) / np.where(vol_u > 0, vol_u, 1.0), 0.0)
+    geo = grid.geometry
+    g = _net_out(net, _vertical_momentum_flux(u, wflux, xm), geo.wet_u[rank], geo.vol_u[rank])
     flops.add("advect_u", 24 * u.size)
     return g
 
@@ -252,55 +282,60 @@ def advect_v(v, ut, vt, wflux, grid, rank, flops: FlopCounter):
     """Flux-form advection tendency of v (south-face points).  ~24 f/cell."""
     fzon = 0.25 * (ut + ym(ut)) * (v + xm(v))  # at corners
     fmer = 0.25 * (vt + yp(vt)) * (v + yp(v))  # at centers
-    nz = v.shape[0]
-    fver = np.zeros_like(v)
-    if nz > 1:
-        wz = 0.5 * (wflux + ym(wflux))
-        fver[1:] = 0.5 * wz[1:] * (v[1:] + v[:-1])
     net = (xp(fzon) - fzon) + (fmer - ym(fmer))
-    net_v = fver.copy()
-    net_v[:-1] -= fver[1:]
-    vol_v = (
-        grid.hfac_s[rank]
-        * grid.drf[:, None, None]
-        * 0.5
-        * (grid.ra[rank] + ym(grid.ra[rank]))[None]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(vol_v > 0, -(net + net_v) / np.where(vol_v > 0, vol_v, 1.0), 0.0)
+    geo = grid.geometry
+    g = _net_out(net, _vertical_momentum_flux(v, wflux, ym), geo.wet_v[rank], geo.vol_v[rank])
     flops.add("advect_v", 24 * v.size)
     return g
 
 
-def coriolis(u, v, grid, rank, flops: FlopCounter):
+def corner_averages(u, v):
+    """Energy-conserving 4-point averages ``(v_at_u, u_at_v)``, shared
+    by :func:`coriolis` and :func:`metric_terms`."""
+    vn, ue = yp(v), xp(u)
+    v_at_u = 0.25 * (v + vn + xm(v) + xm(vn))
+    u_at_v = 0.25 * (u + ue + ym(u) + ym(ue))
+    return v_at_u, u_at_v
+
+
+def coriolis(u, v, grid, rank, flops: FlopCounter, averages=None):
     """Coriolis tendencies (+f v at u-points, -f u at v-points).
 
-    Energy-conserving 4-point averages.  ~14 flops/cell.
+    ``averages`` takes a :func:`corner_averages` result computed once
+    for this and :func:`metric_terms`.  ~14 flops/cell.
     """
-    fc = grid.fc[rank][None]
-    v_at_u = 0.25 * (v + yp(v) + xm(v) + xm(yp(v)))
-    u_at_v = 0.25 * (u + xp(u) + ym(u) + ym(xp(u)))
-    f_u = 0.5 * (fc + xm(fc))
-    f_v = 0.5 * (fc + ym(fc))
-    gu = f_u * v_at_u * (grid.hfac_w[rank] > 0)
-    gv = -f_v * u_at_v * (grid.hfac_s[rank] > 0)
+    geo = grid.geometry
+    v_at_u, u_at_v = averages or corner_averages(u, v)
+    gu = geo.f_u[rank] * v_at_u * geo.open_w[rank]
+    gv = -geo.f_v[rank] * u_at_v * geo.open_s[rank]
     flops.add("coriolis", 14 * u.size)
     return gu, gv
 
 
-def metric_terms(u, v, grid, rank, flops: FlopCounter):
+def metric_terms(u, v, grid, rank, flops: FlopCounter, averages=None):
     """Spherical metric tendencies: +u v tan(phi)/a, -u^2 tan(phi)/a.
 
     ~10 flops/cell.
     """
+    geo = grid.geometry
     a = grid.c.radius
-    tan_lat = np.tan(np.deg2rad(grid.lat_c[rank]))[None]
-    v_at_u = 0.25 * (v + yp(v) + xm(v) + xm(yp(v)))
-    u_at_v = 0.25 * (u + xp(u) + ym(u) + ym(xp(u)))
-    gu = (u * v_at_u) * tan_lat / a * (grid.hfac_w[rank] > 0)
-    gv = -(u_at_v**2) * tan_lat / a * (grid.hfac_s[rank] > 0)
+    tan_lat = geo.tan_lat[rank]
+    v_at_u, u_at_v = averages or corner_averages(u, v)
+    gu = (u * v_at_u) * tan_lat / a * geo.open_w[rank]
+    gv = -(u_at_v**2) * tan_lat / a * geo.open_s[rank]
     flops.add("metric", 10 * u.size)
     return gu, gv
+
+
+def _viscosity(a, ah, az, mask, kernel, grid, rank, flops: FlopCounter, ah4: float):
+    g = laplacian_points(a, ah, mask, grid, rank)
+    if ah4 > 0.0:
+        lap = laplacian_points(a, 1.0, mask, grid, rank)
+        g -= laplacian_points(lap, ah4, mask, grid, rank)
+        flops.add("biharmonic_" + kernel, 14 * a.size)
+    g += vertical_second_derivative(a, az, grid)
+    flops.add("viscosity_" + kernel, 20 * a.size)
+    return g
 
 
 def viscosity_u(u, ah, az, grid, rank, flops: FlopCounter, ah4: float = 0.0):
@@ -309,51 +344,36 @@ def viscosity_u(u, ah, az, grid, rank, flops: FlopCounter, ah4: float = 0.0):
     scale-selective choice: it damps grid-scale noise while leaving the
     large-scale circulation nearly untouched.  ~20-34 flops/cell.
     """
-    g = laplacian_points(u, ah, grid.hfac_w[rank], grid, rank)
-    if ah4 > 0.0:
-        lap = laplacian_points(u, 1.0, grid.hfac_w[rank], grid, rank)
-        g -= laplacian_points(lap, ah4, grid.hfac_w[rank], grid, rank)
-        flops.add("biharmonic_u", 14 * u.size)
-    g += vertical_second_derivative(u, az, grid)
-    flops.add("viscosity_u", 20 * u.size)
-    return g
+    return _viscosity(u, ah, az, grid.geometry.open_w[rank], "u", grid, rank, flops, ah4)
 
 
 def viscosity_v(v, ah, az, grid, rank, flops: FlopCounter, ah4: float = 0.0):
     """Horizontal Laplacian (+ optional biharmonic) + vertical viscosity
     for v (see :func:`viscosity_u`).  ~20-34 flops/cell.
     """
-    g = laplacian_points(v, ah, grid.hfac_s[rank], grid, rank)
-    if ah4 > 0.0:
-        lap = laplacian_points(v, 1.0, grid.hfac_s[rank], grid, rank)
-        g -= laplacian_points(lap, ah4, grid.hfac_s[rank], grid, rank)
-        flops.add("biharmonic_v", 14 * v.size)
-    g += vertical_second_derivative(v, az, grid)
-    flops.add("viscosity_v", 20 * v.size)
-    return g
+    return _viscosity(v, ah, az, grid.geometry.open_s[rank], "v", grid, rank, flops, ah4)
 
 
 def laplacian_points(a, coef, mask, grid, rank):
-    """Simple masked 5-point Laplacian at the field's own points."""
-    dxc = grid.dxc[rank][None]
-    dyc = grid.dyc[rank][None]
-    open_pt = mask > 0
-    lap = (
-        (xp(a) - 2 * a + xm(a)) / dxc**2 + (yp(a) - 2 * a + ym(a)) / dyc**2
-    )
+    """Simple masked 5-point Laplacian at the field's own points
+    (``mask``: an open-point bool mask, or the hFac it derives from)."""
+    geo = grid.geometry
+    open_pt = mask if mask.dtype == bool else mask > 0
+    a2 = 2 * a
+    lap = (xp(a) - a2 + xm(a)) / geo.dxc2[rank] + (yp(a) - a2 + ym(a)) / geo.dyc2[rank]
     return coef * lap * open_pt
 
 
 def vertical_second_derivative(a, coef, grid):
     """coef * d2a/dz2 with one-sided top/bottom differences."""
-    nz = a.shape[0]
-    if nz == 1 or coef == 0.0:
+    if a.shape[-3] == 1 or coef == 0.0:
         return np.zeros_like(a)
-    drf = grid.drf[:, None, None]
-    out = np.zeros_like(a)
-    out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / (drf[1:-1] ** 2)
-    out[0] = (a[1] - a[0]) / (drf[0] ** 2)
-    out[-1] = (a[-2] - a[-1]) / (drf[-1] ** 2)
+    drf2 = grid.drf[:, None, None] ** 2
+    up, mid, down = a[..., :-2, :, :], a[..., 1:-1, :, :], a[..., 2:, :, :]
+    out = np.empty_like(a)  # every level is assigned below
+    out[..., 1:-1, :, :] = (down - 2 * mid + up) / drf2[1:-1]
+    out[..., 0, :, :] = (a[..., 1, :, :] - a[..., 0, :, :]) / drf2[0]
+    out[..., -1, :, :] = (a[..., -2, :, :] - a[..., -1, :, :]) / drf2[-1]
     return coef * out
 
 
@@ -366,20 +386,21 @@ def hydrostatic_pressure(b, grid, flops: FlopCounter):
     ``dphi/dz = b`` integrated downward from the surface (phi(0) = 0):
     phi[k] = phi[k-1] - 0.5*(b[k-1] + b[k]) * drC.  ~4 flops/cell.
     """
-    nz = b.shape[0]
-    drf = grid.drf
+    drop = 0.5 * (b[..., :-1, :, :] + b[..., 1:, :, :]) * grid.geometry.drc
     phy = np.zeros_like(b)
-    phy[0] = -b[0] * 0.5 * drf[0]
-    for k in range(1, nz):
-        drc = 0.5 * (drf[k - 1] + drf[k])
-        phy[k] = phy[k - 1] - 0.5 * (b[k - 1] + b[k]) * drc
+    phy[..., 0, :, :] = -b[..., 0, :, :] * 0.5 * grid.drf[0]
+    # level by level, not one cumsum: each level rounds to b's dtype,
+    # which a mixed-precision state makes narrower than the increments
+    for k in range(1, b.shape[-3]):
+        np.subtract(phy[..., k - 1, :, :], drop[..., k - 1, :, :], out=phy[..., k, :, :])
     flops.add("hydrostatic", 4 * b.size)
     return phy
 
 
 def pressure_gradient(p, grid, rank, flops: FlopCounter):
     """(-dp/dx at u-points, -dp/dy at v-points), masked.  ~6 flops/cell."""
-    gx = -(p - xm(p)) / grid.dxc[rank][None] * (grid.hfac_w[rank] > 0)
-    gy = -(p - ym(p)) / grid.dyc[rank][None] * (grid.hfac_s[rank] > 0)
+    geo = grid.geometry
+    gx = -(p - xm(p)) / geo.dxc[rank] * geo.open_w[rank]
+    gy = -(p - ym(p)) / geo.dyc[rank] * geo.open_s[rank]
     flops.add("pressure_gradient", 6 * p.size)
     return gx, gy

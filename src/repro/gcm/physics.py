@@ -35,20 +35,23 @@ def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) ->
     when theta is non-increasing with array index k.  Mass(thickness)-
     weighted pair mixing preserves the column heat content exactly;
     sweeps repeat until no pair mixes (a fully unstable column needs
-    several cascaded sweeps).  Returns total mixed-pair count.
+    several cascaded sweeps).  On a batch of tiles the sweeps run until
+    no tile mixes — a sweep over an already stable tile changes nothing.
+    Returns total mixed-pair count.
     """
     tol = 1e-10
-    nz = theta.shape[0]
+    nz = theta.shape[-3]
     mixed_total = 0
     for _ in range(max_sweeps):
         mixed = 0
         for k in range(nz - 2, -1, -1):
-            unstable = theta[k] < theta[k + 1] - tol
+            upper, lower = theta[..., k, :, :], theta[..., k + 1, :, :]
+            unstable = upper < lower - tol
             if np.any(unstable):
                 w1, w2 = drf[k], drf[k + 1]
-                mean = (w1 * theta[k] + w2 * theta[k + 1]) / (w1 + w2)
-                theta[k] = np.where(unstable, mean, theta[k])
-                theta[k + 1] = np.where(unstable, mean, theta[k + 1])
+                mean = (w1 * upper + w2 * lower) / (w1 + w2)
+                upper[...] = np.where(unstable, mean, upper)
+                lower[...] = np.where(unstable, mean, lower)
                 mixed += int(np.count_nonzero(unstable))
         mixed_total += mixed
         if mixed == 0:
@@ -112,14 +115,16 @@ class AtmospherePhysics:
         With a seasonal cycle enabled the meridional profile's maximum
         migrates between the hemispheres (the solstice/equinox march).
         """
-        height_frac = (nz - 1 - k) / max(nz - 1, 1)  # 0 at surface, 1 at top
+        return self._theta_eq_surface(lat_deg) + self._theta_eq_lift(k, nz)
+
+    def _theta_eq_surface(self, lat_deg: np.ndarray) -> np.ndarray:
         phi = np.deg2rad(lat_deg)
         center = self.heating_center()
-        return (
-            self.theta_ref
-            - self.dtheta_y * ((np.sin(phi) - center) ** 2)
-            + self.dtheta_z * height_frac
-        )
+        return self.theta_ref - self.dtheta_y * ((np.sin(phi) - center) ** 2)
+
+    def _theta_eq_lift(self, k: int, nz: int) -> float:
+        height_frac = (nz - 1 - k) / max(nz - 1, 1)  # 0 at surface, 1 at top
+        return self.dtheta_z * height_frac
 
     def q_sat(self, theta: np.ndarray) -> np.ndarray:
         """Saturation specific humidity at potential temperature theta."""
@@ -127,7 +132,7 @@ class AtmospherePhysics:
 
     def apply_tendencies(
         self,
-        rank: int,
+        rank,
         grid: Grid,
         u: np.ndarray,
         v: np.ndarray,
@@ -140,22 +145,24 @@ class AtmospherePhysics:
         flops: FlopCounter,
         sst: Optional[np.ndarray] = None,
     ) -> None:
-        """Add the package's tendencies to the G arrays for one tile."""
-        nz = theta.shape[0]
-        lat = grid.lat_c[rank]
-        # Newtonian cooling (4 flops/cell)
-        for k in range(nz):
-            gtheta[k] += (self.theta_eq(lat, k, nz) - theta[k]) / self.tau_rad
+        """Add the package's tendencies to the G arrays for one tile
+        (or for the batch of tiles ``rank`` slices)."""
+        nz = theta.shape[-3]
+        # Newtonian cooling (4 flops/cell); the level lifts join the
+        # surface profile as the Python floats they are (no promotion)
+        surface = self._theta_eq_surface(grid.lat_c[rank])[..., None, :, :]
+        lift = np.array([self._theta_eq_lift(k, nz) for k in range(nz)], dtype=surface.dtype)
+        gtheta += (surface + lift[:, None, None] - theta) / self.tau_rad
         # Rayleigh drag near the surface (4 flops/cell on drag levels)
         for k in range(nz - self.n_drag_levels, nz):
             sigma = (k - (nz - 1 - self.n_drag_levels)) / max(self.n_drag_levels, 1)
-            gu[k] += -u[k] * sigma / self.tau_fric
-            gv[k] += -v[k] * sigma / self.tau_fric
+            gu[..., k, :, :] += -u[..., k, :, :] * sigma / self.tau_fric
+            gv[..., k, :, :] += -v[..., k, :, :] * sigma / self.tau_fric
         # Surface fluxes from the SST (coupling field)
         if sst is not None:
-            ks = nz - 1
-            gtheta[ks] += self.c_sens * (sst - theta[ks])
-            gq[ks] += self.c_evap * np.maximum(sst - theta[ks] + 5.0, 0.0)
+            excess = sst - theta[..., -1, :, :]
+            gtheta[..., -1, :, :] += self.c_sens * excess
+            gq[..., -1, :, :] += self.c_evap * np.maximum(excess + 5.0, 0.0)
         # Large-scale condensation with latent heating
         qs = self.q_sat(theta)
         excess = np.maximum(q - qs, 0.0)
@@ -164,7 +171,7 @@ class AtmospherePhysics:
         flops.add("atmos_physics", 22 * theta.size)
 
     def convective_adjustment(
-        self, theta: np.ndarray, grid: Grid, rank: int, flops: FlopCounter
+        self, theta: np.ndarray, grid: Grid, rank, flops: FlopCounter
     ) -> int:
         """Dry adjustment: level k sits above level k+1 (atmosphere
         convention), so the column is unstable where theta[k] < theta[k+1];
@@ -208,7 +215,7 @@ class OceanForcing:
 
     def apply_tendencies(
         self,
-        rank: int,
+        rank,
         grid: Grid,
         u: np.ndarray,
         v: np.ndarray,
@@ -225,22 +232,22 @@ class OceanForcing:
         rho0: float = 1035.0,
     ) -> None:
         """Add wind stress and surface restoring to the G arrays."""
+        geo = grid.geometry
         lat = grid.lat_c[rank]
+        surface = (..., 0, slice(None), slice(None))
         tx = taux if taux is not None else self.wind_stress(lat)
         drf0 = grid.drf[0]
-        hw = grid.hfac_w[rank][0]
-        gu[0] += np.where(hw > 0, tx / (rho0 * drf0), 0.0)
+        gu[surface] += np.where(geo.open_w[rank][surface], tx / (rho0 * drf0), 0.0)
         if tauy is not None:
-            hs = grid.hfac_s[rank][0]
-            gv[0] += np.where(hs > 0, tauy / (rho0 * drf0), 0.0)
+            gv[surface] += np.where(geo.open_s[rank][surface], tauy / (rho0 * drf0), 0.0)
         target = theta_surf if theta_surf is not None else self.theta_star(lat)
-        mask0 = grid.hfac_c[rank][0] > 0
-        gtheta[0] += np.where(mask0, (target - theta[0]) / self.tau_restore, 0.0)
-        gsalt[0] += np.where(mask0, (self.salt_star - salt[0]) / self.salt_restore, 0.0)
-        flops.add("ocean_forcing", 10 * theta[0].size)
+        mask0 = grid.mask_c[rank][surface]
+        gtheta[surface] += np.where(mask0, (target - theta[surface]) / self.tau_restore, 0.0)
+        gsalt[surface] += np.where(mask0, (self.salt_star - salt[surface]) / self.salt_restore, 0.0)
+        flops.add("ocean_forcing", 10 * theta[surface].size)
 
     def convective_adjustment(
-        self, theta: np.ndarray, grid: Grid, rank: int, flops: FlopCounter
+        self, theta: np.ndarray, grid: Grid, rank, flops: FlopCounter
     ) -> int:
         """Ocean static instability: with k = 0 at the sea surface the
         column is unstable where theta[k] < theta[k+1] (warm under

@@ -31,40 +31,17 @@ class EllipticOperator:
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
         self.decomp = grid.decomp
-        # Face conductances and open-column depths per tile.
-        self.hw: List[np.ndarray] = []  # open depth of west faces
-        self.hs: List[np.ndarray] = []
-        self.cw: List[np.ndarray] = []  # conductance Hw * dyG / dxC
-        self.cs: List[np.ndarray] = []
-        self.diag: List[np.ndarray] = []
-        self.wet: List[np.ndarray] = []
         drf = grid.drf[:, None, None]
-        for r, _t in enumerate(self.decomp.tiles):
-            hw = np.sum(grid.hfac_w[r] * drf, axis=0)
-            hs = np.sum(grid.hfac_s[r] * drf, axis=0)
-            cw = hw * grid.dyg[r] / grid.dxc[r]
-            cs = hs * grid.dxg[r] / grid.dyc[r]
-            self.hw.append(hw)
-            self.hs.append(hs)
-            self.cw.append(cw)
-            self.cs.append(cs)
-            wet = grid.depth_c[r] > 0
-            self.wet.append(wet)
-            d = -(cw + op.xp(cw) + cs + op.yp(cs))
-            # land rows are identity so CG ignores them
-            self.diag.append(np.where(wet, np.where(d != 0, d, -1.0), -1.0))
-
-    def _stacked_coeffs(self):
-        """Tile coefficients stacked on a leading rank axis (cached)."""
-        st = getattr(self, "_coeff_stack", None)
-        if st is None:
-            st = self._coeff_stack = (
-                np.stack(self.cw),
-                np.stack(self.cs),
-                np.stack(self.wet),
-                np.stack(self.diag),
-            )
-        return st
+        # Face conductances and open-column depths, stacked on the
+        # leading rank axis like the grid's metrics.
+        self.hw = np.sum(grid.hfac_w * drf, axis=-3)  # open depth of west faces
+        self.hs = np.sum(grid.hfac_s * drf, axis=-3)
+        self.cw = self.hw * grid.dyg / grid.dxc  # conductance Hw * dyG / dxC
+        self.cs = self.hs * grid.dxg / grid.dyc
+        self.wet = grid.depth_c > 0
+        d = -(self.cw + op.xp(self.cw) + self.cs + op.yp(self.cs))
+        # land rows are identity so CG ignores them
+        self.diag = np.where(self.wet, np.where(d != 0, d, -1.0), -1.0)
 
     def apply_stacked(self, p: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """A p on a ``(n_ranks, ny+2o, nx+2o)`` tile stack (halos current).
@@ -73,18 +50,18 @@ class EllipticOperator:
         lateral shifts act on the trailing axes, so stacking only
         batches the NumPy calls — the CG fast path's whole point.
         """
-        cw, cs, wet, _ = self._stacked_coeffs()
-        fx = cw * (p - op.xm(p))
-        fy = cs * (p - op.ym(p))
-        ap = (op.xp(fx) - fx) + (op.yp(fy) - fy)
-        ap = np.where(wet, ap, -p)
+        fx = p - op.xm(p)
+        fx *= self.cw
+        fy = p - op.ym(p)
+        fy *= self.cs
+        ap = np.where(self.wet, op.face_divergence(fx, fy), -p)
         flops.add("elliptic_apply", 10 * p.size)
         return ap
 
     def precondition_stacked(self, r: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """Jacobi on the tile stack; matches :meth:`precondition`."""
         flops.add("precondition", r.size)
-        return r / self._stacked_coeffs()[3]
+        return r / self.diag
 
     def apply(self, p_tiles: List[np.ndarray], flops: FlopCounter) -> List[np.ndarray]:
         """A p = div(H grad p) per tile (halos of p must be current).
@@ -109,43 +86,36 @@ class EllipticOperator:
             flops.add("precondition", arr.size)
         return out
 
-    def rhs_from_transport(
-        self,
-        uint_tiles: List[np.ndarray],
-        vint_tiles: List[np.ndarray],
-        dt: float,
-        flops: FlopCounter,
-    ) -> List[np.ndarray]:
+    def rhs_from_transport(self, uint, vint, dt: float, flops: FlopCounter) -> np.ndarray:
         """RHS = div(<U*>)/dt in finite-volume form (~8 flops/column).
 
         ``uint``/``vint`` are depth-integrated provisional velocities
-        (m^2/s) at u/v points with current halos.
+        (m^2/s) at u/v points with current halos, as tile stacks (or
+        sequences of tiles).
         """
-        out = []
-        for r, (ui, vi) in enumerate(zip(uint_tiles, vint_tiles)):
-            fx = ui * self.grid.dyg[r]
-            fy = vi * self.grid.dxg[r]
-            div = (op.xp(fx) - fx) + (op.yp(fy) - fy)
-            rhs = np.where(self.wet[r], div / dt, 0.0)
-            out.append(rhs)
-            flops.add("elliptic_rhs", 8 * ui.size)
-        return out
+        flops.add("elliptic_rhs", 8 * np.size(uint))
+        return np.where(self.wet, self._flux_divergence(uint, vint) / dt, 0.0)
 
-    def depth_integrate(
-        self, rank: int, u: np.ndarray, v: np.ndarray, flops: FlopCounter
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """<u> = sum_k u hFacW drF (m^2/s); ~4 flops/cell."""
-        drf = self.grid.drf[:, None, None]
-        ui = np.sum(u * self.grid.hfac_w[rank] * drf, axis=0)
-        vi = np.sum(v * self.grid.hfac_s[rank] * drf, axis=0)
-        flops.add("depth_integrate", 4 * u.size)
-        return ui, vi
+    def depth_integrate(self, rank, u, v, flops: FlopCounter):
+        """:func:`depth_integrate` on this operator's grid."""
+        return depth_integrate(self.grid, rank, u, v, flops)
 
-    def divergence(self, uint_tiles, vint_tiles) -> List[np.ndarray]:
+    def divergence(self, uint, vint) -> np.ndarray:
         """Volume-flux divergence (m^3/s) of a depth-integrated flow."""
-        out = []
-        for r, (ui, vi) in enumerate(zip(uint_tiles, vint_tiles)):
-            fx = ui * self.grid.dyg[r]
-            fy = vi * self.grid.dxg[r]
-            out.append(((op.xp(fx) - fx) + (op.yp(fy) - fy)) * self.wet[r])
-        return out
+        return self._flux_divergence(uint, vint) * self.wet
+
+    def _flux_divergence(self, uint, vint) -> np.ndarray:
+        fx = np.asarray(uint) * self.grid.dyg
+        fy = np.asarray(vint) * self.grid.dxg
+        return (op.xp(fx) - fx) + (op.yp(fy) - fy)
+
+
+def depth_integrate(
+    grid: Grid, rank, u: np.ndarray, v: np.ndarray, flops: FlopCounter
+) -> tuple[np.ndarray, np.ndarray]:
+    """<u> = sum_k u hFacW drF (m^2/s) on tile(s) ``rank``; ~4 flops/cell."""
+    drf = grid.drf[:, None, None]
+    ui = np.sum(u * grid.hfac_w[rank] * drf, axis=-3)
+    vi = np.sum(v * grid.hfac_s[rank] * drf, axis=-3)
+    flops.add("depth_integrate", 4 * u.size)
+    return ui, vi

@@ -1,7 +1,8 @@
 """The PS block: G-term evaluation and provisional state (Fig. 6).
 
-For each tile, entirely from data within the tile + halo (the
-overcomputation contract):
+For each tile — or each batch of tiles stacked on a leading axis, with
+``rank`` the matching slice of ranks — entirely from data within the
+tile + halo (the overcomputation contract):
 
 * ``G_v = gv(v, b)`` — advection, Coriolis, metric, dissipation and
   forcing tendencies for momentum;
@@ -43,7 +44,7 @@ class DynamicsParams:
 
 
 def compute_g_terms(
-    rank: int,
+    rank,
     grid: Grid,
     u: np.ndarray,
     v: np.ndarray,
@@ -53,7 +54,8 @@ def compute_g_terms(
     params: DynamicsParams,
     flops: FlopCounter,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate all G tendencies and diagnostics for one tile.
+    """Evaluate all G tendencies and diagnostics for one tile, or for
+    the batch of tiles ``rank`` slices (fields stacked to match).
 
     Returns ``(gu, gv, gtheta, gtracer, wflux, phy)``.
     """
@@ -62,27 +64,33 @@ def compute_g_terms(
 
     gu = op.advect_u(u, ut, vt, wflux, grid, rank, flops)
     gv = op.advect_v(v, ut, vt, wflux, grid, rank, flops)
-    cor_u, cor_v = op.coriolis(u, v, grid, rank, flops)
-    met_u, met_v = op.metric_terms(u, v, grid, rank, flops)
-    gu += cor_u + met_u + op.viscosity_u(
-        u, params.ah, params.az, grid, rank, flops, ah4=params.ah4
-    )
-    gv += cor_v + met_v + op.viscosity_v(
-        v, params.ah, params.az, grid, rank, flops, ah4=params.ah4
-    )
+    averages = op.corner_averages(u, v)
+    cor_u, cor_v = op.coriolis(u, v, grid, rank, flops, averages)
+    met_u, met_v = op.metric_terms(u, v, grid, rank, flops, averages)
+    del averages  # (batch-sized temporaries are dropped as soon as they are spent)
+    cor_u += met_u
+    cor_v += met_v
+    del met_u, met_v
+    cor_u += op.viscosity_u(u, params.ah, params.az, grid, rank, flops, ah4=params.ah4)
+    gu += cor_u
+    del cor_u
+    cor_v += op.viscosity_v(v, params.ah, params.az, grid, rank, flops, ah4=params.ah4)
+    gv += cor_v
+    del cor_v
     flops.add("g_assembly", 4 * u.size)
 
     scheme = params.advection_scheme
-    gtheta = op.advect_tracer(theta, ut, vt, wflux, grid, rank, flops, scheme=scheme)
-    gtheta += op.laplacian_diffusion(theta, params.kh, grid, rank, flops)
-    gtheta += op.vertical_diffusion(theta, params.kz, grid, rank, flops)
-    gtracer = op.advect_tracer(tracer, ut, vt, wflux, grid, rank, flops, scheme=scheme)
-    gtracer += op.laplacian_diffusion(tracer, params.kh, grid, rank, flops)
-    gtracer += op.vertical_diffusion(tracer, params.kz, grid, rank, flops)
+    factors = op.tracer_flux_factors(ut, vt, wflux, scheme)
+    tendencies = []
+    for c in (theta, tracer):
+        g = op.advect_tracer(c, ut, vt, wflux, grid, rank, flops, scheme, factors)
+        g += op.laplacian_diffusion(c, params.kh, grid, rank, flops)
+        g += op.vertical_diffusion(c, params.kz, grid, rank, flops)
+        tendencies.append(g)
     flops.add("g_assembly", 4 * theta.size)
 
     phy = op.hydrostatic_pressure(buoyancy, grid, flops)
-    return gu, gv, gtheta, gtracer, wflux, phy
+    return gu, gv, *tendencies, wflux, phy
 
 
 def ab2_extrapolate(
@@ -101,7 +109,7 @@ def ab2_extrapolate(
 
 
 def provisional_velocity(
-    rank: int,
+    rank,
     grid: Grid,
     u: np.ndarray,
     v: np.ndarray,
@@ -112,15 +120,16 @@ def provisional_velocity(
     flops: FlopCounter,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``v* = v^n + dt (G^(n+1/2) - grad p_hy)`` (masked).  ~8 flops/cell."""
+    geo = grid.geometry
     gpx, gpy = op.pressure_gradient(phy, grid, rank, flops)
-    u_star = (u + dt * (gu_ab + gpx)) * (grid.hfac_w[rank] > 0)
-    v_star = (v + dt * (gv_ab + gpy)) * (grid.hfac_s[rank] > 0)
+    u_star = (u + dt * (gu_ab + gpx)) * geo.open_w[rank]
+    v_star = (v + dt * (gv_ab + gpy)) * geo.open_s[rank]
     flops.add("provisional", 8 * u.size)
     return u_star, v_star
 
 
 def correct_velocity(
-    rank: int,
+    rank,
     grid: Grid,
     u_star: np.ndarray,
     v_star: np.ndarray,
@@ -129,9 +138,11 @@ def correct_velocity(
     flops: FlopCounter,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``v^(n+1) = v* - dt grad p_s`` applied at every level.  ~6 f/cell."""
-    gpx = -(ps - op.xm(ps)) / grid.dxc[rank]
-    gpy = -(ps - op.ym(ps)) / grid.dyc[rank]
-    u_new = (u_star + dt * gpx[None]) * (grid.hfac_w[rank] > 0)
-    v_new = (v_star + dt * gpy[None]) * (grid.hfac_s[rank] > 0)
+    geo = grid.geometry
+    ps = ps[..., None, :, :]
+    gpx = -(ps - op.xm(ps)) / geo.dxc[rank]
+    gpy = -(ps - op.ym(ps)) / geo.dyc[rank]
+    u_new = (u_star + dt * gpx) * geo.open_w[rank]
+    v_new = (v_star + dt * gpy) * geo.open_s[rank]
     flops.add("correction", 6 * u_star.size)
     return u_new, v_new

@@ -1,4 +1,4 @@
-"""Model state: per-tile prognostic and diagnostic fields.
+"""Model state: tile-stacked prognostic and diagnostic fields.
 
 C-grid staggering: ``u`` at west faces, ``v`` at south faces, ``w`` at
 top faces (diagnosed), tracers (``theta`` and ``salt``/``q``) and the
@@ -11,11 +11,12 @@ extrapolation (Fig. 6: time levels n, n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.gcm.grid import Grid
+from repro.parallel.exchange import exchange_halos
 
 
 #: 3-D fields carried per tile.
@@ -43,11 +44,16 @@ FIELDS_2D = ("ps",)
 
 @dataclass
 class ModelState:
-    """All tile-local field arrays plus step bookkeeping."""
+    """All field arrays plus step bookkeeping.
+
+    Each field is one array stacked on a leading rank axis (tiles are
+    uniform): ``state[name][rank]`` is rank ``rank``'s tile-local view,
+    ``state[name][a:b]`` a batch of tiles for the step kernels.
+    """
 
     grid: Grid
-    fields3d: Dict[str, List[np.ndarray]] = field(default_factory=dict)
-    fields2d: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    fields3d: Dict[str, np.ndarray] = field(default_factory=dict)
+    fields2d: Dict[str, np.ndarray] = field(default_factory=dict)
     time: float = 0.0
     step_count: int = 0
 
@@ -57,19 +63,17 @@ class ModelState:
         :meth:`repro.precision.PrecisionConfig.state_dtypes`) overrides
         the float64 default per field."""
         st = cls(grid=grid)
-        nz = grid.nz
         dtypes = dtypes or {}
-
-        def dt(name):
-            return np.dtype(dtypes.get(name, np.float64))
-
+        tiles = grid.decomp.tiles
+        shape2d = (len(tiles),) + tiles[0].shape2d
+        shape3d = (len(tiles),) + tiles[0].shape3d(grid.nz)
         for name in FIELDS_3D:
-            st.fields3d[name] = [t.alloc3d(nz, dtype=dt(name)) for t in grid.decomp.tiles]
+            st.fields3d[name] = np.zeros(shape3d, dtype=dtypes.get(name, np.float64))
         for name in FIELDS_2D:
-            st.fields2d[name] = [t.alloc2d(dtype=dt(name)) for t in grid.decomp.tiles]
+            st.fields2d[name] = np.zeros(shape2d, dtype=dtypes.get(name, np.float64))
         return st
 
-    def __getitem__(self, name: str) -> List[np.ndarray]:
+    def __getitem__(self, name: str) -> np.ndarray:
         if name in self.fields3d:
             return self.fields3d[name]
         if name in self.fields2d:
@@ -86,29 +90,20 @@ class ModelState:
 
     def set_from_global(self, name: str, global_field: np.ndarray) -> None:
         """Initialize a field from a global array (interior + halo fill)."""
-        from repro.parallel.exchange import HaloExchanger, exchange_halos
-
-        hx = HaloExchanger(self.grid.decomp)
-        tiles = hx.scatter_global(global_field)
-        exchange_halos(self.grid.decomp, tiles)
+        decomp = self.grid.decomp
         target = self[name]
-        for dst, src in zip(target, tiles):
-            dst[...] = src
+        target[...] = 0.0
+        view = decomp.global_view(target)
+        view[...] = np.reshape(global_field, view.shape)
+        exchange_halos(decomp, target)
 
     def to_global(self, name: str) -> np.ndarray:
         """Assemble a field's interiors into one global array."""
-        from repro.parallel.exchange import HaloExchanger
-
-        return HaloExchanger(self.grid.decomp).gather_global(self[name])
+        return self.grid.decomp.to_global(self[name])
 
     def masked_mean(self, name: str) -> float:
         """Volume-weighted mean of a 3-D center field over wet cells."""
-        num = 0.0
-        den = 0.0
-        o = self.grid.decomp.olx
-        for r, t in enumerate(self.grid.decomp.tiles):
-            sl = (slice(None), slice(o, o + t.ny), slice(o, o + t.nx))
-            vol = self.grid.cell_volumes(r)[sl]
-            num += float(np.sum(self[name][r][sl] * vol))
-            den += float(np.sum(vol))
-        return num / den if den else 0.0
+        decomp = self.grid.decomp
+        vol = decomp.global_view(self.grid.cell_volumes(slice(None)))
+        den = float(np.sum(vol))
+        return float(np.sum(decomp.global_view(self[name]) * vol)) / den if den else 0.0

@@ -2,10 +2,12 @@
 
 Per step:
 
-* **PS** — one five-field, full-halo exchange; per-tile evaluation of the
-  G terms, physics tendencies, Adams-Bashforth extrapolation, hydrostatic
-  pressure and the provisional velocity.  Compute is charged per rank at
-  Fps; the exchange at the interconnect model's 3-D cost.
+* **PS** — one five-field, full-halo exchange; evaluation of the G
+  terms, physics tendencies, Adams-Bashforth extrapolation, hydrostatic
+  pressure and the provisional velocity, one batch of tiles per kernel
+  call (state and grid are stacked on a leading rank axis).  Compute is
+  charged per rank at Fps; the exchange at the interconnect model's 3-D
+  cost.
 * **DS** — the depth-integrated divergence becomes the elliptic RHS; the
   preconditioned CG solves for p_s on the *DS decomposition* (by default
   one tile per SMP master, matching the paper's nxy = 1024 over eight
@@ -23,7 +25,7 @@ and charged zero network time (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from repro.gcm import operators as op
 from repro.gcm.cg import CGResult, _default_gsum, preconditioned_cg
 from repro.gcm.eos import IdealGasEOS, LinearEOS
 from repro.gcm.grid import Grid, GridParams
+from repro.gcm.nonhydrostatic import NonHydrostaticOperator, compute_g_w
 from repro.gcm.operators import FlopCounter
-from repro.gcm.pressure import EllipticOperator
+from repro.gcm.pressure import EllipticOperator, depth_integrate
 from repro.gcm.prognostic import (
     DynamicsParams,
     ab2_extrapolate,
@@ -41,10 +44,29 @@ from repro.gcm.prognostic import (
     provisional_velocity,
 )
 from repro.gcm.state import ModelState
-from repro.parallel.exchange import HaloExchanger, exchange_halos
+from repro.parallel.exchange import exchange_halos
 from repro.parallel.runtime import LockstepRuntime, MachineModel
 from repro.parallel.tiling import Decomposition
 from repro.precision import CastingOperator, quantize_gsum, resolve_precision
+
+
+#: Largest number of cells (levels x rows x columns, halos included)
+#: one kernel call works on.  The step batches as many whole tiles as
+#: fit: big enough to amortise NumPy's per-call cost over small tiles,
+#: small enough that a kernel's temporaries stay cache-sized and the
+#: working set of large tiles stays what a per-tile loop had (measured
+#: against ``peak_rss_mb``; see ROADMAP item 1).
+BATCH_CELLS = 10_000
+
+
+def tile_batches(n_tiles: int, cells_per_tile: int) -> List[slice]:
+    """Equal slices of ``range(n_tiles)``: the largest divisor of
+    ``n_tiles`` whose tiles fit :data:`BATCH_CELLS` (at least one)."""
+    size = max(
+        b for b in range(1, n_tiles + 1)
+        if n_tiles % b == 0 and (b == 1 or b * cells_per_tile <= BATCH_CELLS)
+    )
+    return [slice(i, i + size) for i in range(0, n_tiles, size)]
 
 
 @dataclass
@@ -168,14 +190,9 @@ class Model:
                 config.grid, self.ds_decomp, depth=depth, dtype=prec.grid_dtype()
             )
         self.elliptic = EllipticOperator(self.ds_grid)
-        if config.nonhydrostatic:
-            from repro.gcm.nonhydrostatic import NonHydrostaticOperator
-
-            self.nh_operator = NonHydrostaticOperator(self.grid)
-        else:
-            self.nh_operator = None
-        self._hx_ps = HaloExchanger(self.decomp)
-        self._hx_ds = HaloExchanger(self.ds_decomp)
+        self.nh_operator = NonHydrostaticOperator(self.grid) if config.nonhydrostatic else None
+        self.grid.geometry  # static kernel factors: built here, not in step 1
+        self._batches = tile_batches(self.decomp.n_ranks, self.state["u"][0].size)
         # Mixed-precision wiring, resolved once: the all64 default keeps
         # every path below bit- and cost-identical to the seed (8-byte
         # itemsizes, no casts, no solver hooks).
@@ -188,7 +205,7 @@ class Model:
         self._cg_dtype = prec.cg_dtype()
         self._first_step = True
         self.history: List[StepStats] = []
-        # Coupling fields (per-PS-tile 2-D arrays), set by the coupler:
+        # Coupling fields (per-PS-tile 2-D arrays, one list per field), set by the coupler:
         # atmosphere consumes "sst"; ocean consumes "taux"/"theta_surf".
         self.coupling: Dict[str, List[np.ndarray]] = {}
 
@@ -215,71 +232,34 @@ class Model:
         cfg = self.config
         st = self.state
         rt = self.runtime
+        physics = cfg.physics
         stats = StepStats()
 
         t0 = rt.elapsed
 
         # ---- PS: the one exchange + sync point of the step -------------
         rt.exchange(
-            [st["u"], st["v"], st["theta"], st["tracer"], st["phy"]],
+            [st[name] for name in self._ps_names],
             width=cfg.olx,
             itemsize=self._ps_itemsizes,
             wire_dtypes=self._ps_wire_dtypes,
         )
         t_after_exch = rt.elapsed
 
+        if hasattr(physics, "set_time"):
+            physics.set_time(st.time)
         ps_flops = np.zeros(self.decomp.n_ranks)
-        u_star_t, v_star_t = [], []
-        for r in range(self.decomp.n_ranks):
-            fc = FlopCounter()
-            u, v = st["u"][r], st["v"][r]
-            theta, tracer = st["theta"][r], st["tracer"][r]
-            b = cfg.eos.buoyancy(theta, tracer)
-            fc.add("eos", cfg.eos.flops_per_cell * theta.size)
-            gu, gv, gth, gtr, wflux, phy = compute_g_terms(
-                r, self.grid, u, v, theta, tracer, b, cfg.dynamics, fc
-            )
-            if cfg.physics is not None:
-                if hasattr(cfg.physics, "set_time"):
-                    cfg.physics.set_time(st.time)
-                kwargs = self._physics_kwargs(r)
-                cfg.physics.apply_tendencies(
-                    r, self.grid, u, v, theta, tracer, gu, gv, gth, gtr, fc, **kwargs
-                )
-            st["gu"][r][...] = gu
-            st["gv"][r][...] = gv
-            st["gtheta"][r][...] = gth
-            st["gtracer"][r][...] = gtr
-            st["phy"][r][...] = phy
-            eps = cfg.dynamics.ab2_eps
-            if self.nh_operator is not None:
-                # non-hydrostatic: w is prognostic (vertical momentum)
-                from repro.gcm.nonhydrostatic import compute_g_w
-
-                ut, vt = op.transports(u, v, self.grid, r, fc)
-                gw = compute_g_w(
-                    r, self.grid, st["w"][r], ut, vt, wflux, b,
-                    cfg.dynamics.ah, cfg.dynamics.az, fc,
-                )
-                gw_ab = ab2_extrapolate(gw, st["gw_prev"][r], eps, self._first_step, fc)
-                st["gw"][r][...] = gw
-                st["w"][r][...] = (st["w"][r] + cfg.dt * gw_ab) * self.grid.mask_c[r]
-            else:
-                st["w"][r][...] = op.w_from_flux(wflux, self.grid, r, fc)
-            gu_ab = ab2_extrapolate(gu, st["gu_prev"][r], eps, self._first_step, fc)
-            gv_ab = ab2_extrapolate(gv, st["gv_prev"][r], eps, self._first_step, fc)
-            us, vs = provisional_velocity(
-                r, self.grid, u, v, gu_ab, gv_ab, phy, cfg.dt, fc
-            )
-            u_star_t.append(us)
-            v_star_t.append(vs)
-            ps_flops[r] = fc.total
+        u_star, v_star = [], []  # one block per batch
+        for sl in self._batches:
+            us, vs, ps_flops[sl] = self._provisional_batch(sl)
+            u_star.append(us)
+            v_star.append(vs)
         rt.charge_compute(ps_flops, phase="ps")
         stats.flops_ps = int(ps_flops.sum())
         t_after_ps = rt.elapsed
 
         # ---- DS: elliptic surface-pressure solve ------------------------
-        cg_res, ds_counter = self._solve_surface_pressure(u_star_t, v_star_t)
+        cg_res, ds_counter = self._solve_surface_pressure(u_star, v_star)
         stats.ni = cg_res.iterations
         stats.cg_residual = cg_res.residual
         stats.cg_converged = cg_res.converged
@@ -288,29 +268,9 @@ class Model:
         t_after_ds = rt.elapsed
 
         # ---- correction + tracer step -----------------------------------
-        eps = cfg.dynamics.ab2_eps
-        for r in range(self.decomp.n_ranks):
-            fc = FlopCounter()
-            u_new, v_new = correct_velocity(
-                r, self.grid, u_star_t[r], v_star_t[r], st["ps"][r], cfg.dt, fc
-            )
-            st["u"][r][...] = u_new
-            st["v"][r][...] = v_new
-            gth_ab = ab2_extrapolate(
-                st["gtheta"][r], st["gtheta_prev"][r], eps, self._first_step, fc
-            )
-            gtr_ab = ab2_extrapolate(
-                st["gtracer"][r], st["gtracer_prev"][r], eps, self._first_step, fc
-            )
-            mask = self.grid.mask_c[r]
-            st["theta"][r][...] = (st["theta"][r] + cfg.dt * gth_ab) * mask
-            st["tracer"][r][...] = (st["tracer"][r] + cfg.dt * gtr_ab) * mask
-            fc.add("tracer_step", 4 * st["theta"][r].size)
-            if cfg.physics is not None and hasattr(cfg.physics, "convective_adjustment"):
-                stats.mixed_cells += cfg.physics.convective_adjustment(
-                    st["theta"][r], self.grid, r, fc
-                )
-            ps_flops[r] = fc.total
+        for sl, us, vs in zip(self._batches, u_star, v_star):
+            ps_flops[sl], mixed = self._correct_batch(sl, us, vs)
+            stats.mixed_cells += mixed
         rt.charge_compute(ps_flops, phase="ps")
         stats.flops_ps += int(ps_flops.sum())
 
@@ -334,22 +294,83 @@ class Model:
             rt.metrics.end_step(ni=stats.ni, step=st.step_count)
         return stats
 
+    # One batch of tiles per call, in its own frame: a batch's
+    # temporaries die with it instead of living on into the next one.
+
+    def _provisional_batch(self, sl: slice):
+        """PS kernels on tiles ``sl``: G terms, physics, AB2, hydrostatic
+        pressure and ``(u*, v*)``; also returns the flops per tile."""
+        cfg, st, grid, physics = self.config, self.state, self.grid, self.config.physics
+        eps, first = cfg.dynamics.ab2_eps, self._first_step
+        fc = FlopCounter()
+        u, v = st["u"][sl], st["v"][sl]
+        theta, tracer = st["theta"][sl], st["tracer"][sl]
+        b = cfg.eos.buoyancy(theta, tracer)
+        fc.add("eos", cfg.eos.flops_per_cell * theta.size)
+        gu, gv, gth, gtr, wflux, phy = compute_g_terms(
+            sl, grid, u, v, theta, tracer, b, cfg.dynamics, fc
+        )
+        if physics is not None:
+            physics.apply_tendencies(
+                sl, grid, u, v, theta, tracer, gu, gv, gth, gtr, fc,
+                **self._physics_kwargs(sl),
+            )
+        st["gu"][sl] = gu
+        st["gv"][sl] = gv
+        st["gtheta"][sl] = gth
+        st["gtracer"][sl] = gtr
+        st["phy"][sl] = phy
+        if self.nh_operator is not None:
+            # non-hydrostatic: w is prognostic (vertical momentum)
+            ut, vt = op.transports(u, v, grid, sl, fc)
+            gw = compute_g_w(
+                sl, grid, st["w"][sl], ut, vt, wflux, b,
+                cfg.dynamics.ah, cfg.dynamics.az, fc,
+            )
+            gw_ab = ab2_extrapolate(gw, st["gw_prev"][sl], eps, first, fc)
+            st["gw"][sl] = gw
+            st["w"][sl] = (st["w"][sl] + cfg.dt * gw_ab) * grid.mask_c[sl]
+        else:
+            st["w"][sl] = op.w_from_flux(wflux, grid, sl, fc)
+        gu_ab = ab2_extrapolate(gu, st["gu_prev"][sl], eps, first, fc)
+        gv_ab = ab2_extrapolate(gv, st["gv_prev"][sl], eps, first, fc)
+        us, vs = provisional_velocity(sl, grid, u, v, gu_ab, gv_ab, phy, cfg.dt, fc)
+        # flop counts are analytic in the array size: equal per tile
+        return us, vs, fc.total / len(us)
+
+    def _correct_batch(self, sl: slice, u_star, v_star):
+        """Velocity correction, tracer step and convective adjustment on
+        tiles ``sl``; returns ``(flops per tile, mixed cells)``."""
+        cfg, st, grid = self.config, self.state, self.grid
+        eps, first = cfg.dynamics.ab2_eps, self._first_step
+        fc = FlopCounter()
+        st["u"][sl], st["v"][sl] = correct_velocity(
+            sl, grid, u_star, v_star, st["ps"][sl], cfg.dt, fc
+        )
+        gth_ab = ab2_extrapolate(st["gtheta"][sl], st["gtheta_prev"][sl], eps, first, fc)
+        gtr_ab = ab2_extrapolate(st["gtracer"][sl], st["gtracer_prev"][sl], eps, first, fc)
+        mask = grid.mask_c[sl]
+        theta = st["theta"][sl]
+        theta[...] = (theta + cfg.dt * gth_ab) * mask
+        st["tracer"][sl] = (st["tracer"][sl] + cfg.dt * gtr_ab) * mask
+        fc.add("tracer_step", 4 * theta.size)
+        mixed = 0
+        if hasattr(cfg.physics, "convective_adjustment"):
+            mixed = cfg.physics.convective_adjustment(theta, grid, sl, fc)
+        return fc.total / len(u_star), mixed
+
     def run(self, n_steps: int) -> List[StepStats]:
         """Advance ``n_steps`` time steps; returns their stats."""
         return [self.step() for _ in range(n_steps)]
 
     # ------------------------------------------------------------------
 
-    def _physics_kwargs(self, rank: int) -> dict:
-        if self.is_atmosphere:
-            sst = self.coupling.get("sst")
-            return {"sst": sst[rank] if sst is not None else None}
-        kwargs = {}
-        for key, name in (("taux", "taux"), ("tauy", "tauy"), ("theta_surf", "theta_surf")):
-            fieldlist = self.coupling.get(name)
-            if fieldlist is not None:
-                kwargs[key] = fieldlist[rank]
-        return kwargs
+    def _physics_kwargs(self, tiles: slice) -> dict:
+        """The coupling fields the physics package consumes, stacked for
+        one batch of tiles (the coupler and shard restore keep them as
+        per-rank lists)."""
+        names = ("sst",) if self.is_atmosphere else ("taux", "tauy", "theta_surf")
+        return {n: np.stack(self.coupling[n][tiles]) for n in names if n in self.coupling}
 
     def _cg_hooks(self, decomp):
         """Solver communication hooks for the precision config, for a
@@ -375,28 +396,31 @@ class Model:
 
         return gsum_hook, exch_hook
 
-    def _solve_surface_pressure(self, u_star_t, v_star_t) -> tuple[CGResult, FlopCounter]:
-        """Assemble RHS on the DS decomposition and run the PCG."""
+    def _solve_surface_pressure(
+        self, u_star: Sequence[np.ndarray], v_star: Sequence[np.ndarray]
+    ) -> tuple[CGResult, FlopCounter]:
+        """Assemble RHS on the DS decomposition and run the PCG
+        (``u_star``/``v_star``: one block per tile batch)."""
         fc = FlopCounter()
         # depth-integrate on the PS tiles (3-D work, charged to PS ranks
         # via the returned counter split in _charge_ds)
-        uints, vints = [], []
-        for r in range(self.decomp.n_ranks):
-            ui, vi = self.elliptic_ps_integrate(r, u_star_t[r], v_star_t[r], fc)
-            uints.append(ui)
-            vints.append(vi)
+        integrals = [
+            depth_integrate(self.grid, sl, us, vs, fc)
+            for sl, us, vs in zip(self._batches, u_star, v_star)
+        ]
         # regrid PS -> DS through shared memory
-        g_ui = self._hx_ps.gather_global(uints)
-        g_vi = self._hx_ps.gather_global(vints)
-        ds_ui = self._hx_ds.scatter_global(g_ui)
-        ds_vi = self._hx_ds.scatter_global(g_vi)
-        exchange_halos(self.ds_decomp, ds_ui, width=1, wire_dtype=self._solver_wire)
-        exchange_halos(self.ds_decomp, ds_vi, width=1, wire_dtype=self._solver_wire)
-        rhs = self.elliptic.rhs_from_transport(ds_ui, ds_vi, self.config.dt, fc)
+        ds_uv = []
+        for blocks in zip(*integrals):
+            ps_tiles = np.concatenate(blocks)
+            ds_tiles = np.zeros(self.elliptic.wet.shape, dtype=ps_tiles.dtype)
+            self._regrid(self.decomp, ps_tiles, self.ds_decomp, ds_tiles)
+            exchange_halos(self.ds_decomp, ds_tiles, width=1, wire_dtype=self._solver_wire)
+            ds_uv.append(ds_tiles)
+        rhs = self.elliptic.rhs_from_transport(*ds_uv, self.config.dt, fc)
         operator = self.elliptic
         if self._cg_dtype == np.float32:
             operator = CastingOperator(self.elliptic, self._cg_dtype)
-            rhs = [b.astype(self._cg_dtype) for b in rhs]
+            rhs = rhs.astype(self._cg_dtype)
         gsum_hook, exch_hook = self._cg_hooks(self.ds_decomp)
         result = preconditioned_cg(
             operator,
@@ -408,20 +432,18 @@ class Model:
             exchange=exch_hook,
         )
         # regrid solution DS -> PS and refresh halos (shared memory)
-        g_ps = self._hx_ds.gather_global(result.x)
-        ps_tiles = self._hx_ps.scatter_global(g_ps)
-        exchange_halos(self.decomp, ps_tiles)
-        for r in range(self.decomp.n_ranks):
-            self.state["ps"][r][...] = ps_tiles[r]
+        ps = self.state["ps"]
+        ps[...] = 0.0
+        self._regrid(self.ds_decomp, np.asarray(result.x), self.decomp, ps)
+        exchange_halos(self.decomp, ps)
         return result, fc
 
-    def elliptic_ps_integrate(self, rank, u_star, v_star, fc):
-        """Depth-integrate provisional velocities on a PS tile (m^2/s)."""
-        drf = self.grid.drf[:, None, None]
-        ui = np.sum(u_star * self.grid.hfac_w[rank] * drf, axis=0)
-        vi = np.sum(v_star * self.grid.hfac_s[rank] * drf, axis=0)
-        fc.add("depth_integrate", 4 * u_star.size)
-        return ui, vi
+    @staticmethod
+    def _regrid(src_decomp, src: np.ndarray, dst_decomp, dst: np.ndarray) -> None:
+        """Copy tile-stack interiors between two decompositions of the
+        same global grid (the shared-memory PS <-> DS hand-over)."""
+        view = dst_decomp.global_view(dst)
+        view[...] = src_decomp.to_global(src).reshape(view.shape)
 
     def _solve_nonhydrostatic(self, stats: StepStats) -> None:
         """3-D Poisson projection of (u, v, w) to non-divergence.
@@ -443,19 +465,17 @@ class Model:
         operator = self.nh_operator
         if self._cg_dtype == np.float32:
             operator = CastingOperator(self.nh_operator, self._cg_dtype)
-            rhs = [b.astype(self._cg_dtype) for b in rhs]
+            rhs = rhs.astype(self._cg_dtype)
         gsum_hook, exch_hook = self._cg_hooks(self.decomp)
         result = preconditioned_cg(
             operator, rhs, fc, tol=cfg.cg_tol, maxiter=cfg.cg_maxiter,
             global_sum=gsum_hook, exchange=exch_hook,
         )
-        for r in range(self.decomp.n_ranks):
-            u2, v2, w2 = self.nh_operator.correct(
-                r, u[r], v[r], w[r], result.x[r], cfg.dt, fc
+        q = np.asarray(result.x)
+        for sl in self._batches:
+            u[sl], v[sl], w[sl] = self.nh_operator.correct(
+                sl, u[sl], v[sl], w[sl], q[sl], cfg.dt, fc
             )
-            u[r][...] = u2
-            v[r][...] = v2
-            w[r][...] = w2
         stats.ni_nh = result.iterations
         stats.flops_nh = fc.total
         stats.nh_converged = result.converged

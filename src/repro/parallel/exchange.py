@@ -21,49 +21,50 @@ import numpy as np
 from repro.parallel.tiling import Decomposition
 
 
-def _build_plan(decomp: Decomposition, w: int) -> list:
-    """Precompute the copy schedule of a width-``w`` exchange.
+def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
+    """Precompute the copy schedules of a width-``w`` exchange.
 
-    Each entry is ``(dst_rank, dst_index, src_rank, src_index)`` with the
-    index tuples ready for fancy-free slice assignment; executing the
-    entries in order reproduces the two-pass fill exactly (x first over
-    interior rows, then y over the full width including fresh x halos).
+    Tiles are uniform, so every copy of one direction has the same
+    slices and differs only in the ranks it joins.  Two spellings of the
+    same schedule come back: ``tile_plan``, one ``(dst_rank, dst_index,
+    src_rank, src_index)`` slice copy per halo for a sequence of tiles,
+    and ``stack_plan``, one ``(dst_index, src_index)`` advanced-index
+    copy per direction (the ranks lead the index) for a stacked field.
+    Executing either in order reproduces the two-pass fill exactly
+    (x first over interior rows, then y over the full width including
+    fresh x halos); within a pass every copy reads interiors (or pass-1
+    halos) and writes halos, so the copies of one direction commute.
     """
-    o = decomp.olx
-    plan = []
-    # Pass 1: x-direction (west/east), interior rows only.
-    for r, t in enumerate(decomp.tiles):
-        rows = slice(o, o + t.ny)
-        wn = decomp.neighbor(r, "west")
-        if wn is not None:
-            nx_n = decomp.tiles[wn].nx
-            plan.append((
-                r, (Ellipsis, rows, slice(o - w, o)),
-                wn, (Ellipsis, rows, slice(o + nx_n - w, o + nx_n)),
-            ))
-        en = decomp.neighbor(r, "east")
-        if en is not None:
-            plan.append((
-                r, (Ellipsis, rows, slice(o + t.nx, o + t.nx + w)),
-                en, (Ellipsis, rows, slice(o, o + w)),
-            ))
-    # Pass 2: y-direction (south/north), full x extent including x halos.
-    for r, t in enumerate(decomp.tiles):
-        cols = slice(o - w, o + t.nx + w)
-        sn = decomp.neighbor(r, "south")
-        if sn is not None:
-            ny_n = decomp.tiles[sn].ny
-            plan.append((
-                r, (Ellipsis, slice(o - w, o), cols),
-                sn, (Ellipsis, slice(o + ny_n - w, o + ny_n), cols),
-            ))
-        nn = decomp.neighbor(r, "north")
-        if nn is not None:
-            plan.append((
-                r, (Ellipsis, slice(o + t.ny, o + t.ny + w), cols),
-                nn, (Ellipsis, slice(o, o + w), cols),
-            ))
-    return plan
+    o, t = decomp.olx, decomp.tiles[0]
+    if w < 0:
+        # A negative width would flip the halo slices into interior
+        # ranges and silently overwrite interior cells.
+        raise ValueError(f"exchange width must be >= 0, got {w}")
+    if w > o:
+        raise ValueError(f"exchange width {w} exceeds halo {o}")
+    rows = slice(o, o + t.ny)
+    cols = slice(o - w, o + t.nx + w)
+    slabs = {
+        # Pass 1: x-direction (west/east), interior rows only.
+        "west": ((Ellipsis, rows, slice(o - w, o)),
+                 (Ellipsis, rows, slice(o + t.nx - w, o + t.nx))),
+        "east": ((Ellipsis, rows, slice(o + t.nx, o + t.nx + w)),
+                 (Ellipsis, rows, slice(o, o + w))),
+        # Pass 2: y-direction (south/north), full x extent including x halos.
+        "south": ((Ellipsis, slice(o - w, o), cols),
+                  (Ellipsis, slice(o + t.ny - w, o + t.ny), cols)),
+        "north": ((Ellipsis, slice(o + t.ny, o + t.ny + w), cols),
+                  (Ellipsis, slice(o, o + w), cols)),
+    }
+    tile_plan, stack_plan = [], []
+    for direction, (dst_index, src_index) in slabs.items() if w else ():
+        pairs = [(r, decomp.neighbor(r, direction)) for r in range(decomp.n_ranks)]
+        pairs = [(r, n) for r, n in pairs if n is not None]
+        if pairs:
+            tile_plan += [(r, dst_index, n, src_index) for r, n in pairs]
+            dst, src = np.array(pairs, dtype=np.intp).T
+            stack_plan.append(((dst,) + dst_index, (src,) + src_index))
+    return tile_plan, stack_plan
 
 
 def exchange_halos(
@@ -79,6 +80,11 @@ def exchange_halos(
     request a narrower exchange than the allocated halo (e.g. width-1
     exchanges in DS within width-3 halos).
 
+    ``fields`` given as one array stacked on a leading rank axis (how
+    the model state and the CG vectors are stored) is filled with one
+    advanced-index copy per direction — four per exchange; a sequence
+    of unrelated per-tile arrays is filled slice copy by slice copy.
+
     ``wire_dtype`` models a reduced-precision wire payload: every copied
     halo slab passes through that dtype before landing, exactly as if it
     had been packed at 4 bytes per element and upcast by the receiver
@@ -87,37 +93,33 @@ def exchange_halos(
     survive a float64 round trip bit-exactly).  ``None`` keeps the
     seed's cast-free copies.
 
-    The copy schedule depends only on the decomposition and the width,
-    so it is built once and cached on the decomposition — the CG solver
-    calls this at every iteration, making the per-call slice arithmetic
-    a measured hot path.
+    The copy schedules depend only on the decomposition and the width,
+    so they are built once and cached on the decomposition — the CG
+    solver calls this at every iteration, making the per-call slice
+    arithmetic a measured hot path.
     """
     if len(fields) != decomp.n_ranks:
         raise ValueError(
             f"expected {decomp.n_ranks} tile arrays, got {len(fields)}"
         )
-    o = decomp.olx
-    w = o if width is None else width
-    if w < 0:
-        # A negative width would flip the halo slices into interior
-        # ranges and silently overwrite interior cells.
-        raise ValueError(f"exchange width must be >= 0, got {w}")
-    if w > o:
-        raise ValueError(f"exchange width {w} exceeds halo {o}")
-    if w == 0:
-        return
-    cache = getattr(decomp, "_exchange_plans", None)
-    if cache is None:
-        cache = decomp._exchange_plans = {}
-    plan = cache.get(w)
-    if plan is None:
-        plan = cache[w] = _build_plan(decomp, w)
-    if wire_dtype is None:
-        for dst, di, src, si in plan:
+    w = decomp.olx if width is None else width
+    try:
+        tile_plan, stack_plan = decomp._exchange_plans[w]
+    except (AttributeError, KeyError):
+        plans = _build_plans(decomp, w)
+        decomp.__dict__.setdefault("_exchange_plans", {})[w] = plans
+        tile_plan, stack_plan = plans
+    if wire_dtype is not None:
+        wire_dtype = np.dtype(wire_dtype)
+    if isinstance(fields, np.ndarray):
+        for dst, src in stack_plan:
+            slab = fields[src]
+            fields[dst] = slab if wire_dtype is None else slab.astype(wire_dtype)
+    elif wire_dtype is None:
+        for dst, di, src, si in tile_plan:
             fields[dst][di] = fields[src][si]
     else:
-        wire_dtype = np.dtype(wire_dtype)
-        for dst, di, src, si in plan:
+        for dst, di, src, si in tile_plan:
             fields[dst][di] = fields[src][si].astype(wire_dtype)
 
 
@@ -170,12 +172,9 @@ class HaloExchanger:
         """Assemble the global (interior-only) field from the tiles."""
         sample = fields[0]
         o = self.decomp.olx
-        if sample.ndim == 2:
-            out = np.zeros((self.decomp.ny, self.decomp.nx), dtype=sample.dtype)
-        else:
-            out = np.zeros(
-                (sample.shape[0], self.decomp.ny, self.decomp.nx), dtype=sample.dtype
-            )
+        out = np.zeros(
+            sample.shape[:-2] + (self.decomp.ny, self.decomp.nx), dtype=sample.dtype
+        )
         for r, t in enumerate(self.decomp.tiles):
             out[..., t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx] = fields[r][
                 ..., o : o + t.ny, o : o + t.nx
@@ -187,10 +186,9 @@ class HaloExchanger:
         o = self.decomp.olx
         out = []
         for t in self.decomp.tiles:
-            if global_field.ndim == 2:
-                arr = t.alloc2d(dtype or global_field.dtype)
-            else:
-                arr = t.alloc3d(global_field.shape[0], dtype or global_field.dtype)
+            arr = np.zeros(
+                global_field.shape[:-2] + t.shape2d, dtype=dtype or global_field.dtype
+            )
             arr[..., o : o + t.ny, o : o + t.nx] = global_field[
                 ..., t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx
             ]

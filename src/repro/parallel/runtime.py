@@ -117,6 +117,13 @@ class LockstepRuntime:
         self.mixmode = cpus_per_node > 1
         self.clocks = np.zeros(self.n_ranks)
         self.stats = [RankStats() for _ in range(self.n_ranks)]
+        self._edges: dict = {}  # (nz, width, itemsize) -> per-rank edge bytes
+        #: ``(n_ranks, 4)`` neighbour ranks; a wall points back at the rank
+        #: itself (waiting for oneself is no wait).
+        self._neighbours = np.array([
+            [r if n is None else n for n in decomp.neighbors(r).values()]
+            for r in range(self.n_ranks)
+        ])
         self._summer = GlobalSummer(self.n_ranks, cpus_per_node)
         tiles_per_node = self.n_ranks // self.n_nodes
         #: Tile placement: ``rank_owner[r]`` is the node whose CPUs run
@@ -242,8 +249,9 @@ class LockstepRuntime:
     ) -> None:
         """Exchange halos of one or more fields and charge virtual time.
 
-        ``fields`` is either one field (a list of per-rank tile arrays)
-        or a list of such fields exchanged back-to-back (the PS phase
+        ``fields`` is either one field — an array stacked on a leading
+        rank axis, or a sequence of ``n_ranks`` 2-D/3-D tile arrays — or
+        a sequence of such fields exchanged back-to-back (the PS phase
         exchanges five three-dimensional state fields per step).
 
         ``itemsize`` prices the wire: one int for every field, or one
@@ -252,9 +260,12 @@ class LockstepRuntime:
         for all) applies the matching value-level quantization; None
         keeps a field's copies cast-free.
         """
-        first = fields[0]
-        multi = isinstance(first, (list, tuple))
-        field_list = list(fields) if multi else [fields]  # type: ignore[list-item]
+        one_field = isinstance(fields, np.ndarray) or (
+            len(fields) == self.n_ranks
+            and isinstance(fields[0], np.ndarray)
+            and fields[0].ndim <= 3
+        )
+        field_list = [fields] if one_field else list(fields)
         if isinstance(itemsize, (int, np.integer)):
             itemsizes = [int(itemsize)] * len(field_list)
         else:
@@ -274,33 +285,25 @@ class LockstepRuntime:
 
         costs = np.zeros(self.n_ranks)
         total_bytes = 0
+        # Clocks stand still until every field is priced, so fields of
+        # one shape and wire size share one per-rank quote vector.
+        quoted: dict = {}
         for f, isz, wdt in zip(field_list, itemsizes, wire_list):
             arr0 = f[0]
             nz = 1 if arr0.ndim == 2 else arr0.shape[0]
             exchange_halos(self.decomp, f, width, wire_dtype=wdt)
-            for r in range(self.n_ranks):
-                edges = self.decomp.edge_bytes(nz=nz, width=width, itemsize=isz, rank=r)
-                if self.degradation is not None:
-                    costs[r] += self.backend.exchange_time(
-                        edges, mixmode=self.mixmode, n_ranks=self.n_ranks,
-                        node=int(self.rank_owner[r]), now=float(self.clocks[r]),
-                    )
-                else:
-                    costs[r] += self.backend.exchange_time(
-                        edges, mixmode=self.mixmode, n_ranks=self.n_ranks
-                    )
-                self.stats[r].bytes_exchanged += sum(edges)
-                total_bytes += sum(edges)
+            if (nz, isz) not in quoted:
+                quoted[nz, isz] = self._exchange_quotes(nz, width, isz)
+            field_costs, sent = quoted[nz, isz]
+            costs += field_costs
+            for st, n in zip(self.stats, sent):
+                st.bytes_exchanged += n
+            total_bytes += sum(sent)
 
         # Neighbour synchronization: a rank cannot finish its exchange
         # before the tiles it trades halos with have arrived at it.
         before = self.clocks.copy()
-        synced = before.copy()
-        for r in range(self.n_ranks):
-            for d in ("west", "east", "south", "north"):
-                nbr = self.decomp.neighbor(r, d)
-                if nbr is not None and nbr != r:
-                    synced[r] = max(synced[r], before[nbr])
+        synced = np.maximum(before, before[self._neighbours].max(axis=1))
         t_start = float(before.max())
         self.clocks = synced + costs
         for r, st in enumerate(self.stats):
@@ -316,6 +319,32 @@ class LockstepRuntime:
                 self.current_phase, "sync", float((synced - before).max())
             )
         self._log(f"exchange:{len(field_list)}f", t_start)
+
+    def _exchange_quotes(self, nz: int, width: Optional[int], itemsize: int):
+        """Per-rank ``(cost vector, bytes sent)`` of one field's exchange
+        at the current clocks.  On a healthy machine a quote depends on
+        the edge sizes alone, so ranks with equal edges share one."""
+        edges = self._edges.get((nz, width, itemsize))
+        if edges is None:  # pure geometry: kept for the run
+            edges = self._edges[nz, width, itemsize] = [
+                tuple(self.decomp.edge_bytes(nz=nz, width=width, itemsize=itemsize, rank=r))
+                for r in range(self.n_ranks)
+            ]
+        if self.degradation is None:
+            quote = {
+                e: self.backend.exchange_time(e, mixmode=self.mixmode, n_ranks=self.n_ranks)
+                for e in dict.fromkeys(edges)
+            }
+            costs = [quote[e] for e in edges]
+        else:
+            costs = [
+                self.backend.exchange_time(
+                    e, mixmode=self.mixmode, n_ranks=self.n_ranks,
+                    node=int(self.rank_owner[r]), now=float(self.clocks[r]),
+                )
+                for r, e in enumerate(edges)
+            ]
+        return np.array(costs), [sum(e) for e in edges]
 
     # -- global sum ---------------------------------------------------------
 

@@ -135,6 +135,23 @@ class Decomposition:
     def __iter__(self) -> Iterator[Tile]:
         return iter(self.tiles)
 
+    def global_view(self, stack: np.ndarray) -> np.ndarray:
+        """The interiors of a tile stack ``(n_ranks, ..., ny+2o, nx+2o)``
+        as a writable view ``(..., py, tny, px, tnx)`` in global order:
+        assign a global field reshaped to that shape to scatter it."""
+        o, t = self.olx, self.tiles[0]
+        tiles = stack.reshape((self.py, self.px) + stack.shape[1:])
+        inner = tiles[..., o : o + t.ny, o : o + t.nx]
+        return np.moveaxis(inner, (0, 1), (-4, -2))
+
+    def to_global(self, stack: np.ndarray) -> np.ndarray:
+        """The global ``(..., ny, nx)`` field assembled (copied) from the
+        interiors of a tile stack."""
+        view = self.global_view(stack)
+        out = np.empty(view.shape[:-4] + (self.ny, self.nx), dtype=stack.dtype)
+        out.reshape(view.shape)[...] = view  # always a copy, also for one tile
+        return out
+
     def neighbor(self, rank: int, direction: str) -> Optional[int]:
         """Rank of the neighbouring tile, or None at a wall."""
         t = self.tiles[rank]

@@ -1,5 +1,8 @@
 """Tests for the exchange primitive: halo consistency across tilings."""
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,3 +195,30 @@ def test_property_decomposition_invariance_of_stencil(seed):
         out_tiles.append(out)
     got = hx.gather_global(out_tiles)
     np.testing.assert_allclose(got, expected)
+
+
+# -- one field, three spellings ----------------------------------------------
+# A stack is filled with one advanced-index copy per direction, a list of
+# tiles slice copy by slice copy; the per-entry plan both replaced lives on
+# in tests/gcm/_reference_step.py.
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "gcm"))
+from _reference_step import reference_exchange_halos  # noqa: E402
+
+
+@pytest.mark.parametrize("wire_dtype", [None, np.float32], ids=["f64", "wire32"])
+@pytest.mark.parametrize("nz", [None, 5], ids=["2d", "3d"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("px,py", [(1, 1), (2, 2), (4, 2), (4, 4), (8, 4)])
+def test_stack_list_and_oracle_plan_agree(px, py, width, nz, wire_dtype):
+    d = Decomposition(32, 16, px, py, olx=3)
+    rng = np.random.default_rng(px * 100 + py * 10 + width)
+    shape = (d.n_ranks,) + (() if nz is None else (nz,)) + d.tiles[0].shape2d
+    stack = rng.standard_normal(shape)  # halos start as noise, not zeros
+    as_list = [tile.copy() for tile in stack]
+    as_oracle = [tile.copy() for tile in stack]
+    exchange_halos(d, stack, width, wire_dtype=wire_dtype)
+    exchange_halos(d, as_list, width, wire_dtype=wire_dtype)
+    reference_exchange_halos(d, as_oracle, width, wire_dtype=wire_dtype)
+    np.testing.assert_array_equal(stack, np.stack(as_oracle))
+    np.testing.assert_array_equal(np.stack(as_list), np.stack(as_oracle))
