@@ -41,14 +41,13 @@ def _interior_dot_stacked(decomp, a: np.ndarray, b: np.ndarray, flops: FlopCount
     """Per-rank partial dot products on a leading-rank-axis tile stack.
 
     Bit-identical to a per-tile ``np.sum(a[r] * b[r])`` over each
-    interior: the product of the two interior views lands in a fresh
-    C-contiguous array, and the per-rank reduction runs over a
-    contiguous buffer of the same shape and C order as the per-tile
-    product array, so NumPy's pairwise summation visits elements in the
-    same order.
+    interior: the product commutes with slicing, and the per-rank
+    reduction runs over a contiguous buffer of the same shape and C
+    order as the per-tile product array, so NumPy's pairwise summation
+    visits elements in the same order.
     """
     sl = (Ellipsis,) + decomp.tiles[0].interior
-    prod = a[sl] * b[sl]
+    prod = np.ascontiguousarray((a * b)[sl])
     flops.add("cg_dot", 2 * prod.size)
     return prod.reshape(len(prod), -1).sum(axis=1).tolist()
 

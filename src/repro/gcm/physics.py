@@ -41,6 +41,8 @@ def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) ->
     """
     tol = 1e-10
     nz = theta.shape[-3]
+    if not np.any(theta[..., :-1, :, :] < theta[..., 1:, :, :] - tol):
+        return 0  # stable everywhere: a sweep would find no pair to mix
     mixed_total = 0
     for _ in range(max_sweeps):
         mixed = 0

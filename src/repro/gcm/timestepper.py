@@ -370,7 +370,7 @@ class Model:
         one batch of tiles (the coupler and shard restore keep them as
         per-rank lists)."""
         names = ("sst",) if self.is_atmosphere else ("taux", "tauy", "theta_surf")
-        return {n: np.stack(self.coupling[n][tiles]) for n in names if n in self.coupling}
+        return {n: np.array(self.coupling[n][tiles]) for n in names if n in self.coupling}
 
     def _cg_hooks(self, decomp):
         """Solver communication hooks for the precision config, for a

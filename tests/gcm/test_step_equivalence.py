@@ -65,6 +65,17 @@ def _build(component, px, py, variant, precision):
         ocn = ocean_model(
             depth=depth, **shape, **_overrides(ocean_config(), variant, precision)
         )
+    # A statically unstable patch (cold over warm) in a few tiles only,
+    # deep enough that its columns need several adjustment sweeps while
+    # the other tiles of their batch are already stable.  Not in the
+    # non-hydrostatic runs: their float32 3-D solve does not survive
+    # the convective burst, and a NaN state compares equal to anything.
+    if variant != "nonhydrostatic":
+        for model, level, sign in ((atm, NZ - 1, +1.0), (ocn, 0, -1.0)):
+            if model is not None:
+                theta = model.state.to_global("theta")
+                theta[level, 2:7, 3:14] += sign * 40.0
+                model.state.set_from_global("theta", theta)
     if component == "coupled":
         cm = CoupledModel(atm, ocn, CouplerParams(coupling_interval=STEPS // 2))
         return [atm, ocn], lambda: cm.run(2)
@@ -105,6 +116,10 @@ def test_step_matches_the_per_tile_oracle(monkeypatch, px, py, component, varian
         advance()
         oracle = _snapshot(models)
     assert all(len(stats) == STEPS for _, stats, _, _ in oracle)
+    for model in models:  # interiors stay finite: the comparison means something
+        assert all(np.isfinite(model.state.to_global(n)).all() for n in FIELDS_3D + FIELDS_2D)
+    if variant != "nonhydrostatic":
+        assert all(stats[0][5] > 0 for _, stats, _, _ in oracle)  # mixed_cells, step 1
 
     cells_per_tile = max(m.state["u"][0].size for m in models)
     for batch in _batch_sizes(px * py):
