@@ -150,14 +150,14 @@ def _net_out(div, fz, wet, vol):
     """``-(div + net vertical outflow) / vol`` over open cells, where
     interface k carries ``fz[k]`` between layers k-1 and k: out through
     a layer's top minus in through its bottom (the floor carries nothing)."""
-    net = np.empty_like(fz)
-    np.subtract(fz[..., :-1, :, :], fz[..., 1:, :, :], out=net[..., :-1, :, :])
-    net[..., -1, :, :] = fz[..., -1, :, :]
+    net_vert = np.empty_like(fz)
+    np.subtract(fz[..., :-1, :, :], fz[..., 1:, :, :], out=net_vert[..., :-1, :, :])
+    net_vert[..., -1, :, :] = fz[..., -1, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        net += div
+        # (out of place: a float32 tracer's fluxes are narrower than div)
+        net = div + net_vert
         np.negative(net, out=net)
-        net /= vol
-    return np.where(wet, net, 0.0)
+        return np.where(wet, net / vol, 0.0)
 
 
 def _faces_below_lid(a):
@@ -243,7 +243,8 @@ def vertical_diffusion(c, kz, grid, rank, flops: FlopCounter):
     flux = _faces_below_lid(c)  # flux through top face of layer k (k>=1)
     flux[..., 1:, :, :] = kz * (c[..., :-1, :, :] - c[..., 1:, :, :]) / geo.drc
     flux[..., 1:, :, :] *= geo.open_face[rank][..., 1:, :, :]
-    g = flux / drf  # in through top
+    g = np.empty_like(c)  # (c's dtype, whatever the grid's)
+    g[...] = flux / drf  # in through top
     g[..., :-1, :, :] -= flux[..., 1:, :, :] / drf[:-1]  # out through bottom
     flops.add("vertical_diffusion", 8 * c.size)
     return g

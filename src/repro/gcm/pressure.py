@@ -50,10 +50,8 @@ class EllipticOperator:
         lateral shifts act on the trailing axes, so stacking only
         batches the NumPy calls — the CG fast path's whole point.
         """
-        fx = p - op.xm(p)
-        fx *= self.cw
-        fy = p - op.ym(p)
-        fy *= self.cs
+        fx = self.cw * (p - op.xm(p))
+        fy = self.cs * (p - op.ym(p))
         ap = np.where(self.wet, op.face_divergence(fx, fy), -p)
         flops.add("elliptic_apply", 10 * p.size)
         return ap

@@ -23,6 +23,7 @@ from repro.gcm.ocean import ocean_config, ocean_model
 from repro.gcm.state import FIELDS_2D, FIELDS_3D
 from repro.gcm.timestepper import Model
 from repro.gcm.topography import midlatitude_ridge
+from repro.precision import PrecisionConfig
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from _reference_step import reference_step  # noqa: E402
@@ -32,13 +33,29 @@ STEPS = 6
 TILINGS = [(1, 1), (2, 2), (4, 2), (4, 4), (8, 4)]
 COMPONENTS = ["atmosphere", "ocean", "coupled"]
 VARIANTS = ["centered", "upwind", "ah4", "nonhydrostatic"]
-PRECISIONS = ["all64", "wire32", "all32"]
+#: the three presets, and the mixed assignment the tuner ships (float32
+#: everywhere but theta's storage: state, grid and solver dtypes differ)
+PRECISIONS = {
+    "all64": "all64",
+    "wire32": "wire32",
+    "all32": "all32",
+    "theta64": PrecisionConfig.preset("all32").with_cells(
+        [("theta", "state")], "float64", name="theta64"
+    ),
+}
+#: float32 tracers under a float64 grid: buoyancy and the hydrostatic
+#: pressure are narrower than the layer spacing they are integrated over
+PRECISIONS_4X4_ONLY = {
+    "tracers32": PrecisionConfig.preset("all64").with_cells(
+        [("theta", "state"), ("tracer", "state")], "float32", name="tracers32"
+    ),
+}
 
 
 def _overrides(base_config, variant, precision):
     """Config overrides of one (variant, precision) cell on top of an
     isomorph's own default dynamics."""
-    kw = dict(precision=precision, cg_tol=1e-5)
+    kw = dict(precision={**PRECISIONS, **PRECISIONS_4X4_ONLY}[precision], cg_tol=1e-5)
     if variant == "upwind":
         kw["dynamics"] = dataclasses.replace(
             base_config.dynamics, advection_scheme="upwind"
@@ -105,11 +122,22 @@ def _batch_sizes(n_tiles):
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning",
 )
-@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("precision", list(PRECISIONS))
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("component", COMPONENTS)
 @pytest.mark.parametrize("px,py", TILINGS)
 def test_step_matches_the_per_tile_oracle(monkeypatch, px, py, component, variant, precision):
+    _check_against_oracle(monkeypatch, px, py, component, variant, precision)
+
+
+@pytest.mark.parametrize("precision", list(PRECISIONS_4X4_ONLY))
+@pytest.mark.parametrize("variant", VARIANTS[:2])
+@pytest.mark.parametrize("component", COMPONENTS)
+def test_more_mixed_precision_on_the_benchmark_tiling(monkeypatch, component, variant, precision):
+    _check_against_oracle(monkeypatch, 4, 4, component, variant, precision)
+
+
+def _check_against_oracle(monkeypatch, px, py, component, variant, precision):
     with monkeypatch.context() as patch:
         patch.setattr(Model, "step", reference_step)
         models, advance = _build(component, px, py, variant, precision)
