@@ -142,7 +142,10 @@ class Grid:
 
         self.lat_c = col(lat_c)  # latitude of centers, deg
         self.dxc = col(a * np.cos(phi_c) * dlam)  # at u points
-        self.dyc = np.full(shape, a * dphi, dtype=self.dtype)  # at v points
+        # (a * dphi is a NumPy float64 scalar, which is not weakly typed:
+        # dyc/dyg are float64 even on a float32 grid, and the committed
+        # precision artefacts pin the arithmetic that follows from it)
+        self.dyc = np.ones(shape, dtype=self.dtype) * (a * dphi)  # at v points
         self.dxg = col(a * np.cos(phi_s) * dlam)  # cell width at v-point latitude
         self.dyg = self.dyc.copy()  # meridional face length
         # Halo rows beyond the walls have phi_n == phi_s after

@@ -42,6 +42,8 @@ def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
         raise ValueError(f"exchange width must be >= 0, got {w}")
     if w > o:
         raise ValueError(f"exchange width {w} exceeds halo {o}")
+    if w == 0:
+        return [], []
     rows = slice(o, o + t.ny)
     cols = slice(o - w, o + t.nx + w)
     slabs = {
@@ -57,7 +59,7 @@ def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
                   (Ellipsis, slice(o, o + w), cols)),
     }
     tile_plan, stack_plan = [], []
-    for direction, (dst_index, src_index) in slabs.items() if w else ():
+    for direction, (dst_index, src_index) in slabs.items():
         pairs = [(r, decomp.neighbor(r, direction)) for r in range(decomp.n_ranks)]
         pairs = [(r, n) for r, n in pairs if n is not None]
         if pairs:

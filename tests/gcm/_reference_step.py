@@ -816,6 +816,129 @@ def reference_exchange_halos(
             fields[dst][di] = fields[src][si].astype(wire_dtype)
 
 
+# -- repro/gcm/grid.py ----------------------------------------------------------
+# The per-tile grid build (``self`` is a Grid whose ``__init__`` has set
+# params, decomp, c, nz, dtype, drf, z_top and global_depth; the step
+# kernels' geometry is derived from what these two functions produce).
+
+def _lat_of_row(self, j_global: np.ndarray) -> np.ndarray:
+    """Latitude (deg) of cell-center row ``j_global`` (may be halo)."""
+    return self.params.lat0 + (j_global + 0.5) * self.params.dlat
+
+
+def _build_lateral_metrics(self) -> None:
+    p = self.params
+    a = self.c.radius
+    dlam = np.deg2rad(p.dlon)
+    dphi = np.deg2rad(p.dlat)
+    o = self.decomp.olx
+
+    self.dxc: list[np.ndarray] = []  # at u points
+    self.dyc: list[np.ndarray] = []  # at v points
+    self.dxg: list[np.ndarray] = []  # cell width at v-point latitude
+    self.dyg: list[np.ndarray] = []  # meridional face length
+    self.ra: list[np.ndarray] = []  # cell area
+    self.fc: list[np.ndarray] = []  # Coriolis at centers
+    self.lat_c: list[np.ndarray] = []  # latitude of centers, deg
+
+    for t in self.decomp.tiles:
+        jj = np.arange(-o, t.ny + o) + t.y0  # global row index per local row
+        lat_c = _lat_of_row(self, jj)
+        # clamp halo rows beyond the walls to the wall latitude so
+        # metrics stay finite; masks make their values irrelevant
+        lat_c = np.clip(lat_c, p.lat0 + 0.5 * p.dlat, p.lat1 - 0.5 * p.dlat)
+        phi_c = np.deg2rad(lat_c)
+        lat_s = np.clip(
+            p.lat0 + (jj) * p.dlat, p.lat0, p.lat1
+        )  # southern edges
+        phi_s = np.deg2rad(lat_s)
+        lat_n = np.clip(p.lat0 + (jj + 1) * p.dlat, p.lat0, p.lat1)
+        phi_n = np.deg2rad(lat_n)
+
+        shape = t.shape2d
+        ones = np.ones(shape, dtype=self.dtype)
+
+        def col(v):
+            return np.broadcast_to(
+                np.asarray(v, dtype=self.dtype)[:, None], shape
+            ).copy()
+
+        self.lat_c.append(col(lat_c))
+        self.dxc.append(col(a * np.cos(phi_c) * dlam))
+        self.dyc.append(ones * (a * dphi))
+        self.dxg.append(col(a * np.cos(phi_s) * dlam))
+        self.dyg.append(ones * (a * dphi))
+        # Halo rows beyond the walls have phi_n == phi_s after
+        # clamping; floor their (physically meaningless) area so
+        # divisions stay finite — masks zero any contribution.
+        area = a * a * dlam * (np.sin(phi_n) - np.sin(phi_s))
+        area = np.maximum(area, a * a * dlam * dphi * 1e-6)
+        self.ra.append(col(area))
+        self.fc.append(col(self.c.coriolis(phi_c)))
+
+    # areas/metrics must be identical in overlapping halos: they are
+    # functions of the global row only, so no exchange is needed.
+
+
+def _build_hfacs(self) -> None:
+    p = self.params
+    hx = HaloExchanger(self.decomp)
+    # global hFacC
+    depth = self.global_depth
+    nz, ny, nx = self.nz, p.ny, p.nx
+    z_top = self.z_top[:, None, None]
+    drf = self.drf[:, None, None]
+    # open fraction of layer k: how much of [z_bot, z_top] is above -depth
+    open_frac = np.clip((z_top - (-depth[None, :, :])) / drf, 0.0, 1.0)
+    # apply minimum partial cell: fractions below hfac_min/2 close,
+    # others are floored at hfac_min (MITgcm convention)
+    hf = np.where(open_frac < 0.5 * p.hfac_min, 0.0, np.maximum(open_frac, p.hfac_min))
+    hf = np.where(open_frac >= 1.0, 1.0, hf)
+
+    self.hfac_c = hx.scatter_global(hf)
+    reference_exchange_halos(self.decomp, self.hfac_c)
+    self.hfac_w: list[np.ndarray] = []
+    self.hfac_s: list[np.ndarray] = []
+    self.mask_c: list[np.ndarray] = []
+    self.recip_hfac_c: list[np.ndarray] = []
+    self.depth_c: list[np.ndarray] = []  # total open column depth at centers
+
+    for r, t in enumerate(self.decomp.tiles):
+        c = self.hfac_c[r]
+        w = np.minimum(c, np.roll(c, 1, axis=-1))
+        s = np.minimum(c, np.roll(c, 1, axis=-2))
+        # wall: zero the southernmost physical face and everything
+        # rolled across the tile's y edge is halo anyway
+        o = self.decomp.olx
+        if self.decomp.neighbor(r, "south") is None:
+            s[:, : o + 1, :] = 0.0
+        if self.decomp.neighbor(r, "north") is None:
+            s[:, o + t.ny :, :] = 0.0
+        self.hfac_w.append(w)
+        self.hfac_s.append(s)
+        self.mask_c.append((c > 0).astype(self.dtype))
+        with np.errstate(divide="ignore"):
+            rh = np.where(c > 0, 1.0 / np.where(c > 0, c, 1.0), 0.0)
+        self.recip_hfac_c.append(rh)
+        self.depth_c.append(np.sum(c * self.drf[:, None, None], axis=0))
+
+
+def reference_grid_arrays(grid) -> dict:
+    """Rebuild ``grid``'s metric and mask arrays the per-tile way;
+    returns name -> list of per-tile arrays."""
+    import types
+
+    ref = types.SimpleNamespace(
+        params=grid.params, decomp=grid.decomp, c=grid.c, nz=grid.nz, dtype=grid.dtype,
+        drf=grid.drf, z_top=grid.z_top, global_depth=grid.global_depth,
+    )
+    _build_lateral_metrics(ref)
+    _build_hfacs(ref)
+    names = ("lat_c", "dxc", "dyc", "dxg", "dyg", "ra", "fc",
+             "hfac_c", "hfac_w", "hfac_s", "mask_c", "depth_c")
+    return {name: getattr(ref, name) for name in names}
+
+
 # -- repro/parallel/runtime.py ------------------------------------------------
 
 def reference_runtime_exchange(

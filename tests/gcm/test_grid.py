@@ -1,11 +1,16 @@
 """Tests for the spherical C-grid metrics and shaved cells."""
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.gcm.grid import Grid, GridParams
 from repro.gcm.topography import double_basin, flat_bottom, midlatitude_ridge
 from repro.parallel.tiling import Decomposition
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 
 def make_grid(nx=32, ny=16, nz=4, px=2, py=2, olx=2, depth=None, **kw):
@@ -178,3 +183,31 @@ class TestTopographyGenerators:
         d = bowl(16, 16, depth=1000.0)
         assert d[0, 0] == 0.0  # corners are land
         assert d[8, 8] > 900.0  # deep center
+
+
+class TestStackedBuildMatchesPerTileBuild:
+    """The grid is built for all tiles at once; the per-tile build it
+    replaced lives on in ``tests/gcm/_reference_step.py``.  Values *and*
+    dtypes are the fixed behaviour: a float32 grid keeps the float64
+    ``dyc``/``dyg`` the per-tile expressions produced, and every kernel
+    downstream promotes accordingly."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("px,py,olx", [(1, 1, 3), (2, 2, 1), (4, 2, 3), (8, 4, 3)])
+    def test_every_array_bit_for_bit(self, px, py, olx, dtype):
+        from _reference_step import reference_grid_arrays
+
+        params = GridParams(nx=32, ny=16, nz=5, lat0=-70.0, lat1=80.0)
+        decomp = Decomposition(32, 16, px, py, olx=olx)
+        depth = double_basin(32, 16, continent_width=3) * (
+            midlatitude_ridge(32, 16, ridge_height=2900.0) / 4000.0
+        )
+        grid = Grid(params, decomp, depth=depth, dtype=dtype)
+        for name, tiles in reference_grid_arrays(grid).items():
+            want = np.stack(tiles)
+            got = getattr(grid, name)
+            if name == "mask_c":  # now bool: multiplies like the 0/1 it held
+                assert got.dtype == bool
+                want = want.astype(bool)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)

@@ -16,6 +16,13 @@ import sys
 import numpy as np
 import pytest
 
+from repro.faults import (
+    BandwidthEvent,
+    DegradationSchedule,
+    FaultPlan,
+    JitterEvent,
+    SlowdownEvent,
+)
 from repro.gcm import timestepper
 from repro.gcm.atmosphere import atmosphere_config, atmosphere_model
 from repro.gcm.coupled import CoupledModel, CouplerParams
@@ -170,3 +177,30 @@ def _check_against_oracle(monkeypatch, px, py, component, variant, precision):
             assert stats == ref_stats, f"StepStats, B={batch}"
             assert elapsed == ref_elapsed, f"runtime.elapsed, B={batch}"
             assert summary == ref_summary, f"runtime.summary(), B={batch}"
+
+
+@pytest.mark.parametrize("backend", ["analytic", "des"])
+def test_degraded_machine_is_priced_like_the_oracle(monkeypatch, backend):
+    """A slow node, a throttled link and a jittery NIC: every exchange
+    quote now depends on the rank's node and clock, so the per-rank,
+    per-field pricing loop of the oracle is the reference."""
+    plan = FaultPlan(
+        slowdowns=(SlowdownEvent(node=1, start=0.0, duration=1e9, factor=2.5),),
+        degradations=(BandwidthEvent(link="niu2^", start=0.0, duration=1e9, factor=0.25,
+                                  extra_latency=2e-6),),
+        jitters=(JitterEvent(node=3, start=0.0, duration=1e9, amp=4e-6),),
+    )
+
+    def run():
+        m = ocean_model(nx=NX, ny=NY, nz=NZ, px=4, py=2, dt=600.0, backend=backend)
+        m.runtime.set_degradation(DegradationSchedule(plan))
+        m.run(4)
+        return _snapshot([m])[0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "step", reference_step)
+        ref_arrays, ref_stats, ref_elapsed, ref_summary = run()
+    arrays, stats, elapsed, summary = run()
+    assert ref_elapsed > 0 and (stats, elapsed, summary) == (ref_stats, ref_elapsed, ref_summary)
+    for name, ref in ref_arrays.items():
+        np.testing.assert_array_equal(arrays[name], ref, err_msg=name)
