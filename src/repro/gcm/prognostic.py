@@ -68,15 +68,12 @@ def compute_g_terms(
     cor_u, cor_v = op.coriolis(u, v, grid, rank, flops, averages)
     met_u, met_v = op.metric_terms(u, v, grid, rank, flops, averages)
     del averages  # (batch-sized temporaries are dropped as soon as they are spent)
-    cor_u += met_u
-    cor_v += met_v
-    del met_u, met_v
-    cor_u += op.viscosity_u(u, params.ah, params.az, grid, rank, flops, ah4=params.ah4)
-    gu += cor_u
-    del cor_u
-    cor_v += op.viscosity_v(v, params.ah, params.az, grid, rank, flops, ah4=params.ah4)
-    gv += cor_v
-    del cor_v
+    forcing_u, forcing_v = cor_u + met_u, cor_v + met_v
+    del cor_u, cor_v, met_u, met_v
+    gu += forcing_u + op.viscosity_u(u, params.ah, params.az, grid, rank, flops, ah4=params.ah4)
+    del forcing_u
+    gv += forcing_v + op.viscosity_v(v, params.ah, params.az, grid, rank, flops, ah4=params.ah4)
+    del forcing_v
     flops.add("g_assembly", 4 * u.size)
 
     scheme = params.advection_scheme
