@@ -356,13 +356,12 @@ def viscosity_v(v, ah, az, grid, rank, flops: FlopCounter, ah4: float = 0.0):
 
 
 def laplacian_points(a, coef, mask, grid, rank):
-    """Simple masked 5-point Laplacian at the field's own points
-    (``mask``: an open-point bool mask, or the hFac it derives from)."""
+    """Simple 5-point Laplacian at the field's own points, masked by the
+    bool open-point ``mask``."""
     geo = grid.geometry
-    open_pt = mask if mask.dtype == bool else mask > 0
     a2 = 2 * a
     lap = (xp(a) - a2 + xm(a)) / geo.dxc2[rank] + (yp(a) - a2 + ym(a)) / geo.dyc2[rank]
-    return coef * lap * open_pt
+    return coef * lap * mask
 
 
 def vertical_second_derivative(a, coef, grid):

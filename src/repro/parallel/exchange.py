@@ -105,12 +105,10 @@ def exchange_halos(
             f"expected {decomp.n_ranks} tile arrays, got {len(fields)}"
         )
     w = decomp.olx if width is None else width
-    try:
-        tile_plan, stack_plan = decomp._exchange_plans[w]
-    except (AttributeError, KeyError):
-        plans = _build_plans(decomp, w)
-        decomp.__dict__.setdefault("_exchange_plans", {})[w] = plans
-        tile_plan, stack_plan = plans
+    plans = decomp.__dict__.setdefault("_exchange_plans", {})
+    if w not in plans:
+        plans[w] = _build_plans(decomp, w)
+    tile_plan, stack_plan = plans[w]
     if wire_dtype is not None:
         wire_dtype = np.dtype(wire_dtype)
     if isinstance(fields, np.ndarray):

@@ -117,7 +117,7 @@ class LockstepRuntime:
         self.mixmode = cpus_per_node > 1
         self.clocks = np.zeros(self.n_ranks)
         self.stats = [RankStats() for _ in range(self.n_ranks)]
-        self._edges: dict = {}  # (nz, width, itemsize) -> per-rank edge bytes
+        self._edges: dict = {}  # (nz, width, itemsize) -> per-rank (edge bytes, their sums)
         #: ``(n_ranks, 4)`` neighbour ranks; a wall points back at the rank
         #: itself (waiting for oneself is no wait).
         self._neighbours = np.array([
@@ -324,12 +324,13 @@ class LockstepRuntime:
         """Per-rank ``(cost vector, bytes sent)`` of one field's exchange
         at the current clocks.  On a healthy machine a quote depends on
         the edge sizes alone, so ranks with equal edges share one."""
-        edges = self._edges.get((nz, width, itemsize))
-        if edges is None:  # pure geometry: kept for the run
-            edges = self._edges[nz, width, itemsize] = [
+        if (nz, width, itemsize) not in self._edges:  # pure geometry: kept for the run
+            edges = [
                 tuple(self.decomp.edge_bytes(nz=nz, width=width, itemsize=itemsize, rank=r))
                 for r in range(self.n_ranks)
             ]
+            self._edges[nz, width, itemsize] = edges, [sum(e) for e in edges]
+        edges, sent = self._edges[nz, width, itemsize]
         if self.degradation is None:
             quote = {
                 e: self.backend.exchange_time(e, mixmode=self.mixmode, n_ranks=self.n_ranks)
@@ -344,7 +345,7 @@ class LockstepRuntime:
                 )
                 for r, e in enumerate(edges)
             ]
-        return np.array(costs), [sum(e) for e in edges]
+        return np.array(costs), sent
 
     # -- global sum ---------------------------------------------------------
 
