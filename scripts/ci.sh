@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer check, the DES event-count and GCM
-# step call-count budgets, the tier-1 test suite, an import check of
-# every example, the fault/recovery and cross-validation smokes, the
-# regenerate-and-diff of benchmarks/out/ (virtual time), and the
-# host-time benchmark's smoke run.
+# line ledger, the one-durable-writer check, the DES event-count, GCM
+# step call-count and service fork-count budgets, the tier-1 test suite,
+# an import check of every example, the fault/recovery and
+# cross-validation smokes, the regenerate-and-diff of benchmarks/out/
+# (virtual time), and the host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -44,6 +44,10 @@ python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 echo
 echo "== GCM step call budget (exact counts: a per-tile kernel or halo loop fails here, not by timing) =="
 python -m pytest -q -p no:cacheprovider tests/gcm/test_step_budget.py
+
+echo
+echo "== service spawn budget (exact counts: a fork per attempt fails here, not by timing) =="
+python -m pytest -q -p no:cacheprovider tests/service/test_spawn_budget.py
 
 echo
 echo "== tier-1 test suite =="
@@ -116,8 +120,16 @@ fi
 echo "benchmarks-regen: $(ls benchmarks/out | wc -l) artefacts byte-identical to the committed ones"
 
 echo
-echo "== chaos smoke (SIGKILL'd workers + service: nothing lost, bit-exact) =="
-python -m repro service --chaos --seed 0 --jobs 12 --workers 4 --max-wall 45
+echo "== chaos smoke (SIGKILL'd workers + service: nothing lost, bit-exact, no process left behind) =="
+chaos_dir="$(mktemp -d)"
+python -m repro service --chaos --seed 0 --jobs 12 --workers 4 --max-wall 45 --dir "$chaos_dir"
+# forked workers carry their service's command line
+if pgrep -af -- "--serve --dir $chaos_dir"; then
+  echo "chaos smoke: the processes above outlived the campaign" >&2
+  exit 1
+fi
+echo "chaos smoke: no service or worker process of the campaign is alive"
+rm -rf "$chaos_dir"
 
 echo
 echo "== host-time benchmark smoke (crossval band, bit-exact digests, no DeprecationWarning) =="

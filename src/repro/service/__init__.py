@@ -9,8 +9,9 @@ feature is its fault story, built on the robustness stack of PRs 1–4:
   CRC-framed, fsynced record in an append-only journal, replayed on
   startup; a SIGKILL'd service resumes with no lost or duplicated jobs.
 * **Supervised workers** (:mod:`~repro.service.supervisor`,
-  :mod:`~repro.service.worker`) — per-attempt forked processes with
-  work-loop heartbeats and wall-clock deadlines; wedged workers are
+  :mod:`~repro.service.worker`) — forked processes that run attempt
+  after attempt while each is clean (any failure retires the process),
+  with work-loop heartbeats and wall-clock deadlines; wedged workers are
   killed and their jobs rescheduled with capped exponential backoff +
   deterministic jitter; deterministic failures are quarantined with
   their traceback instead of poisoning the pool.

@@ -48,6 +48,12 @@ JOURNAL_NAME = "journal.bin"
 SPOOL_DIR = "spool"
 JOBS_DIR = "jobs"
 
+#: longest the serve loop sleeps between supervision passes (a worker's
+#: report or death, or a backoff fence coming due, ends the sleep early).
+POLL_INTERVAL_S = 0.02
+#: seconds between ``status.json`` refreshes.
+STATUS_INTERVAL_S = 0.25
+
 
 @dataclass
 class ServiceConfig:
@@ -55,10 +61,6 @@ class ServiceConfig:
 
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     degrade: DegradeConfig = field(default_factory=DegradeConfig)
-    #: seconds between supervision passes when there is work in flight.
-    poll_interval_s: float = 0.02
-    #: seconds between ``status.json`` refreshes.
-    status_interval_s: float = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +257,13 @@ class EnsembleService:
         return admitted
 
     def step(self, now: Optional[float] = None) -> List[dict]:
-        """One pass: ingest, shed, schedule, supervise."""
+        """One pass: supervise, ingest, shed, schedule, dismiss — reaping
+        first, so that a worker a clean attempt freed takes the next
+        ready job in the same pass, or is dismissed by its end."""
         if not self._started:
             self.startup()
         now = time.monotonic() if now is None else now
+        events = self.supervisor.poll(now)
         self.ingest_spool()
         shed_excess(self.queue, self.config.degrade, self.metrics)
         while self.supervisor.free_slots() > 0:
@@ -266,7 +271,8 @@ class EnsembleService:
             if state is None:
                 break
             self.supervisor.spawn(state)
-        return self.supervisor.poll(now)
+        self.supervisor.dismiss_idle()
+        return events
 
     def serve(
         self,
@@ -292,23 +298,22 @@ class EnsembleService:
                     for event in events:
                         on_event(event)
                 now = time.monotonic()
-                if now - last_status >= self.config.status_interval_s:
+                if now - last_status >= STATUS_INTERVAL_S:
                     self.metrics.write_status(self.root, self.queue)
                     last_status = now
                 if max_wall_s is not None and now - t0 > max_wall_s:
                     break
                 if (
                     drain
-                    and self.queue.jobs
                     and self.queue.all_terminal()
                     and not any(self.spool.glob("*.json"))
                 ):
                     break
-                if drain and not self.queue.jobs and not any(self.spool.glob("*.json")):
-                    time.sleep(self.config.poll_interval_s)
-                    if not any(self.spool.glob("*.json")):
-                        break
-                time.sleep(self.config.poll_interval_s)
+                timeout = POLL_INTERVAL_S
+                fence = self.queue.earliest_fence()
+                if fence is not None and fence > now:
+                    timeout = min(timeout, fence - now)
+                self.supervisor.wait(timeout)
         finally:
             self.supervisor.kill_all()
             summary = self.metrics.write_status(self.root, self.queue)

@@ -182,10 +182,6 @@ class JobQueue:
         """Every job currently PENDING (fenced or not)."""
         return [s for s in self.jobs.values() if s.status is JobStatus.PENDING]
 
-    def running(self) -> List[JobState]:
-        """Every job currently RUNNING."""
-        return [s for s in self.jobs.values() if s.status is JobStatus.RUNNING]
-
     def all_terminal(self) -> bool:
         """True once every submitted job reached a terminal status."""
         return all(s.terminal for s in self.jobs.values())

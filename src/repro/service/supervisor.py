@@ -1,8 +1,16 @@
 """Worker supervision: liveness, deadlines, retry/backoff, quarantine.
 
-The supervisor owns the worker pool.  Each job attempt runs in its own
-forked process (:func:`repro.service.worker.worker_main`); the
-supervisor journals the ``start``, then watches three failure channels:
+The supervisor owns the worker processes
+(:func:`repro.service.worker.worker_loop`).  One is **forked** when a
+job is ready and no freed worker is at hand, runs **attempts** for as
+long as each is clean and a job is ready in the pass that reaps it, and
+is then **dismissed** over its pipe; after any attempt that was not
+clean it is dead or SIGKILLed, never handed another.  There is no idle
+pool, and the serving parent imports none of the model stack the
+workers keep warm (docs/service.md has the sizing).
+
+The supervisor journals each attempt's ``start``, then watches for the
+worker's **report** of a clean attempt and three failure channels:
 
 * **exit** — the process died.  A valid ``result.json`` means success
   (even if the exit itself was messy); an ``error.json`` means a caught
@@ -32,22 +40,22 @@ instead of letting it poison the pool.
 from __future__ import annotations
 
 import multiprocessing
-import os
+import multiprocessing.connection
 import pathlib
-import signal
 import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .jobs import JobState
+from .metrics import ServiceMetrics
 from .queue import JobQueue
 from .worker import (
     HEARTBEAT_NAME,
     PID_NAME,
     read_error,
     read_result,
-    worker_main,
+    worker_loop,
 )
 
 
@@ -96,11 +104,13 @@ def backoff_delay(job_id: str, attempt: int, cfg: SupervisorConfig) -> float:
 
 @dataclass
 class WorkerHandle:
-    """One live attempt: the process plus its on-disk evidence trail."""
+    """One live attempt: the process, the supervisor's end of its pipe,
+    and the attempt's on-disk evidence trail."""
 
     job_id: str
     attempt: int
     process: multiprocessing.process.BaseProcess
+    conn: multiprocessing.connection.Connection
     job_dir: pathlib.Path
     started_mono: float
     kind: str = ""
@@ -136,20 +146,22 @@ class Supervisor:
         queue: JobQueue,
         jobs_root: pathlib.Path,
         config: Optional[SupervisorConfig] = None,
-        metrics=None,
+        metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         self.queue = queue
         self.jobs_root = pathlib.Path(jobs_root)
         self.config = config or SupervisorConfig()
-        self.metrics = metrics
+        self.metrics = metrics or ServiceMetrics()
         self.running: Dict[str, WorkerHandle] = {}
+        #: Handles reaped clean in this pass: each one's process waits
+        #: on its pipe for :meth:`spawn` or :meth:`dismiss_idle`.
+        self.idle: List[WorkerHandle] = []
         #: Completed-attempt runtimes per job kind (adaptive deadlines).
         self.runtimes: Dict[str, List[float]] = {}
         #: Slow-but-alive requeues already granted per job id.
         self.slow_requeues: Dict[str, int] = {}
-        # fork keeps worker startup at milliseconds (the service already
-        # has numpy and the model code paged in); fall back where the
-        # platform has no fork.
+        # fork: a worker starts with what the service has imported and
+        # imports the model stack itself; fall back where there is no fork.
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -166,31 +178,53 @@ class Supervisor:
         return self.jobs_root / job_id
 
     def spawn(self, state: JobState) -> WorkerHandle:
-        """Start the next attempt of ``state`` in a fresh process."""
+        """Start the next attempt of ``state``: in a worker this pass
+        freed if there is one, else in a fresh fork."""
         job_id = state.job_id
         attempt = state.attempts + 1
         job_dir = self.job_dir(job_id)
         job_dir.mkdir(parents=True, exist_ok=True)
         self.queue.mark_started(job_id, attempt)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(state.spec.to_dict(), str(job_dir), attempt),
-            name=f"repro-worker-{job_id}-a{attempt}",
-        )
-        process.start()
+        attempt_args = (state.spec.to_dict(), str(job_dir), attempt)
+        if self.idle:
+            freed = self.idle.pop()
+            process, conn = freed.process, freed.conn
+            conn.send(attempt_args)
+        else:
+            conn, worker_conn = self._ctx.Pipe()
+            # daemon: an interpreter exiting without kill_all() ends its
+            # workers instead of joining them forever
+            process = self._ctx.Process(
+                target=worker_loop, args=(worker_conn, attempt_args), daemon=True
+            )
+            process.start()
+            worker_conn.close()
+            self.metrics.count("workers_spawned")
         (job_dir / PID_NAME).write_text(str(process.pid))
         handle = WorkerHandle(
             job_id=job_id,
             attempt=attempt,
             process=process,
+            conn=conn,
             job_dir=job_dir,
             started_mono=time.monotonic(),
             kind=state.spec.kind,
         )
         self.running[job_id] = handle
-        if self.metrics is not None:
-            self.metrics.count("workers_spawned")
         return handle
+
+    def dismiss_idle(self) -> None:
+        """Tell every freed worker that was not reused to exit, and
+        collect it — a message, not a closed pipe: forked siblings hold
+        copies of this end, so closing it delivers no EOF."""
+        for freed in self.idle:
+            try:
+                freed.conn.send(None)
+            except OSError:
+                pass  # already gone
+            freed.process.join(timeout=5.0)
+            self._retire(freed)
+        self.idle.clear()
 
     # -- adaptive deadlines ----------------------------------------------
 
@@ -231,7 +265,7 @@ class Supervisor:
         now = time.monotonic() if now is None else now
         events: List[dict] = []
         for handle in list(self.running.values()):
-            if not handle.process.is_alive():
+            if handle.conn.poll() or not handle.process.is_alive():
                 events.append(self._reap(handle))
                 continue
             if handle.heartbeat_age(now) > self.config.heartbeat_timeout_s:
@@ -254,22 +288,51 @@ class Supervisor:
                 events.append(self._kill(handle, "deadline exceeded"))
         return events
 
+    def wait(self, timeout: float) -> None:
+        """Sleep until a worker reports, one dies, or ``timeout`` passes."""
+        live = self.running.values()
+        multiprocessing.connection.wait(
+            [h.conn for h in live] + [h.process.sentinel for h in live], timeout
+        )
+
+    @staticmethod
+    def _retire(handle: WorkerHandle) -> None:
+        """End the handle's process for good (a no-op on a dead one)."""
+        handle.process.kill()
+        handle.process.join(timeout=5.0)
+        handle.conn.close()
+
+    def _settle(self, handle: WorkerHandle, kill: bool) -> Optional[dict]:
+        """Take a finished attempt off the books; returns its
+        ``completed`` event if it left a valid result, else None.
+
+        The process is kept only if it reported a clean attempt and the
+        result bears that out.  Otherwise — it died, raised, or is to be
+        killed — it is SIGKILLed and collected *before* the result is
+        read: a worker may cross the line while we aim, and a valid
+        result wins over whatever ended the attempt.
+        """
+        try:
+            reported = not kill and handle.conn.poll() and handle.conn.recv()
+        except (EOFError, OSError):  # the pipe's other end died with it
+            reported = False
+        if not reported:
+            self._retire(handle)
+        self.running.pop(handle.job_id, None)
+        (handle.job_dir / PID_NAME).unlink(missing_ok=True)
+        result = read_result(handle.job_dir, handle.job_id)
+        if result is None:
+            self._retire(handle)
+            return None
+        if reported and handle.process.is_alive():
+            self.idle.append(handle)
+        return self._complete(handle, result)
+
     def _requeue_slow(self, handle: WorkerHandle, deadline: float) -> dict:
         """Kill a slow-but-alive attempt and re-pend the job."""
-        try:
-            os.kill(handle.process.pid, signal.SIGKILL)
-        except (OSError, TypeError):
-            pass
-        handle.process.join(timeout=5.0)
-        self.running.pop(handle.job_id, None)
-        pid_file = handle.job_dir / PID_NAME
-        if pid_file.exists():
-            pid_file.unlink()
-        # The worker may have crossed the line while we aimed: a valid
-        # result wins over the requeue.
-        result = read_result(handle.job_dir, handle.job_id)
-        if result is not None:
-            return self._complete(handle, result)
+        event = self._settle(handle, kill=True)
+        if event is not None:
+            return event
         self.slow_requeues[handle.job_id] = (
             self.slow_requeues.get(handle.job_id, 0) + 1
         )
@@ -278,8 +341,7 @@ class Supervisor:
             f"{deadline:.3g}s deadline for kind {handle.kind!r}"
         )
         self.queue.mark_requeued(handle.job_id, reason)
-        if self.metrics is not None:
-            self.metrics.count("slow_requeues")
+        self.metrics.count("slow_requeues")
         return {
             "event": "slow_requeue",
             "job_id": handle.job_id,
@@ -288,27 +350,14 @@ class Supervisor:
         }
 
     def _kill(self, handle: WorkerHandle, why: str) -> dict:
-        try:
-            os.kill(handle.process.pid, signal.SIGKILL)
-        except (OSError, TypeError):
-            pass
-        handle.process.join(timeout=5.0)
-        if self.metrics is not None:
-            self.metrics.count("worker_kills")
+        self.metrics.count("worker_kills")
         return self._reap(handle, killed_because=why)
 
     def _reap(self, handle: WorkerHandle, killed_because: Optional[str] = None) -> dict:
         """Classify a finished attempt and journal the outcome."""
-        handle.process.join(timeout=5.0)
-        self.running.pop(handle.job_id, None)
-        pid_file = handle.job_dir / PID_NAME
-        if pid_file.exists():
-            pid_file.unlink()
-
-        result = read_result(handle.job_dir, handle.job_id)
-        if result is not None:
-            return self._complete(handle, result)
-
+        event = self._settle(handle, kill=killed_because is not None)
+        if event is not None:
+            return event
         error = read_error(handle.job_dir)
         if killed_because is not None:
             reason = killed_because
@@ -332,8 +381,7 @@ class Supervisor:
             handle.kind, time.monotonic() - handle.started_mono
         )
         self.slow_requeues.pop(handle.job_id, None)
-        if self.metrics is not None:
-            self.metrics.count("completed")
+        self.metrics.count("completed")
         return {"event": "completed", "job_id": handle.job_id}
 
     def _retry_or_quarantine(
@@ -346,13 +394,11 @@ class Supervisor:
                 f"failed {attempt} attempts; last: {reason}",
                 traceback=(error or {}).get("traceback"),
             )
-            if self.metrics is not None:
-                self.metrics.count("quarantined")
+            self.metrics.count("quarantined")
             return {"event": "quarantined", "job_id": job_id, "reason": reason}
         delay = backoff_delay(job_id, attempt, self.config)
         self.queue.mark_failed(job_id, attempt, reason, time.monotonic() + delay)
-        if self.metrics is not None:
-            self.metrics.count("retries")
+        self.metrics.count("retries")
         return {
             "event": "retry",
             "job_id": job_id,
@@ -364,11 +410,9 @@ class Supervisor:
     # -- teardown --------------------------------------------------------
 
     def kill_all(self) -> None:
-        """SIGKILL every live worker (service shutdown path)."""
-        for handle in list(self.running.values()):
-            try:
-                os.kill(handle.process.pid, signal.SIGKILL)
-            except (OSError, TypeError):
-                pass
-            handle.process.join(timeout=5.0)
+        """SIGKILL and collect every worker process, running or freed
+        (service shutdown path)."""
+        for handle in [*self.running.values(), *self.idle]:
+            self._retire(handle)
         self.running.clear()
+        self.idle.clear()

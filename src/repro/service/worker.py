@@ -1,13 +1,19 @@
 """Worker-side job execution (runs in a forked worker process).
 
-A worker runs exactly one job attempt and leaves its whole story on
-disk, so the supervisor can reconstruct what happened even if either
-side is SIGKILL'd:
+A worker process (:func:`worker_loop`) runs job attempts one after
+another, for as long as each is clean and the supervisor has a next one
+for it, so the model stack (54 ``repro.*`` modules, ~120 ms) is imported
+once per process and not once per ~30 ms job.  An attempt that raises
+ends the process.  Serial jobs share an address space and warm module
+caches, and nothing a job computes may depend on that; every attempt
+leaves its whole story on disk, so the supervisor can reconstruct what
+happened even if either side is SIGKILL'd:
 
-* ``heartbeat`` — touched between model steps; the supervisor declares
-  a worker wedged when the file goes stale past the liveness timeout
-  (the beat comes from the *work loop*, not a side thread, so a worker
-  stuck in compute genuinely reads as wedged);
+* ``heartbeat`` — created when the attempt starts, its mtime touched
+  between model steps; the supervisor declares a worker wedged when it
+  goes stale past the liveness timeout (the beat comes from the *work
+  loop*, not a side thread, so a worker stuck in compute genuinely
+  reads as wedged);
 * ``ckpt/`` — a :class:`~repro.recover.CoordinatedCheckpointStore` of
   CRC'd shards written every ``checkpoint_every`` steps; a killed
   attempt resumes from the latest committed shard set instead of
@@ -21,13 +27,16 @@ side is SIGKILL'd:
 
 Determinism contract: for every kind, the result digest depends only on
 the :class:`~repro.service.jobs.JobSpec` — never on the attempt number,
-resume point or timing — except ``flaky``, which *deliberately* fails
-its first ``fails_before`` attempts to exercise the retry path.
+resume point, timing or what the process ran before — except ``flaky``,
+which *deliberately* fails its first ``fails_before`` attempts to
+exercise the retry path.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import pathlib
 import time
 import traceback
@@ -43,11 +52,9 @@ ERROR_NAME = "error.json"
 PID_NAME = "worker.pid"
 CKPT_DIR_NAME = "ckpt"
 
-
-def _beat(job_dir: Optional[pathlib.Path]) -> None:
-    if job_dir is not None:
-        with open(job_dir / HEARTBEAT_NAME, "w") as fh:
-            fh.write(repr(time.time()))
+#: how often a worker waiting for its next attempt checks that the
+#: service is still its parent.
+ORPHAN_CHECK_S = 0.25
 
 
 def _spec_digest(spec: JobSpec) -> str:
@@ -234,8 +241,13 @@ def execute_job(
     the reference digests a chaotic run must reproduce bit-exactly.
     """
 
+    heartbeat = None if job_dir is None else job_dir / HEARTBEAT_NAME
+    if heartbeat is not None:
+        heartbeat.touch()
+
     def beat() -> None:
-        _beat(job_dir)
+        if heartbeat is not None:
+            os.utime(heartbeat)
 
     if spec.kind == "ocean":
         result = _run_ocean(spec, job_dir, beat)
@@ -259,18 +271,12 @@ def execute_job(
     return result
 
 
-def worker_main(spec_dict: dict, job_dir: str, attempt: int) -> None:
-    """Entry point of a forked worker process.
-
-    Exit code 0 with ``result.json`` present means success; anything
-    else (nonzero exit, SIGKILL, missing result) reads as a failed
-    attempt.  The captured traceback lands in ``error.json`` so a
-    quarantine can record *why* the job keeps dying.
-    """
+def run_attempt(spec_dict: dict, job_dir: str, attempt: int) -> None:
+    """One job attempt: leaves ``result.json``, or ``error.json`` with
+    the traceback (so a quarantine can record *why* the job keeps dying)
+    and ends the process with exit code 1."""
     spec = JobSpec.from_dict(spec_dict)
     directory = pathlib.Path(job_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    _beat(directory)
     try:
         result = execute_job(spec, directory, attempt)
     except BaseException as exc:  # captured for the quarantine record
@@ -285,8 +291,28 @@ def worker_main(spec_dict: dict, job_dir: str, attempt: int) -> None:
             },
         )
         raise SystemExit(1) from None
-    result["elapsed_note"] = "wall-clock lives in the service metrics"
     write_json_atomic(directory / RESULT_NAME, result)
+
+
+def worker_loop(conn, attempt_args: Optional[tuple]) -> None:
+    """Entry point of a worker process: run attempts until dismissed.
+
+    After each clean attempt, report on ``conn`` and wait for the next
+    ``(spec_dict, job_dir, attempt)`` or ``None``.  The pipe cannot say
+    that the service died (forked siblings hold copies of its end, so
+    EOF never arrives); the parent pid can.
+    """
+    service_pid = multiprocessing.parent_process().pid
+    while attempt_args is not None:
+        run_attempt(*attempt_args)
+        try:
+            conn.send(True)
+            while not conn.poll(ORPHAN_CHECK_S):
+                if os.getppid() != service_pid:
+                    return
+            attempt_args = conn.recv()
+        except (EOFError, OSError):
+            return  # nobody holds the other end any more
 
 
 def read_result(job_dir: pathlib.Path, job_id: str) -> Optional[dict]:

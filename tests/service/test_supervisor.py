@@ -31,18 +31,20 @@ def make_supervisor(tmp_path, **cfg_kw):
 
 
 def drive(supervisor, queue, job_id, timeout_s=30.0):
-    """Spawn/poll until the job is terminal; returns the final state."""
+    """Supervision passes in the service's order (poll, schedule,
+    dismiss) until the job is terminal; returns the final state."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
+        supervisor.poll()
         state = queue.jobs[job_id]
-        if state.terminal:
-            return state
         if state.status is JobStatus.PENDING and supervisor.free_slots():
             ready = queue.next_ready()
             if ready is not None and ready.job_id == job_id:
                 supervisor.spawn(ready)
-        supervisor.poll()
-        time.sleep(0.02)
+        supervisor.dismiss_idle()
+        if state.terminal:
+            return state
+        supervisor.wait(0.02)
     raise AssertionError(f"{job_id} not terminal within {timeout_s}s")
 
 
