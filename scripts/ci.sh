@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
 # line ledger, the one-durable-writer check, the DES event-count, GCM
-# step call-count and service fork-count budgets, the tier-1 test suite,
+# step call-count, service fork-count and cold-quote call-count budgets,
+# the tier-1 test suite,
 # an import check of every example, the fault/recovery and
 # cross-validation smokes, the regenerate-and-diff of benchmarks/out/
 # (virtual time), and the host-time benchmark's smoke run.
@@ -48,6 +49,10 @@ python -m pytest -q -p no:cacheprovider tests/gcm/test_step_budget.py
 echo
 echo "== service spawn budget (exact counts: a fork per attempt fails here, not by timing) =="
 python -m pytest -q -p no:cacheprovider tests/service/test_spawn_budget.py
+
+echo
+echo "== cold quote budget (exact counts: a per-Send pricing loop or a per-tuner schedule rebuild fails here, not by timing) =="
+python -m pytest -q -p no:cacheprovider tests/collectives/test_quote_budget.py
 
 echo
 echo "== tier-1 test suite =="

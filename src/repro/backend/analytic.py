@@ -71,10 +71,9 @@ class AnalyticBackend(CommBackend):
         key = (n_nodes, nbytes)
         t = self._large_gsum.get(key)
         if t is None:
-            from repro.collectives.cost import schedule_cost
-            from repro.collectives.schedules import allreduce_butterfly
+            from repro.collectives import build, schedule_cost
 
-            t = schedule_cost(allreduce_butterfly(n_nodes, nbytes), self.model)
+            t = schedule_cost(build("allreduce", "butterfly", n_nodes, nbytes), self.model)
             self._large_gsum[key] = t
         return t
 

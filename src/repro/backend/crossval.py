@@ -142,7 +142,7 @@ def crossval_fig09(windows: int = 2) -> tuple[List[Check], Dict[str, str]]:
     bit-exactness assertion).
     """
     from repro.gcm.coupled import coupled_model
-    from repro.service.jobs import model_digest
+    from repro.gcm.state import model_digest
 
     summaries: Dict[str, dict] = {}
     digests: Dict[str, str] = {}

@@ -78,11 +78,10 @@ class DESBackend(CommBackend):
         """Measured N-way butterfly global sum over the fabric (cached)."""
         t = self._gsum.get(n_nodes)
         if t is None:
-            from repro.collectives.des_exec import des_time_schedule
-            from repro.collectives.schedules import allreduce_butterfly
+            from repro.collectives import build, des_time_schedule
 
             cluster = self._cluster(n_nodes)
-            t = des_time_schedule(cluster, allreduce_butterfly(n_nodes, 8))
+            t = des_time_schedule(cluster, build("allreduce", "butterfly", n_nodes, 8))
             self.events += cluster.engine.events_executed
             self._gsum[n_nodes] = t
         return t

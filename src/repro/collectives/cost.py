@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.logp import analytic_logp
 from repro.network.costmodel import CommCostModel, arctic_cost_model
-from repro.network.overheads import (
-    GSUM_SW_COST,
-    MIN_WIRE_BYTES,
-    SMALL_MSG_MAX_BYTES,
-)
+from repro.network.overheads import GSUM_SW_COST, SMALL_MSG_MAX_BYTES
 from repro.niu.startx import PIO_COST_MODEL
 
 from .schedules import Schedule, build, candidates
@@ -73,48 +71,51 @@ def schedule_cost(
             f"{topology.n_endpoints} endpoints"
         )
     pio = topology.pio_small_messages if topology is not None else True
-    clocks = [0.0] * n
-    for rnd in schedule.rounds:
-        cur = list(clocks)
-        sent: Dict[int, float] = {}
-        for j, s in enumerate(rnd):
-            b = max(s.nbytes, MIN_WIRE_BYTES)
-            if pio and b <= SMALL_MSG_MAX_BYTES:
-                cur[s.src] += PIO_COST_MODEL.os_time(b)
-            else:
-                cur[s.src] += model.transfer_overhead + b / model.bandwidth
-            sent[j] = cur[s.src]
-        for j, s in enumerate(rnd):
-            b = max(s.nbytes, MIN_WIRE_BYTES)
-            if topology is None:
-                wire_latency = analytic_logp(b).latency
-            else:
-                wire_latency = (
-                    topology.hop_distance(s.src, s.dst) * topology.stage_latency
-                    + (b + 8) / topology.link_bandwidth
-                )
-            if pio and b <= SMALL_MSG_MAX_BYTES:
-                # PIO: one poll-loop pass overlaps the wait for the
-                # packet (sender's store + fabric transit), then the
-                # mmap reads drain it — exactly the DES inner loop
-                arrive = sent[j] + wire_latency
-                cur[s.dst] = (
-                    max(cur[s.dst] + GSUM_SW_COST, arrive)
-                    + PIO_COST_MODEL.or_time(b)
-                )
-            else:
-                # VI: the receiver's PCI pull serializes behind its own
-                # traffic and cannot start before the DMA has landed
-                arrive = sent[j] if topology is None else sent[j] + wire_latency
-                cur[s.dst] = (
-                    max(cur[s.dst], arrive)
-                    + model.transfer_overhead
-                    + b / model.bandwidth
-                )
-        clocks = cur
+    col = schedule.columns
+    to, bw = model.transfer_overhead, model.bandwidth
+    # per distinct byte count, from the scalar functions the DES charges:
+    # send cost, wire latency, then the three operands of a receive,
+    # (max(own + poll, arrive) + drain) + drain_bw
+    rows = []
+    for b in col.sizes.tolist():
+        small = pio and b <= SMALL_MSG_MAX_BYTES
+        if topology is not None:
+            latency = (b + 8) / topology.link_bandwidth
+        else:  # the legacy VI arrival is the sender's completion itself
+            latency = analytic_logp(b).latency if small else 0.0
+        if small:
+            # PIO: one poll-loop pass overlaps the wait for the packet
+            # (sender's store + fabric transit), then the mmap reads
+            # drain it — exactly the DES inner loop
+            rows.append((PIO_COST_MODEL.os_time(b), latency, GSUM_SW_COST,
+                         PIO_COST_MODEL.or_time(b), 0.0))
+        else:
+            # VI: the receiver's PCI pull serializes behind its own
+            # traffic and cannot start before the DMA has landed
+            rows.append((to + b / bw, latency, 0.0, to, b / bw))
+    table = np.array(rows).reshape(-1, 5).T
+    if topology is not None:
+        hop_latency = topology.stage_latency * np.array(
+            [topology.hop_distance(s, d) for s, d in zip(*col.pairs.T.tolist())], dtype=float
+        )
+    clocks = np.zeros(n)
+    bounds = col.bounds.tolist()
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        send, latency, poll, drain, drain_bw = table[:, col.size_of[lo:hi]]
+        if topology is not None:
+            latency = hop_latency[col.pair_of[lo:hi]] + latency
+        src, dst = col.src[lo:hi], col.dst[lo:hi]
+        sent = np.empty(hi - lo)
+        for w in col.send_waves[r]:  # the k-th send of every source at once
+            clocks[src[w]] += send[w]
+            sent[w] = clocks[src[w]]
+        for w in col.recv_waves[r]:  # the k-th receive of every destination
+            clocks[dst[w]] = (
+                np.maximum(clocks[dst[w]] + poll[w], sent[w] + latency[w]) + drain[w]
+            ) + drain_bw[w]
     if per_rank:
-        return clocks
-    return max(clocks) if clocks else 0.0
+        return clocks.tolist()
+    return float(clocks.max()) if n else 0.0
 
 
 def cost_table(

@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from repro.network.overheads import MIN_WIRE_BYTES
 from repro.parallel.globalsum import largest_pow2_below
@@ -82,7 +85,7 @@ def chunk_range_nbytes(nbytes: int, n_chunks: int, lo: int, hi: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     """One directed message: ``src`` ships ``items`` (``nbytes`` on the
     wire) to ``dst`` within its round."""
@@ -91,6 +94,43 @@ class Send:
     dst: int
     nbytes: int
     items: Tuple[Item, ...] = ()
+
+
+class Columns(NamedTuple):
+    """A schedule's sends as read-only index arrays in schedule order
+    (round ``r`` is ``bounds[r]:bounds[r + 1]``): an edge list with
+    everything derivable from the schedule alone built once."""
+
+    bounds: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    nbytes: np.ndarray
+    #: distinct wire byte counts (floored at ``MIN_WIRE_BYTES``) and
+    #: distinct ``(src, dst)`` pairs (shape ``(P, 2)``), each with every
+    #: send's index into them.
+    sizes: np.ndarray
+    size_of: np.ndarray
+    pairs: np.ndarray
+    pair_of: np.ndarray
+    #: ``send_waves[r][k]`` indexes, within round ``r``, the sends that
+    #: are the k-th (in schedule order) from their source, ``recv_waves``
+    #: the k-th to their destination: within a wave no rank repeats.
+    send_waves: Tuple[tuple, ...]
+    recv_waves: Tuple[tuple, ...]
+
+
+def _waves(rank: np.ndarray, bounds: List[int]) -> Tuple[tuple, ...]:
+    """Per round, peel off the first remaining message of every rank
+    until none is left; a round where no rank repeats is one slice."""
+    waves = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        left, peeled = np.arange(hi - lo), []
+        while len(left):
+            first = np.unique(rank[lo:hi][left], return_index=True)[1]
+            peeled.append(left[first])
+            left = np.delete(left, first)
+        waves.append(tuple(peeled) if len(peeled) != 1 else (slice(None),))
+    return tuple(waves)
 
 
 @dataclass(frozen=True)
@@ -119,6 +159,25 @@ class Schedule:
     @property
     def n_rounds(self) -> int:
         return len(self.rounds)
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The columnar view of the rounds, built on first use."""
+        edges = np.cumsum([0] + [len(rnd) for rnd in self.rounds]).tolist()
+        src, dst, nbytes = np.fromiter(
+            (x for rnd in self.rounds for s in rnd for x in (s.src, s.dst, s.nbytes)),
+            dtype=np.intp, count=3 * edges[-1],
+        ).reshape(-1, 3).T.copy()
+        sizes, size_of = np.unique(np.maximum(nbytes, MIN_WIRE_BYTES), return_inverse=True)
+        pair, pair_of = np.unique(src * self.n + dst, return_inverse=True)
+        col = Columns(
+            np.array(edges), src, dst, nbytes, sizes, size_of,
+            np.stack(np.divmod(pair, self.n), axis=1), pair_of,
+            _waves(src, edges), _waves(dst, edges),
+        )
+        for a in col[:8]:
+            a.setflags(write=False)
+        return col
 
     @property
     def total_messages(self) -> int:
@@ -677,7 +736,14 @@ def candidates(op: str, n: int) -> Mapping[str, Callable[[int, int], Schedule]]:
 
 
 def build(op: str, algorithm: str, n: int, nbytes: int) -> Schedule:
-    """Build one named schedule (raises for unknown names / bad n)."""
+    """One named schedule (raises for unknown names / bad n), shared by
+    every consumer through a memo keyed on all the builders read."""
+    return _build(op, algorithm, n, int(nbytes), ITEMS_EXACT_MAX_N)
+
+
+# one sweep point's candidates (unbounded: +40 MB on a default scoreboard)
+@lru_cache(maxsize=4)
+def _build(op: str, algorithm: str, n: int, nbytes: int, exact_max_n: int) -> Schedule:
     try:
         fn = BUILDERS[op][algorithm]
     except KeyError:

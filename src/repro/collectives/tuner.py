@@ -24,7 +24,7 @@ from repro.network.costmodel import CommCostModel, arctic_cost_model
 from repro.network.packet import Priority
 
 from .cost import schedule_cost
-from .schedules import OPS, Schedule, candidates
+from .schedules import OPS, Schedule, build, candidates
 
 PriorityLike = Union[Priority, str]
 
@@ -117,20 +117,15 @@ class Autotuner:
             self.hits += 1
             return hit
         self.misses += 1
-        builders = dict(candidates(op, n))
+        names = list(candidates(op, n))
         if n > DENSE_SCHEDULE_MAX_N:
             # Ring/Bruck schedules carry O(N^2) total messages — at
             # N=4096 that is ~16M Send objects to even *build*.  They
             # never win above a few hundred ranks, so drop them unless
             # nothing else applies.
-            slim = {
-                name: fn
-                for name, fn in builders.items()
-                if name not in QUADRATIC_ALGORITHMS
-            }
-            if slim:
-                builders = slim
-        schedules = {name: fn(n, int(nbytes)) for name, fn in builders.items()}
+            names = [a for a in names if a not in QUADRATIC_ALGORITHMS] or names
+        # shared with every other tuner through build()'s bounded memo
+        schedules = {name: build(op, name, n, nbytes) for name in names}
         costs = {
             name: schedule_cost(sch, self.model, topology=self.topology)
             for name, sch in schedules.items()

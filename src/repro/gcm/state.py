@@ -10,6 +10,7 @@ extrapolation (Fig. 6: time levels n, n-1).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -107,3 +108,21 @@ class ModelState:
         vol = decomp.global_view(self.grid.cell_volumes(slice(None)))
         den = float(np.sum(vol))
         return float(np.sum(decomp.global_view(self[name]) * vol)) / den if den else 0.0
+
+
+def model_digest(model) -> str:
+    """Bit-exact digest of a model's complete prognostic state.
+
+    CRC-32 over every global field's bytes plus the step bookkeeping —
+    two runs agree on the digest iff their states are bitwise identical,
+    the service's completion contract under chaos and the cross-validation
+    gate's bit-exactness assertion.
+    """
+    crc = 0
+    for name in FIELDS_3D + FIELDS_2D:
+        arr = np.ascontiguousarray(model.state.to_global(name))
+        crc = zlib.crc32(name.encode(), crc)
+        crc = zlib.crc32(arr.tobytes(), crc)
+    crc = zlib.crc32(repr(model.state.time).encode(), crc)
+    crc = zlib.crc32(repr(model.state.step_count).encode(), crc)
+    return f"{crc & 0xFFFFFFFF:08x}"

@@ -16,11 +16,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-import numpy as np
 
 #: Job kinds the worker can execute (see :mod:`repro.service.worker`).
 JOB_KINDS = (
@@ -139,19 +136,8 @@ class JobState:
 
 
 def model_digest(model) -> str:
-    """Bit-exact digest of a model's complete prognostic state.
+    """:func:`repro.gcm.state.model_digest`, imported on first call:
+    loading the service must not load the model stack."""
+    from repro.gcm.state import model_digest as digest
 
-    CRC-32 over every global field's bytes plus the step bookkeeping —
-    two runs agree on the digest iff their states are bitwise identical,
-    which is the service's completion contract under chaos.
-    """
-    from repro.gcm.state import FIELDS_2D, FIELDS_3D
-
-    crc = 0
-    for name in FIELDS_3D + FIELDS_2D:
-        arr = np.ascontiguousarray(model.state.to_global(name))
-        crc = zlib.crc32(name.encode(), crc)
-        crc = zlib.crc32(arr.tobytes(), crc)
-    crc = zlib.crc32(repr(model.state.time).encode(), crc)
-    crc = zlib.crc32(repr(model.state.step_count).encode(), crc)
-    return f"{crc & 0xFFFFFFFF:08x}"
+    return digest(model)

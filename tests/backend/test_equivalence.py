@@ -7,11 +7,14 @@ band of DES, and the hybrid tier must actually switch to DES fidelity
 for faulted windows.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.backend import DESBackend, HybridBackend, run_crossval
 from repro.gcm.coupled import coupled_model
-from repro.service.jobs import model_digest
+from repro.gcm.state import model_digest
 
 #: A reduced coupled configuration: big enough to exercise both solvers
 #: and the coupler, small enough to run three tiers in a few seconds.
@@ -74,6 +77,29 @@ class TestTimingBand:
         assert report["passed"], report
         assert report["bit_exact"]
         assert report["max_rel_err"] <= report["tolerance"]
+
+    def test_the_gate_loads_no_service_module(self):
+        """The digest lives with the state it hashes: a quoting process
+        does not import the ensemble service (and ``multiprocessing``)
+        to reach a CRC helper."""
+        code = (
+            "import sys; from repro.backend import run_crossval; "
+            "assert run_crossval(windows=1)['passed']; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
+
+    def test_the_service_still_exports_the_digest(self, tier_runs):
+        import repro.service
+        from repro.service.jobs import model_digest as service_digest
+
+        model = tier_runs["analytic"].ocean
+        assert repro.service.model_digest is service_digest
+        assert service_digest(model) == model_digest(model)
 
     def test_reports_are_pure_functions_of_their_inputs(self):
         """No timer rides along: two consecutive calls return ``==``

@@ -161,3 +161,46 @@ def test_tuner_drops_quadratic_algorithms_at_large_n():
     large = tuner.plan("allreduce", 2 * DENSE_SCHEDULE_MAX_N, 8)
     assert not (QUADRATIC_ALGORITHMS & set(large.costs))
     assert large.algorithm in large.costs
+
+
+class TestBuildMemo:
+    """``build()`` shares frozen schedules through a small bounded memo."""
+
+    def test_equal_arguments_return_the_same_object(self):
+        first = build("allreduce", "tree", 16, 8)
+        assert build("allreduce", "tree", 16, 8) is first
+        assert build("allreduce", "tree", 16, 16) is not first
+
+    def test_a_changed_elision_threshold_is_a_different_schedule(self, monkeypatch):
+        import repro.collectives.schedules as schedules
+
+        exact = build("allreduce", "ring", 8, 64)
+        monkeypatch.setattr(schedules, "ITEMS_EXACT_MAX_N", 7)
+        elided = build("allreduce", "ring", 8, 64)
+        assert elided is not exact
+        assert elided.items_elided and not exact.items_elided
+
+    def test_the_memo_never_exceeds_its_bound(self):
+        from repro.collectives.schedules import _build
+
+        bound = _build.cache_info().maxsize
+        assert bound is not None and bound <= 8
+        for n in range(2, 2 + 3 * bound):
+            build("barrier", "dissemination", n, 8)
+            assert _build.cache_info().currsize <= bound
+
+    def test_a_memoised_schedule_cannot_be_mutated(self):
+        import dataclasses
+
+        import numpy as np
+
+        sch = build("allreduce", "butterfly", 8, 8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sch.n = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sch.rounds[0][0].nbytes = 9
+        arrays = [a for a in sch.columns if isinstance(a, np.ndarray)]
+        assert len(arrays) == 8
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
