@@ -39,7 +39,7 @@ fi
 echo "durable-writes: clean"
 
 echo
-echo "== DES event budget (exact counts: a per-hop relay fails here, not by timing) =="
+echo "== DES event budget (exact counts: a per-hop relay or an unconditional tail-off event fails here, not by timing; plus the engine clock invariants) =="
 python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 
 echo

@@ -83,6 +83,20 @@ def _trace_done(schedule: Schedule, t0: float, t1: float, mode: str):
         )
 
 
+def _by_rank(schedule: Schedule) -> List[Tuple[Dict[int, list], Dict[int, list]]]:
+    """Per round, ``({src: its sends}, {dst: its receives})`` in schedule
+    order: one pass, where a scan per rank is quadratic in the ranks."""
+    rounds = []
+    for rnd in schedule.rounds:
+        posts: Dict[int, list] = {}
+        awaits: Dict[int, list] = {}
+        for s in rnd:
+            posts.setdefault(s.src, []).append(s)
+            awaits.setdefault(s.dst, []).append(s)
+        rounds.append((posts, awaits))
+    return rounds
+
+
 def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
     """Execute a schedule's raw traffic on the DES cluster.
 
@@ -101,11 +115,9 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
 
     def rank_proc(me: int):
         niu = cluster.niu(me)
-        for i, _rnd in enumerate(schedule.rounds):
+        for i, (posts, awaits) in enumerate(by_rank):
             t0 = eng.now
-            sends = schedule.sends_from(i, me)
-            recvs = schedule.incoming(i, me)
-            for s in sends:
+            for s in posts.get(me, ()):
                 if max(s.nbytes, 8) <= SMALL_MSG_MAX_BYTES:
                     yield from niu.pio_send(
                         s.dst,
@@ -115,7 +127,7 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
                     )
                 else:
                     yield from niu.vi_send(s.dst, s.nbytes, xid=(me << 12) | i)
-            for s in recvs:
+            for s in awaits.get(me, ()):
                 if max(s.nbytes, 8) <= SMALL_MSG_MAX_BYTES:
                     want = (_PIO_TAG_BASE | i, s.src)
                     while want not in pio_stash[me]:
@@ -136,6 +148,7 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
             _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
         done_times[me] = eng.now
 
+    by_rank = _by_rank(schedule)
     start = eng.now
     uses_vi = any(
         s.nbytes > SMALL_MSG_MAX_BYTES for rnd in schedule.rounds for s in rnd
@@ -184,16 +197,16 @@ def des_run_schedule(
 
     def rank_proc(me: int):
         rniu = rnius[me]
-        for i, _rnd in enumerate(schedule.rounds):
+        for i, (posts, awaits) in enumerate(by_rank):
             t0 = eng.now
-            for s in schedule.sends_from(i, me):
+            for s in posts.get(me, ()):
                 yield from rniu.send(
                     s.dst,
                     tag=(me << 8) | i,
                     data=stores[me].serialize(s.items),
                     channel=cid,
                 )
-            for s in schedule.incoming(i, me):
+            for s in awaits.get(me, ()):
                 want = (s.src << 8) | i
                 # only this rank consumes its node's channel, so it can
                 # drain directly, stashing messages for later rounds
@@ -204,6 +217,7 @@ def des_run_schedule(
             _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
         done_times[me] = eng.now
 
+    by_rank = _by_rank(schedule)
     start = eng.now
     for r in range(n):
         eng.process(rank_proc(r), name=f"coll-data-{schedule.algorithm}[rank{r}]")

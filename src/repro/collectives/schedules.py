@@ -187,14 +187,6 @@ class Schedule:
     def total_bytes(self) -> int:
         return sum(max(s.nbytes, MIN_WIRE_BYTES) for r in self.rounds for s in r)
 
-    def sends_from(self, round_i: int, rank: int) -> List[Send]:
-        """The messages ``rank`` posts in round ``round_i``."""
-        return [s for s in self.rounds[round_i] if s.src == rank]
-
-    def incoming(self, round_i: int, rank: int) -> List[Send]:
-        """The messages ``rank`` awaits in round ``round_i``."""
-        return [s for s in self.rounds[round_i] if s.dst == rank]
-
     # ---- validation ---------------------------------------------------
 
     def validate(self) -> None:

@@ -19,15 +19,20 @@ receiving software only checks a one-bit status.
 from __future__ import annotations
 
 import enum
+import struct
+from binascii import crc_hqx
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-from repro.network.crc import crc16_words
 
 MIN_PAYLOAD_WORDS = 2
 MAX_PAYLOAD_WORDS = 22
 HEADER_WORDS = 2
 WORD_BYTES = 4
+#: payload length -> big-endian packer of the header and payload words.
+_PACK = {
+    n: struct.Struct(">%dI" % (HEADER_WORDS + n)).pack
+    for n in range(MIN_PAYLOAD_WORDS, MAX_PAYLOAD_WORDS + 1)
+}
 
 
 class Priority(enum.IntEnum):
@@ -105,8 +110,23 @@ class Packet:
         return [w0, w1]
 
     def compute_crc(self) -> int:
-        """CRC-16 over header and payload words."""
-        return crc16_words([*self.header_words(), *self.payload_words])
+        """CRC-16/CCITT-FALSE over :meth:`header_words` and the payload
+        words; every router stage calls this, so the header is encoded
+        in place."""
+        words = self.payload_words
+        w0 = (self.priority << 31) | ((self.dst & 0xFFFF) << 15)
+        w1 = (
+            ((self.src & 0x3FFF) << 18)
+            | (self.random_uproute << 17)
+            | ((self.tag & 0x7FF) << 5)
+            | (len(words) & 0x1F)
+        )
+        try:
+            return crc_hqx(_PACK[len(words)](w0, w1, *words), 0xFFFF)
+        except struct.error:
+            # a word outside 0..2**32-1: only its low 32 bits are on the wire
+            masked = [w & 0xFFFFFFFF for w in words]
+            return crc_hqx(_PACK[len(words)](w0, w1, *masked), 0xFFFF)
 
     def check_crc(self) -> bool:
         """Verify packet integrity; ``corrupt`` packets always fail."""

@@ -19,6 +19,7 @@ tail, so end-to-end latency is ``hops * stage + wire_bytes / bandwidth``).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,17 +67,20 @@ class Link:
     :meth:`stall` blocks the transmitter outright for a window of
     virtual time.
 
-    The link is a callback state machine, not a process: an idle link
-    hands an arriving packet straight to :meth:`_transmit` (one event
-    later, at the same virtual time); a busy one parks it on a priority
-    heap that the end-of-serialization callback :meth:`_tx_done` pops —
-    last in its instant (``Engine.schedule_late``), because the next
-    packet of a back-to-back stream arrives exactly as the tail leaves
-    and must be seen by the arbitration.  Packets handed over before the
-    engine has dispatched anything all park, and one start event pops
-    the heap: a batch injected at set-up is arbitrated as a whole.  Per
-    packet-hop that is three engine events (start, head downstream, tail
-    gone), two when backlogged.
+    The link is a lazy callback state machine, not a process.  A packet
+    that reaches an idle wire goes on it inside :meth:`send`; the link
+    then remembers only when the tail will have left (``_free_at``) and
+    the place reserved at the end of that instant
+    (``Engine.late_ticket``).  The tail-off event :meth:`_tx_done` is
+    scheduled there only once it has work — a packet arrived before or
+    exactly as the tail leaves and parked on the priority heap, or a
+    drain left packets parked — and runs last in its instant, because
+    the next packet of a back-to-back stream arrives exactly as the tail
+    leaves and must be seen by the arbitration.  Packets handed over
+    before the engine has dispatched anything all park, and one start
+    event pops the heap: a batch injected at set-up is arbitrated as a
+    whole.  Per packet-hop that is one engine event (head downstream),
+    two when backlogged (and tail gone).
     """
 
     def __init__(
@@ -101,34 +105,52 @@ class Link:
         #: (priority, arrival number, packet) waiting behind the wire.
         self._waiting: list[tuple[int, int, Packet]] = []
         self._arrivals = 0
-        #: True from the moment a packet is accepted for transmission
-        #: until the wire falls idle (forever, once the link is dead).
-        self._busy = False
+        #: True while an engine event of this link is outstanding (start,
+        #: tail-off, stall retry) — forever, once the link is dead.
+        self._pending = False
+        #: when the last tail leaves the wire, and the ticket for then.
+        self._free_at = -math.inf
+        self._ticket = 0
         #: the engine's event count when the link was built; see ``send``.
         self._built_at = engine.events_executed
 
     def send(self, packet: Packet) -> None:
         """Enqueue a packet for transmission (HIGH priority jumps LOW)."""
-        if self._busy or self.engine.events_executed == self._built_at:
+        engine = self.engine
+        now = engine.now
+        # a tie with the tail parks too, to be arbitrated last in the
+        # instant — unless the engine stands settled and the instant is over
+        park = (
+            self._pending
+            or now < self._free_at
+            or (now == self._free_at and not engine.settled)
+            or engine.events_executed == self._built_at
+        )
+        if park:
             self._arrivals += 1
             heapq.heappush(
                 self._waiting, (int(packet.priority), self._arrivals, packet)
             )
-            if not self._busy:
-                # handed over before the engine ran: one start event
-                # arbitrates the whole batch, so a HIGH packet injected
-                # behind LOW ones at set-up does not wait for the first
-                self._busy = True
-                self.engine.schedule(0.0, self._tx_done)
-        else:
-            self._busy = True
-            self.engine.schedule(0.0, self._transmit, packet)
+            if not self._pending:
+                self._pending = True
+                if now <= self._free_at:
+                    engine.schedule_at(self._free_at, self._tx_done, ticket=self._ticket)
+                else:
+                    # handed over before the engine ran: one start event
+                    # arbitrates the whole batch, so a HIGH packet injected
+                    # behind LOW ones at set-up does not wait for the first
+                    engine.schedule(0.0, self._tx_done)
         tr = obs_trace.TRACER
         if tr is not None:
             tr.counter(
-                "fabric", f"q:{self.name}", self.engine.now,
-                {"queued": len(self._waiting)},
+                "fabric", f"q:{self.name}", now, {"queued": len(self._waiting)},
             )
+        if not park:
+            if now < self._stalled_until:
+                self._pending = True
+                engine.schedule(0.0, self._transmit, packet)
+            else:
+                self._transmit(packet)
 
     @property
     def queued(self) -> int:
@@ -147,7 +169,7 @@ class Link:
         if self._waiting:
             self._transmit(heapq.heappop(self._waiting)[2])
         else:
-            self._busy = False
+            self._pending = False
 
     def _transmit(self, pkt: Packet) -> None:
         """Put ``pkt`` on the wire now (or after the stall it runs into)."""
@@ -156,7 +178,7 @@ class Link:
         if now < self._stalled_until:
             if self._stalled_until == float("inf"):
                 self.stats.dropped += 1
-                return  # link is dead: stays busy, later sends only queue
+                return  # link is dead: stays pending, later sends only queue
             engine.schedule(self._stalled_until - now, self._transmit, pkt)
             return
         tr = obs_trace.TRACER
@@ -174,6 +196,7 @@ class Link:
                 )
             if verdict == FAULT_DROP:
                 stats.dropped += 1
+                self._pending = True
                 engine.schedule(0.0, self._tx_done)
                 return
             pkt.corrupt = True
@@ -199,7 +222,11 @@ class Link:
         if self.delay_hook is not None:
             t_delay += max(self.delay_hook(pkt), 0.0)
         engine.schedule(self.stage_latency + t_delay, self.sink, pkt)
-        engine.schedule_late(t_ser + t_delay, self._tx_done)
+        self._free_at = free_at = now + (t_ser + t_delay)
+        self._ticket = ticket = engine.late_ticket(free_at)
+        self._pending = bool(self._waiting)
+        if self._pending:
+            engine.schedule_at(free_at, self._tx_done, ticket=ticket)
 
 
 class ArcticRouter:

@@ -121,6 +121,12 @@ class Engine:
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._nevents = 0
+        #: the latest ``late_ticket`` time: where a quiescent run ends.
+        self._hold = 0.0
+        #: True between runs once every event at or before ``now`` has
+        #: run (the heap drained or ``until`` was reached): a late event
+        #: left out at exactly ``now`` is then over, not still to come.
+        self.settled = True
         self._processes: list = []  # every Process ever registered (pruned lazily)
         self._prune_threshold = 4096
         #: Crashed node ids -> virtual death time, maintained by the
@@ -146,27 +152,31 @@ class Engine:
             raise _bad_delay(delay)
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn, args))
 
-    def schedule_late(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Like :meth:`schedule`, but ``fn`` runs *last* in its instant:
-        after every ordinary event of that virtual time, including ones
-        scheduled later on.  A resource that frees up at ``t`` uses this
-        to arbitrate among everything that asked for it by ``t`` —
-        exact float ties are the norm on a cut-through pipeline, where
-        the next packet's head arrives the instant the previous tail
-        leaves.  Late events keep scheduling order among themselves."""
-        if not 0.0 <= delay < math.inf:
-            raise _bad_delay(delay)
-        heapq.heappush(
-            self._heap, (self._now + delay, _LATE + next(self._seq), fn, args)
-        )
+    def late_ticket(self, when: float) -> int:
+        """Reserve a place at the end of instant ``when``: behind every
+        ordinary event of that virtual time, including ones scheduled
+        later on, and in reservation order among late events.  A
+        resource that frees up at ``when`` arbitrates there among
+        everything that asked for it by then (exact float ties are the
+        norm on a cut-through pipeline) — ``schedule_at(when, fn,
+        ticket=...)`` — or, if nobody asked, schedules nothing: a run
+        that drains the heap still ends with the clock at ``when``."""
+        if when > self._hold:
+            self._hold = when
+        return _LATE + next(self._seq)
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` at absolute virtual time ``when``."""
+    def schedule_at(
+        self, when: float, fn: Callable[..., None], *args: Any, ticket: Optional[int] = None
+    ) -> None:
+        """Run ``fn(*args)`` at absolute virtual time ``when`` (in the
+        place ``ticket`` reserved there, if one is given)."""
         if not self._now <= when < math.inf:
             if not math.isfinite(when):
                 raise SimTimeError(f"cannot schedule at a non-finite time ({when})")
             raise SimTimeError(f"cannot schedule at {when} < now {self._now}")
-        heapq.heappush(self._heap, (when, next(self._seq), fn, args))
+        if ticket is None:
+            ticket = next(self._seq)
+        heapq.heappush(self._heap, (when, ticket, fn, args))
 
     def process(self, gen: Iterator[Any], name: Optional[str] = None, daemon: bool = False) -> "Process":
         """Register a generator as a simulation process and start it now.
@@ -233,11 +243,13 @@ class Engine:
         heappop = heapq.heappop
         cap = math.inf if max_events is None else max_events
         hit_cap = False
+        self.settled = False
         while heap:
             if stop_when is not None and stop_when():
                 return self._now
             if until is not None and heap[0][0] > until:
                 self._now = until
+                self.settled = True
                 return self._now
             when, _seq, fn, args = heappop(heap)
             self._now = when
@@ -255,8 +267,11 @@ class Engine:
             if self._nevents >= cap:
                 hit_cap = True
                 break
-        if watchdog and not self._heap and not hit_cap:
-            if not (stop_when is not None and stop_when()):
+        if not heap and not hit_cap:
+            self.settled = True
+            if self._hold > self._now:  # late events that were left out
+                self._now = self._hold if until is None else min(self._hold, until)
+            if watchdog and not (stop_when is not None and stop_when()):
                 blocked = self.blocked_processes()
                 if blocked:
                     raise DeadlockError(blocked, crashed=self.crashed_nodes)

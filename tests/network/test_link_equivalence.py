@@ -8,13 +8,22 @@ bit-identical ``recv_time``, with equal per-link ``LinkStats``, queue
 depths and ``fault_counters()`` — plus packet conservation (ROADMAP 5b)
 on both.
 
+Two families: dense mixes (every link backlogged most of the time) and
+sparse ones, where links fall idle between packets and the lazy paths of
+``Link`` do the work — a packet put on the wire inside ``send``, a
+tail-off event left out because nobody waited for it, the clock held at
+quiescence.  A third, single-link family replays seeded scripts on a
+power-of-two time grid, where every arrival that can tie with a tail
+does.
+
 Exact float ties are the norm here, not a corner: on a cut-through
 pipeline the next packet's head arrives the very instant the previous
 tail leaves.  The generator picked its next packet two relay events
 after the serialization timeout, i.e. after the arrivals of that
 instant; the callback link gets the same arbitration by ending its
-serialization with ``Engine.schedule_late``.  What is *not* compared is
-the interleaving of different endpoints' callbacks inside one instant
+serialization late in its instant (``Engine.late_ticket``, reserved
+when the packet goes on the wire).  What is *not* compared is the
+interleaving of different endpoints' callbacks inside one instant
 (1 mix in 1200 swaps two such deliveries).
 """
 
@@ -58,12 +67,10 @@ def fault_hook(rng, p_drop, p_corrupt):
     return hook
 
 
-def run_mix(kind, seed, link_cls, monkeypatch):
-    """One seeded traffic mix on one fabric built from ``link_cls``;
-    returns everything an observer could tell the two link classes
-    apart by."""
+def build(kind, seed, link_cls, monkeypatch):
+    """A fabric built from ``link_cls`` with a recording inbox on every
+    endpoint."""
     monkeypatch.setattr(fabrics_mod, "Link", link_cls)
-    rng = random.Random(f"{kind}:{seed}")
     engine = Engine()
     fabric = make_fabric(kind, engine, seed)
     links = list(fabric.iter_links())
@@ -76,6 +83,44 @@ def run_mix(kind, seed, link_cls, monkeypatch):
                 (p.data, p.src, int(p.priority), p.hops, p.send_time, p.recv_time)
             ),
         )
+    return engine, fabric, links, inbox
+
+
+def observe(engine, fabric, links, inbox, injected, label):
+    """Everything an observer could tell the two link classes apart by."""
+    counters = fabric.fault_counters()
+    queued = sum(link.queued for link in links)
+    delivered = sum(len(box) for box in inbox.values())
+    # ROADMAP 5b: nothing is created, nothing vanishes unaccounted
+    assert injected == (
+        delivered + counters["link_drops"] + counters["router_crc_drops"]
+        + counters["blackholed"] + counters["source_drops"] + queued
+    ), (label, counters, queued)
+    return {
+        "inbox": inbox,
+        "stats": {link.name: link.stats for link in links},
+        "queued": {link.name: link.queued for link in links},
+        "counters": counters,
+        "now": engine.now,
+        "injected": injected,
+    }
+
+
+def assert_same(new, ref):
+    assert new["injected"] == ref["injected"]
+    # every endpoint sees the same packets in the same order; tuple
+    # equality on floats is bit equality (no nan in a recv_time)
+    assert new["inbox"] == ref["inbox"]
+    assert new["stats"] == ref["stats"]
+    assert new["queued"] == ref["queued"]
+    assert new["counters"] == ref["counters"]
+    assert new["now"] == ref["now"]
+
+
+def run_mix(kind, seed, link_cls, monkeypatch):
+    """One seeded dense traffic mix on one fabric built from ``link_cls``."""
+    engine, fabric, links, inbox = build(kind, seed, link_cls, monkeypatch)
+    rng = random.Random(f"{kind}:{seed}")
 
     # -- per-link conditions, all seeded ---------------------------------
     for link in rng.sample(links, k=max(1, len(links) // 6)):
@@ -125,38 +170,16 @@ def run_mix(kind, seed, link_cls, monkeypatch):
             engine.schedule_at(when, fabric.inject, pkt)
             injected += 1
     engine.run()
-
-    counters = fabric.fault_counters()
-    queued = sum(link.queued for link in links)
-    delivered = sum(len(box) for box in inbox.values())
-    # ROADMAP 5b: nothing is created, nothing vanishes unaccounted
-    assert injected == (
-        delivered + counters["link_drops"] + counters["router_crc_drops"]
-        + counters["blackholed"] + counters["source_drops"] + queued
-    ), (kind, seed, link_cls.__name__, counters, queued)
-    return {
-        "inbox": inbox,
-        "stats": {link.name: link.stats for link in links},
-        "queued": {link.name: link.queued for link in links},
-        "counters": counters,
-        "now": engine.now,
-        "injected": injected,
-    }
+    return observe(engine, fabric, links, inbox, injected, (kind, seed, link_cls.__name__))
 
 
 @pytest.mark.parametrize("kind", ["fattree", "torus", "hub"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_same_packets_same_order_same_times(kind, seed, monkeypatch):
-    new = run_mix(kind, seed, Link, monkeypatch)
-    ref = run_mix(kind, seed, ReferenceLink, monkeypatch)
-    assert new["injected"] == ref["injected"]
-    # every endpoint sees the same packets in the same order; tuple
-    # equality on floats is bit equality (no nan in a recv_time)
-    assert new["inbox"] == ref["inbox"]
-    assert new["stats"] == ref["stats"]
-    assert new["queued"] == ref["queued"]
-    assert new["counters"] == ref["counters"]
-    assert new["now"] == ref["now"]
+    assert_same(
+        run_mix(kind, seed, Link, monkeypatch),
+        run_mix(kind, seed, ReferenceLink, monkeypatch),
+    )
 
 
 def test_the_mixes_exercise_every_path(monkeypatch):
@@ -175,6 +198,213 @@ def test_the_mixes_exercise_every_path(monkeypatch):
             for box in out["inbox"].values():
                 total["delivered"] += len(box)
     assert all(v > 0 for v in total.values()), total
+
+
+# -- the sparse family: links idle between packets ---------------------------
+
+#: injection instants spread over 150 us; a full packet serializes in 0.64 us
+SPARSE_SPAN = 600
+FULL_WORDS = 22
+FULL_SER = (2 + FULL_WORDS) * 4 / 150e6
+
+
+def run_sparse(kind, seed, link_cls, monkeypatch):
+    """A few isolated bursts with gaps of many serialization times, link
+    conditions that land on wires long fallen idle, and two more bursts
+    handed over outside the run: at the quiescent clock, then at the
+    ``until`` a bounded run stopped on."""
+    engine, fabric, links, inbox = build(kind, seed, link_cls, monkeypatch)
+    rng = random.Random(f"sparse:{kind}:{seed}")
+
+    def instant():
+        return rng.randrange(1, SPARSE_SPAN) * GRID_S
+
+    # conditions are scheduled before the traffic: where one shares an
+    # instant with a send it comes first, as FaultInjector's do
+    for link in rng.sample(links, k=max(1, len(links) // 8)):
+        link.fault_hook = fault_hook(
+            random.Random(rng.random()), rng.choice((0.1, 0.3)), rng.choice((0.0, 0.1))
+        )
+    for _ in range(rng.randrange(2, 7)):
+        engine.schedule_at(
+            instant(), rng.choice(links).stall, rng.choice((0.2e-6, 1.0e-6, 3.3e-6))
+        )
+    for _ in range(rng.randrange(1, 4)):
+        engine.schedule_at(
+            instant(), setattr, rng.choice(links), "rate_factor", rng.choice((0.25, 0.5, 0.9))
+        )
+    if seed % 3 == 0:
+        engine.schedule_at(instant(), rng.choice(links).stall, float("inf"))
+    if seed % 4 == 1:
+        engine.schedule_at(instant(), fabric.kill_endpoint, rng.randrange(N))
+
+    injected = 0
+
+    def packet(src, dst, priority, words=FULL_WORDS):
+        nonlocal injected
+        injected += 1
+        return Packet(
+            src=src, dst=dst, payload_words=[injected % 7] * words,
+            priority=priority, random_uproute=rng.random() < 0.3, data=injected,
+        )
+
+    for _ in range(rng.randrange(6, 14)):
+        when, src, dst = instant(), rng.randrange(N), rng.randrange(N)
+        engine.schedule_at(when, fabric.inject, packet(src, dst, Priority.LOW))
+        if rng.random() < 0.5:
+            # a second LOW parks behind the first, and a HIGH arrives the
+            # very instant the first tail leaves an undegraded wire
+            engine.schedule_at(when, fabric.inject, packet(src, dst, Priority.LOW))
+            engine.schedule_at(
+                when + FULL_SER, fabric.inject, packet(src, dst, Priority.HIGH, 2)
+            )
+    clocks = [engine.run()]
+    for until in (engine.now + rng.choice((0.0, 0.3e-6, 2.0e-6)), None):
+        for src in rng.sample(range(N), 3):
+            for priority in (Priority.LOW, Priority.HIGH, Priority.LOW):
+                fabric.inject(packet(src, rng.randrange(N), priority))
+        clocks.append(engine.run(until=until))
+    out = observe(engine, fabric, links, inbox, injected, (kind, seed, link_cls.__name__))
+    out["clocks"] = clocks
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fattree", "torus", "hub"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sparse_same_packets_same_order_same_times(kind, seed, monkeypatch):
+    new = run_sparse(kind, seed, Link, monkeypatch)
+    ref = run_sparse(kind, seed, ReferenceLink, monkeypatch)
+    assert_same(new, ref)
+    assert new["clocks"] == ref["clocks"]
+
+
+def test_the_sparse_family_exercises_the_lazy_paths(monkeypatch):
+    """Counted on the engine's side: a ticket per transmission, most of
+    them never redeemed (the tail-off is left out), some redeemed by an
+    arrival that ties with the tail — and drops, dead links and
+    blackholes still occur."""
+    seen = {"tickets": 0, "tie": 0, "parked_early": 0}
+    late_ticket, schedule_at = Engine.late_ticket, Engine.schedule_at
+
+    def counting_ticket(self, when):
+        seen["tickets"] += 1
+        return late_ticket(self, when)
+
+    def counting_schedule_at(self, when, fn, *args, ticket=None):
+        if ticket is not None:
+            seen["tie" if when == self.now else "parked_early"] += 1
+        schedule_at(self, when, fn, *args, ticket=ticket)
+
+    monkeypatch.setattr(Engine, "late_ticket", counting_ticket)
+    monkeypatch.setattr(Engine, "schedule_at", counting_schedule_at)
+    total = {"link_drops": 0, "router_crc_drops": 0, "blackholed": 0, "queued": 0}
+    for kind in ("fattree", "torus", "hub"):
+        for seed in SEEDS:
+            out = run_sparse(kind, seed, Link, monkeypatch)
+            for key in ("link_drops", "router_crc_drops", "blackholed"):
+                total[key] += out["counters"][key]
+            total["queued"] += sum(out["queued"].values())
+    assert all(v > 0 for v in {**seen, **total}.values()), (seen, total)
+    assert seen["tie"] > 100, seen
+    assert seen["tie"] + seen["parked_early"] < 0.5 * seen["tickets"], seen
+
+
+# -- the single-link family: every tie that can happen, does ------------------
+
+#: 16 bytes per 2**-20 s and a stage of one tick: every serialization,
+#: stall and injection instant is a whole number of ticks, exactly
+TICK = 2.0 ** -22
+TICK_BANDWIDTH = 2.0 ** 24
+SCRIPT_SPAN = 160
+
+
+def run_script(seed, link_cls):
+    """One link driven by a seeded script: conditions, in-run sends, and
+    run segments (to quiescence or to an ``until``) with sends handed
+    over outside the run in between.
+
+    Left out on purpose, because the callback link never promised them:
+    a condition that changes in the same instant *after* a send reached
+    the idle wire, and in-run sends at t = 0 competing with the batch
+    handed over before the run."""
+    rng = random.Random(f"script:{seed}")
+    engine = Engine()
+    got = []
+    link = link_cls(
+        engine,
+        lambda p: got.append((p.data, int(p.priority), p.corrupt, engine.now)),
+        bandwidth=TICK_BANDWIDTH, stage_latency=TICK,
+    )
+    if rng.random() < 0.4:
+        link.fault_hook = fault_hook(random.Random(rng.random()), rng.choice((0.1, 0.3)), 0.1)
+    made = 0
+
+    def packet():
+        nonlocal made
+        made += 1
+        return Packet(
+            src=0, dst=1, payload_words=[0] * rng.choice((2, 2, 6, 14, 22)),
+            priority=rng.choice((Priority.LOW, Priority.LOW, Priority.HIGH)), data=made,
+        )
+
+    def instant(first=0):
+        return rng.randrange(first, SCRIPT_SPAN) * TICK
+
+    for _ in range(rng.randrange(0, 6)):
+        engine.schedule_at(instant(), link.stall, rng.choice((1, 4, 9)) * TICK)
+    for _ in range(rng.randrange(0, 3)):
+        engine.schedule_at(instant(), setattr, link, "rate_factor", rng.choice((0.25, 0.5, 1.0)))
+    for _ in range(rng.randrange(0, 2)):
+        engine.schedule_at(instant(), setattr, link, "latency_extra", rng.choice((0.0, TICK, 3 * TICK)))
+    if rng.random() < 0.1:
+        engine.schedule_at(instant(), link.stall, float("inf"))
+    for _ in range(rng.randrange(0, 14)):
+        when = instant(first=1)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            engine.schedule_at(when, link.send, packet())
+    clocks = []
+    for segment in range(rng.randrange(1, 5)):
+        if rng.random() < 0.15:
+            link.stall(rng.choice((2, 5)) * TICK)
+        for _ in range(rng.choice((0, 1, 3)) or segment == 0):
+            link.send(packet())
+        until = None if rng.random() < 0.5 else engine.now + rng.randrange(0, 60) * TICK
+        clocks.append(engine.run(until=until))
+    clocks.append(engine.run())
+    return got, link.stats, link.queued, clocks, made
+
+
+def test_single_link_scripts_match_the_reference():
+    for seed in range(400):
+        assert run_script(seed, Link) == run_script(seed, ReferenceLink), seed
+
+
+@pytest.mark.parametrize("link_cls", [Link, ReferenceLink])
+def test_high_arriving_as_the_tail_leaves(link_cls):
+    """Inside a run a HIGH packet that arrives exactly at the tail-off
+    instant is arbitrated with what is parked (it overtakes the LOW);
+    between runs that instant is over, and the first packet handed to
+    the idle link owns the wire."""
+    def order(outside_run):
+        engine = Engine()
+        got = []
+        link = link_cls(engine, lambda p: got.append(p.data), bandwidth=TICK_BANDWIDTH, stage_latency=TICK)
+        engine.schedule_at(TICK, link.send, Packet(src=0, dst=1, data="first"))
+        tail = TICK + 16 / TICK_BANDWIDTH
+        low = Packet(src=0, dst=1, data="low")
+        high = Packet(src=0, dst=1, data="high", priority=Priority.HIGH)
+        if outside_run:
+            assert engine.run() == tail
+            link.send(low)
+            link.send(high)
+        else:
+            engine.schedule_at(TICK, link.send, low)
+            engine.schedule_at(tail, link.send, high)
+        engine.run()
+        return got
+
+    assert order(outside_run=False) == ["first", "high", "low"]
+    assert order(outside_run=True) == ["first", "low", "high"]
 
 
 def test_high_priority_overtakes_queued_low_but_not_the_wire():

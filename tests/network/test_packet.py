@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.network.crc import crc16_words
 from repro.network.packet import (
     MAX_PAYLOAD_WORDS,
     MIN_PAYLOAD_WORDS,
     Packet,
     Priority,
 )
+
+import _reference_crc
 
 
 def test_minimum_payload_is_two_words():
@@ -90,3 +93,39 @@ def test_header_roundtrip_any_fields(src, dst, tag, n, data):
     assert w1 & 0x1F == n
     assert pkt.check_crc()
     assert pkt.wire_bytes == 4 * (2 + n)
+
+
+@given(
+    src=st.integers(min_value=0, max_value=2**14 - 1),
+    dst=st.integers(min_value=0, max_value=2**16 - 1),
+    tag=st.integers(min_value=0, max_value=2**11 - 1),
+    priority=st.sampled_from(Priority),
+    random_uproute=st.booleans(),
+    words=st.lists(
+        st.integers(min_value=-(2**40), max_value=2**40),
+        min_size=MIN_PAYLOAD_WORDS, max_size=MAX_PAYLOAD_WORDS,
+    ),
+)
+def test_crc_covers_the_header_words_and_the_masked_payload(
+    src, dst, tag, priority, random_uproute, words
+):
+    """``compute_crc`` encodes the header in place: it must stay the CRC
+    of ``header_words()`` followed by the payload (out-of-range words by
+    their low 32 bits), as the table-driven oracle computes it."""
+    pkt = Packet(
+        src=src, dst=dst, payload_words=words, tag=tag,
+        priority=priority, random_uproute=random_uproute,
+    )
+    wire = [*pkt.header_words(), *words]
+    assert pkt.crc == pkt.compute_crc() == _reference_crc.crc16_words(wire)
+    assert pkt.crc == crc16_words(wire)
+
+
+def test_crc_is_recomputed_at_every_check():
+    pkt = Packet(src=3, dst=9, payload_words=[5, 6, 7])
+    for field, value in (("dst", 10), ("src", 4), ("tag", 1), ("priority", Priority.HIGH)):
+        before = getattr(pkt, field)
+        setattr(pkt, field, value)
+        assert not pkt.check_crc(), field
+        setattr(pkt, field, before)
+        assert pkt.check_crc()

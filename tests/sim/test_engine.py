@@ -40,13 +40,15 @@ def test_schedule_passes_positional_arguments():
 def test_late_events_run_last_in_their_instant():
     """A late event sorts behind every ordinary event of its timestamp,
     even ones scheduled after it and ones spawned during that instant;
-    late events keep scheduling order among themselves."""
+    late events keep reservation order among themselves, whenever they
+    are scheduled."""
     eng = Engine()
     order = []
-    eng.schedule_late(1.0, order.append, "late1")
+    first, second = eng.late_ticket(1.0), eng.late_ticket(1.0)
     eng.schedule(1.0, lambda: (order.append("a"), eng.schedule(0.0, order.append, "a-child")))
-    eng.schedule_late(1.0, order.append, "late2")
+    eng.schedule_at(1.0, order.append, "late2", ticket=second)
     eng.schedule(1.0, order.append, "b")
+    eng.schedule_at(1.0, order.append, "late1", ticket=first)
     eng.schedule(1.5, order.append, "next")
     eng.run()
     assert order == ["a", "b", "a-child", "late1", "late2", "next"]
@@ -55,8 +57,17 @@ def test_late_events_run_last_in_their_instant():
 
 @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
 def test_schedule_late_rejects_bad_delays(bad):
+    eng = Engine()
     with pytest.raises(SimTimeError):
-        Engine().schedule_late(bad, lambda: None)
+        eng.schedule_at(bad, lambda: None, ticket=eng.late_ticket(0.0))
+
+
+def test_a_late_ticket_nobody_redeems_still_holds_the_quiescent_clock():
+    eng = Engine()
+    eng.schedule(1.0, eng.late_ticket, 3.0)
+    assert eng.run(until=2.0) == 2.0 and eng.settled
+    assert eng.run() == 3.0
+    assert eng.events_executed == 1
 
 
 def test_schedule_negative_delay_rejected():
