@@ -7,7 +7,7 @@ bisection bandwidth, FIFO ordering and priority behaviour.
 
 import pytest
 
-from repro.network.fattree import FatTree
+from repro.network import FatTree
 from repro.network.packet import Packet
 from repro.network.router import ARCTIC_LINK_BANDWIDTH, ARCTIC_STAGE_LATENCY
 from repro.sim import Engine
@@ -77,9 +77,9 @@ def test_bench_sec22_table():
                 ["link bandwidth (MB/s)", mbs(bw), "150 each direction"],
                 [
                     "bisection bw, struct. min-cut (MB/s)",
-                    mbs(ft.bisection_bandwidth()),
+                    mbs(ft.topology.bisection_bandwidth()),
                     "2 x N x 150 (paper formula: "
-                    + mbs(ft.paper_bisection_bandwidth())
+                    + mbs(ft.topology.paper_bisection_bandwidth())
                     + ")",
                 ],
                 ["16-endpoint fat-tree routers", str(len(ft.routers)), "N/2 per level x log2 N levels"],

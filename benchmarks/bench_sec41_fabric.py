@@ -13,7 +13,7 @@ Regenerates three hardware claims on the discrete-event fabric:
 import pytest
 
 from repro.hardware.cluster import HyadesCluster
-from repro.network.fattree import FatTree, FatTreeParams
+from repro.network import FatTree, FatTreeParams
 from repro.network.packet import Packet, Priority
 from repro.sim import Engine
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer check, the DES event-count, GCM
-# step call-count, service fork-count and cold-quote call-count budgets,
-# the tier-1 test suite,
+# line ledger, the one-durable-writer and one-route-function checks, the
+# DES event-count, GCM step call-count, service fork-count and cold-quote
+# call-count budgets, the tier-1 test suite,
 # an import check of every example, the fault/recovery and
 # cross-validation smokes, the regenerate-and-diff of benchmarks/out/
 # (virtual time), and the host-time benchmark's smoke run.
@@ -26,7 +26,7 @@ python scripts/check_docs_modules.py
 
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
-for tree in src tests benchmarks scripts; do
+for tree in src src/repro/network tests benchmarks scripts; do
   echo "$tree/ $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
 
@@ -37,6 +37,16 @@ if grep -rnE 'os\.replace|\.tmp' src/repro --include='*.py' | grep -v '^src/repr
   exit 1
 fi
 echo "durable-writes: clean"
+
+echo
+echo "== routing-once (a machine's route is Topology.route; the one Fabric gives every router the same route_fn, in one place) =="
+assigned="$(grep -rnE '\.route_fn\s*=[^=]' src/repro/network --include='*.py' || true)"
+if [ "$(printf '%s\n' "$assigned" | grep -c .)" -ne 1 ] || grep -rnE '_make_\w*route_fn' src/repro --include='*.py'; then
+  echo "routing-once: state the route on the Topology; only repro.network.fabrics.Fabric assigns route_fn:" >&2
+  echo "$assigned" >&2
+  exit 1
+fi
+echo "routing-once: clean ($assigned)"
 
 echo
 echo "== DES event budget (exact counts: a per-hop relay or an unconditional tail-off event fails here, not by timing; plus the engine clock invariants) =="

@@ -7,7 +7,7 @@ Two executors over the same :class:`~repro.collectives.schedules.Schedule`:
   the shared ``GSUM_SW_COST`` poll loop — the Fig. 8 butterfly global
   sum is ``allreduce_butterfly(n, 8)`` run here; VI block transfers
   beyond, served through the shared
-  :class:`~repro.parallel.des_spmd._VIDemux`).  This is what the
+  :class:`~repro.niu.demux.VIDemux`).  This is what the
   autotuner cross-validates its analytic predictions against.
 * :func:`des_run_schedule` — the *data* path: the schedule's logical
   items (see :mod:`repro.collectives.semantics`) are serialized and
@@ -34,9 +34,9 @@ from repro.network.overheads import (
     TRANSFER_OVERHEAD,
 )
 from repro.network.packet import MAX_PAYLOAD_WORDS, Priority, WORD_BYTES
+from repro.niu.demux import VIDemux
 from repro.niu.reliable import allocate_channel, get_reliable
 from repro.obs import trace as obs_trace
-from repro.parallel.des_spmd import _VIDemux
 
 from .schedules import Schedule
 from .semantics import ItemStore
@@ -109,7 +109,7 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
     if schedule.n_rounds == 0:
         return 0.0
     eng = cluster.engine
-    demux = _VIDemux.of(cluster)
+    demux = VIDemux.of(cluster)
     done_times = [0.0] * n
     pio_stash: List[Dict[Tuple[int, int], object]] = [{} for _ in range(n)]
 

@@ -11,7 +11,7 @@ package provides:
   degradation windows, CPU slowdowns, flaky-NIC jitter, node stalls and
   node crashes.  Plans serialize (:meth:`FaultPlan.to_dict`) so a
   campaign scenario ships its exact schedule inside a job spec.
-* :class:`FaultInjector` — wires a plan into a :class:`~repro.network.fattree.FatTree`
+* :class:`FaultInjector` — wires a plan into a :class:`~repro.network.fabrics.Fabric`
   through the sanctioned ``Link``/NIU hooks (no monkeypatching) and
   keeps aggregate fault counters.
 * :class:`DegradationSchedule` — the *pricing* view of the same plan,

@@ -1,4 +1,4 @@
-"""Wiring a :class:`FaultPlan` into a live fat tree.
+"""Wiring a :class:`FaultPlan` into a live fabric.
 
 The injector installs per-link fault hooks (drop/corrupt draws from the
 plan's per-link RNGs), schedules bandwidth/latency-degradation windows,
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Mapping, Optional
 
-from repro.network.fattree import FatTree
+from repro.network.fabrics import Fabric
 from repro.network.packet import Packet
 from repro.network.router import FAULT_CORRUPT, FAULT_DROP, Link
 from repro.faults.plan import FaultPlan
@@ -29,7 +29,7 @@ class FaultInjector:
 
     def __init__(
         self,
-        fabric: FatTree,
+        fabric: Fabric,
         plan: FaultPlan,
         nius: Optional[Mapping[int, object]] = None,
     ) -> None:

@@ -13,7 +13,8 @@ from typing import Optional
 
 from repro.sim import Engine
 from repro.network.errors import EndpointCountError
-from repro.network.fattree import FatTree, FatTreeParams
+from repro.network.fabrics import FabricParams
+from repro.network.topology import FatTree
 from repro.niu.pci import PCIBus, PCIParams
 from repro.niu.startx import StarTX
 from repro.hardware.smp import SMPNode, SMPParams
@@ -32,7 +33,7 @@ class HyadesConfig:
     n_nodes: int = 16
     smp: SMPParams = field(default_factory=SMPParams)
     pci: PCIParams = field(default_factory=PCIParams)
-    fabric: FatTreeParams = field(default_factory=FatTreeParams)
+    fabric: FabricParams = field(default_factory=FabricParams)
     node_price_usd: float = 3_100.0
     interconnect_price_per_node_usd: float = 3_100.0
     n_spares: int = 0
@@ -60,11 +61,6 @@ class HyadesConfig:
     def spare_ids(self) -> tuple[int, ...]:
         """Node ids reserved as hot spares (the highest ones)."""
         return tuple(range(self.n_nodes - self.n_spares, self.n_nodes))
-
-    @property
-    def n_compute_nodes(self) -> int:
-        """Nodes available for decomposition ranks."""
-        return self.n_nodes - self.n_spares
 
     @property
     def total_cpus(self) -> int:

@@ -76,10 +76,6 @@ class SMPNode:
         """Process: one shared-memory semaphore operation."""
         yield self.engine.timeout(self.params.semaphore_cost)
 
-    def local_combine(self):
-        """Process: the intra-SMP pre-sum of a mix-mode global sum."""
-        yield self.engine.timeout(self.params.smp_gsum_overhead)
-
     def pack_cost(self, nbytes: int) -> float:
         """Time to gather/scatter ``nbytes`` of strided halo data."""
         return nbytes / self.params.memcpy_bandwidth

@@ -9,8 +9,11 @@ Implements the paper's system-area network substrate (Section 2.2):
 * :mod:`repro.network.router` — the Arctic 4x4 router model: cut-through
   forwarding, <0.15 us per stage, 150 MB/s links, high priority never
   blocked behind low.
-* :mod:`repro.network.fattree` — the full fat-tree topology with butterfly
+* :mod:`repro.network.fattree` — the full fat tree as data: butterfly
   wiring, deterministic down-routing and random/deterministic up-routing.
+* :mod:`repro.network.topology` — the machine shapes (fat tree, grids,
+  hyper-crossbar, hub), each stating its wiring and its route once.
+* :mod:`repro.network.fabrics` — the one DES fabric built from them.
 * :mod:`repro.network.ethernet` / :mod:`repro.network.myrinet` — analytic
   cost models of the Fast Ethernet, Gigabit Ethernet (Fig. 12) and
   HPVM/Myrinet (Section 6) baselines.
@@ -19,7 +22,8 @@ Implements the paper's system-area network substrate (Section 2.2):
 from repro.network.packet import Packet, Priority, MAX_PAYLOAD_WORDS, MIN_PAYLOAD_WORDS
 from repro.network.crc import crc16
 from repro.network.router import ArcticRouter, Link, LinkStats
-from repro.network.fattree import FatTree, FatTreeParams
+from repro.network.fabrics import Fabric, FabricParams, FatTreeParams
+from repro.network.topology import FatTree
 from repro.network.costmodel import (
     CommCostModel,
     arctic_cost_model,
@@ -37,6 +41,8 @@ __all__ = [
     "ArcticRouter",
     "Link",
     "LinkStats",
+    "Fabric",
+    "FabricParams",
     "FatTree",
     "FatTreeParams",
     "CommCostModel",

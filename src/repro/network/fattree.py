@@ -1,4 +1,7 @@
-"""The Arctic Switch Fabric fat-tree topology (paper Section 2.2).
+"""The Arctic Switch Fabric fat tree (paper Section 2.2) as data: its
+wiring and its up/down route, which
+:class:`~repro.network.topology.FatTreeTopology` hands to the one DES
+:class:`~repro.network.fabrics.Fabric`.
 
 Construction: for ``N = 2**n`` endpoints, the tree has ``n`` router
 levels with ``N/2`` radix-4 routers each (2 down ports + 2 up ports;
@@ -12,14 +15,16 @@ standard butterfly/fat-tree bijection:
 * equivalently, up port ``u`` of ``(l-1, p', j')`` connects to
   ``(l, p'//2, j' + u*2**(l-2))``.
 
-Routing: ascend (choosing among equivalent up ports either by a fixed
-function of the source — preserving the per-path FIFO guarantee — or
-pseudo-randomly when the packet sets the *random uproute* bit) until the
-destination lies in the current subtree, then descend deterministically
-by the destination's address bits.
+Routing (:func:`up_down_route`): ascend — up port ``u`` at level ``l``
+is bit ``l-1`` of the *up bits* — until the destination lies in the
+current subtree, then descend deterministically by the destination's
+address bits.  The up bits are the source address (a fixed function of
+the source, preserving the per-path FIFO guarantee) or, when the packet
+sets the *random uproute* bit, a per-packet hash: one rule, two bit
+sources.
 
 Determinism guarantee: random-uproute choices are a pure hash of
-``(fabric seed, src, dst, per-source injection sequence, level)`` — no
+``(fabric seed, src, dst, per-source injection sequence)`` — no
 shared RNG stream — so identical ``(seed, workload)`` pairs reproduce
 identical packet paths regardless of event interleaving, how many other
 fabrics share the process, or what consumed the global ``random`` state
@@ -34,32 +39,7 @@ endpoint serialization of a 16-byte packet (0.107 us) is added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
-
-from repro.sim import Engine
-from repro.network.errors import EndpointCountError
-from repro.network.fabrics import BaseFabric
-from repro.network.packet import Packet
-from repro.network.router import (
-    ARCTIC_LINK_BANDWIDTH,
-    ARCTIC_STAGE_LATENCY,
-    ArcticRouter,
-    Link,
-)
-
-
-@dataclass(frozen=True)
-class FatTreeParams:
-    """Tunable hardware parameters of the fabric."""
-
-    link_bandwidth: float = ARCTIC_LINK_BANDWIDTH
-    stage_latency: float = ARCTIC_STAGE_LATENCY
-    seed: int = 0
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+from typing import List, Optional, Tuple
 
 
 def _mix32(*xs: int) -> int:
@@ -94,136 +74,72 @@ def up_port_target(n_endpoints: int, level: int, p: int, j: int, u: int) -> tupl
     return ("router", (level + 1, p // 2, j + u * (1 << (level - 1))))
 
 
-class FatTree(BaseFabric):
-    """A full fat tree of Arctic routers serving ``n_endpoints`` NIUs.
+# -- enumeration: routers level by level, links inject / up / down ----------
+#
+# Router (l, p, j) is number (l-1)*N/2 + p*2**(l-1) + j.  Link ids: the N
+# injection links, then two up links per non-top router, then two down
+# links per router, each block in router order — so up port u of (l, p, j)
+# is link N + 2*router + u = l*N + (p << l) + 2*j + u, and down port c is
+# the same offset into the block that starts at levels*N.
 
-    Endpoints attach via :meth:`attach_endpoint`, providing a sink callable
-    invoked when a packet's head reaches the endpoint; the endpoint is
-    responsible for adding its own drain/serialization time.
-    """
 
-    def __init__(self, engine: Engine, n_endpoints: int, params: Optional[FatTreeParams] = None) -> None:
-        if not isinstance(n_endpoints, int) or not _is_pow2(n_endpoints) or n_endpoints < 2:
-            raise EndpointCountError(
-                n_endpoints, "a power-of-two endpoint count >= 2"
-            )
-        super().__init__(engine, n_endpoints, params or FatTreeParams())
-        self.levels = n_endpoints.bit_length() - 1  # log2 N
+def fat_tree_wiring(n: int) -> Tuple[List[str], List[Tuple[str, Optional[int]]]]:
+    """Router names and ``(link name, head)`` pairs of an ``n``-endpoint
+    tree, in enumeration order (``head``: router number, ``~e`` for the
+    link that delivers to endpoint ``e``)."""
+    levels = n.bit_length() - 1
+    half = n // 2
+    keys = [
+        (l, p, j)
+        for l in range(1, levels + 1)
+        for p in range(n >> l)
+        for j in range(1 << (l - 1))
+    ]
+    names = [f"R{l}.{p}.{j}" for l, p, j in keys]
 
-        # routers[(l, p, j)]
-        self.routers: dict[tuple[int, int, int], ArcticRouter] = {}
-        for lvl in range(1, self.levels + 1):
-            for p in range(self.n >> lvl):
-                for j in range(1 << (lvl - 1)):
-                    self.routers[(lvl, p, j)] = ArcticRouter(
-                        engine, name=f"R{lvl}.{p}.{j}"
-                    )
-
-        # Wire links.  up_links[(l,p,j)][u] and down_links[(l,p,j)][c].
-        self.up_links: dict[tuple[int, int, int], list[Link]] = {}
-        self.down_links: dict[tuple[int, int, int], list[Link]] = {}
-
-        for key, router in self.routers.items():
-            l, p, j = key
-            ups = []
-            if l < self.levels:
-                for u in (0, 1):
-                    _, parent = up_port_target(self.n, l, p, j, u)
-                    ups.append(
-                        self._mk_link(self.routers[parent].receive, f"{router.name}^u{u}")
-                    )
-            self.up_links[key] = ups
-            downs = []
-            for c in (0, 1):
-                kind, target = down_port_target(self.n, l, p, j, c)
-                if kind == "ep":
-                    downs.append(
-                        self._mk_link(self._deliver[target], f"{router.name}_e{target}")
-                    )
-                else:
-                    downs.append(
-                        self._mk_link(self.routers[target].receive, f"{router.name}_d{c}")
-                    )
-            self.down_links[key] = downs
-            router.route_fn = self._make_route_fn(key)
-
-        for ep in range(self.n):
-            leaf = (1, ep // 2, 0)
-            self.inject_links.append(
-                self._mk_link(self.routers[leaf].receive, f"niu{ep}^")
-            )
-
-    # -- routing --------------------------------------------------------
-
-    def _make_route_fn(self, key: tuple[int, int, int]) -> Callable[[Packet], Link]:
+    def number(key: tuple) -> int:
         l, p, j = key
-        lo = p << l
-        hi = (p + 1) << l
-        seed = self.params.seed
+        return (l - 1) * half + (p << (l - 1)) + j
 
-        def route(pkt: Packet) -> Link:
-            if lo <= pkt.dst < hi:
-                c = (pkt.dst >> (l - 1)) & 1
-                return self.down_links[key][c]
-            if pkt.random_uproute:
-                # Stateless per-packet hash (not a shared RNG stream):
-                # reproducible for identical (seed, workload) pairs no
-                # matter how events interleave or what else runs in the
-                # process; distinct levels draw distinct bits.
-                h = _mix32(seed, pkt.src, pkt.dst, pkt.inject_seq)
-                u = (h >> ((l - 1) % 32)) & 1
+    links: List[Tuple[str, Optional[int]]] = [
+        (f"niu{ep}^", ep // 2) for ep in range(n)
+    ]
+    for name, (l, p, j) in zip(names, keys):
+        if l < levels:
+            for u in (0, 1):
+                links.append(
+                    (f"{name}^u{u}", number(up_port_target(n, l, p, j, u)[1]))
+                )
+    for name, (l, p, j) in zip(names, keys):
+        for c in (0, 1):
+            kind, target = down_port_target(n, l, p, j, c)
+            if kind == "ep":
+                links.append((f"{name}_e{target}", ~target))
             else:
-                # Fixed function of the source: keeps all messages of a
-                # (src, dst) pair on one path => FIFO ordering holds.
-                u = (pkt.src >> (l - 1)) & 1
-            return self.up_links[key][u]
+                links.append((f"{name}_d{c}", number(target)))
+    return names, links
 
-        return route
 
-    # -- analysis -------------------------------------------------------
-
-    def path_links(self, src: int, dst: int) -> int:
-        """Number of links on the (deterministic) src->dst path."""
-        if src == dst:
-            return 0
-        lca = (src ^ dst).bit_length()  # levels to ascend
-        return 2 * lca
-
-    def bisection_links(self) -> int:
-        """Full-duplex links crossing the midline cut of the tree.
-
-        Every left<->right path traverses the top level; each of the N/2
-        top routers has one down port into each half, so the minimum cut
-        is N/2 full-duplex links.
-        """
-        return self.n // 2
-
-    def bisection_bandwidth(self) -> float:
-        """Aggregate bytes/s across the bisection, both directions.
-
-        Note: the paper quotes ``2 * N * 150 MB/s`` for an N-endpoint full
-        fat tree, i.e. counting each crossing link's two directions and
-        both halves' uplink stages; the structural min-cut of this
-        construction gives ``N/2`` duplex links = ``N * 150 MB/s``.  Both
-        numbers are exposed (see :meth:`paper_bisection_bandwidth`).
-        """
-        return self.bisection_links() * 2 * self.params.link_bandwidth
-
-    def paper_bisection_bandwidth(self) -> float:
-        """The figure quoted in Section 2.2: ``2 * N * 150 MB/s``."""
-        return 2 * self.n * self.params.link_bandwidth
-
-    # -- fault accounting ----------------------------------------------
-
-    def _internal_links(self) -> Iterable[Link]:
-        for links in self.up_links.values():
-            yield from links
-        for links in self.down_links.values():
-            yield from links
-
-    def _delivery_link(self, ep: int) -> Link:
-        leaf = (1, ep // 2, 0)
-        return self.down_links[leaf][ep % 2]
-
-    def _iter_routers(self) -> Iterable[ArcticRouter]:
-        return iter(self.routers.values())
+def up_down_route(n: int, src: int, dst: int, up_bits: int) -> Tuple[int, ...]:
+    """Link ids from ``src`` to ``dst`` in an ``n``-endpoint tree: the
+    injection link, up to the least common ancestor level taking up port
+    ``(up_bits >> (l-1)) & 1`` at level ``l``, then down by ``dst``'s
+    address bits."""
+    if src == dst:
+        return ()
+    lca = (src ^ dst).bit_length()
+    # the router reached at level l is (l, src >> l, up_bits mod 2**(l-1))
+    route = [src]
+    for l in range(1, lca):
+        route.append(
+            l * n + ((src >> l) << l)
+            + 2 * (up_bits & ((1 << (l - 1)) - 1)) + ((up_bits >> (l - 1)) & 1)
+        )
+    # descending from (lca, src >> lca, j), level l is (l, dst >> l, j mod 2**(l-1))
+    down = (n.bit_length() - 1) * n
+    for l in range(lca, 0, -1):
+        route.append(
+            down + (l - 1) * n + ((dst >> l) << l)
+            + 2 * (up_bits & ((1 << (l - 1)) - 1)) + ((dst >> (l - 1)) & 1)
+        )
+    return tuple(route)

@@ -71,6 +71,10 @@ class Packet:
     #: Per-source injection number, stamped by ``fabric.inject``; the
     #: fat tree's random up-routing hashes it (never on the wire).
     inject_seq: int = 0
+    #: Ids of the links to cross, stamped by ``fabric.inject`` from the
+    #: topology's route (the header's up/down route fields, spelled out);
+    #: the router at hop ``k`` forwards on ``route[k]``.
+    route: tuple = ()
 
     def __post_init__(self) -> None:
         n = len(self.payload_words)

@@ -230,10 +230,11 @@ class Link:
 
 
 class ArcticRouter:
-    """A fat-tree router: verifies CRC, routes, forwards cut-through.
+    """A router stage: verifies CRC, routes, forwards cut-through.
 
-    The topology injects ``route_fn(packet) -> Link`` after wiring; the
-    router itself only knows how to check and forward.
+    The fabric sets ``route_fn(packet) -> Link`` after wiring (the next
+    link of the route the packet carries); the router itself only knows
+    how to check and forward.
     """
 
     def __init__(self, engine: Engine, name: str = "router") -> None:

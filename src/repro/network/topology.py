@@ -9,7 +9,10 @@ machine shape:
 * a calibrated :class:`~repro.network.costmodel.CommCostModel` for the
   closed-form exchange/gsum terms (including the hop-latency surcharge
   and whether the medium is shared);
-* a DES fabric builder for packet-level cross-validation.
+* routing as data — ``wiring()`` (routers and directed links, by name,
+  in enumeration order) and ``route(src, dst)`` (the link ids a packet
+  crosses) — from which the one DES
+  :class:`~repro.network.fabrics.Fabric` builds and forwards.
 
 Implementations model the 1990s landscape the paper's Hyades competed
 with, calibrated from the cited papers' published link specs:
@@ -36,6 +39,7 @@ Registry: :func:`make_topology` / :func:`register_topology` /
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,16 +50,15 @@ from repro.network.costmodel import (
     fast_ethernet_cost_model,
 )
 from repro.network.errors import EndpointCountError, TopologyError
-from repro.network.fabrics import (
-    CrossbarFabric,
-    FabricParams,
-    GridFabric,
-    HubFabric,
-    grid_distance,
-    node_coords,
-)
-from repro.network.fattree import FatTree, FatTreeParams
+from repro.network.fabrics import Fabric, FabricParams, HubFabric
+from repro.network.fattree import _mix32, fat_tree_wiring, up_down_route
 from repro.network.router import ARCTIC_LINK_BANDWIDTH, ARCTIC_STAGE_LATENCY
+
+#: ``(router names, [(link name, head), ...])`` in enumeration order; a
+#: link id is its index.  ``head`` is the number of the router the link
+#: leads to, ``~e`` when it delivers to endpoint ``e``, ``None`` for a
+#: shared medium that delivers to whichever endpoint the packet names.
+Wiring = Tuple[List[str], List[Tuple[str, Optional[int]]]]
 
 #: Modelled Columbia/QCDSP-style serial grid links (hep-lat/9412093 — a
 #: 16K-node machine of nearest-neighbour serial links): modest per-link
@@ -99,6 +102,45 @@ def balanced_dims(n: int, ndim: int) -> Tuple[int, ...]:
     return dims
 
 
+def node_coords(node: int, dims: Sequence[int]) -> Tuple[int, ...]:
+    """Mixed-radix coordinates of ``node`` (axis 0 varies fastest)."""
+    coords = []
+    for d in dims:
+        coords.append(node % d)
+        node //= d
+    return tuple(coords)
+
+
+def grid_distance(src: int, dst: int, dims: Sequence[int], wrap: bool) -> int:
+    """Manhattan router-to-router distance (per-axis shortest with wrap)."""
+    total = 0
+    for a, b, d in zip(node_coords(src, dims), node_coords(dst, dims), dims):
+        delta = abs(a - b)
+        total += min(delta, d - delta) if wrap else delta
+    return total
+
+
+def _strides(dims: Sequence[int]) -> Tuple[int, ...]:
+    """Node-id increment per unit step along each axis."""
+    return tuple(math.prod(dims[:axis]) for axis in range(len(dims)))
+
+
+def _resolve_dims(
+    n: int, ndim: int, dims: Optional[Sequence[int]], kind: str
+) -> Tuple[int, ...]:
+    """``dims`` checked against ``n`` (every extent >= 2), or the
+    balanced ``ndim``-D factorisation of ``n`` when none are given."""
+    if dims is None:
+        return balanced_dims(n, ndim)
+    dims = tuple(int(d) for d in dims)
+    if math.prod(dims) != n or any(d < 2 for d in dims):
+        raise TopologyError(
+            f"{kind} dims {dims} must be extents >= 2 covering "
+            f"n_endpoints={n}, not {math.prod(dims)} nodes"
+        )
+    return dims
+
+
 class Topology(abc.ABC):
     """One machine shape: geometry + calibrated link hardware."""
 
@@ -116,6 +158,9 @@ class Topology(abc.ABC):
     #: model's per-message overhead for every size).
     pio_small_messages: bool = False
 
+    #: the DES fabric class :meth:`build_fabric` instantiates.
+    fabric_class = Fabric
+
     def __init__(self, n_endpoints: int) -> None:
         self.n_endpoints = n_endpoints
 
@@ -124,7 +169,8 @@ class Topology(abc.ABC):
     @abc.abstractmethod
     def hop_distance(self, src: int, dst: int) -> int:
         """Links traversed on the deterministic src->dst path
-        (including injection and delivery links)."""
+        (including injection and delivery links): ``len(route(src,
+        dst))`` as an O(1) closed form."""
 
     def max_hop_distance(self) -> int:
         """Network diameter in links (worst pair)."""
@@ -152,11 +198,35 @@ class Topology(abc.ABC):
         """The calibrated closed-form model for this machine (includes
         the per-message hop-latency surcharge)."""
 
-    # -- DES tier --------------------------------------------------------
+    # -- routing as data -------------------------------------------------
 
     @abc.abstractmethod
-    def build_fabric(self, engine, seed: int = 0):
+    def wiring(self) -> Wiring:
+        """The machine's routers and directed links (see :data:`Wiring`)."""
+
+    @abc.abstractmethod
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Ids of the links a ``src -> dst`` packet crosses, injection
+        link first, delivery link last (empty for ``src == dst``)."""
+
+    def packet_route(self, pkt, seed: int) -> Tuple[int, ...]:
+        """The route of one packet; differs from :meth:`route` only
+        where the machine has equivalent paths to choose among."""
+        return self.route(pkt.src, pkt.dst)
+
+    # -- DES tier --------------------------------------------------------
+
+    def build_fabric(self, engine, seed: int = 0) -> Fabric:
         """Wire the packet-level fabric on ``engine``."""
+        return self.fabric_class(
+            engine,
+            self,
+            FabricParams(
+                link_bandwidth=self.link_bandwidth,
+                stage_latency=self.stage_latency,
+                seed=seed,
+            ),
+        )
 
     def crossval_pairs(self) -> List[Tuple[int, int]]:
         """The (src, dst) pairs of the contention-free cross-validation
@@ -227,11 +297,29 @@ class FatTreeTopology(Topology):
             }
         )
 
-    def build_fabric(self, engine, seed: int = 0) -> FatTree:
-        """The packet-level Arctic fat tree."""
-        return FatTree(
-            engine, self.n_endpoints, FatTreeParams(seed=seed)
-        )
+    def paper_bisection_bandwidth(self) -> float:
+        """The figure quoted in Section 2.2, ``2 * N * 150 MB/s``: each
+        crossing link's two directions and both halves' uplink stages,
+        where the structural min-cut (:meth:`bisection_bandwidth`) is
+        ``N/2`` duplex links = ``N * 150 MB/s``."""
+        return 2 * self.n_endpoints * self.link_bandwidth
+
+    def wiring(self) -> Wiring:
+        """Radix-4 routers level by level, butterfly-wired."""
+        return fat_tree_wiring(self.n_endpoints)
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Up/down: the up port at level ``l`` is bit ``l-1`` of the
+        source, so a (src, dst) pair keeps one path and stays FIFO."""
+        return up_down_route(self.n_endpoints, src, dst, src)
+
+    def packet_route(self, pkt, seed: int) -> Tuple[int, ...]:
+        """The same up/down rule; a *random uproute* packet draws its up
+        bits from a stateless hash of ``(seed, src, dst, inject_seq)``
+        instead of from the source address."""
+        src, dst = pkt.src, pkt.dst
+        up_bits = _mix32(seed, src, dst, pkt.inject_seq) if pkt.random_uproute else src
+        return up_down_route(self.n_endpoints, src, dst, up_bits)
 
     def crossval_pairs(self) -> List[Tuple[int, int]]:
         """Maximum-distance link-disjoint pairs ``e <-> e ^ N/2``."""
@@ -256,15 +344,7 @@ class GridTopology(Topology):
         dims: Optional[Sequence[int]] = None,
     ) -> None:
         kind = f"{'torus' if wrap else 'mesh'}{ndim}d"
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            if math.prod(dims) != n_endpoints:
-                raise TopologyError(
-                    f"{kind} dims {dims} cover {math.prod(dims)} nodes, "
-                    f"not n_endpoints={n_endpoints}"
-                )
-        else:
-            dims = balanced_dims(n_endpoints, ndim)
+        dims = _resolve_dims(n_endpoints, ndim, dims, kind)
         super().__init__(n_endpoints)
         self.name = kind
         self.dims = dims
@@ -303,18 +383,66 @@ class GridTopology(Topology):
             hop_latency=self.neighbor_hops() * self.stage_latency,
         )
 
-    def build_fabric(self, engine, seed: int = 0) -> GridFabric:
-        """The packet-level dimension-ordered mesh/torus fabric."""
-        return GridFabric(
-            engine,
-            self.dims,
-            wrap=self.wrap,
-            params=FabricParams(
-                link_bandwidth=self.link_bandwidth,
-                stage_latency=self.stage_latency,
-                seed=seed,
-            ),
-        )
+    @functools.cached_property
+    def _grid_links(self) -> Dict[Tuple[int, int, int], Tuple[int, int]]:
+        """``(node, axis, step) -> (link id, neighbour)`` for every grid
+        link (``step`` +1 or -1; a mesh has none off its edges), in
+        enumeration order after the N injection and N delivery links."""
+        table: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+        first = 2 * self.n_endpoints
+        strides = _strides(self.dims)
+        for node in range(self.n_endpoints):
+            coords = node_coords(node, self.dims)
+            for axis, d in enumerate(self.dims):
+                for step in (1, -1):
+                    c = coords[axis] + step
+                    if self.wrap:
+                        c %= d
+                    elif not (0 <= c < d):
+                        continue
+                    table[node, axis, step] = (
+                        first + len(table),
+                        node + (c - coords[axis]) * strides[axis],
+                    )
+        return table
+
+    def wiring(self) -> Wiring:
+        """One router per node, a link to each grid neighbour."""
+        kind = "T" if self.wrap else "M"
+        nodes = range(self.n_endpoints)
+        links: List[Tuple[str, Optional[int]]] = [(f"niu{i}^", i) for i in nodes]
+        links += [(f"{kind}{i}_e", ~i) for i in nodes]
+        links += [
+            (f"{kind}{i}.{axis}{step:+d}", neighbour)
+            for (i, axis, step), (_, neighbour) in self._grid_links.items()
+        ]
+        return [f"{kind}{i}" for i in nodes], links
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Dimension-ordered: correct the lowest axis first, on a torus
+        the shorter way around.  A half-ring tie goes the way that does
+        not wrap (on a 4-ring 0 -> 2 steps +1 through 1, 2 -> 0 steps
+        -1 through 1).  Deadlock-free in the DES because links queue
+        without bound."""
+        if src == dst:
+            return ()
+        grid_links = self._grid_links
+        route = [src]
+        node, stride = src, 1
+        for axis, d in enumerate(self.dims):
+            have, want = src // stride % d, dst // stride % d
+            stride *= d
+            if have == want:
+                continue
+            hops = abs(want - have)
+            step = 1 if want > have else -1
+            if self.wrap and hops > d - hops:
+                hops, step = d - hops, -step
+            for _ in range(hops):
+                link, node = grid_links[node, axis, step]
+                route.append(link)
+        route.append(self.n_endpoints + dst)
+        return tuple(route)
 
     def describe(self) -> dict:
         """Self-description plus the grid extents and wrap flag."""
@@ -337,15 +465,7 @@ class HyperCrossbarTopology(Topology):
         dims: Optional[Sequence[int]] = None,
         ndim: int = 3,
     ) -> None:
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            if math.prod(dims) != n_endpoints:
-                raise TopologyError(
-                    f"hypercrossbar dims {dims} cover {math.prod(dims)} "
-                    f"nodes, not n_endpoints={n_endpoints}"
-                )
-        else:
-            dims = balanced_dims(n_endpoints, ndim)
+        dims = _resolve_dims(n_endpoints, ndim, dims, "hypercrossbar")
         super().__init__(n_endpoints)
         self.dims = dims
 
@@ -383,17 +503,52 @@ class HyperCrossbarTopology(Topology):
             hop_latency=self.neighbor_hops() * self.stage_latency,
         )
 
-    def build_fabric(self, engine, seed: int = 0) -> CrossbarFabric:
-        """The packet-level per-line crossbar fabric."""
-        return CrossbarFabric(
-            engine,
-            self.dims,
-            params=FabricParams(
-                link_bandwidth=self.link_bandwidth,
-                stage_latency=self.stage_latency,
-                seed=seed,
-            ),
-        )
+    def wiring(self) -> Wiring:
+        """One router per node and one crossbar switch per axis-aligned
+        line of nodes (its id: the line's node with that coordinate
+        zeroed); a traversal is node -> crossbar -> node, matching the
+        exchanger-in / exchanger-out of the real machine."""
+        n, dims, strides = self.n_endpoints, self.dims, _strides(self.dims)
+        routers = [f"X{i}" for i in range(n)]
+        links: List[Tuple[str, Optional[int]]] = [(f"niu{i}^", i) for i in range(n)]
+        links += [(f"X{i}_e", ~i) for i in range(n)]
+        #: (axis, line id) -> router number, each axis's lines in id order
+        xbars: Dict[Tuple[int, int], int] = {}
+        for axis, (d, stride) in enumerate(zip(dims, strides)):
+            for line in range(n):
+                if line // stride % d == 0:
+                    xbars[axis, line] = len(routers)
+                    routers.append(f"XB{axis}.{line}")
+        for i in range(n):
+            for axis, (d, stride) in enumerate(zip(dims, strides)):
+                line = i - i // stride % d * stride
+                links.append((f"X{i}^a{axis}", xbars[axis, line]))
+        for axis, line in xbars:
+            for c in range(dims[axis]):
+                links.append((f"XB{axis}.{line}_c{c}", line + c * strides[axis]))
+        return routers, links
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Lowest differing axis first; one crossbar traversal (an up
+        and a down link) sets that whole coordinate."""
+        if src == dst:
+            return ()
+        n, ndim = self.n_endpoints, len(self.dims)
+        route = [src]
+        node, stride = src, 1
+        for axis, d in enumerate(self.dims):
+            have, want = node // stride % d, dst // stride % d
+            if have != want:
+                line = node - have * stride
+                # the line's rank among this axis's lines: its id with
+                # the (zero) axis digit removed from the mixed radix
+                rank = line % stride + line // (stride * d) * stride
+                route.append(2 * n + node * ndim + axis)
+                route.append((2 + ndim + axis) * n + rank * d + want)
+                node = line + want * stride
+            stride *= d
+        route.append(n + dst)
+        return tuple(route)
 
     def crossval_pairs(self) -> List[Tuple[int, int]]:
         """Adjacent-id pairs: one crossbar, disjoint up/down links."""
@@ -413,6 +568,7 @@ class EthernetTopology(Topology):
 
     name = "ethernet"
     shared_medium = True
+    fabric_class = HubFabric
     stage_latency = 5.0 * US  # hub forwarding / preamble, one hop
 
     def __init__(self, n_endpoints: int) -> None:
@@ -444,17 +600,18 @@ class EthernetTopology(Topology):
         """The Fig. 12-calibrated measured Fast Ethernet fit."""
         return self._model
 
-    def build_fabric(self, engine, seed: int = 0) -> HubFabric:
-        """The packet-level single-shared-link hub fabric."""
-        return HubFabric(
-            engine,
-            self.n_endpoints,
-            params=FabricParams(
-                link_bandwidth=self.link_bandwidth,
-                stage_latency=self.stage_latency,
-                seed=seed,
-            ),
-        )
+    def wiring(self) -> Wiring:
+        """No router, one link: the shared medium."""
+        return [], [("hub", None)]
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Every distinct pair crosses the one shared link."""
+        return () if src == dst else (0,)
+
+
+def FatTree(engine, n_endpoints: int, params: Optional[FabricParams] = None) -> Fabric:
+    """The packet-level Arctic fat tree serving ``n_endpoints`` NIUs."""
+    return Fabric(engine, FatTreeTopology(n_endpoints), params)
 
 
 # -- registry ---------------------------------------------------------------

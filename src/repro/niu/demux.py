@@ -1,0 +1,67 @@
+"""The one VI request server per NIU, shared by everything that moves VI
+transfers on a cluster (the SPMD halo exchanger, the collective-schedule
+executor)."""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from repro.sim import Signal
+
+
+class VIDemux:
+    """Shared per-cluster VI request servers.
+
+    Exactly one ``vi_serve_request`` consumer may run per NIU — two
+    clients each running their own would steal each other's transfers —
+    so the servers and their arrived-slab stash live on the cluster
+    (a :class:`~repro.hardware.cluster.HyadesCluster`), shared by every
+    client built on it.
+    """
+
+    def __init__(self, cluster) -> None:
+        self.cluster = cluster
+        self.arrived: List[Dict[Tuple[int, int], bytes]] = [
+            {} for _ in range(cluster.n_nodes)
+        ]
+        self.signals = [
+            Signal(cluster.engine, name=f"vi-arrivals[rank{r}]")
+            for r in range(cluster.n_nodes)
+        ]
+        self._started = [False] * cluster.n_nodes
+
+    @classmethod
+    def of(cls, cluster) -> "VIDemux":
+        """The demux of ``cluster``, created on first use."""
+        demux = getattr(cluster, "_vi_demux", None)
+        if demux is None:
+            demux = cls(cluster)
+            cluster._vi_demux = demux
+        return demux
+
+    def ensure_server(self, rank: int) -> None:
+        """Start ``rank``'s VI request server unless it already runs."""
+        if self._started[rank]:
+            return
+        self._started[rank] = True
+        niu = self.cluster.niu(rank)
+
+        def server():
+            while True:
+                xfer = yield from niu.vi_serve_request()
+                xfer = yield from niu.vi_wait_complete(xfer.xid)
+                # transfer id encodes (round, direction) in its low bits;
+                # timing-only transfers (repro.collectives) carry no rider
+                data = b"" if xfer.data is None else bytes(xfer.data)
+                self.arrived[rank][(xfer.src, xfer.xid & 0xFFF)] = data
+                self.signals[rank].fire()
+
+        self.cluster.engine.process(
+            server(), name=f"vi-server[rank{rank}]", daemon=True
+        )
+
+    def await_slab(self, rank: int, src: int, tag: int):
+        """Process: block until the (src, tag) slab has landed."""
+        while (src, tag) not in self.arrived[rank]:
+            yield self.signals[rank].wait()
+        return self.arrived[rank].pop((src, tag))

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.obs import trace as obs_trace
 from repro.sim import Engine, Signal, Store
-from repro.network.fattree import FatTree
+from repro.network.fabrics import Fabric
 from repro.network.packet import (
     MAX_PAYLOAD_WORDS,
     Packet,
@@ -102,7 +102,7 @@ class StarTX:
     def __init__(
         self,
         engine: Engine,
-        fabric: FatTree,
+        fabric: Fabric,
         node_id: int,
         pci: Optional[PCIBus] = None,
         rx_capacity: int = 256,

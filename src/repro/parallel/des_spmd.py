@@ -29,14 +29,14 @@ Two delivery modes are supported:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.cluster import HyadesCluster
+from repro.niu.demux import VIDemux
 from repro.niu.reliable import ReliableMailbox, get_reliable
 from repro.parallel.tiling import Decomposition
-from repro.sim import Signal
 
 #: Tag space for halo traffic: direction index rides in the transfer id.
 _DIRECTIONS = ("west", "east", "south", "north")
@@ -64,61 +64,6 @@ def _edge_slices(decomp: Decomposition, rank: int, direction: str, width: int):
     if direction == "north":
         return (slice(o + t.ny - w, o + t.ny), cols_f), (slice(o + t.ny, o + t.ny + w), cols_f)
     raise ValueError(direction)
-
-
-class _VIDemux:
-    """Shared per-cluster VI request servers.
-
-    Exactly one ``vi_serve_request`` consumer may run per NIU — two
-    exchangers each running their own would steal each other's
-    transfers — so the servers and their arrived-slab stash live on the
-    cluster, shared by every :class:`DESExchanger` built on it.
-    """
-
-    def __init__(self, cluster: HyadesCluster) -> None:
-        self.cluster = cluster
-        self.arrived: List[Dict[Tuple[int, int], bytes]] = [
-            {} for _ in range(cluster.n_nodes)
-        ]
-        self.signals = [
-            Signal(cluster.engine, name=f"vi-arrivals[rank{r}]")
-            for r in range(cluster.n_nodes)
-        ]
-        self._started = [False] * cluster.n_nodes
-
-    @classmethod
-    def of(cls, cluster: HyadesCluster) -> "_VIDemux":
-        demux = getattr(cluster, "_vi_demux", None)
-        if demux is None:
-            demux = cls(cluster)
-            cluster._vi_demux = demux
-        return demux
-
-    def ensure_server(self, rank: int) -> None:
-        if self._started[rank]:
-            return
-        self._started[rank] = True
-        niu = self.cluster.niu(rank)
-
-        def server():
-            while True:
-                xfer = yield from niu.vi_serve_request()
-                xfer = yield from niu.vi_wait_complete(xfer.xid)
-                # transfer id encodes (round, direction) in its low bits;
-                # timing-only transfers (repro.collectives) carry no rider
-                data = b"" if xfer.data is None else bytes(xfer.data)
-                self.arrived[rank][(xfer.src, xfer.xid & 0xFFF)] = data
-                self.signals[rank].fire()
-
-        self.cluster.engine.process(
-            server(), name=f"vi-server[rank{rank}]", daemon=True
-        )
-
-    def await_slab(self, rank: int, src: int, tag: int):
-        """Process: block until the (src, tag) slab has landed."""
-        while (src, tag) not in self.arrived[rank]:
-            yield self.signals[rank].wait()
-        return self.arrived[rank].pop((src, tag))
 
 
 class DESExchanger:
@@ -166,7 +111,7 @@ class DESExchanger:
             # other's messages
             self._mailbox = ReliableMailbox(cluster, "halo")
         else:
-            self._demux = _VIDemux.of(cluster)
+            self._demux = VIDemux.of(cluster)
         if recovery is not None:
             recovery.adopt(self)
 

@@ -30,13 +30,6 @@ from typing import Sequence
 import numpy as np
 
 
-def _check_pow2(n: int) -> int:
-    """Validate a genuinely power-of-two-only algorithm's rank count."""
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"this algorithm requires a power-of-two node count, got {n}")
-    return int(math.log2(n))
-
-
 def largest_pow2_below(n: int) -> int:
     """Largest power of two <= n (n >= 1)."""
     if n < 1:

@@ -229,12 +229,6 @@ class Decomposition:
         volumes = [sum(self.edge_bytes(width=1, rank=r)) for r in range(self.n_ranks)]
         return volumes.index(max(volumes))
 
-    def exchange_volume_bytes(
-        self, nz: int = 1, width: Optional[int] = None, itemsize: int = 8, rank: int = 0
-    ) -> int:
-        """Total bytes rank ``rank`` sends in a full exchange of one field."""
-        return sum(self.edge_bytes(nz, width, itemsize, rank))
-
 
 class RankMap:
     """Placement of decomposition ranks onto cluster nodes.
@@ -283,10 +277,6 @@ class RankMap:
     def nodes(self) -> list[int]:
         """Every node with a role: active hosts plus remaining spares."""
         return sorted(set(self._node_of) | set(self.spares))
-
-    def is_identity(self) -> bool:
-        """True while no remap has happened."""
-        return self._node_of == list(range(self.n_ranks))
 
     def retire_node(self, node: int) -> list[int]:
         """Take ``node`` out of service; returns the ranks it hosted.

@@ -246,10 +246,6 @@ class PrecisionConfig:
             return 4
         return 8
 
-    def gsum_dtype(self) -> np.dtype:
-        """Wire dtype matching :meth:`gsum_nbytes`."""
-        return np.dtype(np.float32 if self.gsum_nbytes() == 4 else np.float64)
-
     def cg_dtype(self) -> np.dtype:
         """Working dtype of the CG solver (one solver: float32 only when
         every field's ``cg_internals`` is float32)."""

@@ -137,19 +137,9 @@ class Membership:
         #: Called with each fresh :class:`FailureRecord`, once per node.
         self.on_declared: list[Callable[[FailureRecord], None]] = []
 
-    def add_participant(self, node: int) -> None:
-        """Admit a late participant (unused today; spares join at arm)."""
-        if node not in self.participants:
-            self.participants.append(node)
-            self.participants.sort()
-
     def is_live(self, node: int) -> bool:
         """Neither physically crashed nor declared dead."""
         return node not in self.crashed and node not in self.dead
-
-    def live_nodes(self) -> list[int]:
-        """Participants that are neither crashed nor declared dead."""
-        return [n for n in self.participants if self.is_live(n)]
 
     def mark_crashed(self, node: int, when: float) -> None:
         """Record a physical death (fabric callback).  Idempotent."""
@@ -473,11 +463,3 @@ class HeartbeatService:
                 self.suspect_events += 1
         else:
             self.suspects[node].discard(peer)
-
-    def currently_suspected(self) -> set[int]:
-        """Peers suspected (slow, not declarable) by any live observer."""
-        out: set[int] = set()
-        for node, peers in self.suspects.items():
-            if self.membership.is_live(node):
-                out |= peers
-        return out

@@ -83,7 +83,7 @@ def test_payload_flipped_in_flight_is_caught_at_the_next_router():
     """No verdict is cached: a packet whose payload word changes after
     construction (``corrupt`` never set) fails the recomputed CRC at the
     next router stage and is dropped there."""
-    from repro.network.fattree import FatTree
+    from repro.network import FatTree
     from repro.network.packet import Packet
     from repro.sim import Engine
 
@@ -100,5 +100,5 @@ def test_payload_flipped_in_flight_is_caught_at_the_next_router():
     engine.run()
     assert not pkt.corrupt
     assert fabric.total_crc_errors() == 1
-    assert fabric.routers[(1, 0, 0)].crc_errors == 1  # the very first stage
+    assert fabric.routers[0].crc_errors == 1  # R1.0.0, the very first stage
     assert [p.payload_words for p in got] == [[1, 2, 3]]

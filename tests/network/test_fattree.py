@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 
 from repro.sim import Engine
 from repro.network.errors import EndpointCountError
-from repro.network.fattree import (
-    FatTree,
-    FatTreeParams,
-    _mix32,
-    down_port_target,
-    up_port_target,
-)
+from repro.network import FatTree, FatTreeParams
+from repro.network.fattree import _mix32, down_port_target, up_port_target
 from repro.network.packet import Packet, Priority
 from repro.network.router import ARCTIC_STAGE_LATENCY
 
@@ -35,20 +30,21 @@ def test_invalid_sizes_rejected():
 
 def test_router_count_per_level():
     _, ft, _ = build(16)
-    assert ft.levels == 4
+    assert len(ft.routers) == 4 * 8  # log2 N levels
     for lvl in range(1, 5):
-        count = sum(1 for (ll, _, _) in ft.routers if ll == lvl)
+        count = sum(1 for r in ft.routers if r.name.startswith(f"R{lvl}."))
         assert count == 8  # N/2 routers per level
 
 
 def test_wiring_up_down_inverse():
     """Descending the down port you arrived by returns to the same router."""
     _, ft, _ = build(16)
-    for (l, p, j), _router in ft.routers.items():
+    keys = {tuple(int(x) for x in r.name[1:].split(".")) for r in ft.routers}
+    for l, p, j in keys:
         if l >= 2:
             for c in (0, 1):
                 child = (l - 1, 2 * p + c, j % (1 << (l - 2)))
-                assert child in ft.routers, f"missing child of {(l, p, j)}"
+                assert child in keys, f"missing child of {(l, p, j)}"
 
 
 def test_all_pairs_delivery():
@@ -155,9 +151,9 @@ def test_self_send_loopback():
 
 def test_bisection_counts():
     _, ft, _ = build(16)
-    assert ft.bisection_links() == 8
-    assert ft.bisection_bandwidth() == pytest.approx(8 * 2 * 150e6)
-    assert ft.paper_bisection_bandwidth() == pytest.approx(2 * 16 * 150e6)
+    assert ft.topology.bisection_links() == 8
+    assert ft.topology.bisection_bandwidth() == pytest.approx(8 * 2 * 150e6)
+    assert ft.topology.paper_bisection_bandwidth() == pytest.approx(2 * 16 * 150e6)
 
 
 def test_destination_out_of_range_rejected():

@@ -13,7 +13,7 @@ from repro.faults import (
     LinkFaultModel,
     StallEvent,
 )
-from repro.network.fattree import FatTree
+from repro.network import FatTree
 from repro.network.packet import MAX_PAYLOAD_WORDS, Packet
 from repro.sim import Engine
 
@@ -128,7 +128,7 @@ class TestInjectedCorruption:
         assert inbox[5] == []
         assert inj.injected_corruptions == 10
         # every drop happened at the first router stage
-        leaf = ft.routers[(1, 0, 0)]
+        leaf = ft.routers[0]  # R1.0.0, above endpoints 0 and 1
         assert leaf.crc_errors == 10
 
     @given(

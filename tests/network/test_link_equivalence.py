@@ -32,10 +32,11 @@ import random
 import pytest
 
 import repro.network.fabrics as fabrics_mod
-from repro.network.fabrics import FabricParams, GridFabric, HubFabric
-from repro.network.fattree import FatTree, FatTreeParams
+from repro.network.fabrics import Fabric, FabricParams, HubFabric
+from repro.network import FatTree, FatTreeParams
 from repro.network.packet import Packet, Priority
 from repro.network.router import FAULT_CORRUPT, FAULT_DROP, Link
+from repro.network.topology import make_topology
 from repro.sim import Engine
 
 from _reference_link import ReferenceLink
@@ -51,8 +52,8 @@ def make_fabric(kind, engine, seed):
     if kind == "fattree":
         return FatTree(engine, N, FatTreeParams(seed=seed))
     if kind == "torus":
-        return GridFabric(engine, (4, 4), wrap=True, params=FabricParams(seed=seed))
-    return HubFabric(engine, N, FabricParams(seed=seed))
+        return Fabric(engine, make_topology("torus2d", N), FabricParams(seed=seed))
+    return HubFabric(engine, make_topology("ethernet", N), FabricParams(seed=seed))
 
 
 def fault_hook(rng, p_drop, p_corrupt):

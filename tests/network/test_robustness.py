@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.cluster import HyadesCluster
-from repro.network.fattree import FatTree
+from repro.network import FatTree
 from repro.network.packet import Packet
 from repro.sim import Engine
 
@@ -48,7 +48,7 @@ class TestCRCDetection:
         assert inbox[15] == []
         assert ft.total_crc_errors() >= 1
         # the first router forwarded it (corruption happened later)
-        leaf = ft.routers[(1, 0, 0)]
+        leaf = ft.routers[0]  # R1.0.0, above endpoints 0 and 1
         assert leaf.packets_forwarded >= 1
 
     def test_endpoint_crc_status_bit(self):
@@ -98,7 +98,7 @@ class TestDroppedPacketAccounting:
         bad.corrupt = True
         ft.inject(bad)
         eng.run()
-        dropped = [p for r in ft.routers.values() for p in r.dropped]
+        dropped = [p for r in ft.routers for p in r.dropped]
         assert dropped == [bad]
 
     def test_crc_errors_isolated_per_flow(self):

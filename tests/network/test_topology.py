@@ -4,18 +4,16 @@ import pytest
 
 from repro.sim import Engine
 from repro.network.errors import EndpointCountError, TopologyError
-from repro.network.fabrics import (
-    CrossbarFabric,
-    GridFabric,
-    HubFabric,
-    grid_distance,
-    node_coords,
-)
+from repro.network.fabrics import HubFabric
 from repro.network.packet import Packet
 from repro.network.topology import (
     SCOREBOARD_TOPOLOGIES,
     TOPOLOGIES,
+    GridTopology,
+    HyperCrossbarTopology,
     balanced_dims,
+    grid_distance,
+    node_coords,
     crossvalidate_topology,
     make_topology,
     register_topology,
@@ -141,26 +139,29 @@ class TestFabricDelivery:
 
     def test_grid_fabric_all_pairs(self):
         eng = Engine()
-        self._deliver_all_pairs(GridFabric(eng, (4, 2), wrap=True), eng, 8)
+        torus = GridTopology(8, ndim=2, wrap=True, dims=(4, 2))
+        self._deliver_all_pairs(torus.build_fabric(eng), eng, 8)
 
     def test_mesh_fabric_all_pairs(self):
         eng = Engine()
-        self._deliver_all_pairs(GridFabric(eng, (4, 2), wrap=False), eng, 8)
+        mesh = GridTopology(8, ndim=2, wrap=False, dims=(4, 2))
+        self._deliver_all_pairs(mesh.build_fabric(eng), eng, 8)
 
     def test_crossbar_fabric_all_pairs(self):
         eng = Engine()
-        self._deliver_all_pairs(CrossbarFabric(eng, (2, 2, 2)), eng, 8)
+        xbar = HyperCrossbarTopology(8, dims=(2, 2, 2))
+        self._deliver_all_pairs(xbar.build_fabric(eng), eng, 8)
 
     def test_hub_fabric_all_pairs(self):
         eng = Engine()
-        self._deliver_all_pairs(HubFabric(eng, 8), eng, 8)
+        self._deliver_all_pairs(make_topology("ethernet", 8).build_fabric(eng), eng, 8)
 
     def test_hub_station_killed_mid_stream_is_fully_accounted(self):
         """Sends from a dead station are refused at the source; the
         counter must show up in ``fault_counters()`` or packets vanish
         from the books on the shared medium."""
         eng = Engine()
-        hub = HubFabric(eng, 4)
+        hub = HubFabric(eng, make_topology("ethernet", 4))  # at Arctic link speed
         delivered = []
         for ep in range(4):
             hub.attach_endpoint(ep, delivered.append)
@@ -179,12 +180,13 @@ class TestFabricDelivery:
         assert len(delivered) == 6 * 3
         assert injected == (
             len(delivered) + fc["link_drops"] + fc["router_crc_drops"]
-            + fc["blackholed"] + fc["source_drops"] + hub.hub_link.queued
+            + fc["blackholed"] + fc["source_drops"] + hub.links[0].queued
         )
 
     def test_source_drops_is_zero_where_injection_links_exist(self):
         eng = Engine()
-        for fabric in (GridFabric(eng, (2, 2)), CrossbarFabric(eng, (2, 2))):
+        for topo in (make_topology("torus2d", 4), HyperCrossbarTopology(4, dims=(2, 2))):
+            fabric = topo.build_fabric(eng)
             fabric.kill_endpoint(0)
             fabric.inject(Packet(src=0, dst=1))
             eng.run()

@@ -20,7 +20,7 @@ import pytest
 
 from repro.collectives import build, des_time_schedule
 from repro.hardware import HyadesCluster, HyadesConfig
-from repro.network.fattree import FatTree
+from repro.network import FatTree
 from repro.network.packet import Packet, Priority
 from repro.network.router import Link
 from repro.sim import DeadlockError, Engine, Store
