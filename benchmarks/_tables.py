@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import pathlib
-from typing import Iterable, Sequence
 
+from repro.core.report import format_table, mega, us  # noqa: F401  (re-exported)
 from repro.obs.bench import write_bench
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -21,19 +21,7 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 #: writes the schema'd ``benchmarks/out/BENCH_<name>.json``.
 emit_bench = functools.partial(write_bench, OUT_DIR)
 
-
-def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    rows = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = [title, "=" * len(title)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+mbs = mflops = mega
 
 
 def emit(name: str, text: str) -> None:
@@ -41,15 +29,3 @@ def emit(name: str, text: str) -> None:
     print("\n" + text)
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"{name}.txt").write_text(text)
-
-
-def us(seconds: float, digits: int = 1) -> str:
-    return f"{seconds * 1e6:.{digits}f}"
-
-
-def mbs(bytes_per_s: float, digits: int = 1) -> str:
-    return f"{bytes_per_s / 1e6:.{digits}f}"
-
-
-def mflops(flops_per_s: float, digits: int = 1) -> str:
-    return f"{flops_per_s / 1e6:.{digits}f}"

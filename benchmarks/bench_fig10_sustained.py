@@ -1,53 +1,36 @@
 """Fig. 10 — sustained performance of the ocean isomorph.
 
-Regenerates the table: vector-machine reference rows plus the Hyades
-rows computed from the performance model, and cross-checks the computed
-single-processor rate against a real (small) serial integration's
-flop-weighted rate.
+Writes the table (vector-machine reference rows plus the Hyades rows
+computed from the performance model) as ``repro report fig10`` builds
+it, and cross-checks the computed single-processor rate against a real
+(small) serial integration's flop-weighted rate.
 """
 
 import pytest
 
-from repro.core.constants import HYADES_1CPU_SUSTAINED
-from repro.core.sustained import fig10_table, hyades_sustained
+from repro.core.report import SECTIONS
 
-from _tables import emit, format_table
-
-
-def test_bench_hyades_rows():
-    res = hyades_sustained(16)
-    assert 0.55e9 < res.sustained_flops < 0.9e9
+from _tables import emit
 
 
-def test_bench_fig10_table():
-    rows = fig10_table()
-    table = []
-    for r in rows:
-        paper = r.get("paper_gflops")
-        table.append(
-            [
-                r["machine"],
-                r["processors"],
-                f"{r['sustained_gflops']:.3f}",
-                f"{paper:.3f}" if paper else "-",
-                r["source"],
-            ]
-        )
-    emit(
-        "fig10_sustained",
-        format_table(
-            "Fig. 10 - sustained GFlop/s, ocean isomorph (coarse resolution)",
-            ["machine", "CPUs", "GFlop/s", "paper", "source"],
-            table,
-        ),
-    )
-    ours = {(r["machine"], r["processors"]): r["sustained_gflops"] for r in rows}
-    assert ours[("Hyades", 1)] == pytest.approx(HYADES_1CPU_SUSTAINED / 1e9, rel=0.08)
+@pytest.fixture(scope="module")
+def section():
+    return SECTIONS["fig10"]()
+
+
+def test_bench_hyades_rows(section):
+    assert 0.55 < section.values["Hyades", 16] < 0.9
+
+
+def test_bench_fig10_table(section):
+    emit("fig10_sustained", section.render())
+    ours, paper = section.values, section.paper
+    assert ours["Hyades", 1] == pytest.approx(paper["Hyades", 1], rel=0.08)
     # shape: 16-CPU Hyades comparable to a single vector CPU, well below
     # a 4-CPU vector machine
-    assert ours[("Cray Y-MP", 1)] * 0.8 < ours[("Hyades", 16)] < ours[("Cray C90", 4)]
+    assert ours["Cray Y-MP", 1] * 0.8 < ours["Hyades", 16] < ours["Cray C90", 4]
     # parallel speedup near the paper's "fifteen times"
-    assert 10 < ours[("Hyades", 16)] / ours[("Hyades", 1)] < 16
+    assert 10 < ours["Hyades", 16] / ours["Hyades", 1] < 16
 
 
 def test_bench_speedup_vs_gcm_run():

@@ -1,38 +1,25 @@
 """Section 5.3 — validation of the performance model.
 
-Regenerates the one-year atmospheric simulation arithmetic (Nt = 77760,
-Ni = 60): predicted Tcomm + Tcomp vs the observed 183 minutes, and an
-independent check where the "observation" is a timed run of the real
-GCM on the lockstep runtime.
+Writes the one-year atmospheric simulation arithmetic (predicted Tcomm
++ Tcomp vs the observed wall-clock) as ``repro report sec53`` builds it,
+and an independent check where the "observation" is a timed run of the
+real GCM on the lockstep runtime.
 """
 
 import pytest
 
-from repro.core.validation import observed_from_simulation, section53_validation
+from repro.core.report import SECTIONS
+from repro.core.validation import observed_from_simulation
 
-from _tables import emit, format_table
-
-MIN = 60.0
+from _tables import emit
 
 
 def test_bench_section53_arithmetic():
-    rep = section53_validation()
-    emit(
-        "sec53_validation",
-        format_table(
-            "Section 5.3 - one-year atmosphere run (Nt=77760, Ni=60)",
-            ["quantity", "reproduction", "paper"],
-            [
-                ["Tcomm (min)", f"{rep.tcomm / MIN:.1f}", "30.1"],
-                ["Tcomp (min)", f"{rep.tcomp / MIN:.1f}", "151"],
-                ["predicted total (min)", f"{rep.predicted_total / MIN:.0f}", "181"],
-                ["observed wall-clock (min)", f"{rep.observed / MIN:.0f}", "183"],
-                ["model error", f"{rep.relative_error * 100:+.1f}%", "~-1%"],
-            ],
-        ),
-    )
-    assert rep.predicted_total == pytest.approx(181 * MIN, rel=0.02)
-    assert abs(rep.relative_error) < 0.02
+    section = SECTIONS["sec53"]()
+    emit("sec53_validation", section.render())
+    ours, paper = section.values, section.paper
+    assert ours["predicted_total"] == pytest.approx(paper["predicted_total"], rel=0.02)
+    assert abs(ours["relative_error"]) < 0.02
 
 
 def test_bench_model_vs_simulated_observation():

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer and one-route-function checks, the
-# DES event-count, GCM step call-count, service fork-count and cold-quote
-# call-count budgets, the tier-1 test suite,
-# an import check of every example, the fault/recovery and
+# line ledger, the one-durable-writer, one-route-function and
+# one-table-formatter checks, the DES event-count, GCM step call-count,
+# service fork-count and cold-quote call-count budgets, the tier-1 test
+# suite, an import check of every example, the fault/recovery and
 # cross-validation smokes, the regenerate-and-diff of benchmarks/out/
-# (virtual time), and the host-time benchmark's smoke run.
+# (virtual time), `repro report` against the seven paper artefacts, and
+# the host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -47,6 +48,16 @@ if [ "$(printf '%s\n' "$assigned" | grep -c .)" -ne 1 ] || grep -rnE '_make_\w*r
   exit 1
 fi
 echo "routing-once: clean ($assigned)"
+
+echo
+echo "== tables-once (a paper table is built in repro.core.report and formatted by its one format_table; benchmarks/ writes what that builds) =="
+formatters="$(grep -rnE 'def format_table|\.ljust\(' src benchmarks --include='*.py' || true)"
+if [ "$(printf '%s\n' "$formatters" | grep -c 'def format_table')" -ne 1 ] || printf '%s\n' "$formatters" | grep -v '^src/repro/core/report\.py:'; then
+  echo "tables-once: format tables with repro.core.report.format_table (benchmarks/_tables.py re-exports it):" >&2
+  echo "$formatters" >&2
+  exit 1
+fi
+echo "tables-once: clean ($(printf '%s\n' "$formatters" | grep 'def format_table'))"
 
 echo
 echo "== DES event budget (exact counts: a per-hop relay or an unconditional tail-off event fails here, not by timing; plus the engine clock invariants) =="
@@ -133,6 +144,14 @@ if [ -n "$changed" ]; then
   exit 1
 fi
 echo "benchmarks-regen: $(ls benchmarks/out | wc -l) artefacts byte-identical to the committed ones"
+
+echo
+echo "== report-is-artefact (python -m repro report KEY prints the committed paper table byte for byte) =="
+for pair in fig2:fig02_logp fig7:fig07_bandwidth fig8:fig08_globalsum fig10:fig10_sustained \
+            fig11:fig11_params fig12:fig12_pfpp sec53:sec53_validation; do
+  python -m repro report "${pair%%:*}" | cmp - "benchmarks/out/${pair##*:}.txt"
+done
+echo "report-is-artefact: 7 sections byte-identical to benchmarks/out/"
 
 echo
 echo "== chaos smoke (SIGKILL'd workers + service: nothing lost, bit-exact, no process left behind) =="

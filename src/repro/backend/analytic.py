@@ -108,10 +108,6 @@ class AnalyticBackend(CommBackend):
             t = self.model.gsum_time(n_nodes, smp=smp)
         return t + self._collective_penalty(n_nodes, nbytes, now)
 
-    def barrier_time(self, n_nodes: int, now: Optional[float] = None) -> float:
-        """The paper's barrier: a dataless (8-byte) global sum."""
-        return self.gsum_time(n_nodes, 8, now=now)
-
     def describe(self) -> dict:
         """Adds the calibration flavour to the base description."""
         d = super().describe()

@@ -117,9 +117,9 @@ class CommBackend(abc.ABC):
         ``smp`` adds the intra-SMP combine of the 2xN mix-mode path.
         ``now`` lets an attached degradation schedule price the window."""
 
-    @abc.abstractmethod
     def barrier_time(self, n_nodes: int, now: Optional[float] = None) -> float:
-        """Seconds for one N-way barrier."""
+        """One N-way barrier: the paper's is a dataless (8-byte) global sum."""
+        return self.gsum_time(n_nodes, 8, now=now)
 
     # ---- window protocol -------------------------------------------------
 

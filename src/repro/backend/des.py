@@ -31,13 +31,6 @@ from repro.network.costmodel import CommCostModel, arctic_cost_model
 from .base import CommBackend
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
-
-
 class DESBackend(CommBackend):
     """Packet-exact costs, memoized per message shape."""
 
@@ -56,10 +49,11 @@ class DESBackend(CommBackend):
     # ---- measured primitives --------------------------------------------
 
     def _cluster(self, n_nodes: int = 2):
+        """A fresh cluster of the next power of two >= ``n_nodes``."""
         from repro.hardware.cluster import HyadesCluster, HyadesConfig
 
         self.simulations += 1
-        return HyadesCluster(HyadesConfig(n_nodes=_next_pow2(max(n_nodes, 2))))
+        return HyadesCluster(HyadesConfig(n_nodes=1 << (max(n_nodes, 2) - 1).bit_length()))
 
     def pair_time(self, nbytes: int) -> float:
         """Measured two-way VI exchange between one node pair (cached)."""
@@ -103,21 +97,15 @@ class DESBackend(CommBackend):
         the same shared formula as the other tiers — a regression test
         keeps it honest against a genuinely degraded live fabric.
         """
-        edges = [int(s) for s in edge_bytes if s > 0]
-        t = 0.0
-        for s in edges:
-            t += self.pair_time(s)
-        if mixmode:
-            if self.model.slave_bw_factor is None:
-                t *= 2.0
-            else:
-                # master relays the slave's exchange: same measured wire
-                # legs, stretched by the reduced slave VI bandwidth
-                stretch = 1.0 / self.model.slave_bw_factor - 1.0
-                for s in edges:
-                    t += self.pair_time(s) + 2 * (s / self.model.bandwidth) * stretch
-        if self.model.copy_bandwidth is not None:
-            t += 2 * sum(edges) / self.model.copy_bandwidth
+        # master relays the slave's exchange: same measured wire legs,
+        # stretched by the reduced slave VI bandwidth
+        t = self.model.compose_exchange(
+            [int(s) for s in edge_bytes],
+            mixmode,
+            self.pair_time,
+            lambda s: self.pair_time(s)
+            + 2 * (s / self.model.bandwidth) * (1.0 / self.model.slave_bw_factor - 1.0),
+        )
         return t + self._exchange_penalty(edge_bytes, node, now)
 
     def gsum_time(
@@ -136,11 +124,6 @@ class DESBackend(CommBackend):
         if smp:
             t += self.model.smp_local_cost
         return t + self._collective_penalty(n_nodes, nbytes, now)
-
-    def barrier_time(self, n_nodes: int, now: Optional[float] = None) -> float:
-        """The paper's barrier: a dataless (8-byte) global sum — same
-        rounds, same beacons, measured as one."""
-        return self.gsum_time(n_nodes, 8, now=now)
 
     def describe(self) -> dict:
         """Adds simulation/event counts and memo sizes to the description."""

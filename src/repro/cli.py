@@ -64,7 +64,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     keys = args.sections or None
     try:
-        print(render_report(keys))
+        print(render_report(keys), end="")
     except KeyError as e:
         print(e, file=sys.stderr)
         return 2
@@ -75,28 +75,21 @@ def _cmd_backend(args: argparse.Namespace) -> int:
     """Backend gate: cross-validation, large-N sweep, or tier info."""
     import json
 
-    if args.crossval:
-        from repro.backend import format_report, run_crossval
+    if args.crossval or args.sweep:
+        from repro.backend import format_report, format_sweep, large_sweep, run_crossval
 
-        report = run_crossval(tolerance=args.tolerance, windows=args.windows)
-        print(format_report(report))
+        if args.crossval:
+            report = run_crossval(tolerance=args.tolerance, windows=args.windows)
+            print(format_report(report))
+        else:
+            tier = args.backend or "analytic"
+            report = large_sweep(n_values=tuple(args.nodes), backend=tier)
+            print(format_sweep(report))
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=1, sort_keys=True)
             print(f"wrote {args.json}")
-        return 0 if report["passed"] else 1
-
-    if args.sweep:
-        from repro.backend import format_sweep, large_sweep
-
-        tier = args.backend or "analytic"
-        report = large_sweep(n_values=tuple(args.nodes), backend=tier)
-        print(format_sweep(report))
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=1, sort_keys=True)
-            print(f"wrote {args.json}")
-        return 0
+        return 0 if report.get("passed", True) else 1
 
     from repro.backend import resolve_backend
 
@@ -177,14 +170,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_century(_args: argparse.Namespace) -> int:
     """The Section 6 projection: a century-long coupled run."""
-    from repro.core.constants import VALIDATION
-    from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
-    from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS
+    from repro.core.validation import section53_validation
 
-    pm = PerformanceModel(
-        PSPhaseParams.from_ref(ATM_PS_PARAMS), DSPhaseParams.from_ref(DS_PARAMS)
-    )
-    year = pm.trun(VALIDATION.nt, VALIDATION.ni)
+    year = section53_validation().predicted_total
     print(f"one model year (2.8125 deg atmosphere): {year / 60:.0f} minutes")
     print(f"a century:                              {100 * year / 86400:.1f} days")
     print('paper, Section 6: "a century long synchronous climate simulation ...')
@@ -353,7 +341,8 @@ def _cmd_pfpp(args: argparse.Namespace) -> int:
     if tier is not None:
         from repro.backend import format_sweep, large_sweep
 
-        print(format_sweep(large_sweep(n_values=tuple(args.nodes), backend=tier)))
+        nodes = {"n_values": tuple(args.nodes)} if args.nodes else {}
+        print(format_sweep(large_sweep(backend=tier, **nodes)))
         return 0
     print(f"{'interconnect':20s} {'Pfpp,ps':>10s} {'Pfpp,ds':>10s}")
     for r in fig12_table(from_models=True):
@@ -377,10 +366,9 @@ def _cmd_pfpp(args: argparse.Namespace) -> int:
     return 0
 
 
-#: default node counts of the cross-architecture scoreboard (the
-#: ``--nodes`` default belongs to the --backend sweep, not this mode).
+#: node counts of the cross-architecture scoreboard when ``--nodes`` is
+#: left out (the --backend sweep has its own default).
 _SCOREBOARD_N = (256, 1024, 4096)
-_PFPP_NODES_DEFAULT = (16, 64, 256, 1024, 4096)
 
 
 def _pfpp_precision_args(args: argparse.Namespace) -> tuple:
@@ -428,11 +416,7 @@ def _pfpp_topology_scoreboard(args: argparse.Namespace) -> int:
 
     spec = args.topology.lower()
     names = SCOREBOARD_TOPOLOGIES if spec == "all" else (spec,)
-    n_values = (
-        tuple(args.nodes)
-        if tuple(args.nodes) != _PFPP_NODES_DEFAULT
-        else _SCOREBOARD_N
-    )
+    n_values = tuple(args.nodes or _SCOREBOARD_N)
     prec_name, prec_kwargs, prec_note = _pfpp_precision_args(args)
     try:
         rows = topology_scoreboard(topologies=names, n_values=n_values)
@@ -636,27 +620,33 @@ def _cmd_service(args: argparse.Namespace) -> int:
     return 0 if summary["completed"] == n else 1
 
 
+def _batch_root(args: argparse.Namespace, prefix: str, what: str):
+    """Where a candidate batch runs: the service root (``--dir`` or a
+    fresh temp directory), or ``None`` for ``--in-process``."""
+    import pathlib
+    import tempfile
+
+    if args.in_process:
+        return None
+    root = pathlib.Path(args.dir or tempfile.mkdtemp(prefix=prefix))
+    print(f"{what} via ensemble service in {root}")
+    return root
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """Systematic fault campaign: sweep kind x magnitude x tier, audit."""
     import json as _json
     import pathlib
-    import tempfile
 
     from repro.faults.campaign import run_campaign
 
-    root = None
-    if not args.in_process:
-        root = pathlib.Path(
-            args.dir or tempfile.mkdtemp(prefix="repro-campaign-")
-        )
-        print(f"fault campaign via ensemble service in {root}")
+    root = _batch_root(args, "repro-campaign-", "fault campaign")
     tiers = args.tiers.split(",") if args.tiers else None
     scorecard = run_campaign(
         out_dir=pathlib.Path(args.out),
         root=root,
         smoke=args.smoke,
         tiers=tiers,
-        use_service=not args.in_process,
         max_workers=args.workers,
         deadline_s=args.deadline,
     )
@@ -690,17 +680,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_tune_precision(args: argparse.Namespace) -> int:
     """Accuracy-gated mixed-precision search (Precimonious-style ddmin)."""
     import pathlib
-    import tempfile
 
     from repro.precision.report import format_search_result
     from repro.precision.search import TUNED_CONFIG_NAME, tune_precision
 
-    root = None
-    if not args.in_process:
-        root = pathlib.Path(
-            args.dir or tempfile.mkdtemp(prefix="repro-precision-")
-        )
-        print(f"candidate evaluation via ensemble service in {root}")
+    root = _batch_root(args, "repro-precision-", "candidate evaluation")
     result = tune_precision(
         smoke=args.smoke,
         service_root=root,
@@ -839,9 +823,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--nodes",
         type=int,
         nargs="+",
-        default=list(_PFPP_NODES_DEFAULT),
-        help="processor counts for the --backend sweep or --topology "
-        "scoreboard (scoreboard default: 256 1024 4096)",
+        help="processor counts for the --backend sweep (default: 16 64 "
+        "256 1024 4096) or --topology scoreboard (default: 256 1024 4096)",
     )
     p_pfpp.add_argument(
         "--topology",

@@ -13,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.constants import DS_PARAMS, OCN_PS_PARAMS, VALIDATION
-from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
-from repro.hardware.vector_machines import (
-    HYADES_PAPER_ROWS,
-    VECTOR_MACHINES,
+from repro.core.constants import (
+    DS_PARAMS,
+    HYADES_1CPU_SUSTAINED,
+    HYADES_16CPU_SUSTAINED,
+    OCN_PS_PARAMS,
+    VALIDATION,
 )
+from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
+from repro.hardware.vector_machines import VECTOR_MACHINES
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ def fig10_table(ni: float = VALIDATION.ni) -> list[dict]:
         }
         for r in VECTOR_MACHINES
     ]
-    paper_h = {r.processors: r.sustained_gflops for r in HYADES_PAPER_ROWS}
+    paper_h = {1: HYADES_1CPU_SUSTAINED / 1e9, 16: HYADES_16CPU_SUSTAINED / 1e9}
     for procs in (1, 16):
         ours = hyades_sustained(procs, ni=ni)
         rows.append(

@@ -622,51 +622,28 @@ def run_campaign(
     root: Optional[pathlib.Path] = None,
     smoke: bool = False,
     tiers: Optional[Sequence[str]] = None,
-    use_service: bool = True,
     max_workers: int = 2,
     deadline_s: float = 300.0,
 ) -> dict:
     """Run the campaign and return (and optionally bench) the scorecard.
 
-    With ``use_service`` and a ``root``, every scenario ships as a
-    ``"campaign"`` job through the ensemble service (spool, journal,
-    supervisor, adaptive deadlines) and the service drains the batch;
-    otherwise scenarios run in-process, which is what the unit tests
-    exercise.  ``out_dir`` gets the schema'd ``BENCH_campaign.json``.
+    With a ``root`` every scenario ships as a ``"campaign"`` job through
+    the ensemble service (spool, journal, supervisor, adaptive
+    deadlines) and the service drains the batch; without one the same
+    jobs run in-process, which is what the unit tests exercise.
+    ``out_dir`` gets the schema'd ``BENCH_campaign.json``.
     """
-    scenarios = build_grid(smoke=smoke, tiers=tiers)
-    results: Dict[str, Optional[dict]] = {}
-    if use_service and root is not None:
-        from repro.service import (
-            JobSpec,
-            ServiceConfig,
-            SupervisorConfig,
-            run_jobs,
-        )
+    from repro.service import run_batch
 
-        specs = [
-            JobSpec(
-                kind="campaign",
-                params=sc.to_params(),
-                name="campaign-" + sc.scenario_id,
-            )
-            for sc in scenarios
-        ]
-        config = ServiceConfig(
-            supervisor=SupervisorConfig(
-                max_workers=max_workers, deadline_s=deadline_s
-            )
-        )
-        _, job_results, _ = run_jobs(root, specs, config)
-        for sc, result in zip(scenarios, job_results):
-            results[sc.scenario_id] = result
-    else:
-        for sc in scenarios:
-            results[sc.scenario_id] = run_scenario(sc.to_params())
+    scenarios = build_grid(smoke=smoke, tiers=tiers)
+    job_results = run_batch(
+        "campaign", [sc.to_params() for sc in scenarios], root, max_workers, deadline_s
+    )
+    results = {sc.scenario_id: r for sc, r in zip(scenarios, job_results)}
 
     scorecard = audit_campaign(scenarios, results)
     scorecard["smoke"] = smoke
-    scorecard["via_service"] = bool(use_service and root is not None)
+    scorecard["via_service"] = root is not None
     if out_dir is not None:
         from repro.obs.bench import write_bench
 

@@ -480,59 +480,42 @@ class Model:
         stats.flops_nh = fc.total
         stats.nh_converged = result.converged
 
-        # charge: per iteration one 2-field 3-D halo-1 exchange + 2 gsums
+        # per iteration one 2-field 3-D halo-1 exchange + 2 gsums
         rt = self.runtime
-        be = rt.backend
-        ni = max(result.iterations, 1)
-        per_iter = fc.total / ni / self.decomp.n_ranks
-        edges = self.decomp.edge_bytes(
-            nz=self.grid.nz,
-            width=1,
-            itemsize=self._solver_itemsize,
-            rank=self.decomp.critical_rank,
-        )
-        rt.sync()
-        rt.charge_phase(
-            compute=ni * per_iter / rt.machine.fds,
-            exchange=ni * 2 * be.exchange_time(edges, mixmode=rt.mixmode, n_ranks=rt.n_ranks),
-            gsum=ni * 2 * be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode),
-            flops=fc.total,
-            n_exchanges=2 * ni,
-            n_gsums=2 * ni,
-            phase="nh",
+        self._charge_solver(
+            "nh", result.iterations, fc.total, self.decomp, self.grid.nz,
+            rt.mixmode, rt.n_ranks,
         )
 
     def _charge_ds(self, cg_res: CGResult, counter: FlopCounter) -> None:
-        """Charge the aggregated, globally-synchronous DS cost.
+        """Charge the DS solve: two 2-D fields on the DS decomposition."""
+        self._charge_solver("ds", cg_res.iterations, counter.total, self.ds_decomp, 1, False, 1)
+
+    def _charge_solver(self, phase, iterations, flops, decomp, nz, mixmode, n_ranks) -> None:
+        """Charge an aggregated, globally-synchronous solve.
 
         Per iteration: max-tile compute at Fds, one 2-field width-1
-        exchange, two global sums (Sections 4, 5.2).
+        exchange on ``decomp`` (critical tile; ``mixmode`` / ``n_ranks``
+        as the backend takes them) and two global sums (Sections 4, 5.2).
         """
         rt = self.runtime
         be = rt.backend
-        ni = max(cg_res.iterations, 1)
-        n_ds_tiles = self.ds_decomp.n_ranks
-        # per-iteration per-DS-tile compute time at Fds
-        per_iter_flops = counter.total / ni / n_ds_tiles
-        t_compute = ni * per_iter_flops / rt.machine.fds
-        # one exchange of two 2-D fields per iteration (critical tile)
-        edges = self.ds_decomp.edge_bytes(
-            nz=1,
-            width=1,
-            itemsize=self._solver_itemsize,
-            rank=self.ds_decomp.critical_rank,
+        ni = max(iterations, 1)
+        per_iter_flops = flops / ni / decomp.n_ranks
+        edges = decomp.edge_bytes(
+            nz=nz, width=1, itemsize=self._solver_itemsize, rank=decomp.critical_rank
         )
-        t_exch = ni * 2 * be.exchange_time(edges, mixmode=False)
+        t_exch = ni * 2 * be.exchange_time(edges, mixmode=mixmode, n_ranks=n_ranks)
         t_gsum = ni * 2 * be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode)
         rt.sync()
         rt.charge_phase(
-            compute=t_compute,
+            compute=ni * per_iter_flops / rt.machine.fds,
             exchange=t_exch,
             gsum=t_gsum,
-            flops=counter.total,
+            flops=flops,
             n_exchanges=2 * ni,
             n_gsums=2 * ni,
-            phase="ds",
+            phase=phase,
         )
 
     # -- diagnostics -----------------------------------------------------

@@ -139,32 +139,44 @@ class CommCostModel:
         multiplied by ``n_ranks`` (every rank's traffic crosses the same
         backplane).
         """
-        # zero-byte entries mark walls / self-wraps: no transfer happens
-        edges = [s for s in edge_bytes if s > 0]
-        total = sum(edges)
         overhead = self.transfer_overhead + self.hop_latency
         if self.shared_medium:
             t = 0.0
-            for s in edges:
-                t += 2 * (overhead + s * n_ranks / self.bandwidth)
+            for s in edge_bytes:
+                if s > 0:
+                    t += 2 * (overhead + s * n_ranks / self.bandwidth)
             return t
+        return self.compose_exchange(
+            edge_bytes,
+            mixmode,
+            lambda s: 2 * (overhead + s / self.bandwidth),
+            lambda s: 2 * (overhead + s / (self.bandwidth * self.slave_bw_factor)),
+        )
+
+    def compose_exchange(self, edge_bytes: Sequence[int], mixmode: bool, leg, slave_leg) -> float:
+        """The Section 4.1 composition around a tier's prices: ``leg(s)``
+        per neighbour, in mix-mode the master's relay of the slave's
+        exchange (``slave_leg(s)`` per neighbour, or everything twice
+        when the slave path is not modelled), then the halo pack/unpack.
+        The closed form and the DES tier share this flow, not the legs."""
+        # zero-byte entries mark walls / self-wraps: no transfer happens
+        edges = [s for s in edge_bytes if s > 0]
         t = 0.0
         for s in edges:
-            t += 2 * (overhead + s / self.bandwidth)
+            t += leg(s)
         if mixmode:
             if self.slave_bw_factor is None:
                 t *= 2.0  # master simply repeats the exchange for the slave
             else:
-                slave_bw = self.bandwidth * self.slave_bw_factor
                 for s in edges:
-                    t += 2 * (overhead + s / slave_bw)
+                    t += slave_leg(s)
         if self.copy_bandwidth is not None:
             # One pack + one unpack of the per-rank halo volume.  In
             # mix-mode the slave's pack overlaps the master's DMA (the
             # slave gathers its halo while the master's transfer is in
             # flight), so the copy term is charged once, not per rank —
             # this composition lands on the measured Fig. 11 values.
-            t += 2 * total / self.copy_bandwidth
+            t += 2 * sum(edges) / self.copy_bandwidth
         return t
 
     # ---- global sum (Section 4.2) ----------------------------------------

@@ -252,7 +252,8 @@ class LockstepRuntime:
         ``fields`` is either one field — an array stacked on a leading
         rank axis, or a sequence of ``n_ranks`` 2-D/3-D tile arrays — or
         a sequence of such fields exchanged back-to-back (the PS phase
-        exchanges five three-dimensional state fields per step).
+        exchanges five three-dimensional state fields per step); a
+        list that reads both ways (``_split_fields``) raises ``ValueError``.
 
         ``itemsize`` prices the wire: one int for every field, or one
         per field when a mixed-precision config narrows some payloads.
@@ -260,35 +261,16 @@ class LockstepRuntime:
         for all) applies the matching value-level quantization; None
         keeps a field's copies cast-free.
         """
-        one_field = isinstance(fields, np.ndarray) or (
-            len(fields) == self.n_ranks
-            and isinstance(fields[0], np.ndarray)
-            and fields[0].ndim <= 3
-        )
-        field_list = [fields] if one_field else list(fields)
-        if isinstance(itemsize, (int, np.integer)):
-            itemsizes = [int(itemsize)] * len(field_list)
-        else:
-            itemsizes = [int(s) for s in itemsize]
-            if len(itemsizes) != len(field_list):
-                raise ValueError(
-                    f"need {len(field_list)} itemsizes, got {len(itemsizes)}"
-                )
-        if wire_dtypes is None or not isinstance(wire_dtypes, (list, tuple)):
-            wire_list = [wire_dtypes] * len(field_list)
-        else:
-            wire_list = list(wire_dtypes)
-            if len(wire_list) != len(field_list):
-                raise ValueError(
-                    f"need {len(field_list)} wire dtypes, got {len(wire_list)}"
-                )
+        field_list = self._split_fields(fields)
+        itemsizes = self._per_field(itemsize, len(field_list), "itemsizes")
+        wire_list = self._per_field(wire_dtypes, len(field_list), "wire dtypes")
 
         costs = np.zeros(self.n_ranks)
         total_bytes = 0
         # Clocks stand still until every field is priced, so fields of
         # one shape and wire size share one per-rank quote vector.
         quoted: dict = {}
-        for f, isz, wdt in zip(field_list, itemsizes, wire_list):
+        for f, isz, wdt in zip(field_list, map(int, itemsizes), wire_list):
             arr0 = f[0]
             nz = 1 if arr0.ndim == 2 else arr0.shape[0]
             exchange_halos(self.decomp, f, width, wire_dtype=wdt)
@@ -319,6 +301,32 @@ class LockstepRuntime:
                 self.current_phase, "sync", float((synced - before).max())
             )
         self._log(f"exchange:{len(field_list)}f", t_start)
+
+    @staticmethod
+    def _per_field(value, n_fields: int, what: str) -> list:
+        """``value`` for each field: one for all, or a list of one each."""
+        if not isinstance(value, (list, tuple)):
+            return [value] * n_fields
+        if len(value) != n_fields:
+            raise ValueError(f"need {n_fields} {what}, got {len(value)}")
+        return list(value)
+
+    def _split_fields(self, fields) -> list:
+        """``exchange``'s argument as a list of fields."""
+        if isinstance(fields, np.ndarray):
+            return [fields]
+        if not isinstance(fields[0], np.ndarray):
+            return list(fields)  # fields given as lists of tiles
+        n = self.n_ranks
+        as_tiles = len(fields) == n and all(f.ndim <= 3 for f in fields)
+        as_stacks = all(f.ndim >= 3 and f.shape[0] == n for f in fields)
+        if as_tiles and as_stacks and n > 1:
+            raise ValueError(
+                f"{n} arrays of shape {fields[0].shape} on {n} ranks are one "
+                "field's tiles or that many rank-stacked fields: pass [tiles] "
+                "or [list(f) for f in fields]"
+            )
+        return [fields] if as_tiles else list(fields)
 
     def _exchange_quotes(self, nz: int, width: Optional[int], itemsize: int):
         """Per-rank ``(cost vector, bytes sent)`` of one field's exchange
@@ -367,12 +375,9 @@ class LockstepRuntime:
         result = self._summer(values)
         if wire_dtype is not None and np.dtype(wire_dtype) != np.float64:
             result = float(np.asarray(result).astype(wire_dtype))
-        if self.degradation is not None:
-            t_g = self.backend.gsum_time(
-                self.n_nodes, nbytes, smp=self.mixmode, now=self.elapsed
-            )
-        else:
-            t_g = self.backend.gsum_time(self.n_nodes, nbytes, smp=self.mixmode)
+        # a healthy machine's quote does not depend on when it is asked
+        when = None if self.degradation is None else self.elapsed
+        t_g = self.backend.gsum_time(self.n_nodes, nbytes, smp=self.mixmode, now=when)
         before = self.clocks.copy()
         now = float(before.max())
         self.clocks[:] = now + t_g
@@ -390,10 +395,8 @@ class LockstepRuntime:
 
     def barrier(self) -> None:
         """Synchronize clocks (costed like a dataless global sum)."""
-        if self.degradation is not None:
-            t_b = self.backend.barrier_time(self.n_nodes, now=self.elapsed)
-        else:
-            t_b = self.backend.barrier_time(self.n_nodes)
+        when = None if self.degradation is None else self.elapsed
+        t_b = self.backend.barrier_time(self.n_nodes, now=when)
         t_start = self.elapsed
         self.clocks[:] = float(self.clocks.max()) + t_b
         if self.metrics is not None:

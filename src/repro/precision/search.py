@@ -19,9 +19,10 @@ passes:
   recurse into it alone;
 * on interference, minimize each half against the other's full revert.
 
-Both half-candidates of a split are evaluated as one batch, so when the
-evaluations run as ensemble-service jobs (``service_root=...``) they
-execute in parallel on the item-3 worker fleet.  Every evaluation is
+Both half-candidates of a split are evaluated as one batch
+(:func:`repro.service.run_batch`), so when the evaluations run as
+ensemble-service jobs (``service_root=...``) they execute in parallel
+on the item-3 worker fleet.  Every evaluation is
 memoized and appended to the search trajectory.
 
 Wire-byte accounting is static and element-weighted over the reference
@@ -193,51 +194,6 @@ def run_candidate(params: dict, beat=None) -> dict:
     }
 
 
-class InlineRunner:
-    """Evaluates candidate batches sequentially, in-process."""
-
-    def evaluate(self, param_batch: Sequence[dict]) -> List[dict]:
-        """One :func:`run_candidate` result per params dict."""
-        return [run_candidate(p) for p in param_batch]
-
-
-class ServiceRunner:
-    """Evaluates candidate batches as parallel ensemble-service jobs."""
-
-    def __init__(self, root, max_workers: int = 4, deadline_s: float = 600.0) -> None:
-        self.root = pathlib.Path(root)
-        self.max_workers = max_workers
-        self.deadline_s = deadline_s
-
-    def evaluate(self, param_batch: Sequence[dict]) -> List[dict]:
-        """Submit the batch, drain the service, collect results in order."""
-        from repro.service import (
-            JobSpec,
-            ServiceConfig,
-            SupervisorConfig,
-            run_jobs,
-        )
-
-        specs = [
-            JobSpec(
-                kind="precision",
-                params=params,
-                name="precision-" + params["config"].get("name", "candidate"),
-            )
-            for params in param_batch
-        ]
-        config = ServiceConfig(
-            supervisor=SupervisorConfig(
-                max_workers=self.max_workers, deadline_s=self.deadline_s
-            )
-        )
-        job_ids, results, _ = run_jobs(self.root, specs, config)
-        for job_id, result in zip(job_ids, results):
-            if result is None:
-                raise RuntimeError(f"precision job {job_id} produced no result")
-        return results
-
-
 # ---------------------------------------------------------------------------
 # the ddmin search
 
@@ -245,11 +201,11 @@ class ServiceRunner:
 class _Search:
     """Memoizing evaluator + trajectory recorder for the bisection."""
 
-    def __init__(self, runner, baseline, smoke, tolerances) -> None:
-        self.runner = runner
-        self.baseline = baseline
-        self.smoke = smoke
-        self.tolerances = dict(tolerances)
+    def __init__(self, shared: dict, root, max_workers: int) -> None:
+        #: what every candidate's job params carry besides its config
+        self.shared = shared
+        self.root = root
+        self.max_workers = max_workers
         self.cache: Dict[frozenset, dict] = {}
         self.trajectory: List[dict] = []
 
@@ -258,25 +214,21 @@ class _Search:
 
     def evaluate_batch(self, candidates: Sequence[Sequence[Group]]) -> List[bool]:
         """Gate every candidate revert set (memoized, one batch)."""
-        fresh = []
-        for groups in candidates:
-            key = self._key(groups)
-            if key not in self.cache and all(key != k for k, _ in fresh):
-                fresh.append((key, groups))
+        fresh = {self._key(groups): groups for groups in candidates}
+        fresh = {k: g for k, g in fresh.items() if k not in self.cache}
         if fresh:
-            batch = []
-            for _, groups in fresh:
-                config = config_for_reverts(groups)
-                batch.append(
-                    {
-                        "config": config.to_dict(),
-                        "baseline": self.baseline,
-                        "smoke": self.smoke,
-                        "tolerances": self.tolerances,
-                    }
-                )
-            results = self.runner.evaluate(batch)
-            for (key, groups), result in zip(fresh, results):
+            from repro.service import run_batch
+
+            batch = [
+                dict(self.shared, config=config_for_reverts(g).to_dict())
+                for g in fresh.values()
+            ]
+            results = run_batch(
+                "precision", batch, self.root, self.max_workers, deadline_s=600.0
+            )
+            if None in results:
+                raise RuntimeError("a precision job produced no result")
+            for (key, groups), result in zip(fresh.items(), results):
                 self.cache[key] = result
                 self.trajectory.append(
                     {
@@ -331,16 +283,10 @@ def tune_precision(
     ``out_dir`` gets ``PRECISION_tuned.json`` (the tuned assignment +
     its gate report), which ``repro pfpp --precision tuned`` consumes.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     baseline = reference_diagnostics(None, smoke=smoke)
-    runner = (
-        ServiceRunner(service_root, max_workers=max_workers)
-        if service_root is not None
-        else InlineRunner()
-    )
-    search = _Search(runner, baseline, smoke, tol)
+    shared = {"baseline": baseline, "smoke": smoke, "tolerances": tol}
+    search = _Search(shared, service_root, max_workers)
     groups = leaf_groups()
 
     # Sanity anchor: the full revert is all64 and must gate clean (it

@@ -27,7 +27,7 @@ feature is its fault story, built on the robustness stack of PRs 1–4:
   quarantined.
 """
 
-from .api import EnsembleService, ServiceClient, ServiceConfig, run_jobs
+from .api import EnsembleService, ServiceClient, ServiceConfig, run_batch, run_jobs
 from .chaos import ChaosConfig, ChaosReport, build_ensemble, run_chaos
 from .degrade import DegradeConfig
 from .jobs import JobPriority, JobSpec, JobState, JobStatus, model_digest
@@ -59,6 +59,7 @@ __all__ = [
     "build_ensemble",
     "execute_job",
     "model_digest",
+    "run_batch",
     "run_chaos",
     "run_jobs",
 ]

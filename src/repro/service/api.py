@@ -32,7 +32,7 @@ import pathlib
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.durable import write_json_atomic
 
@@ -42,7 +42,7 @@ from .journal import Journal
 from .metrics import ServiceMetrics
 from .queue import JobQueue
 from .supervisor import Supervisor, SupervisorConfig
-from .worker import PID_NAME, read_result
+from .worker import PID_NAME, execute_job, read_result
 
 JOURNAL_NAME = "journal.bin"
 SPOOL_DIR = "spool"
@@ -345,3 +345,24 @@ def run_jobs(
     summary = EnsembleService(root, config).serve(drain=True, max_wall_s=max_wall_s)
     results = [read_result(root / JOBS_DIR / job_id, job_id) for job_id in job_ids]
     return job_ids, results, summary
+
+
+def run_batch(
+    kind: str,
+    params: Sequence[dict],
+    root: Union[str, pathlib.Path, None] = None,
+    max_workers: int = 4,
+    deadline_s: float = 120.0,
+) -> List[Optional[dict]]:
+    """The one loop that runs candidates as jobs: a ``kind`` job per
+    params dict, through a service drained on ``root`` (``max_workers``
+    processes, ``deadline_s`` per attempt) or, with ``root=None``,
+    through :func:`execute_job` in this process.  Results come back in
+    order; a job the service quarantined or shed leaves ``None``."""
+    specs = [JobSpec(kind, p) for p in params]
+    if root is None:
+        return [execute_job(spec) for spec in specs]
+    config = ServiceConfig(
+        supervisor=SupervisorConfig(max_workers=max_workers, deadline_s=deadline_s)
+    )
+    return run_jobs(root, specs, config)[1]

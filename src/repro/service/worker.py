@@ -34,6 +34,7 @@ exercise the retry path.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -198,35 +199,30 @@ def _run_wedge(spec: JobSpec) -> dict:
     return {"digest": "wedge:" + _spec_digest(spec), "steps": 0}
 
 
-def _run_campaign(
+#: Candidate kinds: the entry point ``fn(params, beat=)`` lives with its
+#: subsystem, is deterministic in ``params`` and returns its own
+#: ``digest`` (the degraded run's field digest / the CRC of the gate
+#: report) — so retry and chaos guard a candidate's bit-exactness for
+#: free, and in-process and service evaluation are mutually checkable.
+_CANDIDATES = {
+    "campaign": ("repro.faults.campaign", "run_scenario"),
+    "precision": ("repro.precision.search", "run_candidate"),
+}
+
+
+def _run_candidate(
     spec: JobSpec, job_dir: Optional[pathlib.Path], beat: Callable[[], None]
 ) -> dict:
-    """One fault-campaign scenario (see :mod:`repro.faults.campaign`).
-
-    The scenario result is deterministic in ``spec.params``, and its
-    ``digest`` is the degraded run's field digest — so the service's
-    retry/chaos machinery guards campaign bit-exactness for free.
-    """
-    from repro.faults.campaign import run_scenario
-
+    """One fault-campaign scenario or one mixed-precision gate run."""
+    module, entry = _CANDIDATES[spec.kind]
     beat()
-    return run_scenario(dict(spec.params), beat=beat)
+    return getattr(importlib.import_module(module), entry)(dict(spec.params), beat=beat)
 
 
-def _run_precision(
-    spec: JobSpec, job_dir: Optional[pathlib.Path], beat: Callable[[], None]
-) -> dict:
-    """One mixed-precision candidate evaluation (see
-    :mod:`repro.precision.search`).
-
-    The gate report is deterministic in ``spec.params`` and its
-    ``digest`` is the CRC of the canonical report, so inline and
-    service evaluation of the same candidate are mutually checkable.
-    """
-    from repro.precision.search import run_candidate
-
-    beat()
-    return run_candidate(dict(spec.params), beat=beat)
+_RUNNERS = {
+    "ocean": _run_ocean, "sweep": _run_sweep, "sleep": _run_sleep,
+    "campaign": _run_candidate, "precision": _run_candidate,
+}
 
 
 def execute_job(
@@ -249,24 +245,14 @@ def execute_job(
         if heartbeat is not None:
             os.utime(heartbeat)
 
-    if spec.kind == "ocean":
-        result = _run_ocean(spec, job_dir, beat)
-    elif spec.kind == "sweep":
-        result = _run_sweep(spec, job_dir, beat)
-    elif spec.kind == "sleep":
-        result = _run_sleep(spec, job_dir, beat)
-    elif spec.kind == "flaky":
+    if spec.kind == "flaky":
         result = _run_flaky(spec, job_dir, beat, attempt)
     elif spec.kind == "fail":
         result = _run_fail(spec)
     elif spec.kind == "wedge":
         result = _run_wedge(spec)
-    elif spec.kind == "campaign":
-        result = _run_campaign(spec, job_dir, beat)
-    elif spec.kind == "precision":
-        result = _run_precision(spec, job_dir, beat)
-    else:  # unreachable: JobSpec validates its kind
-        raise ValueError(f"unknown job kind {spec.kind!r}")
+    else:  # JobSpec validated the kind
+        result = _RUNNERS[spec.kind](spec, job_dir, beat)
     result.update({"job_id": spec.job_id, "kind": spec.kind, "attempt": attempt})
     return result
 

@@ -83,6 +83,60 @@ class TestExchangeAccounting:
         assert rt.stats[0].exchange_time < max(s.exchange_time for s in rt.stats)
 
 
+class TestExchangeArgumentForms:
+    """One field or several must never be a guess: ``n_ranks`` arrays of
+    shape ``(n_ranks, ny, nx)`` used to be read as one field's tiles, so
+    two rank-stacked 2-D fields on two ranks traded halos with each
+    other and counted one exchange."""
+
+    def stacked(self, decomp, base):
+        o = decomp.olx
+        t = decomp.tile(0)
+        a = np.zeros((decomp.n_ranks, t.ny + 2 * o, t.nx + 2 * o))
+        for r in range(decomp.n_ranks):
+            a[r][decomp.tile(r).interior] = base + r
+        return a
+
+    def east_halo(self, decomp, field):
+        o = decomp.olx
+        return field[0][o, o + decomp.tile(0).nx]
+
+    def test_as_many_stacked_fields_as_ranks_is_rejected(self):
+        rt = make_runtime(px=2, py=1, olx=1)
+        a, b = self.stacked(rt.decomp, 10.0), self.stacked(rt.decomp, 20.0)
+        with pytest.raises(ValueError, match="rank-stacked"):
+            rt.exchange([a, b])
+        assert self.east_halo(rt.decomp, a) == 0.0  # nothing moved
+        assert rt.stats[0].n_exchanges == 0
+
+    @pytest.mark.parametrize("n_fields", [2, 3])
+    def test_stacked_fields_keep_to_themselves(self, n_fields):
+        rt = make_runtime(px=2, py=1, olx=1)
+        fields = [self.stacked(rt.decomp, 10.0 * (i + 1)) for i in range(n_fields)]
+        rt.exchange([list(f) for f in fields] if n_fields == 2 else fields)
+        for i, f in enumerate(fields):
+            # rank 0's east halo is rank 1's interior of the same field
+            assert self.east_halo(rt.decomp, f) == 10.0 * (i + 1) + 1
+        assert rt.stats[0].n_exchanges == n_fields
+
+    def test_one_field_as_a_stack_or_as_tiles(self):
+        rt = make_runtime(px=2, py=1, olx=1)
+        a, b = self.stacked(rt.decomp, 10.0), self.stacked(rt.decomp, 10.0)
+        rt.exchange(a)
+        rt.exchange(list(b))
+        np.testing.assert_array_equal(a, b)
+        assert self.east_halo(rt.decomp, a) == 11.0
+        assert rt.stats[0].n_exchanges == 2
+
+    def test_tiles_as_deep_as_the_rank_count_need_the_list_form(self):
+        rt = make_runtime(px=2, py=1, olx=1)
+        tiles = [t.alloc3d(rt.n_ranks) for t in rt.decomp.tiles]
+        with pytest.raises(ValueError):
+            rt.exchange(tiles)
+        rt.exchange([tiles])
+        assert rt.stats[0].n_exchanges == 1
+
+
 class TestGlobalSumAccounting:
     def test_value_and_cost(self):
         rt = make_runtime()  # 16 ranks on 8 SMPs

@@ -13,6 +13,7 @@ from repro.service import (
     ServiceConfig,
     SupervisorConfig,
     execute_job,
+    run_batch,
     run_jobs,
 )
 from repro.service.api import JOURNAL_NAME
@@ -81,6 +82,27 @@ class TestRunJobs:
         assert ids == [spec.job_id for spec in specs]
         assert [r and r["job_id"] for r in results] == [ids[0], None, ids[2]]
         assert summary["completed"] == 2 and summary["quarantined"] == 1
+
+
+class TestRunBatch:
+    """One loop runs candidates as jobs: in this process without a
+    root, through a drained service with one — same results, in order."""
+
+    PARAMS = [dict(OCEAN_PARAMS, perturb_seed=seed) for seed in (1, 2, 3)]
+
+    def test_in_process_and_service_agree(self, tmp_path):
+        inline = run_batch("ocean", self.PARAMS)
+        served = run_batch("ocean", self.PARAMS, tmp_path, max_workers=2)
+        assert inline == served
+        assert len({r["digest"] for r in inline}) == 3
+        assert [r["job_id"] for r in inline] == [
+            JobSpec("ocean", p).job_id for p in self.PARAMS
+        ]
+        assert ServiceClient(tmp_path).status().keys() == {r["job_id"] for r in inline}
+
+    def test_in_process_is_execute_job(self):
+        (result,) = run_batch("ocean", self.PARAMS[:1])
+        assert result == execute_job(JobSpec("ocean", self.PARAMS[0]))
 
 
 class TestStartupRecovery:
