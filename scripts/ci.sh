@@ -27,7 +27,7 @@ python scripts/check_docs_modules.py
 
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
-for tree in src src/repro/network tests benchmarks scripts; do
+for tree in src src/repro/network src/repro/collectives tests benchmarks scripts; do
   echo "$tree/ $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
 
@@ -72,7 +72,7 @@ echo "== service spawn budget (exact counts: a fork per attempt fails here, not 
 python -m pytest -q -p no:cacheprovider tests/service/test_spawn_budget.py
 
 echo
-echo "== cold quote budget (exact counts: a per-Send pricing loop or a per-tuner schedule rebuild fails here, not by timing) =="
+echo "== cold quote budget (exact counts: a per-Send pricing loop, a per-tuner schedule rebuild, or a Send / item rule run by a quote fails here, not by timing) =="
 python -m pytest -q -p no:cacheprovider tests/collectives/test_quote_budget.py
 
 echo

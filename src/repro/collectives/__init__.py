@@ -3,10 +3,12 @@
 Generalises the paper's two hand-built primitives (halo exchange,
 butterfly global sum — Sections 4.1/4.2) into a reusable layer:
 
-* :mod:`~repro.collectives.schedules` — declarative per-round
-  ``(src, dst, bytes)`` schedules for allreduce (butterfly / ring /
-  reduce-scatter+allgather / tree), broadcast, allgather,
-  reduce_scatter, alltoall and barrier;
+* :mod:`~repro.collectives.schedules` — declarative schedules for
+  allreduce (butterfly / ring / reduce-scatter+allgather / tree),
+  broadcast, allgather, reduce_scatter, alltoall and barrier: the wire
+  (per-round ``(src, dst, bytes)`` index arrays, ``Schedule.columns``)
+  is what ``build()`` makes; the items each message carries
+  (``Schedule.rounds``) are derived when a data engine asks;
 * :mod:`~repro.collectives.cost` — analytic costs from the calibrated
   LogP/Arctic models;
 * :mod:`~repro.collectives.des_exec` — packet-level DES execution

@@ -83,18 +83,19 @@ def _trace_done(schedule: Schedule, t0: float, t1: float, mode: str):
         )
 
 
-def _by_rank(schedule: Schedule) -> List[Tuple[Dict[int, list], Dict[int, list]]]:
-    """Per round, ``({src: its sends}, {dst: its receives})`` in schedule
+def _by_rank(rounds) -> List[Tuple[Dict[int, list], Dict[int, list]]]:
+    """Per round of ``(src, dst, payload)`` sends, ``({src: its (dst,
+    payload) posts}, {dst: its (src, payload) awaits})`` in schedule
     order: one pass, where a scan per rank is quadratic in the ranks."""
-    rounds = []
-    for rnd in schedule.rounds:
+    by_rank = []
+    for rnd in rounds:
         posts: Dict[int, list] = {}
         awaits: Dict[int, list] = {}
-        for s in rnd:
-            posts.setdefault(s.src, []).append(s)
-            awaits.setdefault(s.dst, []).append(s)
-        rounds.append((posts, awaits))
-    return rounds
+        for src, dst, payload in rnd:
+            posts.setdefault(src, []).append((dst, payload))
+            awaits.setdefault(dst, []).append((src, payload))
+        by_rank.append((posts, awaits))
+    return by_rank
 
 
 def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
@@ -117,19 +118,19 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
         niu = cluster.niu(me)
         for i, (posts, awaits) in enumerate(by_rank):
             t0 = eng.now
-            for s in posts.get(me, ()):
-                if max(s.nbytes, 8) <= SMALL_MSG_MAX_BYTES:
+            for dst, nbytes in posts.get(me, ()):
+                if max(nbytes, 8) <= SMALL_MSG_MAX_BYTES:
                     yield from niu.pio_send(
-                        s.dst,
-                        _pio_words(s.nbytes),
+                        dst,
+                        _pio_words(nbytes),
                         tag=_PIO_TAG_BASE | i,
                         priority=Priority.LOW,
                     )
                 else:
-                    yield from niu.vi_send(s.dst, s.nbytes, xid=(me << 12) | i)
-            for s in awaits.get(me, ()):
-                if max(s.nbytes, 8) <= SMALL_MSG_MAX_BYTES:
-                    want = (_PIO_TAG_BASE | i, s.src)
+                    yield from niu.vi_send(dst, nbytes, xid=(me << 12) | i)
+            for src, nbytes in awaits.get(me, ()):
+                if max(nbytes, 8) <= SMALL_MSG_MAX_BYTES:
+                    want = (_PIO_TAG_BASE | i, src)
                     while want not in pio_stash[me]:
                         # software poll/loop cost, then block for a packet
                         yield eng.timeout(GSUM_SW_COST)
@@ -137,22 +138,24 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
                         pio_stash[me][(pkt.tag, pkt.src)] = pkt
                     pio_stash[me].pop(want)
                 else:
-                    yield from demux.await_slab(me, s.src, i)
+                    yield from demux.await_slab(me, src, i)
                     # the NIU's VI path bills only the sender's DMA; the
                     # receiver's PCI pull serializes against its own
                     # traffic (Section 4.1: one transfer saturates the
                     # bus), so bill it here with the shared leg cost
                     yield eng.timeout(
-                        TRANSFER_OVERHEAD + max(s.nbytes, 8) / TRANSFER_BANDWIDTH
+                        TRANSFER_OVERHEAD + max(nbytes, 8) / TRANSFER_BANDWIDTH
                     )
             _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
         done_times[me] = eng.now
 
-    by_rank = _by_rank(schedule)
+    # the wire alone: timing never reads ``.rounds`` (items, ``Send``s)
+    col = schedule.columns
+    bounds = col.bounds.tolist()
+    sends = list(zip(col.src.tolist(), col.dst.tolist(), col.nbytes.tolist()))
+    by_rank = _by_rank(sends[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     start = eng.now
-    uses_vi = any(
-        s.nbytes > SMALL_MSG_MAX_BYTES for rnd in schedule.rounds for s in rnd
-    )
+    uses_vi = bool((col.nbytes > SMALL_MSG_MAX_BYTES).any())
     for r in range(n):
         if uses_vi:
             demux.ensure_server(r)
@@ -199,15 +202,15 @@ def des_run_schedule(
         rniu = rnius[me]
         for i, (posts, awaits) in enumerate(by_rank):
             t0 = eng.now
-            for s in posts.get(me, ()):
+            for dst, items in posts.get(me, ()):
                 yield from rniu.send(
-                    s.dst,
+                    dst,
                     tag=(me << 8) | i,
-                    data=stores[me].serialize(s.items),
+                    data=stores[me].serialize(items),
                     channel=cid,
                 )
-            for s in awaits.get(me, ()):
-                want = (s.src << 8) | i
+            for src, _ in awaits.get(me, ()):
+                want = (src << 8) | i
                 # only this rank consumes its node's channel, so it can
                 # drain directly, stashing messages for later rounds
                 while not stash[me].get(want):
@@ -217,7 +220,7 @@ def des_run_schedule(
             _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
         done_times[me] = eng.now
 
-    by_rank = _by_rank(schedule)
+    by_rank = _by_rank([(s.src, s.dst, s.items) for s in rnd] for rnd in schedule.rounds)
     start = eng.now
     for r in range(n):
         eng.process(rank_proc(r), name=f"coll-data-{schedule.algorithm}[rank{r}]")

@@ -1,17 +1,24 @@
 """Pure collective-communication schedules for the Arctic fabric.
 
-Every algorithm is described *declaratively*: a :class:`Schedule` is a
-list of rounds, each round a list of directed :class:`Send` records
-``(src, dst, nbytes, items)``.  ``nbytes`` is the wire payload the cost
-model charges (the real algorithm's message size — e.g. one reduced
-chunk per ring hop).  ``items`` name the logical data the message
-carries — per-rank contributions ``("contrib", origin, chunk)``,
-reduced chunks ``("reduced", chunk)``, allgather/broadcast blocks
-``("block", origin)`` and all-to-all blocks ``("a2a", origin, dest)``
-— which lets one generic executor (:mod:`repro.collectives.semantics`)
-run *any* schedule bit-deterministically, and lets
-:meth:`Schedule.validate` prove by item-flow simulation that every rank
-finishes with what its operation requires.
+Every algorithm is described *declaratively*, in two layers.  Its
+**wire** — who sends how many bytes to whom, round by round — is stated
+by the builder as index arrays from the algorithm's closed form
+(``r ^ (1 << i)``, ``(r + k) % n``, chunk-range byte counts) and is all
+a built :class:`Schedule` holds: its ``columns``, what the cost model
+prices and the DES timing path replays.  ``nbytes`` is the real
+algorithm's message size — e.g. one reduced chunk per ring hop.  Its
+**items** name the logical data each message carries — per-rank
+contributions ``("contrib", origin, chunk)``, reduced chunks
+``("reduced", chunk)``, allgather/broadcast blocks ``("block", origin)``
+and all-to-all blocks ``("a2a", origin, dest)`` — and are a second,
+per-algorithm rule that runs the first time ``.rounds`` (the
+:class:`Send` records ``(src, dst, nbytes, items)``) is read: by the one
+generic executor (:mod:`repro.collectives.semantics`), which runs *any*
+schedule bit-deterministically from them, and by
+:meth:`Schedule.validate`, which proves by item-flow simulation that
+every rank finishes with what its operation requires.  Past
+:data:`ITEMS_EXACT_MAX_N` ranks the rule is never run: the schedule is
+timing/costing-only.
 
 Determinism contract: reduction executors never combine values in
 message-arrival order; they collect tagged contributions and apply
@@ -31,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -119,9 +127,13 @@ class Columns(NamedTuple):
     recv_waves: Tuple[tuple, ...]
 
 
-def _waves(rank: np.ndarray, bounds: List[int]) -> Tuple[tuple, ...]:
+def _waves(rank: np.ndarray, bounds: List[int], n: int) -> Tuple[tuple, ...]:
     """Per round, peel off the first remaining message of every rank
     until none is left; a round where no rank repeats is one slice."""
+    counts = np.diff(bounds)
+    in_round = np.repeat(np.arange(len(counts)), counts) * n + rank
+    if np.bincount(in_round, minlength=1).max() <= 1:  # no rank repeats in any round
+        return tuple((slice(None),) if k else () for k in counts.tolist())
     waves = []
     for lo, hi in zip(bounds, bounds[1:]):
         left, peeled = np.arange(hi - lo), []
@@ -133,7 +145,23 @@ def _waves(rank: np.ndarray, bounds: List[int]) -> Tuple[tuple, ...]:
     return tuple(waves)
 
 
-@dataclass(frozen=True)
+def _columns(n: int, counts: List[int], src, dst, nbytes) -> Columns:
+    """Everything derivable from the wire — sends per round and the
+    three arrays in schedule order — built once, read-only."""
+    edges = np.cumsum([0] + counts).tolist()
+    sizes, size_of = np.unique(np.maximum(nbytes, MIN_WIRE_BYTES), return_inverse=True)
+    pair, pair_of = np.unique(src * n + dst, return_inverse=True)
+    col = Columns(
+        np.array(edges), src, dst, nbytes, sizes, size_of,
+        np.stack(np.divmod(pair, n), axis=1), pair_of,
+        _waves(src, edges, n), _waves(dst, edges, n),
+    )
+    for a in col[:8]:
+        a.setflags(write=False)
+    return col
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Schedule:
     """A collective as per-round directed sends.
 
@@ -142,6 +170,11 @@ class Schedule:
     recursive-halving ones); ``nbytes`` is the operation's nominal
     payload (per rank for allreduce/reduce_scatter/broadcast, per block
     for allgather/alltoall).
+
+    A hand-made schedule is given its ``rounds`` and derives ``columns``
+    from them; a built one (:func:`build`) is given its ``columns`` and
+    an ``item_rule`` — a callable yielding every send's item tuple in
+    schedule order — and derives ``rounds`` from those, on first access.
     """
 
     op: str
@@ -149,43 +182,60 @@ class Schedule:
     n: int
     nbytes: int
     chunking: int
-    rounds: Tuple[Tuple[Send, ...], ...]
-    root: int = 0
-    #: Item lists omitted (ring schedules past :data:`ITEMS_EXACT_MAX_N`
-    #: carry cubically many items).  Timing/costing still works; the
-    #: data engines refuse such schedules.
-    items_elided: bool = False
+    root: int
+    #: Item lists omitted (a ring ships O(n^3) items in total; every
+    #: built schedule past :data:`ITEMS_EXACT_MAX_N` is wire-only).
+    #: Timing/costing still works; the data engines refuse such schedules.
+    items_elided: bool
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
+    def __init__(
+        self, op, algorithm, n, nbytes, chunking, rounds=None, root=0,
+        items_elided=False, *, columns: Optional[Columns] = None, item_rule=None,
+    ) -> None:
+        if (rounds is None) == (columns is None):
+            raise TypeError("a Schedule is made from its rounds or from its columns")
+        made = {"rounds": rounds} if columns is None else {"columns": columns}
+        vars(self).update(
+            made, op=op, algorithm=algorithm, n=n, nbytes=nbytes, chunking=chunking,
+            root=root, items_elided=items_elided, _item_rule=item_rule,
+        )
 
     @cached_property
     def columns(self) -> Columns:
-        """The columnar view of the rounds, built on first use."""
-        edges = np.cumsum([0] + [len(rnd) for rnd in self.rounds]).tolist()
+        """The columnar view of hand-made rounds, built on first use."""
+        counts = [len(rnd) for rnd in self.rounds]
         src, dst, nbytes = np.fromiter(
             (x for rnd in self.rounds for s in rnd for x in (s.src, s.dst, s.nbytes)),
-            dtype=np.intp, count=3 * edges[-1],
+            dtype=np.intp, count=3 * sum(counts),
         ).reshape(-1, 3).T.copy()
-        sizes, size_of = np.unique(np.maximum(nbytes, MIN_WIRE_BYTES), return_inverse=True)
-        pair, pair_of = np.unique(src * self.n + dst, return_inverse=True)
-        col = Columns(
-            np.array(edges), src, dst, nbytes, sizes, size_of,
-            np.stack(np.divmod(pair, self.n), axis=1), pair_of,
-            _waves(src, edges), _waves(dst, edges),
-        )
-        for a in col[:8]:
-            a.setflags(write=False)
-        return col
+        return _columns(self.n, counts, src, dst, nbytes)
+
+    @cached_property
+    def rounds(self) -> Tuple[Tuple[Send, ...], ...]:
+        """The :class:`Send` records of a built schedule: its wire plus
+        what the item rule says each message carries (nothing when
+        elided), made on first use — nothing that prices or times a
+        schedule reads them."""
+        col = self.columns
+        items = self._item_rule() if self._item_rule else repeat(())
+        sends = [
+            Send(*send)
+            for send in zip(col.src.tolist(), col.dst.tolist(), col.nbytes.tolist(), items)
+        ]
+        bounds = col.bounds.tolist()
+        return tuple(tuple(sends[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @property
+    def n_rounds(self) -> int:
+        return len(self.columns.bounds) - 1
 
     @property
     def total_messages(self) -> int:
-        return sum(len(r) for r in self.rounds)
+        return len(self.columns.src)
 
     @property
     def total_bytes(self) -> int:
-        return sum(max(s.nbytes, MIN_WIRE_BYTES) for r in self.rounds for s in r)
+        return int(np.maximum(self.columns.nbytes, MIN_WIRE_BYTES).sum())
 
     # ---- validation ---------------------------------------------------
 
@@ -294,217 +344,177 @@ def _missing_for(schedule: Schedule, rank: int, have: set) -> set:
 
 
 # ---------------------------------------------------------------------------
-# builders — all-reduce family
+# builders: each algorithm's wire, and the rule naming what rides on it
 # ---------------------------------------------------------------------------
 
+#: Largest rank count whose built schedules carry item lists.  A ring
+#: ships O(n^3) items in total; past the DES data engine's own 64-rank
+#: cap the lists are dead weight (half a gigabyte at n=256), so the item
+#: rule is dropped and the schedule is timing/costing-only.
+ITEMS_EXACT_MAX_N = 64
 
-def _fold_in(n: int, nbytes: int, owned: List[set]) -> List[Send]:
-    """Pre-round: extras ship their contributions onto the base group."""
+#: one round of a wire: ``(src, dst, nbytes)`` of its sends, in order
+Round = Tuple[np.ndarray, np.ndarray, object]
+ItemRule = Callable[[], Iterable[Tuple[Item, ...]]]
+
+_REDUCED0 = (("reduced", 0),)
+
+
+def _wired(
+    op: str, algorithm: str, n: int, nbytes: int, chunking: int,
+    wire: List[Round], items: Optional[ItemRule] = None, root: int = 0,
+) -> Schedule:
+    """The schedule a builder returns.  ``wire`` is what is built now:
+    per round the ``(src, dst, nbytes)`` of its sends in schedule order
+    (index arrays; one byte count may stand for a whole round).
+    ``items()`` yields each send's item tuple in the same order and is
+    only called if somebody reads ``.rounds`` of a schedule small enough
+    to carry items."""
+    none = [np.empty(0, np.intp)]
+    counts = [len(src) for src, _, _ in wire]
+    src, dst = (np.concatenate(none + [rnd[i] for rnd in wire]) for i in (0, 1))
+    size = np.concatenate(none + [np.broadcast_to(rnd[2], k) for rnd, k in zip(wire, counts)])
+    elided = items is not None and n > ITEMS_EXACT_MAX_N
+    return Schedule(
+        op, algorithm, n, nbytes, chunking, root=root, items_elided=elided,
+        columns=_columns(n, counts, src, dst, size), item_rule=None if elided else items,
+    )
+
+
+def _chunk_offsets(nbytes: int, n: int) -> np.ndarray:
+    """Byte offset of every boundary of an n-way split: chunks
+    ``lo..hi-1`` are ``offsets[hi] - offsets[lo]`` bytes
+    (:func:`chunk_range_nbytes` for whole index arrays)."""
+    total = max(nbytes // ITEM_BYTES, 1)
+    return ITEM_BYTES * np.array([chunk_start(total, n, c) for c in range(n + 1)])
+
+
+def _folded(n: int, nbytes: int, wire: List[Round]) -> List[Round]:
+    """Wrap a base-group wire in the fold rounds of a non-power-of-two
+    count: the extras ship in first and are answered last."""
     m = largest_pow2_below(n)
-    rnd = [Send(e, e - m, nbytes, tuple(sorted(owned[e]))) for e in range(m, n)]
-    for e in range(m, n):
-        owned[e - m] |= owned[e]
-    return rnd
+    extra = np.arange(m, n)
+    return [(extra, extra - m, nbytes), *wire, (extra - m, extra, nbytes)] if m < n else wire
+
+
+def _heard(n: int, lo: int, hi: int) -> Tuple[Item, ...]:
+    """What a base-group rank holds once base ranks ``lo..hi-1`` have
+    reached it: their contributions and their folded extras', sorted."""
+    m = largest_pow2_below(n)
+    return tuple(("contrib", o, 0) for o in (*range(lo, hi), *range(lo + m, min(hi + m, n))))
 
 
 def allreduce_butterfly(n: int, nbytes: int) -> Schedule:
     """Recursive doubling; folds non-power-of-two counts (Fig. 8)."""
     m = largest_pow2_below(n)
-    rounds: List[List[Send]] = []
-    if n > ITEMS_EXACT_MAX_N:
-        # item bookkeeping is O(n^2 log n) — elide it at large n, as the
-        # ring builder does, so the schedule stays O(n log n)
-        if m < n:
-            rounds.append([Send(e, e - m, nbytes, ()) for e in range(m, n)])
-        for i in range(int(math.log2(m))):
-            rounds.append(
-                [Send(r, r ^ (1 << i), nbytes, ()) for r in range(m)]
-            )
-        if m < n:
-            rounds.append(
-                [Send(e - m, e, nbytes, (("reduced", 0),)) for e in range(m, n)]
-            )
-        return Schedule(
-            "allreduce", "butterfly", n, nbytes, 1, _freeze(rounds),
-            items_elided=True,
-        )
-    owned = [{("contrib", r, 0)} for r in range(n)]
-    if m < n:
-        rounds.append(_fold_in(n, nbytes, owned))
-    for i in range(int(math.log2(m))):
-        snap = [set(o) for o in owned]
-        rounds.append(
-            [Send(r, r ^ (1 << i), nbytes, tuple(sorted(snap[r]))) for r in range(m)]
-        )
-        for r in range(m):
-            owned[r] |= snap[r ^ (1 << i)]
-    if m < n:
-        rounds.append(
-            [Send(e - m, e, nbytes, (("reduced", 0),)) for e in range(m, n)]
-        )
-    return Schedule("allreduce", "butterfly", n, nbytes, 1, _freeze(rounds))
+    base = np.arange(m)
+    steps = [1 << i for i in range(m.bit_length() - 1)]
+
+    def items():  # before the exchange at distance d a rank holds its aligned d-block
+        yield from ((("contrib", e, 0),) for e in range(m, n))
+        yield from (_heard(n, r & -d, (r & -d) + d) for d in steps for r in range(m))
+        yield from repeat(_REDUCED0)
+
+    wire = _folded(n, nbytes, [(base, base ^ d, nbytes) for d in steps])
+    return _wired("allreduce", "butterfly", n, nbytes, 1, wire, items)
+
+
+def _tree_wire(n: int, nbytes: int) -> List[Round]:
+    """Binomial gather onto rank 0, then the same tree downwards."""
+    m = largest_pow2_below(n)
+    up = [
+        (np.arange(1 << i, m, 2 << i), np.arange(0, m, 2 << i), nbytes)
+        for i in range(m.bit_length() - 1)
+    ]
+    return _folded(n, nbytes, up + [(dst, src, nbytes) for src, dst, _ in reversed(up)])
 
 
 def allreduce_tree(n: int, nbytes: int) -> Schedule:
     """Binomial-tree reduce to rank 0 then broadcast; 2 log2 m rounds."""
-    owned = [{("contrib", r, 0)} for r in range(n)]
     m = largest_pow2_below(n)
-    rounds: List[List[Send]] = []
-    if m < n:
-        rounds.append(_fold_in(n, nbytes, owned))
-    log_m = int(math.log2(m))
-    for i in range(log_m):
-        rnd = []
-        for r in range(0, m, 1 << (i + 1)):
-            src = r + (1 << i)
-            rnd.append(Send(src, r, nbytes, tuple(sorted(owned[src]))))
-            owned[r] |= owned[src]
-        rounds.append(rnd)
-    for i in reversed(range(log_m)):
-        rnd = []
-        for r in range(0, m, 1 << (i + 1)):
-            rnd.append(Send(r, r + (1 << i), nbytes, (("reduced", 0),)))
-        rounds.append(rnd)
-    if m < n:
-        rounds.append(
-            [Send(e - m, e, nbytes, (("reduced", 0),)) for e in range(m, n)]
-        )
-    return Schedule("allreduce", "tree", n, nbytes, 1, _freeze(rounds))
+
+    def items():  # gathering at level i, a rank ships the 2^i-block it heads
+        yield from ((("contrib", e, 0),) for e in range(m, n))
+        for i in range(m.bit_length() - 1):
+            yield from (_heard(n, s, s + (1 << i)) for s in range(1 << i, m, 2 << i))
+        yield from repeat(_REDUCED0)
+
+    return _wired("allreduce", "tree", n, nbytes, 1, _tree_wire(n, nbytes), items)
 
 
-#: Largest rank count whose ring schedules carry exact item lists.  A
-#: ring ships O(n^3) items in total; past the DES data engine's own
-#: 64-rank cap the lists are dead weight (half a gigabyte at n=256), so
-#: they are elided and the schedule is timing/costing-only.
-ITEMS_EXACT_MAX_N = 64
-
-
-def _ring_reduce_scatter_rounds(n: int, nbytes: int) -> List[List[Send]]:
+def _ring_reduce_scatter(n: int, nbytes: int) -> Tuple[List[Round], ItemRule, np.ndarray]:
     """n-1 rounds leaving rank r with the full contribution set of chunk
-    r; each hop ships one (partially reduced) chunk to rank r+1.
+    r; each hop ships one (partially reduced) chunk to rank r+1: in
+    round k rank r forwards chunk ``(r-k-1) % n`` carrying the k+1
+    contributions ``{(r-k) % n, ..., r}`` it has accumulated
+    (:meth:`Schedule.validate` independently checks the closed form).
+    Returns the wire, the item rule and every chunk's byte count."""
+    r = np.arange(n)
+    size = np.diff(_chunk_offsets(nbytes, n))
+    wire = [(r, (r + 1) % n, size[(r - k - 1) % n]) for k in range(n - 1)]
 
-    Ring possession has a closed form — in round k rank r forwards
-    chunk ``(r-k-1) % n`` carrying the k+1 contributions
-    ``{(r-k) % n, ..., r}`` it has accumulated — so the items are
-    written down directly; simulating possession per round would make
-    large-ring builds (n=256 in the PFPP sweep) quartic in n.
-    :meth:`Schedule.validate` independently checks the closed form."""
-    elide = n > ITEMS_EXACT_MAX_N
-    rounds = []
-    for k in range(n - 1):
-        rnd = []
-        for r in range(n):
-            c = (r - k - 1) % n
-            items = () if elide else tuple(
-                ("contrib", o, c)
-                for o in sorted((r - j) % n for j in range(k + 1))
-            )
-            rnd.append(Send(r, (r + 1) % n, chunk_nbytes(nbytes, n, c), items))
-        rounds.append(rnd)
-    return rounds
+    def items():
+        for k in range(n - 1):
+            for q in range(n):
+                origins = sorted((q - j) % n for j in range(k + 1))
+                yield tuple(("contrib", o, (q - k - 1) % n) for o in origins)
+
+    return wire, items, size
 
 
 def allreduce_ring(n: int, nbytes: int) -> Schedule:
     """Ring reduce-scatter + ring allgather; bandwidth-optimal
     (2(n-1) rounds, ~2*nbytes total per rank)."""
-    if n < 2:
-        return Schedule("allreduce", "ring", n, nbytes, 1, ())
-    rounds = _ring_reduce_scatter_rounds(n, nbytes)
-    for k in range(n - 1):  # allgather of the reduced chunks
-        rnd = []
-        for r in range(n):
-            c = (r - k) % n
-            rnd.append(
-                Send(r, (r + 1) % n, chunk_nbytes(nbytes, n, c), (("reduced", c),))
-            )
-        rounds.append(rnd)
-    return Schedule(
-        "allreduce", "ring", n, nbytes, n, _freeze(rounds),
-        items_elided=n > ITEMS_EXACT_MAX_N,
-    )
+    wire, scatter_items, size = _ring_reduce_scatter(n, nbytes)
+    r = np.arange(n)
+    wire += [(r, (r + 1) % n, size[(r - k) % n]) for k in range(n - 1)]
+
+    def items():  # ... then the allgather of the reduced chunks
+        yield from scatter_items()
+        yield from ((("reduced", (q - k) % n),) for k in range(n - 1) for q in range(n))
+
+    return _wired("allreduce", "ring", n, nbytes, max(n, 1), wire, items)
 
 
-def _halving_rounds(
-    n: int, nbytes: int, owned: List[set], elide: bool = False
-) -> List[List[Send]]:
+def _halving(n: int, nbytes: int) -> Tuple[List[Round], ItemRule, np.ndarray]:
     """Recursive halving: log2 n rounds ending with rank r holding the
-    full contribution set of chunk r.  Power-of-two only.  ``elide``
-    skips the O(n^2 log n) item bookkeeping (large-n timing-only
-    schedules), pricing each send with the closed-form range sum."""
-    log_n = _require_pow2(n, "recursive halving")
-    lo = [0] * n
-    hi = [n] * n
-    rounds = []
-    for _ in range(log_n):
-        rnd = []
-        gains: List[Tuple[int, Tuple[Item, ...]]] = []
-        for r in range(n):
-            d = (hi[r] - lo[r]) // 2
-            mid = lo[r] + d
-            partner = r ^ d
-            sent = range(mid, hi[r]) if r < mid else range(lo[r], mid)
-            size = chunk_range_nbytes(nbytes, n, sent.start, sent.stop)
-            if elide:
-                items: Tuple[Item, ...] = ()
-            else:
-                items = tuple(
-                    sorted(i for i in owned[r] if i[0] == "contrib" and i[2] in sent)
-                )
-                gains.append((partner, items))
-            rnd.append(Send(r, partner, size, items))
-            if r < mid:
-                hi[r] = mid
-            else:
-                lo[r] = mid
-        for dst, items in gains:
-            owned[dst].update(items)
-        rounds.append(rnd)
-    return rounds
+    full contribution set of chunk r.  At distance d a rank ships the
+    aligned d-block of chunks its partner keeps, from every origin it
+    has heard so far (the ranks congruent to it mod 2d).  Returns the
+    wire, the item rule and the chunk byte offsets."""
+    r = np.arange(n)
+    off = _chunk_offsets(nbytes, n)
+    steps = [n >> t for t in range(1, n.bit_length())]
+    wire = [(r, r ^ d, off[((r ^ d) & -d) + d] - off[(r ^ d) & -d]) for d in steps]
+
+    def items():
+        for d in steps:
+            for q in range(n):
+                sent = range((q ^ d) & -d, ((q ^ d) & -d) + d)
+                yield tuple(("contrib", o, c) for o in range(q % (2 * d), n, 2 * d) for c in sent)
+
+    return wire, items, off
+
+
+def _doubling_items(n: int, kind: str) -> Iterator[Tuple[Item, ...]]:
+    """Recursive-doubling allgather: at distance d rank r ships the
+    aligned d-block ``r & -d ..`` it holds."""
+    for d in (1 << i for i in range(n.bit_length() - 1)):
+        yield from (tuple((kind, c) for c in range(q & -d, (q & -d) + d)) for q in range(n))
 
 
 def allreduce_reduce_scatter_allgather(n: int, nbytes: int) -> Schedule:
     """Recursive halving + recursive doubling (Rabenseifner); needs 2^k."""
-    _require_pow2(n, "reduce-scatter+allgather")
-    if n < 2:
-        return Schedule("allreduce", "reduce_scatter_allgather", n, nbytes, 1, ())
-    elide = n > ITEMS_EXACT_MAX_N
-    if elide:
-        owned: List[set] = []
-        rounds = _halving_rounds(n, nbytes, owned, elide=True)
-        d = 1
-        while d < n:  # recursive-doubling allgather, closed-form sizes:
-            # after t rounds rank r holds the aligned chunk block
-            # [r & ~(d-1), (r & ~(d-1)) + d)
-            rnd = []
-            for r in range(n):
-                base = r & ~(d - 1)
-                size = chunk_range_nbytes(nbytes, n, base, base + d)
-                rnd.append(Send(r, r ^ d, size, ()))
-            rounds.append(rnd)
-            d *= 2
-        return Schedule(
-            "allreduce", "reduce_scatter_allgather", n, nbytes, n,
-            _freeze(rounds), items_elided=True,
-        )
-    owned = [{("contrib", r, c) for c in range(n)} for r in range(n)]
-    rounds = _halving_rounds(n, nbytes, owned)
-    held = [{r} for r in range(n)]  # reduced chunks per rank
-    d = 1
-    while d < n:  # recursive-doubling allgather of the reduced chunks
-        rnd = []
-        snap = [set(h) for h in held]
-        for r in range(n):
-            partner = r ^ d
-            items = tuple(("reduced", c) for c in sorted(snap[r]))
-            size = sum(chunk_nbytes(nbytes, n, c) for c in snap[r])
-            rnd.append(Send(r, partner, size, items))
-        for r in range(n):
-            held[r] |= snap[r ^ d]
-        rounds.append(rnd)
-        d *= 2
-    return Schedule(
-        "allreduce", "reduce_scatter_allgather", n, nbytes, n, _freeze(rounds)
-    )
+    log_n = _require_pow2(n, "reduce-scatter+allgather")
+    wire, scatter_items, off = _halving(n, nbytes)
+    r = np.arange(n)
+    wire += [(r, r ^ d, off[(r & -d) + d] - off[r & -d]) for d in (1 << i for i in range(log_n))]
+
+    def items():  # ... then the allgather of the reduced chunks
+        yield from scatter_items()
+        yield from _doubling_items(n, "reduced")
+
+    return _wired("allreduce", "reduce_scatter_allgather", n, nbytes, n, wire, items)
 
 
 # ---------------------------------------------------------------------------
@@ -514,87 +524,59 @@ def allreduce_reduce_scatter_allgather(n: int, nbytes: int) -> Schedule:
 
 def broadcast_binomial(n: int, nbytes: int, root: int = 0) -> Schedule:
     """Binomial-tree broadcast from ``root``; ceil(log2 n) rounds."""
-    rounds = []
+    wire = []
     covered = 1
     while covered < n:
-        rnd = []
-        for rr in range(min(covered, n - covered)):
-            src = (rr + root) % n
-            dst = (rr + covered + root) % n
-            rnd.append(Send(src, dst, nbytes, (("block", root),)))
-        rounds.append(rnd)
+        rr = np.arange(min(covered, n - covered))
+        wire.append(((rr + root) % n, (rr + covered + root) % n, nbytes))
         covered *= 2
-    return Schedule("broadcast", "binomial", n, nbytes, 1, _freeze(rounds), root=root)
+    return _wired(
+        "broadcast", "binomial", n, nbytes, 1, wire, lambda: repeat((("block", root),)), root=root
+    )
 
 
 def allgather_ring(n: int, nbytes: int) -> Schedule:
     """Ring allgather: n-1 rounds, one block per hop."""
-    rounds = [
-        [Send(r, (r + 1) % n, nbytes, (("block", (r - k) % n),)) for r in range(n)]
-        for k in range(n - 1)
-    ]
-    return Schedule("allgather", "ring", n, nbytes, 1, _freeze(rounds))
+    r = np.arange(n)
+    return _wired(
+        "allgather", "ring", n, nbytes, 1, [(r, (r + 1) % n, nbytes)] * (n - 1),
+        lambda: ((("block", (q - k) % n),) for k in range(n - 1) for q in range(n)),
+    )
 
 
 def allgather_recursive_doubling(n: int, nbytes: int) -> Schedule:
     """Recursive-doubling allgather; log2 n rounds, doubling payloads.
     Power-of-two only."""
-    _require_pow2(n, "recursive doubling")
-    held = [{r} for r in range(n)]
-    rounds = []
-    d = 1
-    while d < n:
-        snap = [set(h) for h in held]
-        rnd = [
-            Send(
-                r,
-                r ^ d,
-                nbytes * len(snap[r]),
-                tuple(("block", o) for o in sorted(snap[r])),
-            )
-            for r in range(n)
-        ]
-        for r in range(n):
-            held[r] |= snap[r ^ d]
-        rounds.append(rnd)
-        d *= 2
-    return Schedule("allgather", "recursive_doubling", n, nbytes, 1, _freeze(rounds))
+    log_n = _require_pow2(n, "recursive doubling")
+    r = np.arange(n)
+    wire = [(r, r ^ (1 << i), nbytes << i) for i in range(log_n)]
+    return _wired(
+        "allgather", "recursive_doubling", n, nbytes, 1, wire,
+        lambda: _doubling_items(n, "block"),
+    )
 
 
 def reduce_scatter_ring(n: int, nbytes: int) -> Schedule:
     """Ring reduce-scatter: rank r ends with reduced chunk r."""
-    if n < 2:
-        return Schedule("reduce_scatter", "ring", n, nbytes, max(n, 1), ())
-    rounds = _ring_reduce_scatter_rounds(n, nbytes)
-    return Schedule(
-        "reduce_scatter", "ring", n, nbytes, n, _freeze(rounds),
-        items_elided=n > ITEMS_EXACT_MAX_N,
-    )
+    wire, items, _ = _ring_reduce_scatter(n, nbytes)
+    return _wired("reduce_scatter", "ring", n, nbytes, max(n, 1), wire, items)
 
 
 def reduce_scatter_halving(n: int, nbytes: int) -> Schedule:
     """Recursive-halving reduce-scatter; power-of-two only."""
     _require_pow2(n, "recursive halving")
-    if n < 2:
-        return Schedule("reduce_scatter", "recursive_halving", n, nbytes, 1, ())
-    owned = [{("contrib", r, c) for c in range(n)} for r in range(n)]
-    rounds = _halving_rounds(n, nbytes, owned)
-    return Schedule(
-        "reduce_scatter", "recursive_halving", n, nbytes, n, _freeze(rounds)
-    )
+    wire, items, _ = _halving(n, nbytes)
+    return _wired("reduce_scatter", "recursive_halving", n, nbytes, n, wire, items)
 
 
 def alltoall_ring(n: int, nbytes: int) -> Schedule:
     """Shifted-exchange all-to-all: round k sends the block for rank
     (r+k) directly; n-1 rounds of one block each."""
-    rounds = [
-        [
-            Send(r, (r + k) % n, nbytes, (("a2a", r, (r + k) % n),))
-            for r in range(n)
-        ]
-        for k in range(1, n)
-    ]
-    return Schedule("alltoall", "ring", n, nbytes, 1, _freeze(rounds))
+    r = np.arange(n)
+    return _wired(
+        "alltoall", "ring", n, nbytes, 1, [(r, (r + k) % n, nbytes) for k in range(1, n)],
+        lambda: ((("a2a", q, (q + k) % n),) for k in range(1, n) for q in range(n)),
+    )
 
 
 def alltoall_bruck(n: int, nbytes: int) -> Schedule:
@@ -602,82 +584,43 @@ def alltoall_bruck(n: int, nbytes: int) -> Schedule:
     intermediaries, clearing one bit of their remaining ring distance
     per round.  Latency-optimal for small blocks; ships ~(n/2) blocks
     per rank per round."""
-    owned = [{("a2a", r, d) for d in range(n) if d != r} for r in range(n)]
-    rounds = []
-    k = 0
-    while (1 << k) < n:
-        step = 1 << k
-        rnd = []
-        gains: List[Tuple[int, Tuple[Item, ...]]] = []
-        for r in range(n):
-            moving = tuple(
-                sorted(i for i in owned[r] if ((i[2] - r) % n) & step)
-            )
-            if not moving:
-                continue
-            dst = (r + step) % n
-            rnd.append(Send(r, dst, nbytes * len(moving), moving))
-            gains.append((r, dst, moving))
-        for src, dst, items in gains:
-            owned[src].difference_update(items)
-            owned[dst].update(items)
-        rounds.append(rnd)
-        k += 1
-    return Schedule("alltoall", "bruck", n, nbytes, 1, _freeze(rounds))
+    r = np.arange(n)
+    # per round, the blocks on the move: (ring distance already covered,
+    # whole ring distance) of every journey with that round's bit set
+    hops = [
+        [(j & (step - 1), j) for j in range(1, n) if j & step]
+        for step in (1 << k for k in range((n - 1).bit_length()))
+    ]
+    wire = [(r, (r + (1 << k)) % n, nbytes * len(moving)) for k, moving in enumerate(hops)]
+
+    def items():
+        for moving in hops:
+            for q in range(n):
+                yield tuple(sorted(("a2a", (q - at) % n, (q - at + j) % n) for at, j in moving))
+
+    return _wired("alltoall", "bruck", n, nbytes, 1, wire, items)
 
 
 def barrier_dissemination(n: int, nbytes: int = MIN_WIRE_BYTES) -> Schedule:
     """Dissemination barrier: ceil(log2 n) rounds of one beacon each."""
-    rounds = []
-    shift = 1
-    while shift < n:
-        rounds.append(
-            [Send(r, (r + shift) % n, MIN_WIRE_BYTES) for r in range(n)]
-        )
-        shift *= 2
-    return Schedule("barrier", "dissemination", n, MIN_WIRE_BYTES, 1, _freeze(rounds))
+    r = np.arange(n)
+    wire = [(r, (r + (1 << k)) % n, MIN_WIRE_BYTES) for k in range((n - 1).bit_length())]
+    return _wired("barrier", "dissemination", n, MIN_WIRE_BYTES, 1, wire)
 
 
 def barrier_butterfly(n: int, nbytes: int = MIN_WIRE_BYTES) -> Schedule:
     """Pairwise-exchange barrier; power-of-two only (the paper's
     dataless global sum)."""
     log_n = _require_pow2(n, "butterfly barrier")
-    rounds = [
-        [Send(r, r ^ (1 << i), MIN_WIRE_BYTES) for r in range(n)]
-        for i in range(log_n)
-    ]
-    return Schedule("barrier", "butterfly", n, MIN_WIRE_BYTES, 1, _freeze(rounds))
+    r = np.arange(n)
+    wire = [(r, r ^ (1 << i), MIN_WIRE_BYTES) for i in range(log_n)]
+    return _wired("barrier", "butterfly", n, MIN_WIRE_BYTES, 1, wire)
 
 
 def barrier_tree(n: int, nbytes: int = MIN_WIRE_BYTES) -> Schedule:
     """Binomial gather to rank 0 + binomial release: 2(n-1) messages —
     the message-minimal barrier, at 2 ceil(log2 n) rounds of latency."""
-    rounds: List[List[Send]] = []
-    m = largest_pow2_below(n)
-    if m < n:
-        rounds.append([Send(e, e - m, MIN_WIRE_BYTES) for e in range(m, n)])
-    log_m = int(math.log2(m))
-    for i in range(log_m):
-        rounds.append(
-            [
-                Send(r + (1 << i), r, MIN_WIRE_BYTES)
-                for r in range(0, m, 1 << (i + 1))
-            ]
-        )
-    for i in reversed(range(log_m)):
-        rounds.append(
-            [
-                Send(r, r + (1 << i), MIN_WIRE_BYTES)
-                for r in range(0, m, 1 << (i + 1))
-            ]
-        )
-    if m < n:
-        rounds.append([Send(e - m, e, MIN_WIRE_BYTES) for e in range(m, n)])
-    return Schedule("barrier", "tree", n, MIN_WIRE_BYTES, 1, _freeze(rounds))
-
-
-def _freeze(rounds: Sequence[Sequence[Send]]) -> Tuple[Tuple[Send, ...], ...]:
-    return tuple(tuple(r) for r in rounds if len(r))
+    return _wired("barrier", "tree", n, MIN_WIRE_BYTES, 1, _tree_wire(n, MIN_WIRE_BYTES))
 
 
 #: builder registry: op -> {algorithm name -> builder(n, nbytes)}.

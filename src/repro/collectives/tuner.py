@@ -29,8 +29,8 @@ from .schedules import OPS, Schedule, build, candidates
 PriorityLike = Union[Priority, str]
 
 #: Above this rank count, algorithms whose schedules carry O(N^2) total
-#: messages are excluded from tuning (they cannot win and their
-#: schedule objects alone are prohibitively large).
+#: messages are excluded from tuning (they cannot win and their wire
+#: arrays alone are prohibitively large).
 DENSE_SCHEDULE_MAX_N = 256
 QUADRATIC_ALGORITHMS = frozenset({"ring", "bruck"})
 
@@ -119,9 +119,10 @@ class Autotuner:
         self.misses += 1
         names = list(candidates(op, n))
         if n > DENSE_SCHEDULE_MAX_N:
-            # Ring/Bruck schedules carry O(N^2) total messages — at
-            # N=4096 that is ~16M Send objects to even *build*.  They
-            # never win above a few hundred ranks, so drop them unless
+            # Ring schedules carry O(N^2) total messages — at N=4096 an
+            # allreduce ring is ~33M sends, ~0.8 GB even as the three
+            # wire arrays — and Bruck ships O(N^2) blocks.  They never
+            # win above a few hundred ranks, so drop them unless
             # nothing else applies.
             names = [a for a in names if a not in QUADRATIC_ALGORITHMS] or names
         # shared with every other tuner through build()'s bounded memo

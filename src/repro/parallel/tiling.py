@@ -224,10 +224,14 @@ class Decomposition:
         exchange's critical path (an interior tile wherever one exists).
 
         :meth:`edge_bytes` is linear in ``nz * width * itemsize``, so the
-        same rank is critical for every field shape and wire precision.
+        same rank is critical for every field shape and wire precision;
+        tiles are uniform, so the volume is a sum of an x part and a y
+        part, each largest at the first tile with two remote neighbours
+        along its axis: tile 1 between walls, tile 0 otherwise.
         """
-        volumes = [sum(self.edge_bytes(width=1, rank=r)) for r in range(self.n_ranks)]
-        return volumes.index(max(volumes))
+        ix = int(self.px > 2 and not self.periodic_x)
+        iy = int(self.py > 2 and not self.periodic_y)
+        return iy * self.px + ix
 
 
 class RankMap:

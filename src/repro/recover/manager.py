@@ -356,19 +356,20 @@ class RecoveryManager:
         if nbytes:
             yield engine.timeout(nbytes / self.config.disk_bandwidth)
         if self.n_ranks > 1:
-            for round_i, rnd in enumerate(self._barrier_schedule.rounds):
-                for s in rnd:
-                    if s.src == rank:
-                        yield from self._mailbox.send(
-                            node,
-                            self.rankmap.node_of(s.dst),
-                            self._tag(rank, seq, round_i),
-                        )
-                for s in rnd:
-                    if s.dst == rank:
-                        yield from self._mailbox.recv(
-                            node, self._tag(s.src, seq, round_i)
-                        )
+            col = self._barrier_schedule.columns
+            bounds = col.bounds.tolist()
+            for round_i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                src, dst = col.src[lo:hi], col.dst[lo:hi]
+                for peer in dst[src == rank].tolist():
+                    yield from self._mailbox.send(
+                        node,
+                        self.rankmap.node_of(peer),
+                        self._tag(rank, seq, round_i),
+                    )
+                for peer in src[dst == rank].tolist():
+                    yield from self._mailbox.recv(
+                        node, self._tag(peer, seq, round_i)
+                    )
         done[rank] = True
 
     # -- recovery --------------------------------------------------------

@@ -5,13 +5,15 @@ A cold ``topology_scoreboard(n_values=(64,))`` prices the same four
 ``allreduce`` candidates on four machines.  Each schedule is built once
 and shared, and a schedule is priced as arrays: the scalar cost
 functions run once per distinct byte count, ``hop_distance`` once per
-distinct pair.  A per-``Send`` loop or a per-tuner rebuild fails here by
+distinct pair.  A schedule is *built* as arrays too: pricing constructs
+no ``Send`` and runs no item rule, at 64 ranks or at 1024.  A per-``Send``
+loop, a per-tuner rebuild or an eagerly itemised builder fails here by
 count, not by timing.
 """
 
 import pytest
 
-from repro.collectives import Autotuner, cost, schedules, tuner
+from repro.collectives import Autotuner, cost, schedule_cost, schedules, tuner
 from repro.core.pfpp import topology_scoreboard
 from repro.network.topology import SCOREBOARD_TOPOLOGIES, make_topology
 from repro.niu.startx import PIO_COST_MODEL
@@ -49,7 +51,19 @@ def counted(monkeypatch):
         "os_time": _count(monkeypatch, type(PIO_COST_MODEL), "os_time"),
         "or_time": _count(monkeypatch, type(PIO_COST_MODEL), "or_time"),
         "hop_distance": [],
+        "Send": _count(monkeypatch, schedules, "Send"),
+        "item_rule": [],
     }
+    wired = schedules._wired
+
+    def counting_wired(op, algorithm, n, nbytes, chunking, wire, items=None, root=0):
+        def rule():
+            calls["item_rule"].append((op, algorithm, n))
+            return items()
+
+        return wired(op, algorithm, n, nbytes, chunking, wire, items and rule, root)
+
+    monkeypatch.setattr(schedules, "_wired", counting_wired)
     for cls in {type(make_topology(name, N)) for name in SCOREBOARD_TOPOLOGIES}:
         _count(monkeypatch, cls, "hop_distance", calls["hop_distance"])
     yield calls
@@ -81,6 +95,7 @@ def test_a_cold_scoreboard_builds_four_schedules_and_prices_them_as_arrays(count
     assert all(len(s.columns.sizes) == 1 for s in priced)
     assert len(counted["os_time"]) == len(counted["or_time"]) == len(CANDIDATES)
     assert counted["analytic_logp"] == []
+    assert counted["Send"] == [] and counted["item_rule"] == []  # priced off the wire
 
 
 def test_a_cold_default_plan_calls_each_cost_function_once_per_byte_count(counted):
@@ -100,3 +115,23 @@ def test_a_cold_default_plan_calls_each_cost_function_once_per_byte_count(counte
 
     Autotuner().plan("allreduce", N, 1000)  # a second tuner: same schedules
     assert [len(c) for c in counted["builder"]] == [1, 1, 1, 1]
+    assert counted["Send"] == [] and counted["item_rule"] == []
+
+
+@pytest.mark.parametrize(
+    "op,algorithm", [("alltoall", "bruck"), ("reduce_scatter", "recursive_halving")]
+)
+def test_a_1024_rank_build_is_its_closed_form_wire_and_nothing_else(counted, op, algorithm):
+    """Neither algorithm had an elided branch: at 1024 ranks Bruck alone
+    was ~4M item tuples.  Ten rounds, every rank sending once in each."""
+    sch = schedules.build(op, algorithm, 1024, 8)
+    assert sch.n_rounds == 10 and sch.total_messages == 10 * 1024
+    assert sch.columns.bounds.tolist() == list(range(0, 10 * 1024 + 1, 1024))
+    assert schedule_cost(sch) > 0.0
+    assert sch.items_elided and "rounds" not in vars(sch)
+    assert counted["Send"] == [] and counted["item_rule"] == []
+
+    small = schedules.build(op, algorithm, 8, 8)  # the counters do see a data consumer
+    small.validate()
+    assert len(counted["Send"]) == small.total_messages == 3 * 8
+    assert counted["item_rule"] == [(op, algorithm, 8)]

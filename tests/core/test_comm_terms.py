@@ -110,6 +110,23 @@ class TestCriticalRank:
             )
             assert decomp.critical_rank == old
 
+    @pytest.mark.parametrize("periodic_x", [True, False])
+    @pytest.mark.parametrize("periodic_y", [True, False])
+    def test_closed_form_equals_the_scan_over_every_rank(self, periodic_x, periodic_y):
+        """The scan ``critical_rank`` used to run, on every process grid
+        to 8x8 (strips are the ``py == 1`` / ``px == 1`` rows), square
+        and oblong tiles, walls and wraps on either axis."""
+        for px in range(1, 9):
+            for py in range(1, 9):
+                for nx, ny in ((840, 840), (1680, 840), (840, 1680)):
+                    decomp = Decomposition(
+                        nx, ny, px, py, periodic_x=periodic_x, periodic_y=periodic_y
+                    )
+                    volumes = [
+                        sum(decomp.edge_bytes(width=1, rank=r)) for r in range(decomp.n_ranks)
+                    ]
+                    assert decomp.critical_rank == volumes.index(max(volumes)), (px, py)
+
     def test_interior_tile_prices_like_rank_5_on_4x4(self):
         """The hard-coded ``rank=5`` of the Hyades call sites."""
         assert RANKS.edge_bytes(nz=10, rank=RANKS.critical_rank) == RANKS.edge_bytes(
