@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer, one-route-function and
-# one-table-formatter checks, the DES event-count, GCM step call-count,
+# line ledger, the one-durable-writer, one-route-function, one-rank-loop
+# and one-table-formatter checks, the DES event-count, GCM step call-count,
 # service fork-count and cold-quote call-count budgets, the tier-1 test
 # suite, an import check of every example, the fault/recovery and
 # cross-validation smokes, the regenerate-and-diff of benchmarks/out/
@@ -27,7 +27,7 @@ python scripts/check_docs_modules.py
 
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
-for tree in src src/repro/network src/repro/collectives tests benchmarks scripts; do
+for tree in src src/repro/network src/repro/collectives src/repro/parallel src/repro/recover tests benchmarks scripts; do
   echo "$tree/ $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
 
@@ -48,6 +48,15 @@ if [ "$(printf '%s\n' "$assigned" | grep -c .)" -ne 1 ] || grep -rnE '_make_\w*r
   exit 1
 fi
 echo "routing-once: clean ($assigned)"
+
+echo
+echo "== des-ranks-once (rank processes of a communication phase start in repro.collectives.des_exec; elsewhere only NIU/mailbox/heartbeat daemons and point-to-point microbenchmarks) =="
+allowed='^src/repro/(collectives/des_exec|niu/reliable|niu/demux|recover/membership|parallel/des_collectives|core/logp|parallel/mpi)\.py:'
+if grep -rnE '\.process\(' src/repro --include='*.py' | grep -vE "$allowed"; then
+  echo "des-ranks-once: run the phase's rounds through repro.collectives.des_exec.start_ranks" >&2
+  exit 1
+fi
+echo "des-ranks-once: clean"
 
 echo
 echo "== tables-once (a paper table is built in repro.core.report and formatted by its one format_table; benchmarks/ writes what that builds) =="

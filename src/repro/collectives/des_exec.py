@@ -1,30 +1,45 @@
-"""Packet-level DES execution of collective schedules.
+"""Packet-level DES execution of communication phases.
 
-Two executors over the same :class:`~repro.collectives.schedules.Schedule`:
+:func:`start_ranks` starts the rank processes of every communication
+phase run on the DES cluster — collective schedules, the SPMD halo
+exchange (:class:`~repro.parallel.des_spmd.DESExchanger`), the recovery
+manager's checkpoint/restore barrier.  A :class:`Phase` is rounds of
+``(src, dst, nbytes)`` sends plus an optional payload per send; each
+rank posts its sends of a round in order, then awaits its receives, over
+one of two wires:
 
-* :func:`des_time_schedule` — the *timing* path: every send becomes
-  real simulated traffic (single PIO packets for <= 88 B payloads with
-  the shared ``GSUM_SW_COST`` poll loop — the Fig. 8 butterfly global
-  sum is ``allreduce_butterfly(n, 8)`` run here; VI block transfers
-  beyond, served through the shared
-  :class:`~repro.niu.demux.VIDemux`).  This is what the
-  autotuner cross-validates its analytic predictions against.
+* **raw** — single PIO packets for <= 88 B payloads with the shared
+  ``GSUM_SW_COST`` poll loop, VI block transfers beyond through the
+  shared :class:`~repro.niu.demux.VIDemux`, the receiver's PCI pull
+  billed.  The paper's loss-free fabric: a lost packet stalls the phase
+  and the engine's watchdog names the blocked ranks.
+* **reliable** — every message through a
+  :class:`~repro.niu.reliable.ReliableMailbox` (go-back-N), so injected
+  loss and corruption are masked and the phase stays bit-exact.
+
+Both wires key a message by sending rank, phase (the caller's count of
+its phases), round and slot — the send's place among its sender's sends
+to the same node in the round, so two slabs from one neighbour are told
+apart by position, never by arrival order.  The caller drives the
+engine.  Two executors over a
+:class:`~repro.collectives.schedules.Schedule` sit on top:
+
+* :func:`des_time_schedule` — the *timing* path: zero-filled raw
+  traffic (the Fig. 8 butterfly global sum is ``allreduce_butterfly(n,
+  8)`` run here); what the autotuner cross-validates against.
 * :func:`des_run_schedule` — the *data* path: the schedule's logical
-  items (see :mod:`repro.collectives.semantics`) are serialized and
-  shipped through the go-back-N reliable layer
-  (:mod:`repro.niu.reliable`), so the run survives injected loss and
-  corruption and still finishes **bit-exact**: reductions apply the
-  canonical fold order on tagged contributions, never arrival order.
+  items (see :mod:`repro.collectives.semantics`) ride the reliable wire,
+  so the run survives injected faults and still finishes **bit-exact**:
+  reductions apply the canonical fold order, never arrival order.
 
-Both executors emit ``obs`` trace spans (pid ``collectives``) when a
-tracer is installed.
+Every rank round emits an ``obs`` trace span (pid ``collectives``) when
+a tracer is installed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hardware.cluster import HyadesCluster
 from repro.network.overheads import (
@@ -35,45 +50,230 @@ from repro.network.overheads import (
 )
 from repro.network.packet import MAX_PAYLOAD_WORDS, Priority, WORD_BYTES
 from repro.niu.demux import VIDemux
-from repro.niu.reliable import allocate_channel, get_reliable
+from repro.niu.reliable import ReliableMailbox
 from repro.obs import trace as obs_trace
 
 from .schedules import Schedule
 from .semantics import ItemStore
 
-#: PIO collective rounds are tagged 0x600 | round to stay clear of the
-#: exchange (< 0x400) and reliable-layer (0x7Fx) tags.
+#: Raw PIO sends are tagged 0x600 | round to stay clear of the exchange
+#: (< 0x400) and reliable-layer (0x7Fx) tags; the slot rides in word 0.
 _PIO_TAG_BASE = 0x600
 
-
-def _pio_words(nbytes: int) -> List[int]:
-    return [0] * min(
-        max(math.ceil(max(nbytes, 8) / WORD_BYTES), 2), MAX_PAYLOAD_WORDS
-    )
+Round = Tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
-def _trace_round(op: str, alg: str, rank: int, round_i: int, t0: float, t1: float):
-    tr = obs_trace.TRACER
-    if tr is not None:
-        tr.complete(
-            "collectives",
-            f"rank{rank}",
-            f"{op}:{alg}:r{round_i}",
-            t0,
-            t1,
-            cat="collectives",
+def check_reliable_ranks(n: int) -> None:
+    """Raise unless ``n`` ranks fit the reliable tag: sending rank (6
+    bits) | phase parity (1) | round (8) | slot (1)."""
+    if n > 64:
+        raise ValueError(
+            "the reliable wire carries at most 64 ranks (the sending rank "
+            f"rides in 6 tag bits), got {n}"
         )
 
 
-def _trace_done(schedule: Schedule, t0: float, t1: float, mode: str):
+def wire_rounds(schedule: Schedule) -> List[Round]:
+    """``schedule``'s rounds as ``(src, dst, nbytes)`` lists, from its
+    wire (``columns``): timing never reads ``.rounds`` (items, ``Send``s)."""
+    col = schedule.columns
+    b = col.bounds.tolist()
+    src, dst, nbytes = col.src.tolist(), col.dst.tolist(), col.nbytes.tolist()
+    return [(src[lo:hi], dst[lo:hi], nbytes[lo:hi]) for lo, hi in zip(b, b[1:])]
+
+
+class Phase(NamedTuple):
+    """Rounds of sends, numbered ``j`` across the phase in column order.
+
+    ``payload(j)`` returns the bytes send ``j`` carries; it is called
+    when the sending rank reaches the send, so it reads that rank's data
+    as of its round (without it: zero-filled messages of ``nbytes``).
+    ``absorb(j, data)`` hands the receiving rank what send ``j``
+    delivered.  A send to oneself is a local ``absorb``, no message.
+    ``label`` names the rank processes and trace spans.
+    """
+
+    label: str
+    rounds: Sequence[Round]
+    payload: Optional[Callable[[int], Optional[bytes]]] = None
+    absorb: Optional[Callable[[int, Optional[bytes]], None]] = None
+
+
+def _raw_wire(cluster, n: int, seq: int, uses_vi: bool):
+    """``(attach, send, recv)`` of the raw wire.  ``seq`` rides in the VI
+    transfer ids, which an NIU remembers once served: a phase reusing a
+    recent one would see the old transfer complete at once."""
+    eng, demux = cluster.engine, VIDemux.of(cluster)
+    pio_stash: List[Dict[tuple, object]] = [{} for _ in range(n)]
+
+    def xid(src, rnd, slot):
+        # seq (8) | sending rank (12) | slot (1) | round (11; a round of
+        # one send per pair may run past it); the demux matches sender +
+        # low 12 bits
+        return (seq << 24) | (src << 12) | (slot << 11) | rnd
+
+    def attach(rank):
+        if uses_vi:
+            demux.ensure_server(rank)
+
+    def send(me, dst, nbytes, rnd, slot, data):
+        niu = cluster.niu(me)
+        if max(nbytes, 8) <= SMALL_MSG_MAX_BYTES:
+            words = [0] * min(
+                max(math.ceil(max(nbytes, 8) / WORD_BYTES), 2), MAX_PAYLOAD_WORDS
+            )
+            words[0] = slot
+            yield from niu.pio_send(
+                dst, words, tag=_PIO_TAG_BASE | (rnd & 0x1FF),
+                priority=Priority.LOW, data=data,
+            )
+        else:
+            yield from niu.vi_send(dst, nbytes, data=data, xid=xid(me, rnd, slot))
+
+    def recv(me, src, nbytes, rnd, slot):
+        if max(nbytes, 8) <= SMALL_MSG_MAX_BYTES:
+            niu, stash = cluster.niu(me), pio_stash[me]
+            want = (_PIO_TAG_BASE | (rnd & 0x1FF), src, slot)
+            while want not in stash:
+                # software poll/loop cost, then block for a packet
+                yield eng.timeout(GSUM_SW_COST)
+                pkt = yield from niu.pio_recv()
+                stash[(pkt.tag, pkt.src, pkt.payload_words[0])] = pkt
+            return stash.pop(want).data
+        data = yield from demux.await_slab(me, src, xid(src, rnd, slot) & 0xFFF)
+        # the NIU's VI path bills only the sender's DMA; the receiver's
+        # PCI pull serializes against its own traffic (Section 4.1: one
+        # transfer saturates the bus), so bill it here with the shared
+        # leg cost
+        yield eng.timeout(TRANSFER_OVERHEAD + max(nbytes, 8) / TRANSFER_BANDWIDTH)
+        return data
+
+    return attach, send, recv
+
+
+def _reliable_wire(mailbox: ReliableMailbox, seq: int, node):
+    """``(attach, send, recv)`` of the reliable wire; the sending rank in
+    the tag keeps messages apart when a crash remap puts two ranks on
+    one node."""
+
+    def tag(src, rnd, slot):
+        return (src << 10) | ((seq & 1) << 9) | (rnd << 1) | slot
+
+    def attach(rank):
+        mailbox.ensure(node(rank))
+
+    def send(me, dst, nbytes, rnd, slot, data):
+        yield from mailbox.send(node(me), node(dst), tag(me, rnd, slot), data or b"")
+
+    def recv(me, src, nbytes, rnd, slot):
+        return (yield from mailbox.recv(node(me), tag(src, rnd, slot)))
+
+    return attach, send, recv
+
+
+def start_ranks(
+    cluster: HyadesCluster,
+    phase: Phase,
+    n: int,
+    mailbox: Optional[ReliableMailbox] = None,
+    seq: int = 0,
+    node_of: Optional[Callable[[int], int]] = None,
+    delay: Optional[Sequence[float]] = None,
+):
+    """Start the processes of ranks ``0..n-1`` walking ``phase``.
+
+    The wire is raw, or reliable through ``mailbox`` with ranks placed
+    by ``node_of`` (identity when omitted).  ``seq`` is the caller's
+    phase number (0 is the timing path's; raw callers take
+    :meth:`VIDemux.next_phase`).  ``delay[rank]`` seconds of local work
+    (a disk write, say) come before the first round.  Returns ``(procs,
+    done)``: ``done[rank]`` is the rank's finish time, ``None`` while it
+    runs.  The caller drives the engine.
+    """
+    eng = cluster.engine
+    node = node_of or (lambda rank: rank)
+    src: List[int] = []
+    dst: List[int] = []
+    nbytes: List[int] = []
+    slot: List[int] = []
+    # per round ({src: its sends}, {dst: its receives}) in column order:
+    # one pass, where a scan per rank is quadratic in the ranks
+    plan: List[Tuple[Dict[int, list], Dict[int, list]]] = []
+    for r_src, r_dst, r_nbytes in phase.rounds:
+        posts: Dict[int, list] = {}
+        awaits: Dict[int, list] = {}
+        seen: Dict[tuple, int] = {}
+        for j, (s, d) in enumerate(zip(r_src, r_dst), len(src)):
+            key = (s, node(d))
+            seen[key] = seen.get(key, -1) + 1
+            slot.append(seen[key])
+            posts.setdefault(s, []).append(j)
+            if s != d:
+                awaits.setdefault(d, []).append(j)
+        src += r_src
+        dst += r_dst
+        nbytes += r_nbytes
+        plan.append((posts, awaits))
+    if mailbox is None:
+        uses_vi = any(nb > SMALL_MSG_MAX_BYTES for nb in nbytes)
+        attach, send, recv = _raw_wire(cluster, n, seq, uses_vi)
+    else:
+        check_reliable_ranks(n)
+        if len(plan) > 256 or max(slot, default=0) > 1:
+            raise ValueError(
+                "the reliable wire carries at most 256 rounds of at most 2 "
+                "sends per rank pair"
+            )
+        attach, send, recv = _reliable_wire(mailbox, seq, node)
+    payload, absorb, label = phase.payload, phase.absorb, phase.label
+    done: List[Optional[float]] = [None] * n
+
+    def rank(me: int):
+        if delay is not None and delay[me]:
+            yield eng.timeout(delay[me])
+        for i, (posts, awaits) in enumerate(plan):
+            t0 = eng.now
+            for j in posts.get(me, ()):
+                data = payload(j) if payload is not None else None
+                if dst[j] == me:
+                    absorb(j, data)
+                else:
+                    yield from send(me, dst[j], nbytes[j], i, slot[j], data)
+            for j in awaits.get(me, ()):
+                data = yield from recv(me, src[j], nbytes[j], i, slot[j])
+                if absorb is not None:
+                    absorb(j, data)
+            tr = obs_trace.TRACER
+            if tr is not None:
+                tr.complete(
+                    "collectives", f"rank{me}", f"{label}:r{i}", t0, eng.now,
+                    cat="collectives",
+                )
+        done[me] = eng.now
+
+    procs = {}
+    for r in range(n):
+        attach(r)
+        procs[r] = eng.process(rank(r), name=f"{label}[rank{r}.node{node(r)}]")
+    return procs, done
+
+
+def _run_schedule_phase(
+    cluster, schedule: Schedule, phase: Phase, mode: str, mailbox=None
+) -> float:
+    """Run ``phase`` (``schedule`` as traffic) to quiescence; elapsed."""
+    eng = cluster.engine
+    start = eng.now
+    _, done = start_ranks(cluster, phase, schedule.n, mailbox)
+    eng.run(watchdog=True)
     tr = obs_trace.TRACER
     if tr is not None:
         tr.complete(
             "collectives",
             mode,
             f"{schedule.op}:{schedule.algorithm}[n={schedule.n}]",
-            t0,
-            t1,
+            start,
+            max(done),
             cat="collectives",
             args={
                 "rounds": schedule.n_rounds,
@@ -81,21 +281,7 @@ def _trace_done(schedule: Schedule, t0: float, t1: float, mode: str):
                 "nbytes": schedule.nbytes,
             },
         )
-
-
-def _by_rank(rounds) -> List[Tuple[Dict[int, list], Dict[int, list]]]:
-    """Per round of ``(src, dst, payload)`` sends, ``({src: its (dst,
-    payload) posts}, {dst: its (src, payload) awaits})`` in schedule
-    order: one pass, where a scan per rank is quadratic in the ranks."""
-    by_rank = []
-    for rnd in rounds:
-        posts: Dict[int, list] = {}
-        awaits: Dict[int, list] = {}
-        for src, dst, payload in rnd:
-            posts.setdefault(src, []).append((dst, payload))
-            awaits.setdefault(dst, []).append((src, payload))
-        by_rank.append((posts, awaits))
-    return by_rank
+    return max(done) - start
 
 
 def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
@@ -109,70 +295,16 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
         raise ValueError(f"schedule needs {n} nodes, cluster has {cluster.n_nodes}")
     if schedule.n_rounds == 0:
         return 0.0
-    eng = cluster.engine
-    demux = VIDemux.of(cluster)
-    done_times = [0.0] * n
-    pio_stash: List[Dict[Tuple[int, int], object]] = [{} for _ in range(n)]
-
-    def rank_proc(me: int):
-        niu = cluster.niu(me)
-        for i, (posts, awaits) in enumerate(by_rank):
-            t0 = eng.now
-            for dst, nbytes in posts.get(me, ()):
-                if max(nbytes, 8) <= SMALL_MSG_MAX_BYTES:
-                    yield from niu.pio_send(
-                        dst,
-                        _pio_words(nbytes),
-                        tag=_PIO_TAG_BASE | i,
-                        priority=Priority.LOW,
-                    )
-                else:
-                    yield from niu.vi_send(dst, nbytes, xid=(me << 12) | i)
-            for src, nbytes in awaits.get(me, ()):
-                if max(nbytes, 8) <= SMALL_MSG_MAX_BYTES:
-                    want = (_PIO_TAG_BASE | i, src)
-                    while want not in pio_stash[me]:
-                        # software poll/loop cost, then block for a packet
-                        yield eng.timeout(GSUM_SW_COST)
-                        pkt = yield from niu.pio_recv()
-                        pio_stash[me][(pkt.tag, pkt.src)] = pkt
-                    pio_stash[me].pop(want)
-                else:
-                    yield from demux.await_slab(me, src, i)
-                    # the NIU's VI path bills only the sender's DMA; the
-                    # receiver's PCI pull serializes against its own
-                    # traffic (Section 4.1: one transfer saturates the
-                    # bus), so bill it here with the shared leg cost
-                    yield eng.timeout(
-                        TRANSFER_OVERHEAD + max(nbytes, 8) / TRANSFER_BANDWIDTH
-                    )
-            _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
-        done_times[me] = eng.now
-
-    # the wire alone: timing never reads ``.rounds`` (items, ``Send``s)
-    col = schedule.columns
-    bounds = col.bounds.tolist()
-    sends = list(zip(col.src.tolist(), col.dst.tolist(), col.nbytes.tolist()))
-    by_rank = _by_rank(sends[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    start = eng.now
-    uses_vi = bool((col.nbytes > SMALL_MSG_MAX_BYTES).any())
-    for r in range(n):
-        if uses_vi:
-            demux.ensure_server(r)
-        eng.process(rank_proc(r), name=f"coll-{schedule.algorithm}[rank{r}]")
-    eng.run(watchdog=True)
-    elapsed = max(done_times) - start
-    _trace_done(schedule, start, max(done_times), "timing")
-    return elapsed
+    phase = Phase(f"{schedule.op}:{schedule.algorithm}", wire_rounds(schedule))
+    return _run_schedule_phase(cluster, schedule, phase, "timing")
 
 
 def des_run_schedule(
     cluster: HyadesCluster,
     schedule: Schedule,
     inputs: Optional[Sequence] = None,
-    reliable_params: Optional[dict] = None,
 ) -> Tuple[List, float]:
-    """Execute a schedule *with data* over the reliable channels.
+    """Execute a schedule *with data* over the reliable wire.
 
     Returns ``(per-rank results, elapsed seconds)``.  Survives any
     fault plan the go-back-N layer can mask, and the results are
@@ -182,49 +314,22 @@ def des_run_schedule(
     n = schedule.n
     if n > cluster.n_nodes:
         raise ValueError(f"schedule needs {n} nodes, cluster has {cluster.n_nodes}")
-    if n > 64:
-        raise ValueError("reliable collectives support at most 64 ranks")
-    if schedule.n_rounds >= 256:
-        raise ValueError("reliable collectives support at most 255 rounds")
-    eng = cluster.engine
+    check_reliable_ranks(n)
     if inputs is None:
         inputs = [None] * n
     stores = [ItemStore(schedule, r, inputs[r]) for r in range(n)]
     if schedule.n_rounds == 0:
         return [st.finish() for st in stores], 0.0
-    cid = allocate_channel(cluster)
-    params = dict(reliable_params or {})
-    rnius = [get_reliable(cluster.niu(r), **params) for r in range(n)]
-    done_times = [0.0] * n
-    stash: List[Dict[int, deque]] = [{} for _ in range(n)]
-
-    def rank_proc(me: int):
-        rniu = rnius[me]
-        for i, (posts, awaits) in enumerate(by_rank):
-            t0 = eng.now
-            for dst, items in posts.get(me, ()):
-                yield from rniu.send(
-                    dst,
-                    tag=(me << 8) | i,
-                    data=stores[me].serialize(items),
-                    channel=cid,
-                )
-            for src, _ in awaits.get(me, ()):
-                want = (src << 8) | i
-                # only this rank consumes its node's channel, so it can
-                # drain directly, stashing messages for later rounds
-                while not stash[me].get(want):
-                    msg = yield from rniu.recv(channel=cid)
-                    stash[me].setdefault(msg.tag, deque()).append(msg.data)
-                stores[me].absorb(stash[me][want].popleft())
-            _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
-        done_times[me] = eng.now
-
-    by_rank = _by_rank([(s.src, s.dst, s.items) for s in rnd] for rnd in schedule.rounds)
-    start = eng.now
-    for r in range(n):
-        eng.process(rank_proc(r), name=f"coll-data-{schedule.algorithm}[rank{r}]")
-    eng.run(watchdog=True)
-    elapsed = max(done_times) - start
-    _trace_done(schedule, start, max(done_times), "data")
+    sends = [s for rnd in schedule.rounds for s in rnd]
+    phase = Phase(
+        f"{schedule.op}:{schedule.algorithm}",
+        [
+            ([s.src for s in rnd], [s.dst for s in rnd], [s.nbytes for s in rnd])
+            for rnd in schedule.rounds
+        ],
+        payload=lambda j: stores[sends[j].src].serialize(sends[j].items),
+        absorb=lambda j, data: stores[sends[j].dst].absorb(data),
+    )
+    mailbox = ReliableMailbox(cluster, "coll-data")
+    elapsed = _run_schedule_phase(cluster, schedule, phase, "data", mailbox)
     return [st.finish() for st in stores], elapsed

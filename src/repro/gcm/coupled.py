@@ -182,7 +182,6 @@ class DESCoupledModel(CoupledModel):
         cluster,
         params: Optional[CouplerParams] = None,
         reliable: bool = True,
-        reliable_params: Optional[dict] = None,
         recovery=None,
     ) -> None:
         from repro.parallel.des_spmd import DESExchanger
@@ -204,20 +203,17 @@ class DESCoupledModel(CoupledModel):
                 cluster,
                 atmosphere.decomp.n_ranks,
                 config=recovery,
-                reliable_params=reliable_params,
             )
         self._des_atm = DESExchanger(
             cluster,
             atmosphere.decomp,
             reliable=reliable,
-            reliable_params=reliable_params,
             recovery=self.recovery,
         )
         self._des_ocn = DESExchanger(
             cluster,
             ocean.decomp,
             reliable=reliable,
-            reliable_params=reliable_params,
             recovery=self.recovery,
         )
         if self.recovery is not None:

@@ -1,9 +1,9 @@
 """The one VI request server per NIU, shared by everything that moves VI
-transfers on a cluster (the SPMD halo exchanger, the collective-schedule
-executor)."""
+transfers on a cluster (the raw wire of :mod:`repro.collectives.des_exec`)."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Tuple
 
 from repro.sim import Signal
@@ -29,6 +29,14 @@ class VIDemux:
             for r in range(cluster.n_nodes)
         ]
         self._started = [False] * cluster.n_nodes
+        self._phases = itertools.cycle(range(1, 256))
+
+    def next_phase(self) -> int:
+        """A phase number for a raw communication phase's VI transfer
+        ids (1..255, cycling; 0 is the collective timing path's): an NIU
+        keeps every transfer id it has served, so back-to-back phases
+        on one cluster must not share them."""
+        return next(self._phases)
 
     @classmethod
     def of(cls, cluster) -> "VIDemux":
@@ -50,8 +58,8 @@ class VIDemux:
             while True:
                 xfer = yield from niu.vi_serve_request()
                 xfer = yield from niu.vi_wait_complete(xfer.xid)
-                # transfer id encodes (round, direction) in its low bits;
-                # timing-only transfers (repro.collectives) carry no rider
+                # transfer id encodes (slot, round) in its low bits;
+                # timing-only transfers carry no rider
                 data = b"" if xfer.data is None else bytes(xfer.data)
                 self.arrived[rank][(xfer.src, xfer.xid & 0xFFF)] = data
                 self.signals[rank].fire()

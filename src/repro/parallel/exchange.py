@@ -24,16 +24,18 @@ from repro.parallel.tiling import Decomposition
 def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
     """Precompute the copy schedules of a width-``w`` exchange.
 
-    Tiles are uniform, so every copy of one direction has the same
-    slices and differs only in the ranks it joins.  Two spellings of the
-    same schedule come back: ``tile_plan``, one ``(dst_rank, dst_index,
-    src_rank, src_index)`` slice copy per halo for a sequence of tiles,
-    and ``stack_plan``, one ``(dst_index, src_index)`` advanced-index
-    copy per direction (the ranks lead the index) for a stacked field.
-    Executing either in order reproduces the two-pass fill exactly
-    (x first over interior rows, then y over the full width including
-    fresh x halos); within a pass every copy reads interiors (or pass-1
-    halos) and writes halos, so the copies of one direction commute.
+    Tiles are uniform, so every copy of one tile side has the same
+    slices and differs only in the ranks it joins: a rank's strip on
+    side ``d`` lands in the opposite halo of its ``d`` neighbour.  Two
+    spellings of the same schedule come back: ``tile_plan``, per pass
+    (x, then y) one ``(dst_rank, dst_index, src_rank, src_index)`` slice
+    copy per strip for a sequence of tiles, ordered by side and then by
+    sending rank, and ``stack_plan``, one ``(dst_index, src_index)``
+    advanced-index copy per side (the ranks lead the index) for a
+    stacked field.  Executing either in order reproduces the two-pass
+    fill exactly (x first over interior rows, then y over the full width
+    including fresh x halos); within a pass every copy reads interiors
+    (or pass-1 halos) and writes halos, so the copies of a pass commute.
     """
     o, t = decomp.olx, decomp.tiles[0]
     if w < 0:
@@ -43,30 +45,42 @@ def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
     if w > o:
         raise ValueError(f"exchange width {w} exceeds halo {o}")
     if w == 0:
-        return [], []
+        return [[], []], []
     rows = slice(o, o + t.ny)
     cols = slice(o - w, o + t.nx + w)
-    slabs = {
+    # side -> (halo index at the neighbour on that side, strip index here)
+    passes = (
         # Pass 1: x-direction (west/east), interior rows only.
-        "west": ((Ellipsis, rows, slice(o - w, o)),
-                 (Ellipsis, rows, slice(o + t.nx - w, o + t.nx))),
-        "east": ((Ellipsis, rows, slice(o + t.nx, o + t.nx + w)),
-                 (Ellipsis, rows, slice(o, o + w))),
+        {"west": ((Ellipsis, rows, slice(o + t.nx, o + t.nx + w)),
+                  (Ellipsis, rows, slice(o, o + w))),
+         "east": ((Ellipsis, rows, slice(o - w, o)),
+                  (Ellipsis, rows, slice(o + t.nx - w, o + t.nx)))},
         # Pass 2: y-direction (south/north), full x extent including x halos.
-        "south": ((Ellipsis, slice(o - w, o), cols),
-                  (Ellipsis, slice(o + t.ny - w, o + t.ny), cols)),
-        "north": ((Ellipsis, slice(o + t.ny, o + t.ny + w), cols),
-                  (Ellipsis, slice(o, o + w), cols)),
-    }
-    tile_plan, stack_plan = [], []
-    for direction, (dst_index, src_index) in slabs.items():
-        pairs = [(r, decomp.neighbor(r, direction)) for r in range(decomp.n_ranks)]
-        pairs = [(r, n) for r, n in pairs if n is not None]
-        if pairs:
-            tile_plan += [(r, dst_index, n, src_index) for r, n in pairs]
-            dst, src = np.array(pairs, dtype=np.intp).T
-            stack_plan.append(((dst,) + dst_index, (src,) + src_index))
+        {"south": ((Ellipsis, slice(o + t.ny, o + t.ny + w), cols),
+                   (Ellipsis, slice(o, o + w), cols)),
+         "north": ((Ellipsis, slice(o - w, o), cols),
+                   (Ellipsis, slice(o + t.ny - w, o + t.ny), cols))},
+    )
+    tile_plan, stack_plan = [[], []], []
+    for copies, slabs in zip(tile_plan, passes):
+        for side, (dst_index, src_index) in slabs.items():
+            pairs = [(decomp.neighbor(r, side), r) for r in range(decomp.n_ranks)]
+            pairs = [(n, r) for n, r in pairs if n is not None]
+            if pairs:
+                copies += [(n, dst_index, r, src_index) for n, r in pairs]
+                dst, src = np.array(pairs, dtype=np.intp).T
+                stack_plan.append(((dst,) + dst_index, (src,) + src_index))
     return tile_plan, stack_plan
+
+
+def copy_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
+    """:func:`_build_plans` of ``(decomp, w)``, built once and cached on
+    the decomposition (the CG solver exchanges at every iteration, so
+    the per-call slice arithmetic is a measured hot path)."""
+    plans = decomp.__dict__.setdefault("_exchange_plans", {})
+    if w not in plans:
+        plans[w] = _build_plans(decomp, w)
+    return plans[w]
 
 
 def exchange_halos(
@@ -95,20 +109,14 @@ def exchange_halos(
     survive a float64 round trip bit-exactly).  ``None`` keeps the
     seed's cast-free copies.
 
-    The copy schedules depend only on the decomposition and the width,
-    so they are built once and cached on the decomposition — the CG
-    solver calls this at every iteration, making the per-call slice
-    arithmetic a measured hot path.
+    The copy schedules depend only on the decomposition and the width
+    (:func:`copy_plans`).
     """
     if len(fields) != decomp.n_ranks:
         raise ValueError(
             f"expected {decomp.n_ranks} tile arrays, got {len(fields)}"
         )
-    w = decomp.olx if width is None else width
-    plans = decomp.__dict__.setdefault("_exchange_plans", {})
-    if w not in plans:
-        plans[w] = _build_plans(decomp, w)
-    tile_plan, stack_plan = plans[w]
+    tile_plan, stack_plan = copy_plans(decomp, decomp.olx if width is None else width)
     if wire_dtype is not None:
         wire_dtype = np.dtype(wire_dtype)
     if isinstance(fields, np.ndarray):
@@ -116,11 +124,13 @@ def exchange_halos(
             slab = fields[src]
             fields[dst] = slab if wire_dtype is None else slab.astype(wire_dtype)
     elif wire_dtype is None:
-        for dst, di, src, si in tile_plan:
-            fields[dst][di] = fields[src][si]
+        for copies in tile_plan:
+            for dst, di, src, si in copies:
+                fields[dst][di] = fields[src][si]
     else:
-        for dst, di, src, si in tile_plan:
-            fields[dst][di] = fields[src][si].astype(wire_dtype)
+        for copies in tile_plan:
+            for dst, di, src, si in copies:
+                fields[dst][di] = fields[src][si].astype(wire_dtype)
 
 
 class HaloExchanger:

@@ -101,17 +101,16 @@ class RecoveryManager:
         cluster,
         n_ranks: int,
         config: Optional[RecoveryConfig] = None,
-        reliable_params: Optional[dict] = None,
     ) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.config = config or RecoveryConfig()
         self.n_ranks = n_ranks
-        if n_ranks > 64:
-            raise ValueError(
-                "recovery supports at most 64 ranks (ranks ride in the "
-                "upper 6 bits of the 16-bit reliable tag space)"
-            )
+        # imported here, not at module level: service workers import
+        # repro.recover and never run a DES phase
+        from repro.collectives.des_exec import check_reliable_ranks
+
+        check_reliable_ranks(n_ranks)
         spares = (
             tuple(self.config.spares)
             if self.config.spares is not None
@@ -128,12 +127,11 @@ class RecoveryManager:
         self.rankmap = RankMap(
             n_ranks, spares=spares, allow_redistribute=self.config.allow_redistribute
         )
-        self._reliable_params = dict(reliable_params or {})
         # Reliable layers must exist on every participant *before* the
         # heartbeat service wraps the receive hooks (the layer refuses
         # to install over a foreign hook).
         for node in self.rankmap.nodes():
-            get_reliable(cluster.niu(node), **self._reliable_params)
+            get_reliable(cluster.niu(node))
         self.membership = Membership(self.rankmap.nodes())
         self.heartbeats = HeartbeatService(
             cluster, self.membership, self.config.heartbeat
@@ -169,14 +167,9 @@ class RecoveryManager:
         self.heartbeats.arm()
 
     def adopt(self, exchanger) -> None:
-        """Register an exchanger for abort/rebind on recovery."""
+        """Register an exchanger for abort on recovery."""
         if exchanger not in self._exchangers:
             self._exchangers.append(exchanger)
-
-    @staticmethod
-    def _tag(src_rank: int, seq: int, round_i: int) -> int:
-        """16-bit reliable tag: rank (6 bits) | seq mod 8 | round (7 bits)."""
-        return (src_rank << 10) | ((seq % 8) << 7) | round_i
 
     @property
     def _barrier_schedule(self):
@@ -192,8 +185,6 @@ class RecoveryManager:
             self._barrier_plan = default_tuner().plan(
                 "barrier", self.n_ranks, priority=Priority.HIGH
             )
-            if self._barrier_plan.n_rounds >= 128:
-                raise ValueError("commit barrier needs round index < 128")
         return self._barrier_plan.schedule
 
     # -- failure plumbing ------------------------------------------------
@@ -270,17 +261,18 @@ class RecoveryManager:
     def run_phase_guarded(self, done, label: str):
         """Drive the engine through one watched communication phase.
 
-        Returns normally once every entry of ``done`` is set; raises
-        :class:`NodeFailure` when a death was declared mid-phase, or
-        ``RuntimeError`` if the phase stalls past ``phase_timeout``
-        without any declared failure.
+        Returns normally once no entry of ``done`` (the rank finish
+        times of :func:`repro.collectives.des_exec.start_ranks`) is
+        ``None``; raises :class:`NodeFailure` when a death was declared
+        mid-phase, or ``RuntimeError`` if the phase stalls past
+        ``phase_timeout`` without any declared failure.
         """
         engine = self.engine
         deadline = engine.now + self.config.phase_timeout
         try:
             engine.run(
                 watchdog=True,
-                stop_when=lambda: all(done)
+                stop_when=lambda: None not in done
                 or self.has_failure
                 or engine.now > deadline,
             )
@@ -290,8 +282,8 @@ class RecoveryManager:
             self.unwatch()
         if self.has_failure:
             raise self.take_failure()
-        if not all(done):
-            stuck = [r for r, d in enumerate(done) if not d]
+        if None in done:
+            stuck = [r for r, d in enumerate(done) if d is None]
             raise RuntimeError(
                 f"{label} stalled past phase_timeout="
                 f"{self.config.phase_timeout} s (virtual) on ranks {stuck} "
@@ -324,53 +316,34 @@ class RecoveryManager:
 
     def _run_phase(self, models: Dict[str, object], record, label: str) -> float:
         """One barrier-aligned disk phase: every rank streams its shards
-        of ``record`` + commit barrier on the manager's reliable channel.
-        Returns DES time."""
-        engine = self.engine
-        start = engine.now
+        of ``record`` to disk, then joins the tuned commit barrier on the
+        manager's reliable channel.  Returns DES time."""
+        from repro.collectives.des_exec import Phase, start_ranks, wire_rounds
+
+        start = self.engine.now
         self._phase_seq += 1
-        seq = self._phase_seq
-        done = [False] * self.n_ranks
-        for node in {self.rankmap.node_of(r) for r in range(self.n_ranks)}:
-            self._mailbox.ensure(node)
         comps = sorted(models)
-        procs = {}
-        for rank in range(self.n_ranks):
-            node = self.rankmap.node_of(rank)
-            nbytes = sum(
+        disk = [
+            sum(
                 record.rank_nbytes(comp, rank)
                 for comp in comps
                 if rank < models[comp].decomp.n_ranks
             )
-            procs[rank] = engine.process(
-                self._phase_rank_proc(rank, nbytes, seq, done),
-                name=f"{label}[rank{rank}.node{node}]",
-            )
+            / self.config.disk_bandwidth
+            for rank in range(self.n_ranks)
+        ]
+        procs, done = start_ranks(
+            self.cluster,
+            Phase(label, wire_rounds(self._barrier_schedule)),
+            self.n_ranks,
+            self._mailbox,
+            self._phase_seq,
+            self.rankmap.node_of,
+            delay=disk,
+        )
         self.watch(procs)
         self.run_phase_guarded(done, label=label)
-        return engine.now - start
-
-    def _phase_rank_proc(self, rank: int, nbytes: int, seq: int, done):
-        engine = self.engine
-        node = self.rankmap.node_of(rank)
-        if nbytes:
-            yield engine.timeout(nbytes / self.config.disk_bandwidth)
-        if self.n_ranks > 1:
-            col = self._barrier_schedule.columns
-            bounds = col.bounds.tolist()
-            for round_i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                src, dst = col.src[lo:hi], col.dst[lo:hi]
-                for peer in dst[src == rank].tolist():
-                    yield from self._mailbox.send(
-                        node,
-                        self.rankmap.node_of(peer),
-                        self._tag(rank, seq, round_i),
-                    )
-                for peer in src[dst == rank].tolist():
-                    yield from self._mailbox.recv(
-                        node, self._tag(peer, seq, round_i)
-                    )
-        done[rank] = True
+        return self.engine.now - start
 
     # -- recovery --------------------------------------------------------
 
@@ -404,8 +377,6 @@ class RecoveryManager:
         self._mailbox.clear()
         for ex in self._exchangers:
             ex.abort_round()
-            for rank, _old, _new in remaps:
-                ex.rebind_rank(rank)
 
         record = self.store.latest_good()
         if record is None:

@@ -5,6 +5,8 @@ NumPy exchange — every byte of every halo rode VI packets through the
 fat tree's routers to get there.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ class TestDESExchangeCorrectness:
         elapsed = DESExchanger(cluster, decomp).exchange(tiles)
         # several kilobyte slabs + barriers: tens to hundreds of us
         assert 20e-6 < elapsed < 5e-3
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    @pytest.mark.parametrize("width", [3, -1])
+    def test_out_of_range_width_rejected_before_any_packet(self, width, reliable):
+        """16x8 on 2x2 with olx=2: width 3 used to die mid-simulation
+        reshaping a slab, width -1 asking VI for a negative transfer."""
+        cluster, decomp, tiles, _ = setup()
+        with pytest.raises(ValueError) as functional:
+            exchange_halos(decomp, tiles, width=width)
+        with pytest.raises(ValueError, match=re.escape(str(functional.value))):
+            DESExchanger(cluster, decomp, reliable=reliable).exchange(tiles, width=width)
+        assert cluster.engine.now == 0
+        assert cluster.engine.events_executed == 0
 
     def test_too_many_ranks_rejected(self):
         cluster = HyadesCluster(HyadesConfig(n_nodes=2))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, LinkFaultModel
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
-from repro.niu.reliable import DeliveryError
+from repro.niu.reliable import DeliveryError, get_reliable
 from repro.parallel.des_spmd import DESExchanger
 from repro.parallel.exchange import HaloExchanger, exchange_halos
 from repro.parallel.tiling import Decomposition
@@ -93,12 +93,11 @@ class TestReliableExchange:
             seed=0, link_overrides={"niu0^": LinkFaultModel(drop_prob=1.0)}
         )
         cluster, decomp, tiles, _, _ = setup(plan=plan)
-        ex = DESExchanger(
-            cluster,
-            decomp,
-            reliable=True,
-            reliable_params=dict(base_rto=20e-6, max_retries=3),
-        )
+        # configure the layers first: get_reliable then hands the
+        # exchanger these ones
+        for r in range(decomp.n_ranks):
+            get_reliable(cluster.niu(r), base_rto=20e-6, max_retries=3)
+        ex = DESExchanger(cluster, decomp, reliable=True)
         with pytest.raises(DeliveryError):
             ex.exchange(tiles)
 
