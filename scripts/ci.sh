@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
 # line ledger, the one-durable-writer, one-route-function, one-rank-loop
-# and one-table-formatter checks, the DES event-count, GCM step call-count,
-# service fork-count and cold-quote call-count budgets, the tier-1 test
-# suite, an import check of every example, the fault/recovery and
-# cross-validation smokes, the regenerate-and-diff of benchmarks/out/
-# (virtual time), `repro report` against the seven paper artefacts, and
-# the host-time benchmark's smoke run.
+# and one-table-formatter checks, the DES event-count, GCM step
+# call-count, service fork-count, cold-quote call-count and knob-count
+# budgets, the tier-1 test suite, an import check of every example, the
+# fault/recovery and cross-validation smokes, the regenerate-and-diff of
+# benchmarks/out/ (virtual time), `repro report` against the seven paper
+# artefacts, and the host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -27,7 +27,8 @@ python scripts/check_docs_modules.py
 
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
-for tree in src src/repro/network src/repro/collectives src/repro/parallel src/repro/recover tests benchmarks scripts; do
+for tree in src src/repro/network src/repro/collectives src/repro/parallel src/repro/recover \
+            src/repro/service src/repro/faults src/repro/niu tests benchmarks scripts; do
   echo "$tree/ $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
 
@@ -83,6 +84,11 @@ python -m pytest -q -p no:cacheprovider tests/service/test_spawn_budget.py
 echo
 echo "== cold quote budget (exact counts: a per-Send pricing loop, a per-tuner schedule rebuild, or a Send / item rule run by a quote fails here, not by timing) =="
 python -m pytest -q -p no:cacheprovider tests/collectives/test_quote_budget.py
+
+echo
+echo "== knob-budget (exact counts: a settable value no caller outside tests sets fails here; it belongs in a module constant) =="
+python tests/test_knob_budget.py
+python -m pytest -q -p no:cacheprovider tests/test_knob_budget.py
 
 echo
 echo "== tier-1 test suite =="

@@ -184,11 +184,11 @@ def start_ranks(
 
     The wire is raw, or reliable through ``mailbox`` with ranks placed
     by ``node_of`` (identity when omitted).  ``seq`` is the caller's
-    phase number (0 is the timing path's; raw callers take
-    :meth:`VIDemux.next_phase`).  ``delay[rank]`` seconds of local work
-    (a disk write, say) come before the first round.  Returns ``(procs,
-    done)``: ``done[rank]`` is the rank's finish time, ``None`` while it
-    runs.  The caller drives the engine.
+    phase number (raw callers take :meth:`VIDemux.next_phase`).
+    ``delay[rank]`` seconds of local work (a disk write, say) come
+    before the first round.  Returns ``(procs, done)``: ``done[rank]``
+    is the rank's finish time, ``None`` while it runs.  The caller
+    drives the engine.
     """
     eng = cluster.engine
     node = node_of or (lambda rank: rank)
@@ -259,12 +259,12 @@ def start_ranks(
 
 
 def _run_schedule_phase(
-    cluster, schedule: Schedule, phase: Phase, mode: str, mailbox=None
+    cluster, schedule: Schedule, phase: Phase, mode: str, mailbox=None, seq=0
 ) -> float:
     """Run ``phase`` (``schedule`` as traffic) to quiescence; elapsed."""
     eng = cluster.engine
     start = eng.now
-    _, done = start_ranks(cluster, phase, schedule.n, mailbox)
+    _, done = start_ranks(cluster, phase, schedule.n, mailbox, seq)
     eng.run(watchdog=True)
     tr = obs_trace.TRACER
     if tr is not None:
@@ -296,7 +296,8 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
     if schedule.n_rounds == 0:
         return 0.0
     phase = Phase(f"{schedule.op}:{schedule.algorithm}", wire_rounds(schedule))
-    return _run_schedule_phase(cluster, schedule, phase, "timing")
+    seq = VIDemux.of(cluster).next_phase()
+    return _run_schedule_phase(cluster, schedule, phase, "timing", seq=seq)
 
 
 def des_run_schedule(

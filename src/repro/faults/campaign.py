@@ -50,6 +50,7 @@ from repro.faults.plan import (
     SlowdownEvent,
     StallEvent,
 )
+from repro.recover.membership import HeartbeatConfig
 
 #: Fault kinds a scenario can inject (``crash``/``stall`` exercise the
 #: detector audit; the rest are priced performance faults).
@@ -67,10 +68,10 @@ WINDOW_FRAC = 0.35
 #: by construction, so 15% leaves margin for mitigation-timing skew.
 TIER_BAND = 0.15
 
-#: Heartbeat timing replayed through the detector audit (matches the
-#: :class:`~repro.recover.membership.HeartbeatConfig` defaults).
-HB_PERIOD = 50e-6
-HB_TIMEOUT = 250e-6
+#: Heartbeat timing replayed through the detector audit: the
+#: :class:`~repro.recover.membership.HeartbeatConfig` defaults.
+HB_PERIOD = HeartbeatConfig.period
+HB_TIMEOUT = HeartbeatConfig.timeout
 
 #: Campaign workload geometry: per-tile interior cells and flops/cell
 #: chosen so compute dominates (the tier-band audit then isolates the

@@ -33,9 +33,9 @@ class VIDemux:
 
     def next_phase(self) -> int:
         """A phase number for a raw communication phase's VI transfer
-        ids (1..255, cycling; 0 is the collective timing path's): an NIU
-        keeps every transfer id it has served, so back-to-back phases
-        on one cluster must not share them."""
+        ids (1..255, cycling): an NIU keeps every transfer id it has
+        served, so back-to-back phases on one cluster must not share
+        them."""
         return next(self._phases)
 
     @classmethod

@@ -17,7 +17,7 @@ protocol, mapped onto the paper's hardware:
   acknowledge.
 * **Sender timeout with exponential backoff and bounded retransmit.**
   A flow that makes no progress within the RTO retransmits its whole
-  outstanding window and doubles the RTO; after ``max_retries``
+  outstanding window and doubles the RTO; after ``MAX_RETRIES``
   consecutive fruitless rounds it raises :class:`DeliveryError` — a
   structured failure, never a silent hang.
 
@@ -50,6 +50,16 @@ TAG_RNACK = 0x7FA
 _HEADER_WORDS = 7
 #: Payload bytes per DATA fragment (the rest of the 22-word packet).
 FRAG_BYTES = (MAX_PAYLOAD_WORDS - _HEADER_WORDS) * WORD_BYTES
+
+#: Go-back-N window: unacknowledged DATA fragments per flow.
+WINDOW = 8
+#: Retransmit timeout: ``BASE_RTO * BACKOFF**retries``, capped at
+#: ``MAX_RTO``; past ``MAX_RETRIES`` fruitless rounds the flow raises
+#: :class:`DeliveryError`.
+BASE_RTO = 50e-6
+BACKOFF = 2.0
+MAX_RTO = 2e-3
+MAX_RETRIES = 16
 
 
 class DeliveryError(RuntimeError):
@@ -133,28 +143,13 @@ class ReliableNIU:
     steal each other's traffic.
     """
 
-    def __init__(
-        self,
-        niu: StarTX,
-        window: int = 8,
-        base_rto: float = 50e-6,
-        backoff: float = 2.0,
-        max_rto: float = 2e-3,
-        max_retries: int = 16,
-    ) -> None:
+    def __init__(self, niu: StarTX) -> None:
         if niu.rx_hook is not None:
             raise RuntimeError(
                 f"node {niu.node_id}: NIU already has a receive hook installed"
             )
-        if window < 1:
-            raise ValueError("window must be at least 1")
         self.niu = niu
         self.engine = niu.engine
-        self.window = window
-        self.base_rto = base_rto
-        self.backoff = backoff
-        self.max_rto = max_rto
-        self.max_retries = max_retries
         self._tx: Dict[int, _TxFlow] = {}
         self._rx: Dict[int, _RxFlow] = {}
         self._partial: Dict[Tuple[int, int], _Reassembly] = {}
@@ -351,7 +346,7 @@ class ReliableNIU:
             chan_tag = (channel << 16) | tag
             offsets = range(0, total, FRAG_BYTES) if total else (0,)
             for offset in offsets:
-                while len(flow.unacked) >= self.window:
+                while len(flow.unacked) >= WINDOW:
                     yield from self._await_progress(flow)
                 chunk = data[offset : offset + FRAG_BYTES]
                 words = [
@@ -387,7 +382,7 @@ class ReliableNIU:
         """Process: wait for the window to advance; retransmit on RTO or
         NACK; give up (structured error) past the retry budget."""
         base_before = flow.base
-        rto = min(self.base_rto * (self.backoff ** flow.retries), self.max_rto)
+        rto = min(BASE_RTO * (BACKOFF ** flow.retries), MAX_RTO)
         yield AnyOf(
             self.engine, [flow.ack_signal.wait(), self.engine.timeout(rto)]
         )
@@ -397,7 +392,7 @@ class ReliableNIU:
         if flow.nack_pending:
             flow.nack_pending = False
         flow.retries += 1
-        if flow.retries > self.max_retries:
+        if flow.retries > MAX_RETRIES:
             raise DeliveryError(
                 src=self.niu.node_id,
                 dst=flow.dst,
@@ -483,23 +478,12 @@ class ReliableNIU:
         }
 
 
-def get_reliable(niu: StarTX, **params) -> ReliableNIU:
-    """The reliable layer for ``niu``, creating it on first use.
-
-    Subsequent calls return the existing layer (``params`` must agree or
-    be omitted); the layer owns the NIU's receive hook.
-    """
+def get_reliable(niu: StarTX) -> ReliableNIU:
+    """The reliable layer for ``niu``, creating it on first use; the
+    layer owns the NIU's receive hook."""
     layer = getattr(niu, "_reliable_layer", None)
     if layer is None:
-        layer = ReliableNIU(niu, **params)
-        niu._reliable_layer = layer
-    elif params:
-        for key, value in params.items():
-            if getattr(layer, key) != value:
-                raise ValueError(
-                    f"node {niu.node_id}: reliable layer already configured "
-                    f"with {key}={getattr(layer, key)!r}, requested {value!r}"
-                )
+        layer = niu._reliable_layer = ReliableNIU(niu)
     return layer
 
 

@@ -22,16 +22,11 @@ through :mod:`repro.collectives.des_exec`.
 
 from repro.parallel.tiling import Decomposition, Tile
 from repro.parallel.exchange import HaloExchanger, exchange_halos
-from repro.parallel.globalsum import (
-    GlobalSummer,
-    butterfly_global_sum,
-    butterfly_rounds,
-)
+from repro.parallel.globalsum import GlobalSummer, butterfly_global_sum
 from repro.parallel.runtime import (
     LockstepRuntime,
     MachineModel,
     RankStats,
-    StragglerConfig,
     StragglerMitigator,
 )
 
@@ -42,9 +37,7 @@ __all__ = [
     "exchange_halos",
     "GlobalSummer",
     "butterfly_global_sum",
-    "butterfly_rounds",
     "LockstepRuntime",
-    "StragglerConfig",
     "StragglerMitigator",
     "MachineModel",
     "RankStats",

@@ -55,29 +55,6 @@ def canonical_fold_reduce(values: Sequence) -> "np.ndarray | float":
     return float(base[0]) if scalar else base[0]
 
 
-def butterfly_rounds(n: int) -> list[list[tuple[int, int]]]:
-    """Communication pattern: per round, the (rank, partner) pairs.
-
-    For non-power-of-two ``n`` the first round is the fold-in (extras
-    send to ``rank - m``) and the last is the fold-out broadcast back;
-    in between only the ``m`` base ranks exchange.
-    """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    m = largest_pow2_below(n)
-    rounds: list[list[tuple[int, int]]] = []
-    if m < n:
-        rounds.append([(e, e - m) for e in range(m, n)])
-    log_m = int(math.log2(m))
-    rounds.extend(
-        [(r, r ^ (1 << i)) for r in range(m)]
-        for i in range(log_m)
-    )
-    if m < n:
-        rounds.append([(e - m, e) for e in range(m, n)])
-    return rounds
-
-
 def butterfly_global_sum(
     values: Sequence[float], record_rounds: bool = False
 ) -> tuple[list[float], list[list[float]]]:

@@ -486,35 +486,21 @@ class LockstepRuntime:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StragglerConfig:
-    """Tuning for :class:`StragglerMitigator`.
-
-    ``suspect_factor`` plays the role of the membership layer's phi
-    threshold, but over *progress* rather than heartbeats: a node whose
-    smoothed per-stage virtual time runs this many times the cluster
-    median is suspected of straggling.  It must clear the mix-mode
-    oversubscription ratio (a healthy node absorbing one extra tile runs
-    at 1.5x with ``cpus_per_node=2``), so defaults stay conservative:
-    no false positives on a merely-busy node.
-    """
-
-    suspect_factor: float = 1.8
-    ewma_alpha: float = 0.4
-    min_observations: int = 2
-    #: Never move a node's last tile: a straggler still owns its share
-    #: of the fabric and must keep heartbeating through real work.
-    min_tiles: int = 1
-
-    def __post_init__(self) -> None:
-        if self.suspect_factor <= 1.0:
-            raise ValueError("suspect_factor must exceed 1")
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-        if self.min_tiles < 0:
-            raise ValueError("min_tiles must be >= 0")
+# ``SUSPECT_FACTOR`` plays the role of the membership layer's phi
+# threshold, but over *progress* rather than heartbeats: a node whose
+# smoothed per-stage virtual time runs this many times the cluster
+# median is suspected of straggling.  It must clear the mix-mode
+# oversubscription ratio (a healthy node absorbing one extra tile runs
+# at 1.5x with ``cpus_per_node=2``), so it stays conservative: no false
+# positives on a merely-busy node.
+SUSPECT_FACTOR = 1.8
+#: Weight of the newest stage in the smoothed slowdown, in (0, 1].
+EWMA_ALPHA = 0.4
+#: Observed stages before any node can be suspected.
+MIN_OBSERVATIONS = 2
+#: Never move a node's last tile: a straggler still owns its share of
+#: the fabric and must keep heartbeating through real work.
+MIN_TILES = 1
 
 
 class StragglerMitigator:
@@ -538,13 +524,8 @@ class StragglerMitigator:
     moves, so mitigated runs stay bit-exact.
     """
 
-    def __init__(
-        self,
-        runtime: LockstepRuntime,
-        config: Optional[StragglerConfig] = None,
-    ) -> None:
+    def __init__(self, runtime: LockstepRuntime) -> None:
         self.runtime = runtime
-        self.config = config or StragglerConfig()
         self._last = self._work()
         self._estimate = np.ones(runtime.n_nodes)
         self._observations = 0
@@ -587,8 +568,7 @@ class StragglerMitigator:
         )
         rel = np.maximum(over / max(float(np.median(over)), 1.0), 1.0)
         ratio = np.maximum(prog / med, 0.0) / rel
-        a = self.config.ewma_alpha
-        self._estimate = (1 - a) * self._estimate + a * ratio
+        self._estimate = (1 - EWMA_ALPHA) * self._estimate + EWMA_ALPHA * ratio
         self._observations += 1
 
     def slowdown(self, node: int) -> float:
@@ -598,8 +578,8 @@ class StragglerMitigator:
     def suspected(self, node: int) -> bool:
         """Is ``node`` currently suspected of straggling?"""
         return (
-            self._observations >= self.config.min_observations
-            and self._estimate[node] >= self.config.suspect_factor
+            self._observations >= MIN_OBSERVATIONS
+            and self._estimate[node] >= SUSPECT_FACTOR
         )
 
     def suspects(self) -> list[int]:
@@ -620,7 +600,7 @@ class StragglerMitigator:
         while True:
             load = rt._owned * est / rt.cpus_per_node
             src = int(np.argmax(load))
-            if src not in suspects or rt.tiles_owned(src) <= self.config.min_tiles:
+            if src not in suspects or rt.tiles_owned(src) <= MIN_TILES:
                 break
             dst = int(np.argmin(load))
             new_src = (rt.tiles_owned(src) - 1) * est[src] / rt.cpus_per_node

@@ -36,7 +36,6 @@ from repro.recover.membership import (
     Membership,
     NodeFailure,
     PhiAccrualDetector,
-    SuspicionConfig,
     UnrecoverableError,
 )
 from repro.recover.checkpoint import (
@@ -52,7 +51,6 @@ __all__ = [
     "Membership",
     "NodeFailure",
     "PhiAccrualDetector",
-    "SuspicionConfig",
     "UnrecoverableError",
     "CheckpointLockTimeout",
     "CoordinatedCheckpointStore",

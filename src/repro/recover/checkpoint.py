@@ -44,6 +44,13 @@ from repro.gcm.checkpoint import load_state_shard, save_state_shard
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 1
 LOCK_NAME = ".ckpt.lock"
+#: Seconds a checkpointer waits for the shard-store lock before raising
+#: :class:`CheckpointLockTimeout`.
+LOCK_TIMEOUT_S = 10.0
+LOCK_POLL_S = 0.01
+#: Age past which the non-POSIX lockfile fallback breaks a dead holder's
+#: lock.
+LOCK_STALE_S = 60.0
 
 
 class CheckpointLockTimeout(CheckpointError):
@@ -62,22 +69,13 @@ class FileLock:
     cooperating processes.
     """
 
-    def __init__(
-        self,
-        path: Union[str, pathlib.Path],
-        timeout_s: float = 10.0,
-        poll_s: float = 0.01,
-        stale_s: float = 60.0,
-    ) -> None:
+    def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self.path = pathlib.Path(path)
-        self.timeout_s = timeout_s
-        self.poll_s = poll_s
-        self.stale_s = stale_s
         self._fd: Optional[int] = None
         self._depth = 0
 
     def acquire(self) -> None:
-        """Take the lock, polling up to ``timeout_s``; raises
+        """Take the lock, polling up to ``LOCK_TIMEOUT_S``; raises
         :class:`CheckpointLockTimeout` if another holder keeps it."""
         if self._depth > 0:
             self._depth += 1
@@ -86,7 +84,7 @@ class FileLock:
             import fcntl
         except ImportError:
             fcntl = None
-        deadline = time.monotonic() + self.timeout_s
+        deadline = time.monotonic() + LOCK_TIMEOUT_S
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if fcntl is not None:
             fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
@@ -99,9 +97,9 @@ class FileLock:
                         os.close(fd)
                         raise CheckpointLockTimeout(
                             f"could not lock {self.path} within "
-                            f"{self.timeout_s}s (another checkpointer holds it)"
+                            f"{LOCK_TIMEOUT_S}s (another checkpointer holds it)"
                         ) from None
-                    time.sleep(self.poll_s)
+                    time.sleep(LOCK_POLL_S)
             self._fd = fd
         else:  # pragma: no cover - non-POSIX fallback
             while True:
@@ -112,16 +110,16 @@ class FileLock:
                     break
                 except FileExistsError:
                     try:
-                        if time.time() - self.path.stat().st_mtime > self.stale_s:
+                        if time.time() - self.path.stat().st_mtime > LOCK_STALE_S:
                             self.path.unlink()
                             continue
                     except OSError:
                         pass
                     if time.monotonic() > deadline:
                         raise CheckpointLockTimeout(
-                            f"could not lock {self.path} within {self.timeout_s}s"
+                            f"could not lock {self.path} within {LOCK_TIMEOUT_S}s"
                         ) from None
-                    time.sleep(self.poll_s)
+                    time.sleep(LOCK_POLL_S)
         self._depth = 1
 
     def release(self) -> None:
@@ -191,18 +189,14 @@ class CoordinatedCheckpointStore:
     the checkpoint never becomes visible.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, pathlib.Path],
-        lock_timeout_s: float = 10.0,
-    ) -> None:
+    def __init__(self, directory: Union[str, pathlib.Path]) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         #: advisory inter-process lock: two processes checkpointing the
         #: same run directory cannot interleave shard writes with a
         #: manifest commit (the lock is reentrant, so one holder may
         #: span write_shards + commit via :meth:`checkpoint`).
-        self.lock = FileLock(self.directory / LOCK_NAME, timeout_s=lock_timeout_s)
+        self.lock = FileLock(self.directory / LOCK_NAME)
 
     # -- write side ------------------------------------------------------
 

@@ -21,7 +21,7 @@ Owns the whole self-healing control loop for a DES cluster run:
    the disk reads plus a commit barrier before the run resumes.
 
 Checkpoint writes and restores are priced honestly: every rank's shard
-bytes move at ``disk_bandwidth`` in virtual time, and the commit
+bytes move at ``DISK_BANDWIDTH`` in virtual time, and the commit
 protocol's messages ride the reliable layer through the simulated
 fabric.  Steady-state heartbeat cost, checkpoint tax, detection
 latency, rollback and recompute are all measurable on the virtual
@@ -49,6 +49,17 @@ from repro.recover.membership import (
 from repro.parallel.tiling import RankMap
 
 
+#: Local-disk streaming rate for shard writes/reads (bytes/s; ~30 MB/s
+#: suits the paper's 1999-era IDE disks).
+DISK_BANDWIDTH = 30e6
+#: Upper bound (virtual seconds) on any single communication phase.
+#: Heartbeat traffic keeps the event heap alive forever, so a genuinely
+#: wedged phase would otherwise spin in real time; this converts it into
+#: a structured error.  Generous next to the microsecond-scale phases it
+#: bounds.
+PHASE_TIMEOUT = 0.25
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Tunables of the self-healing runtime."""
@@ -58,29 +69,16 @@ class RecoveryConfig:
     checkpoint_interval: int = 2
     #: Shard directory; None -> a fresh temporary directory.
     checkpoint_dir: Optional[str] = None
-    #: Local-disk streaming rate for shard writes/reads (bytes/s;
-    #: ~30 MB/s suits the paper's 1999-era IDE disks).
-    disk_bandwidth: float = 30e6
-    #: Override the spare pool (defaults to ``cluster.spare_ids``).
-    spares: Optional[tuple] = None
-    #: With the spare pool empty, double ranks up on survivors instead
-    #: of giving up.
+    #: With the spare pool (``cluster.spare_ids``) empty, double ranks up
+    #: on survivors instead of giving up.
     allow_redistribute: bool = False
-    #: Upper bound (virtual seconds) on any single communication phase.
-    #: Heartbeat traffic keeps the event heap alive forever, so a
-    #: genuinely wedged phase would otherwise spin in real time; this
-    #: converts it into a structured error.  Generous next to the
-    #: microsecond-scale phases it bounds.
-    phase_timeout: float = 0.25
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.disk_bandwidth <= 0:
-            raise ValueError("disk_bandwidth must be positive")
-        if self.phase_timeout <= self.heartbeat.timeout:
+        if PHASE_TIMEOUT <= self.heartbeat.timeout:
             raise ValueError(
-                "phase_timeout must exceed the heartbeat timeout or no "
+                "the heartbeat timeout must stay below PHASE_TIMEOUT or no "
                 "failure can be declared before the phase gives up"
             )
 
@@ -111,14 +109,7 @@ class RecoveryManager:
         from repro.collectives.des_exec import check_reliable_ranks
 
         check_reliable_ranks(n_ranks)
-        spares = (
-            tuple(self.config.spares)
-            if self.config.spares is not None
-            else cluster.spare_ids
-        )
-        for node in spares:
-            if not (0 <= node < cluster.n_nodes):
-                raise ValueError(f"spare node {node} outside the cluster")
+        spares = cluster.spare_ids
         if n_ranks + len(spares) > cluster.n_nodes:
             raise ValueError(
                 f"{n_ranks} ranks + {len(spares)} spares exceed the "
@@ -265,10 +256,10 @@ class RecoveryManager:
         times of :func:`repro.collectives.des_exec.start_ranks`) is
         ``None``; raises :class:`NodeFailure` when a death was declared
         mid-phase, or ``RuntimeError`` if the phase stalls past
-        ``phase_timeout`` without any declared failure.
+        ``PHASE_TIMEOUT`` without any declared failure.
         """
         engine = self.engine
-        deadline = engine.now + self.config.phase_timeout
+        deadline = engine.now + PHASE_TIMEOUT
         try:
             engine.run(
                 watchdog=True,
@@ -285,8 +276,8 @@ class RecoveryManager:
         if None in done:
             stuck = [r for r, d in enumerate(done) if d is None]
             raise RuntimeError(
-                f"{label} stalled past phase_timeout="
-                f"{self.config.phase_timeout} s (virtual) on ranks {stuck} "
+                f"{label} stalled past PHASE_TIMEOUT="
+                f"{PHASE_TIMEOUT} s (virtual) on ranks {stuck} "
                 "with no declared node failure"
             )
 
@@ -297,7 +288,7 @@ class RecoveryManager:
 
         Shards are written (durably, CRC'd, atomically) first; then the
         DES prices the distributed protocol — every rank streams its
-        shard to disk at ``disk_bandwidth`` and joins a commit barrier
+        shard to disk at ``DISK_BANDWIDTH`` and joins a commit barrier
         through the reliable layer — and only after the priced protocol
         completes is the manifest committed.  A crash mid-protocol
         leaves the previous committed checkpoint authoritative.
@@ -329,7 +320,7 @@ class RecoveryManager:
                 for comp in comps
                 if rank < models[comp].decomp.n_ranks
             )
-            / self.config.disk_bandwidth
+            / DISK_BANDWIDTH
             for rank in range(self.n_ranks)
         ]
         procs, done = start_ranks(

@@ -29,20 +29,20 @@ machine, so the verdict is adaptive, phi-accrual style (Hayashibara et
 al. 2004): each observer learns the distribution of its peers' beacon
 inter-arrival times and turns current silence into a suspicion level
 ``phi = -log10 P(silence this long | peer alive)``.  Crossing
-``phi_suspect`` marks the peer *suspected* (fed to straggler
+``PHI_SUSPECT`` marks the peer *suspected* (fed to straggler
 mitigation, never to recovery); a declaration additionally requires
-``phi >= phi_dead`` **and** silence beyond ``k_dead`` learned mean
+``phi >= PHI_DEAD`` **and** silence beyond ``K_DEAD`` learned mean
 intervals — so a merely-degraded peer whose beacons stretched 4x is
 suspected but not evicted, while a truly dead one is still declared
-within the ``timeout + period`` bound.  Until ``min_samples`` intervals
-are learned the fixed ``timeout`` applies (warmup).
+within the ``timeout + period`` bound.  Until ``PHI_MIN_SAMPLES``
+intervals are learned the fixed ``timeout`` applies (warmup).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.network.packet import Priority
@@ -172,41 +172,27 @@ PEER_SUSPECT = "suspect"
 PEER_DEAD = "dead"
 
 
-@dataclass(frozen=True)
-class SuspicionConfig:
-    """Tuning of the adaptive phi-accrual detector.
+# Tuning of the adaptive phi-accrual detector.  ``phi = p`` means "the
+# chance a live peer stays silent this long is 10^-p".  PHI_SUSPECT
+# trips early (fed to straggler mitigation); a *declaration* requires
+# both PHI_DEAD and silence beyond K_DEAD learned mean intervals — the
+# belt-and-braces pair that keeps a 4x-degraded peer (phi rises fast
+# once the learned std is small) from being evicted while it is
+# demonstrably still beaconing.  These values keep declaration latency
+# at ~``K_DEAD * period`` on a healthy history, inside the ``timeout +
+# period`` bound.
 
-    ``phi = p`` means "the chance a live peer stays silent this long is
-    10^-p".  ``phi_suspect`` trips early (fed to straggler mitigation);
-    a *declaration* requires both ``phi_dead`` and silence beyond
-    ``k_dead`` learned mean intervals — the belt-and-braces pair that
-    keeps a 4x-degraded peer (phi rises fast once the learned std is
-    small) from being evicted while it is demonstrably still beaconing.
-    Defaults keep declaration latency at ~``k_dead * period`` on a
-    healthy history, inside the ``timeout + period`` bound.
-    """
-
-    window: int = 32
-    min_samples: int = 4
-    phi_suspect: float = 2.0
-    phi_dead: float = 9.0
-    k_dead: float = 5.0
-    #: Std-deviation floor as a fraction of the learned mean: beacons on
-    #: a quiet simulated fabric arrive nearly metronomically, and a
-    #: zero std would make phi explode on the first microsecond of skew.
-    min_std_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError("window must hold at least 2 samples")
-        if self.min_samples < 2:
-            raise ValueError("min_samples must be >= 2")
-        if not (0.0 < self.phi_suspect < self.phi_dead):
-            raise ValueError("need 0 < phi_suspect < phi_dead")
-        if self.k_dead < 1.0:
-            raise ValueError("k_dead must be >= 1")
-        if self.min_std_fraction <= 0.0:
-            raise ValueError("min_std_fraction must be positive")
+#: Inter-arrival samples learned per peer (a sliding window, >= 2).
+PHI_WINDOW = 32
+#: Learned intervals before phi replaces the fixed timeout (>= 2).
+PHI_MIN_SAMPLES = 4
+PHI_SUSPECT = 2.0
+PHI_DEAD = 9.0
+K_DEAD = 5.0
+#: Std-deviation floor as a fraction of the learned mean: beacons on
+#: a quiet simulated fabric arrive nearly metronomically, and a zero std
+#: would make phi explode on the first microsecond of skew.
+MIN_STD_FRACTION = 0.1
 
 
 class PhiAccrualDetector:
@@ -219,8 +205,7 @@ class PhiAccrualDetector:
     beacon streams to audit false-positive behaviour deterministically.
     """
 
-    def __init__(self, config: Optional[SuspicionConfig] = None) -> None:
-        self.config = config or SuspicionConfig()
+    def __init__(self) -> None:
         self._intervals: Dict[int, Deque[float]] = {}
         self._last: Dict[int, float] = {}
 
@@ -228,9 +213,9 @@ class PhiAccrualDetector:
         """Record a beacon from ``peer`` at virtual time ``now``."""
         last = self._last.get(peer)
         if last is not None and now > last:
-            self._intervals.setdefault(
-                peer, deque(maxlen=self.config.window)
-            ).append(now - last)
+            self._intervals.setdefault(peer, deque(maxlen=PHI_WINDOW)).append(
+                now - last
+            )
         self._last[peer] = now
 
     def samples(self, peer: int) -> int:
@@ -248,7 +233,7 @@ class PhiAccrualDetector:
         """Suspicion level for ``peer``: ``-log10 P(silence | alive)``.
 
         Gaussian tail over the learned inter-arrival distribution, std
-        floored at ``min_std_fraction`` of the mean.  Returns 0 while
+        floored at ``MIN_STD_FRACTION`` of the mean.  Returns 0 while
         there is no history (warmup uses the fixed timeout instead).
         """
         window = self._intervals.get(peer)
@@ -260,7 +245,7 @@ class PhiAccrualDetector:
             return 0.0
         mean = sum(window) / len(window)
         var = sum((x - mean) ** 2 for x in window) / len(window)
-        std = max(math.sqrt(var), self.config.min_std_fraction * mean)
+        std = max(math.sqrt(var), MIN_STD_FRACTION * mean)
         z = (silence - mean) / std
         if z <= 0:
             return 0.0
@@ -274,21 +259,21 @@ class PhiAccrualDetector:
     def state(self, peer: int, now: float, fixed_timeout: float) -> str:
         """Classify ``peer``: PEER_ALIVE / PEER_SUSPECT / PEER_DEAD.
 
-        ``fixed_timeout`` is the warmup fallback: before ``min_samples``
-        intervals are learned the classic silence test applies.
+        ``fixed_timeout`` is the warmup fallback: before
+        ``PHI_MIN_SAMPLES`` intervals are learned the classic silence
+        test applies.
         """
-        cfg = self.config
         last = self._last.get(peer)
         silence = None if last is None else now - last
-        if self.samples(peer) < cfg.min_samples:
+        if self.samples(peer) < PHI_MIN_SAMPLES:
             if silence is not None and silence > fixed_timeout:
                 return PEER_DEAD
             return PEER_ALIVE
         p = self.phi(peer, now)
         mean = self.mean_interval(peer) or fixed_timeout
-        if p >= cfg.phi_dead and silence is not None and silence > cfg.k_dead * mean:
+        if p >= PHI_DEAD and silence is not None and silence > K_DEAD * mean:
             return PEER_DEAD
-        if p >= cfg.phi_suspect:
+        if p >= PHI_SUSPECT:
             return PEER_SUSPECT
         return PEER_ALIVE
 
@@ -305,13 +290,12 @@ class HeartbeatConfig:
 
     ``timeout`` is load-bearing as the phi detector's warmup fallback
     (see :class:`PhiAccrualDetector`) — and on a healthy beacon history
-    ``k_dead * period`` keeps phi declarations inside the documented
+    ``K_DEAD * period`` keeps phi declarations inside the documented
     ``timeout + period`` latency bound.
     """
 
     period: float = 50e-6
     timeout: float = 250e-6
-    suspicion: SuspicionConfig = field(default_factory=SuspicionConfig)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -352,7 +336,7 @@ class HeartbeatService:
         #: Per-observer adaptive detectors.
         self.detectors: dict[int, PhiAccrualDetector] = {}
         #: suspects[observer] -> peers the observer currently suspects
-        #: of being slow (phi crossed phi_suspect but the peer is not
+        #: of being slow (phi crossed PHI_SUSPECT but the peer is not
         #: declarable).  Feeds straggler mitigation, never recovery.
         self.suspects: dict[int, set[int]] = {}
         #: Total suspect transitions (a peer entering some observer's
@@ -369,7 +353,7 @@ class HeartbeatService:
         for node in self.membership.participants:
             self.last_seen[node] = {}
             self.suspects[node] = set()
-            self.detectors[node] = PhiAccrualDetector(self.config.suspicion)
+            self.detectors[node] = PhiAccrualDetector()
             self._wrap_hook(node)
         for node in self.membership.participants:
             self.engine.process(

@@ -29,7 +29,6 @@ feature is its fault story, built on the robustness stack of PRs 1–4:
 
 from .api import EnsembleService, ServiceClient, ServiceConfig, run_batch, run_jobs
 from .chaos import ChaosConfig, ChaosReport, build_ensemble, run_chaos
-from .degrade import DegradeConfig
 from .jobs import JobPriority, JobSpec, JobState, JobStatus, model_digest
 from .journal import Journal, JournalError, JournalWarning
 from .metrics import ServiceMetrics
@@ -40,7 +39,6 @@ from .worker import execute_job
 __all__ = [
     "ChaosConfig",
     "ChaosReport",
-    "DegradeConfig",
     "EnsembleService",
     "JobPriority",
     "JobQueue",

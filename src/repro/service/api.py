@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.durable import write_json_atomic
 
-from .degrade import DegradeConfig, shed_excess
+from .degrade import shed_excess
 from .jobs import JobSpec, JobStatus
 from .journal import Journal
 from .metrics import ServiceMetrics
@@ -60,7 +60,6 @@ class ServiceConfig:
     """Everything the serve loop needs tuning for."""
 
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    degrade: DegradeConfig = field(default_factory=DegradeConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,7 @@ class EnsembleService:
         now = time.monotonic() if now is None else now
         events = self.supervisor.poll(now)
         self.ingest_spool()
-        shed_excess(self.queue, self.config.degrade, self.metrics)
+        shed_excess(self.queue, self.metrics)
         while self.supervisor.free_slots() > 0:
             state = self.queue.next_ready(now)
             if state is None:

@@ -42,6 +42,18 @@ from .queue import JobQueue
 from .worker import PID_NAME, execute_job
 
 
+#: per-tick probability of SIGKILLing one random live worker.
+KILL_WORKER_PROB = 0.35
+#: seconds between SIGKILLs of the service itself.
+SERVICE_KILL_PERIOD_S = 3.0
+#: cap on service assassinations (each restart costs an interpreter).
+MAX_SERVICE_KILLS = 3
+#: fraction of the budget after which all killing stops (the calm
+#: window in which survivors must drain).
+CALM_AFTER_FRACTION = 0.5
+TICK_S = 0.15
+
+
 @dataclass
 class ChaosConfig:
     """Knobs of one chaos campaign (all deterministic under ``seed``)."""
@@ -51,16 +63,6 @@ class ChaosConfig:
     workers: int = 4
     #: overall wall-clock budget; the audit fails jobs still live past it.
     max_wall_s: float = 120.0
-    #: per-tick probability of SIGKILLing one random live worker.
-    kill_worker_prob: float = 0.35
-    #: seconds between SIGKILLs of the service itself.
-    service_kill_period_s: float = 3.0
-    #: cap on service assassinations (each restart costs an interpreter).
-    max_service_kills: int = 3
-    #: fraction of the budget after which all killing stops (the calm
-    #: window in which survivors must drain).
-    calm_after_fraction: float = 0.5
-    tick_s: float = 0.15
     #: supervisor tuning pushed to the serve subprocess via CLI flags.
     heartbeat_timeout_s: float = 1.0
     deadline_s: float = 20.0
@@ -275,8 +277,8 @@ def run_chaos(
     late = list(specs[split:])
 
     t0 = time.monotonic()
-    calm_at = t0 + cfg.calm_after_fraction * cfg.max_wall_s
-    next_service_kill = t0 + cfg.service_kill_period_s
+    calm_at = t0 + CALM_AFTER_FRACTION * cfg.max_wall_s
+    next_service_kill = t0 + SERVICE_KILL_PERIOD_S
     say(f"chaos: seed={cfg.seed}, {cfg.workers} workers, budget {cfg.max_wall_s:.0f}s")
     service = _spawn_service(root, cfg)
 
@@ -309,16 +311,16 @@ def run_chaos(
                 service = _spawn_service(root, cfg)
             elif (
                 chaos_on
-                and report.service_kills < cfg.max_service_kills
+                and report.service_kills < MAX_SERVICE_KILLS
                 and now >= next_service_kill
             ):
                 say(f"chaos: SIGKILL service (pid {service.pid})")
                 service.send_signal(signal.SIGKILL)
                 service.wait()
                 report.service_kills += 1
-                next_service_kill = now + cfg.service_kill_period_s
+                next_service_kill = now + SERVICE_KILL_PERIOD_S
                 service = _spawn_service(root, cfg)
-            if chaos_on and rng.random() < cfg.kill_worker_prob:
+            if chaos_on and rng.random() < KILL_WORKER_PROB:
                 pids = _live_worker_pids(root)
                 if pids:
                     victim = rng.choice(pids)
@@ -327,7 +329,7 @@ def run_chaos(
                         report.worker_kills += 1
                     except OSError:
                         pass
-            time.sleep(cfg.tick_s)
+            time.sleep(TICK_S)
     finally:
         if service.poll() is None:
             service.send_signal(signal.SIGTERM)

@@ -15,29 +15,22 @@ minimizes wasted queueing work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-from .jobs import JobPriority, JobStatus
+from .jobs import JobPriority
 from .queue import JobQueue
 
-
-@dataclass
-class DegradeConfig:
-    """Backlog ceiling; ``None`` disables shedding entirely."""
-
-    max_pending: int = 1000
+#: Backlog ceiling: pending jobs past it shed LOW-priority work.
+MAX_PENDING = 1000
 
 
-def shed_excess(queue: JobQueue, config: DegradeConfig, metrics=None) -> List[str]:
+def shed_excess(queue: JobQueue, metrics=None) -> List[str]:
     """Shed newest LOW-priority pending jobs while the backlog exceeds
-    ``max_pending``; returns the shed job ids (possibly empty)."""
-    if config is None or config.max_pending is None:
-        return []
+    ``MAX_PENDING``; returns the shed job ids (possibly empty)."""
     shed: List[str] = []
     while True:
         pending = queue.pending()
-        if len(pending) <= config.max_pending:
+        if len(pending) <= MAX_PENDING:
             break
         low = [s for s in pending if s.spec.priority == JobPriority.LOW]
         if not low:
@@ -46,7 +39,7 @@ def shed_excess(queue: JobQueue, config: DegradeConfig, metrics=None) -> List[st
         victim = max(low, key=lambda s: s.submit_seq)
         queue.mark_shed(
             victim.job_id,
-            f"load shed: {len(pending)} pending > cap {config.max_pending}",
+            f"load shed: {len(pending)} pending > cap {MAX_PENDING}",
         )
         shed.append(victim.job_id)
         if metrics is not None:
@@ -54,11 +47,4 @@ def shed_excess(queue: JobQueue, config: DegradeConfig, metrics=None) -> List[st
     return shed
 
 
-def pressure(queue: JobQueue, config: DegradeConfig) -> float:
-    """Backlog pressure in [0, inf): pending / cap (0 when uncapped)."""
-    if config is None or not config.max_pending:
-        return 0.0
-    return len(queue.pending()) / float(config.max_pending)
-
-
-__all__ = ["DegradeConfig", "shed_excess", "pressure", "JobStatus"]
+__all__ = ["MAX_PENDING", "shed_excess"]

@@ -20,13 +20,12 @@ worker's **report** of a clean attempt and three failure channels:
   stale past ``heartbeat_timeout_s``.  The supervisor SIGKILLs it —
   a wedged worker must never wedge the pool.
 * **deadline** — wall-clock overrun past the *effective* deadline,
-  beats or not.  With ``adaptive_deadline`` (default) the supervisor
-  learns each job kind's completed-attempt runtimes and tightens the
-  fixed ``deadline_s`` ceiling to a quantile-times-margin of what this
-  kind actually takes — and an overrun against the *learned* deadline
+  beats or not.  The supervisor learns each job kind's
+  completed-attempt runtimes and tightens the fixed ``deadline_s``
+  ceiling to a quantile-times-margin of what this kind actually takes — and an overrun against the *learned* deadline
   on a worker that is still heartbeating is treated as *slow, not
   dead*: the attempt is killed but the job is **requeued** without
-  burning an attempt (``max_slow_requeues`` bounds the loop), so a
+  burning an attempt (``MAX_SLOW_REQUEUES`` bounds the loop), so a
   degraded host delays a job instead of quarantining it.  Overruns of
   the fixed ceiling keep the classic retry/quarantine path.
 
@@ -59,6 +58,26 @@ from .worker import (
 )
 
 
+#: jitter fraction on top of the exponential delay (0.25 = up to +25%).
+BACKOFF_JITTER = 0.25
+#: quantile of observed runtimes the learned deadline anchors on.
+DEADLINE_QUANTILE = 0.95
+#: learned deadline = margin * quantile (then clamped to the floor and
+#: the fixed ``deadline_s`` ceiling).
+DEADLINE_MARGIN = 3.0
+#: completed attempts of a kind before its learned deadline applies.
+DEADLINE_MIN_SAMPLES = 3
+#: never learn a deadline below this — keeps adaptation inert for
+#: sub-second test/chaos workloads.
+ADAPTIVE_DEADLINE_FLOOR_S = 1.0
+#: slow-but-alive requeues per job before overruns fall back to the
+#: retry/quarantine path (bounds the requeue loop on a job that is
+#: genuinely mis-sized rather than merely on a degraded host).
+MAX_SLOW_REQUEUES = 2
+#: per-kind runtime samples retained (FIFO).
+RUNTIME_HISTORY_CAP = 64
+
+
 @dataclass
 class SupervisorConfig:
     """Pool size, liveness thresholds and the retry policy."""
@@ -72,26 +91,6 @@ class SupervisorConfig:
     max_attempts: int = 5
     backoff_base_s: float = 0.1
     backoff_cap_s: float = 2.0
-    #: jitter fraction on top of the exponential delay (0.25 = up to +25%).
-    backoff_jitter: float = 0.25
-    #: learn per-kind deadlines from completed-attempt runtimes.
-    adaptive_deadline: bool = True
-    #: quantile of observed runtimes the learned deadline anchors on.
-    deadline_quantile: float = 0.95
-    #: learned deadline = margin * quantile (then clamped to the floor
-    #: and the fixed ``deadline_s`` ceiling).
-    deadline_margin: float = 3.0
-    #: completed attempts of a kind before its learned deadline applies.
-    deadline_min_samples: int = 3
-    #: never learn a deadline below this — keeps adaptation inert for
-    #: sub-second test/chaos workloads.
-    adaptive_deadline_floor_s: float = 1.0
-    #: slow-but-alive requeues per job before overruns fall back to the
-    #: retry/quarantine path (bounds the requeue loop on a job that is
-    #: genuinely mis-sized rather than merely on a degraded host).
-    max_slow_requeues: int = 2
-    #: per-kind runtime samples retained (FIFO).
-    runtime_history_cap: int = 64
 
 
 def backoff_delay(job_id: str, attempt: int, cfg: SupervisorConfig) -> float:
@@ -99,7 +98,7 @@ def backoff_delay(job_id: str, attempt: int, cfg: SupervisorConfig) -> float:
     jitter, so two service incarnations compute the same schedule."""
     base = min(cfg.backoff_base_s * (2.0 ** max(attempt - 1, 0)), cfg.backoff_cap_s)
     u = (zlib.crc32(f"{job_id}:{attempt}".encode()) & 0xFFFFFFFF) / 2**32
-    return base * (1.0 + cfg.backoff_jitter * u)
+    return base * (1.0 + BACKOFF_JITTER * u)
 
 
 @dataclass
@@ -232,24 +231,19 @@ class Supervisor:
         """Fold one completed attempt's runtime into the kind's history."""
         history = self.runtimes.setdefault(kind, [])
         history.append(seconds)
-        if len(history) > self.config.runtime_history_cap:
-            del history[: len(history) - self.config.runtime_history_cap]
+        if len(history) > RUNTIME_HISTORY_CAP:
+            del history[: len(history) - RUNTIME_HISTORY_CAP]
 
     def learned_deadline(self, kind: str) -> Optional[float]:
         """The quantile-of-observed-runtimes deadline for ``kind``
-        (None while disabled or under-sampled)."""
-        cfg = self.config
-        if not cfg.adaptive_deadline:
-            return None
+        (None while under-sampled)."""
         history = self.runtimes.get(kind)
-        if history is None or len(history) < cfg.deadline_min_samples:
+        if history is None or len(history) < DEADLINE_MIN_SAMPLES:
             return None
         ordered = sorted(history)
-        idx = min(
-            int(cfg.deadline_quantile * len(ordered)), len(ordered) - 1
-        )
-        learned = cfg.deadline_margin * ordered[idx]
-        return max(learned, cfg.adaptive_deadline_floor_s)
+        idx = min(int(DEADLINE_QUANTILE * len(ordered)), len(ordered) - 1)
+        learned = DEADLINE_MARGIN * ordered[idx]
+        return max(learned, ADAPTIVE_DEADLINE_FLOOR_S)
 
     def effective_deadline(self, kind: str) -> float:
         """The deadline actually enforced for ``kind`` right now."""
@@ -279,8 +273,7 @@ class Supervisor:
             # wedge branch above already proved the heartbeat is fresh).
             slow = (
                 deadline < self.config.deadline_s
-                and self.slow_requeues.get(handle.job_id, 0)
-                < self.config.max_slow_requeues
+                and self.slow_requeues.get(handle.job_id, 0) < MAX_SLOW_REQUEUES
             )
             if slow:
                 events.append(self._requeue_slow(handle, deadline))

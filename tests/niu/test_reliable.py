@@ -5,13 +5,14 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, LinkFaultModel
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
+from repro.niu import reliable
 from repro.niu.reliable import DeliveryError, ReliableNIU, get_reliable
 
 
-def build(n_nodes=4, plan=None, **params):
+def build(n_nodes=4, plan=None):
     cluster = HyadesCluster(HyadesConfig(n_nodes=n_nodes))
     inj = FaultInjector(cluster.fabric, plan) if plan is not None else None
-    rnius = [get_reliable(cluster.niu(i), **params) for i in range(n_nodes)]
+    rnius = [get_reliable(cluster.niu(i)) for i in range(n_nodes)]
     return cluster, rnius, inj
 
 
@@ -136,13 +137,15 @@ class TestLossRecovery:
         assert faulty_cluster.engine.now > clean_cluster.engine.now
         assert faulty_rnius[0].stats()["retransmissions"] > 0
 
-    def test_retry_exhaustion_raises_structured_error(self):
+    def test_retry_exhaustion_raises_structured_error(self, monkeypatch):
         """A destination whose path drops everything must fail loudly
         with the flow coordinates, not hang."""
+        monkeypatch.setattr(reliable, "BASE_RTO", 20e-6)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 4)
         plan = FaultPlan(
             seed=0, link_overrides={"niu0^": LinkFaultModel(drop_prob=1.0)}
         )
-        cluster, rnius, _ = build(plan=plan, base_rto=20e-6, max_retries=4)
+        cluster, rnius, _ = build(plan=plan)
         eng = cluster.engine
 
         def sender():
@@ -165,9 +168,9 @@ class TestLayerManagement:
         assert get_reliable(cluster.niu(1)) is not a
 
     def test_get_reliable_rejects_conflicting_params(self):
+        """Every layer runs one protocol tuning: there is none to ask for."""
         cluster = HyadesCluster(HyadesConfig(n_nodes=2))
-        get_reliable(cluster.niu(0), window=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             get_reliable(cluster.niu(0), window=4)
 
     def test_rx_hook_exclusive(self):

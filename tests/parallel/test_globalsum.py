@@ -15,10 +15,16 @@ from repro.hardware import HyadesCluster, HyadesConfig
 from repro.parallel.globalsum import (
     GlobalSummer,
     butterfly_global_sum,
-    butterfly_rounds,
     canonical_fold_reduce,
     tree_reduce_broadcast,
 )
+
+
+def butterfly_rounds(n):
+    """Per round, the (rank, partner) pairs of the butterfly's wire."""
+    col = allreduce_butterfly(n, 8).columns
+    src, dst, b = col.src.tolist(), col.dst.tolist(), col.bounds.tolist()
+    return [list(zip(src[lo:hi], dst[lo:hi])) for lo, hi in zip(b, b[1:])]
 
 
 class TestButterflyAlgorithm:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, LinkFaultModel
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
-from repro.niu.reliable import DeliveryError, get_reliable
+from repro.niu import reliable
+from repro.niu.reliable import DeliveryError
 from repro.parallel.des_spmd import DESExchanger
 from repro.parallel.exchange import HaloExchanger, exchange_halos
 from repro.parallel.tiling import Decomposition
@@ -88,15 +89,13 @@ class TestReliableExchange:
         for a, b in zip(tiles, ref):
             np.testing.assert_array_equal(a, b)
 
-    def test_retry_exhaustion_surfaces_delivery_error(self):
+    def test_retry_exhaustion_surfaces_delivery_error(self, monkeypatch):
+        monkeypatch.setattr(reliable, "BASE_RTO", 20e-6)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 3)
         plan = FaultPlan(
             seed=0, link_overrides={"niu0^": LinkFaultModel(drop_prob=1.0)}
         )
         cluster, decomp, tiles, _, _ = setup(plan=plan)
-        # configure the layers first: get_reliable then hands the
-        # exchanger these ones
-        for r in range(decomp.n_ranks):
-            get_reliable(cluster.niu(r), base_rto=20e-6, max_retries=3)
         ex = DESExchanger(cluster, decomp, reliable=True)
         with pytest.raises(DeliveryError):
             ex.exchange(tiles)

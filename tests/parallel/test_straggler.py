@@ -5,7 +5,7 @@ import pytest
 
 from repro.faults import DegradationSchedule, FaultPlan, SlowdownEvent
 from repro.parallel import Decomposition, LockstepRuntime, StragglerMitigator
-from repro.parallel.runtime import StragglerConfig
+from repro.parallel.runtime import EWMA_ALPHA, MIN_TILES, SUSPECT_FACTOR
 
 FLOPS = 16 * 16 * 200.0
 STAGES = 12
@@ -106,7 +106,7 @@ class TestRebalance:
         assert mit.moves, "sustained 4x slowdown must trigger a move"
         assert all(src == 1 for (_, src, _) in mit.moves)
         # The straggler keeps at least min_tiles (it must keep working).
-        assert runtime.tiles_owned(1) >= mit.config.min_tiles
+        assert runtime.tiles_owned(1) >= MIN_TILES
 
     def test_mitigation_recovers_throughput(self):
         t_clean = drive(make_runtime(n_ranks=8))
@@ -143,10 +143,11 @@ class TestRebalance:
 
 
 class TestConfigValidation:
+    """The tuning is constants; these are the conditions they must meet."""
+
     def test_suspect_factor_must_exceed_one(self):
-        with pytest.raises(ValueError, match="suspect_factor"):
-            StragglerConfig(suspect_factor=1.0)
+        # and clear the 1.5x a healthy 2-CPU node runs at with one extra tile
+        assert SUSPECT_FACTOR > 1.5
 
     def test_ewma_alpha_range(self):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            StragglerConfig(ewma_alpha=0.0)
+        assert 0.0 < EWMA_ALPHA <= 1.0

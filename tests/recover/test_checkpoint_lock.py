@@ -13,6 +13,7 @@ from repro.recover import (
     CoordinatedCheckpointStore,
     FileLock,
 )
+from repro.recover import checkpoint
 from repro.recover.checkpoint import LOCK_NAME, MANIFEST_NAME
 
 
@@ -21,11 +22,12 @@ def small_model():
 
 
 class TestFileLock:
-    def test_two_instances_conflict(self, tmp_path):
+    def test_two_instances_conflict(self, tmp_path, monkeypatch):
         # flock conflicts apply across file descriptions even within one
         # process, so two instances model two checkpointing processes
-        a = FileLock(tmp_path / "lk", timeout_s=0.2, poll_s=0.01)
-        b = FileLock(tmp_path / "lk", timeout_s=0.2, poll_s=0.01)
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_S", 0.2)
+        a = FileLock(tmp_path / "lk")
+        b = FileLock(tmp_path / "lk")
         a.acquire()
         with pytest.raises(CheckpointLockTimeout, match="could not lock"):
             b.acquire()
@@ -42,8 +44,8 @@ class TestFileLock:
         assert not lock.held
 
     def test_contender_proceeds_after_release(self, tmp_path):
-        lock = FileLock(tmp_path / "lk", timeout_s=5.0, poll_s=0.005)
-        other = FileLock(tmp_path / "lk", timeout_s=5.0, poll_s=0.005)
+        lock = FileLock(tmp_path / "lk")
+        other = FileLock(tmp_path / "lk")
         other.acquire()
         acquired_at = {}
 
@@ -70,11 +72,12 @@ class TestStoreLocking:
         assert (tmp_path / LOCK_NAME).exists()
         assert not store.lock.held  # released after each operation
 
-    def test_contended_commit_times_out_not_interleaves(self, tmp_path):
+    def test_contended_commit_times_out_not_interleaves(self, tmp_path, monkeypatch):
         """A second checkpointer cannot slip a MANIFEST commit inside
         another process's write window — the contended path."""
-        store_a = CoordinatedCheckpointStore(tmp_path, lock_timeout_s=5.0)
-        store_b = CoordinatedCheckpointStore(tmp_path, lock_timeout_s=0.2)
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_S", 0.2)
+        store_a = CoordinatedCheckpointStore(tmp_path)
+        store_b = CoordinatedCheckpointStore(tmp_path)
         model = small_model()
         record = store_b.write_shards({"atm": model}, window=0)
         store_a.lock.acquire()  # "process A" holds the store
@@ -97,8 +100,8 @@ class TestStoreLocking:
         assert manifest["window"] == 3
 
     def test_blocked_writer_waits_then_succeeds(self, tmp_path):
-        store = CoordinatedCheckpointStore(tmp_path, lock_timeout_s=5.0)
-        holder = FileLock(tmp_path / LOCK_NAME, timeout_s=1.0)
+        store = CoordinatedCheckpointStore(tmp_path)
+        holder = FileLock(tmp_path / LOCK_NAME)
         holder.acquire()
         done = {}
 

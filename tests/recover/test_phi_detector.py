@@ -3,11 +3,16 @@
 import pytest
 
 from repro.recover.membership import (
+    K_DEAD,
+    MIN_STD_FRACTION,
     PEER_ALIVE,
     PEER_DEAD,
     PEER_SUSPECT,
+    PHI_DEAD,
+    PHI_MIN_SAMPLES,
+    PHI_SUSPECT,
+    PHI_WINDOW,
     PhiAccrualDetector,
-    SuspicionConfig,
 )
 
 PERIOD = 50e-6
@@ -24,17 +29,16 @@ def warm_detector(n=40, period=PERIOD):
 
 
 class TestConfig:
+    """The tuning is constants; these are the conditions they must meet."""
+
     def test_thresholds_must_be_ordered(self):
-        with pytest.raises(ValueError, match="phi_suspect < phi_dead"):
-            SuspicionConfig(phi_suspect=9.0, phi_dead=2.0)
+        assert 0.0 < PHI_SUSPECT < PHI_DEAD
 
     def test_window_and_samples_floors(self):
-        with pytest.raises(ValueError, match="window"):
-            SuspicionConfig(window=1)
-        with pytest.raises(ValueError, match="min_samples"):
-            SuspicionConfig(min_samples=1)
-        with pytest.raises(ValueError, match="k_dead"):
-            SuspicionConfig(k_dead=0.5)
+        assert PHI_WINDOW >= 2
+        assert 2 <= PHI_MIN_SAMPLES <= PHI_WINDOW
+        assert K_DEAD >= 1.0
+        assert MIN_STD_FRACTION > 0.0
 
 
 class TestWarmup:
@@ -61,12 +65,12 @@ class TestAdaptiveClassification:
         # 4 periods of silence: phi is enormous (learned std is tiny)
         # but the k_dead * mean silence gate has not been cleared.
         silence = 4 * PERIOD
-        assert det.phi(1, t + silence) >= det.config.phi_dead
+        assert det.phi(1, t + silence) >= PHI_DEAD
         assert det.state(1, t + silence, TIMEOUT) == PEER_SUSPECT
 
     def test_prolonged_silence_is_declared(self):
         det, t = warm_detector()
-        silence = (det.config.k_dead + 1.5) * PERIOD
+        silence = (K_DEAD + 1.5) * PERIOD
         assert det.state(1, t + silence, TIMEOUT) == PEER_DEAD
 
     def test_slow_but_steady_peer_adapts_back_to_alive(self):
@@ -81,7 +85,7 @@ class TestAdaptiveClassification:
 
     def test_learned_window_is_bounded(self):
         det, _ = warm_detector(n=500)
-        assert det.samples(1) == det.config.window
+        assert det.samples(1) == PHI_WINDOW
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@ real campaign (subprocess service under seeded SIGKILL fire)."""
 
 import pytest
 
-from repro.service import ChaosConfig, ChaosReport, build_ensemble, run_chaos
+from repro.service import ChaosConfig, ChaosReport, build_ensemble, chaos, run_chaos
 from repro.service.chaos import expected_outcomes
 
 
@@ -61,18 +61,17 @@ class TestReportVerdict:
 
 
 @pytest.mark.slow
-def test_small_chaos_campaign_passes(tmp_path):
+def test_small_chaos_campaign_passes(tmp_path, monkeypatch):
     """The acceptance property at reduced scale: SIGKILL workers and the
     service itself; every job still completes bit-exact or quarantines."""
+    for name, value in [("KILL_WORKER_PROB", 0.5), ("SERVICE_KILL_PERIOD_S", 1.5),
+                        ("MAX_SERVICE_KILLS", 1), ("CALM_AFTER_FRACTION", 0.3)]:
+        monkeypatch.setattr(chaos, name, value)
     config = ChaosConfig(
         seed=3,
         n_jobs=7,  # < 8: no wedge member, keeps the campaign quick
         workers=2,
         max_wall_s=60.0,
-        kill_worker_prob=0.5,
-        service_kill_period_s=1.5,
-        max_service_kills=1,
-        calm_after_fraction=0.3,
         heartbeat_timeout_s=1.0,
         deadline_s=15.0,
         max_attempts=6,

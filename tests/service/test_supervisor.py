@@ -14,6 +14,7 @@ from repro.service import (
     SupervisorConfig,
     backoff_delay,
 )
+from repro.service import supervisor as supervisor_module
 from repro.service.jobs import JobStatus
 
 
@@ -50,18 +51,18 @@ def drive(supervisor, queue, job_id, timeout_s=30.0):
 
 class TestBackoff:
     def test_deterministic_and_capped(self):
-        cfg = SupervisorConfig(backoff_base_s=0.1, backoff_cap_s=2.0,
-                               backoff_jitter=0.25)
+        cfg = SupervisorConfig(backoff_base_s=0.1, backoff_cap_s=2.0)
+        jitter = 1.0 + supervisor_module.BACKOFF_JITTER
         d1 = backoff_delay("job-x", 3, cfg)
         assert d1 == backoff_delay("job-x", 3, cfg)  # reproducible
         assert d1 != backoff_delay("job-y", 3, cfg)  # jitter spreads jobs
-        assert 0.4 <= d1 <= 0.4 * 1.25
+        assert 0.4 <= d1 <= 0.4 * jitter
         # far past the cap: bounded by cap * (1 + jitter)
-        assert backoff_delay("job-x", 30, cfg) <= 2.0 * 1.25
+        assert backoff_delay("job-x", 30, cfg) <= 2.0 * jitter
 
-    def test_grows_exponentially_until_cap(self):
-        cfg = SupervisorConfig(backoff_base_s=0.1, backoff_cap_s=10.0,
-                               backoff_jitter=0.0)
+    def test_grows_exponentially_until_cap(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "BACKOFF_JITTER", 0.0)
+        cfg = SupervisorConfig(backoff_base_s=0.1, backoff_cap_s=10.0)
         delays = [backoff_delay("j", a, cfg) for a in (1, 2, 3, 4)]
         assert delays == [pytest.approx(0.1 * 2 ** i) for i in range(4)]
 

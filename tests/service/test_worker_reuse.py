@@ -27,6 +27,7 @@ from repro.service import (
     execute_job,
     run_jobs,
 )
+from repro.service import supervisor as supervisor_module
 from repro.service.api import JOBS_DIR
 from repro.service.chaos import _spawn_service
 from repro.service.worker import PID_NAME, RESULT_NAME, read_result
@@ -139,13 +140,15 @@ class TestFailedProcessRunsNothingFurther:
         assert service.queue.counts() == {
             "pending": 0, "running": 0, "completed": 2, "quarantined": 1, "shed": 0}
 
-    def test_slow_requeue(self, tmp_path):
+    def test_slow_requeue(self, tmp_path, monkeypatch):
+        for name, value in [("DEADLINE_MIN_SAMPLES", 2), ("DEADLINE_MARGIN", 1.0),
+                            ("ADAPTIVE_DEADLINE_FLOOR_S", 0.3), ("MAX_SLOW_REQUEUES", 1)]:
+            monkeypatch.setattr(supervisor_module, name, value)
         service = one_worker_service(
             tmp_path,
             [sleep_job("1-quick", 0.0), sleep_job("2-quick", 0.0),
              sleep_job("3-slow", 1.0), sleep_job("4-quick", 0.0)],
-            deadline_min_samples=2, deadline_margin=1.0,
-            adaptive_deadline_floor_s=0.3, max_slow_requeues=1, max_attempts=1,
+            max_attempts=1,
         )
         sightings, events = drive(service)
         kinds = [e["event"] for e in events]

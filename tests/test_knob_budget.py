@@ -1,0 +1,66 @@
+"""Knob budget: the settable values of the degraded-mode stack, counted.
+
+A value stays settable only if a caller outside tests and examples sets
+it, or two such callers need different values; every other tuning value
+is a named module constant next to the code that reads it (a test that
+needs another value monkeypatches the constant).  Each class or
+constructor below is counted by its signature: every field of a config
+dataclass, every constructor parameter that is not the object it wraps.
+A deleted class counts 0.  The pin is exact: lower it when a knob goes,
+and raise it only for a knob a non-test caller sets.
+
+Run as a script to print the table: ``python tests/test_knob_budget.py``.
+"""
+
+import importlib
+import inspect
+
+#: (module, name, parameters that are inputs rather than knobs) -> pin
+PINNED = {
+    ("repro.service.supervisor", "SupervisorConfig", ()): 6,
+    ("repro.service.api", "ServiceConfig", ()): 1,
+    ("repro.service.degrade", "DegradeConfig", ()): 0,
+    ("repro.service.chaos", "ChaosConfig", ()): 7,
+    ("repro.recover.membership", "SuspicionConfig", ()): 0,
+    ("repro.recover.membership", "PhiAccrualDetector", ()): 0,
+    ("repro.recover.membership", "HeartbeatConfig", ()): 2,
+    ("repro.recover.membership", "HeartbeatService", ("cluster", "membership")): 1,
+    ("repro.recover.manager", "RecoveryConfig", ()): 4,
+    ("repro.recover.checkpoint", "FileLock", ("path",)): 0,
+    ("repro.recover.checkpoint", "CoordinatedCheckpointStore", ("directory",)): 0,
+    ("repro.niu.reliable", "ReliableNIU", ("niu",)): 0,
+    ("repro.parallel.runtime", "StragglerConfig", ()): 0,
+    ("repro.parallel.runtime", "StragglerMitigator", ("runtime",)): 0,
+}
+
+
+def settable(module: str, name: str, inputs: tuple) -> int:
+    """Independently settable values of ``module.name`` (0 if deleted)."""
+    obj = getattr(importlib.import_module(module), name, None)
+    if obj is None:
+        return 0
+    params = inspect.signature(obj).parameters
+    return sum(1 for p in params if p not in inputs)
+
+
+def counts() -> dict:
+    return {key: settable(*key) for key in PINNED}
+
+
+def test_each_entry_matches_its_pin():
+    assert counts() == PINNED
+
+
+def test_get_reliable_forwards_no_knobs():
+    """The layer's tuning cannot come back through the accessor that
+    builds it."""
+    from repro.niu.reliable import get_reliable
+
+    assert list(inspect.signature(get_reliable).parameters) == ["niu"]
+
+
+if __name__ == "__main__":
+    got = counts()
+    for (module, name, _), n in got.items():
+        print(f"{module + '.' + name:<52} {n:>3}")
+    print(f"knob-budget: {sum(got.values())} settable values (pinned {sum(PINNED.values())})")
