@@ -17,7 +17,7 @@ Run:  python examples/large_sweep.py
 import pathlib
 import tempfile
 
-from repro.backend import format_sweep
+from repro.core.report import format_table, mega, us
 from repro.service import JobSpec, run_jobs
 
 #: The full curve: Hyades (16) out to the machine DES cannot reach.
@@ -42,9 +42,11 @@ def main() -> None:
     print(f"running {len(jobs)} sweep jobs in {root}")
     ids, results, summary = run_jobs(root, jobs, max_wall_s=120.0)
 
-    print("\njob             digest")
-    for spec, result in zip(jobs, results):
-        print(f"{spec.name:15s} {result['digest'] if result else 'no result'}")
+    print(format_table(
+        "Sweep jobs", ["job", "digest"],
+        ([spec.name, result["digest"] if result else "no result"]
+         for spec, result in zip(jobs, results)),
+    ))
     assert summary["completed"] == len(ids)
     assert results[0]["digest"] == results[3]["digest"], (
         "sweep digests are pure functions of the spec"
@@ -52,10 +54,16 @@ def main() -> None:
 
     # the analytic curve, straight from the worker's result.json
     report = results[0]["sweep"]
-    print()
-    print(format_sweep(report))
+    print(format_table(
+        f"Analytic-tier Pfpp sweep (tile {report['tile'][0]}x{report['tile'][1]}"
+        f"x{report['nz']} per processor)",
+        ["N", "tgsum (us)", "texchxy (us)", "texchxyz (us)",
+         "Pfpp,ps (MFlop/s)", "Pfpp,ds (MFlop/s)"],
+        ([r["n_nodes"], us(r["tgsum_s"]), us(r["texchxy_s"]), us(r["texchxyz_s"]),
+          mega(r["pfpp_ps_flops"]), mega(r["pfpp_ds_flops"])] for r in report["rows"]),
+    ))
     print(
-        f"\nN = {report['rows'][-1]['n_nodes']} is a handful of closed forms on "
+        f"N = {report['rows'][-1]['n_nodes']} is a handful of closed forms on "
         f"the analytic tier; the DES job stopped at N = {DES_CURVE[-1]} by "
         f"design (benchmarks/bench_backend.py counts the simulations and "
         f"events a DES point costs, perf/ times them)"

@@ -27,9 +27,10 @@ python scripts/check_docs_modules.py
 
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
-for tree in src src/repro/network src/repro/collectives src/repro/parallel src/repro/recover \
-            src/repro/service src/repro/faults src/repro/niu tests benchmarks scripts; do
-  echo "$tree/ $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
+for tree in src src/repro/cli.py src/repro/network src/repro/collectives src/repro/parallel \
+            src/repro/recover src/repro/service src/repro/faults src/repro/niu tests benchmarks scripts; do
+  label="$tree"; [ -d "$tree" ] && label="$tree/"
+  echo "$label $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
 
 echo
@@ -60,11 +61,17 @@ fi
 echo "des-ranks-once: clean"
 
 echo
-echo "== tables-once (a paper table is built in repro.core.report and formatted by its one format_table; benchmarks/ writes what that builds) =="
+echo "== tables-once (a paper table is built in repro.core.report and formatted by its one format_table; benchmarks/ writes what that builds; no hand-aligned column in src/repro) =="
 formatters="$(grep -rnE 'def format_table|\.ljust\(' src benchmarks --include='*.py' || true)"
 if [ "$(printf '%s\n' "$formatters" | grep -c 'def format_table')" -ne 1 ] || printf '%s\n' "$formatters" | grep -v '^src/repro/core/report\.py:'; then
   echo "tables-once: format tables with repro.core.report.format_table (benchmarks/_tables.py re-exports it):" >&2
   echo "$formatters" >&2
+  exit 1
+fi
+# a fixed-width format spec ({x:10s}, {x:>8.1f}) aligns a column by hand;
+# benchmarks/ is exempt: bench_scaling.py pads cells of a byte-pinned artefact
+if grep -rnE '\{[^{}]*:[<>^]?[1-9][0-9]*(\.[0-9]+)?[sdfeg%]?\}' src/repro --include='*.py' | grep -v '^src/repro/core/report\.py:'; then
+  echo "tables-once: pass rows to repro.core.report.format_table instead of fixed-width format specs" >&2
   exit 1
 fi
 echo "tables-once: clean ($(printf '%s\n' "$formatters" | grep 'def format_table'))"
@@ -86,7 +93,7 @@ echo "== cold quote budget (exact counts: a per-Send pricing loop, a per-tuner s
 python -m pytest -q -p no:cacheprovider tests/collectives/test_quote_budget.py
 
 echo
-echo "== knob-budget (exact counts: a settable value no caller outside tests sets fails here; it belongs in a module constant) =="
+echo "== knob-budget (exact counts: a settable value no caller outside tests sets fails here; it belongs in a module constant; likewise a repro flag nothing runs) =="
 python tests/test_knob_budget.py
 python -m pytest -q -p no:cacheprovider tests/test_knob_budget.py
 

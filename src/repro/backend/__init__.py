@@ -6,10 +6,10 @@
 
 from .analytic import AnalyticBackend
 from .base import BACKEND_NAMES, CommBackend, resolve_backend
-from .crossval import format_report, run_crossval
+from .crossval import run_crossval
 from .des import DESBackend
 from .hybrid import HybridBackend
-from .sweep import format_sweep, large_sweep, sweep_point
+from .sweep import large_sweep, sweep_point
 
 __all__ = [
     "AnalyticBackend",
@@ -17,8 +17,6 @@ __all__ = [
     "CommBackend",
     "DESBackend",
     "HybridBackend",
-    "format_report",
-    "format_sweep",
     "large_sweep",
     "resolve_backend",
     "run_crossval",

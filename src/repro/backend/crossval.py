@@ -195,30 +195,3 @@ def run_crossval(
         "checks": [c.as_dict() for c in checks],
     }
 
-
-def format_report(report: dict) -> str:
-    """Human-readable rendering of a :func:`run_crossval` report."""
-    lines = [
-        f"backend cross-validation: {report['n_checks']} checks, "
-        f"band <= {report['tolerance'] * 100:.0f}% of DES",
-        f"{'workload':8s} {'quantity':14s} {'des':>12s} {'analytic':>12s} "
-        f"{'hybrid':>12s} {'err_a':>7s} {'err_h':>7s}",
-    ]
-    for c in report["checks"]:
-        lines.append(
-            f"{c['workload']:8s} {c['quantity']:14s} "
-            f"{c['des_s'] * 1e6:10.2f}us {c['analytic_s'] * 1e6:10.2f}us "
-            f"{c['hybrid_s'] * 1e6:10.2f}us "
-            f"{c['err_analytic'] * 100:6.2f}% {c['err_hybrid'] * 100:6.2f}%"
-        )
-    lines.append(
-        f"max relative error: {report['max_rel_err'] * 100:.2f}% "
-        f"(band {report['tolerance'] * 100:.0f}%)"
-    )
-    lines.append(
-        "GCM state digests: "
-        + ("bit-exact across des/analytic/hybrid" if report["bit_exact"]
-           else f"DIVERGED: {report['digests']}")
-    )
-    lines.append("crossval: " + ("PASSED" if report["passed"] else "FAILED"))
-    return "\n".join(lines)

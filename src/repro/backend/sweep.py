@@ -106,21 +106,3 @@ def large_sweep(
         "rows": [sweep_point(n, be, tile=tile, nz=nz) for n in n_values],
     }
 
-
-def format_sweep(report: dict) -> str:
-    """Human-readable rendering of a :func:`large_sweep` report."""
-    lines = [
-        f"Fig. 11-style weak-scaling sweep on the {report['backend']} tier "
-        f"(tile {report['tile'][0]}x{report['tile'][1]}x{report['nz']} "
-        f"per processor)",
-        f"{'N':>6s} {'grid':>12s} {'tgsum':>10s} {'texchxy':>10s} "
-        f"{'texchxyz':>10s} {'Pfpp,ps':>10s} {'Pfpp,ds':>10s}",
-    ]
-    for r in report["rows"]:
-        lines.append(
-            f"{r['n_nodes']:6d} {r['grid'][0]:5d}x{r['grid'][1]:<5d}"
-            f" {r['tgsum_s'] * 1e6:8.1f}us {r['texchxy_s'] * 1e6:8.1f}us"
-            f" {r['texchxyz_s'] * 1e6:8.1f}us"
-            f" {r['pfpp_ps_flops'] / 1e6:7.1f}MF {r['pfpp_ds_flops'] / 1e6:7.1f}MF"
-        )
-    return "\n".join(lines)

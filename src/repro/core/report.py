@@ -84,6 +84,9 @@ class ReportSection:
     values: dict = field(default_factory=dict)
     #: the paper's number under the same key, from the named constants
     paper: dict = field(default_factory=dict)
+    #: whether the run behind a demo section did what it demonstrates
+    #: (the exit status of the CLI command that prints it)
+    ok: bool = True
 
     def render(self) -> str:
         """The section as text, newline-terminated."""
@@ -302,38 +305,85 @@ def _sec53_section() -> ReportSection:
     )
 
 
-def _faults_section() -> ReportSection:
+def _faults_section(
+    seed: int = 7,
+    drop: float = 0.01,
+    corrupt: float = 0.002,
+    windows: int = 1,
+    reliable: bool = True,
+    links: bool = False,
+) -> ReportSection:
+    """Without retransmits (``reliable=False``) the run is expected to
+    deadlock; the watchdog's diagnostic is the text under the table."""
     from repro.faults import run_coupled_fault_demo
 
-    res = run_coupled_fault_demo(seed=7, drop=0.01, corrupt=0.002, windows=1)
+    res = run_coupled_fault_demo(
+        seed=seed, drop=drop, corrupt=corrupt, windows=windows, reliable=reliable
+    )
     fc, pr = res.fault_counters, res.protocol
     rows = [
         ["fault plan", f"seed={res.plan.seed} drop={res.plan.drop_prob:.1%} corrupt={res.plan.corrupt_prob:.1%}", ""],
-        ["coupled state bit-exact", str(res.bit_exact), "True"],
+        ["coupled state bit-exact", str(res.bit_exact), "True" if reliable else "False"],
         ["injected drops / corruptions", f"{fc['injected_drops']} / {fc['injected_corruptions']}", ""],
         ["router CRC drops", str(fc["router_crc_drops"]), ""],
-        ["data frames sent / retransmitted", f"{pr.get('data_sent', 0)} / {pr.get('retransmissions', 0)}", ""],
-        ["ACKs / NACKs sent", f"{pr.get('acks_sent', 0)} / {pr.get('nacks_sent', 0)}", ""],
-        ["wire time clean (us)", f"{res.wire_time_clean / US:.1f}", ""],
-        ["wire time faulty (us)", f"{res.wire_time_faulty / US:.1f}", ""],
-        ["recovery overhead", f"{res.overhead_pct:+.1f}%", ""],
     ]
+    footer = ""
+    if res.deadlock is not None:
+        rows.append(["exchange", "deadlocked (watchdog diagnostic below)", "deadlock"])
+        footer = f"watchdog: {res.deadlock}\n"
+    else:
+        rows += [
+            ["data frames sent / retransmitted", f"{pr.get('data_sent', 0)} / {pr.get('retransmissions', 0)}", ""],
+            ["ACKs / NACKs sent", f"{pr.get('acks_sent', 0)} / {pr.get('nacks_sent', 0)}", ""],
+            ["wire time clean (us)", f"{res.wire_time_clean / US:.1f}", ""],
+            ["wire time faulty (us)", f"{res.wire_time_faulty / US:.1f}", ""],
+            ["recovery overhead", f"{res.overhead_pct:+.1f}%", ""],
+        ]
+    if links:
+        rows += [[f"{name} drops / corruptions", f"{d} / {c}", ""] for name, d, c in res.per_link]
     return ReportSection(
         "faults",
         "Reliability - coupled run under seeded fabric faults",
         ["quantity", "reproduction", "expected"],
         rows,
+        footer=footer,
+        ok=res.bit_exact or res.deadlock is not None,
     )
 
 
-def _recovery_section() -> ReportSection:
+def _recovery_section(
+    crash_node: int = 1,
+    crash_time: Optional[float] = None,
+    extra_crashes: tuple = (),
+    windows: int = 3,
+    recover: bool = True,
+    reliable: bool = True,
+) -> ReportSection:
+    """A run that dies shows its structured error (the watchdog's
+    diagnostic on raw VI) under the table; without ``recover`` that
+    death is the demonstration."""
     from repro.faults import run_crash_recovery_demo
 
-    res = run_crash_recovery_demo()
+    res = run_crash_recovery_demo(
+        crash_node=crash_node, crash_time=crash_time, extra_crashes=extra_crashes,
+        windows=windows, recover=recover, reliable=reliable,
+    )
+    more = f" (+{len(extra_crashes)} more)" if extra_crashes else ""
+    crash = ["crash", f"node {res.crash_node} at t={res.crash_time / 1e-3:.2f} ms{more}", ""]
+    title = "Self-healing - mid-run node crash, rollback-restart recovery"
+    headers = ["quantity", "reproduction", "expected"]
+    if res.error is not None:
+        expected = "none" if recover else "DeliveryError" if reliable else "DeadlockError"
+        return ReportSection(
+            "recovery", title, headers,
+            [crash, ["structured error", res.error_type, expected]],
+            footer=f"{res.error_type}: {res.error}\n",
+            ok=not recover,
+        )
     hb = res.report.get("heartbeat", {})
     lat = res.detection_latency
     rows = [
-        ["crash", f"node {res.crash_node} at t={res.crash_time / 1e-3:.2f} ms", ""],
+        crash,
         ["coupled state bit-exact", str(res.bit_exact), "True"],
         [
             "detection latency (us)",
@@ -357,12 +407,7 @@ def _recovery_section() -> ReportSection:
             "",
         ],
     ]
-    return ReportSection(
-        "recovery",
-        "Self-healing - mid-run node crash, rollback-restart recovery",
-        ["quantity", "reproduction", "expected"],
-        rows,
-    )
+    return ReportSection("recovery", title, headers, rows, ok=res.bit_exact)
 
 
 def _telemetry_section() -> ReportSection:
@@ -430,7 +475,9 @@ def _collectives_section() -> ReportSection:
     )
 
 
-def _service_section() -> ReportSection:
+def _service_section(root=None, config=None, max_wall_s: Optional[float] = 60.0) -> ReportSection:
+    """The sweep on a fresh temp directory unless ``root`` is given;
+    ``config`` defaults to 2 workers, 2 attempts and a short backoff."""
     import tempfile
 
     from repro.service import (
@@ -441,7 +488,7 @@ def _service_section() -> ReportSection:
         run_jobs,
     )
 
-    root = tempfile.mkdtemp(prefix="repro-report-service-")
+    root = root or tempfile.mkdtemp(prefix="repro-report-service-")
     specs = [
         JobSpec(
             kind="ocean",
@@ -455,12 +502,12 @@ def _service_section() -> ReportSection:
     ]
     specs.append(JobSpec(kind="flaky", name="flaky-0", params={"fails_before": 1}))
     specs.append(JobSpec(kind="fail", name="poison-0"))
-    config = ServiceConfig(
+    config = config or ServiceConfig(
         supervisor=SupervisorConfig(
             max_workers=2, max_attempts=2, backoff_base_s=0.05, backoff_cap_s=0.2
         )
     )
-    _, _, summary = run_jobs(root, specs, config, max_wall_s=60.0)
+    _, _, summary = run_jobs(root, specs, config, max_wall_s=max_wall_s)
     digests = sorted(
         f"{s['job_id']}:{s['digest']}"
         for s in ServiceClient(root).status().values()
@@ -480,6 +527,7 @@ def _service_section() -> ReportSection:
         "Ensemble service - 5-job sweep with retry and quarantine",
         ["quantity", "reproduction", "expected"],
         rows,
+        ok=summary["completed"] == 4 and summary["quarantined"] == 1,
     )
 
 
@@ -496,8 +544,10 @@ def _precision_section() -> ReportSection:
     )
 
 
-#: Registry of report builders, in paper order.
-SECTIONS: dict[str, Callable[[], ReportSection]] = {
+#: Registry of report builders, in paper order.  Called with no
+#: arguments each builds the report's table; the demo sections take the
+#: CLI's inputs as keyword parameters.
+SECTIONS: dict[str, Callable[..., ReportSection]] = {
     "fig2": _fig2_section,
     "fig7": _fig7_section,
     "fig8": _fig8_section,

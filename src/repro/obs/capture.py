@@ -29,13 +29,8 @@ def traced_coupled_run(
     coupling_interval: int = 2,
     reliable: bool = True,
     tracer: Optional[obs_trace.Tracer] = None,
-    backend=None,
 ) -> dict:
     """Run the coupled DES demo under tracing; returns the results.
-
-    ``backend`` selects the communication fidelity tier charging the
-    isomorphs' BSP phase costs (the coupler's boundary fields always
-    travel the traced DES fabric).
 
     The returned dict carries the :class:`~repro.obs.trace.Tracer` (with
     the full event buffer), the per-isomorph
@@ -49,10 +44,8 @@ def traced_coupled_run(
 
     cluster = HyadesCluster()
     dt = 600.0
-    atm = atmosphere_model(nx=nx, ny=ny, nz=nz_atm, px=px, py=py, dt=dt,
-                           backend=backend)
-    ocn = ocean_model(nx=nx, ny=ny, nz=nz_ocn, px=px, py=py, dt=dt,
-                      backend=backend)
+    atm = atmosphere_model(nx=nx, ny=ny, nz=nz_atm, px=px, py=py, dt=dt)
+    ocn = ocean_model(nx=nx, ny=ny, nz=nz_ocn, px=px, py=py, dt=dt)
     atm_metrics = atm.runtime.attach_metrics()
     ocn_metrics = ocn.runtime.attach_metrics()
 

@@ -1,8 +1,11 @@
 """``repro pfpp --nodes``: what was typed is what is swept.
 
 The scoreboard used to take "equals the --backend sweep's default" for
-"not given", so spelling that default out printed 256/1024/4096.
+"not given", so spelling that default out printed 256/1024/4096.  The
+sweep now lives only under ``repro backend --sweep``.
 """
+
+import pytest
 
 from repro.cli import main
 
@@ -20,4 +23,6 @@ def test_scoreboard_runs_the_nodes_that_were_typed(capsys):
 
 def test_each_mode_has_its_own_default(capsys):
     assert node_column(capsys, ["pfpp", "--topology", "fattree"]) == [256, 1024, 4096]
-    assert node_column(capsys, ["pfpp", "--backend", "analytic"]) == [16, 64, 256, 1024, 4096]
+    with pytest.raises(SystemExit) as exc:
+        main(["pfpp", "--backend", "analytic"])
+    assert exc.value.code == 2

@@ -26,9 +26,6 @@ CLI_RUNS = {
     "pfpp": ["pfpp"],
     "pfpp --best-collectives": ["pfpp", "--best-collectives"],
     "pfpp --topology all": ["pfpp", "--topology", "all"],
-    "pfpp --backend analytic": [
-        "pfpp", "--backend", "analytic", "--nodes", "16", "64", "256",
-    ],
     "report fig11 fig12": ["report", "fig11", "fig12"],
 }
 

@@ -1,4 +1,5 @@
-"""Knob budget: the settable values of the degraded-mode stack, counted.
+"""Knob budget: the settable values of the degraded-mode stack and of
+the ``repro`` command line, counted.
 
 A value stays settable only if a caller outside tests and examples sets
 it, or two such callers need different values; every other tuning value
@@ -6,12 +7,15 @@ is a named module constant next to the code that reads it (a test that
 needs another value monkeypatches the constant).  Each class or
 constructor below is counted by its signature: every field of a config
 dataclass, every constructor parameter that is not the object it wraps.
-A deleted class counts 0.  The pin is exact: lower it when a knob goes,
-and raise it only for a knob a non-test caller sets.
+A deleted class counts 0.  A subcommand of ``repro`` counts its flags and
+positionals (``--help`` aside); a flag stays only if a doc, an example,
+``scripts/ci.sh`` or a benchmark runs it.  The pin is exact: lower it
+when a knob goes, and raise it only for a knob a non-test caller sets.
 
 Run as a script to print the table: ``python tests/test_knob_budget.py``.
 """
 
+import argparse
 import importlib
 import inspect
 
@@ -34,6 +38,22 @@ PINNED = {
 }
 
 
+#: ``repro`` subcommand -> its flags and positionals
+CLI_PINNED = {
+    "report": 1,
+    "trace": 2,
+    "run": 7,
+    "backend": 5,
+    "faults": 8,
+    "pfpp": 6,
+    "collectives": 6,
+    "service": 11,
+    "campaign": 6,
+    "tune-precision": 5,
+    "century": 0,
+}
+
+
 def settable(module: str, name: str, inputs: tuple) -> int:
     """Independently settable values of ``module.name`` (0 if deleted)."""
     obj = getattr(importlib.import_module(module), name, None)
@@ -47,8 +67,24 @@ def counts() -> dict:
     return {key: settable(*key) for key in PINNED}
 
 
+def cli_counts() -> dict:
+    from repro.cli import build_parser
+
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: sum(1 for a in parser._actions if not isinstance(a, argparse._HelpAction))
+        for name, parser in sub.choices.items()
+    }
+
+
 def test_each_entry_matches_its_pin():
     assert counts() == PINNED
+
+
+def test_each_cli_command_matches_its_pin():
+    assert cli_counts() == CLI_PINNED
 
 
 def test_get_reliable_forwards_no_knobs():
@@ -64,3 +100,7 @@ if __name__ == "__main__":
     for (module, name, _), n in got.items():
         print(f"{module + '.' + name:<52} {n:>3}")
     print(f"knob-budget: {sum(got.values())} settable values (pinned {sum(PINNED.values())})")
+    cli = cli_counts()
+    for command, n in cli.items():
+        print(f"repro {command:<46} {n:>3}")
+    print(f"knob-budget: {sum(cli.values())} CLI settable values (pinned {sum(CLI_PINNED.values())})")
