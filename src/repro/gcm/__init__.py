@@ -14,8 +14,9 @@ Each time step has two blocks (Fig. 6):
   Local 3x3 stencils + overcomputation: exactly one 5-field halo-3
   exchange per step.
 * **DS (diagnostic step)** — 2-D: the elliptic surface-pressure equation
-  (eq. 3) solved by preconditioned conjugate gradients, one halo-1
-  exchange of two fields and two global sums per iteration.
+  (eq. 3) solved by preconditioned conjugate gradients; per iteration one
+  halo-1 exchange of two fields (search direction and residual, held as
+  one stack) and two global sums (each one reduction tree).
 
 All kernels count their floating-point operations analytically; the
 performance model divides those counts by the measured per-phase flop

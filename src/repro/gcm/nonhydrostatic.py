@@ -24,14 +24,13 @@ the correction *exactly* adjoint to the divergence, so the projected
 field is non-divergent to solver tolerance.
 
 The communication pattern of the solve is identical in *kind* to DS
-(one halo-1 exchange of two fields and two global sums per iteration);
-only the field dimensionality grows — which is exactly why the paper's
+(one halo-1 exchange call on the two-field stack of search direction and
+residual, and two global sums, per iteration); only the field
+dimensionality grows — which is exactly why the paper's
 performance model "is valid for all these scenarios" (Section 6).
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -108,9 +107,10 @@ class NonHydrostaticOperator:
     def apply_stacked(self, q: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """A q on a ``(n_ranks, nz, ...)`` tile stack (halos current).
 
-        Elementwise identical to :meth:`apply` slice by slice; the
-        vertical flux indexing moves from axis 0 to axis 1 to skip the
-        rank axis.
+        ~16 flops/cell.  Elementwise identical, slice by slice, to the
+        per-tile oracle ``nh_apply`` in ``tests/gcm/_reference_cg.py``;
+        the vertical flux indexing moves from axis 0 to axis 1 to skip
+        the rank axis.
         """
         fx = self.cw * (q - op.xm(q))
         fy = self.cs * (q - op.ym(q))
@@ -124,33 +124,9 @@ class NonHydrostaticOperator:
         return aq
 
     def precondition_stacked(self, r: np.ndarray, flops: FlopCounter) -> np.ndarray:
-        """Jacobi on the tile stack; matches :meth:`precondition`."""
+        """Jacobi on the tile stack: z = r / diag(A), 1 flop per cell."""
         flops.add("nh_precondition", r.size)
         return r / self.diag
-
-    def apply(self, q_tiles: List[np.ndarray], flops: FlopCounter) -> List[np.ndarray]:
-        """A q per tile (halos current).  ~16 flops/cell."""
-        out = []
-        for r, q in enumerate(q_tiles):
-            fx = self.cw[r] * (q - op.xm(q))
-            fy = self.cs[r] * (q - op.ym(q))
-            aq = (op.xp(fx) - fx) + (op.yp(fy) - fy)
-            fz = np.zeros_like(q)
-            fz[1:] = self.cv[r][1:] * (q[:-1] - q[1:])  # flux downward through top face
-            aq = aq + fz
-            aq[:-1] -= fz[1:]
-            aq = np.where(self.wet[r], aq, -q)
-            out.append(aq)
-            flops.add("nh_apply", 16 * q.size)
-        return out
-
-    def precondition(self, r_tiles: List[np.ndarray], flops: FlopCounter) -> List[np.ndarray]:
-        """Jacobi: z = r / diag(A).  1 flop per cell."""
-        out = []
-        for r, arr in enumerate(r_tiles):
-            out.append(arr / self.diag[r])
-            flops.add("nh_precondition", arr.size)
-        return out
 
     def rhs_from_velocity(self, u, v, w, dt: float, flops: FlopCounter) -> np.ndarray:
         """RHS = div3(v*) / dt in finite-volume form, on tile stacks (or

@@ -16,8 +16,6 @@ symmetric.  Land cells carry an identity row.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.gcm import operators as op
@@ -39,6 +37,7 @@ class EllipticOperator:
         self.cw = self.hw * grid.dyg / grid.dxc  # conductance Hw * dyG / dxC
         self.cs = self.hs * grid.dxg / grid.dyc
         self.wet = grid.depth_c > 0
+        self.land = ~self.wet
         d = -(self.cw + op.xp(self.cw) + self.cs + op.yp(self.cs))
         # land rows are identity so CG ignores them
         self.diag = np.where(self.wet, np.where(d != 0, d, -1.0), -1.0)
@@ -46,43 +45,23 @@ class EllipticOperator:
     def apply_stacked(self, p: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """A p on a ``(n_ranks, ny+2o, nx+2o)`` tile stack (halos current).
 
-        Elementwise identical to :meth:`apply` slice by slice: the
-        lateral shifts act on the trailing axes, so stacking only
-        batches the NumPy calls — the CG fast path's whole point.
+        ~10 flops per column.  Land rows are the identity ``A = -I``,
+        written over the divergence in place.  Elementwise identical to
+        the per-tile oracle ``elliptic_apply`` in
+        ``tests/gcm/_reference_cg.py``: the lateral shifts act on the
+        trailing axes, so stacking only batches the NumPy calls.
         """
         fx = self.cw * (p - op.xm(p))
         fy = self.cs * (p - op.ym(p))
-        ap = np.where(self.wet, op.face_divergence(fx, fy), -p)
+        ap = op.face_divergence(fx, fy)
+        np.negative(p, out=ap, where=self.land)
         flops.add("elliptic_apply", 10 * p.size)
         return ap
 
     def precondition_stacked(self, r: np.ndarray, flops: FlopCounter) -> np.ndarray:
-        """Jacobi on the tile stack; matches :meth:`precondition`."""
+        """Jacobi on the tile stack: z = r / diag(A), 1 flop per column."""
         flops.add("precondition", r.size)
         return r / self.diag
-
-    def apply(self, p_tiles: List[np.ndarray], flops: FlopCounter) -> List[np.ndarray]:
-        """A p = div(H grad p) per tile (halos of p must be current).
-
-        ~10 flops per column.
-        """
-        out = []
-        for r, p in enumerate(p_tiles):
-            fx = self.cw[r] * (p - op.xm(p))
-            fy = self.cs[r] * (p - op.ym(p))
-            ap = (op.xp(fx) - fx) + (op.yp(fy) - fy)
-            ap = np.where(self.wet[r], ap, -p)  # identity on land (A = -I)
-            out.append(ap)
-            flops.add("elliptic_apply", 10 * p.size)
-        return out
-
-    def precondition(self, r_tiles: List[np.ndarray], flops: FlopCounter) -> List[np.ndarray]:
-        """Jacobi: z = r / diag(A).  1 flop per column."""
-        out = []
-        for r, arr in enumerate(r_tiles):
-            out.append(arr / self.diag[r])
-            flops.add("precondition", arr.size)
-        return out
 
     def rhs_from_transport(self, uint, vint, dt: float, flops: FlopCounter) -> np.ndarray:
         """RHS = div(<U*>)/dt in finite-volume form (~8 flops/column).

@@ -116,14 +116,6 @@ class CastingOperator:
             return out.astype(self.dtype, copy=False)
         return [a.astype(self.dtype, copy=False) for a in out]
 
-    def apply(self, x, flops):
-        """A x, cast back to the working dtype."""
-        return self._cast(self._operator.apply(x, flops))
-
-    def precondition(self, r, flops):
-        """M^-1 r, cast back to the working dtype."""
-        return self._cast(self._operator.precondition(r, flops))
-
     def apply_stacked(self, x, flops):
         """Stacked-tile A x, cast back to the working dtype."""
         return self._cast(self._operator.apply_stacked(x, flops))

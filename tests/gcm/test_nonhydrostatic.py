@@ -38,7 +38,7 @@ class TestOperator:
         fc = FlopCounter()
         x = random_field(g, 1)
         y = random_field(g, 2)
-        ax, ay = ell.apply(x, fc), ell.apply(y, fc)
+        ax, ay = ell.apply_stacked(np.stack(x), fc), ell.apply_stacked(np.stack(y), fc)
 
         def dot(a, b):
             return sum(
@@ -53,7 +53,7 @@ class TestOperator:
         fc = FlopCounter()
         for seed in range(3):
             x = random_field(g, seed)
-            ax = ell.apply(x, fc)
+            ax = ell.apply_stacked(np.stack(x), fc)
             quad = sum(
                 float(np.sum(x[r][(Ellipsis,) + t.interior] * ax[r][(Ellipsis,) + t.interior]))
                 for r, t in enumerate(g.decomp.tiles)
@@ -64,7 +64,7 @@ class TestOperator:
         g, ell = make_operator()
         fc = FlopCounter()
         ones = [np.ones(t.shape3d(g.nz)) for t in g.decomp.tiles]
-        a1 = ell.apply(ones, fc)
+        a1 = ell.apply_stacked(np.stack(ones), fc)
         o = g.decomp.olx
         for r, t in enumerate(g.decomp.tiles):
             interior = a1[r][:, o : o + t.ny, o : o + t.nx]
@@ -78,7 +78,7 @@ class TestOperator:
         x = [np.ones(t.shape3d(g.nz)) for t in g.decomp.tiles]
         for a in x:
             a[0] = 2.0  # jump across the first interior face
-        ax = ell.apply(x, fc)
+        ax = ell.apply_stacked(np.stack(x), fc)
         o = g.decomp.olx
         assert np.abs(ax[0][:2, o + 1, o + 1]).max() > 0
 
@@ -86,7 +86,7 @@ class TestOperator:
         g, ell = make_operator()
         fc = FlopCounter()
         x_true = random_field(g, 7)
-        rhs = ell.apply(x_true, fc)
+        rhs = ell.apply_stacked(np.stack(x_true), fc)
         # the vertical/lateral conductance anisotropy (~1e5) makes this
         # ill-conditioned; drive CG hard and accept a loose solution
         # tolerance (the residual-norm convergence itself is asserted)

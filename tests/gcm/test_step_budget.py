@@ -11,8 +11,10 @@ change that raises one has to say why.
 import numpy as np
 import pytest
 
-from repro.gcm import prognostic, timestepper
+from repro.gcm import cg, prognostic, timestepper
 from repro.gcm.coupled import coupled_model
+from repro.gcm.operators import FlopCounter
+from repro.parallel import globalsum
 from repro.parallel.exchange import exchange_halos
 from repro.parallel.tiling import Decomposition
 
@@ -98,3 +100,47 @@ def test_exchange_quotes_per_ps_exchange(monkeypatch, reduced):
     # south-wall, interior and north-wall tiles (<= one per rank)
     assert len(quotes) == 3 <= TILES
     assert len(edges) == 0  # the per-rank edge table is kept
+
+
+class _CountingFlops(FlopCounter):
+    """A flop counter that also counts its ``add`` calls per kernel."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+    def add(self, kernel, flops):
+        self.calls[kernel] = self.calls.get(kernel, 0) + 1
+        super().add(kernel, flops)
+
+
+def test_one_ds_solve_exchanges_once_per_iteration_and_counts_flops_once(monkeypatch, reduced):
+    model = reduced.ocean
+    solves = []
+    solve = timestepper.preconditioned_cg
+
+    def captured(*args, **kwargs):
+        solves.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(timestepper, "preconditioned_cg", captured)
+    model.step()
+    (operator, rhs, _), kwargs = solves[0]
+    halos = _count_calls(monkeypatch, cg, "exchange_halos")
+    # wherever the butterfly is bound (the solver's module used to import it)
+    butterflies = [
+        _count_calls(monkeypatch, module, "butterfly_global_sum")
+        for module in (globalsum, cg) if hasattr(module, "butterfly_global_sum")
+    ]
+    for maxiter in (kwargs["maxiter"], 3):
+        for calls in [halos] + butterflies:
+            calls.clear()
+        flops = _CountingFlops()
+        res = cg.preconditioned_cg(operator, rhs, flops, **{**kwargs, "maxiter": maxiter})
+        ni = res.iterations
+        assert ni == 3 if maxiter == 3 else ni > 3
+        # one (p, r) stack per iteration, then the solution's refresh
+        assert len(halos) == ni + 1
+        assert sum(map(len, butterflies)) == 0
+        # exact counts added once per solve, however many iterations
+        assert (flops.calls["cg_dot"], flops.calls["cg_update"]) == (1, 1)
