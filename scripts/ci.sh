@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer, one-route-function, one-rank-loop
-# and one-table-formatter checks, the DES event-count, GCM step
-# call-count, service fork-count, cold-quote call-count and knob-count
-# budgets, the tier-1 test suite, an import check of every example, the
-# fault/recovery and cross-validation smokes, the regenerate-and-diff of
-# benchmarks/out/ (virtual time), `repro report` against the seven paper
-# artefacts, and the host-time benchmark's smoke run.
+# line ledger, the one-durable-writer, one-route-reader, one-rank-loop
+# and one-table-formatter checks, the DES event-count and per-hop
+# call-count, GCM step call-count, service fork-count, cold-quote
+# call-count and knob-count budgets, the tier-1 test suite, an import
+# check of every example, the fault/recovery and cross-validation
+# smokes, the regenerate-and-diff of benchmarks/out/ (virtual time),
+# `repro report` against the seven paper artefacts, and the host-time
+# benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -42,14 +43,16 @@ fi
 echo "durable-writes: clean"
 
 echo
-echo "== routing-once (a machine's route is Topology.route; the one Fabric gives every router the same route_fn, in one place) =="
-assigned="$(grep -rnE '\.route_fn\s*=[^=]' src/repro/network --include='*.py' || true)"
-if [ "$(printf '%s\n' "$assigned" | grep -c .)" -ne 1 ] || grep -rnE '_make_\w*route_fn' src/repro --include='*.py'; then
-  echo "routing-once: state the route on the Topology; only repro.network.fabrics.Fabric assigns route_fn:" >&2
-  echo "$assigned" >&2
+echo "== routing-once (a machine's route is Topology.route; one router stage reads the next link off the route the packet carries) =="
+# code lines only: a ``literal`` in a docstring may name the expression
+readers="$(grep -rnE '\.route\[[^]]*hops' src/repro --include='*.py' | grep -v '``' || true)"
+if [ "$(printf '%s\n' "$readers" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$readers" | grep -q '^src/repro/network/router\.py:' \
+   || grep -rnE '_make_\w*route_fn|\.route_fn\s*=[^=]' src/repro --include='*.py'; then
+  echo "routing-once: state the route on the Topology; only ArcticRouter.receive reads pkt.route[pkt.hops]:" >&2
+  echo "$readers" >&2
   exit 1
 fi
-echo "routing-once: clean ($assigned)"
+echo "routing-once: clean ($readers)"
 
 echo
 echo "== des-ranks-once (rank processes of a communication phase start in repro.collectives.des_exec; elsewhere only NIU/mailbox/heartbeat daemons and point-to-point microbenchmarks) =="
@@ -77,7 +80,7 @@ fi
 echo "tables-once: clean ($(printf '%s\n' "$formatters" | grep 'def format_table'))"
 
 echo
-echo "== DES event budget (exact counts: a per-hop relay or an unconditional tail-off event fails here, not by timing; plus the engine clock invariants) =="
+echo "== DES event budget (exact counts: a per-hop relay, an unconditional tail-off event or a Python call put back on the hop fails here, not by timing; plus the engine clock invariants) =="
 python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 
 echo

@@ -8,11 +8,13 @@ packet crosses, injection link first, delivery link last).
 :class:`Fabric` turns the first into :class:`~repro.network.router.Link`
 and :class:`~repro.network.router.ArcticRouter` objects and stamps the
 second on every injected packet (``pkt.route``, as the StarT-X header
-carries its up/down route); a router forwards to
-``links[pkt.route[pkt.hops]]``.  Fat tree, mesh, tori, hyper-crossbar
-and hub are this class over different data, so link fault hooks, stalls,
-CRC accounting and the interface the StarT-X NIU and the fault layer
-rely on (``attach_endpoint``, ``inject``, ``params.link_bandwidth``,
+carries its up/down route).  Every router holds the fabric's one link
+list and forwards to ``links[pkt.route[pkt.hops]]`` in the call that
+checks the CRC: a hop is one call chain (:mod:`repro.network.router`).
+Fat tree, mesh, tori, hyper-crossbar and hub are this class over
+different data, so link fault hooks, stalls, CRC accounting and the
+interface the StarT-X NIU and the fault layer rely on
+(``attach_endpoint``, ``inject``, ``params.link_bandwidth``,
 ``path_links``, ``iter_links``, ``node_links``, ``kill_endpoint``,
 ``fault_counters``) are the same on every machine.
 
@@ -82,13 +84,7 @@ class Fabric:
         router_names, wires = topology.wiring()
         self.links: List[Link] = []
         links = self.links
-
-        def next_link(pkt: Packet) -> Link:
-            return links[pkt.route[pkt.hops]]
-
-        self.routers = [ArcticRouter(engine, name=name) for name in router_names]
-        for router in self.routers:
-            router.route_fn = next_link
+        self.routers = [ArcticRouter(engine, links, name=name) for name in router_names]
         for name, head in wires:
             if head is None:  # a shared medium: whoever the packet names
                 sink = self._dispatch
@@ -149,11 +145,11 @@ class Fabric:
         # interleaving or other fabrics sharing the process.
         pkt.inject_seq = self._inject_seq[src]
         self._inject_seq[src] += 1
+        pkt.send_time = self.engine.now
         if src == pkt.dst:
             # NIU loopback: no fabric traversal.
             self.engine.schedule(0.0, self._deliver[src], pkt)
             return
-        pkt.send_time = self.engine.now
         pkt.route = route = self.topology.packet_route(pkt, self.params.seed)
         self.links[route[0]].send(pkt)
 

@@ -14,6 +14,12 @@ a priority heap, serialize at the link bandwidth, and the *head* of the
 packet arrives at the far side one stage latency after transmission
 starts (cut-through: the downstream hop forwards without waiting for the
 tail, so end-to-end latency is ``hops * stage + wire_bytes / bandwidth``).
+
+An uncontended packet-hop is one engine event and one call chain: the
+event runs :meth:`ArcticRouter.receive`, which checks the CRC, takes its
+next link off the route the packet carries and hands the packet to
+:meth:`Link.send`, which arbitrates and, on an idle wire, transmits in
+the same call — no route closure, property or helper in between.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.obs import trace as obs_trace
 from repro.sim import Engine
-from repro.network.packet import Packet, Priority
+from repro.network.packet import HEADER_WORDS, WORD_BYTES, Packet, Priority
 
 #: Paper Section 2.2 hardware constants.
 ARCTIC_LINK_BANDWIDTH = 150e6  # bytes/sec, each direction
@@ -71,16 +77,16 @@ class Link:
     that reaches an idle wire goes on it inside :meth:`send`; the link
     then remembers only when the tail will have left (``_free_at``) and
     the place reserved at the end of that instant
-    (``Engine.late_ticket``).  The tail-off event :meth:`_tx_done` is
-    scheduled there only once it has work — a packet arrived before or
-    exactly as the tail leaves and parked on the priority heap, or a
-    drain left packets parked — and runs last in its instant, because
-    the next packet of a back-to-back stream arrives exactly as the tail
-    leaves and must be seen by the arbitration.  Packets handed over
-    before the engine has dispatched anything all park, and one start
-    event pops the heap: a batch injected at set-up is arbitrated as a
-    whole.  Per packet-hop that is one engine event (head downstream),
-    two when backlogged (and tail gone).
+    (``Engine.late_ticket``).  The tail-off event (:meth:`_transmit`
+    without a packet) is scheduled there only once it has work — a
+    packet arrived before or exactly as the tail leaves and parked on the
+    priority heap, or a drain left packets parked — and runs last in its
+    instant, because the next packet of a back-to-back stream arrives
+    exactly as the tail leaves and must be seen by the arbitration.
+    Packets handed over before the engine has dispatched anything all
+    park, and one start event pops the heap: a batch injected at set-up
+    is arbitrated as a whole.  Per packet-hop that is one engine event
+    (head downstream), two when backlogged (and tail gone).
     """
 
     def __init__(
@@ -118,12 +124,13 @@ class Link:
         """Enqueue a packet for transmission (HIGH priority jumps LOW)."""
         engine = self.engine
         now = engine.now
+        free_at = self._free_at
         # a tie with the tail parks too, to be arbitrated last in the
         # instant — unless the engine stands settled and the instant is over
         park = (
             self._pending
-            or now < self._free_at
-            or (now == self._free_at and not engine.settled)
+            or now < free_at
+            or (now == free_at and not engine.settled)
             or engine.events_executed == self._built_at
         )
         if park:
@@ -133,13 +140,13 @@ class Link:
             )
             if not self._pending:
                 self._pending = True
-                if now <= self._free_at:
-                    engine.schedule_at(self._free_at, self._tx_done, ticket=self._ticket)
+                if now <= free_at:
+                    engine.schedule_at(free_at, self._transmit, ticket=self._ticket)
                 else:
                     # handed over before the engine ran: one start event
                     # arbitrates the whole batch, so a HIGH packet injected
                     # behind LOW ones at set-up does not wait for the first
-                    engine.schedule(0.0, self._tx_done)
+                    engine.schedule(0.0, self._transmit)
         tr = obs_trace.TRACER
         if tr is not None:
             tr.counter(
@@ -150,7 +157,7 @@ class Link:
                 self._pending = True
                 engine.schedule(0.0, self._transmit, packet)
             else:
-                self._transmit(packet)
+                self._transmit(packet, now)
 
     @property
     def queued(self) -> int:
@@ -164,19 +171,21 @@ class Link:
         """
         self._stalled_until = max(self._stalled_until, self.engine.now + duration)
 
-    def _tx_done(self) -> None:
-        """The tail left the wire: start on the next packet or fall idle."""
-        if self._waiting:
-            self._transmit(heapq.heappop(self._waiting)[2])
-        else:
-            self._pending = False
-
-    def _transmit(self, pkt: Packet) -> None:
-        """Put ``pkt`` on the wire now (or after the stall it runs into)."""
+    def _transmit(self, pkt: Optional[Packet] = None, now: Optional[float] = None) -> None:
+        """Put ``pkt`` on the wire at ``now`` (or after the stall it runs
+        into).  As an engine event it reads the clock itself, and without
+        a packet it is the tail-off: the wire goes to the first packet
+        parked on the heap, or the link falls idle."""
         engine = self.engine
-        now = engine.now
+        if pkt is None:
+            if not self._waiting:
+                self._pending = False
+                return
+            pkt = heapq.heappop(self._waiting)[2]
+        if now is None:
+            now = engine.now
         if now < self._stalled_until:
-            if self._stalled_until == float("inf"):
+            if self._stalled_until == math.inf:
                 self.stats.dropped += 1
                 return  # link is dead: stays pending, later sends only queue
             engine.schedule(self._stalled_until - now, self._transmit, pkt)
@@ -187,22 +196,25 @@ class Link:
                 "fabric", f"q:{self.name}", now, {"queued": len(self._waiting)},
             )
         stats = self.stats
-        verdict = self.fault_hook(pkt) if self.fault_hook is not None else None
-        if verdict in (FAULT_DROP, FAULT_CORRUPT):
-            if tr is not None:
-                tr.instant(
-                    "fabric", self.name, verdict, now,
-                    cat="fault", args=obs_trace.emit_arg_packet(pkt),
-                )
-            if verdict == FAULT_DROP:
-                stats.dropped += 1
-                self._pending = True
-                engine.schedule(0.0, self._tx_done)
-                return
-            pkt.corrupt = True
-            stats.corrupted += 1
-        wire_bytes = pkt.wire_bytes
-        t_ser = wire_bytes / (self.bandwidth * max(self.rate_factor, 1e-9))
+        if self.fault_hook is not None:
+            verdict = self.fault_hook(pkt)
+            if verdict in (FAULT_DROP, FAULT_CORRUPT):
+                if tr is not None:
+                    tr.instant(
+                        "fabric", self.name, verdict, now,
+                        cat="fault", args=obs_trace.emit_arg_packet(pkt),
+                    )
+                if verdict == FAULT_DROP:
+                    stats.dropped += 1
+                    self._pending = True
+                    engine.schedule(0.0, self._transmit)
+                    return
+                pkt.corrupt = True
+                stats.corrupted += 1
+        # Packet.wire_bytes, max(rate_factor, 1e-9): two calls fewer per hop
+        wire_bytes = (HEADER_WORDS + len(pkt.payload_words)) * WORD_BYTES
+        rate = self.rate_factor
+        t_ser = wire_bytes / (self.bandwidth * (1e-9 if rate < 1e-9 else rate))
         stats.packets += 1
         stats.bytes += wire_bytes
         stats.busy_time += t_ser
@@ -226,41 +238,39 @@ class Link:
         self._ticket = ticket = engine.late_ticket(free_at)
         self._pending = bool(self._waiting)
         if self._pending:
-            engine.schedule_at(free_at, self._tx_done, ticket=ticket)
+            engine.schedule_at(free_at, self._transmit, ticket=ticket)
 
 
 class ArcticRouter:
-    """A router stage: verifies CRC, routes, forwards cut-through.
+    """A router stage: verifies CRC, forwards cut-through on the next
+    link of the route the packet carries.
 
-    The fabric sets ``route_fn(packet) -> Link`` after wiring (the next
-    link of the route the packet carries); the router itself only knows
-    how to check and forward.
+    ``links`` is the fabric's link list (a route is a tuple of indices
+    into it); the fabric hands it to every router as it wires them.
     """
 
-    def __init__(self, engine: Engine, name: str = "router") -> None:
+    def __init__(self, engine: Engine, links: List[Link], name: str = "router") -> None:
         self.engine = engine
+        self.links = links
         self.name = name
-        self.route_fn: Optional[Callable[[Packet], Link]] = None
         self.packets_forwarded = 0
         self.crc_errors = 0
         self.dropped: list[Packet] = []
 
-    def receive(self, packet: Packet) -> None:
+    def receive(self, pkt: Packet) -> None:
         """Packet head arrived at this router; verify and forward."""
-        if not packet.check_crc():
+        # Packet.check_crc spelled out: one call fewer per hop
+        if pkt.corrupt or pkt.crc != pkt.compute_crc():
             # Section 2.2: correctness verified at every router stage.
             self.crc_errors += 1
-            self.dropped.append(packet)
+            self.dropped.append(pkt)
             tr = obs_trace.TRACER
             if tr is not None:
                 tr.instant(
                     "fabric", self.name, "crc-drop", self.engine.now,
-                    cat="fault", args=obs_trace.emit_arg_packet(packet),
+                    cat="fault", args=obs_trace.emit_arg_packet(pkt),
                 )
             return
-        if self.route_fn is None:
-            raise RuntimeError(f"router {self.name} not wired into a topology")
-        packet.hops += 1
-        out = self.route_fn(packet)
-        out.send(packet)
+        pkt.hops += 1
+        self.links[pkt.route[pkt.hops]].send(pkt)
         self.packets_forwarded += 1

@@ -2,7 +2,9 @@
 
 Times are floats in **seconds** of virtual time.  The engine is
 single-threaded and deterministic: same inputs, same event order, same
-results.
+results.  The clock ``now`` and the count ``events_executed`` are plain
+attributes that only :meth:`Engine.run` writes, so the per-hop code of a
+link reads them without a call.
 """
 
 from __future__ import annotations
@@ -117,10 +119,12 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current virtual time in seconds (written by ``run`` only).
+        self.now: float = 0.0
+        #: Total number of events the engine has dispatched.
+        self.events_executed = 0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
-        self._nevents = 0
         #: the latest ``late_ticket`` time: where a quiescent run ends.
         self._hold = 0.0
         #: True between runs once every event at or before ``now`` has
@@ -134,23 +138,13 @@ class Engine:
         #: dead-node stall apart from a protocol deadlock.
         self.crashed_nodes: dict[int, float] = {}
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Total number of events the engine has dispatched."""
-        return self._nevents
-
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         # single comparison on the hot path: nan and negatives both fail
         # the chain (nan compares False), inf fails the upper bound
         if not 0.0 <= delay < math.inf:
             raise _bad_delay(delay)
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn, args))
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def late_ticket(self, when: float) -> int:
         """Reserve a place at the end of instant ``when``: behind every
@@ -170,10 +164,10 @@ class Engine:
     ) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``when`` (in the
         place ``ticket`` reserved there, if one is given)."""
-        if not self._now <= when < math.inf:
+        if not self.now <= when < math.inf:
             if not math.isfinite(when):
                 raise SimTimeError(f"cannot schedule at a non-finite time ({when})")
-            raise SimTimeError(f"cannot schedule at {when} < now {self._now}")
+            raise SimTimeError(f"cannot schedule at {when} < now {self.now}")
         if ticket is None:
             ticket = next(self._seq)
         heapq.heappush(self._heap, (when, ticket, fn, args))
@@ -246,38 +240,35 @@ class Engine:
         self.settled = False
         while heap:
             if stop_when is not None and stop_when():
-                return self._now
+                return self.now
             if until is not None and heap[0][0] > until:
-                self._now = until
+                self.now = until
                 self.settled = True
-                return self._now
+                return self.now
             when, _seq, fn, args = heappop(heap)
-            self._now = when
-            self._nevents += 1
+            self.now = when
+            self.events_executed = n = self.events_executed + 1
             fn(*args)
-            if self._nevents % 64 == 0:
+            if n % 64 == 0:
                 tr = obs_trace.TRACER
                 if tr is not None:
                     tr.counter(
-                        "engine",
-                        "events",
-                        self._now,
-                        {"pending": len(heap), "executed": self._nevents},
+                        "engine", "events", self.now, {"pending": len(heap), "executed": n},
                     )
-            if self._nevents >= cap:
+            if n >= cap:
                 hit_cap = True
                 break
         if not heap and not hit_cap:
             self.settled = True
-            if self._hold > self._now:  # late events that were left out
-                self._now = self._hold if until is None else min(self._hold, until)
+            if self._hold > self.now:  # late events that were left out
+                self.now = self._hold if until is None else min(self._hold, until)
             if watchdog and not (stop_when is not None and stop_when()):
                 blocked = self.blocked_processes()
                 if blocked:
                     raise DeadlockError(blocked, crashed=self.crashed_nodes)
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def peek(self) -> float:
         """Virtual time of the next pending event (``inf`` if none)."""

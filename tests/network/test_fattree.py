@@ -149,6 +149,16 @@ def test_self_send_loopback():
     assert inbox[2][0].hops == 0
 
 
+def test_loopback_is_stamped_with_its_send_time():
+    """A loopback injected at t = 5 us is sent and received at 5 us: a
+    latency of zero, not of the injection time."""
+    eng, ft, inbox = build(4)
+    eng.schedule(5e-6, ft.inject, Packet(src=2, dst=2, payload_words=[9, 9]))
+    eng.run()
+    (pkt,) = inbox[2]
+    assert pkt.send_time == pkt.recv_time == 5e-6
+
+
 def test_bisection_counts():
     _, ft, _ = build(16)
     assert ft.topology.bisection_links() == 8

@@ -16,6 +16,11 @@ quiescence.  A third, single-link family replays seeded scripts on a
 power-of-two time grid, where every arrival that can tie with a tail
 does.
 
+A fourth family, under hypothesis on every registered topology, holds
+the one-call packet-hop (router and link) against the call chain it
+replaced (``_reference_hop.py``): there the two must agree on every
+event, not only on what endpoints see.
+
 Exact float ties are the norm here, not a corner: on a cut-through
 pipeline the next packet's head arrives the very instant the previous
 tail leaves.  The generator picked its next packet two relay events
@@ -27,18 +32,23 @@ interleaving of different endpoints' callbacks inside one instant
 (1 mix in 1200 swaps two such deliveries).
 """
 
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.network.fabrics as fabrics_mod
 from repro.network.fabrics import Fabric, FabricParams, HubFabric
 from repro.network import FatTree, FatTreeParams
 from repro.network.packet import Packet, Priority
-from repro.network.router import FAULT_CORRUPT, FAULT_DROP, Link
-from repro.network.topology import make_topology
+from repro.network.router import FAULT_CORRUPT, FAULT_DROP, ArcticRouter, Link
+from repro.network.topology import make_topology, topology_names
+from repro.obs import trace as obs_trace
 from repro.sim import Engine
 
+from _reference_hop import ReferenceHopLink, ReferenceRouter
 from _reference_link import ReferenceLink
 
 N = 16
@@ -472,3 +482,153 @@ def test_a_fabric_registers_no_process(monkeypatch):
     FatTree(engine, 64)
     assert engine._processes == []
     assert engine.empty()
+
+
+# -- the hop oracle: one call per packet-hop against the old call chain ------
+
+#: what a scenario may switch on; hypothesis draws any subset
+HOP_CONDITIONS = (
+    "faults", "stalls", "dead_link", "rate", "latency", "jitter", "flips", "crash",
+)
+
+
+def run_hops(name, seed, conditions, traced, link_cls, router_cls):
+    """One seeded scenario on topology ``name`` with the given link and
+    router classes; returns everything either hop path could differ in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fabrics_mod, "Link", link_cls)
+        mp.setattr(fabrics_mod, "ArcticRouter", router_cls)
+        engine = Engine()
+        fabric = make_topology(name, N).build_fabric(engine, seed=seed % 65536)
+    links = list(fabric.iter_links())
+    assert all(type(lk) is link_cls for lk in links)
+    assert all(type(r) is router_cls for r in fabric.routers)
+    rng = random.Random(f"hop:{name}:{seed}")
+    order = []
+    for ep in range(N):
+        fabric.attach_endpoint(
+            ep,
+            lambda p, ep=ep: order.append(
+                (ep, p.data, p.src, int(p.priority), p.hops, p.corrupt,
+                 p.send_time, p.recv_time)
+            ),
+        )
+
+    def instant():
+        return rng.randrange(0, 48) * GRID_S
+
+    if "faults" in conditions:
+        for link in rng.sample(links, k=max(1, len(links) // 5)):
+            link.fault_hook = fault_hook(
+                random.Random(rng.random()), rng.choice((0.0, 0.1, 0.3)), rng.choice((0.05, 0.2))
+            )
+    if "rate" in conditions:
+        for link in rng.sample(links, k=max(1, len(links) // 6)):
+            link.rate_factor = rng.choice((0.25, 0.5, 0.9))
+        # 0.0 is clamped to 1e-9: that wire all but stops
+        engine.schedule_at(instant(), setattr, rng.choice(links), "rate_factor", rng.choice((0.0, 0.5)))
+    if "latency" in conditions:
+        for link in rng.sample(links, k=max(1, len(links) // 6)):
+            link.latency_extra = rng.choice((0.1e-6, 0.37e-6))
+    if "jitter" in conditions:
+        for link in rng.sample(links, k=max(1, len(links) // 6)):
+            jitter = random.Random(rng.random())
+            link.delay_hook = lambda _p, j=jitter: j.uniform(-0.05e-6, 0.3e-6)
+    if "stalls" in conditions:
+        for _ in range(rng.randrange(1, 5)):
+            engine.schedule_at(
+                instant(), rng.choice(links).stall, rng.choice((0.2e-6, 1.0e-6, 3.3e-6))
+            )
+    if "dead_link" in conditions:
+        engine.schedule_at(instant(), rng.choice(links).stall, float("inf"))
+    if "crash" in conditions:
+        engine.schedule_at(instant(), fabric.kill_endpoint, rng.randrange(N))
+
+    packets = []
+
+    def packet(src, dst, priority):
+        pkt = Packet(
+            src=src, dst=dst,
+            payload_words=[len(packets)] + [rng.randrange(1 << 32)] * rng.randrange(1, 22),
+            tag=len(packets) % 2048, priority=priority,
+            random_uproute=rng.random() < 0.3, data=len(packets),
+        )
+        packets.append(pkt)
+        return pkt
+
+    def priority():
+        return rng.choice((Priority.LOW, Priority.LOW, Priority.HIGH))
+
+    # a batch handed over before the run, then bursts and back-to-back
+    # streams in it: k packets of one flow in one instant, and a packet
+    # of that flow arriving the very instant the first tail leaves
+    for _ in range(rng.randrange(0, 6)):
+        fabric.inject(packet(rng.randrange(N), rng.randrange(N), priority()))
+    for _ in range(rng.randrange(8, 24)):
+        when, src, dst = instant(), rng.randrange(N), rng.randrange(N)
+        for _ in range(rng.randrange(1, 5)):
+            engine.schedule_at(when, fabric.inject, packet(src, dst, priority()))
+        if rng.random() < 0.4:
+            engine.schedule_at(when + FULL_SER, fabric.inject, packet(src, dst, Priority.HIGH))
+    if "flips" in conditions:
+        def flip(k, word, bit):
+            packets[k].payload_words[word] ^= 1 << bit
+
+        for _ in range(rng.randrange(1, 8)):
+            k = rng.randrange(len(packets))
+            engine.schedule_at(
+                instant() + rng.choice((0.0, 0.15e-6, 0.3e-6)), flip,
+                k, rng.randrange(len(packets[k].payload_words)), rng.randrange(32),
+            )
+
+    with obs_trace.tracing() if traced else contextlib.nullcontext() as tracer:
+        clocks = [engine.run()]
+        for src in rng.sample(range(N), 2):  # handed over at the quiescent clock
+            fabric.inject(packet(src, rng.randrange(N), priority()))
+        clocks.append(engine.run())
+    return {
+        "order": order,
+        "clocks": clocks,
+        "events": engine.events_executed,
+        "stats": [(link.name, link.stats, link.queued) for link in links],
+        "routers": [
+            (r.name, r.crc_errors, r.packets_forwarded, [p.data for p in r.dropped])
+            for r in fabric.routers
+        ],
+        "counters": fabric.fault_counters(),
+        "trace": None if tracer is None else tracer.events,
+    }
+
+
+@pytest.mark.parametrize("name", topology_names())
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    conditions=st.sets(st.sampled_from(HOP_CONDITIONS)),
+    traced=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_one_call_hop_matches_the_call_chain(name, seed, conditions, traced):
+    """Same deliveries in the same order at bit-identical times, same
+    link, router and fault counters, same event count and the same
+    trace events — on every topology, under any mix of conditions."""
+    new = run_hops(name, seed, conditions, traced, Link, ArcticRouter)
+    ref = run_hops(name, seed, conditions, traced, ReferenceHopLink, ReferenceRouter)
+    assert new == ref
+
+
+def test_the_hop_scenarios_exercise_every_path():
+    """The oracle above is only worth something if its scenarios reach
+    CRC drops from in-flight flips, link drops and corruptions, dead
+    links, blackholes, both priorities and backlog — checked once on a
+    fixed set of seeds with every condition on."""
+    total = {"link_drops": 0, "link_corruptions": 0, "router_crc_drops": 0,
+             "blackholed": 0, "high": 0, "two_event_hops": 0}
+    for name in topology_names():
+        for seed in range(6):
+            out = run_hops(name, seed, HOP_CONDITIONS, seed % 2 == 0, Link, ArcticRouter)
+            for key in ("link_drops", "link_corruptions", "router_crc_drops", "blackholed"):
+                total[key] += out["counters"][key]
+            total["high"] += sum(s.high_priority_packets for _, s, _ in out["stats"])
+            hops = sum(s.packets for _, s, _ in out["stats"])
+            total["two_event_hops"] += out["events"] > hops
+    assert all(v > 0 for v in total.values()), total

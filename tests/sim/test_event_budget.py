@@ -3,7 +3,9 @@ invariants the lazy links lean on.
 
 Counts are noise-free where timings are not: a relay, a store round trip,
 a per-link process or an unconditional tail-off event re-introduced on
-the per-hop path moves these numbers on every host, every run.
+the per-hop path moves these numbers on every host, every run.  So does
+a Python call put back into a hop (a property, a closure, a helper): the
+per-hop call budget counts frames with ``sys.setprofile``.
 ``scripts/ci.sh`` runs this file as its own named stage.  A change that
 *lowers* a count updates the pin; a change that raises one has to say
 why.
@@ -15,6 +17,7 @@ engine-side invariants live here, not in a stage of their own).
 """
 
 import random
+import sys
 
 import pytest
 
@@ -59,6 +62,56 @@ def test_eight_packet_stream_over_a_four_link_path():
     packet_hops = 8 * 4
     assert engine.events_executed == 59  # 70 with eager links, 256 with generator links
     assert engine.events_executed <= MAX_EVENTS_PER_PACKET_HOP * packet_hops
+
+
+def frames_entered(fn):
+    """Python frames entered while ``fn()`` runs, ``fn``'s own included."""
+    count = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def stream_frames(dst):
+    """(frames to inject, frames to run) the 8-packet stream 0 -> ``dst``."""
+    got = []
+    engine, fabric = fat_tree_16(got.append)
+    packets = [Packet(src=0, dst=dst, payload_words=[k, 0]) for k in range(8)]
+
+    def inject_all():
+        for pkt in packets:
+            fabric.inject(pkt)
+
+    frames = frames_entered(inject_all), frames_entered(engine.run)
+    assert len(got) == 8
+    return frames
+
+
+def test_per_hop_call_budget():
+    """A hop is one call of the router (CRC, route lookup, hand-over) and
+    one of the link (arbitrate, transmit), plus ``compute_crc`` and the
+    engine's ``schedule`` / ``late_ticket``, and ``schedule_at`` where the
+    packet parks behind a tail: on this stream 3 hops in 4, so 6.75
+    frames per packet-hop (12.75 with the ``route_fn`` closure,
+    ``check_crc``, the ``now`` / ``events_executed`` / ``wire_bytes``
+    properties and ``_tx_done``)."""
+    inject4, run4 = stream_frames(3)
+    inject2, run2 = stream_frames(1)
+    # injection is path-independent: inject, packet_route, the up/down
+    # route and the first link's send per packet, one start event in all
+    assert inject4 == inject2 == 1 + 8 * 4 + 1  # 51 with the properties
+    packet_hops = 8 * (4 - 2)
+    assert (run4, run2) == (203, 95)  # (379, 175) before
+    assert (run4 - run2) / packet_hops == 6.75
 
 
 def test_one_isolated_packet_costs_one_event_per_hop():
