@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
 # line ledger, the one-durable-writer, one-route-reader, one-rank-loop
-# and one-table-formatter checks, the DES event-count and per-hop
-# call-count, GCM step call-count, service fork-count, cold-quote
-# call-count and knob-count budgets, the tier-1 test suite, an import
-# check of every example, the fault/recovery and cross-validation
-# smokes, the regenerate-and-diff of benchmarks/out/ (virtual time),
-# `repro report` against the seven paper artefacts, and the host-time
-# benchmark's smoke run.
+# and one-table-formatter checks, the DES event-count and per-hop,
+# per-wake and per-message call-count, GCM step call-count, service
+# fork-count, cold-quote call-count and knob-count budgets, the tier-1
+# test suite, an import check of every example, the fault/recovery and
+# cross-validation smokes, the regenerate-and-diff of benchmarks/out/
+# (virtual time), `repro report` against the seven paper artefacts, and
+# the host-time benchmark's smoke run.
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -80,7 +80,7 @@ fi
 echo "tables-once: clean ($(printf '%s\n' "$formatters" | grep 'def format_table'))"
 
 echo
-echo "== DES event budget (exact counts: a per-hop relay, an unconditional tail-off event or a Python call put back on the hop fails here, not by timing; plus the engine clock invariants) =="
+echo "== DES event budget (exact counts: a per-hop relay, an unconditional tail-off event, or a Python call put back on the hop, on a process wake-up or on an NIU message fails here, not by timing; plus the engine clock invariants) =="
 python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 
 echo

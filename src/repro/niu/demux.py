@@ -52,7 +52,7 @@ class VIDemux:
         if self._started[rank]:
             return
         self._started[rank] = True
-        niu = self.cluster.niu(rank)
+        niu, arrived, signal = self.cluster.niu(rank), self.arrived[rank], self.signals[rank]
 
         def server():
             while True:
@@ -60,9 +60,10 @@ class VIDemux:
                 xfer = yield from niu.vi_wait_complete(xfer.xid)
                 # transfer id encodes (slot, round) in its low bits;
                 # timing-only transfers carry no rider
-                data = b"" if xfer.data is None else bytes(xfer.data)
-                self.arrived[rank][(xfer.src, xfer.xid & 0xFFF)] = data
-                self.signals[rank].fire()
+                arrived[(xfer.src, xfer.xid & 0xFFF)] = (
+                    b"" if xfer.data is None else bytes(xfer.data)
+                )
+                signal.fire()
 
         self.cluster.engine.process(
             server(), name=f"vi-server[rank{rank}]", daemon=True
@@ -70,6 +71,7 @@ class VIDemux:
 
     def await_slab(self, rank: int, src: int, tag: int):
         """Process: block until the (src, tag) slab has landed."""
-        while (src, tag) not in self.arrived[rank]:
-            yield self.signals[rank].wait()
-        return self.arrived[rank].pop((src, tag))
+        arrived, signal, key = self.arrived[rank], self.signals[rank], (src, tag)
+        while key not in arrived:
+            yield signal.wait()
+        return arrived.pop(key)

@@ -72,7 +72,3 @@ class PCIBus:
             yield self.engine.timeout(nbytes / self.params.dma_bandwidth)
         finally:
             self._bus.release()
-
-    @property
-    def busy(self) -> bool:
-        return self._bus.in_use > 0

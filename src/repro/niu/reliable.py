@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
@@ -151,7 +151,7 @@ class ReliableNIU:
         self.niu = niu
         self.engine = niu.engine
         self._tx: Dict[int, _TxFlow] = {}
-        self._rx: Dict[int, _RxFlow] = {}
+        self._rx: Dict[int, _RxFlow] = defaultdict(_RxFlow)
         self._partial: Dict[Tuple[int, int], _Reassembly] = {}
         self._channels: Dict[int, Store] = {}
         #: Incarnation number: every frame and control packet carries
@@ -188,13 +188,6 @@ class ReliableNIU:
                 ),
             )
             self._tx[dst] = flow
-        return flow
-
-    def _rx_flow(self, src: int) -> _RxFlow:
-        flow = self._rx.get(src)
-        if flow is None:
-            flow = _RxFlow()
-            self._rx[src] = flow
         return flow
 
     def channel(self, cid: int) -> Store:
@@ -251,7 +244,7 @@ class ReliableNIU:
 
     def _handle_data(self, pkt: Packet) -> None:
         seq = pkt.payload_words[0]
-        flow = self._rx_flow(pkt.src)
+        flow = self._rx[pkt.src]
         if seq == flow.expected:
             flow.expected += 1
             flow.last_nacked = -1
@@ -452,10 +445,9 @@ class ReliableNIU:
         """Process: next in-order message on ``channel`` (CPU pays the
         mmap reads, as in :meth:`StarTX.pio_recv`)."""
         msg: Message = yield self.channel(channel).get()
-        nbytes = max(len(msg.data), 8)
-        cost = PIO_COST_MODEL.accesses(nbytes) * self.niu.pci.params.mmap_read_latency
-        self.niu.pci.total_mmap_reads += PIO_COST_MODEL.accesses(nbytes)
-        yield self.engine.timeout(cost)
+        accesses = PIO_COST_MODEL.accesses(max(len(msg.data), 8))
+        self.niu.pci.total_mmap_reads += accesses
+        yield self.engine.timeout(accesses * self.niu.pci.params.mmap_read_latency)
         return msg
 
     # -- reporting -------------------------------------------------------

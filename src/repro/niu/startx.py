@@ -16,6 +16,10 @@ Or = 1.86/8.37 us for 8/64-byte payloads.
 DMA engine as maximum-size (88-byte-payload) packets at the 110 MB/s
 effective PCI/DMA payload rate; the Rx DMA engine deposits fragments
 directly into the receiver's pinned VI memory region.
+
+Each message is built once: a transfer's ack and completion ``Signal``
+is made on its first lookup only, a PIO access count is computed once to
+charge and to count, and the wire size and CRC are read off the packet.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.obs import trace as obs_trace
 from repro.sim import Engine, Signal, Store
 from repro.network.fabrics import Fabric
 from repro.network.packet import (
+    HEADER_WORDS,
     MAX_PAYLOAD_WORDS,
     Packet,
     Priority,
@@ -73,6 +78,19 @@ class PIOCostModel:
 PIO_COST_MODEL = PIOCostModel()
 
 
+class _Signals(dict):
+    """Transfer id -> :class:`Signal` (named ``kind[xid=...]``), made on
+    first lookup: a lookup that finds one builds nothing."""
+
+    def __init__(self, engine: Engine, kind: str) -> None:
+        super().__init__()
+        self.engine, self.kind = engine, kind
+
+    def __missing__(self, xid: int) -> Signal:
+        sig = self[xid] = Signal(self.engine, name=f"{self.kind}[xid={xid}]")
+        return sig
+
+
 @dataclass
 class VITransfer:
     """Bookkeeping for one VI-mode block transfer."""
@@ -113,8 +131,8 @@ class StarTX:
         self.pci = pci or PCIBus(engine)
         self.pio_rx: Store = Store(engine, capacity=rx_capacity, name=f"pio-rx[node{node_id}]")
         self._vi_rx: Dict[int, VITransfer] = {}
-        self._vi_complete: Dict[int, Signal] = {}
-        self._vi_acks: Dict[int, Signal] = {}
+        self._vi_complete = _Signals(engine, "vi-complete")
+        self._vi_acks = _Signals(engine, "vi-ack")
         self._vi_requests: Store = Store(engine, name=f"vi-requests[node{node_id}]")
         self._xid_counter = itertools.count()
         self.crc_status_errors = 0
@@ -136,12 +154,12 @@ class StarTX:
 
     def _head_arrival(self, pkt: Packet) -> None:
         """Packet head reached this endpoint; tail drains at link rate."""
-        drain = pkt.wire_bytes / self.fabric.params.link_bandwidth
-        self.engine.schedule(drain, self._deliver, pkt)
+        wire_bytes = (HEADER_WORDS + len(pkt.payload_words)) * WORD_BYTES
+        self.engine.schedule(wire_bytes / self.fabric.params.link_bandwidth, self._deliver, pkt)
 
     def _deliver(self, pkt: Packet) -> None:
         # Endpoint CRC check: software sees only a 1-bit status.
-        if not pkt.check_crc():
+        if pkt.corrupt or pkt.crc != pkt.compute_crc():
             self.crc_status_errors += 1
             tr = obs_trace.TRACER
             if tr is not None:
@@ -165,10 +183,7 @@ class StarTX:
         elif pkt.tag == TAG_VI_REQ:
             self._vi_requests.try_put(pkt)
         elif pkt.tag == TAG_VI_ACK:
-            xid = pkt.payload_words[0]
-            self._vi_acks.setdefault(
-                xid, Signal(self.engine, name=f"vi-ack[xid={xid}]")
-            ).fire(pkt)
+            self._vi_acks[pkt.payload_words[0]].fire(pkt)
         else:
             if not self.pio_rx.try_put(pkt):
                 raise RuntimeError(
@@ -194,7 +209,7 @@ class StarTX:
             buf[offset : offset + len(chunk)] = chunk
         if xfer.start_time == 0.0:
             xfer.start_time = self.engine.now
-        if xfer.nbytes >= 0 and xfer.complete:
+        if 0 <= xfer.nbytes <= xfer.received:  # complete
             xfer.end_time = self.engine.now
             tr = obs_trace.TRACER
             if tr is not None:
@@ -203,9 +218,7 @@ class StarTX:
                     xfer.start_time, xfer.end_time, cat="vi",
                     args={"src": xfer.src, "bytes": xfer.nbytes},
                 )
-            self._vi_complete.setdefault(
-                xid, Signal(self.engine, name=f"vi-complete[xid={xid}]")
-            ).fire(xfer)
+            self._vi_complete[xid].fire(xfer)
 
     # ------------------------------------------------------------------
     # PIO mode
@@ -220,10 +233,9 @@ class StarTX:
         data: Any = None,
     ):
         """Process: enqueue one PIO message (CPU pays the mmap writes)."""
-        payload_bytes = len(payload_words) * WORD_BYTES
-        cost = PIO_COST_MODEL.accesses(payload_bytes) * self.pci.params.mmap_write_gap
-        self.pci.total_mmap_writes += PIO_COST_MODEL.accesses(payload_bytes)
-        yield self.engine.timeout(cost * self.cpu_factor)
+        accesses = PIO_COST_MODEL.accesses(len(payload_words) * WORD_BYTES)
+        self.pci.total_mmap_writes += accesses
+        yield self.engine.timeout(accesses * self.pci.params.mmap_write_gap * self.cpu_factor)
         pkt = Packet(
             src=self.node_id,
             dst=dst,
@@ -245,9 +257,9 @@ class StarTX:
     def pio_recv(self):
         """Process: dequeue the next PIO message (CPU pays the reads)."""
         pkt: Packet = yield self.pio_rx.get()
-        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
-        self.pci.total_mmap_reads += PIO_COST_MODEL.accesses(pkt.payload_bytes)
-        yield self.engine.timeout(cost * self.cpu_factor)
+        accesses = PIO_COST_MODEL.accesses(len(pkt.payload_words) * WORD_BYTES)
+        self.pci.total_mmap_reads += accesses
+        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency * self.cpu_factor)
         return pkt
 
     def pio_try_recv(self):
@@ -273,9 +285,7 @@ class StarTX:
             existing.nbytes = nbytes
             if existing.complete:
                 existing.end_time = self.engine.now
-                self._vi_complete.setdefault(
-                    xid, Signal(self.engine, name=f"vi-complete[xid={xid}]")
-                ).fire(existing)
+                self._vi_complete[xid].fire(existing)
         else:
             self._vi_rx[xid] = VITransfer(xid=xid, src=src, dst=self.node_id, nbytes=nbytes)
 
@@ -295,8 +305,7 @@ class StarTX:
         yield from self.pio_send(
             dst, [xid, nbytes], tag=TAG_VI_REQ, priority=Priority.HIGH
         )
-        sig = self._vi_acks.setdefault(xid, Signal(self.engine, name=f"vi-ack[xid={xid}]"))
-        yield sig.wait()
+        yield self._vi_acks[xid].wait()
         # poll the ack status + stage the VI buffer descriptors + kick the
         # Tx DMA engine (2 writes) ----------------------------------------
         yield self.engine.timeout(
@@ -308,10 +317,7 @@ class StarTX:
         while offset < nbytes:
             frag = min(VI_FRAG_BYTES, nbytes - offset)
             yield self.engine.timeout(frag / VI_STREAM_BANDWIDTH)
-            words = [xid, offset, frag] + [0] * max(0, math.ceil(frag / WORD_BYTES) - 3)
-            words = words[:MAX_PAYLOAD_WORDS]
-            if len(words) < 3:
-                words += [0] * (3 - len(words))
+            words = [xid, offset, frag] + [0] * (max(math.ceil(frag / WORD_BYTES), 3) - 3)
             rider = data[offset : offset + frag] if data is not None else None
             pkt = Packet(
                 src=self.node_id,
@@ -334,8 +340,8 @@ class StarTX:
         with a high-priority ack.  Returns the :class:`VITransfer`.
         """
         pkt: Packet = yield self._vi_requests.get()
-        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
-        yield self.engine.timeout(cost * self.cpu_factor)
+        accesses = PIO_COST_MODEL.accesses(len(pkt.payload_words) * WORD_BYTES)
+        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency * self.cpu_factor)
         xid, nbytes = pkt.payload_words[0], pkt.payload_words[1]
         # post the receive buffer
         yield self.engine.timeout(VI_SETUP_COST * self.cpu_factor)
@@ -347,10 +353,7 @@ class StarTX:
         """Process (receiver CPU): block until transfer ``xid`` lands."""
         xfer = self._vi_rx.get(xid)
         if xfer is None or not xfer.complete:
-            sig = self._vi_complete.setdefault(
-                xid, Signal(self.engine, name=f"vi-complete[xid={xid}]")
-            )
-            yield sig.wait()
+            yield self._vi_complete[xid].wait()
             xfer = self._vi_rx[xid]
         # final status read
         yield self.engine.timeout(self.pci.params.mmap_read_latency)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from typing import Any, Callable, Iterator, Optional
 
 from repro.obs import trace as obs_trace
@@ -54,10 +55,7 @@ class DeadlockError(RuntimeError):
             desc = f"{p.name} waiting on {p.waiting_desc()}"
             dead = self._crashed_nodes_of(p)
             if dead:
-                owners = ", ".join(
-                    f"node {n} (crashed at t={self.crashed[n]:.6g} s)"
-                    for n in dead
-                )
+                owners = ", ".join(f"node {n} (crashed at t={self.crashed[n]:.6g} s)" for n in dead)
                 desc += f" [queue belongs to {owners}]"
             details.append(desc)
         msg = (
@@ -78,24 +76,12 @@ class DeadlockError(RuntimeError):
         """Crashed node ids referenced by a blocked process's name or by
         the queue it waits on (``nodeN``/``rankN`` naming convention)."""
         text = f"{proc.name} {proc.waiting_desc()}"
-        hits = []
-        for n in sorted(self.crashed):
-            for token in (f"node{n}", f"rank{n}"):
-                # require a token boundary on both sides: "node1" must
-                # not match inside "node12" (right) nor inside
-                # "badnode1"/"respawnnode1" (left).
-                idx = text.find(token)
-                while idx != -1:
-                    end = idx + len(token)
-                    left_ok = idx == 0 or not text[idx - 1].isalnum()
-                    right_ok = end == len(text) or not text[end].isdigit()
-                    if left_ok and right_ok:
-                        hits.append(n)
-                        break
-                    idx = text.find(token, idx + 1)
-                if hits and hits[-1] == n:
-                    break
-        return hits
+        # a token boundary on both sides: "node1" is not in "node12"
+        # (right) nor in "badnode1"/"respawnnode1" (left, no letter or digit)
+        return [
+            n for n in sorted(self.crashed)
+            if re.search(rf"(?<![^\W_])(?:node|rank){n}(?!\d)", text)
+        ]
 
 
 class Interrupt(Exception):
@@ -179,8 +165,6 @@ class Engine:
         dispatchers, heartbeat beacons) that legitimately block forever;
         the deadlock watchdog ignores them.
         """
-        from repro.sim.process import Process
-
         return Process(self, gen, name=name, daemon=daemon)
 
     def _register_process(self, proc: Any) -> None:
@@ -204,8 +188,6 @@ class Engine:
 
     def timeout(self, delay: float) -> "Timeout":
         """Waitable that fires ``delay`` seconds from now."""
-        from repro.sim.process import Timeout
-
         return Timeout(self, delay)
 
     def run(
@@ -217,6 +199,10 @@ class Engine:
     ) -> float:
         """Dispatch events until the heap drains, ``until`` passes, or
         ``max_events`` have run.  Returns the final virtual time.
+
+        The clock never runs backwards: an ``until`` before ``now`` raises
+        :class:`SimTimeError`, and a run cut short by ``max_events`` (0
+        dispatches nothing) leaves the clock at the last event it ran.
 
         With ``watchdog=True`` the engine checks for deadlock at
         quiescence: if the heap drained while non-daemon processes are
@@ -230,13 +216,16 @@ class Engine:
         on such a cluster must bound themselves by completion condition
         rather than by quiescence.
         """
+        if until is not None and until < self.now:
+            raise SimTimeError(f"cannot run until {until} < now {self.now}")
+        if max_events is not None and max_events <= 0:
+            return self.now
         # The dispatch loop is the DES tier's hottest path: bind the heap
         # and heappop locally, check the tracer only at the 64-event
         # batch boundary, and skip the peek entirely when unbounded.
         heap = self._heap
         heappop = heapq.heappop
-        cap = math.inf if max_events is None else max_events
-        hit_cap = False
+        cap = math.inf if max_events is None else self.events_executed + max_events
         self.settled = False
         while heap:
             if stop_when is not None and stop_when():
@@ -255,17 +244,15 @@ class Engine:
                     tr.counter(
                         "engine", "events", self.now, {"pending": len(heap), "executed": n},
                     )
-            if n >= cap:
-                hit_cap = True
-                break
-        if not heap and not hit_cap:
-            self.settled = True
-            if self._hold > self.now:  # late events that were left out
-                self.now = self._hold if until is None else min(self._hold, until)
-            if watchdog and not (stop_when is not None and stop_when()):
-                blocked = self.blocked_processes()
-                if blocked:
-                    raise DeadlockError(blocked, crashed=self.crashed_nodes)
+            if n >= cap:  # truncated: the clock stays at the last event run
+                return self.now
+        self.settled = True  # the heap drained
+        if self._hold > self.now:  # late events that were left out
+            self.now = self._hold if until is None else min(self._hold, until)
+        if watchdog and not (stop_when is not None and stop_when()):
+            blocked = self.blocked_processes()
+            if blocked:
+                raise DeadlockError(blocked, crashed=self.crashed_nodes)
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -277,3 +264,7 @@ class Engine:
     def empty(self) -> bool:
         """True when no events are pending."""
         return not self._heap
+
+
+# process.py builds on Engine; imported last, so the cycle resolves
+from repro.sim.process import Process, Timeout  # noqa: E402

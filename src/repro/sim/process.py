@@ -3,6 +3,10 @@
 A *waitable* is any object with ``subscribe(fn)``: the engine resumes a
 blocked process with the waitable's value when it fires.  Processes are
 themselves waitable, so one process can ``yield`` another to join on it.
+
+A wake-up is one call chain: a process puts its one wake callback on the
+pending event it yields, ``succeed`` schedules it, and the wake sends the
+value straight into the generator (a timeout wake: seven Python frames).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class BaseEvent:
 
     def subscribe(self, fn: Callable[["BaseEvent"], None]) -> None:
         """Call ``fn(event)`` when this event fires (immediately if fired)."""
-        if self.triggered:
+        if self._value is not _PENDING:
             # Deliver asynchronously but at the same virtual time, so
             # subscription order never reorders the clock.
             self.engine.schedule(0.0, fn, self)
@@ -49,32 +53,36 @@ class BaseEvent:
             self._subs.append(fn)
 
     def succeed(self, value: Any = None) -> "BaseEvent":
-        """Fire the event with ``value`` at the current virtual time."""
-        if self.triggered:
+        """Fire the event with ``value`` at the current virtual time:
+        each subscriber is scheduled for now, in subscription order."""
+        if self._value is not _PENDING:
             raise RuntimeError("event already fired")
         self._value = value
-        return self._notify()
+        subs = self._subs
+        if subs:
+            self._subs = []
+            schedule = self.engine.schedule
+            for fn in subs:
+                schedule(0.0, fn, self)
+        return self
 
     def fail(self, exc: BaseException) -> "BaseEvent":
         """Fire the event with an exception; waiters see it raised."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError("event already fired")
         self._ok = False
-        self._value = exc
-        return self._notify()
-
-    def _notify(self) -> "BaseEvent":
-        subs, self._subs = self._subs, []
-        for fn in subs:
-            self.engine.schedule(0.0, fn, self)
-        return self
+        return self.succeed(exc)
 
 
 class Timeout(BaseEvent):
     """Fires ``delay`` seconds after creation."""
 
     def __init__(self, engine: Engine, delay: float, value: Any = None) -> None:
-        super().__init__(engine)
+        # BaseEvent's fields, set here: the commonest wait skips a frame
+        self.engine = engine
+        self._value = _PENDING
+        self._ok = True
+        self._subs = []
         self.delay = delay
         engine.schedule(delay, self.succeed, value)
 
@@ -143,6 +151,8 @@ class Process(BaseEvent):
         self.daemon = daemon
         self._waiting_on: Optional[BaseEvent] = None
         self._trace_blocked = False
+        #: the wake callback, bound once and put on every event waited for
+        self._wake = self._on_wait_done
         engine._register_process(self)
         engine.schedule(0.0, self._resume, None, None)
 
@@ -151,11 +161,14 @@ class Process(BaseEvent):
         return not self.triggered
 
     def waiting_desc(self) -> str:
-        """Human-readable description of what this process blocks on."""
+        """Human-readable description of what this process blocks on: the
+        event's ``desc`` (a callable a queue sets, so a wait formats
+        nothing until read), else its type name."""
         ev = self._waiting_on
         if ev is None:
             return "nothing (runnable)"
-        return getattr(ev, "desc", None) or type(ev).__name__
+        desc = getattr(ev, "desc", None)
+        return desc() if desc is not None else type(ev).__name__
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -187,7 +200,24 @@ class Process(BaseEvent):
                 tr.end("processes", self.name, self.engine.now)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
+        """Start the generator, or throw an interrupt into it."""
+        self._on_wait_done(None, value, exc)
+
+    def _on_wait_done(self, ev: Optional[BaseEvent], value: Any = None, exc: Any = None) -> None:
+        """The wake: send ``ev``'s value (throw its exception) into the
+        generator and wait on what it yields next; ``_resume`` passes no
+        event but the value or exception itself."""
+        if ev is not None:
+            if self._waiting_on is not ev:
+                return  # interrupted while waiting; this wakeup is stale
+            self._waiting_on = None
+            if self._trace_blocked:
+                self._trace_unblock()
+            if ev._ok:
+                value = ev._value
+            else:
+                exc = ev._value
+        if self._value is not _PENDING:
             return
         try:
             if exc is not None:
@@ -208,14 +238,7 @@ class Process(BaseEvent):
         self._waiting_on = target
         if obs_trace.TRACER is not None:
             self._trace_block()
-        target.subscribe(self._on_wait_done)
-
-    def _on_wait_done(self, ev: BaseEvent) -> None:
-        if self._waiting_on is not ev:
-            return  # interrupted while waiting; this wakeup is stale
-        self._waiting_on = None
-        self._trace_unblock()
-        if ev.ok:
-            self._resume(ev.value, None)
+        if isinstance(target, BaseEvent) and target._value is _PENDING:
+            target._subs.append(self._wake)
         else:
-            self._resume(None, ev.value)
+            target.subscribe(self._wake)

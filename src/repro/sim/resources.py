@@ -35,8 +35,8 @@ class Store:
         self._getters: deque[BaseEvent] = deque()
         self._putters: deque[tuple[BaseEvent, Any, int]] = deque()
 
-    def _label(self) -> str:
-        return f"{type(self).__name__}({self.name})" if self.name else type(self).__name__
+    def _wait_desc(self) -> str:
+        return f"{type(self).__name__}{f'({self.name})' if self.name else ''}.get"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -53,15 +53,9 @@ class Store:
     def _pop(self) -> Any:
         return self._items.popleft()
 
-    def put(self, item: Any) -> BaseEvent:
-        """Waitable that fires once ``item`` is enqueued."""
-        return self._put(item, 0)
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the queue is full."""
-        return self._try_put(item, 0)
-
-    def _put(self, item: Any, priority: int) -> BaseEvent:
+    def put(self, item: Any, priority: int = 0) -> BaseEvent:
+        """Waitable that fires once ``item`` is enqueued (a
+        :class:`PriorityStore` serves a lower ``priority`` first)."""
         ev = BaseEvent(self.engine)
         if not self.full:
             self._push(item, priority)
@@ -71,9 +65,14 @@ class Store:
             self._putters.append((ev, item, priority))
         return ev
 
-    def _try_put(self, item: Any, priority: int) -> bool:
-        if self.full:
+    def try_put(self, item: Any, priority: int = 0) -> bool:
+        """Non-blocking put; returns False when the queue is full."""
+        if self.capacity is not None and len(self._items) >= self.capacity:
             return False
+        if self._getters and not self._items and not self._putters:
+            # the longest waiter takes the item straight away
+            self._getters.popleft().succeed(item)
+            return True
         self._push(item, priority)
         self._wake_getter()
         return True
@@ -81,7 +80,7 @@ class Store:
     def get(self) -> BaseEvent:
         """Waitable that fires with the next item."""
         ev = BaseEvent(self.engine)
-        ev.desc = f"{self._label()}.get"
+        ev.desc = self._wait_desc  # formatted only if read
         if self._items:
             ev.succeed(self._take())
         else:
@@ -115,13 +114,12 @@ class Store:
 
     def _wake_getter(self) -> None:
         while self._getters and self._items:
-            gev = self._getters.popleft()
-            gev.succeed(self._take())
+            self._getters.popleft().succeed(self._take())
 
 
 class PriorityStore(Store):
     """A store that always yields the lowest-priority-value item first
-    (FIFO among equal priorities).
+    (FIFO among equal priorities; ``put(item, priority)``).
 
     Models Arctic's two-priority rule: high-priority (lower value) messages
     can never be blocked behind low-priority ones.
@@ -133,14 +131,6 @@ class PriorityStore(Store):
         super().__init__(engine, capacity, name=name)
         self._items: list[tuple[int, int, Any]] = []  # a heap
         self._seq = itertools.count()
-
-    def put(self, item: Any, priority: int = 0) -> BaseEvent:
-        """Waitable put honouring ``priority`` (lower value served first)."""
-        return self._put(item, priority)
-
-    def try_put(self, item: Any, priority: int = 0) -> bool:
-        """Non-blocking prioritized put; False when full."""
-        return self._try_put(item, priority)
 
     def _push(self, item: Any, priority: int) -> None:
         heapq.heappush(self._items, (priority, next(self._seq), item))
@@ -196,9 +186,12 @@ class Signal:
     def wait(self) -> BaseEvent:
         """Waitable released at the next :meth:`fire`."""
         ev = BaseEvent(self.engine)
-        ev.desc = f"Signal({self.name}).wait" if self.name else "Signal.wait"
+        ev.desc = self._wait_desc  # formatted only if read
         self._waiters.append(ev)
         return ev
+
+    def _wait_desc(self) -> str:
+        return f"Signal({self.name}).wait" if self.name else "Signal.wait"
 
     def fire(self, value: Any = None) -> int:
         """Release all current waiters; returns how many were released."""

@@ -111,6 +111,45 @@ def test_run_until_advances_clock_even_with_no_events():
     assert eng.now == 5.0
 
 
+def test_run_until_before_now_raises_and_dispatches_nothing():
+    """The clock never runs backwards: ``until`` in the past is refused
+    the way ``schedule_at`` refuses a past time."""
+    eng = Engine()
+    fired = []
+    eng.schedule(1.0, lambda: None)
+    eng.run()
+    eng.schedule(1.0, lambda: fired.append(eng.now))
+    with pytest.raises(SimTimeError, match="cannot run until 0.5 < now 1.0"):
+        eng.run(until=0.5)
+    assert eng.now == 1.0 and eng.events_executed == 1 and fired == []
+    assert eng.run() == 2.0 and fired == [2.0]
+
+
+def test_max_events_zero_dispatches_nothing():
+    eng = Engine()
+    eng.schedule(1.0, lambda: None)
+    assert eng.run(max_events=0) == 0.0
+    assert eng.events_executed == 0 and not eng.empty()
+
+
+def test_max_events_counts_the_events_of_this_run():
+    eng = Engine()
+    for k in range(10):
+        eng.schedule(float(k), lambda: None)
+    eng.run(max_events=3)
+    eng.run(max_events=3)
+    assert eng.events_executed == 6 and eng.now == 5.0
+
+
+def test_a_run_cut_by_max_events_leaves_the_clock_at_its_last_event():
+    """Not at ``until``: the next run would dispatch an event before it."""
+    eng = Engine()
+    for k in range(1, 4):
+        eng.schedule(float(k), lambda: None)
+    assert eng.run(until=5.0, max_events=1) == 1.0
+    assert eng.run(until=5.0) == 5.0 and eng.events_executed == 3
+
+
 def test_nested_scheduling_from_callback():
     eng = Engine()
     times = []

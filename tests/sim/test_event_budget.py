@@ -5,7 +5,8 @@ Counts are noise-free where timings are not: a relay, a store round trip,
 a per-link process or an unconditional tail-off event re-introduced on
 the per-hop path moves these numbers on every host, every run.  So does
 a Python call put back into a hop (a property, a closure, a helper): the
-per-hop call budget counts frames with ``sys.setprofile``.
+per-hop, per-wait and per-message call budgets count frames with
+``sys.setprofile``.
 ``scripts/ci.sh`` runs this file as its own named stage.  A change that
 *lowers* a count updates the pin; a change that raises one has to say
 why.
@@ -16,12 +17,13 @@ that drains the heap still ends at the last tail-off (ROADMAP item 4's
 engine-side invariants live here, not in a stage of their own).
 """
 
+import gc
 import random
 import sys
 
 import pytest
 
-from repro.collectives import build, des_time_schedule
+from repro.collectives import Schedule, Send, build, des_time_schedule
 from repro.hardware import HyadesCluster, HyadesConfig
 from repro.network import FatTree
 from repro.network.packet import Packet, Priority
@@ -65,7 +67,9 @@ def test_eight_packet_stream_over_a_four_link_path():
 
 
 def frames_entered(fn):
-    """Python frames entered while ``fn()`` runs, ``fn``'s own included."""
+    """Python frames entered while ``fn()`` runs, ``fn``'s own included.
+    The cyclic collector is held off: collecting what earlier code left
+    (a suspended generator closes in a frame of its own) is not ``fn``'s."""
     count = 0
 
     def profile(_frame, event, _arg):
@@ -73,11 +77,16 @@ def frames_entered(fn):
         if event == "call":
             count += 1
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return count
 
 
@@ -112,6 +121,50 @@ def test_per_hop_call_budget():
     packet_hops = 8 * (4 - 2)
     assert (run4, run2) == (203, 95)  # (379, 175) before
     assert (run4 - run2) / packet_hops == 6.75
+
+
+def wake_frames(wakes):
+    """Frames to run a started process through ``wakes`` timeouts."""
+    engine = Engine()
+
+    def sleeper():
+        for _ in range(wakes):
+            yield engine.timeout(1e-6)
+
+    engine.process(sleeper())
+    engine.run(max_events=1)  # started: waiting on its first timeout
+    frames = frames_entered(engine.run)
+    assert engine.events_executed == 1 + 2 * wakes
+    return frames
+
+
+def test_per_wait_call_budget():
+    """A timeout wake is one call chain: the generator, ``Engine.timeout``,
+    ``Timeout``, ``schedule``, then ``succeed``, ``schedule`` and the
+    process's wake (17 frames through ``subscribe``, the ``triggered``
+    property, ``_notify``, ``_on_wait_done`` -> ``_trace_unblock`` ->
+    ``_resume`` and the ``ok`` / ``value`` properties)."""
+    assert (wake_frames(200) - wake_frames(100)) / 100 == 7
+
+
+def message_frames(nbytes):
+    """(frames, events) of one ``nbytes`` send 0 -> 1 timed on 2 nodes
+    (the frames include the lambda that makes the call)."""
+    cluster = HyadesCluster(HyadesConfig(n_nodes=2))
+    schedule = Schedule("p2p", "send", 2, nbytes, 1, ((Send(0, 1, nbytes),),))
+    frames = frames_entered(lambda: des_time_schedule(cluster, schedule))
+    return frames, cluster.engine.events_executed
+
+
+def test_per_message_call_budget():
+    """One 8 B PIO message and one 640 B VI transfer (negotiation plus 8
+    fragments), from building the schedule's columns to the last event:
+    no ``Signal`` built unless missing, no wait description formatted,
+    PIO accesses counted once, no ``wire_bytes`` / ``check_crc`` /
+    ``payload_bytes`` call on the NIU path (231 and 800 frames before;
+    the events, 12 and 72, do not move)."""
+    assert message_frames(8) == (178, 12)
+    assert message_frames(640) == (555, 72)
 
 
 def test_one_isolated_packet_costs_one_event_per_hop():
