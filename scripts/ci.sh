@@ -4,7 +4,8 @@
 # and one-table-formatter checks, the DES event-count and per-hop,
 # per-wake and per-message call-count, GCM step call-count, service
 # fork-count, cold-quote call-count and knob-count budgets, the tier-1
-# test suite, an import check of every example, the fault/recovery and
+# test suite, an import check of every example, a run of every python
+# block in README.md and docs/*.md, the fault/recovery and
 # cross-validation smokes, the regenerate-and-diff of benchmarks/out/
 # (virtual time), `repro report` against the seven paper artefacts, and
 # the host-time benchmark's smoke run.
@@ -115,6 +116,30 @@ for path in sorted(pathlib.Path("examples").glob("*.py")):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 print("examples import clean")
+PY
+echo
+echo "== docs-snippets (every python block of README.md and docs/*.md runs, in file order, one namespace per file: a deleted name must not survive in a doc example) =="
+python - <<'PY'
+import contextlib
+import io
+import os
+import pathlib
+import re
+import tempfile
+
+block = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+files = [pathlib.Path("README.md").resolve()]
+files += sorted(p.resolve() for p in pathlib.Path("docs").glob("*.md"))
+n = 0
+with tempfile.TemporaryDirectory() as workdir:
+    os.chdir(workdir)  # what a block writes (checkpoints, traces) lands here
+    for path in files:
+        namespace = {"__name__": "__main__"}
+        for i, code in enumerate(block.findall(path.read_text()), 1):
+            with contextlib.redirect_stdout(io.StringIO()):
+                exec(compile(code, f"{path.name} python block {i}", "exec"), namespace)
+            n += 1
+print(f"docs-snippets: {n} blocks in {len(files)} files ran clean")
 PY
 
 echo

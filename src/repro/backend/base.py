@@ -1,12 +1,10 @@
 """The :class:`CommBackend` contract and ``backend=`` resolution.
 
-One runtime API, three fidelities.  Every consumer of communication
-cost — :class:`~repro.parallel.runtime.LockstepRuntime`, the halo
-:class:`~repro.parallel.exchange.HaloExchanger`, the
-:class:`~repro.parallel.globalsum.GlobalSummer`, the coupled GCM and
-the ensemble service — charges virtual time through a single
-``backend=`` argument that accepts either a tier name or a
-:class:`CommBackend` instance:
+One runtime API, three fidelities.  Virtual time is charged by
+:class:`~repro.parallel.runtime.LockstepRuntime` alone; it, the
+collectives :class:`~repro.collectives.Autotuner`, the coupled GCM and
+the ensemble service take a single ``backend=`` argument that accepts
+either a tier name or a :class:`CommBackend` instance:
 
 * ``"des"`` — packet-exact: every quoted time is *measured* on the
   discrete-event Arctic/StarT-X cluster (memoized per message shape);

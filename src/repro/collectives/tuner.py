@@ -191,7 +191,7 @@ class Autotuner:
 
 
 #: Lazily built module-level tuner for callers that just want defaults
-#: (e.g. ``GlobalSummer(algorithm="auto")``).
+#: (``backend="analytic"``, the recovery barrier, ``repro pfpp``).
 _DEFAULT: Optional[Autotuner] = None
 
 

@@ -9,8 +9,8 @@ package provides:
   per-link bit corruption and whole-packet drops (probabilistic, but
   deterministic for a given seed), transient bandwidth/latency
   degradation windows, CPU slowdowns, flaky-NIC jitter, node stalls and
-  node crashes.  Plans serialize (:meth:`FaultPlan.to_dict`) so a
-  campaign scenario ships its exact schedule inside a job spec.
+  node crashes.  A campaign job carries its scenario's parameters and
+  rebuilds the plan (:func:`repro.faults.campaign.build_plan`).
 * :class:`FaultInjector` — wires a plan into a :class:`~repro.network.fabrics.Fabric`
   through the sanctioned ``Link``/NIU hooks (no monkeypatching) and
   keeps aggregate fault counters.

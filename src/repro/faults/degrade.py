@@ -66,14 +66,6 @@ class WireDegradation:
             and self.jitter_mean == 0.0
         )
 
-    def combine(self, other: "WireDegradation") -> "WireDegradation":
-        """Compose two degradations hitting the same path."""
-        return WireDegradation(
-            bw_factor=self.bw_factor * other.bw_factor,
-            extra_latency=self.extra_latency + other.extra_latency,
-            jitter_mean=self.jitter_mean + other.jitter_mean,
-        )
-
     def transfer_penalty(
         self, nbytes: float, bandwidth: float, n_packets: int = 1
     ) -> float:
@@ -213,29 +205,6 @@ class DegradationSchedule:
             if start < t1 and t0 < end:
                 return True
         return False
-
-    def degraded_nodes(self, t0: float, t1: float) -> Set[int]:
-        """Endpoints carrying any performance fault during ``[t0, t1)``."""
-        out: Set[int] = set()
-        for ev in self.slowdowns + self.jitters:
-            if ev.start < t1 and t0 < ev.start + ev.duration:
-                out.add(ev.node)
-        for node, start, end, _, _ in self.link_events:
-            if node is not None and start < t1 and t0 < end:
-                out.add(node)
-        return out
-
-    @property
-    def horizon(self) -> float:
-        """End time of the last scheduled performance fault (0 if none)."""
-        ends = [ev.start + ev.duration for ev in self.slowdowns + self.jitters]
-        ends += [end for _, _, end, _, _ in self.link_events]
-        return max(ends, default=0.0)
-
-    @property
-    def active(self) -> bool:
-        """True when the schedule carries any performance fault at all."""
-        return bool(self.slowdowns or self.jitters or self.link_events)
 
     def _nodes_with_events(self) -> Set[int]:
         nodes: Set[int] = set()

@@ -12,9 +12,9 @@ Beyond the binary faults (drop/corrupt/stall/crash) a plan can schedule
 commodity clusters: :class:`SlowdownEvent` (a node's CPU runs slower for
 a window), :class:`BandwidthEvent` (a link loses bandwidth and/or gains
 latency) and :class:`JitterEvent` (a flaky NIC adds seeded per-packet
-delay).  Plans round-trip through :meth:`FaultPlan.to_dict` /
-:meth:`FaultPlan.from_dict`, so a campaign scenario can ship its exact
-fault schedule inside a service job spec.
+delay).  A campaign job does not ship a plan: it carries its
+scenario's parameters and rebuilds the plan with
+:func:`repro.faults.campaign.build_plan`.
 """
 
 from __future__ import annotations
@@ -167,92 +167,7 @@ class FaultPlan:
         return (self.seed << 32) ^ zlib.crc32(link_name.encode())
 
     @property
-    def active(self) -> bool:
-        """True when the plan injects anything at all."""
-        return bool(
-            self.drop_prob
-            or self.corrupt_prob
-            or any(m.active for m in self.link_overrides.values())
-            or self.degradations
-            or self.stalls
-            or self.crashes
-            or self.slowdowns
-            or self.jitters
-        )
-
-    @property
     def degrading(self) -> bool:
         """True when the plan carries *performance* faults (events that
         slow the machine down without breaking it)."""
         return bool(self.degradations or self.slowdowns or self.jitters)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form; :meth:`from_dict` round-trips exactly."""
-        return {
-            "seed": self.seed,
-            "drop_prob": self.drop_prob,
-            "corrupt_prob": self.corrupt_prob,
-            "link_overrides": {
-                key: {"drop_prob": m.drop_prob, "corrupt_prob": m.corrupt_prob}
-                for key, m in self.link_overrides.items()
-            },
-            "degradations": [
-                {
-                    "link": ev.link,
-                    "start": ev.start,
-                    "duration": ev.duration,
-                    "factor": ev.factor,
-                    "extra_latency": ev.extra_latency,
-                }
-                for ev in self.degradations
-            ],
-            "stalls": [
-                {"node": ev.node, "start": ev.start, "duration": ev.duration}
-                for ev in self.stalls
-            ],
-            "crashes": [
-                {"node": ev.node, "start": ev.start} for ev in self.crashes
-            ],
-            "slowdowns": [
-                {
-                    "node": ev.node,
-                    "start": ev.start,
-                    "duration": ev.duration,
-                    "factor": ev.factor,
-                }
-                for ev in self.slowdowns
-            ],
-            "jitters": [
-                {
-                    "node": ev.node,
-                    "start": ev.start,
-                    "duration": ev.duration,
-                    "amp": ev.amp,
-                }
-                for ev in self.jitters
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_dict`."""
-        return cls(
-            seed=int(d.get("seed", 0)),
-            drop_prob=float(d.get("drop_prob", 0.0)),
-            corrupt_prob=float(d.get("corrupt_prob", 0.0)),
-            link_overrides={
-                key: LinkFaultModel(**m)
-                for key, m in (d.get("link_overrides") or {}).items()
-            },
-            degradations=tuple(
-                BandwidthEvent(**ev) for ev in d.get("degradations") or ()
-            ),
-            stalls=tuple(StallEvent(**ev) for ev in d.get("stalls") or ()),
-            crashes=tuple(CrashEvent(**ev) for ev in d.get("crashes") or ()),
-            slowdowns=tuple(
-                SlowdownEvent(**ev) for ev in d.get("slowdowns") or ()
-            ),
-            jitters=tuple(JitterEvent(**ev) for ev in d.get("jitters") or ()),
-        )

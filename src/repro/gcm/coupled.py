@@ -281,12 +281,6 @@ class DESCoupledModel(CoupledModel):
                     except NodeFailure as again:
                         failure = again
 
-    def recovery_report(self) -> dict:
-        """Measured recovery overheads (empty without recovery)."""
-        if self.recovery is None:
-            return {}
-        return self.recovery.overhead_report()
-
     def reliability_stats(self) -> dict:
         """Aggregated reliable-layer counters for both isomorphs."""
         totals: dict = {}

@@ -102,13 +102,6 @@ class ModelState:
         """Assemble a field's interiors into one global array."""
         return self.grid.decomp.to_global(self[name])
 
-    def masked_mean(self, name: str) -> float:
-        """Volume-weighted mean of a 3-D center field over wet cells."""
-        decomp = self.grid.decomp
-        vol = decomp.global_view(self.grid.cell_volumes(slice(None)))
-        den = float(np.sum(vol))
-        return float(np.sum(decomp.global_view(self[name]) * vol)) / den if den else 0.0
-
 
 def model_digest(model) -> str:
     """Bit-exact digest of a model's complete prognostic state.

@@ -104,7 +104,3 @@ class HyadesCluster:
     def spare_ids(self) -> tuple[int, ...]:
         """Node ids reserved as hot spares by the configuration."""
         return self.config.spare_ids
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Advance the discrete-event simulation."""
-        return self.engine.run(until=until)

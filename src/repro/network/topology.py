@@ -236,21 +236,6 @@ class Topology(abc.ABC):
             (e, e ^ 1) for e in range(self.n_endpoints)
         ]
 
-    # -- reporting -------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Machine-readable self-description (benchmarks embed this)."""
-        return {
-            "topology": self.name,
-            "n_endpoints": self.n_endpoints,
-            "link_bandwidth": self.link_bandwidth,
-            "stage_latency": self.stage_latency,
-            "max_hops": self.max_hop_distance(),
-            "bisection_links": self.bisection_links(),
-            "bisection_bandwidth": self.bisection_bandwidth(),
-            "shared_medium": self.shared_medium,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r} N={self.n_endpoints}>"
 
@@ -444,13 +429,6 @@ class GridTopology(Topology):
         route.append(self.n_endpoints + dst)
         return tuple(route)
 
-    def describe(self) -> dict:
-        """Self-description plus the grid extents and wrap flag."""
-        d = super().describe()
-        d["dims"] = list(self.dims)
-        d["wrap"] = self.wrap
-        return d
-
 
 class HyperCrossbarTopology(Topology):
     """CP-PACS-style 3-D hyper-crossbar (hep-lat/9608148)."""
@@ -489,8 +467,9 @@ class HyperCrossbarTopology(Topology):
         """One crossbar link per node on the smaller side of the cut."""
         # Splitting the largest axis in half: every node reaches the far
         # half through its crossbar on that axis — one link per node on
-        # the smaller side of the cut.
-        return self.n_endpoints // 2
+        # the smaller side, which holds d_max // 2 of the axis's planes.
+        d_max = max(self.dims)
+        return (d_max // 2) * (self.n_endpoints // d_max)
 
     def cost_model(self) -> CommCostModel:
         """CP-PACS crossbar calibration with neighbour-hop surcharge."""
@@ -555,12 +534,6 @@ class HyperCrossbarTopology(Topology):
         # Adjacent ids differ in axis-0 only: one crossbar traversal,
         # every pair on its own up/down links.
         return [(e, e ^ 1) for e in range(self.n_endpoints)]
-
-    def describe(self) -> dict:
-        """Self-description plus the crossbar extents."""
-        d = super().describe()
-        d["dims"] = list(self.dims)
-        return d
 
 
 class EthernetTopology(Topology):

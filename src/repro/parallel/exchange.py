@@ -134,49 +134,17 @@ def exchange_halos(
 
 
 class HaloExchanger:
-    """Convenience binding of a decomposition for repeated exchanges.
+    """A decomposition bound for repeated exchanges, gathers and scatters.
 
-    With a ``backend`` (tier name or :class:`repro.backend.CommBackend`)
-    each exchange also accumulates its worst-rank communication cost in
-    :attr:`elapsed` — the standalone-benchmark counterpart of the
-    virtual time :class:`~repro.parallel.runtime.LockstepRuntime`
-    charges; without one the exchanger stays a free data mover.
+    A pure data mover: virtual time for an exchange is charged only by
+    :class:`~repro.parallel.runtime.LockstepRuntime`.
     """
 
-    def __init__(
-        self,
-        decomp: Decomposition,
-        backend=None,
-        mixmode: bool = False,
-        itemsize: int = 8,
-    ) -> None:
+    def __init__(self, decomp: Decomposition) -> None:
         self.decomp = decomp
-        self.count = 0
-        if backend is not None:
-            from repro.backend import resolve_backend
-
-            backend = resolve_backend(backend)
-        self.backend = backend
-        self.mixmode = mixmode
-        self.itemsize = itemsize
-        #: Accumulated worst-rank exchange seconds (0.0 without backend).
-        self.elapsed = 0.0
 
     def __call__(self, fields: Sequence[np.ndarray], width: Optional[int] = None) -> None:
         exchange_halos(self.decomp, fields, width)
-        self.count += 1
-        if self.backend is not None:
-            nz = 1 if fields[0].ndim == 2 else fields[0].shape[0]
-            self.elapsed += max(
-                self.backend.exchange_time(
-                    self.decomp.edge_bytes(
-                        nz=nz, width=width, itemsize=self.itemsize, rank=r
-                    ),
-                    mixmode=self.mixmode,
-                    n_ranks=self.decomp.n_ranks,
-                )
-                for r in range(self.decomp.n_ranks)
-            )
 
     def gather_global(self, fields: Sequence[np.ndarray]) -> np.ndarray:
         """Assemble the global (interior-only) field from the tiles."""

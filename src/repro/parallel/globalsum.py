@@ -122,23 +122,12 @@ class GlobalSummer:
     first combine locally through shared memory, one master per SMP
     enters the system-wide butterfly, and the result is redistributed
     locally (Section 4.2).  Any node count is accepted; non-power-of-two
-    counts fold per :func:`butterfly_global_sum`.
-
-    ``algorithm="auto"`` consults the ``backend``'s collectives tuner
-    (the :class:`repro.collectives.Autotuner`) for the cheapest
-    all-reduce schedule at this node count; the chosen plan is exposed
-    as ``self.plan`` (timing only — every candidate reduces in the
-    canonical order, so the numeric result is identical by construction
-    and is still computed via the butterfly).
+    counts fold per :func:`butterfly_global_sum`.  Every all-reduce
+    schedule the collectives tuner can pick reduces in this canonical
+    order, so the value never depends on the plan that prices it.
     """
 
-    def __init__(
-        self,
-        n_ranks: int,
-        cpus_per_node: int = 1,
-        algorithm: str = "butterfly",
-        backend=None,
-    ) -> None:
+    def __init__(self, n_ranks: int, cpus_per_node: int = 1) -> None:
         if n_ranks % max(cpus_per_node, 1):
             raise ValueError("n_ranks must be a multiple of cpus_per_node")
         self.n_ranks = n_ranks
@@ -146,27 +135,10 @@ class GlobalSummer:
         self.n_nodes = n_ranks // self.cpus_per_node
         if self.n_nodes < 1:
             raise ValueError("at least one node required")
-        self.count = 0
-        self.algorithm = algorithm
-        self.plan = None
-        if algorithm == "auto":
-            from repro.backend import resolve_backend
-
-            be = resolve_backend(backend or "analytic")
-            tuner = getattr(be, "tuner", None)
-            if tuner is None:
-                from repro.collectives.tuner import Autotuner
-
-                tuner = Autotuner(be.model)
-            self.plan = tuner.plan("allreduce", self.n_nodes, nbytes=8)
-            self.algorithm = self.plan.algorithm
-        elif algorithm != "butterfly":
-            raise ValueError(f"unknown global-sum algorithm: {algorithm!r}")
 
     def __call__(self, values: Sequence[float]) -> float:
         if len(values) != self.n_ranks:
             raise ValueError(f"expected {self.n_ranks} values, got {len(values)}")
-        self.count += 1
         k = self.cpus_per_node
         if k == 1:
             results, _ = butterfly_global_sum(values)

@@ -177,24 +177,6 @@ class PrecisionConfig:
         """The assigned dtype of one ``(field, site)`` cell."""
         return np.dtype(_DTYPES[self.precision(fieldname, site)])
 
-    @property
-    def is_all64(self) -> bool:
-        """True when this config changes nothing (the seed behaviour)."""
-        return all(
-            prec == "float64"
-            for row in self.assignment.values()
-            for prec in row.values()
-        )
-
-    def cells_at(self, precision: str) -> list[Tuple[str, str]]:
-        """Every ``(field, site)`` cell currently at ``precision``."""
-        return [
-            (f, s)
-            for f in PRECISION_FIELDS
-            for s in SITES
-            if self.assignment[f][s] == precision
-        ]
-
     # ---- model-facing helpers ----------------------------------------------
 
     def state_dtypes(self) -> Dict[str, np.dtype]:

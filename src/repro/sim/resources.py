@@ -150,10 +150,6 @@ class Resource:
         self._in_use = 0
         self._waiters: deque[BaseEvent] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     def acquire(self) -> BaseEvent:
         """Waitable granting one slot of the resource."""
         ev = BaseEvent(self.engine)

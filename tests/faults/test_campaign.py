@@ -1,5 +1,7 @@
 """The fault-campaign runner: scenarios, plans, audits, determinism."""
 
+import json
+
 import pytest
 
 from repro.faults.campaign import (
@@ -60,8 +62,10 @@ class TestBuildPlan:
                 kind=kind, tier="des", n_ranks=8,
                 magnitude=0.0 if kind == "crash" else 2.0,
             )
-            plan = build_plan(sc, horizon=0.5)
-            assert type(plan).from_dict(plan.to_dict()) == plan
+            spec = json.loads(json.dumps(sc.to_params()))
+            assert build_plan(Scenario.from_params(spec), horizon=0.5) == build_plan(
+                sc, horizon=0.5
+            )
 
     def test_timing_places_the_window(self):
         horizon = 2.0

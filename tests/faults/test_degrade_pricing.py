@@ -42,12 +42,18 @@ class TestWireDegradation:
         assert w.transfer_penalty(8, 150e6, n_packets=1) == pytest.approx(2e-6)
 
     def test_combine_multiplies_bw_and_adds_delays(self):
-        a = WireDegradation(bw_factor=0.5, extra_latency=1e-6)
-        b = WireDegradation(bw_factor=0.5, jitter_mean=2e-6)
-        c = a.combine(b)
-        assert c.bw_factor == 0.25
-        assert c.extra_latency == 1e-6
-        assert c.jitter_mean == 2e-6
+        # two events on one endpoint's wire compose in DegradationSchedule.wire
+        sched = schedule(
+            degradations=(
+                BandwidthEvent(link="niu1^", start=0.0, duration=1.0, factor=0.5,
+                               extra_latency=1e-6),
+                BandwidthEvent(link="niu1^", start=0.0, duration=1.0, factor=0.5),
+            ),
+            jitters=(JitterEvent(node=1, start=0.0, duration=1.0, amp=4e-6),),
+        )
+        assert sched.wire(1, 0.5) == WireDegradation(
+            bw_factor=0.25, extra_latency=1e-6, jitter_mean=2e-6
+        )
 
 
 class TestSchedule:
@@ -84,9 +90,7 @@ class TestSchedule:
         )
         assert not sched.overlaps(0.0, 2.0)  # half-open: ends exactly at 2
         assert sched.overlaps(2.5, 2.6)
-        assert sched.degraded_nodes(2.0, 3.0) == {1}
-        assert sched.degraded_nodes(0.0, 1.0) == set()
-        assert sched.horizon == 3.0
+        assert not sched.overlaps(3.0, 4.0)
 
     def test_gsum_penalty_charges_per_butterfly_round(self):
         sched = schedule(

@@ -1,4 +1,5 @@
-"""FaultPlan as pure data: validation, determinism, exact round-trips."""
+"""FaultPlan as pure data: validation, determinism, and exact round-trips
+through a campaign job's scenario parameters."""
 
 import json
 import random
@@ -7,100 +8,75 @@ import pytest
 
 from repro.faults import (
     BandwidthEvent,
-    CrashEvent,
+    DegradationSchedule,
     FaultPlan,
     JitterEvent,
-    LinkFaultModel,
     SlowdownEvent,
     StallEvent,
 )
+from repro.faults.campaign import SCENARIO_KINDS, TIMING_FRACS, Scenario, build_plan
 
 
-def random_plan(rng):
-    """A plan exercising every field, sized/valued at random."""
-    return FaultPlan(
+def random_scenario(rng):
+    """A campaign scenario drawn at random over every kind and field."""
+    kind = rng.choice(SCENARIO_KINDS)
+    return Scenario(
+        kind=kind,
+        tier=rng.choice(("des", "analytic", "hybrid")),
+        n_ranks=2 * rng.randrange(2, 9),
+        magnitude=0.0 if kind in ("stall", "crash") else rng.uniform(1.0, 16.0),
+        timing=rng.choice(sorted(TIMING_FRACS)),
         seed=rng.getrandbits(16),
-        drop_prob=rng.uniform(0.0, 0.4),
-        corrupt_prob=rng.uniform(0.0, 0.4),
-        link_overrides={
-            f"niu{rng.randrange(16)}^": LinkFaultModel(
-                drop_prob=rng.uniform(0.0, 0.5)
-            )
-            for _ in range(rng.randrange(3))
-        },
-        degradations=tuple(
-            BandwidthEvent(
-                link=f"R1.0.{rng.randrange(4)}",
-                start=rng.uniform(0.0, 1.0),
-                duration=rng.uniform(1e-3, 1.0),
-                factor=rng.uniform(0.05, 1.0),
-                extra_latency=rng.uniform(0.0, 1e-4),
-            )
-            for _ in range(rng.randrange(3))
-        ),
-        stalls=tuple(
-            StallEvent(
-                node=rng.randrange(16),
-                start=rng.uniform(0.0, 1.0),
-                duration=rng.uniform(1e-3, 1.0),
-            )
-            for _ in range(rng.randrange(2))
-        ),
-        crashes=tuple(
-            CrashEvent(node=rng.randrange(16), start=rng.uniform(0.0, 1.0))
-            for _ in range(rng.randrange(2))
-        ),
-        slowdowns=tuple(
-            SlowdownEvent(
-                node=rng.randrange(16),
-                start=rng.uniform(0.0, 1.0),
-                duration=rng.uniform(1e-3, 1.0),
-                factor=rng.uniform(1.0, 16.0),
-            )
-            for _ in range(rng.randrange(3))
-        ),
-        jitters=tuple(
-            JitterEvent(
-                node=rng.randrange(16),
-                start=rng.uniform(0.0, 1.0),
-                duration=rng.uniform(1e-3, 1.0),
-                amp=rng.uniform(1e-7, 1e-4),
-            )
-            for _ in range(rng.randrange(2))
-        ),
+        mitigate=rng.random() < 0.5,
+        stages=rng.randrange(2, 20),
+        checkpoint_every=rng.randrange(1, 6),
     )
 
 
+def through_job_spec(sc):
+    """The scenario as a service job spec carries it: JSON parameters."""
+    return Scenario.from_params(json.loads(json.dumps(sc.to_params())))
+
+
 class TestRoundTrip:
+    """A fault plan travels to a campaign worker as its scenario's
+    parameters and is rebuilt there by ``build_plan``."""
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_plans_round_trip_exactly(self, seed):
-        plan = random_plan(random.Random(seed))
-        # Through actual JSON, as a service job spec would carry it.
-        wire = json.loads(json.dumps(plan.to_dict()))
-        assert FaultPlan.from_dict(wire) == plan
+        rng = random.Random(seed)
+        sc, horizon = random_scenario(rng), rng.uniform(1e-3, 2.0)
+        assert build_plan(through_job_spec(sc), horizon) == build_plan(sc, horizon)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_round_trip_preserves_behaviour_not_just_equality(self, seed):
-        plan = random_plan(random.Random(seed))
-        clone = FaultPlan.from_dict(plan.to_dict())
-        assert clone.active == plan.active
+        rng = random.Random(seed)
+        sc, horizon = random_scenario(rng), rng.uniform(1e-3, 2.0)
+        plan = build_plan(sc, horizon)
+        clone = build_plan(through_job_spec(sc), horizon)
         assert clone.degrading == plan.degrading
-        for link in ("niu0^", "niu7^", "R1.0.2->R0.0.1", "x"):
+        for link in ("niu0^", "niu1^", "R1.0.2->R0.0.1", "x"):
             assert clone.model_for(link) == plan.model_for(link)
             assert clone.link_seed(link) == plan.link_seed(link)
+        a, b = DegradationSchedule(plan), DegradationSchedule(clone)
+        for t in (0.0, 0.3 * horizon, 0.6 * horizon, horizon):
+            assert a.cpu_factor(1, t) == b.cpu_factor(1, t)
+            assert a.wire(1, t) == b.wire(1, t)
 
     def test_empty_plan_round_trips(self):
-        plan = FaultPlan()
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-        assert not plan.active and not plan.degrading
+        # A job spec holding only the required fields rebuilds the same
+        # scenario and plan; a plan with no events degrades nothing.
+        sc = Scenario(kind="stall", tier="analytic", n_ranks=4)
+        assert through_job_spec(sc) == sc
+        assert build_plan(through_job_spec(sc), 1.0) == build_plan(sc, 1.0)
+        assert not FaultPlan().degrading
 
     def test_from_dict_tolerates_missing_keys(self):
-        # Old serialized plans (pre-performance-faults) lack the new
-        # event lists entirely.
-        plan = FaultPlan.from_dict({"seed": 3, "drop_prob": 0.1})
-        assert plan.seed == 3
-        assert plan.drop_prob == 0.1
-        assert plan.slowdowns == () and plan.jitters == ()
+        # A job spec written before a scenario field existed rebuilds
+        # with that field's default.
+        sc = Scenario.from_params({"kind": "stall", "tier": "analytic", "n_ranks": 4})
+        assert sc == Scenario(kind="stall", tier="analytic", n_ranks=4)
+        assert build_plan(sc, 1.0).stalls and not build_plan(sc, 1.0).degrading
 
 
 class TestLinkSeedDeterminism:
@@ -141,6 +117,7 @@ class TestValidation:
             BandwidthEvent(link="niu0^", start=0.0, duration=-1.0, factor=0.5)
 
     def test_degrading_tracks_performance_faults_only(self):
+        assert not FaultPlan().degrading
         assert not FaultPlan(drop_prob=0.5).degrading
         assert FaultPlan(
             slowdowns=(SlowdownEvent(node=0, start=0.0, duration=1.0, factor=2.0),)

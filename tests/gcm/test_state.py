@@ -1,9 +1,9 @@
 """ModelState's stacked storage against the list-of-tiles primitives.
 
-``to_global`` / ``set_from_global`` / ``masked_mean`` work on the tile
-stack directly (one reshape of its interior); ``HaloExchanger.
-gather_global`` / ``scatter_global`` keep the per-tile loop for callers
-holding unrelated tile arrays.  Both must move the same cells.
+``to_global`` / ``set_from_global`` work on the tile stack directly
+(one reshape of its interior); ``HaloExchanger.gather_global`` /
+``scatter_global`` keep the per-tile loop for callers holding unrelated
+tile arrays.  Both must move the same cells.
 """
 
 import numpy as np
@@ -64,19 +64,3 @@ def test_to_global_matches_gather(state, name):
     np.testing.assert_array_equal(got, expected)
     got[...] = 0.0  # a copy: the state is untouched
     assert np.any(state[name] != 0.0)
-
-
-def test_masked_mean_matches_the_per_tile_sum(state):
-    decomp, grid = state.grid.decomp, state.grid
-    rng = np.random.default_rng(5)
-    state["tracer"][...] = rng.standard_normal(state["tracer"].shape)
-    num = den = 0.0
-    for r, t in enumerate(decomp.tiles):
-        sl = (slice(None),) + t.interior
-        vol = grid.cell_volumes(r)[sl]
-        num += float(np.sum(state["tracer"][r][sl] * vol))
-        den += float(np.sum(vol))
-    # one global sum instead of a sum of per-tile sums: same terms,
-    # another association
-    assert state.masked_mean("tracer") == pytest.approx(num / den, rel=1e-12)
-    assert den > 0 and np.count_nonzero(grid.hfac_c == 0) > 0  # land is excluded

@@ -30,8 +30,6 @@ class TestRegistry:
             topo = make_topology(name, 64)
             assert topo.n_endpoints == 64
             assert topo.name == name
-            d = topo.describe()
-            assert d["topology"] == name and d["n_endpoints"] == 64
 
     def test_unknown_name_raises_topology_error(self):
         with pytest.raises(TopologyError, match="unknown topology"):
@@ -103,6 +101,15 @@ class TestGeometry:
         assert t.max_hop_distance() == 8  # 2 + 2 per differing axis
         for dst in (1, 9, 511):
             assert t.hop_distance(0, dst) <= 8
+
+    @pytest.mark.parametrize(
+        "dims, links", [((3, 3, 3), 9), ((2, 3, 5), 12), ((4, 4, 4), 32)]
+    )
+    def test_hypercrossbar_bisection_cuts_the_largest_axis(self, dims, links):
+        # one crossbar link per node on the smaller side of a cut across
+        # the largest axis: (d_max // 2) * (n // d_max)
+        topo = HyperCrossbarTopology(dims[0] * dims[1] * dims[2], dims=dims)
+        assert topo.bisection_links() == links
 
     def test_ethernet_is_flat_and_shared(self):
         t = make_topology("ethernet", 16)

@@ -14,7 +14,6 @@ from repro.precision import (
 class TestPresets:
     def test_all64_is_all64(self):
         cfg = PrecisionConfig.preset("all64")
-        assert cfg.is_all64
         assert all(
             cfg.precision(f, s) == "float64" for f in PRECISION_FIELDS for s in SITES
         )
@@ -29,8 +28,9 @@ class TestPresets:
 
     def test_all32(self):
         cfg = PrecisionConfig.preset("all32")
-        assert not cfg.is_all64
-        assert cfg.cells_at("float64") == []
+        assert all(
+            cfg.precision(f, s) == "float32" for f in PRECISION_FIELDS for s in SITES
+        )
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestDtypePlumbing:
 
 class TestResolve:
     def test_none_is_all64(self):
-        assert resolve_precision(None).is_all64
+        assert resolve_precision(None) == PrecisionConfig.preset("all64")
 
     def test_string_is_preset(self):
         assert resolve_precision("wire32") == PrecisionConfig.preset("wire32")

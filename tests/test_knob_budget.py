@@ -1,5 +1,5 @@
-"""Knob budget: the settable values of the degraded-mode stack and of
-the ``repro`` command line, counted.
+"""Knob budget: the settable values of the degraded-mode stack, of the
+two communication primitives and of the ``repro`` command line, counted.
 
 A value stays settable only if a caller outside tests and examples sets
 it, or two such callers need different values; every other tuning value
@@ -35,6 +35,8 @@ PINNED = {
     ("repro.niu.reliable", "ReliableNIU", ("niu",)): 0,
     ("repro.parallel.runtime", "StragglerConfig", ()): 0,
     ("repro.parallel.runtime", "StragglerMitigator", ("runtime",)): 0,
+    ("repro.parallel.exchange", "HaloExchanger", ("decomp",)): 0,
+    ("repro.parallel.globalsum", "GlobalSummer", ("n_ranks",)): 1,
 }
 
 
