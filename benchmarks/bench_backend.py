@@ -41,25 +41,10 @@ DES_FEASIBLE_MAX_N = 1024
 
 def run_des_reliable_fig09(windows=WINDOWS):
     """The Fig. 9 wire-coupled DES path: coupling fields on the reliable wire."""
-    from repro.gcm.atmosphere import atmosphere_model
-    from repro.gcm.coupled import CouplerParams, DESCoupledModel
-    from repro.gcm.ocean import ocean_model
     from repro.hardware.cluster import HyadesCluster, HyadesConfig
 
     cluster = HyadesCluster(HyadesConfig(n_nodes=FIG09["px"] * FIG09["py"]))
-    atm = atmosphere_model(
-        nx=FIG09["nx"], ny=FIG09["ny"], nz=FIG09["nz_atm"],
-        px=FIG09["px"], py=FIG09["py"], dt=FIG09["dt"],
-    )
-    ocn = ocean_model(
-        nx=FIG09["nx"], ny=FIG09["ny"], nz=FIG09["nz_ocn"],
-        px=FIG09["px"], py=FIG09["py"], dt=FIG09["dt"],
-    )
-    cm = DESCoupledModel(
-        atm, ocn, cluster,
-        CouplerParams(coupling_interval=FIG09["coupling_interval"]),
-        reliable=True,
-    )
+    cm = coupled_model(cluster=cluster, **FIG09)
     cm.run(windows)
     return cm, cluster.engine.events_executed
 

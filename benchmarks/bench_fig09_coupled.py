@@ -11,7 +11,7 @@ regime when extrapolated to the production configuration.
 import numpy as np
 
 from repro.core.constants import COUPLED_SUSTAINED_RANGE, DS_PARAMS, OCN_PS_PARAMS, ATM_PS_PARAMS
-from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
+from repro.core.perf_model import PerformanceModel
 from repro.gcm import diagnostics as diag
 from repro.gcm.coupled import coupled_model
 
@@ -31,7 +31,7 @@ def production_combined_rate(ni=60.0):
     total = 0.0
     for ref in (ATM_PS_PARAMS, OCN_PS_PARAMS):
         pm = PerformanceModel(
-            ps=PSPhaseParams.from_ref(ref), ds=DSPhaseParams.from_ref(DS_PARAMS)
+            ps=ref, ds=DS_PARAMS
         )
         total += pm.sustained_flops(ni, n_ps_ranks=16, n_ds_ranks=8)
     return total

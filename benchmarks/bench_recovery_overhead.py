@@ -17,6 +17,7 @@ and ``benchmarks/out/recovery_overhead.txt`` (the table).
 """
 
 from repro.faults import run_crash_recovery_demo
+from repro.gcm.coupled import DEMO_SHAPE, coupled_model
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
 from repro.recover import RecoveryConfig
 
@@ -48,19 +49,6 @@ def overhead_vs_interval(intervals=(1, 2, 3)):
     return rows
 
 
-def _coupled(cluster, recovery):
-    from repro.gcm.atmosphere import atmosphere_model
-    from repro.gcm.coupled import CouplerParams, DESCoupledModel
-    from repro.gcm.ocean import ocean_model
-
-    atm = atmosphere_model(nx=16, ny=8, nz=3, px=2, py=2, dt=600.0)
-    ocn = ocean_model(nx=16, ny=8, nz=4, px=2, py=2, dt=600.0)
-    return DESCoupledModel(
-        atm, ocn, cluster, CouplerParams(coupling_interval=2),
-        reliable=True, recovery=recovery,
-    )
-
-
 def heartbeat_tax(windows=3):
     """Fault-free coupled run: dense beacons vs beacons effectively off.
 
@@ -74,11 +62,12 @@ def heartbeat_tax(windows=3):
 
     def run(period, timeout):
         cluster = HyadesCluster(HyadesConfig(n_nodes=4))
-        model = _coupled(
-            cluster,
+        model = coupled_model(
+            cluster=cluster,
             recovery=RecoveryConfig(
                 heartbeat=HeartbeatConfig(period=period, timeout=timeout)
             ),
+            **DEMO_SHAPE,
         )
         model.run(windows)
         rep = model.recovery.overhead_report()

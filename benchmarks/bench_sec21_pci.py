@@ -22,11 +22,11 @@ def measure_mmap_costs(reps: int = 100):
     def reader():
         t0 = eng.now
         for _ in range(reps):
-            yield eng.timeout(bus.mmap_read_cost(8))
+            yield eng.timeout(bus.mmap_read_cost())
         out["read"] = (eng.now - t0) / reps
         t1 = eng.now
         for _ in range(reps):
-            yield eng.timeout(bus.mmap_write_cost(8))
+            yield eng.timeout(bus.mmap_write_cost())
         out["write"] = (eng.now - t1) / reps
 
     eng.process(reader())

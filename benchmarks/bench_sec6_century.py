@@ -29,8 +29,8 @@ YEAR_STEPS_ATM = VALIDATION.nt  # 77760 steps/year at dt = 405 s
 
 def atmosphere_century_time():
     pm = PerformanceModel(
-        ps=PSPhaseParams.from_ref(ATM_PS_PARAMS),
-        ds=DSPhaseParams.from_ref(DS_PARAMS),
+        ps=ATM_PS_PARAMS,
+        ds=DS_PARAMS,
     )
     return 100 * pm.trun(YEAR_STEPS_ATM, VALIDATION.ni)
 

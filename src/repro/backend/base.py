@@ -13,7 +13,8 @@ either a tier name or a :class:`CommBackend` instance:
   within the cross-validation band (≤5 %, see
   :mod:`repro.backend.crossval`);
 * ``"hybrid"`` — analytic during steady-state windows, DES during
-  faulted/contested windows (see :meth:`CommBackend.begin_window`).
+  windows a degradation schedule overlaps (see
+  :meth:`CommBackend.begin_window`).
 
 Timing never feeds back into the numerics — field data moves through
 the same deterministic exchange/reduction code under every tier — so
@@ -121,18 +122,12 @@ class CommBackend(abc.ABC):
 
     # ---- window protocol -------------------------------------------------
 
-    def begin_window(
-        self,
-        index: Optional[int] = None,
-        faulted: bool = False,
-        degraded: bool = False,
-    ) -> None:
+    def begin_window(self, degraded: bool) -> None:
         """Hook called at each coupling-window boundary.
 
-        Fixed-fidelity tiers ignore it; the hybrid tier uses ``faulted``
-        / ``degraded`` (or its attached fault plan and ``index``) to
-        pick the fidelity for the coming window — a degraded window
-        escalates to DES exactly like a faulted one.
+        Fixed-fidelity tiers ignore it; the hybrid tier answers a window
+        the attached degradation schedule overlaps (``degraded``) at DES
+        fidelity.
         """
 
     @property

@@ -3,22 +3,23 @@
 A long climate integration is mostly steady-state — identical halo
 shapes, identical collectives, window after window — which is exactly
 where the analytic tier is cheap and inside the cross-validation band.
-The windows that *aren't* steady-state (injected faults, crash
-recovery, contested fabric) are where closed-form costs are least
-trustworthy and the packet simulation earns its keep.
+The windows a performance fault degrades are where closed-form costs
+are least trustworthy and the packet simulation earns its keep.
 
 :class:`HybridBackend` holds one backend of each fidelity and routes
 every cost query to the tier chosen for the current window:
 :meth:`begin_window` is called at each coupling-window boundary with
-``faulted=True`` when the window carries injected faults (the coupled
-GCM wires this from its fault plan; callers may also attach an explicit
-``fault_windows`` set and pass the window index).  ``tier_stats()``
-reports how many windows and queries each fidelity served.
+``degraded=True`` when the attached
+:class:`~repro.faults.degrade.DegradationSchedule` overlaps the window
+(the coupled GCM and the fault campaign ask
+:meth:`~repro.faults.degrade.DegradationSchedule.overlaps`).
+``tier_stats()`` reports how many windows and queries each fidelity
+served.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.network.costmodel import CommCostModel
 
@@ -32,18 +33,9 @@ class HybridBackend(CommBackend):
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        fault_windows: Iterable[int] = (),
-        analytic: Optional[CommBackend] = None,
-        des: Optional[CommBackend] = None,
-    ) -> None:
-        self.analytic = analytic or AnalyticBackend()
-        self.des = des or DESBackend(model=self.analytic.model)
-        #: Window indices forced onto the DES tier even without
-        #: ``faulted=True`` (e.g. a known-contested spin-up window).
-        self.fault_windows = set(int(w) for w in fault_windows)
-        self.window_index: Optional[int] = None
+    def __init__(self) -> None:
+        self.analytic = AnalyticBackend()
+        self.des = DESBackend(model=self.analytic.model)
         self._active: CommBackend = self.analytic
         self._windows = {"analytic": 0, "des": 0}
         self._queries = {"analytic": 0, "des": 0}
@@ -63,20 +55,10 @@ class HybridBackend(CommBackend):
         self.analytic.set_degradation(schedule)
         self.des.set_degradation(schedule)
 
-    def begin_window(
-        self,
-        index: Optional[int] = None,
-        faulted: bool = False,
-        degraded: bool = False,
-    ) -> None:
-        """Pick the window's fidelity: DES when ``faulted``/``degraded``
-        or listed in :attr:`fault_windows`, analytic otherwise — a
-        degraded window is contested the same way a faulted one is."""
-        if index is None:
-            index = -1 if self.window_index is None else self.window_index + 1
-        self.window_index = index
-        contested = faulted or degraded or index in self.fault_windows
-        self._active = self.des if contested else self.analytic
+    def begin_window(self, degraded: bool) -> None:
+        """Pick the window's fidelity: DES when ``degraded``, analytic
+        otherwise."""
+        self._active = self.des if degraded else self.analytic
         self._windows[self._active.name] += 1
 
     def exchange_time(
@@ -118,8 +100,7 @@ class HybridBackend(CommBackend):
         }
 
     def describe(self) -> dict:
-        """Adds tier statistics and the fault-window set."""
+        """Adds tier statistics."""
         d = super().describe()
         d.update(self.tier_stats())
-        d["fault_windows"] = sorted(self.fault_windows)
         return d

@@ -19,7 +19,7 @@ and engine events a DES point costs on the small N where it completes).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.parallel.tiling import Decomposition
 
@@ -40,8 +40,6 @@ def sweep_point(
     backend=None,
     tile: tuple[int, int] = REF_TILE,
     nz: int = REF_NZ,
-    nps: Optional[float] = None,
-    nds: Optional[float] = None,
 ) -> dict:
     """Evaluate one weak-scaled configuration at ``n_nodes`` processors.
 
@@ -80,8 +78,8 @@ def sweep_point(
         "tgsum_s": tgsum,
         "texchxy_s": texchxy,
         "texchxyz_s": texchxyz,
-        "pfpp_ps_flops": pfpp_ps(nps or ATM_PS_PARAMS.nps, nxyz, texchxyz),
-        "pfpp_ds_flops": pfpp_ds(nds or DS_PARAMS.nds, nxy, tgsum, texchxy),
+        "pfpp_ps_flops": pfpp_ps(ATM_PS_PARAMS.nps, nxyz, texchxyz),
+        "pfpp_ds_flops": pfpp_ds(DS_PARAMS.nds, nxy, tgsum, texchxy),
     }
 
 

@@ -118,14 +118,10 @@ def schedule_cost(
     return float(clocks.max()) if n else 0.0
 
 
-def cost_table(
-    op: str,
-    n: int,
-    sizes: Sequence[int],
-    model: Optional[CommCostModel] = None,
-) -> Dict[str, List[float]]:
-    """Analytic cost of every applicable algorithm across message sizes."""
-    model = model or arctic_cost_model()
+def cost_table(op: str, n: int, sizes: Sequence[int]) -> Dict[str, List[float]]:
+    """Analytic Arctic cost of every applicable algorithm across message
+    sizes."""
+    model = arctic_cost_model()
     return {
         name: [schedule_cost(build(op, name, n, size), model) for size in sizes]
         for name in candidates(op, n)

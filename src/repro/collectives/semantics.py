@@ -198,12 +198,13 @@ def run_schedule(
     return [st.finish() for st in stores]
 
 
-def reference_result(op: str, inputs: Sequence, n: int, root: int = 0) -> List:
-    """Ground truth computed without any schedule (canonical order)."""
+def reference_result(op: str, inputs: Sequence, n: int) -> List:
+    """Ground truth computed without any schedule (canonical order; a
+    broadcast is from rank 0)."""
     if op == "barrier":
         return [None] * n
     if op == "broadcast":
-        vec = as_vector(inputs[root])
+        vec = as_vector(inputs[0])
         return [vec.copy() for _ in range(n)]
     if op == "allgather":
         full = np.concatenate([as_vector(v) for v in inputs])

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.perf_model import DSPhaseParams, PSPhaseParams
+
 US = 1e-6
 MINUTE = 60.0
 
@@ -16,30 +18,9 @@ MINUTE = 60.0
 # -- Fig. 11: performance-model parameters at 2.8125 degrees ---------------
 
 
-@dataclass(frozen=True)
-class PSParamsRef:
-    """PS phase row of Fig. 11."""
-
-    nps: float  # flops per grid cell per PS pass
-    nxyz: int  # 3-D cells per processor
-    texchxyz: float  # one 3-D field exchange, seconds
-    fps: float  # measured PS kernel rate, flops/s
-
-
-@dataclass(frozen=True)
-class DSParamsRef:
-    """DS phase row of Fig. 11."""
-
-    nds: float  # flops per column per solver iteration
-    nxy: int  # columns per participating processor
-    tgsum: float  # one global sum, seconds
-    texchxy: float  # one 2-D field exchange, seconds
-    fds: float  # measured DS kernel rate, flops/s
-
-
-ATM_PS_PARAMS = PSParamsRef(nps=781, nxyz=5120, texchxyz=1640 * US, fps=50e6)
-OCN_PS_PARAMS = PSParamsRef(nps=751, nxyz=15360, texchxyz=4573 * US, fps=50e6)
-DS_PARAMS = DSParamsRef(nds=36, nxy=1024, tgsum=13.5 * US, texchxy=115 * US, fds=60e6)
+ATM_PS_PARAMS = PSPhaseParams(nps=781, nxyz=5120, texchxyz=1640 * US, fps=50e6)
+OCN_PS_PARAMS = PSPhaseParams(nps=751, nxyz=15360, texchxyz=4573 * US, fps=50e6)
+DS_PARAMS = DSPhaseParams(nds=36, nxy=1024, tgsum=13.5 * US, texchxy=115 * US, fds=60e6)
 
 
 # -- Fig. 12: stand-alone interconnect benchmark values --------------------

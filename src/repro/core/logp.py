@@ -29,19 +29,22 @@ class LogP:
     latency: float  # Lnetwork = half_rtt - Os - Or
 
 
-def analytic_logp(payload_bytes: int, path_links: int = 8) -> LogP:
-    """LogP from first principles: PCI costs + fabric transit."""
+def analytic_logp(payload_bytes: int) -> LogP:
+    """LogP from first principles: PCI costs + transit of the eight
+    links between opposite corners of the 16-node fat tree."""
     os_ = PIO_COST_MODEL.os_time(payload_bytes)
     or_ = PIO_COST_MODEL.or_time(payload_bytes)
     wire = payload_bytes + 8  # two header words
-    latency = path_links * ARCTIC_STAGE_LATENCY + wire / ARCTIC_LINK_BANDWIDTH
+    latency = 8 * ARCTIC_STAGE_LATENCY + wire / ARCTIC_LINK_BANDWIDTH
     return LogP(payload_bytes, os_, or_, os_ + or_ + latency, latency)
 
 
-def measure_logp(payload_bytes: int, src: int = 0, dst: int = 15, reps: int = 10) -> LogP:
-    """Measure LogP on the DES cluster with a ping-pong (Fig. 2 method)."""
+def measure_logp(payload_bytes: int) -> LogP:
+    """Measure LogP on the DES cluster with a ping-pong (Fig. 2 method)
+    between opposite corners of the fat tree."""
     if payload_bytes % 8 or payload_bytes < 8 or payload_bytes > 88:
         raise ValueError("payload must be 8..88 bytes in 8-byte multiples")
+    src, dst, reps = 0, 15, 10
     n_words = payload_bytes // 4
     words = list(range(n_words))
     cluster = HyadesCluster()
@@ -73,11 +76,12 @@ def measure_logp(payload_bytes: int, src: int = 0, dst: int = 15, reps: int = 10
     return LogP(payload_bytes, os_, or_, half, half - os_ - or_)
 
 
-def fig2_table(measured: bool = True) -> list[dict]:
-    """Fig. 2 rows (8 B and 64 B) with paper reference columns."""
+def fig2_table() -> list[dict]:
+    """Fig. 2 rows (8 B and 64 B), measured on the DES cluster, with
+    paper reference columns."""
     rows = []
     for size, (p_os, p_or, p_half, p_lat) in sorted(FIG2_PAPER.items()):
-        lp = measure_logp(size) if measured else analytic_logp(size)
+        lp = measure_logp(size)
         rows.append(
             {
                 "payload_bytes": size,

@@ -18,36 +18,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.constants import DSParamsRef, PSParamsRef
-
 
 @dataclass(frozen=True)
 class PSPhaseParams:
     """PS phase inputs (Fig. 11 row)."""
 
-    nps: float
-    nxyz: int
-    texchxyz: float
-    fps: float
-
-    @classmethod
-    def from_ref(cls, ref: PSParamsRef) -> "PSPhaseParams":
-        return cls(ref.nps, ref.nxyz, ref.texchxyz, ref.fps)
+    nps: float  # flops per grid cell per PS pass
+    nxyz: int  # 3-D cells per processor
+    texchxyz: float  # one 3-D field exchange, seconds
+    fps: float  # measured PS kernel rate, flops/s
 
 
 @dataclass(frozen=True)
 class DSPhaseParams:
     """DS phase inputs (Fig. 11 row)."""
 
-    nds: float
-    nxy: int
-    tgsum: float
-    texchxy: float
-    fds: float
-
-    @classmethod
-    def from_ref(cls, ref: DSParamsRef) -> "DSPhaseParams":
-        return cls(ref.nds, ref.nxy, ref.tgsum, ref.texchxy, ref.fds)
+    nds: float  # flops per column per solver iteration
+    nxy: int  # columns per participating processor
+    tgsum: float  # one global sum, seconds
+    texchxy: float  # one 2-D field exchange, seconds
+    fds: float  # measured DS kernel rate, flops/s
 
 
 @dataclass(frozen=True)

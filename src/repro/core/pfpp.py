@@ -172,14 +172,14 @@ def _row(
     name: str,
     terms: CommTerms,
     decomp: Decomposition,
-    points: tuple[float, int, float, int],
     scale: float = 1.0,
     **machine,
 ) -> PfppRow:
-    """Eqs. (14)-(15) over one configuration's terms.  ``points`` is
-    ``(nps, nxyz, nds, nxy)``; the point counts grow with the
-    weak-scaled grid (``scale``)."""
-    nps, nxyz, nds, nxy = points
+    """Eqs. (14)-(15) over one configuration's terms with Fig. 11's
+    atmosphere point counts, grown with the weak-scaled grid
+    (``scale``)."""
+    nps, nxyz = ATM_PS_PARAMS.nps, ATM_PS_PARAMS.nxyz
+    nds, nxy = DS_PARAMS.nds, DS_PARAMS.nxy
     return PfppRow(
         name=name,
         n_nodes=decomp.n_ranks,
@@ -195,13 +195,7 @@ def _row(
     )
 
 
-def fig12_table(
-    nps: float = ATM_PS_PARAMS.nps,
-    nxyz: int = ATM_PS_PARAMS.nxyz,
-    nds: float = DS_PARAMS.nds,
-    nxy: int = DS_PARAMS.nxy,
-    from_models: bool = True,
-) -> list[PfppRow]:
+def fig12_table(from_models: bool = True) -> list[PfppRow]:
     """Build Fig. 12 for FE / GE / Arctic.
 
     ``from_models=True`` computes tgsum/texch from the interconnect cost
@@ -230,8 +224,7 @@ def fig12_table(
             name: CommTerms(v["tgsum"], v["texchxy"], v["texchxyz"], "measured")
             for name, v in FIG12_PAPER.items()
         }
-    points = (nps, nxyz, nds, nxy)
-    return [_row(name, t, ps, points) for name, t in terms.items()]
+    return [_row(name, t, ps) for name, t in terms.items()]
 
 
 # -- the reference atmosphere at large N -----------------------------------
@@ -262,9 +255,7 @@ def reference_process_grid(n_ranks: int) -> tuple[int, int]:
     return px, py
 
 
-def reference_decomposition(
-    n_ranks: int, olx: int = 3
-) -> tuple[Decomposition, float]:
+def reference_decomposition(n_ranks: int) -> tuple[Decomposition, float]:
     """The reference atmosphere decomposition at ``n_ranks`` ranks.
 
     Weak-scales the 128x64 global grid (doubling extents) whenever the
@@ -273,8 +264,10 @@ def reference_decomposition(
     large-N machine did.  Returns ``(decomposition, area_scale)`` where
     ``area_scale`` is the global-grid growth factor relative to the
     reference configuration (1.0 up to N=256), used to scale the
-    per-level point counts in eqs. (14)-(15).
+    per-level point counts in eqs. (14)-(15).  Halos are the model's
+    three points.
     """
+    olx = 3
     px, py = reference_process_grid(n_ranks)
     nx, ny = REFERENCE_NX, REFERENCE_NY
     while nx // px <= olx:
@@ -286,7 +279,7 @@ def reference_decomposition(
 
 
 def _tuned_row(
-    name, model, tuner, decomp, scale, points, itemsize=8, gsum_nbytes=8, **machine
+    name, model, tuner, decomp, scale, itemsize=8, gsum_nbytes=8, **machine
 ) -> PfppRow:
     """The reference atmosphere on ``model``, flat over ``decomp``, with
     the tuner's best-known allreduce as the global sum — except on a
@@ -296,15 +289,11 @@ def _tuned_row(
     if not model.shared_medium:
         plan = tuner.plan("allreduce", decomp.n_ranks, gsum_nbytes)
         terms = terms._replace(tgsum=plan.predicted_s, gsum_algorithm=plan.algorithm)
-    return _row(name, terms, decomp, points, scale, **machine)
+    return _row(name, terms, decomp, scale, **machine)
 
 
 def best_collectives_table(
     n_values: tuple[int, ...] = (16, 64, 256),
-    nps: float = ATM_PS_PARAMS.nps,
-    nxyz: int = ATM_PS_PARAMS.nxyz,
-    nds: float = DS_PARAMS.nds,
-    nxy: int = DS_PARAMS.nxy,
 ) -> list[PfppRow]:
     """Extend Fig. 12's Arctic row to large flat clusters.
 
@@ -319,9 +308,7 @@ def best_collectives_table(
     tuner = default_tuner()
     model = arctic_cost_model()
     return [
-        _tuned_row(
-            model.name, model, tuner, *reference_decomposition(n), (nps, nxyz, nds, nxy)
-        )
+        _tuned_row(model.name, model, tuner, *reference_decomposition(n))
         for n in n_values
     ]
 
@@ -329,10 +316,6 @@ def best_collectives_table(
 def topology_scoreboard(
     topologies: tuple[str, ...] = None,
     n_values: tuple[int, ...] = (256, 1024, 4096),
-    nps: float = ATM_PS_PARAMS.nps,
-    nxyz: int = ATM_PS_PARAMS.nxyz,
-    nds: float = DS_PARAMS.nds,
-    nxy: int = DS_PARAMS.nxy,
     itemsize: int = 8,
     gsum_nbytes: int = 8,
     precision: str = "all64",
@@ -373,7 +356,6 @@ def topology_scoreboard(
                     Autotuner(topology=topo),
                     decomp,
                     scale,
-                    (nps, nxyz, nds, nxy),
                     itemsize,
                     gsum_nbytes,
                     precision=precision,

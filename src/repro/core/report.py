@@ -102,7 +102,7 @@ def _fig2_section() -> ReportSection:
         [],
     )
     quantities = ("os", "or", "half_rtt", "latency")
-    for r in fig2_table(measured=True):
+    for r in fig2_table():
         size = r["payload_bytes"]
         for q in quantities:
             sec.values[size, q], sec.paper[size, q] = r[q], r[f"paper_{q}"]

@@ -48,16 +48,11 @@ def model_at(
     n_cpus: int,
     nx: int = 128,
     ny: int = 64,
-    nz: int = 10,
     cost_model: Optional[CommCostModel] = None,
-    ni: float = 60.0,
-    nps: float = ATM_PS_PARAMS.nps,
-    nds: float = DS_PARAMS.nds,
-    fps: float = 50e6,
-    fds: float = 60e6,
-    cpus_per_node: int = 2,
 ) -> ScalingPoint:
-    """Evaluate the performance model for one configuration.
+    """Evaluate the performance model for one configuration: the
+    reference atmosphere's ten levels, 60 solver iterations per step
+    and the Fig. 11 flop counts and kernel rates.
 
     Tiles follow the near-square power-of-two process grid
     (:func:`~repro.core.pfpp.reference_process_grid`).  A machine with
@@ -66,6 +61,9 @@ def model_at(
     MPI machine is flat over all CPUs.  Falls back to one CPU per node
     when the count is below one SMP.
     """
+    nz, ni, cpus_per_node = 10, 60.0, 2
+    nps, fps = ATM_PS_PARAMS.nps, ATM_PS_PARAMS.fps
+    nds, fds = DS_PARAMS.nds, DS_PARAMS.fds
     cm = cost_model or arctic_cost_model()
     if n_cpus == 1:
         ps = PSPhaseParams(nps, nx * ny * nz, 0.0, fps)
@@ -98,7 +96,7 @@ def model_at(
         DSPhaseParams(nds, nxy, terms.tgsum, terms.texchxy, fds),
     )
     sustained = pm.sustained_flops(ni, n_ps_ranks=n_cpus, n_ds_ranks=n_ds_ranks)
-    single = model_at(1, nx, ny, nz, cm, ni, nps, nds, fps, fds).sustained
+    single = model_at(1, nx, ny, cm).sustained
     return ScalingPoint(
         n_cpus,
         nx,
@@ -116,23 +114,17 @@ def model_at(
 def cpu_sweep(
     counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     cost_model: Optional[CommCostModel] = None,
-    **kw,
 ) -> list[ScalingPoint]:
     """Sustained performance vs processor count at fixed resolution."""
-    return [model_at(n, cost_model=cost_model, **kw) for n in counts]
+    return [model_at(n, cost_model=cost_model) for n in counts]
 
 
 def resolution_sweep(
     factors: Sequence[int] = (1, 2, 4),
-    n_cpus: int = 16,
     cost_model: Optional[CommCostModel] = None,
-    **kw,
 ) -> list[ScalingPoint]:
     """Sustained performance vs resolution (grid refined by ``factor``)
-    at a fixed machine size — the grain-size axis of Fig. 12."""
-    out = []
-    for f in factors:
-        out.append(
-            model_at(n_cpus, nx=128 * f, ny=64 * f, nz=10, cost_model=cost_model, **kw)
-        )
-    return out
+    on Hyades' sixteen CPUs — the grain-size axis of Fig. 12."""
+    return [
+        model_at(16, nx=128 * f, ny=64 * f, cost_model=cost_model) for f in factors
+    ]

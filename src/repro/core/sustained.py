@@ -11,7 +11,6 @@ are the literature values the paper reports (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.constants import (
     DS_PARAMS,
@@ -34,19 +33,15 @@ class SustainedResult:
     tds: float
 
 
-def hyades_sustained(
-    processors: int,
-    ni: float = VALIDATION.ni,
-    n_smps: Optional[int] = None,
-    ps_ref=OCN_PS_PARAMS,
-    ds_ref=DS_PARAMS,
-) -> SustainedResult:
-    """Sustained ocean-isomorph rate on ``processors`` CPUs.
+def hyades_sustained(processors: int) -> SustainedResult:
+    """Sustained ocean-isomorph rate on ``processors`` CPUs (two per
+    SMP) at the Section 5.3 mean solver iteration count.
 
     * 1 processor: the whole domain on one CPU, zero communication.
     * 16 processors (8 SMPs, mix-mode): the Fig. 11 parameters verbatim.
     """
-    n_smps = n_smps or max(processors // 2, 1)
+    ni, ps_ref, ds_ref = VALIDATION.ni, OCN_PS_PARAMS, DS_PARAMS
+    n_smps = max(processors // 2, 1)
     total_cells_3d = ps_ref.nxyz * 16  # reference domain, Fig. 11 units
     total_cols = ds_ref.nxy * 8
 
@@ -69,7 +64,7 @@ def hyades_sustained(
     return SustainedResult(processors, rate, pm.tps, pm.tds)
 
 
-def fig10_table(ni: float = VALIDATION.ni) -> list[dict]:
+def fig10_table() -> list[dict]:
     """All Fig. 10 rows: vector machines (reference) + computed Hyades."""
     rows = [
         {
@@ -82,7 +77,7 @@ def fig10_table(ni: float = VALIDATION.ni) -> list[dict]:
     ]
     paper_h = {1: HYADES_1CPU_SUSTAINED / 1e9, 16: HYADES_16CPU_SUSTAINED / 1e9}
     for procs in (1, 16):
-        ours = hyades_sustained(procs, ni=ni)
+        ours = hyades_sustained(procs)
         rows.append(
             {
                 "machine": "Hyades",

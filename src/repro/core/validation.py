@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS, VALIDATION
-from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
+from repro.core.perf_model import PerformanceModel
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ def section53_validation(
     """Run the Section 5.3 arithmetic (defaults: the paper's inputs)."""
     if model is None:
         model = PerformanceModel(
-            ps=PSPhaseParams.from_ref(ATM_PS_PARAMS),
-            ds=DSPhaseParams.from_ref(DS_PARAMS),
+            ps=ATM_PS_PARAMS,
+            ds=DS_PARAMS,
         )
     tcomm = model.tcomm(nt, ni)
     tcomp = model.tcomp(nt, ni)

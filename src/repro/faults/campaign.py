@@ -68,6 +68,9 @@ WINDOW_FRAC = 0.35
 #: by construction, so 15% leaves margin for mitigation-timing skew.
 TIER_BAND = 0.15
 
+#: Seconds one scenario job may run on the service before it is killed.
+JOB_DEADLINE_S = 300.0
+
 #: Heartbeat timing replayed through the detector audit: the
 #: :class:`~repro.recover.membership.HeartbeatConfig` defaults.
 HB_PERIOD = HeartbeatConfig.period
@@ -261,7 +264,7 @@ def _run_workload(
             schedule is not None
             and schedule.overlaps(t0, t0 + max(est_stage, 1e-12))
         )
-        runtime.backend.begin_window(stage, degraded=degraded)
+        runtime.backend.begin_window(degraded)
         runtime.charge_compute(flops, "ps")
         for f in fields:
             interior = f[o:-o, o:-o]
@@ -624,7 +627,6 @@ def run_campaign(
     smoke: bool = False,
     tiers: Optional[Sequence[str]] = None,
     max_workers: int = 2,
-    deadline_s: float = 300.0,
 ) -> dict:
     """Run the campaign and return (and optionally bench) the scorecard.
 
@@ -638,7 +640,7 @@ def run_campaign(
 
     scenarios = build_grid(smoke=smoke, tiers=tiers)
     job_results = run_batch(
-        "campaign", [sc.to_params() for sc in scenarios], root, max_workers, deadline_s
+        "campaign", [sc.to_params() for sc in scenarios], root, max_workers, JOB_DEADLINE_S
     )
     results = {sc.scenario_id: r for sc, r in zip(scenarios, job_results)}
 

@@ -15,15 +15,16 @@ drift apart.  :class:`DegradationSchedule` is that shared view:
   quote — so des/analytic/hybrid price a degraded transfer consistently
   (their degraded quotes differ by exactly their clean-quote spread,
   which the cross-validation band already bounds);
-* the :class:`~repro.backend.hybrid.HybridBackend` asks
-  :meth:`overlaps` at each window boundary to decide whether to open a
-  DES window for the degradation, the way it already does for faults.
+* the coupled run asks :meth:`overlaps` at each window boundary, and
+  the :class:`~repro.backend.hybrid.HybridBackend` opens a DES window
+  for the degradation.
 
-The packet-level ground truth stays in :mod:`repro.faults.inject`,
-which wires the same events into a live fabric (``rate_factor``,
-``latency_extra``, seeded per-packet jitter, NIU ``cpu_factor``); a
+The packet-level ground truth of the wire events stays in
+:mod:`repro.faults.inject`, which wires them into a live fabric
+(``rate_factor``, ``latency_extra``, seeded per-packet jitter); a
 regression test asserts the closed-form penalty tracks a genuinely
-degraded DES link.
+degraded DES link.  A CPU slowdown has no DES counterpart: it is
+priced by :meth:`cpu_factor` alone.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Set
 
 from repro.faults.plan import FaultPlan
+from repro.network.packet import MAX_PAYLOAD_WORDS, WORD_BYTES
 
 _NIU_RE = re.compile(r"niu(\d+)")
 
 #: VI fragment payload (22 words x 4 bytes) — per-packet penalties
 #: (latency, jitter) accumulate once per fragment of a bulk transfer.
-#: Kept numerically in sync with :data:`repro.niu.startx.VI_FRAG_BYTES`
-#: by a test rather than an import (pricing must not pull in the DES).
-FRAG_BYTES = 88
+FRAG_BYTES = MAX_PAYLOAD_WORDS * WORD_BYTES
 
 
 @dataclass(frozen=True)

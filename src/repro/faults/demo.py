@@ -14,7 +14,6 @@ a diagnostic naming the blocked ranks, which the result carries.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 from repro.hardware.cluster import HyadesCluster, HyadesConfig
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import CrashEvent, FaultPlan
-from repro.gcm.coupled import CouplerParams, DESCoupledModel
+from repro.gcm.coupled import DEMO_SHAPE, coupled_model
 from repro.gcm.state import FIELDS_2D, FIELDS_3D
 from repro.sim import DeadlockError
 
@@ -63,34 +62,6 @@ class FaultDemoResult:
         return 100.0 * self.overhead / self.wire_time_clean
 
 
-def _build_coupled(
-    cluster: HyadesCluster,
-    reliable: bool,
-    nx: int,
-    ny: int,
-    nz_atm: int,
-    nz_ocn: int,
-    px: int,
-    py: int,
-    coupling_interval: int,
-    recovery=None,
-) -> DESCoupledModel:
-    from repro.gcm.atmosphere import atmosphere_model
-    from repro.gcm.ocean import ocean_model
-
-    dt = 600.0
-    atm = atmosphere_model(nx=nx, ny=ny, nz=nz_atm, px=px, py=py, dt=dt)
-    ocn = ocean_model(nx=nx, ny=ny, nz=nz_ocn, px=px, py=py, dt=dt)
-    return DESCoupledModel(
-        atm,
-        ocn,
-        cluster,
-        CouplerParams(coupling_interval=coupling_interval),
-        reliable=reliable,
-        recovery=recovery,
-    )
-
-
 def _global_state(model) -> dict:
     out = {}
     for comp, m in (("atm", model.atmosphere), ("ocn", model.ocean)):
@@ -110,13 +81,6 @@ def run_coupled_fault_demo(
     corrupt: float = 0.0,
     windows: int = 2,
     reliable: bool = True,
-    nx: int = 16,
-    ny: int = 8,
-    nz_atm: int = 3,
-    nz_ocn: int = 4,
-    px: int = 2,
-    py: int = 2,
-    coupling_interval: int = 2,
 ) -> FaultDemoResult:
     """Run the clean-vs-faulty coupled comparison; returns the result.
 
@@ -128,15 +92,11 @@ def run_coupled_fault_demo(
     """
     if plan is None:
         plan = FaultPlan(seed=seed, drop_prob=drop, corrupt_prob=corrupt)
-    n_nodes = px * py
-    shape = dict(
-        nx=nx, ny=ny, nz_atm=nz_atm, nz_ocn=nz_ocn, px=px, py=py,
-        coupling_interval=coupling_interval,
-    )
+    n_nodes = DEMO_SHAPE["px"] * DEMO_SHAPE["py"]
 
     # -- clean reference ------------------------------------------------
     clean_cluster = HyadesCluster(HyadesConfig(n_nodes=n_nodes))
-    clean = _build_coupled(clean_cluster, reliable=True, **shape)
+    clean = coupled_model(cluster=clean_cluster, **DEMO_SHAPE)
     clean.run(windows)
     clean_state = _global_state(clean)
 
@@ -146,7 +106,9 @@ def run_coupled_fault_demo(
     faulty = None
     deadlock = None
     try:
-        faulty = _build_coupled(faulty_cluster, reliable=reliable, **shape)
+        faulty = coupled_model(
+            cluster=faulty_cluster, reliable=reliable, **DEMO_SHAPE
+        )
         faulty.run(windows)
     except DeadlockError as exc:
         deadlock = str(exc)
@@ -227,14 +189,6 @@ def run_crash_recovery_demo(
     checkpoint_interval: int = 2,
     n_spares: int = 1,
     allow_redistribute: bool = False,
-    checkpoint_dir: Optional[str] = None,
-    nx: int = 16,
-    ny: int = 8,
-    nz_atm: int = 3,
-    nz_ocn: int = 4,
-    px: int = 2,
-    py: int = 2,
-    coupling_interval: int = 2,
 ) -> CrashRecoveryResult:
     """Kill a node mid-run and (optionally) self-heal to a bit-exact finish.
 
@@ -264,17 +218,12 @@ def run_crash_recovery_demo(
 
     # The fat-tree wants a power-of-two endpoint count; extras idle.
     n_nodes = 2
-    while n_nodes < px * py + n_spares:
+    while n_nodes < DEMO_SHAPE["px"] * DEMO_SHAPE["py"] + n_spares:
         n_nodes *= 2
-    shape = dict(
-        nx=nx, ny=ny, nz_atm=nz_atm, nz_ocn=nz_ocn, px=px, py=py,
-        coupling_interval=coupling_interval,
-    )
 
     recovery = (
         RecoveryConfig(
             checkpoint_interval=checkpoint_interval,
-            checkpoint_dir=checkpoint_dir,
             allow_redistribute=allow_redistribute,
         )
         if recover
@@ -286,15 +235,7 @@ def run_crash_recovery_demo(
     # pay the same heartbeat + checkpoint tax and differ only by the
     # crash (checkpoints read state, never perturb it).
     clean_cluster = HyadesCluster(HyadesConfig(n_nodes=n_nodes, n_spares=n_spares))
-    clean_recovery = (
-        # Never share the crashed run's checkpoint directory.
-        dataclasses.replace(recovery, checkpoint_dir=None)
-        if recovery is not None
-        else None
-    )
-    clean = _build_coupled(
-        clean_cluster, reliable=True, recovery=clean_recovery, **shape
-    )
+    clean = coupled_model(cluster=clean_cluster, recovery=recovery, **DEMO_SHAPE)
     clean.run(windows)
     clean_state = _global_state(clean)
     engine_time_clean = clean_cluster.engine.now
@@ -331,8 +272,9 @@ def run_crash_recovery_demo(
     )
     faulty = None
     try:
-        faulty = _build_coupled(
-            faulty_cluster, reliable=reliable, recovery=recovery, **shape
+        faulty = coupled_model(
+            cluster=faulty_cluster, reliable=reliable, recovery=recovery,
+            **DEMO_SHAPE,
         )
         faulty.run(windows)
     except Exception as exc:  # DeliveryError / DeadlockError / Unrecoverable

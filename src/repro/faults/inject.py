@@ -2,15 +2,17 @@
 
 The injector installs per-link fault hooks (drop/corrupt draws from the
 plan's per-link RNGs), schedules bandwidth/latency-degradation windows,
-NIC-jitter windows (seeded per-packet delay hooks), CPU-slowdown windows
-(when given the cluster's NIUs) and node stall/crash events on the
-engine, and aggregates counters for the run report.
+NIC-jitter windows (seeded per-packet delay hooks) and node stall/crash
+events on the engine, and aggregates counters for the run report.  A
+CPU slowdown is not a fabric event: it is priced by
+:meth:`~repro.faults.degrade.DegradationSchedule.cpu_factor`, and a
+plan that carries one is rejected here.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.network.fabrics import Fabric
 from repro.network.packet import Packet
@@ -19,23 +21,17 @@ from repro.faults.plan import FaultPlan
 
 
 class FaultInjector:
-    """Installs a fault plan on a fabric and counts what it injects.
+    """Installs a fault plan on a fabric and counts what it injects."""
 
-    ``nius`` (node id -> NIU with a ``cpu_factor`` attribute, e.g. a
-    :class:`~repro.niu.startx.StarTX`) is required only when the plan
-    schedules :class:`~repro.faults.plan.SlowdownEvent` windows — CPU
-    slowdown lives in the endpoint, not the wire.
-    """
-
-    def __init__(
-        self,
-        fabric: Fabric,
-        plan: FaultPlan,
-        nius: Optional[Mapping[int, object]] = None,
-    ) -> None:
+    def __init__(self, fabric: Fabric, plan: FaultPlan) -> None:
+        if plan.slowdowns:
+            raise ValueError(
+                "a CPU slowdown is not a fabric fault: price it through "
+                "DegradationSchedule.cpu_factor (the lockstep runtime), "
+                "not the DES injector"
+            )
         self.fabric = fabric
         self.plan = plan
-        self.nius = nius
         self.engine = fabric.engine
         self.injected_drops = 0
         self.injected_corruptions = 0
@@ -60,8 +56,6 @@ class FaultInjector:
         for jt in self.plan.jitters:
             for link in self.fabric.node_links(jt.node):
                 self._install_jitter(link, jt)
-        for sl in self.plan.slowdowns:
-            self._schedule_slowdown(sl)
         for st in self.plan.stalls:
             for link in self.fabric.node_links(st.node):
                 self.engine.schedule(st.start, link.stall, st.duration)
@@ -122,23 +116,6 @@ class FaultInjector:
             return delay
 
         link.delay_hook = hook
-
-    def _schedule_slowdown(self, ev) -> None:
-        if self.nius is None or ev.node not in self.nius:
-            raise ValueError(
-                f"plan schedules a CPU slowdown on node {ev.node} but the "
-                "injector was not given that node's NIU (pass nius=...)"
-            )
-        niu = self.nius[ev.node]
-
-        def begin() -> None:
-            niu.cpu_factor *= ev.factor
-
-        def end() -> None:
-            niu.cpu_factor /= ev.factor
-
-        self.engine.schedule(ev.start, begin)
-        self.engine.schedule(ev.start + ev.duration, end)
 
     # -- reporting ------------------------------------------------------
 

@@ -8,7 +8,7 @@ Moisture ``q`` takes the tracer slot (salinity's isomorph).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -31,7 +31,6 @@ def atmosphere_config(
     px: int = 4,
     py: int = 4,
     dt: float = 405.0,
-    cpus_per_node: int = 2,
     physics: Any = "default",
     **overrides,
 ) -> ModelConfig:
@@ -50,7 +49,6 @@ def atmosphere_config(
         px=px,
         py=py,
         dt=dt,
-        cpus_per_node=cpus_per_node,
         eos=IdealGasEOS(theta_ref=EARTH.theta_ref),
         dynamics=DynamicsParams(ah=2.0e5, az=1.0e-2, kh=2.0e4, kz=1.0e-2),
         physics=AtmospherePhysics() if physics == "default" else physics,
@@ -62,14 +60,14 @@ def atmosphere_config(
     return cfg
 
 
-def atmosphere_model(depth: Optional[np.ndarray] = None, **kw) -> Model:
+def atmosphere_model(**kw) -> Model:
     """Build an initialized AGCM.
 
     Initial state: radiative-equilibrium theta plus a small zonally
     asymmetric perturbation to break symmetry, moist surface layer.
     """
     cfg = atmosphere_config(**kw)
-    model = Model(cfg, depth=depth)
+    model = Model(cfg)
     p = cfg.grid
     phys: AtmospherePhysics = cfg.physics if cfg.physics is not None else AtmospherePhysics()
     lats = p.lat0 + (np.arange(p.ny) + 0.5) * p.dlat

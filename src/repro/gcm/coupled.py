@@ -111,15 +111,13 @@ class CoupledModel:
             args={"coupling": self.couplings},
         )
 
-    def step_coupled(self, faulted: bool = False) -> None:
+    def step_coupled(self) -> None:
         """Advance both components one coupling window, then couple.
 
-        ``faulted`` marks the window as contested (injected faults,
-        recovery in progress): window-switching backends like the hybrid
-        tier answer it at DES fidelity.  Windows overlapping an attached
-        degradation schedule escalate the same way on their own — a
-        degraded machine is priced at packet fidelity without the caller
-        having to know the fault timetable.
+        A window overlapping an attached degradation schedule is
+        contested: window-switching backends like the hybrid tier answer
+        it at DES fidelity, without the caller having to know the fault
+        timetable.
         """
         t0 = self.elapsed
         width = max(t0 / self.windows_run, 1e-9) if self.windows_run else 1e-3
@@ -128,7 +126,7 @@ class CoupledModel:
             degraded = (
                 schedule is not None and schedule.overlaps(t0, t0 + width)
             )
-            be.begin_window(self.windows_run, faulted=faulted, degraded=degraded)
+            be.begin_window(degraded)
         n = self.params.coupling_interval
         self.atmosphere.run(n)
         self.ocean.run(n)
@@ -290,6 +288,13 @@ class DESCoupledModel(CoupledModel):
         return totals
 
 
+#: The small wire-coupled run of the fault, crash-recovery and trace
+#: demos: 16x8 columns on 2x2 tiles, two steps per coupling window.
+DEMO_SHAPE = dict(
+    nx=16, ny=8, nz_atm=3, nz_ocn=4, px=2, py=2, dt=600.0, coupling_interval=2
+)
+
+
 def coupled_model(
     nx: int = 128,
     ny: int = 64,
@@ -299,8 +304,10 @@ def coupled_model(
     py: int = 4,
     dt: float = 405.0,
     coupling_interval: int = 4,
-    depth: Optional[np.ndarray] = None,
     backend=None,
+    cluster=None,
+    reliable: bool = True,
+    recovery=None,
     **kw,
 ) -> CoupledModel:
     """Build the paper's synchronous coupled configuration.
@@ -313,6 +320,10 @@ def coupled_model(
     shared instance serves both isomorphs, so the DES tier's memoized
     measurements and the hybrid tier's window switching are common to
     the whole coupled run.
+
+    With a ``cluster`` (a :class:`~repro.hardware.cluster.HyadesCluster`)
+    the boundary conditions travel its simulated fabric: the result is
+    a :class:`DESCoupledModel`, built with ``reliable`` and ``recovery``.
     """
     from repro.backend import resolve_backend
     from repro.gcm.atmosphere import atmosphere_model
@@ -323,7 +334,11 @@ def coupled_model(
         nx=nx, ny=ny, nz=nz_atm, px=px, py=py, dt=dt, backend=backend, **kw
     )
     ocn = ocean_model(
-        nx=nx, ny=ny, nz=nz_ocn, px=px, py=py, dt=dt, depth=depth,
-        backend=backend, **kw,
+        nx=nx, ny=ny, nz=nz_ocn, px=px, py=py, dt=dt, backend=backend, **kw
     )
-    return CoupledModel(atm, ocn, CouplerParams(coupling_interval=coupling_interval))
+    params = CouplerParams(coupling_interval=coupling_interval)
+    if cluster is None:
+        return CoupledModel(atm, ocn, params)
+    return DESCoupledModel(
+        atm, ocn, cluster, params, reliable=reliable, recovery=recovery
+    )

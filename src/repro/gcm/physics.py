@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.gcm.constants import EARTH
 from repro.gcm.grid import Grid
 from repro.gcm.operators import FlopCounter
 
@@ -231,9 +232,9 @@ class OceanForcing:
         taux: Optional[np.ndarray] = None,
         tauy: Optional[np.ndarray] = None,
         theta_surf: Optional[np.ndarray] = None,
-        rho0: float = 1035.0,
     ) -> None:
         """Add wind stress and surface restoring to the G arrays."""
+        rho0 = EARTH.rho0
         geo = grid.geometry
         lat = grid.lat_c[rank]
         surface = (..., 0, slice(None), slice(None))

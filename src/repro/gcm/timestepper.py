@@ -215,14 +215,10 @@ class Model:
     def is_atmosphere(self) -> bool:
         return isinstance(self.config.eos, IdealGasEOS)
 
-    def initialize(self, theta: np.ndarray, tracer: np.ndarray, u=None, v=None) -> None:
-        """Set initial conditions from global arrays."""
+    def initialize(self, theta: np.ndarray, tracer: np.ndarray) -> None:
+        """Set initial conditions from global arrays (fluid at rest)."""
         self.state.set_from_global("theta", theta)
         self.state.set_from_global("tracer", tracer)
-        if u is not None:
-            self.state.set_from_global("u", u)
-        if v is not None:
-            self.state.set_from_global("v", v)
         self._first_step = True
 
     # ------------------------------------------------------------------
@@ -526,16 +522,16 @@ class Model:
             return 0.0
         return float(np.mean([h.ni for h in self.history]))
 
-    def performance_breakdown(self, skip_first: bool = True) -> dict[str, float]:
+    def performance_breakdown(self) -> dict[str, float]:
         """Per-step averages of the measured phase times — the run's own
         Fig. 11-style parameters, directly comparable to the analytic
         performance model (eqs. 4-10).
 
-        ``skip_first`` drops the forward-Euler spin-up step, whose
-        solver cold start is unrepresentative (as in Section 5.3's
+        The forward-Euler spin-up step is dropped when there are others:
+        its solver cold start is unrepresentative (as in Section 5.3's
         steady-state accounting).
         """
-        hist = self.history[1:] if skip_first and len(self.history) > 1 else self.history
+        hist = self.history[1:] if len(self.history) > 1 else self.history
         if not hist:
             return {}
         n = len(hist)

@@ -74,9 +74,9 @@ class HyadesConfig:
 class HyadesCluster:
     """The simulated sixteen-SMP Hyades machine."""
 
-    def __init__(self, config: Optional[HyadesConfig] = None, engine: Optional[Engine] = None) -> None:
+    def __init__(self, config: Optional[HyadesConfig] = None) -> None:
         self.config = config or HyadesConfig()
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.fabric = FatTree(self.engine, self.config.n_nodes, self.config.fabric)
         self.nodes: list[SMPNode] = []
         for nid in range(self.config.n_nodes):

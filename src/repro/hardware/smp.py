@@ -65,9 +65,9 @@ class SMPNode:
         self.master_cpu = 0
         self._mailbox = Signal(engine)
 
-    def cpu_rank(self, local_cpu: int, cpus_per_node: Optional[int] = None) -> int:
+    def cpu_rank(self, local_cpu: int) -> int:
         """Global CPU rank of local CPU ``local_cpu`` on this node."""
-        k = cpus_per_node or self.params.cpus_per_node
+        k = self.params.cpus_per_node
         if not (0 <= local_cpu < k):
             raise ValueError(f"local cpu {local_cpu} out of range 0..{k - 1}")
         return self.node_id * k + local_cpu

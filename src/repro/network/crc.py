@@ -23,11 +23,11 @@ def crc16(data: bytes, crc: int = _INIT) -> int:
     return crc_hqx(data, crc)
 
 
-def crc16_words(words: list[int], crc: int = _INIT) -> int:
+def crc16_words(words: list[int]) -> int:
     """CRC over a list of 32-bit words (big-endian byte order)."""
     try:
         buf = struct.pack(">%dI" % len(words), *words)
     except struct.error:
         # a word outside 0..2**32-1: only its low 32 bits are on the wire
         buf = struct.pack(">%dI" % len(words), *[w & 0xFFFFFFFF for w in words])
-    return crc_hqx(buf, crc)
+    return crc_hqx(buf, _INIT)

@@ -29,6 +29,8 @@ The calibration chain, for the record:
 
 from __future__ import annotations
 
+from repro.network.packet import MAX_PAYLOAD_WORDS, WORD_BYTES
+
 US = 1e-6
 
 #: Per-round software cost of a PIO collective's inner loop (seconds);
@@ -41,7 +43,7 @@ ARCTIC_GSUM_OFFSET = -0.95 * US
 
 #: Largest payload (bytes) shipped as one PIO packet; beyond this the
 #: sender negotiates a VI block transfer.
-SMALL_MSG_MAX_BYTES = 88
+SMALL_MSG_MAX_BYTES = MAX_PAYLOAD_WORDS * WORD_BYTES
 
 #: One-direction VI block transfer: 8.6 us negotiation (one PIO round
 #: trip plus DMA setup, Section 4.1) + payload over the 110 MB/s

@@ -438,12 +438,9 @@ class HyperCrossbarTopology(Topology):
     stage_latency = HXB_STAGE_LATENCY
 
     def __init__(
-        self,
-        n_endpoints: int,
-        dims: Optional[Sequence[int]] = None,
-        ndim: int = 3,
+        self, n_endpoints: int, dims: Optional[Sequence[int]] = None
     ) -> None:
-        dims = _resolve_dims(n_endpoints, ndim, dims, "hypercrossbar")
+        dims = _resolve_dims(n_endpoints, 3, dims, "hypercrossbar")
         super().__init__(n_endpoints)
         self.dims = dims
 
@@ -633,7 +630,6 @@ def make_topology(name: str, n_endpoints: int) -> Topology:
 def crossvalidate_topology(
     topology: Topology,
     packets_per_pair: int = 32,
-    payload_words: int = 22,
     seed: int = 0,
 ) -> dict:
     """Replay the topology's pairwise pattern on its DES fabric and
@@ -649,7 +645,7 @@ def crossvalidate_topology(
     Returns ``{"des_s", "predicted_s", "rel_err", ...}``.
     """
     from repro.sim import Engine
-    from repro.network.packet import Packet
+    from repro.network.packet import MAX_PAYLOAD_WORDS, Packet
 
     engine = Engine()
     fabric = topology.build_fabric(engine, seed=seed)
@@ -663,7 +659,7 @@ def crossvalidate_topology(
 
     for ep in range(topology.n_endpoints):
         fabric.attach_endpoint(ep, sink)
-    words = list(range(payload_words))
+    words = list(range(MAX_PAYLOAD_WORDS))
     for src, dst in pairs:
         for k in range(packets_per_pair):
             fabric.inject(Packet(src=src, dst=dst, payload_words=list(words)))
@@ -673,7 +669,7 @@ def crossvalidate_topology(
             f"{topology.name}: DES delivered {got['count']} of "
             f"{expected} packets"
         )
-    wire = (2 + payload_words) * 4
+    wire = (2 + MAX_PAYLOAD_WORDS) * 4
     t_ser = wire / topology.link_bandwidth
     if topology.shared_medium:
         # Every packet serializes through the one medium; the last head

@@ -11,7 +11,6 @@ communication performance:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.sim import Engine, Resource
@@ -52,15 +51,15 @@ class PCIBus:
 
     # -- CPU-side programmed I/O costs -----------------------------------
 
-    def mmap_read_cost(self, nbytes: int = 8) -> float:
-        """Time for the CPU to read ``nbytes`` from device registers."""
-        self.total_mmap_reads += max(1, math.ceil(nbytes / 8))
-        return math.ceil(max(nbytes, 1) / 8) * self.params.mmap_read_latency
+    def mmap_read_cost(self) -> float:
+        """Time for the CPU to read one 8-byte device register."""
+        self.total_mmap_reads += 1
+        return self.params.mmap_read_latency
 
-    def mmap_write_cost(self, nbytes: int = 8) -> float:
-        """Time for the CPU to write ``nbytes`` to device registers."""
-        self.total_mmap_writes += max(1, math.ceil(nbytes / 8))
-        return math.ceil(max(nbytes, 1) / 8) * self.params.mmap_write_gap
+    def mmap_write_cost(self) -> float:
+        """Time for the CPU to write one 8-byte device register."""
+        self.total_mmap_writes += 1
+        return self.params.mmap_write_gap
 
     # -- device-side DMA ---------------------------------------------------
 

@@ -54,6 +54,8 @@ VI_STREAM_BANDWIDTH = 110e6
 VI_SETUP_COST = 1.0e-6
 #: Max payload bytes per fragment packet (22 words).
 VI_FRAG_BYTES = MAX_PAYLOAD_WORDS * WORD_BYTES
+#: PIO messages the receive FIFO holds before the fabric backs up.
+PIO_RX_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,12 @@ class StarTX:
         fabric: Fabric,
         node_id: int,
         pci: Optional[PCIBus] = None,
-        rx_capacity: int = 256,
     ) -> None:
         self.engine = engine
         self.fabric = fabric
         self.node_id = node_id
         self.pci = pci or PCIBus(engine)
-        self.pio_rx: Store = Store(engine, capacity=rx_capacity, name=f"pio-rx[node{node_id}]")
+        self.pio_rx: Store = Store(engine, capacity=PIO_RX_CAPACITY, name=f"pio-rx[node{node_id}]")
         self._vi_rx: Dict[int, VITransfer] = {}
         self._vi_complete = _Signals(engine, "vi-complete")
         self._vi_acks = _Signals(engine, "vi-ack")
@@ -138,10 +139,6 @@ class StarTX:
         self.crc_status_errors = 0
         self.packets_sent = 0
         self.packets_received = 0
-        #: CPU slowdown multiplier (>= 1): every CPU-side charge (mmap
-        #: register traffic, descriptor staging) stretches by this factor.
-        #: Fault injection sets it during SlowdownEvent windows.
-        self.cpu_factor: float = 1.0
         #: Optional receive-path intercept (e.g. the reliable-delivery
         #: layer): called with each CRC-clean packet before normal
         #: dispatch; returning True consumes the packet.
@@ -235,7 +232,7 @@ class StarTX:
         """Process: enqueue one PIO message (CPU pays the mmap writes)."""
         accesses = PIO_COST_MODEL.accesses(len(payload_words) * WORD_BYTES)
         self.pci.total_mmap_writes += accesses
-        yield self.engine.timeout(accesses * self.pci.params.mmap_write_gap * self.cpu_factor)
+        yield self.engine.timeout(accesses * self.pci.params.mmap_write_gap)
         pkt = Packet(
             src=self.node_id,
             dst=dst,
@@ -259,19 +256,17 @@ class StarTX:
         pkt: Packet = yield self.pio_rx.get()
         accesses = PIO_COST_MODEL.accesses(len(pkt.payload_words) * WORD_BYTES)
         self.pci.total_mmap_reads += accesses
-        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency * self.cpu_factor)
+        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency)
         return pkt
 
     def pio_try_recv(self):
         """Process: poll for a message; returns None after one status read."""
         ok, pkt = self.pio_rx.try_get()
         if not ok:
-            yield self.engine.timeout(
-                self.pci.params.mmap_read_latency * self.cpu_factor
-            )
+            yield self.engine.timeout(self.pci.params.mmap_read_latency)
             return None
         cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
-        yield self.engine.timeout(cost * self.cpu_factor)
+        yield self.engine.timeout(cost)
         return pkt
 
     # ------------------------------------------------------------------
@@ -309,8 +304,8 @@ class StarTX:
         # poll the ack status + stage the VI buffer descriptors + kick the
         # Tx DMA engine (2 writes) ----------------------------------------
         yield self.engine.timeout(
-            (self.pci.params.mmap_read_latency + VI_SETUP_COST
-             + 2 * self.pci.params.mmap_write_gap) * self.cpu_factor
+            self.pci.params.mmap_read_latency + VI_SETUP_COST
+            + 2 * self.pci.params.mmap_write_gap
         )
         # -- stream fragments at the effective DMA payload rate -----------
         offset = 0
@@ -341,10 +336,10 @@ class StarTX:
         """
         pkt: Packet = yield self._vi_requests.get()
         accesses = PIO_COST_MODEL.accesses(len(pkt.payload_words) * WORD_BYTES)
-        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency * self.cpu_factor)
+        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency)
         xid, nbytes = pkt.payload_words[0], pkt.payload_words[1]
         # post the receive buffer
-        yield self.engine.timeout(VI_SETUP_COST * self.cpu_factor)
+        yield self.engine.timeout(VI_SETUP_COST)
         self.vi_expect(xid, nbytes, src=pkt.src)
         yield from self.pio_send(pkt.src, [xid, 0], tag=TAG_VI_ACK, priority=Priority.HIGH)
         return self._vi_rx[xid]

@@ -12,24 +12,11 @@ produces a Chrome trace covering every clock domain of the system:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs import trace as obs_trace
 from repro.obs.schema import assert_valid, validate_chrome_trace
 
 
-def traced_coupled_run(
-    windows: int = 1,
-    nx: int = 16,
-    ny: int = 8,
-    nz_atm: int = 3,
-    nz_ocn: int = 4,
-    px: int = 2,
-    py: int = 2,
-    coupling_interval: int = 2,
-    reliable: bool = True,
-    tracer: Optional[obs_trace.Tracer] = None,
-) -> dict:
+def traced_coupled_run(windows: int = 1) -> dict:
     """Run the coupled DES demo under tracing; returns the results.
 
     The returned dict carries the :class:`~repro.obs.trace.Tracer` (with
@@ -37,26 +24,14 @@ def traced_coupled_run(
     :class:`~repro.obs.metrics.MetricsRecorder` objects, and headline
     numbers of the run (virtual times, event counts).
     """
-    from repro.gcm.atmosphere import atmosphere_model
-    from repro.gcm.coupled import CouplerParams, DESCoupledModel
-    from repro.gcm.ocean import ocean_model
+    from repro.gcm.coupled import DEMO_SHAPE, coupled_model
     from repro.hardware.cluster import HyadesCluster
 
     cluster = HyadesCluster()
-    dt = 600.0
-    atm = atmosphere_model(nx=nx, ny=ny, nz=nz_atm, px=px, py=py, dt=dt)
-    ocn = ocean_model(nx=nx, ny=ny, nz=nz_ocn, px=px, py=py, dt=dt)
-    atm_metrics = atm.runtime.attach_metrics()
-    ocn_metrics = ocn.runtime.attach_metrics()
-
-    with obs_trace.tracing(tracer) as tr:
-        model = DESCoupledModel(
-            atm,
-            ocn,
-            cluster,
-            CouplerParams(coupling_interval=coupling_interval),
-            reliable=reliable,
-        )
+    with obs_trace.tracing() as tr:
+        model = coupled_model(cluster=cluster, **DEMO_SHAPE)
+        atm_metrics = model.atmosphere.runtime.attach_metrics()
+        ocn_metrics = model.ocean.runtime.attach_metrics()
         model.run(windows)
 
     return {
@@ -64,7 +39,7 @@ def traced_coupled_run(
         "atm_metrics": atm_metrics,
         "ocn_metrics": ocn_metrics,
         "windows": windows,
-        "steps_per_component": windows * coupling_interval,
+        "steps_per_component": windows * DEMO_SHAPE["coupling_interval"],
         "des_elapsed_s": model.des_elapsed,
         "engine_time_s": cluster.engine.now,
         "bsp_elapsed_s": model.elapsed,

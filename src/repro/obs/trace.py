@@ -43,9 +43,9 @@ PH_METADATA = "M"
 class Tracer:
     """Collects trace events; all timestamps in virtual seconds."""
 
-    def __init__(self, time_scale: float = 1e6, max_events: int = 2_000_000) -> None:
+    def __init__(self, max_events: int = 2_000_000) -> None:
         #: Multiplier from virtual seconds to trace timestamp units (us).
-        self.time_scale = time_scale
+        self.time_scale = 1e6
         #: Hard cap on stored events (runaway-trace protection); beyond
         #: it events are counted in :attr:`dropped` instead of stored.
         self.max_events = max_events
@@ -115,16 +115,12 @@ class Tracer:
             ev["args"] = args
         self._raw(ev)
 
-    def begin(self, pid: str, tid: str, name: str, ts: float, cat: str = "",
-              args: Optional[dict] = None) -> None:
+    def begin(self, pid: str, tid: str, name: str, ts: float, cat: str = "") -> None:
         """Open a nested span ("B"); pair with :meth:`end`."""
         p = self._pid(pid)
         t = self._tid(p, tid)
-        ev = {"ph": PH_BEGIN, "name": name, "cat": cat or "span",
-              "pid": p, "tid": t, "ts": self._stamp(ts)}
-        if args:
-            ev["args"] = args
-        self._raw(ev)
+        self._raw({"ph": PH_BEGIN, "name": name, "cat": cat or "span",
+                   "pid": p, "tid": t, "ts": self._stamp(ts)})
         self._open.setdefault((p, t), []).append(name)
 
     def end(self, pid: str, tid: str, ts: float) -> None:
@@ -202,10 +198,10 @@ class Tracer:
 TRACER: Optional[Tracer] = None
 
 
-def start(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install (and return) the active tracer."""
+def start() -> Tracer:
+    """Install (and return) a fresh active tracer."""
     global TRACER
-    TRACER = tracer or Tracer()
+    TRACER = Tracer()
     return TRACER
 
 
@@ -222,9 +218,9 @@ def active() -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
+def tracing() -> Iterator[Tracer]:
     """Context manager: trace the enclosed block, then deactivate."""
-    t = start(tracer)
+    t = start()
     try:
         yield t
     finally:

@@ -159,14 +159,12 @@ class HaloExchanger:
             ]
         return out
 
-    def scatter_global(self, global_field: np.ndarray, dtype=None) -> list[np.ndarray]:
+    def scatter_global(self, global_field: np.ndarray) -> list[np.ndarray]:
         """Split a global field into tile-local arrays (halos unfilled)."""
         o = self.decomp.olx
         out = []
         for t in self.decomp.tiles:
-            arr = np.zeros(
-                global_field.shape[:-2] + t.shape2d, dtype=dtype or global_field.dtype
-            )
+            arr = np.zeros(global_field.shape[:-2] + t.shape2d, global_field.dtype)
             arr[..., o : o + t.ny, o : o + t.nx] = global_field[
                 ..., t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx
             ]

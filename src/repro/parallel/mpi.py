@@ -41,6 +41,8 @@ MPI_MATCH_COST = 3.0e-6
 MPI_COPY_BANDWIDTH = COPY_BANDWIDTH
 #: Messages above this negotiate rendezvous (classic MPICH default).
 MPI_EAGER_THRESHOLD = 1024
+#: Tag bases of the collectives' rounds, clear of user point-to-point tags.
+TAG_BARRIER, TAG_ALLREDUCE, TAG_BCAST = 0x6FF, 0x680, 0x690
 
 
 @dataclass
@@ -164,18 +166,18 @@ class MPIComm:
 
     # -- collectives ---------------------------------------------------------
 
-    def barrier(self, rank: int, tag: int = 0x6FF):
+    def barrier(self, rank: int):
         """Process: dissemination barrier (log2 N rounds)."""
         n = self.n_ranks
         shift = 1
         while shift < n:
             partner_to = (rank + shift) % n
             partner_from = (rank - shift) % n
-            yield from self.send(rank, partner_to, 8, tag=tag + shift)
-            yield from self.recv(rank, source=partner_from, tag=tag + shift)
+            yield from self.send(rank, partner_to, 8, tag=TAG_BARRIER + shift)
+            yield from self.recv(rank, source=partner_from, tag=TAG_BARRIER + shift)
             shift <<= 1
 
-    def allreduce_sum(self, rank: int, value: float, tag: int = 0x680):
+    def allreduce_sum(self, rank: int, value: float):
         """Process: recursive-doubling allreduce (requires power of 2)."""
         n = self.n_ranks
         if n & (n - 1):
@@ -185,26 +187,26 @@ class MPIComm:
         round_i = 0
         while bit < n:
             partner = rank ^ bit
-            yield from self.send(rank, partner, 8, tag=tag + round_i, data=partial)
-            msg = yield from self.recv(rank, source=partner, tag=tag + round_i)
+            yield from self.send(rank, partner, 8, tag=TAG_ALLREDUCE + round_i, data=partial)
+            msg = yield from self.recv(rank, source=partner, tag=TAG_ALLREDUCE + round_i)
             other = float(msg.data)
             partial = (partial + other) if rank < partner else (other + partial)
             bit <<= 1
             round_i += 1
         return partial
 
-    def bcast(self, rank: int, root: int, nbytes: int, data: Any = None, tag: int = 0x690):
+    def bcast(self, rank: int, root: int, nbytes: int, data: Any = None):
         """Process: binomial-tree broadcast; returns the payload."""
         n = self.n_ranks
         rel = (rank - root) % n
         if rel != 0:
             src = (root + (rel & (rel - 1))) % n  # clear lowest set bit
-            msg = yield from self.recv(rank, source=src, tag=tag)
+            msg = yield from self.recv(rank, source=src, tag=TAG_BCAST)
             data, nbytes = msg.data, msg.nbytes
         # forward to children: rel sends to rel + 2^k for every 2^k > rel
         bit = 1
         while bit < n:
             if bit > rel and rel + bit < n:
-                yield from self.send(rank, (root + rel + bit) % n, nbytes, tag=tag, data=data)
+                yield from self.send(rank, (root + rel + bit) % n, nbytes, tag=TAG_BCAST, data=data)
             bit <<= 1
         return data

@@ -151,9 +151,9 @@ class LockstepRuntime:
         #: Track label for trace spans of this runtime's lockstep clock.
         self.trace_label = "bsp"
 
-    def attach_metrics(self, recorder: Optional[MetricsRecorder] = None) -> MetricsRecorder:
-        """Attach (and return) a per-phase telemetry recorder."""
-        self.metrics = recorder or MetricsRecorder()
+    def attach_metrics(self) -> MetricsRecorder:
+        """Attach (and return) a fresh per-phase telemetry recorder."""
+        self.metrics = MetricsRecorder()
         return self.metrics
 
     # -- degraded-mode operation -----------------------------------------

@@ -57,9 +57,9 @@ class Tile:
         """Zeroed tile-local 2-D array including halos."""
         return np.zeros(self.shape2d, dtype=dtype)
 
-    def alloc3d(self, nz: int, dtype=np.float64) -> np.ndarray:
+    def alloc3d(self, nz: int) -> np.ndarray:
         """Zeroed tile-local 3-D array including halos."""
-        return np.zeros(self.shape3d(nz), dtype=dtype)
+        return np.zeros(self.shape3d(nz))
 
 
 class Decomposition:
@@ -118,9 +118,9 @@ class Decomposition:
         return cls(nx, ny, n, 1, olx, **kw)
 
     @classmethod
-    def blocks(cls, nx: int, ny: int, px: int, py: int, olx: int = 1, **kw) -> "Decomposition":
-        """Compact blocks (cache-friendly)."""
-        return cls(nx, ny, px, py, olx, **kw)
+    def blocks(cls, nx: int, ny: int, px: int, py: int, **kw) -> "Decomposition":
+        """Compact blocks (cache-friendly), one-point halos."""
+        return cls(nx, ny, px, py, 1, **kw)
 
     # -- topology ---------------------------------------------------------
 

@@ -98,11 +98,11 @@ class PrecisionConfig:
     # ---- construction ----------------------------------------------------
 
     @classmethod
-    def uniform(cls, precision: str, name: Optional[str] = None) -> "PrecisionConfig":
+    def uniform(cls, precision: str) -> "PrecisionConfig":
         """Every field at every site at ``precision``."""
         _validate_name(precision, "precision", tuple(_DTYPES))
         return cls(
-            name=name or ("all64" if precision == "float64" else "all32"),
+            name="all64" if precision == "float64" else "all32",
             assignment={
                 f: {s: precision for s in SITES} for f in PRECISION_FIELDS
             },
@@ -153,9 +153,9 @@ class PrecisionConfig:
             "assignment": {f: dict(row) for f, row in self.assignment.items()},
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self) -> str:
         """Canonical JSON form (sorted keys, stable across runs)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PrecisionConfig":

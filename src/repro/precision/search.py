@@ -272,7 +272,6 @@ def tune_precision(
     smoke: bool = False,
     service_root=None,
     max_workers: int = 4,
-    tolerances: Optional[dict] = None,
     out_dir=None,
 ) -> dict:
     """Run the accuracy-gated search; returns the full result record.
@@ -283,7 +282,7 @@ def tune_precision(
     ``out_dir`` gets ``PRECISION_tuned.json`` (the tuned assignment +
     its gate report), which ``repro pfpp --precision tuned`` consumes.
     """
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    tol = dict(DEFAULT_TOLERANCES)
     baseline = reference_diagnostics(None, smoke=smoke)
     shared = {"baseline": baseline, "smoke": smoke, "tolerances": tol}
     search = _Search(shared, service_root, max_workers)

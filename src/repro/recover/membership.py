@@ -29,13 +29,14 @@ machine, so the verdict is adaptive, phi-accrual style (Hayashibara et
 al. 2004): each observer learns the distribution of its peers' beacon
 inter-arrival times and turns current silence into a suspicion level
 ``phi = -log10 P(silence this long | peer alive)``.  Crossing
-``PHI_SUSPECT`` marks the peer *suspected* (fed to straggler
-mitigation, never to recovery); a declaration additionally requires
-``phi >= PHI_DEAD`` **and** silence beyond ``K_DEAD`` learned mean
-intervals — so a merely-degraded peer whose beacons stretched 4x is
-suspected but not evicted, while a truly dead one is still declared
-within the ``timeout + period`` bound.  Until ``PHI_MIN_SAMPLES``
-intervals are learned the fixed ``timeout`` applies (warmup).
+``PHI_SUSPECT`` marks the peer *suspected*, which never triggers
+recovery (the fault campaign audits exactly that); a declaration
+additionally requires ``phi >= PHI_DEAD`` **and** silence beyond
+``K_DEAD`` learned mean intervals — so a merely-degraded peer whose
+beacons stretched 4x is suspected but not evicted, while a truly dead
+one is still declared within the ``timeout + period`` bound.  Until
+``PHI_MIN_SAMPLES`` intervals are learned the fixed ``timeout`` applies
+(warmup).
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ PEER_DEAD = "dead"
 
 # Tuning of the adaptive phi-accrual detector.  ``phi = p`` means "the
 # chance a live peer stays silent this long is 10^-p".  PHI_SUSPECT
-# trips early (fed to straggler mitigation); a *declaration* requires
+# trips early (a verdict only, never acted on); a *declaration* requires
 # both PHI_DEAD and silence beyond K_DEAD learned mean intervals — the
 # belt-and-braces pair that keeps a 4x-degraded peer (phi rises fast
 # once the learned std is small) from being evicted while it is
@@ -335,14 +336,6 @@ class HeartbeatService:
         self.beacons_heard = 0
         #: Per-observer adaptive detectors.
         self.detectors: dict[int, PhiAccrualDetector] = {}
-        #: suspects[observer] -> peers the observer currently suspects
-        #: of being slow (phi crossed PHI_SUSPECT but the peer is not
-        #: declarable).  Feeds straggler mitigation, never recovery.
-        self.suspects: dict[int, set[int]] = {}
-        #: Total suspect transitions (a peer entering some observer's
-        #: suspect set) — the campaign audits this stays decoupled from
-        #: declarations.
-        self.suspect_events = 0
 
     def arm(self) -> None:
         """Install hooks and start the daemons (idempotent)."""
@@ -352,7 +345,6 @@ class HeartbeatService:
         self.armed_at = self.engine.now
         for node in self.membership.participants:
             self.last_seen[node] = {}
-            self.suspects[node] = set()
             self.detectors[node] = PhiAccrualDetector()
             self._wrap_hook(node)
         for node in self.membership.participants:
@@ -423,13 +415,12 @@ class HeartbeatService:
             yield self.engine.timeout(self.config.period)
 
     def _classify(self, node: int, peer: int, now: float) -> None:
-        """One observer's verdict on one peer at one scan."""
+        """One observer's verdict on one peer at one scan: a dead peer is
+        declared; a suspected one is left alone."""
         last = self.last_seen[node].get(peer, self.armed_at)
         silent = now - last
         det = self.detectors[node]
-        state = det.state(peer, now, self.config.timeout)
-        if state == PEER_DEAD:
-            self.suspects[node].discard(peer)
+        if det.state(peer, now, self.config.timeout) == PEER_DEAD:
             phi = det.phi(peer, now)
             self.membership.declare_dead(
                 peer,
@@ -441,9 +432,3 @@ class HeartbeatService:
                     f"{det.mean_interval(peer) or self.config.timeout:.3e} s)"
                 ),
             )
-        elif state == PEER_SUSPECT:
-            if peer not in self.suspects[node]:
-                self.suspects[node].add(peer)
-                self.suspect_events += 1
-        else:
-            self.suspects[node].discard(peer)

@@ -53,6 +53,8 @@ JOBS_DIR = "jobs"
 POLL_INTERVAL_S = 0.02
 #: seconds between ``status.json`` refreshes.
 STATUS_INTERVAL_S = 0.25
+#: seconds :meth:`ServiceClient.wait` sleeps between reads of the status.
+CLIENT_POLL_S = 0.1
 
 
 @dataclass
@@ -106,7 +108,6 @@ class ServiceClient:
         self,
         job_ids: Optional[Iterable[str]] = None,
         timeout_s: float = 60.0,
-        poll_s: float = 0.1,
     ) -> Dict[str, dict]:
         """Block until the given jobs (default: all seen) are terminal."""
         wanted = None if job_ids is None else set(job_ids)
@@ -124,7 +125,7 @@ class ServiceClient:
                 return view
             if time.monotonic() > deadline:
                 return view
-            time.sleep(poll_s)
+            time.sleep(CLIENT_POLL_S)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +256,13 @@ class EnsembleService:
                 pass
         return admitted
 
-    def step(self, now: Optional[float] = None) -> List[dict]:
+    def step(self) -> List[dict]:
         """One pass: supervise, ingest, shed, schedule, dismiss — reaping
         first, so that a worker a clean attempt freed takes the next
         ready job in the same pass, or is dismissed by its end."""
         if not self._started:
             self.startup()
-        now = time.monotonic() if now is None else now
+        now = time.monotonic()
         events = self.supervisor.poll(now)
         self.ingest_spool()
         shed_excess(self.queue, self.metrics)
@@ -273,12 +274,7 @@ class EnsembleService:
         self.supervisor.dismiss_idle()
         return events
 
-    def serve(
-        self,
-        drain: bool = False,
-        max_wall_s: Optional[float] = None,
-        on_event=None,
-    ) -> dict:
+    def serve(self, drain: bool = False, max_wall_s: Optional[float] = None) -> dict:
         """Run the service loop.
 
         With ``drain=True`` the loop exits once every admitted job is
@@ -292,10 +288,7 @@ class EnsembleService:
         last_status = 0.0
         try:
             while True:
-                events = self.step()
-                if on_event is not None:
-                    for event in events:
-                        on_event(event)
+                self.step()
                 now = time.monotonic()
                 if now - last_status >= STATUS_INTERVAL_S:
                     self.metrics.write_status(self.root, self.queue)

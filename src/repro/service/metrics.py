@@ -35,9 +35,9 @@ class ServiceMetrics:
         #: observable: each startup of an existing journal counts one).
         self.restarts = 0
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment the named counter by ``n`` (created at zero)."""
-        self.counters[name] = self.counters.get(name, 0) + n
+    def count(self, name: str) -> None:
+        """Increment the named counter (created at zero)."""
+        self.counters[name] = self.counters.get(name, 0) + 1
 
     def get(self, name: str) -> int:
         """Current value of the named counter (zero if never counted)."""

@@ -46,6 +46,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.durable import atomic_write
+
 from .jobs import JobState
 from .metrics import ServiceMetrics
 from .queue import JobQueue
@@ -199,7 +201,10 @@ class Supervisor:
             process.start()
             worker_conn.close()
             self.metrics.count("workers_spawned")
-        (job_dir / PID_NAME).write_text(str(process.pid))
+        # atomic: a service killed mid-write must not leave an empty file
+        # for the next incarnation's orphan sweep
+        with atomic_write(job_dir / PID_NAME, "w") as fh:
+            fh.write(str(process.pid))
         handle = WorkerHandle(
             job_id=job_id,
             attempt=attempt,

@@ -22,12 +22,11 @@ def ascii_map(
     field: np.ndarray,
     title: str = "",
     ramp: str = RAMP,
-    north_up: bool = True,
 ) -> str:
     """Render a 2-D field as an ASCII density map.
 
-    Rows are latitude (northernmost printed first when ``north_up``),
-    columns longitude.  Constant fields render as all-lightest.
+    Rows are latitude (northernmost printed first), columns longitude.
+    Constant fields render as all-lightest.
     """
     a = np.asarray(field, dtype=float)
     if a.ndim != 2:
@@ -37,8 +36,7 @@ def ascii_map(
     lines = []
     if title:
         lines.append(f"{title}  [{lo:.3g} .. {hi:.3g}]")
-    rows = a[::-1] if north_up else a
-    for row in rows:
+    for row in a[::-1]:
         if span == 0:
             lines.append(ramp[0] * len(row))
             continue
@@ -47,11 +45,11 @@ def ascii_map(
     return "\n".join(lines)
 
 
-def anomaly_map(field: np.ndarray, title: str = "", ramp: str = SIGNED_RAMP) -> str:
+def anomaly_map(field: np.ndarray, title: str = "") -> str:
     """Render a signed field symmetric about zero."""
     a = np.asarray(field, dtype=float)
     scale = float(np.nanmax(np.abs(a))) or 1.0
-    return ascii_map((a / scale + 1.0) / 2.0, title=title, ramp=ramp)
+    return ascii_map((a / scale + 1.0) / 2.0, title=title, ramp=SIGNED_RAMP)
 
 
 def render_timeline(

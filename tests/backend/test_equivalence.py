@@ -4,7 +4,7 @@ The backend contract (docs/backends.md): fidelity changes *when* phases
 are charged, never *what* the model computes — so GCM state must be
 bit-exact across tiers, cheap-tier phase times must sit within the 5 %
 band of DES, and the hybrid tier must actually switch to DES fidelity
-for faulted windows.
+for degraded windows.
 """
 
 import subprocess
@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from repro.backend import DESBackend, HybridBackend, run_crossval
+from repro.faults import BandwidthEvent, DegradationSchedule, FaultPlan
 from repro.gcm.coupled import coupled_model
 from repro.gcm.state import model_digest
 
@@ -112,27 +113,41 @@ class TestTimingBand:
         )
 
 
+def _degrade(hb, start, duration):
+    """Attach a schedule degrading every link during ``[start, +duration)``."""
+    ev = BandwidthEvent(link="", start=start, duration=duration, factor=0.5)
+    hb.set_degradation(DegradationSchedule(FaultPlan(degradations=(ev,))))
+
+
 class TestHybridWindows:
     def test_fault_plan_windows_served_by_des(self):
-        hb = HybridBackend(fault_windows={1})
-        cm = _run(hb, windows=3)
+        hb = HybridBackend()
+        cm = coupled_model(backend=hb, **SMALL)
+        cm.step_coupled()
+        # the second window opens at t1 and only it overlaps the event
+        t1 = cm.elapsed
+        _degrade(hb, t1, 0.5 * t1)
+        cm.run(2)
         stats = hb.tier_stats()
         assert stats["windows"] == {"analytic": 2, "des": 1}
         assert stats["queries"]["des"] > 0
-        # the packet simulations actually ran for the faulted window
+        # the packet simulations actually ran for the degraded window
         assert hb.des.simulations > 0
 
     def test_faulted_step_forces_des_fidelity(self):
         hb = HybridBackend()
+        _degrade(hb, 0.0, 1e-9)
         cm = coupled_model(backend=hb, **SMALL)
-        cm.step_coupled(faulted=True)
+        cm.step_coupled()
         assert hb.tier_stats()["windows"]["des"] == 1
         cm.step_coupled()
         assert hb.tier_stats()["windows"]["analytic"] == 1
 
     def test_hybrid_state_unaffected_by_fault_windows(self, tier_runs):
-        hb = HybridBackend(fault_windows={0})
+        hb = HybridBackend()
+        _degrade(hb, 0.0, 1e-9)
         cm = _run(hb)
+        assert hb.tier_stats()["windows"] == {"analytic": 1, "des": 1}
         assert _digest(cm) == _digest(tier_runs["analytic"])
 
     def test_shared_instance_serves_both_isomorphs(self):

@@ -70,14 +70,14 @@ class TestContract:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_begin_window_accepted_by_every_tier(self, name):
         be = resolve_backend(name)
-        be.begin_window(0)
-        be.begin_window(1, faulted=True)
+        be.begin_window(False)
+        be.begin_window(True)
         assert isinstance(be, CommBackend)
 
     def test_tier_property_reports_active_fidelity(self):
         hb = resolve_backend("hybrid")
         assert hb.tier == "analytic"  # steady-state default
-        hb.begin_window(0, faulted=True)
+        hb.begin_window(True)
         assert hb.tier == "des"
-        hb.begin_window(1)
+        hb.begin_window(False)
         assert hb.tier == "analytic"

@@ -43,7 +43,7 @@ class TestLogP:
             measure_logp(96)
 
     def test_fig2_table_has_both_rows(self):
-        rows = fig2_table(measured=True)
+        rows = fig2_table()
         assert [r["payload_bytes"] for r in rows] == [8, 64]
         for r in rows:
             assert r["os"] < r["or"] < r["half_rtt"]

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS, OCN_PS_PARAMS, VALIDATION
-from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
+from repro.core.perf_model import PerformanceModel
 
 US = 1e-6
 MIN = 60.0
@@ -13,8 +13,8 @@ MIN = 60.0
 
 def paper_atmosphere_model() -> PerformanceModel:
     return PerformanceModel(
-        ps=PSPhaseParams.from_ref(ATM_PS_PARAMS),
-        ds=DSPhaseParams.from_ref(DS_PARAMS),
+        ps=ATM_PS_PARAMS,
+        ds=DS_PARAMS,
     )
 
 
@@ -74,8 +74,8 @@ class TestOceanParameters:
     def test_ocean_ps_heavier_than_atmosphere(self):
         atm = paper_atmosphere_model()
         ocn = PerformanceModel(
-            ps=PSPhaseParams.from_ref(OCN_PS_PARAMS),
-            ds=DSPhaseParams.from_ref(DS_PARAMS),
+            ps=OCN_PS_PARAMS,
+            ds=DS_PARAMS,
         )
         assert ocn.tps > atm.tps  # 3x the levels
         assert ocn.tds == pytest.approx(atm.tds)  # DS params shared

@@ -42,7 +42,7 @@ class TestSweeps:
         assert max(rates) != rates[-1]
 
     def test_resolution_sweep_shapes(self):
-        pts = resolution_sweep((1, 2), n_cpus=16)
+        pts = resolution_sweep((1, 2))
         assert pts[0].nx == 128 and pts[1].nx == 256
         assert pts[1].efficiency >= pts[0].efficiency
 

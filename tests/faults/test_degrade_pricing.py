@@ -123,8 +123,7 @@ class TestSchedule:
 
 class TestFragmentSync:
     def test_frag_bytes_matches_the_des_vi_fragment(self):
-        # Pricing must not import the DES, so the constant is duplicated
-        # and pinned here instead.
+        # Both derive from the packet format; pin that they still agree.
         from repro.niu.startx import VI_FRAG_BYTES
 
         assert FRAG_BYTES == VI_FRAG_BYTES

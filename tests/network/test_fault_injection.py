@@ -11,6 +11,7 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     LinkFaultModel,
+    SlowdownEvent,
     StallEvent,
 )
 from repro.network import FatTree
@@ -41,6 +42,13 @@ class TestPlanValidation:
             FaultPlan(drop_prob=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(drop_prob=0.7, corrupt_prob=0.7)  # sum > 1
+
+    def test_cpu_slowdown_is_rejected_with_its_pricing_path(self):
+        plan = FaultPlan(
+            slowdowns=(SlowdownEvent(node=1, start=0.0, duration=1.0, factor=2.0),)
+        )
+        with pytest.raises(ValueError, match="DegradationSchedule.cpu_factor"):
+            build(plan=plan)
 
     def test_override_wins_by_substring(self):
         plan = FaultPlan(

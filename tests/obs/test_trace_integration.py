@@ -50,18 +50,12 @@ def test_metrics_attached_to_both_isomorphs(traced):
 def test_tracing_does_not_perturb_the_simulation(traced):
     """The determinism invariant: the tracer only reads clocks, so a
     traced run must be event-for-event identical to an untraced one."""
-    from repro.gcm.atmosphere import atmosphere_model
-    from repro.gcm.coupled import CouplerParams, DESCoupledModel
-    from repro.gcm.ocean import ocean_model
+    from repro.gcm.coupled import DEMO_SHAPE, coupled_model
     from repro.hardware.cluster import HyadesCluster
 
     assert obs_trace.TRACER is None  # genuinely untraced
     cluster = HyadesCluster()
-    atm = atmosphere_model(nx=16, ny=8, nz=3, px=2, py=2, dt=600.0)
-    ocn = ocean_model(nx=16, ny=8, nz=4, px=2, py=2, dt=600.0)
-    model = DESCoupledModel(
-        atm, ocn, cluster, CouplerParams(coupling_interval=2), reliable=True
-    )
+    model = coupled_model(cluster=cluster, **DEMO_SHAPE)
     model.run(1)
     assert cluster.engine.events_executed == traced["engine_events"]
     assert cluster.engine.now == traced["engine_time_s"]

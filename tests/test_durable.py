@@ -33,6 +33,10 @@ from repro.gcm.coupled import coupled_model
 from repro.gcm.state import FIELDS_2D, FIELDS_3D
 from repro.recover import CoordinatedCheckpointStore
 from repro.service import JobSpec, Journal, ServiceClient
+from repro.service.metrics import ServiceMetrics
+from repro.service.queue import JobQueue
+from repro.service.supervisor import Supervisor, SupervisorConfig
+from repro.service.worker import PID_NAME
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "durable"
 
@@ -198,6 +202,26 @@ class TestSyncBudget:
     def test_spool_submit(self, tmp_path, calls):
         ServiceClient(tmp_path).submit(JobSpec(kind="sleep", name="one"))
         assert calls == {"fsync": 1, "replace": 1}
+
+    def test_worker_spawn(self, tmp_path, calls):
+        """The journal's start record plus the whole ``worker.pid`` (a
+        service killed between creating and writing it left an empty
+        file that the next incarnation's orphan sweep could not read)."""
+        journal = Journal(tmp_path / "journal.bin").open()
+        queue = JobQueue(journal)
+        queue.submit(JobSpec(kind="sleep", name="one"))
+        supervisor = Supervisor(
+            queue, tmp_path / "jobs", SupervisorConfig(), ServiceMetrics()
+        )
+        calls.update(fsync=0, replace=0)
+        handle = supervisor.spawn(queue.next_ready())
+        try:
+            assert calls == {"fsync": 2, "replace": 1}
+            pid = (handle.job_dir / PID_NAME).read_text()
+            assert pid == str(handle.process.pid)
+        finally:
+            supervisor.kill_all()
+            journal.close()
 
 
 class TestParentFormats:

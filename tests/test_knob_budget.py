@@ -1,5 +1,6 @@
 """Knob budget: the settable values of the degraded-mode stack, of the
-two communication primitives and of the ``repro`` command line, counted.
+two communication primitives, of the whole library and of the ``repro``
+command line, counted.
 
 A value stays settable only if a caller outside tests and examples sets
 it, or two such callers need different values; every other tuning value
@@ -9,15 +10,20 @@ constructor below is counted by its signature: every field of a config
 dataclass, every constructor parameter that is not the object it wraps.
 A deleted class counts 0.  A subcommand of ``repro`` counts its flags and
 positionals (``--help`` aside); a flag stays only if a doc, an example,
-``scripts/ci.sh`` or a benchmark runs it.  The pin is exact: lower it
-when a knob goes, and raise it only for a knob a non-test caller sets.
+``scripts/ci.sh`` or a benchmark runs it.  Library-wide, every defaulted
+parameter of a public module-level function, of a public class's public
+method and of its ``__init__`` under ``src/repro`` is counted (nested
+defs are not).  The pin is exact: lower it when a knob goes, and raise
+it only for a knob a non-test caller sets.
 
 Run as a script to print the table: ``python tests/test_knob_budget.py``.
 """
 
 import argparse
+import ast
 import importlib
 import inspect
+import pathlib
 
 #: (module, name, parameters that are inputs rather than knobs) -> pin
 PINNED = {
@@ -39,6 +45,8 @@ PINNED = {
     ("repro.parallel.globalsum", "GlobalSummer", ("n_ranks",)): 1,
 }
 
+#: Defaulted parameters of every public def under ``src/repro``.
+LIBRARY_PINNED = 358
 
 #: ``repro`` subcommand -> its flags and positionals
 CLI_PINNED = {
@@ -69,6 +77,32 @@ def counts() -> dict:
     return {key: settable(*key) for key in PINNED}
 
 
+def _defaulted(fn: ast.AST) -> int:
+    args = fn.args
+    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+
+
+def library_counts() -> dict:
+    """Module -> defaulted parameters of its public defs."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        n = 0
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                n += _defaulted(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                n += sum(
+                    _defaulted(m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and (not m.name.startswith("_") or m.name == "__init__")
+                )
+        out[module] = n
+    return out
+
+
 def cli_counts() -> dict:
     from repro.cli import build_parser
 
@@ -83,6 +117,10 @@ def cli_counts() -> dict:
 
 def test_each_entry_matches_its_pin():
     assert counts() == PINNED
+
+
+def test_library_matches_its_pin():
+    assert sum(library_counts().values()) == LIBRARY_PINNED
 
 
 def test_each_cli_command_matches_its_pin():
@@ -102,6 +140,11 @@ if __name__ == "__main__":
     for (module, name, _), n in got.items():
         print(f"{module + '.' + name:<52} {n:>3}")
     print(f"knob-budget: {sum(got.values())} settable values (pinned {sum(PINNED.values())})")
+    lib = library_counts()
+    for module, n in lib.items():
+        if n:
+            print(f"{module:<52} {n:>3}")
+    print(f"knob-budget: {sum(lib.values())} defaulted parameters (pinned {LIBRARY_PINNED})")
     cli = cli_counts()
     for command, n in cli.items():
         print(f"repro {command:<46} {n:>3}")
