@@ -26,6 +26,7 @@ from repro.gcm.timestepper import Model, ModelConfig
 from repro.gcm.physics import OceanForcing
 from repro.gcm.eos import LinearEOS
 from repro.gcm.prognostic import DynamicsParams
+from repro.obs.trace import tracing
 from repro.parallel.runtime import LockstepRuntime
 from repro.parallel.tiling import Decomposition
 from repro.viz import anomaly_map, ascii_map, profile_bars, render_timeline
@@ -43,7 +44,7 @@ def build_model():
         physics=OceanForcing(),
     )
     d = Decomposition(48, 24, 2, 2, olx=cfg.olx)
-    rt = LockstepRuntime(d, cpus_per_node=2, record_timeline=True)
+    rt = LockstepRuntime(d, cpus_per_node=2)
     m = Model(cfg, runtime=rt)
     # thermocline initial state
     lats = cfg.grid.lat0 + (np.arange(24) + 0.5) * cfg.grid.dlat
@@ -86,13 +87,15 @@ def main() -> None:
     print()
     print(profile_bars(prof, labels=labels, title="ideal age by depth (days):"))
 
-    # one more step with a fresh timeline to show the BSP schedule
-    m.runtime.timeline.clear()
-    m.step()
+    # one more step, traced: its bsp spans are the BSP schedule
+    with tracing() as tracer:
+        m.step()
+    spans = [(e["name"], e["ts"], e["ts"] + e["dur"])
+             for e in tracer.events if e.get("cat") == "bsp"]
+    t_first = spans[0][1]
     print()
     print(render_timeline(
-        [(k, t0 - m.runtime.timeline[0][1], t1 - m.runtime.timeline[0][1])
-         for k, t0, t1 in m.runtime.timeline],
+        [(k, (t0 - t_first) * 1e-6, (t1 - t_first) * 1e-6) for k, t0, t1 in spans],
         title="virtual-time schedule of one step (#=compute ==exchange $=solver):",
     ))
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
-# line ledger, the one-durable-writer, one-route-reader, one-rank-loop
-# and one-table-formatter checks, the DES event-count and per-hop,
+# line ledger, the one-durable-writer, one-route-reader, one-geometry,
+# one-rank-loop and one-table-formatter checks, the DES event-count and per-hop,
 # per-wake and per-message call-count, GCM step call-count, service
 # fork-count, cold-quote call-count and knob-count budgets, the tier-1
 # test suite, an import check of every example, a run of every python
@@ -54,6 +54,20 @@ if [ "$(printf '%s\n' "$readers" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$read
   exit 1
 fi
 echo "routing-once: clean ($readers)"
+
+echo
+echo "== geometry-once (a machine's hop counts are read off its route: hop_distance and max_hop_distance are defined once, on Topology) =="
+for fn in hop_distance max_hop_distance; do
+  defs="$(grep -rnE "def $fn\(" src/repro --include='*.py' || true)"
+  line="$(printf '%s\n' "$defs" | sed -n 's|^src/repro/network/topology\.py:\([0-9]*\):.*|\1|p')"
+  if [ "$(printf '%s\n' "$defs" | grep -c .)" -ne 1 ] || [ -z "$line" ] \
+     || ! head -n "$line" src/repro/network/topology.py | grep -E '^class ' | tail -1 | grep -q '^class Topology('; then
+    echo "geometry-once: derive $fn from Topology.route; no closed form beside the route:" >&2
+    echo "$defs" >&2
+    exit 1
+  fi
+done
+echo "geometry-once: clean"
 
 echo
 echo "== des-ranks-once (rank processes of a communication phase start in repro.collectives.des_exec; elsewhere only NIU/mailbox/heartbeat daemons and point-to-point microbenchmarks) =="

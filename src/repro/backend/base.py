@@ -130,12 +130,6 @@ class CommBackend(abc.ABC):
         fidelity.
         """
 
-    @property
-    def tier(self) -> str:
-        """The fidelity answering queries *right now* (differs from
-        :attr:`name` only for window-switching tiers like hybrid)."""
-        return self.name
-
     # ---- reporting -------------------------------------------------------
 
     def describe(self) -> dict:

@@ -44,10 +44,6 @@ class HybridBackend(CommBackend):
     def model(self) -> CommCostModel:  # type: ignore[override]
         return self.analytic.model
 
-    @property
-    def tier(self) -> str:
-        return self._active.name
-
     def set_degradation(self, schedule) -> None:
         """Attach the schedule to both children (they compose the shared
         penalty) and keep a reference for window routing."""

@@ -95,8 +95,6 @@ class Autotuner:
             model = topology.cost_model()
         self.model = model or arctic_cost_model()
         self._cache: Dict[Tuple[str, int, int, Priority], CollectivePlan] = {}
-        self.hits = 0
-        self.misses = 0
 
     def plan(
         self,
@@ -114,9 +112,7 @@ class Autotuner:
         key = (op, n, int(nbytes), priority)
         hit = self._cache.get(key)
         if hit is not None:
-            self.hits += 1
             return hit
-        self.misses += 1
         names = list(candidates(op, n))
         if n > DENSE_SCHEDULE_MAX_N:
             # Ring schedules carry O(N^2) total messages — at N=4096 an
@@ -158,16 +154,6 @@ class Autotuner:
         if smp:
             t += self.model.smp_local_cost
         return t
-
-    def barrier_time(self, n_nodes: int) -> float:
-        """Tuned barrier latency at ``n_nodes``."""
-        if n_nodes < 2:
-            return 0.0
-        return self.plan("barrier", n_nodes).predicted_s
-
-    def cache_info(self) -> Dict[str, int]:
-        """Plan-cache statistics: hits / misses / size."""
-        return {"hits": self.hits, "misses": self.misses, "size": len(self._cache)}
 
     # ---- DES cross-validation ------------------------------------------
 

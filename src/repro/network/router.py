@@ -159,10 +159,6 @@ class Link:
             else:
                 self._transmit(packet, now)
 
-    @property
-    def queued(self) -> int:
-        return len(self._waiting)
-
     def stall(self, duration: float) -> None:
         """Block the transmitter for ``duration`` seconds of virtual time.
 

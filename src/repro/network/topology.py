@@ -4,7 +4,8 @@ A :class:`Topology` bundles everything the analytic tier, the
 collectives autotuner and the DES need to price communication on one
 machine shape:
 
-* geometry — endpoint count, per-pair hop distance, bisection;
+* geometry — endpoint count and bisection; hop counts are the lengths
+  of the routes below, so a shape states its geometry once;
 * link hardware — per-link bandwidth and per-hop (stage) latency;
 * a calibrated :class:`~repro.network.costmodel.CommCostModel` for the
   closed-form exchange/gsum terms (including the hop-latency surcharge
@@ -32,8 +33,8 @@ with, calibrated from the cited papers' published link specs:
                       (7.92 MB/s effective shared backplane).
 ====================  =======================================================
 
-Registry: :func:`make_topology` / :func:`register_topology` /
-:func:`topology_names`, mirroring the backend registry idiom.
+Registry: :func:`make_topology` / :func:`topology_names`, mirroring
+the backend registry idiom.
 """
 
 from __future__ import annotations
@@ -111,15 +112,6 @@ def node_coords(node: int, dims: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coords)
 
 
-def grid_distance(src: int, dst: int, dims: Sequence[int], wrap: bool) -> int:
-    """Manhattan router-to-router distance (per-axis shortest with wrap)."""
-    total = 0
-    for a, b, d in zip(node_coords(src, dims), node_coords(dst, dims), dims):
-        delta = abs(a - b)
-        total += min(delta, d - delta) if wrap else delta
-    return total
-
-
 def _strides(dims: Sequence[int]) -> Tuple[int, ...]:
     """Node-id increment per unit step along each axis."""
     return tuple(math.prod(dims[:axis]) for axis in range(len(dims)))
@@ -166,17 +158,20 @@ class Topology(abc.ABC):
 
     # -- geometry --------------------------------------------------------
 
-    @abc.abstractmethod
     def hop_distance(self, src: int, dst: int) -> int:
         """Links traversed on the deterministic src->dst path
-        (including injection and delivery links): ``len(route(src,
-        dst))`` as an O(1) closed form."""
+        (including injection and delivery links)."""
+        return len(self.route(src, dst))
+
+    @functools.cached_property
+    def _diameter(self) -> int:
+        # every shape here looks the same from each endpoint or, on a
+        # mesh, worst from the corner endpoint 0
+        return max(len(self.route(0, d)) for d in range(self.n_endpoints))
 
     def max_hop_distance(self) -> int:
         """Network diameter in links (worst pair)."""
-        return max(
-            self.hop_distance(0, d) for d in range(self.n_endpoints)
-        )
+        return self._diameter
 
     def neighbor_hops(self) -> int:
         """Hop distance between halo-exchange neighbours under the
@@ -231,9 +226,14 @@ class Topology(abc.ABC):
     def crossval_pairs(self) -> List[Tuple[int, int]]:
         """The (src, dst) pairs of the contention-free cross-validation
         pattern: disjoint directed paths so the closed-form prediction
-        is exact up to model error.  Default: adjacent-id pairs."""
+        is exact up to model error.  Default: neighbours along axis 0
+        within each row (a flat machine is one row), both ways; the
+        last node of an odd row sits out."""
+        row = getattr(self, "dims", (self.n_endpoints,))[0]
         return [
-            (e, e ^ 1) for e in range(self.n_endpoints)
+            (e, e - c + (c ^ 1))
+            for e in range(self.n_endpoints)
+            if (c := e % row) ^ 1 < row
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -251,16 +251,6 @@ class FatTreeTopology(Topology):
     def __init__(self, n_endpoints: int) -> None:
         _require_pow2(n_endpoints, "fat tree")
         super().__init__(n_endpoints)
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        """2*lca links: up to the least common ancestor level, down."""
-        if src == dst:
-            return 0
-        return 2 * (src ^ dst).bit_length()
-
-    def max_hop_distance(self) -> int:
-        """Full tree height both ways: 2*log2(N) links."""
-        return 2 * (self.n_endpoints.bit_length() - 1)
 
     def bisection_links(self) -> int:
         """N/2 duplex links cross the midline (one per top router)."""
@@ -334,19 +324,6 @@ class GridTopology(Topology):
         self.name = kind
         self.dims = dims
         self.wrap = wrap
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Manhattan distance (shorter way on a torus) + inject/deliver."""
-        if src == dst:
-            return 0
-        return grid_distance(src, dst, self.dims, self.wrap) + 2
-
-    def max_hop_distance(self) -> int:
-        """Grid diameter: the worst per-axis distances, summed."""
-        per_axis = (
-            (d // 2 if self.wrap else d - 1) for d in self.dims
-        )
-        return sum(per_axis) + 2
 
     def bisection_links(self) -> int:
         """Links cut across the largest axis (doubled on a torus)."""
@@ -444,22 +421,6 @@ class HyperCrossbarTopology(Topology):
         super().__init__(n_endpoints)
         self.dims = dims
 
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Inject/deliver plus one up/down pair per differing axis."""
-        if src == dst:
-            return 0
-        differing = sum(
-            a != b
-            for a, b in zip(
-                node_coords(src, self.dims), node_coords(dst, self.dims)
-            )
-        )
-        return 2 + 2 * differing
-
-    def max_hop_distance(self) -> int:
-        """All axes differ: 2 + 2 crossbar traversals per dimension."""
-        return 2 + 2 * len(self.dims)
-
     def bisection_links(self) -> int:
         """One crossbar link per node on the smaller side of the cut."""
         # Splitting the largest axis in half: every node reaches the far
@@ -526,12 +487,6 @@ class HyperCrossbarTopology(Topology):
         route.append(n + dst)
         return tuple(route)
 
-    def crossval_pairs(self) -> List[Tuple[int, int]]:
-        """Adjacent-id pairs: one crossbar, disjoint up/down links."""
-        # Adjacent ids differ in axis-0 only: one crossbar traversal,
-        # every pair on its own up/down links.
-        return [(e, e ^ 1) for e in range(self.n_endpoints)]
-
 
 class EthernetTopology(Topology):
     """PMS-style flat shared Fast Ethernet (hep-lat/9912059)."""
@@ -549,14 +504,6 @@ class EthernetTopology(Topology):
         super().__init__(n_endpoints)
         self._model = fast_ethernet_cost_model()
         self.link_bandwidth = self._model.bandwidth
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        """One hop for every distinct pair: the medium is flat."""
-        return 0 if src == dst else 1
-
-    def max_hop_distance(self) -> int:
-        """Flat: every pair is one hop."""
-        return 1
 
     def bisection_links(self) -> int:
         """The single shared medium IS the cut."""
@@ -601,11 +548,6 @@ TOPOLOGIES: Dict[str, Callable[[int], Topology]] = {
 SCOREBOARD_TOPOLOGIES = (
     "fattree", "torus2d", "torus3d", "hypercrossbar", "ethernet",
 )
-
-
-def register_topology(name: str, factory: Callable[[int], Topology]) -> None:
-    """Register a custom machine shape under ``name``."""
-    TOPOLOGIES[name] = factory
 
 
 def topology_names() -> Tuple[str, ...]:

@@ -12,7 +12,7 @@ Always importable, near-zero overhead when off:
 * :mod:`repro.obs.bench` — the unified ``BENCH_<name>.json`` emitter.
 """
 
-from repro.obs.bench import bench_record, read_bench, write_bench
+from repro.obs.bench import bench_record, write_bench
 from repro.obs.metrics import (
     MetricsRecorder,
     PhaseTotals,
@@ -25,7 +25,7 @@ from repro.obs.schema import (
     validate_bench,
     validate_chrome_trace,
 )
-from repro.obs.trace import Tracer, active, start, stop, tracing
+from repro.obs.trace import Tracer, start, stop, tracing
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -33,10 +33,8 @@ __all__ = [
     "MetricsRecorder",
     "PhaseTotals",
     "Tracer",
-    "active",
     "bench_record",
     "phase_crosscheck",
-    "read_bench",
     "start",
     "stop",
     "tracing",

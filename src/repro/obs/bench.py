@@ -62,10 +62,3 @@ def write_bench(out_dir: Union[str, pathlib.Path], name: str, **kwargs) -> pathl
     path = out / f"BENCH_{name}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return path
-
-
-def read_bench(path: Union[str, pathlib.Path]) -> dict:
-    """Load and re-validate a benchmark record."""
-    record = json.loads(pathlib.Path(path).read_text())
-    assert_valid(validate_bench(record), f"benchmark record at {path}")
-    return record

@@ -39,14 +39,6 @@ class PhaseTotals:
     n_exchanges: int = 0
     n_gsums: int = 0
 
-    @property
-    def comm_s(self) -> float:
-        return self.exchange_s + self.gsum_s + self.barrier_s
-
-    @property
-    def total_s(self) -> float:
-        return self.compute_s + self.comm_s + self.sync_s
-
     def as_dict(self) -> dict:
         """Plain-dict view (JSON-ready)."""
         return {
@@ -121,10 +113,6 @@ class MetricsRecorder:
         self.steps.append(rec)
         return rec
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
     # -- reporting -------------------------------------------------------
 
     def totals(self) -> dict[str, dict]:
@@ -147,15 +135,6 @@ class MetricsRecorder:
         return {
             name: {key: val / n for key, val in acc.items()}
             for name, acc in sorted(out.items())
-        }
-
-    def report(self) -> dict:
-        """Everything, in one machine-readable object (the ``telemetry``
-        payload of reports and benchmark records)."""
-        return {
-            "totals": self.totals(),
-            "per_step": self.per_step(),
-            "n_steps": self.n_steps,
         }
 
 

@@ -166,11 +166,6 @@ SERVICE_SUMMARY_SCHEMA: dict = {
 }
 
 
-def validate_service_summary(record: dict) -> list[str]:
-    """Errors in a service status record (empty when valid)."""
-    return validate(record, SERVICE_SUMMARY_SCHEMA)
-
-
 # ---------------------------------------------------------------------------
 # Chrome trace-event JSON
 # ---------------------------------------------------------------------------

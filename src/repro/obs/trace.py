@@ -212,11 +212,6 @@ def stop() -> Optional[Tracer]:
     return t
 
 
-def active() -> Optional[Tracer]:
-    """The currently installed tracer, or None."""
-    return TRACER
-
-
 @contextmanager
 def tracing() -> Iterator[Tracer]:
     """Context manager: trace the enclosed block, then deactivate."""

@@ -88,7 +88,6 @@ class LockstepRuntime:
         backend=None,
         cpus_per_node: int = 1,
         machine: Optional[MachineModel] = None,
-        record_timeline: bool = False,
         n_nodes: Optional[int] = None,
     ) -> None:
         if cpus_per_node < 1:
@@ -136,11 +135,6 @@ class LockstepRuntime:
         self._remapped = False
         #: Attached degradation schedule (``None`` = healthy machine).
         self.degradation = None
-        #: Optional event log: (kind, t_start, t_end) of each charged
-        #: phase on the critical-path clock; enable with
-        #: ``record_timeline=True`` for post-mortem schedule analysis.
-        self.record_timeline = record_timeline
-        self.timeline: list[tuple[str, float, float]] = []
         #: Optional per-phase telemetry sink (see :meth:`attach_metrics`).
         self.metrics: Optional[MetricsRecorder] = None
         #: Phase label charged for exchanges/global sums/barriers when the
@@ -207,9 +201,9 @@ class LockstepRuntime:
         return factors
 
     def _log(self, kind: str, t_start: float) -> None:
+        """Emit a ``bsp`` span of one charge on the critical-path clock
+        (the run's schedule, when a tracer is active)."""
         t_end = self.elapsed
-        if self.record_timeline:
-            self.timeline.append((kind, t_start, t_end))
         tr = obs_trace.TRACER
         if tr is not None and t_end > t_start:
             tr.complete(
@@ -394,14 +388,22 @@ class LockstepRuntime:
         return result
 
     def barrier(self) -> None:
-        """Synchronize clocks (costed like a dataless global sum)."""
+        """Synchronize clocks; booked like a dataless global sum (the
+        wait as sync time, the cost as global-sum time)."""
         when = None if self.degradation is None else self.elapsed
         t_b = self.backend.barrier_time(self.n_nodes, now=when)
-        t_start = self.elapsed
-        self.clocks[:] = float(self.clocks.max()) + t_b
+        before = self.clocks.copy()
+        now = float(before.max())
+        self.clocks[:] = now + t_b
+        for r, st in enumerate(self.stats):
+            st.sync_time += now - before[r]
+            st.gsum_time += t_b
         if self.metrics is not None:
             self.metrics.record(self.current_phase, "barrier", t_b)
-        self._log("barrier", t_start)
+            self.metrics.record(
+                self.current_phase, "sync", float((now - before).max())
+            )
+        self._log("barrier", now)
 
     def sync(self) -> None:
         """Cost-free clock alignment (e.g. entering a phase that begins
@@ -570,10 +572,6 @@ class StragglerMitigator:
         ratio = np.maximum(prog / med, 0.0) / rel
         self._estimate = (1 - EWMA_ALPHA) * self._estimate + EWMA_ALPHA * ratio
         self._observations += 1
-
-    def slowdown(self, node: int) -> float:
-        """Smoothed slowdown estimate for ``node`` (1 = healthy)."""
-        return float(self._estimate[node])
 
     def suspected(self, node: int) -> bool:
         """Is ``node`` currently suspected of straggling?"""

@@ -5,9 +5,8 @@ The subsystem has five parts:
 * :mod:`repro.precision.config` — :class:`PrecisionConfig`, the
   JSON-round-trippable field x site assignment with the ``all64`` /
   ``all32`` / ``wire32`` presets;
-* :mod:`repro.precision.codec` — the casting wire codec (value
-  quantization + exact byte accounting) and the CG
-  :class:`CastingOperator`;
+* :mod:`repro.precision.codec` — the global-sum contribution cast and
+  the CG :class:`CastingOperator`;
 * :mod:`repro.precision.gates` — accuracy gates (SST / kinetic energy /
   overturning relative errors vs the float64 baseline, plus hard
   finiteness and solver-convergence checks) over a reference coupled
@@ -24,7 +23,7 @@ model layer imports them); gates/search/report import the model layer
 and load on demand.
 """
 
-from repro.precision.codec import CastingOperator, WireCodec, quantize_gsum
+from repro.precision.codec import CastingOperator, quantize_gsum
 from repro.precision.config import (
     GLOBAL_SITES,
     PRECISION_FIELDS,
@@ -39,7 +38,6 @@ __all__ = [
     "PRECISION_FIELDS",
     "PrecisionConfig",
     "SITES",
-    "WireCodec",
     "quantize_gsum",
     "resolve_precision",
 ]

@@ -21,15 +21,15 @@ float32 or float64 at each of four *sites*:
     the working precision of the conjugate-gradient solver (one solver,
     so this site too flips as a whole).
 
-Configs round-trip through JSON (:meth:`PrecisionConfig.to_json` /
-:meth:`PrecisionConfig.from_json`), which is how the search driver
-ships candidates to ensemble-service workers and how a tuned assignment
-is persisted for ``repro pfpp --precision tuned``.
+Configs round-trip through plain JSON-ready dicts
+(:meth:`PrecisionConfig.to_dict` / :meth:`PrecisionConfig.from_dict`),
+which is how the search driver ships candidates to ensemble-service
+workers and how a tuned assignment is persisted for ``repro pfpp
+--precision tuned``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -153,17 +153,9 @@ class PrecisionConfig:
             "assignment": {f: dict(row) for f, row in self.assignment.items()},
         }
 
-    def to_json(self) -> str:
-        """Canonical JSON form (sorted keys, stable across runs)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "PrecisionConfig":
         return cls(name=d.get("name", "custom"), assignment=d.get("assignment", {}))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PrecisionConfig":
-        return cls.from_dict(json.loads(text))
 
     # ---- queries -----------------------------------------------------------
 

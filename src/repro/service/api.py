@@ -53,8 +53,6 @@ JOBS_DIR = "jobs"
 POLL_INTERVAL_S = 0.02
 #: seconds between ``status.json`` refreshes.
 STATUS_INTERVAL_S = 0.25
-#: seconds :meth:`ServiceClient.wait` sleeps between reads of the status.
-CLIENT_POLL_S = 0.1
 
 
 @dataclass
@@ -96,36 +94,6 @@ class ServiceClient:
             warnings.simplefilter("ignore")
             queue.replay()
         return {job_id: state.as_dict() for job_id, state in queue.jobs.items()}
-
-    def service_summary(self) -> Optional[dict]:
-        """The service's last published ``status.json`` (or None)."""
-        try:
-            return json.loads((self.root / "status.json").read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def wait(
-        self,
-        job_ids: Optional[Iterable[str]] = None,
-        timeout_s: float = 60.0,
-    ) -> Dict[str, dict]:
-        """Block until the given jobs (default: all seen) are terminal."""
-        wanted = None if job_ids is None else set(job_ids)
-        deadline = time.monotonic() + timeout_s
-        terminal = {
-            JobStatus.COMPLETED.value,
-            JobStatus.QUARANTINED.value,
-            JobStatus.SHED.value,
-        }
-        while True:
-            status = self.status()
-            view = {k: v for k, v in status.items() if wanted is None or k in wanted}
-            all_seen = wanted is None or wanted <= set(status)
-            if view and all_seen and all(v["status"] in terminal for v in view.values()):
-                return view
-            if time.monotonic() > deadline:
-                return view
-            time.sleep(CLIENT_POLL_S)
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,12 @@ def render_timeline(
 ) -> str:
     """Render a runtime event timeline as an ASCII Gantt strip.
 
-    ``timeline`` is the :class:`repro.parallel.runtime.LockstepRuntime`
-    event log: (kind, t_start, t_end) triples on the critical-path
-    clock.  Compute renders as ``#``, exchanges as ``=``, global sums as
-    ``|`` and aggregated solver phases as ``$`` (each event gets at
-    least one column).
+    ``timeline`` is (kind, t_start, t_end) triples, in seconds, on the
+    critical-path clock: the ``bsp`` spans a
+    :class:`repro.parallel.runtime.LockstepRuntime` traces.  Compute
+    renders as ``#``, exchanges as ``=``, global sums as ``|`` and
+    aggregated solver phases as ``$`` (each event gets at least one
+    column).
     """
     if not timeline:
         return "(empty timeline)"

@@ -76,8 +76,8 @@ class TestContract:
 
     def test_tier_property_reports_active_fidelity(self):
         hb = resolve_backend("hybrid")
-        assert hb.tier == "analytic"  # steady-state default
+        assert hb.tier_stats()["active"] == "analytic"  # steady-state default
         hb.begin_window(True)
-        assert hb.tier == "des"
+        assert hb.tier_stats()["active"] == "des"
         hb.begin_window(False)
-        assert hb.tier == "analytic"
+        assert hb.tier_stats()["active"] == "analytic"

@@ -14,7 +14,9 @@ by link *name*, from a live fabric, so the oracle shares no routing
 arithmetic with ``src/``.
 
 ``reference_for(fabric).route_fns()`` gives ``{router name: route(pkt)
--> Link}``, ``.path_links(src, dst)`` the old fabric-side count.
+-> Link}``, ``.path_links(src, dst)`` the old fabric-side count and
+``.max_path_links()`` the diameter the topology classes stated in
+closed form until their hop counts were read off the route.
 """
 
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -114,6 +116,10 @@ class ReferenceFatTree:
         lca = (src ^ dst).bit_length()  # levels to ascend
         return 2 * lca
 
+    def max_path_links(self) -> int:
+        """Full tree height both ways: 2*log2(N) links."""
+        return 2 * (self.n.bit_length() - 1)
+
 
 class ReferenceGrid:
     """``GridFabric``'s routing closure and hop count, as they were."""
@@ -166,6 +172,13 @@ class ReferenceGrid:
         if src == dst:
             return 0
         return grid_distance(src, dst, self.dims, self.wrap) + 2
+
+    def max_path_links(self) -> int:
+        """Grid diameter: the worst per-axis distances, summed."""
+        per_axis = (
+            (d // 2 if self.wrap else d - 1) for d in self.dims
+        )
+        return sum(per_axis) + 2
 
 
 class ReferenceCrossbar:
@@ -240,6 +253,10 @@ class ReferenceCrossbar:
             return 0
         return 2 + 2 * self.differing_axes(src, dst)
 
+    def max_path_links(self) -> int:
+        """All axes differ: 2 + 2 crossbar traversals per dimension."""
+        return 2 + 2 * len(self.dims)
+
 
 class ReferenceHub:
     """``HubFabric`` had no router: the one link dispatched by ``dst``."""
@@ -253,6 +270,10 @@ class ReferenceHub:
     def path_links(self, src: int, dst: int) -> int:
         """One hop for every distinct pair: the medium is flat."""
         return 0 if src == dst else 1
+
+    def max_path_links(self) -> int:
+        """Flat: every pair is one hop."""
+        return 1
 
 
 _REFERENCES = {

@@ -139,9 +139,10 @@ def sampled_pairs(n, count=40):
 @pytest.mark.parametrize("name", topology_names())
 def test_a_packet_crosses_exactly_its_route(name, n):
     """One packet at a time: the links whose packet count rose are
-    ``route(src, dst)``, as many as ``hop_distance`` says, and the
-    per-router closures the fabrics used to carry pick the same next
-    link at every hop (on the fat tree also for a random up-route)."""
+    ``route(src, dst)``, as many as the fabrics' old closed-form hop
+    count says, and the per-router closures the fabrics used to carry
+    pick the same next link at every hop (on the fat tree also for a
+    random up-route)."""
     eng, fabric, inbox = build(name, n, seed=5)
     topo = fabric.topology
     routers, wires = topo.wiring()
@@ -152,10 +153,9 @@ def test_a_packet_crosses_exactly_its_route(name, n):
     modes = (False, True) if name == "fattree" else (False,)
     for src, dst in sampled_pairs(n):
         route = topo.route(src, dst)
-        assert (
-            len(route) == topo.hop_distance(src, dst)
-            == fabric.path_links(src, dst) == reference.path_links(src, dst)
-        ), (src, dst)
+        assert len(route) == fabric.path_links(src, dst) == reference.path_links(src, dst), (
+            src, dst,
+        )
         for random_uproute in modes:
             before = [link.stats.packets for link in links]
             pkt = Packet(src=src, dst=dst, random_uproute=random_uproute)
@@ -178,6 +178,21 @@ def test_a_packet_crosses_exactly_its_route(name, n):
                 assert next_link[router](pkt) is links[there], (src, dst, router)
             if src != dst:
                 assert wires[pkt.route[-1]][1] in (~dst, None)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("name", topology_names())
+def test_hop_counts_read_off_the_route_equal_the_closed_forms(name, n):
+    """``hop_distance``, ``max_hop_distance`` and ``neighbor_hops`` come
+    from the route; they equal the closed forms the topologies stated
+    beside it before a machine's geometry became its route."""
+    _, fabric, _ = build(name, n)
+    topo = fabric.topology
+    reference = reference_for(fabric)
+    for src, dst in sampled_pairs(n) + [(0, dst) for dst in range(n)]:
+        assert topo.hop_distance(src, dst) == reference.path_links(src, dst), (src, dst)
+    assert topo.max_hop_distance() == reference.max_path_links()
+    assert topo.neighbor_hops() == reference.path_links(0, 1)
 
 
 def test_torus_half_ring_tie_goes_the_way_that_does_not_wrap():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.bench import bench_record, read_bench, write_bench
+from repro.obs.bench import bench_record, write_bench
+from repro.obs.schema import validate_bench
 
 
 def test_record_has_the_three_uniform_fields():
@@ -32,7 +33,8 @@ def test_write_and_read_round_trip(tmp_path):
         units={"virtual_time_s": "s"},
     )
     assert path.name == "BENCH_fig09_coupled.json"
-    rec = read_bench(path)
+    rec = json.loads(path.read_text())
+    assert validate_bench(rec) == []
     assert rec["virtual_time_s"] == 0.002
     assert rec["model_error"] == {"combined_gflops": -0.04}
     assert rec["data"] == {"windows": 3}
@@ -48,9 +50,7 @@ def test_read_rejects_tampered_record(tmp_path):
     path = write_bench(tmp_path, "x")
     rec = json.loads(path.read_text())
     del rec["data"]
-    path.write_text(json.dumps(rec))
-    with pytest.raises(ValueError, match="data"):
-        read_bench(path)
+    assert any("data" in err for err in validate_bench(rec))
 
 
 def test_equal_inputs_serialise_to_identical_bytes(tmp_path):
@@ -73,6 +73,4 @@ def test_record_carrying_host_time_is_rejected(tmp_path):
     path = write_bench(tmp_path, "x")
     rec = json.loads(path.read_text())
     rec["wall_clock_s"] = 0.25
-    path.write_text(json.dumps(rec))
-    with pytest.raises(ValueError, match="wall_clock_s"):
-        read_bench(path)
+    assert any("wall_clock_s" in err for err in validate_bench(rec))

@@ -18,20 +18,19 @@ def _no_global_tracer():
 
 def test_tracing_off_by_default():
     assert trace.TRACER is None
-    assert trace.active() is None
 
 
 def test_start_stop_install_and_remove():
     t = trace.start()
-    assert trace.active() is t
+    assert trace.TRACER is t
     assert trace.stop() is t
-    assert trace.active() is None
+    assert trace.TRACER is None
 
 
 def test_tracing_context_manager_restores_off():
     with trace.tracing() as t:
-        assert trace.active() is t
-    assert trace.active() is None
+        assert trace.TRACER is t
+    assert trace.TRACER is None
 
 
 def test_complete_span_emits_metadata_once():

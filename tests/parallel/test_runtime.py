@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel.runtime import LockstepRuntime, MachineModel
 from repro.parallel.tiling import Decomposition
@@ -201,3 +203,56 @@ class TestRuntimeMisc:
     def test_elapsed_zero_initially(self):
         assert make_runtime().elapsed == 0.0
         assert make_runtime().sustained_flops() == 0.0
+
+
+def _charge(rt, op):
+    kind, arg = op
+    if kind == "compute":
+        rt.charge_compute(arg, phase="ps")
+    elif kind == "exchange":
+        rt.exchange([tile.alloc3d(2) for tile in rt.decomp.tiles])
+    elif kind == "gsum":
+        rt.global_sum([1.0] * rt.n_ranks)
+    elif kind == "barrier":
+        rt.barrier()
+    elif kind == "sync":
+        rt.sync()
+    else:
+        rt.charge_phase(compute=arg[0], exchange=arg[1], gsum=arg[2])
+
+
+_flops = st.lists(st.floats(0.0, 1e7), min_size=4, max_size=4)
+_seconds = st.floats(0.0, 1e-3)
+_ops = st.one_of(
+    st.tuples(st.just("compute"), _flops),
+    st.tuples(st.sampled_from(["exchange", "gsum", "barrier", "sync"]), st.none()),
+    st.tuples(st.just("phase"), st.tuples(_seconds, _seconds, _seconds)),
+)
+
+
+class TestRankBooks:
+    """Every charge keeps each rank's clock equal to the sum of its
+    compute, exchange, global-sum and sync times."""
+
+    @staticmethod
+    def assert_books_balance(rt):
+        for clock, st_ in zip(rt.clocks, rt.stats):
+            booked = st_.compute_time + st_.exchange_time + st_.gsum_time + st_.sync_time
+            assert booked == pytest.approx(clock, rel=1e-12, abs=1e-300)
+
+    def test_barrier_books_the_wait_and_the_cost(self):
+        rt = make_runtime(px=2, py=2, cpus_per_node=1, olx=1)
+        rt.charge_compute([1e6, 2e6, 3e6, 4e6], "ps")
+        rt.barrier()
+        s = rt.summary()
+        terms = s["compute_time"] + s["exchange_time"] + s["gsum_time"] + s["sync_time"]
+        assert terms == pytest.approx(s["elapsed"], rel=1e-12)
+        self.assert_books_balance(rt)
+
+    @given(st.lists(_ops, max_size=12), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_charge_sequence_balances(self, ops, cpus_per_node):
+        rt = make_runtime(px=2, py=2, cpus_per_node=cpus_per_node, olx=1)
+        for op in ops:
+            _charge(rt, op)
+        self.assert_books_balance(rt)

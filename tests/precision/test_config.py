@@ -1,5 +1,7 @@
 """PrecisionConfig: presets, JSON round trip and dtype plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("preset", ["all64", "wire32", "all32"])
     def test_presets_round_trip(self, preset):
         cfg = PrecisionConfig.preset(preset)
-        again = PrecisionConfig.from_json(cfg.to_json())
+        again = PrecisionConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
     def test_with_cells_round_trips(self):

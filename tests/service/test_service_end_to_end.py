@@ -3,7 +3,7 @@ checkpoint resume, status schema."""
 
 import json
 
-from repro.obs.schema import validate_service_summary
+from repro.obs.schema import SERVICE_SUMMARY_SCHEMA, validate
 from repro.service import (
     EnsembleService,
     JobSpec,
@@ -49,8 +49,8 @@ class TestDrain:
         summary = service.serve(drain=True, max_wall_s=60.0)
         assert summary["completed"] == 5
         assert not list(client.spool.glob("*.json"))  # spool fully ingested
-        states = client.wait(ids, timeout_s=5.0)
-        assert all(s["status"] == "completed" for s in states.values())
+        states = client.status()
+        assert all(states[i]["status"] == "completed" for i in ids)
 
     def test_submission_needs_no_running_service(self, tmp_path):
         client = ServiceClient(tmp_path)
@@ -195,9 +195,8 @@ class TestStatusRecord:
         service.startup()
         service.serve(drain=True, max_wall_s=30.0)
         record = json.loads((tmp_path / "status.json").read_text())
-        assert validate_service_summary(record) == []
+        assert validate(record, SERVICE_SUMMARY_SCHEMA) == []
         assert record["completed"] == 1
-        assert client.service_summary() == record
 
     def test_summary_rejects_malformed_record(self):
-        assert validate_service_summary({"kind": "service_summary"}) != []
+        assert validate({"kind": "service_summary"}, SERVICE_SUMMARY_SCHEMA) != []

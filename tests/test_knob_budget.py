@@ -46,7 +46,7 @@ PINNED = {
 }
 
 #: Defaulted parameters of every public def under ``src/repro``.
-LIBRARY_PINNED = 358
+LIBRARY_PINNED = 353
 
 #: ``repro`` subcommand -> its flags and positionals
 CLI_PINNED = {
