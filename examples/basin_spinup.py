@@ -58,8 +58,8 @@ def main() -> None:
     ridge = midlatitude_ridge(nx, ny, depth=3000.0, ridge_height=2000.0)
     m2 = ocean_model(nx=nx, ny=ny, nz=nz, px=2, py=2, dt=1800.0, depth=ridge)
     partial = 0
-    o = m2.decomp.olx
-    for r, t in enumerate(m2.decomp.tiles):
+    o = m2.grid.decomp.olx
+    for r, t in enumerate(m2.grid.decomp.tiles):
         hf = m2.grid.hfac_c[r][:, o : o + t.ny, o : o + t.nx]
         partial += int(np.count_nonzero((hf > 0) & (hf < 1)))
     print(f"ridge produces {partial} partial ('shaved') cells")

@@ -29,7 +29,7 @@ python scripts/check_docs_modules.py
 
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
-for tree in src src/repro/cli.py src/repro/network src/repro/collectives src/repro/parallel \
+for tree in src src/repro/cli.py src/repro/network src/repro/collectives src/repro/gcm src/repro/parallel \
             src/repro/recover src/repro/service src/repro/faults src/repro/niu tests benchmarks scripts; do
   label="$tree"; [ -d "$tree" ] && label="$tree/"
   echo "$label $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
@@ -99,8 +99,9 @@ echo "== DES event budget (exact counts: a per-hop relay, an unconditional tail-
 python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 
 echo
-echo "== GCM step call budget (exact counts: a per-tile kernel or halo loop fails here, not by timing) =="
+echo "== GCM step call budget (exact counts: a per-tile kernel or halo loop, or a window copied twice, fails here, not by timing; plus the step window: a kernel reading a cell outside the interior and its two halo rings fails the NaN-fill check, and one ring must be too few) =="
 python -m pytest -q -p no:cacheprovider tests/gcm/test_step_budget.py
+python -m pytest -q -p no:cacheprovider tests/gcm/test_step_equivalence.py -k window
 
 echo
 echo "== service spawn budget (exact counts: a fork per attempt fails here, not by timing) =="

@@ -12,7 +12,8 @@ Each time step has two blocks (Fig. 6):
   Coriolis, metric, dissipation, forcing), hydrostatic pressure from
   buoyancy, Adams-Bashforth extrapolation, provisional velocity.
   Local 3x3 stencils + overcomputation: exactly one 5-field halo-3
-  exchange per step.
+  exchange per step (the simulated machine computes and is charged for
+  the whole halo; the host computes the two rings the interiors read).
 * **DS (diagnostic step)** — 2-D: the elliptic surface-pressure equation
   (eq. 3) solved by preconditioned conjugate gradients; per iteration one
   halo-1 exchange of two fields (search direction and residual, held as

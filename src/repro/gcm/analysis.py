@@ -44,8 +44,8 @@ def overturning_streamfunction(model: Model) -> np.ndarray:
     nz, ny, nx = v.shape
     # face widths/fractions reassembled globally, at the grid's working
     # dtype (a float32 state is not promoted by the products below)
-    hfs = model.decomp.to_global(model.grid.hfac_s)
-    dxg = model.decomp.to_global(model.grid.dxg)
+    hfs = model.grid.decomp.to_global(model.grid.hfac_s)
+    dxg = model.grid.decomp.to_global(model.grid.dxg)
     transport = v * hfs * model.grid.drf[:, None, None] * dxg[None]  # m^3/s
     northward_per_layer = transport.sum(axis=-1)  # (nz, ny)
     # Psi at the top face of layer k = sum of layers above it
@@ -57,7 +57,7 @@ def overturning_streamfunction(model: Model) -> np.ndarray:
 def barotropic_transport(model: Model) -> np.ndarray:
     """Depth-integrated zonal transport (m^2/s) at each column."""
     u = model.state.to_global("u")
-    hfw = model.decomp.to_global(model.grid.hfac_w)
+    hfw = model.grid.decomp.to_global(model.grid.hfac_w)
     return np.sum(u * hfw * model.grid.drf[:, None, None], axis=0)
 
 
@@ -139,7 +139,7 @@ class IdealAgeTracer:
             raise RuntimeError("call attach() before update()")
         dt = self.model.config.dt
         for r in range(self.model.decomp.n_ranks):
-            age = self.model.state["tracer"][r]
+            age = self.model.state["tracer"][r][self.model.window]
             mask = self.model.grid.mask_c[r]
             age += dt * mask  # everyone ages
             age[0] = 0.0  # surface layer is 'new water'

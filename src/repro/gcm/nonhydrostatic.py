@@ -37,6 +37,7 @@ import numpy as np
 from repro.gcm import operators as op
 from repro.gcm.grid import Grid
 from repro.gcm.operators import FlopCounter
+from repro.parallel.tiling import Decomposition
 
 
 def compute_g_w(
@@ -85,24 +86,40 @@ class NonHydrostaticOperator:
     ``rA * hFacFace / drC``.  Land cells carry identity rows, so the
     matrix stays symmetric negative semi-definite and the shared CG
     solver applies unchanged.
+
+    The solve runs on ``decomp``'s tiles (the model state's); ``grid``
+    holds the same tiles with a halo no wider — the step's window — and
+    is where the coefficients, the right-hand side and the correction
+    are computed.  Cells outside the window are land rows to the solver:
+    the interiors only ever read the innermost ring.
     """
 
-    def __init__(self, grid: Grid) -> None:
+    def __init__(self, grid: Grid, decomp: Decomposition) -> None:
         self.grid = grid
-        self.decomp = grid.decomp
+        self.decomp = decomp
+        #: ``grid``'s tiles inside ``decomp``'s
+        self.window = decomp.window(grid.decomp.olx)
         geo = grid.geometry
         drf = grid.drf[:, None, None]
         # coefficients stacked on the leading rank axis, like the grid's
-        self.cw = grid.hfac_w * drf * geo.dy_dx
-        self.cs = grid.hfac_s * drf * geo.dx_dy
+        cw = grid.hfac_w * drf * geo.dy_dx
+        cs = grid.hfac_s * drf * geo.dx_dy
         # vertical, index k = top face of layer k (k>=1)
-        self.cv = np.zeros_like(self.cw)
-        self.cv[:, 1:] = geo.ra * geo.open_face[:, 1:] / geo.drc
-        self.wet = grid.mask_c
-        d = -(self.cw + op.xp(self.cw) + self.cs + op.yp(self.cs))
-        d[:, :-1] -= self.cv[:, 1:]
-        d -= self.cv
-        self.diag = np.where(self.wet, np.where(d != 0, d, -1.0), -1.0)
+        cv = np.zeros_like(cw)
+        cv[:, 1:] = geo.ra * geo.open_face[:, 1:] / geo.drc
+        d = -(cw + op.xp(cw) + cs + op.yp(cs))
+        d[:, :-1] -= cv[:, 1:]
+        d -= cv
+        diag = np.where(grid.mask_c, np.where(d != 0, d, -1.0), -1.0)
+        self.cw, self.cs, self.cv = (self._embed(c, 0.0) for c in (cw, cs, cv))
+        self.wet = self._embed(grid.mask_c, False)
+        self.diag = self._embed(diag, -1.0)
+
+    def _embed(self, a: np.ndarray, fill) -> np.ndarray:
+        """Window-shaped ``a`` placed in ``decomp``-shaped tiles."""
+        out = np.full(a.shape[:-2] + self.decomp.tiles[0].shape2d, fill, a.dtype)
+        out[self.window] = a
+        return out
 
     def apply_stacked(self, q: np.ndarray, flops: FlopCounter) -> np.ndarray:
         """A q on a ``(n_ranks, nz, ...)`` tile stack (halos current).
@@ -130,22 +147,23 @@ class NonHydrostaticOperator:
 
     def rhs_from_velocity(self, u, v, w, dt: float, flops: FlopCounter) -> np.ndarray:
         """RHS = div3(v*) / dt in finite-volume form, on tile stacks (or
-        sequences of tiles).  ~14 flops/cell.
+        sequences of tiles) of ``decomp``, computed on the window (zero
+        outside it).  ~14 flops/cell of the whole tiles.
 
         ``w[k]`` is the velocity through the top face of layer k (the
         rigid lid keeps ``w[0] = 0``; the floor face is implicit).
         """
-        g, geo = self.grid, self.grid.geometry
+        g, geo, win = self.grid, self.grid.geometry, self.window
         drf = g.drf[:, None, None]
         u, v, w = np.asarray(u), np.asarray(v), np.asarray(w)
-        fx = u * g.hfac_w * drf * geo.dyg
-        fy = v * g.hfac_s * drf * geo.dxg
+        fx = u[win] * g.hfac_w * drf * geo.dyg
+        fy = v[win] * g.hfac_s * drf * geo.dxg
         div = (op.xp(fx) - fx) + (op.yp(fy) - fy)
-        fz = w * geo.ra  # upward volume flux through top of k
+        fz = w[win] * geo.ra  # upward volume flux through top of k
         div = div + fz
         div[:, :-1] -= fz[:, 1:]
         flops.add("nh_rhs", 12 * u.size)
-        return np.where(self.wet, div / dt, 0.0)
+        return self._embed(np.where(g.mask_c, div / dt, 0.0), 0.0)
 
     def correct(
         self,
@@ -156,24 +174,25 @@ class NonHydrostaticOperator:
         q: np.ndarray,
         dt: float,
         flops: FlopCounter,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) -= dt grad q (masked).
+    ) -> None:
+        """(u, v, w) -= dt grad q (masked), in place on the window of
+        tiles ``rank`` of ``decomp``.
 
         The vertical gradient lands on the faces where w lives, exactly
         adjoint to :meth:`rhs_from_velocity`'s divergence, so the
         corrected field is non-divergent to solver tolerance.
-        ~10 flops/cell.
+        ~10 flops/cell of the whole tiles.
         """
-        geo = self.grid.geometry
+        geo, win = self.grid.geometry, self.window
+        flops.add("nh_correct", 10 * q.size)
+        q = q[win].copy()
         gx = (q - op.xm(q)) / geo.dxc[rank]
         gy = (q - op.ym(q)) / geo.dyc[rank]
         gz = np.zeros_like(q)  # at top faces; lid face stays zero
         gz[..., 1:, :, :] = (q[..., :-1, :, :] - q[..., 1:, :, :]) / geo.drc
-        u2 = (u - dt * gx) * geo.open_w[rank]
-        v2 = (v - dt * gy) * geo.open_s[rank]
-        w2 = (w - dt * gz) * geo.open_face[rank]
-        flops.add("nh_correct", 10 * q.size)
-        return u2, v2, w2
+        u[win] = (u[win] - dt * gx) * geo.open_w[rank]
+        v[win] = (v[win] - dt * gy) * geo.open_s[rank]
+        w[win] = (w[win] - dt * gz) * geo.open_face[rank]
 
 
 def divergence3(operator: NonHydrostaticOperator, u, v, w) -> float:

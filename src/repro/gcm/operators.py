@@ -11,12 +11,13 @@ Factors that depend on the grid alone come precomputed from
 ``grid.geometry`` (:class:`repro.gcm.grid.StepGeometry`).
 
 Shifts are wrapped shifted views (slice-copy equivalents of
-``np.roll``).  The shift wraps at the tile edge, so
-each stencil application invalidates one more ring of the halo; with the
-paper's halo width of three and the deepest kernel chain here being two
-applications, interiors (and the innermost halo ring) remain exact
-between exchanges — precisely the "overcomputation" contract of
-Section 4.
+``np.roll``).  The shift wraps at the array edge, so each stencil
+application invalidates one more ring of the halo; the deepest kernel
+chain here is two applications, so interiors stay exact between
+exchanges given two valid halo rings.  The paper's code overcomputes
+into its full 3-wide halo (Section 4); the model step runs these
+kernels on the interior plus two rings only
+(:data:`repro.gcm.timestepper.STENCIL_RING`) and charges the full tile.
 
 Flop accounting is *analytic* (operation count per cell, by inspection
 of each expression), matching how the paper obtains ``Nps`` and ``Nds``

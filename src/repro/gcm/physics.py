@@ -29,7 +29,7 @@ from repro.gcm.operators import FlopCounter
 DAY = 86400.0
 
 
-def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) -> int:
+def _adjust_column_pairs(theta: np.ndarray, grid: Grid, max_sweeps: int) -> int:
     """Mix adjacent statically unstable layers to a stable fixed point.
 
     Stability convention (both isomorphs, see module docstring): stable
@@ -38,15 +38,18 @@ def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) ->
     sweeps repeat until no pair mixes (a fully unstable column needs
     several cascaded sweeps).  On a batch of tiles the sweeps run until
     no tile mixes — a sweep over an already stable tile changes nothing.
-    Returns total mixed-pair count.
+    Every column of ``theta`` (tiles on ``grid``'s decomposition) mixes;
+    the returned mixed-pair count is the interiors' only, so a column
+    counts once however many halos hold a copy of it.
     """
+    drf, interior = grid.drf, (Ellipsis,) + grid.decomp.tiles[0].interior
     tol = 1e-10
     nz = theta.shape[-3]
     if not np.any(theta[..., :-1, :, :] < theta[..., 1:, :, :] - tol):
         return 0  # stable everywhere: a sweep would find no pair to mix
     mixed_total = 0
     for _ in range(max_sweeps):
-        mixed = 0
+        mixed = False
         for k in range(nz - 2, -1, -1):
             upper, lower = theta[..., k, :, :], theta[..., k + 1, :, :]
             unstable = upper < lower - tol
@@ -55,9 +58,9 @@ def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) ->
                 mean = (w1 * upper + w2 * lower) / (w1 + w2)
                 upper[...] = np.where(unstable, mean, upper)
                 lower[...] = np.where(unstable, mean, lower)
-                mixed += int(np.count_nonzero(unstable))
-        mixed_total += mixed
-        if mixed == 0:
+                mixed = True
+                mixed_total += int(np.count_nonzero(unstable[interior]))
+        if not mixed:
             break
     return mixed_total
 
@@ -179,7 +182,7 @@ class AtmospherePhysics:
         """Dry adjustment: level k sits above level k+1 (atmosphere
         convention), so the column is unstable where theta[k] < theta[k+1];
         unstable pairs are mass-weighted-mixed to a stable fixed point."""
-        mixed = _adjust_column_pairs(theta, grid.drf, max_sweeps=100)
+        mixed = _adjust_column_pairs(theta, grid, max_sweeps=100)
         flops.add("convective_adjustment", 6 * theta.size)
         return mixed
 
@@ -255,7 +258,7 @@ class OceanForcing:
         """Ocean static instability: with k = 0 at the sea surface the
         column is unstable where theta[k] < theta[k+1] (warm under
         cold); mixed pairwise to a stable fixed point."""
-        mixed = _adjust_column_pairs(theta, grid.drf, max_sweeps=100)
+        mixed = _adjust_column_pairs(theta, grid, max_sweeps=100)
         flops.add("convective_adjustment", 6 * theta.size)
         return mixed
 

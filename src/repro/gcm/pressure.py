@@ -73,10 +73,6 @@ class EllipticOperator:
         flops.add("elliptic_rhs", 8 * np.size(uint))
         return np.where(self.wet, self._flux_divergence(uint, vint) / dt, 0.0)
 
-    def depth_integrate(self, rank, u, v, flops: FlopCounter):
-        """:func:`depth_integrate` on this operator's grid."""
-        return depth_integrate(self.grid, rank, u, v, flops)
-
     def divergence(self, uint, vint) -> np.ndarray:
         """Volume-flux divergence (m^3/s) of a depth-integrated flow."""
         return self._flux_divergence(uint, vint) * self.wet

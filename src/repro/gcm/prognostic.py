@@ -2,7 +2,8 @@
 
 For each tile — or each batch of tiles stacked on a leading axis, with
 ``rank`` the matching slice of ranks — entirely from data within the
-tile + halo (the overcomputation contract):
+tile + halo (the overcomputation contract; the model step passes each
+tile's window of two halo rings, all its stencil chain reads):
 
 * ``G_v = gv(v, b)`` — advection, Coriolis, metric, dissipation and
   forcing tendencies for momentum;

@@ -16,8 +16,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.gcm.grid import Grid
 from repro.parallel.exchange import exchange_halos
+from repro.parallel.tiling import Decomposition
 
 
 #: 3-D fields carried per tile.
@@ -49,25 +49,28 @@ class ModelState:
 
     Each field is one array stacked on a leading rank axis (tiles are
     uniform): ``state[name][rank]`` is rank ``rank``'s tile-local view,
-    ``state[name][a:b]`` a batch of tiles for the step kernels.
+    ``state[name][a:b]`` a batch of tiles for the step kernels.  Tiles
+    carry the exchanged halo of ``decomp``, however few of its rings the
+    step computes.
     """
 
-    grid: Grid
+    decomp: Decomposition
     fields3d: Dict[str, np.ndarray] = field(default_factory=dict)
     fields2d: Dict[str, np.ndarray] = field(default_factory=dict)
     time: float = 0.0
     step_count: int = 0
 
     @classmethod
-    def zeros(cls, grid: Grid, dtypes=None) -> "ModelState":
-        """Allocate all fields; ``dtypes`` (name -> dtype, e.g. from
+    def zeros(cls, decomp: Decomposition, nz: int, dtypes=None) -> "ModelState":
+        """Allocate all fields of ``nz`` levels on ``decomp``'s tiles;
+        ``dtypes`` (name -> dtype, e.g. from
         :meth:`repro.precision.PrecisionConfig.state_dtypes`) overrides
         the float64 default per field."""
-        st = cls(grid=grid)
+        st = cls(decomp=decomp)
         dtypes = dtypes or {}
-        tiles = grid.decomp.tiles
+        tiles = decomp.tiles
         shape2d = (len(tiles),) + tiles[0].shape2d
-        shape3d = (len(tiles),) + tiles[0].shape3d(grid.nz)
+        shape3d = (len(tiles),) + tiles[0].shape3d(nz)
         for name in FIELDS_3D:
             st.fields3d[name] = np.zeros(shape3d, dtype=dtypes.get(name, np.float64))
         for name in FIELDS_2D:
@@ -91,7 +94,7 @@ class ModelState:
 
     def set_from_global(self, name: str, global_field: np.ndarray) -> None:
         """Initialize a field from a global array (interior + halo fill)."""
-        decomp = self.grid.decomp
+        decomp = self.decomp
         target = self[name]
         target[...] = 0.0
         view = decomp.global_view(target)
@@ -100,7 +103,7 @@ class ModelState:
 
     def to_global(self, name: str) -> np.ndarray:
         """Assemble a field's interiors into one global array."""
-        return self.grid.decomp.to_global(self[name])
+        return self.decomp.to_global(self[name])
 
 
 def model_digest(model) -> str:

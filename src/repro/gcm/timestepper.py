@@ -5,9 +5,11 @@ Per step:
 * **PS** — one five-field, full-halo exchange; evaluation of the G
   terms, physics tendencies, Adams-Bashforth extrapolation, hydrostatic
   pressure and the provisional velocity, one batch of tiles per kernel
-  call (state and grid are stacked on a leading rank axis).  Compute is
-  charged per rank at Fps; the exchange at the interconnect model's 3-D
-  cost.
+  call (state and grid are stacked on a leading rank axis), on each
+  tile's *window*: the interior plus the :data:`STENCIL_RING` halo rings
+  its stencils read.  Compute is charged per rank at Fps on the whole
+  tile the paper's code overcomputes; the exchange at the interconnect
+  model's 3-D cost.
 * **DS** — the depth-integrated divergence becomes the elliptic RHS; the
   preconditioned CG solves for p_s on the *DS decomposition* (by default
   one tile per SMP master, matching the paper's nxy = 1024 over eight
@@ -24,6 +26,7 @@ and charged zero network time (see DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -50,8 +53,16 @@ from repro.parallel.tiling import Decomposition
 from repro.precision import CastingOperator, quantize_gsum, resolve_precision
 
 
-#: Largest number of cells (levels x rows x columns, halos included)
-#: one kernel call works on.  The step batches as many whole tiles as
+#: Halo rings the PS step computes.  Its deepest chain is two lateral
+#: stencils (w from the divergence of the transports, then averaged onto
+#: u/v points; the biharmonic), so interiors need two valid rings.
+#: ``olx`` may be wider (the paper's three are exchanged and charged),
+#: not narrower.  ``tests/gcm/test_step_equivalence.py`` checks that two
+#: rings match the full-tile oracle and that one does not.
+STENCIL_RING = 2
+
+#: Largest number of cells (levels x rows x columns of the window) one
+#: kernel call works on.  The step batches as many whole tiles as
 #: fit: big enough to amortise NumPy's per-call cost over small tiles,
 #: small enough that a kernel's temporaries stay cache-sized and the
 #: working set of large tiles stays what a per-tile loop had (measured
@@ -108,8 +119,8 @@ class ModelConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.cg_tol <= 0 or self.cg_maxiter < 1:
             raise ValueError("cg_tol must be > 0 and cg_maxiter >= 1")
-        if self.olx < 1:
-            raise ValueError("PS halo width olx must be >= 1")
+        if self.olx < STENCIL_RING:
+            raise ValueError(f"PS halo width olx must be >= {STENCIL_RING}, got {self.olx}")
         if self.px < 1 or self.py < 1:
             raise ValueError("process grid must be positive")
         if self.cpus_per_node < 1:
@@ -160,11 +171,14 @@ class Model:
         self.config = config
         self.precision = resolve_precision(config.precision)
         prec = self.precision
-        self.decomp = Decomposition(
-            config.grid.nx, config.grid.ny, config.px, config.py, olx=config.olx
-        )
-        self.grid = Grid(config.grid, self.decomp, depth=depth, dtype=prec.grid_dtype())
-        self.state = ModelState.zeros(self.grid, dtypes=prec.state_dtypes())
+        # The state's tiles carry the exchanged (and charged) halo; the
+        # grid only the step's window of them.
+        nx, ny = config.grid.nx, config.grid.ny
+        self.decomp = Decomposition(nx, ny, config.px, config.py, olx=config.olx)
+        self.window = self.decomp.window(STENCIL_RING)
+        windows = Decomposition(nx, ny, config.px, config.py, olx=STENCIL_RING)
+        self.grid = Grid(config.grid, windows, depth=depth, dtype=prec.grid_dtype())
+        self.state = ModelState.zeros(self.decomp, config.grid.nz, dtypes=prec.state_dtypes())
         # A decomposition smaller than an SMP (e.g. serial 1x1) runs one
         # rank per node.
         cpn = config.cpus_per_node
@@ -181,18 +195,19 @@ class Model:
         ds_px, ds_py = config.resolve_ds_shape()
         if (ds_px, ds_py) == (config.px, config.py):
             self.ds_decomp = self.decomp
-            self.ds_grid = self.grid
         else:
-            self.ds_decomp = Decomposition(
-                config.grid.nx, config.grid.ny, ds_px, ds_py, olx=1
-            )
-            self.ds_grid = Grid(
-                config.grid, self.ds_decomp, depth=depth, dtype=prec.grid_dtype()
-            )
+            self.ds_decomp = Decomposition(nx, ny, ds_px, ds_py, olx=1)
+        self.ds_grid = Grid(config.grid, self.ds_decomp, depth=depth, dtype=prec.grid_dtype())
         self.elliptic = EllipticOperator(self.ds_grid)
-        self.nh_operator = NonHydrostaticOperator(self.grid) if config.nonhydrostatic else None
+        self.nh_operator = (
+            NonHydrostaticOperator(self.grid, self.decomp) if config.nonhydrostatic else None
+        )
         self.grid.geometry  # static kernel factors: built here, not in step 1
-        self._batches = tile_batches(self.decomp.n_ranks, self.state["u"][0].size)
+        self._batches = tile_batches(self.decomp.n_ranks, self.grid.hfac_c[0].size)
+        # Every PS flop count is a per-cell coefficient times an array's
+        # size, so a window's count converts exactly to the tile's.
+        self._tile_columns = math.prod(self.decomp.tiles[0].shape2d)
+        self._window_columns = math.prod(self.grid.decomp.tiles[0].shape2d)
         # Mixed-precision wiring, resolved once: the all64 default keeps
         # every path below bit- and cost-identical to the seed (8-byte
         # itemsizes, no casts, no solver hooks).
@@ -292,15 +307,17 @@ class Model:
 
     # One batch of tiles per call, in its own frame: a batch's
     # temporaries die with it instead of living on into the next one.
+    # Fields a stencil reads are copied out of the state's windows
+    # (contiguous, so the shifts stay single copies); the rest are read
+    # through window views; results are written back into the windows.
 
     def _provisional_batch(self, sl: slice):
-        """PS kernels on tiles ``sl``: G terms, physics, AB2, hydrostatic
-        pressure and ``(u*, v*)``; also returns the flops per tile."""
+        """PS kernels on the windows of tiles ``sl``: G terms, physics, AB2,
+        hydrostatic pressure and ``(u*, v*)``; also the flops per tile."""
         cfg, st, grid, physics = self.config, self.state, self.grid, self.config.physics
-        eps, first = cfg.dynamics.ab2_eps, self._first_step
+        eps, first, win = cfg.dynamics.ab2_eps, self._first_step, self.window
         fc = FlopCounter()
-        u, v = st["u"][sl], st["v"][sl]
-        theta, tracer = st["theta"][sl], st["tracer"][sl]
+        u, v, theta, tracer = (st[n][sl][win].copy() for n in ("u", "v", "theta", "tracer"))
         b = cfg.eos.buoyancy(theta, tracer)
         fc.add("eos", cfg.eos.flops_per_cell * theta.size)
         gu, gv, gth, gtr, wflux, phy = compute_g_terms(
@@ -311,49 +328,55 @@ class Model:
                 sl, grid, u, v, theta, tracer, gu, gv, gth, gtr, fc,
                 **self._physics_kwargs(sl),
             )
-        st["gu"][sl] = gu
-        st["gv"][sl] = gv
-        st["gtheta"][sl] = gth
-        st["gtracer"][sl] = gtr
-        st["phy"][sl] = phy
+        st["gu"][sl][win] = gu
+        st["gv"][sl][win] = gv
+        st["gtheta"][sl][win] = gth
+        st["gtracer"][sl][win] = gtr
+        st["phy"][sl][win] = phy
         if self.nh_operator is not None:
             # non-hydrostatic: w is prognostic (vertical momentum)
+            w = st["w"][sl][win].copy()
             ut, vt = op.transports(u, v, grid, sl, fc)
-            gw = compute_g_w(
-                sl, grid, st["w"][sl], ut, vt, wflux, b,
-                cfg.dynamics.ah, cfg.dynamics.az, fc,
-            )
-            gw_ab = ab2_extrapolate(gw, st["gw_prev"][sl], eps, first, fc)
-            st["gw"][sl] = gw
-            st["w"][sl] = (st["w"][sl] + cfg.dt * gw_ab) * grid.mask_c[sl]
+            gw = compute_g_w(sl, grid, w, ut, vt, wflux, b, cfg.dynamics.ah, cfg.dynamics.az, fc)
+            gw_ab = ab2_extrapolate(gw, st["gw_prev"][sl][win], eps, first, fc)
+            st["gw"][sl][win] = gw
+            st["w"][sl][win] = (w + cfg.dt * gw_ab) * grid.mask_c[sl]
         else:
-            st["w"][sl] = op.w_from_flux(wflux, grid, sl, fc)
-        gu_ab = ab2_extrapolate(gu, st["gu_prev"][sl], eps, first, fc)
-        gv_ab = ab2_extrapolate(gv, st["gv_prev"][sl], eps, first, fc)
+            st["w"][sl][win] = op.w_from_flux(wflux, grid, sl, fc)
+        gu_ab = ab2_extrapolate(gu, st["gu_prev"][sl][win], eps, first, fc)
+        gv_ab = ab2_extrapolate(gv, st["gv_prev"][sl][win], eps, first, fc)
         us, vs = provisional_velocity(sl, grid, u, v, gu_ab, gv_ab, phy, cfg.dt, fc)
         # flop counts are analytic in the array size: equal per tile
-        return us, vs, fc.total / len(us)
+        return us, vs, self._tile_flops(fc) / len(us)
 
     def _correct_batch(self, sl: slice, u_star, v_star):
-        """Velocity correction, tracer step and convective adjustment on
-        tiles ``sl``; returns ``(flops per tile, mixed cells)``."""
+        """Velocity correction, tracer step and convective adjustment on the
+        windows of tiles ``sl``; returns ``(flops per tile, mixed pairs)``."""
         cfg, st, grid = self.config, self.state, self.grid
-        eps, first = cfg.dynamics.ab2_eps, self._first_step
+        eps, first, win = cfg.dynamics.ab2_eps, self._first_step, self.window
         fc = FlopCounter()
-        st["u"][sl], st["v"][sl] = correct_velocity(
-            sl, grid, u_star, v_star, st["ps"][sl], cfg.dt, fc
+        st["u"][sl][win], st["v"][sl][win] = correct_velocity(
+            sl, grid, u_star, v_star, st["ps"][sl][win].copy(), cfg.dt, fc
         )
-        gth_ab = ab2_extrapolate(st["gtheta"][sl], st["gtheta_prev"][sl], eps, first, fc)
-        gtr_ab = ab2_extrapolate(st["gtracer"][sl], st["gtracer_prev"][sl], eps, first, fc)
+        gth_ab, gtr_ab = (
+            ab2_extrapolate(st[g][sl][win], st[g + "_prev"][sl][win], eps, first, fc)
+            for g in ("gtheta", "gtracer")
+        )
         mask = grid.mask_c[sl]
-        theta = st["theta"][sl]
-        theta[...] = (theta + cfg.dt * gth_ab) * mask
-        st["tracer"][sl] = (st["tracer"][sl] + cfg.dt * gtr_ab) * mask
+        theta = st["theta"][sl][win]
+        theta = ((theta + cfg.dt * gth_ab) * mask).astype(theta.dtype, copy=False)
+        st["tracer"][sl][win] = (st["tracer"][sl][win] + cfg.dt * gtr_ab) * mask
         fc.add("tracer_step", 4 * theta.size)
         mixed = 0
         if hasattr(cfg.physics, "convective_adjustment"):
             mixed = cfg.physics.convective_adjustment(theta, grid, sl, fc)
-        return fc.total / len(u_star), mixed
+        st["theta"][sl][win] = theta
+        return self._tile_flops(fc) / len(u_star), mixed
+
+    def _tile_flops(self, fc: FlopCounter) -> int:
+        """``fc``'s window count as the whole tiles' (the modelled
+        machine overcomputes every halo cell)."""
+        return fc.total // self._window_columns * self._tile_columns
 
     def run(self, n_steps: int) -> List[StepStats]:
         """Advance ``n_steps`` time steps; returns their stats."""
@@ -366,7 +389,8 @@ class Model:
         one batch of tiles (the coupler and shard restore keep them as
         per-rank lists)."""
         names = ("sst",) if self.is_atmosphere else ("taux", "tauy", "theta_surf")
-        return {n: np.array(self.coupling[n][tiles]) for n in names if n in self.coupling}
+        fields = {n: self.coupling[n][tiles] for n in names if n in self.coupling}
+        return {n: np.array(f)[self.window] for n, f in fields.items()}
 
     def _cg_hooks(self, decomp):
         """Solver communication hooks for the precision config, for a
@@ -398,18 +422,20 @@ class Model:
         """Assemble RHS on the DS decomposition and run the PCG
         (``u_star``/``v_star``: one block per tile batch)."""
         fc = FlopCounter()
-        # depth-integrate on the PS tiles (3-D work, charged to PS ranks
+        # depth-integrate on the PS windows (3-D work, charged to PS ranks
         # via the returned counter split in _charge_ds)
+        window_fc = FlopCounter()
         integrals = [
-            depth_integrate(self.grid, sl, us, vs, fc)
+            depth_integrate(self.grid, sl, us, vs, window_fc)
             for sl, us, vs in zip(self._batches, u_star, v_star)
         ]
+        fc.add("depth_integrate", self._tile_flops(window_fc))
         # regrid PS -> DS through shared memory
         ds_uv = []
         for blocks in zip(*integrals):
             ps_tiles = np.concatenate(blocks)
             ds_tiles = np.zeros(self.elliptic.wet.shape, dtype=ps_tiles.dtype)
-            self._regrid(self.decomp, ps_tiles, self.ds_decomp, ds_tiles)
+            self._regrid(self.grid.decomp, ps_tiles, self.ds_decomp, ds_tiles)
             exchange_halos(self.ds_decomp, ds_tiles, width=1, wire_dtype=self._solver_wire)
             ds_uv.append(ds_tiles)
         rhs = self.elliptic.rhs_from_transport(*ds_uv, self.config.dt, fc)
@@ -469,9 +495,7 @@ class Model:
         )
         q = np.asarray(result.x)
         for sl in self._batches:
-            u[sl], v[sl], w[sl] = self.nh_operator.correct(
-                sl, u[sl], v[sl], w[sl], q[sl], cfg.dt, fc
-            )
+            self.nh_operator.correct(sl, u[sl], v[sl], w[sl], q[sl], cfg.dt, fc)
         stats.ni_nh = result.iterations
         stats.flops_nh = fc.total
         stats.nh_converged = result.converged

@@ -144,6 +144,13 @@ class Decomposition:
         inner = tiles[..., o : o + t.ny, o : o + t.nx]
         return np.moveaxis(inner, (0, 1), (-4, -2))
 
+    def window(self, width: int) -> tuple:
+        """Index selecting, in every tile-local array, the interior plus
+        its ``width`` innermost halo rings (``width <= olx``): the tiles
+        of the same tiling with a ``width``-wide halo."""
+        cut = slice(self.olx - width, width - self.olx or None)
+        return (Ellipsis, cut, cut)
+
     def to_global(self, stack: np.ndarray) -> np.ndarray:
         """The global ``(..., ny, nx)`` field assembled (copied) from the
         interiors of a tile stack."""

@@ -14,9 +14,15 @@ tiles; ``tests/gcm/test_step_equivalence.py`` checks it bitwise against
 :func:`reference_step`.  It must never be imported from ``src/`` or
 ``benchmarks/``.
 
-Only geometry is read from the model (``grid.x[rank]`` and
-``state[name][rank]`` are per-tile arrays or views either way); the CG
-solver, the DS/NH charging and the solver hooks are the model's own.
+The oracle computes every tile whole, halos included, so it reads the
+full-tile ``Grid`` (and non-hydrostatic operator) it builds once from
+the model's configuration and decomposition — the model keeps only its
+step's window of the tiles; ``grid.x[rank]`` and ``state[name][rank]``
+are per-tile arrays or views either way.  The CG solver, the DS/NH
+charging and the solver hooks are the model's own.  One deliberate
+change since the move: the convective adjustment counts the mixed pairs
+of interior columns only (its mixing is untouched), so a column is not
+counted again in every halo that holds a copy of it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 from repro.gcm import timestepper
 from repro.gcm.cg import CGResult
 from repro.gcm.grid import Grid
+from repro.gcm.nonhydrostatic import NonHydrostaticOperator
 from repro.gcm.operators import FlopCounter
 from repro.gcm.physics import AtmospherePhysics
 from repro.gcm.prognostic import DynamicsParams
@@ -460,14 +467,15 @@ def correct_velocity(
 
 # -- repro/gcm/physics.py -----------------------------------------------------
 
-def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) -> int:
+def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, interior, max_sweeps: int) -> int:
     """Mix adjacent statically unstable layers to a stable fixed point.
 
     Stability convention (both isomorphs, see module docstring): stable
     when theta is non-increasing with array index k.  Mass(thickness)-
     weighted pair mixing preserves the column heat content exactly;
     sweeps repeat until no pair mixes (a fully unstable column needs
-    several cascaded sweeps).  Returns total mixed-pair count.
+    several cascaded sweeps).  Returns the mixed-pair count of the
+    ``interior`` columns.
     """
     tol = 1e-10
     nz = theta.shape[0]
@@ -482,7 +490,7 @@ def _adjust_column_pairs(theta: np.ndarray, drf: np.ndarray, max_sweeps: int) ->
                 theta[k] = np.where(unstable, mean, theta[k])
                 theta[k + 1] = np.where(unstable, mean, theta[k + 1])
                 mixed += int(np.count_nonzero(unstable))
-        mixed_total += mixed
+                mixed_total += int(np.count_nonzero(unstable[interior]))
         if mixed == 0:
             break
     return mixed_total
@@ -533,7 +541,7 @@ def _atm_convective_adjustment(
     """Dry adjustment: level k sits above level k+1 (atmosphere
     convention), so the column is unstable where theta[k] < theta[k+1];
     unstable pairs are mass-weighted-mixed to a stable fixed point."""
-    mixed = _adjust_column_pairs(theta, grid.drf, max_sweeps=100)
+    mixed = _adjust_column_pairs(theta, grid.drf, grid.decomp.tiles[rank].interior, max_sweeps=100)
     flops.add("convective_adjustment", 6 * theta.size)
     return mixed
 
@@ -578,7 +586,7 @@ def _ocn_convective_adjustment(
     """Ocean static instability: with k = 0 at the sea surface the
     column is unstable where theta[k] < theta[k+1] (warm under
     cold); mixed pairwise to a stable fixed point."""
-    mixed = _adjust_column_pairs(theta, grid.drf, max_sweeps=100)
+    mixed = _adjust_column_pairs(theta, grid.drf, grid.decomp.tiles[rank].interior, max_sweeps=100)
     flops.add("convective_adjustment", 6 * theta.size)
     return mixed
 
@@ -1033,6 +1041,7 @@ def reference_step(model) -> StepStats:
     cfg = model.config
     st = model.state
     rt = model.runtime
+    grid = full_tile_grid(model)
     stats = StepStats()
 
     t0 = rt.elapsed
@@ -1056,14 +1065,14 @@ def reference_step(model) -> StepStats:
         b = cfg.eos.buoyancy(theta, tracer)
         fc.add("eos", cfg.eos.flops_per_cell * theta.size)
         gu, gv, gth, gtr, wflux, phy = compute_g_terms(
-            r, model.grid, u, v, theta, tracer, b, cfg.dynamics, fc
+            r, grid, u, v, theta, tracer, b, cfg.dynamics, fc
         )
         if cfg.physics is not None:
             if hasattr(cfg.physics, "set_time"):
                 cfg.physics.set_time(st.time)
             kwargs = _physics_kwargs(model, r)
             _apply_tendencies(cfg.physics)(
-                cfg.physics, r, model.grid, u, v, theta, tracer, gu, gv, gth, gtr, fc,
+                cfg.physics, r, grid, u, v, theta, tracer, gu, gv, gth, gtr, fc,
                 **kwargs,
             )
         st["gu"][r][...] = gu
@@ -1074,20 +1083,20 @@ def reference_step(model) -> StepStats:
         eps = cfg.dynamics.ab2_eps
         if model.nh_operator is not None:
             # non-hydrostatic: w is prognostic (vertical momentum)
-            ut, vt = transports(u, v, model.grid, r, fc)
+            ut, vt = transports(u, v, grid, r, fc)
             gw = compute_g_w(
-                r, model.grid, st["w"][r], ut, vt, wflux, b,
+                r, grid, st["w"][r], ut, vt, wflux, b,
                 cfg.dynamics.ah, cfg.dynamics.az, fc,
             )
             gw_ab = ab2_extrapolate(gw, st["gw_prev"][r], eps, model._first_step, fc)
             st["gw"][r][...] = gw
-            st["w"][r][...] = (st["w"][r] + cfg.dt * gw_ab) * model.grid.mask_c[r]
+            st["w"][r][...] = (st["w"][r] + cfg.dt * gw_ab) * grid.mask_c[r]
         else:
-            st["w"][r][...] = w_from_flux(wflux, model.grid, r, fc)
+            st["w"][r][...] = w_from_flux(wflux, grid, r, fc)
         gu_ab = ab2_extrapolate(gu, st["gu_prev"][r], eps, model._first_step, fc)
         gv_ab = ab2_extrapolate(gv, st["gv_prev"][r], eps, model._first_step, fc)
         us, vs = provisional_velocity(
-            r, model.grid, u, v, gu_ab, gv_ab, phy, cfg.dt, fc
+            r, grid, u, v, gu_ab, gv_ab, phy, cfg.dt, fc
         )
         u_star_t.append(us)
         v_star_t.append(vs)
@@ -1110,7 +1119,7 @@ def reference_step(model) -> StepStats:
     for r in range(model.decomp.n_ranks):
         fc = FlopCounter()
         u_new, v_new = correct_velocity(
-            r, model.grid, u_star_t[r], v_star_t[r], st["ps"][r], cfg.dt, fc
+            r, grid, u_star_t[r], v_star_t[r], st["ps"][r], cfg.dt, fc
         )
         st["u"][r][...] = u_new
         st["v"][r][...] = v_new
@@ -1120,13 +1129,13 @@ def reference_step(model) -> StepStats:
         gtr_ab = ab2_extrapolate(
             st["gtracer"][r], st["gtracer_prev"][r], eps, model._first_step, fc
         )
-        mask = model.grid.mask_c[r]
+        mask = grid.mask_c[r]
         st["theta"][r][...] = (st["theta"][r] + cfg.dt * gth_ab) * mask
         st["tracer"][r][...] = (st["tracer"][r] + cfg.dt * gtr_ab) * mask
         fc.add("tracer_step", 4 * st["theta"][r].size)
         if cfg.physics is not None and hasattr(cfg.physics, "convective_adjustment"):
             stats.mixed_cells += _convective_adjustment(cfg.physics)(
-                cfg.physics, st["theta"][r], model.grid, r, fc
+                cfg.physics, st["theta"][r], grid, r, fc
             )
         ps_flops[r] = fc.total
     rt.charge_compute(ps_flops, phase="ps")
@@ -1151,6 +1160,16 @@ def reference_step(model) -> StepStats:
     if rt.metrics is not None:
         rt.metrics.end_step(ni=stats.ni, step=st.step_count)
     return stats
+
+
+def full_tile_grid(model) -> Grid:
+    """The ``Grid`` of ``model``'s whole tiles, halos included, built on
+    first use from its configuration and kept on the model."""
+    if "_full_tile_grid" not in model.__dict__:
+        model._full_tile_grid = Grid(
+            model.config.grid, model.decomp, depth=model.grid.global_depth, dtype=model.grid.dtype
+        )
+    return model._full_tile_grid
 
 
 def _apply_tendencies(physics):
@@ -1225,9 +1244,10 @@ def _solve_surface_pressure(model, u_star_t, v_star_t) -> tuple[CGResult, FlopCo
 
 def elliptic_ps_integrate(model, rank, u_star, v_star, fc):
     """Depth-integrate provisional velocities on a PS tile (m^2/s)."""
-    drf = model.grid.drf[:, None, None]
-    ui = np.sum(u_star * model.grid.hfac_w[rank] * drf, axis=0)
-    vi = np.sum(v_star * model.grid.hfac_s[rank] * drf, axis=0)
+    grid = full_tile_grid(model)
+    drf = grid.drf[:, None, None]
+    ui = np.sum(u_star * grid.hfac_w[rank] * drf, axis=0)
+    vi = np.sum(v_star * grid.hfac_s[rank] * drf, axis=0)
     fc.add("depth_integrate", 4 * u_star.size)
     return ui, vi
 
@@ -1248,10 +1268,11 @@ def _solve_nonhydrostatic(model, stats: StepStats) -> None:
         reference_exchange_halos(
             model.decomp, f, width=1, wire_dtype=prec.exchange_wire_dtype(name)
         )
-    rhs = rhs_from_velocity(model.nh_operator, u, v, w, cfg.dt, fc)
-    operator = model.nh_operator
+    nh_operator = NonHydrostaticOperator(full_tile_grid(model), model.decomp)
+    rhs = rhs_from_velocity(nh_operator, u, v, w, cfg.dt, fc)
+    operator = nh_operator
     if model._cg_dtype == np.float32:
-        operator = CastingOperator(model.nh_operator, model._cg_dtype)
+        operator = CastingOperator(nh_operator, model._cg_dtype)
         rhs = [b.astype(model._cg_dtype) for b in rhs]
     gsum_hook, exch_hook = model._cg_hooks(model.decomp)
     result = timestepper.preconditioned_cg(
@@ -1260,7 +1281,7 @@ def _solve_nonhydrostatic(model, stats: StepStats) -> None:
     )
     for r in range(model.decomp.n_ranks):
         u2, v2, w2 = nh_correct(
-            model.nh_operator, r, u[r], v[r], w[r], result.x[r], cfg.dt, fc
+            nh_operator, r, u[r], v[r], w[r], result.x[r], cfg.dt, fc
         )
         u[r][...] = u2
         v[r][...] = v2

@@ -25,6 +25,9 @@ class TestConfigValidation:
             ("cg_tol", 0.0, "cg_tol"),
             ("cg_maxiter", 0, "cg"),
             ("olx", 0, "halo"),
+            # a PS step chains two lateral stencils: one ring would let
+            # interiors read wrapped values and depend on the tiling
+            ("olx", 1, "halo"),
             ("px", 0, "process grid"),
             ("cpus_per_node", 0, "cpus_per_node"),
         ],

@@ -18,7 +18,7 @@ def make_operator(nx=16, ny=8, nz=4, px=2, py=2):
         GridParams(nx=nx, ny=ny, nz=nz, lat0=-40, lat1=40, total_depth=1000.0),
         Decomposition(nx, ny, px, py, olx=1),
     )
-    return g, NonHydrostaticOperator(g)
+    return g, NonHydrostaticOperator(g, g.decomp)
 
 
 def random_field(grid, seed):

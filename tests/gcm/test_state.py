@@ -9,9 +9,7 @@ tile arrays.  Both must move the same cells.
 import numpy as np
 import pytest
 
-from repro.gcm.grid import Grid, GridParams
 from repro.gcm.state import FIELDS_2D, FIELDS_3D, ModelState
-from repro.gcm.topography import midlatitude_ridge
 from repro.parallel.exchange import HaloExchanger, exchange_halos
 from repro.parallel.tiling import Decomposition
 
@@ -22,14 +20,12 @@ NX, NY, NZ = 32, 16, 4
 def state(request):
     px, py = request.param
     decomp = Decomposition(NX, NY, px, py, olx=3)
-    params = GridParams(nx=NX, ny=NY, nz=NZ)
-    grid = Grid(params, decomp, depth=midlatitude_ridge(NX, NY, ridge_height=2900.0))
-    return ModelState.zeros(grid, dtypes={"theta": np.float32})
+    return ModelState.zeros(decomp, NZ, dtypes={"theta": np.float32})
 
 
 def test_fields_are_rank_stacks_whose_rows_are_tile_views(state):
-    tile = state.grid.decomp.tiles[0]
-    n = state.grid.decomp.n_ranks
+    tile = state.decomp.tiles[0]
+    n = state.decomp.n_ranks
     for name in FIELDS_3D:
         assert state[name].shape == (n,) + tile.shape3d(NZ)
     for name in FIELDS_2D:
@@ -41,7 +37,7 @@ def test_fields_are_rank_stacks_whose_rows_are_tile_views(state):
 
 @pytest.mark.parametrize("name", ["u", "theta", "ps"])
 def test_set_from_global_matches_scatter_then_exchange(state, name):
-    decomp = state.grid.decomp
+    decomp = state.decomp
     rng = np.random.default_rng(3)
     shape = (NY, NX) if name == "ps" else (NZ, NY, NX)
     g = rng.standard_normal(shape)
@@ -55,7 +51,7 @@ def test_set_from_global_matches_scatter_then_exchange(state, name):
 
 @pytest.mark.parametrize("name", ["u", "theta", "ps"])
 def test_to_global_matches_gather(state, name):
-    decomp = state.grid.decomp
+    decomp = state.decomp
     rng = np.random.default_rng(4)
     state[name][...] = rng.standard_normal(state[name].shape)
     expected = HaloExchanger(decomp).gather_global(list(state[name]))

@@ -21,6 +21,10 @@ from repro.parallel.tiling import Decomposition
 #: the reduced configuration of ``perf``'s ``gcm_reduced`` workload
 REDUCED = dict(nx=64, ny=32, nz_atm=5, nz_ocn=8, px=4, py=4, coupling_interval=2)
 TILES = REDUCED["px"] * REDUCED["py"]
+#: tiles per kernel call: 16x8-column tiles whose windows (interior plus
+#: two halo rings) are 20x12 columns fit BATCH_CELLS 8 at a time at 5
+#: levels and 4 at a time at 8
+BATCH = {"atmosphere": 8, "ocean": 4}
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +56,11 @@ class _CountingStack(np.ndarray):
         super().__setitem__(index, value)
 
 
-def test_the_step_batches_four_tiles_per_kernel_call(reduced):
-    # 16x8-column tiles with a 3-wide halo: 4 tiles fit BATCH_CELLS at
-    # both 5 and 8 levels
-    for model in (reduced.atmosphere, reduced.ocean):
+def test_the_step_batches_whole_windows_per_kernel_call(reduced):
+    for component, size in BATCH.items():
+        model = getattr(reduced, component)
         assert [(sl.start, sl.stop) for sl in model._batches] == [
-            (0, 4), (4, 8), (8, 12), (12, 16)
+            (start, start + size) for start in range(0, TILES, size)
         ]
 
 
@@ -65,7 +68,7 @@ def test_the_step_batches_four_tiles_per_kernel_call(reduced):
 def test_kernel_invocations_per_step_are_tiles_over_batch(monkeypatch, reduced, component):
     model = getattr(reduced, component)
     n_batches = len(model._batches)
-    assert n_batches == TILES // 4
+    assert n_batches == TILES // BATCH[component]
     kernels = {
         name: _count_calls(monkeypatch, timestepper, name)
         for name in ("compute_g_terms", "provisional_velocity", "correct_velocity",
@@ -76,6 +79,56 @@ def test_kernel_invocations_per_step_are_tiles_over_batch(monkeypatch, reduced, 
     for name, calls in kernels.items():
         assert len(calls) == n_batches, name  # not TILES
     assert len(tracers) == 2 * n_batches  # theta and the tracer, once per batch
+
+
+class _CountingState(np.ndarray):
+    """A state array that counts the window copies taken out of it and
+    the assignments into it; arithmetic on it and its copies yields
+    plain arrays, so kernel temporaries are not counted."""
+
+    reads = writes = 0
+
+    def copy(self, *args, **kwargs):
+        type(self).reads += 1
+        return super().copy(*args, **kwargs).view(np.ndarray)
+
+    def __setitem__(self, index, value):
+        type(self).writes += 1
+        super().__setitem__(index, value)
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        return array.view(np.ndarray)
+
+
+@pytest.mark.parametrize("component", ["atmosphere", "ocean"])
+def test_each_batch_copies_its_windows_once(monkeypatch, reduced, component):
+    """Per batch, the PS kernels copy out the four fields their stencils
+    read (u, v, theta, tracer) and write back six (the four G terms, phy,
+    w); the correction copies out ps and writes back u, v, the tracer and
+    theta.  Everything else is read through window views."""
+    model = getattr(reduced, component)
+    stores = (model.state.fields3d, model.state.fields2d)
+    copies = []
+    for method in ("_provisional_batch", "_correct_batch"):
+
+        def counted(sl, *args, _method=method, _original=getattr(model, method)):
+            _CountingState.reads = _CountingState.writes = 0
+            out = _original(sl, *args)
+            copies.append((_method, _CountingState.reads, _CountingState.writes))
+            return out
+
+        monkeypatch.setattr(model, method, counted)
+    # (the step swaps the G-term arrays between names: wrap and unwrap
+    # whatever each name holds)
+    for store in stores:
+        store.update((name, a.view(_CountingState)) for name, a in store.items())
+    try:
+        model.step()
+    finally:
+        for store in stores:
+            store.update((name, a.view(np.ndarray)) for name, a in store.items())
+    n_batches = TILES // BATCH[component]
+    assert copies == [("_provisional_batch", 4, 6)] * n_batches + [("_correct_batch", 1, 4)] * n_batches
 
 
 @pytest.mark.parametrize("shape", [(8,), ()], ids=["3d", "2d"])

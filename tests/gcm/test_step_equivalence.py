@@ -4,9 +4,18 @@
 every kernel, halo plan and pricing loop it called) that the library
 used to carry.  Each case here builds the same configuration twice,
 advances one copy through the oracle and the other through
-``Model.step``, and requires every prognostic and diagnostic array
-*including halos*, every ``StepStats`` field and the virtual clock to be
-bitwise equal — for every tile-batch size the step may derive.
+``Model.step``, and requires the interior of every prognostic and
+diagnostic array, every ``StepStats`` field, the virtual clock and the
+runtime's summary to be bitwise equal — for every tile-batch size the
+step may derive.
+
+Halos are not compared: the oracle overcomputes whole tiles, while the
+step computes only each tile's window (the interior plus
+``timestepper.STENCIL_RING`` rings) and leaves every other halo cell as
+the exchange or the previous step left it.  The window tests below
+check the ring from both sides: with every state cell outside the
+window NaN before each step the step still matches the oracle, and with
+one ring fewer it does not.
 """
 
 import dataclasses
@@ -110,9 +119,7 @@ def _build(component, px, py, variant, precision):
 def _snapshot(models):
     out = []
     for m in models:
-        arrays = {
-            name: np.array(m.state[name]) for name in FIELDS_3D + FIELDS_2D
-        }
+        arrays = {name: m.state.to_global(name) for name in FIELDS_3D + FIELDS_2D}
         stats = [dataclasses.astuple(h) for h in m.history]
         out.append((arrays, stats, m.runtime.elapsed, m.runtime.summary()))
     return out
@@ -124,7 +131,7 @@ def _batch_sizes(n_tiles):
 
 # Non-hydrostatic runs never refresh w's outer halo rings, so those cells
 # hold wrapped-stencil garbage that overflows float32 (interiors stay
-# exact); the garbage is compared bit for bit like everything else.
+# exact).
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning",
@@ -144,19 +151,39 @@ def test_more_mixed_precision_on_the_benchmark_tiling(monkeypatch, component, va
     _check_against_oracle(monkeypatch, 4, 4, component, variant, precision)
 
 
-def _check_against_oracle(monkeypatch, px, py, component, variant, precision):
+def _oracle(monkeypatch, px, py, component, variant, precision):
+    """The oracle's snapshot of one case, and its models."""
     with monkeypatch.context() as patch:
         patch.setattr(Model, "step", reference_step)
         models, advance = _build(component, px, py, variant, precision)
         advance()
-        oracle = _snapshot(models)
+    return _snapshot(models), models
+
+
+def _assert_matches(oracle, models, label):
+    for (ref_arrays, ref_stats, ref_elapsed, ref_summary), got in zip(
+        oracle, _snapshot(models)
+    ):
+        arrays, stats, elapsed, summary = got
+        for name, ref in ref_arrays.items():
+            assert arrays[name].dtype == ref.dtype, (name, label)
+            np.testing.assert_array_equal(
+                arrays[name], ref, err_msg=f"{name} (interior), {label}"
+            )
+        assert stats == ref_stats, f"StepStats, {label}"
+        assert elapsed == ref_elapsed, f"runtime.elapsed, {label}"
+        assert summary == ref_summary, f"runtime.summary(), {label}"
+
+
+def _check_against_oracle(monkeypatch, px, py, component, variant, precision):
+    oracle, models = _oracle(monkeypatch, px, py, component, variant, precision)
     assert all(len(stats) == STEPS for _, stats, _, _ in oracle)
     for model in models:  # interiors stay finite: the comparison means something
         assert all(np.isfinite(model.state.to_global(n)).all() for n in FIELDS_3D + FIELDS_2D)
     if variant != "nonhydrostatic":
         assert all(stats[0][5] > 0 for _, stats, _, _ in oracle)  # mixed_cells, step 1
 
-    cells_per_tile = max(m.state["u"][0].size for m in models)
+    cells_per_tile = max(m.grid.hfac_c[0].size for m in models)
     for batch in _batch_sizes(px * py):
         # the step derives its batch from this constant: pin it so the
         # largest admissible batch is exactly `batch` tiles
@@ -165,18 +192,60 @@ def _check_against_oracle(monkeypatch, px, py, component, variant, precision):
         )
         models, advance = _build(component, px, py, variant, precision)
         advance()
-        for (ref_arrays, ref_stats, ref_elapsed, ref_summary), got in zip(
-            oracle, _snapshot(models)
-        ):
-            arrays, stats, elapsed, summary = got
-            for name, ref in ref_arrays.items():
-                assert arrays[name].dtype == ref.dtype, (name, batch)
-                np.testing.assert_array_equal(
-                    arrays[name], ref, err_msg=f"{name} (halos included), B={batch}"
-                )
-            assert stats == ref_stats, f"StepStats, B={batch}"
-            assert elapsed == ref_elapsed, f"runtime.elapsed, B={batch}"
-            assert summary == ref_summary, f"runtime.summary(), B={batch}"
+        _assert_matches(oracle, models, f"B={batch}")
+
+
+def _check_window(monkeypatch, variant, precision):
+    """The coupled case on 4x2 tiles, its state set to NaN outside every
+    tile's window before each step, against the oracle."""
+    oracle, _ = _oracle(monkeypatch, 4, 2, "coupled", variant, precision)
+    step = Model.step
+
+    def step_after_nan_fill(model):
+        for name in FIELDS_3D + FIELDS_2D:
+            field = model.state[name]
+            window = field[model.window].copy()
+            field[...] = np.nan
+            field[model.window] = window
+        return step(model)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "step", step_after_nan_fill)
+        models, advance = _build("coupled", 4, 2, variant, precision)
+        advance()
+    _assert_matches(oracle, models, "NaN outside the windows")
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+@pytest.mark.parametrize("precision", list(PRECISIONS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_window_the_step_reads_no_cell_outside_its_window(monkeypatch, variant, precision):
+    _check_window(monkeypatch, variant, precision)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_window_of_one_ring_is_too_narrow(monkeypatch, variant):
+    monkeypatch.setattr(timestepper, "STENCIL_RING", 1)
+    with pytest.raises(AssertionError, match="interior"):
+        _check_window(monkeypatch, variant, "all64")
+
+
+def test_mixed_pairs_count_each_column_once():
+    """Step 1 of the unstable-patch cases mixes the same columns on any
+    tiling, so it counts the same pairs: halo copies are not counted."""
+    for component in ("atmosphere", "ocean"):
+        counts = {
+            (px, py): _build(component, px, py, "centered", "all64")[0][0].step().mixed_cells
+            for px, py in [(1, 1), (2, 2), (4, 2), (4, 4)]
+        }
+        assert len(set(counts.values())) == 1 and counts[1, 1] > 0, (component, counts)
 
 
 @pytest.mark.parametrize("backend", ["analytic", "des"])
