@@ -99,8 +99,8 @@ echo "== DES event budget (exact counts: a per-hop relay, an unconditional tail-
 python -m pytest -q -p no:cacheprovider tests/sim/test_event_budget.py
 
 echo
-echo "== GCM step call budget (exact counts: a per-tile kernel or halo loop, or a window copied twice, fails here, not by timing; plus the step window: a kernel reading a cell outside the interior and its two halo rings fails the NaN-fill check, and one ring must be too few) =="
-python -m pytest -q -p no:cacheprovider tests/gcm/test_step_budget.py
+echo "== GCM step call budget (exact counts: a per-tile kernel or halo loop, or a window copied twice, fails here, not by timing; plus the step window: a kernel reading a cell outside the interior and its two halo rings fails the NaN-fill check, and one ring must be too few; plus the CG solver against its per-tile oracle byte for byte, halos included, on every exit path) =="
+python -m pytest -q -p no:cacheprovider tests/gcm/test_step_budget.py tests/backend/test_cg_fastpath.py
 python -m pytest -q -p no:cacheprovider tests/gcm/test_step_equivalence.py -k window
 
 echo

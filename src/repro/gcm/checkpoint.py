@@ -104,10 +104,11 @@ def _write_archive(
     field_of: Callable[[str], np.ndarray],
     head: dict,
     tail: dict,
-) -> int:
+) -> Tuple[int, int]:
     """Write one archive atomically and durably: version marker,
     ``head``, bookkeeping, ``field_of(name)`` for every prognostic
-    field, ``tail``, and the CRC over all of it (returned)."""
+    field, ``tail``, and the CRC over all of it; returns the CRC and
+    the raw bytes of the arrays (the file itself is compressed)."""
     grid = model.config.grid
     payload = {
         flavour.version_key: np.array(flavour.version),
@@ -129,7 +130,7 @@ def _write_archive(
     # open file object
     with atomic_write(path) as fh:
         np.savez_compressed(fh, **payload)
-    return checksum
+    return checksum, sum(np.asarray(a).nbytes for a in payload.values())
 
 
 def _open_verified(path: pathlib.Path, flavour: _Flavour = _GLOBAL) -> dict:
@@ -252,11 +253,12 @@ def save_state_shard(
     Halos are captured as-is, so a restored rank resumes mid-window
     without an extra halo exchange — restart stays bit-exact.
 
-    Returns ``(path, nbytes_on_disk, checksum)``: the byte size prices
-    the DES disk-write phase, the CRC binds the shard to its manifest.
+    Returns ``(path, nbytes, checksum)``: the raw bytes of the shard's
+    arrays (not how they compress) price the DES disk-write phase, the
+    CRC binds the shard to its manifest.
     """
     path = _norm_path(path)
-    checksum = _write_archive(
+    checksum, nbytes = _write_archive(
         _SHARD,
         model,
         path,
@@ -264,7 +266,7 @@ def save_state_shard(
         {"rank": np.array(rank)},
         {"cpl_" + n: model.coupling[n][rank] for n in sorted(model.coupling)},
     )
-    return path, path.stat().st_size, checksum
+    return path, nbytes, checksum
 
 
 def load_state_shard(

@@ -107,6 +107,31 @@ def face_divergence(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return div
 
 
+def run_divergence(p: np.ndarray, cw: np.ndarray, cs: np.ndarray, olx: int):
+    """``(div, run)``: the CG operators' lateral stencil ``(fx_e - fx_w)
+    + (fy_n - fy_s)``, ``fx = cw (p - p_west)``, ``fy = cs (p - p_south)``,
+    on a tile stack ``p`` of the coefficients' shape whose innermost
+    halo ring is current, held by ``div`` (``p``'s shape) on the flat
+    range ``run``: first interior row of the first tile to last interior
+    row of the last.  In the flat stack the west and south neighbours
+    are the offsets 1 and one row length, so the fluxes are one
+    contiguous run each, with no wrapped shift built (cells between the
+    interiors come out as garbage).  Each interior cell sees the operands
+    and operation order of :func:`face_divergence` on the wrapped shifts:
+    differences in ``p``'s dtype, products in the coefficients'.
+    """
+    x = p.shape[-1]
+    lo, hi = olx * x, p.size - olx * x
+    f, cw, cs = p.reshape(-1), cw.reshape(-1), cs.reshape(-1)
+    fx = cw[lo : hi + 1] * (f[lo : hi + 1] - f[lo - 1 : hi])
+    fy = cs[lo : hi + x] * (f[lo : hi + x] - f[lo - x : hi])
+    div = np.empty(p.shape, fx.dtype)
+    run = slice(lo, hi)
+    np.subtract(fx[1:], fx[:-1], out=div.reshape(-1)[run])
+    div.reshape(-1)[run] += fy[x:] - fy[:-x]
+    return div, run
+
+
 # -- transports -------------------------------------------------------------
 
 

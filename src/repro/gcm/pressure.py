@@ -37,31 +37,30 @@ class EllipticOperator:
         self.cw = self.hw * grid.dyg / grid.dxc  # conductance Hw * dyG / dxC
         self.cs = self.hs * grid.dxg / grid.dyc
         self.wet = grid.depth_c > 0
-        self.land = ~self.wet
         d = -(self.cw + op.xp(self.cw) + self.cs + op.yp(self.cs))
         # land rows are identity so CG ignores them
         self.diag = np.where(self.wet, np.where(d != 0, d, -1.0), -1.0)
+        self.land = ~self.wet
+        self._interior = (Ellipsis,) + self.decomp.tiles[0].interior
+        self._diag = np.ascontiguousarray(self.diag[self._interior])
 
-    def apply_stacked(self, p: np.ndarray, flops: FlopCounter) -> np.ndarray:
-        """A p on a ``(n_ranks, ny+2o, nx+2o)`` tile stack (halos current).
-
-        ~10 flops per column.  Land rows are the identity ``A = -I``,
-        written over the divergence in place.  Elementwise identical to
-        the per-tile oracle ``elliptic_apply`` in
-        ``tests/gcm/_reference_cg.py``: the lateral shifts act on the
-        trailing axes, so stacking only batches the NumPy calls.
+    def apply_interior(self, p: np.ndarray, flops: FlopCounter) -> np.ndarray:
+        """A p, as contiguous ``(n_ranks, ny, nx)`` interiors, of a tile
+        stack whose innermost halo ring is current; ~10 flops per column
+        of the whole tiles.  Land rows are the identity ``A = -I``.
+        Elementwise identical, at every interior cell, to the per-tile
+        oracle ``elliptic_apply`` in ``tests/gcm/_reference_cg.py``.
         """
-        fx = self.cw * (p - op.xm(p))
-        fy = self.cs * (p - op.ym(p))
-        ap = op.face_divergence(fx, fy)
-        np.negative(p, out=ap, where=self.land)
+        ap, run = op.run_divergence(p, self.cw, self.cs, self.decomp.olx)
+        np.negative(p.reshape(-1)[run], out=ap.reshape(-1)[run], where=self.land.reshape(-1)[run])
         flops.add("elliptic_apply", 10 * p.size)
-        return ap
+        return ap[self._interior].copy()
 
-    def precondition_stacked(self, r: np.ndarray, flops: FlopCounter) -> np.ndarray:
-        """Jacobi on the tile stack: z = r / diag(A), 1 flop per column."""
-        flops.add("precondition", r.size)
-        return r / self.diag
+    def precondition_interior(self, r: np.ndarray, flops: FlopCounter) -> np.ndarray:
+        """Jacobi on stacked interiors: z = r / diag(A), 1 flop per
+        column of the whole tiles."""
+        flops.add("precondition", self.diag.size)
+        return r / self._diag
 
     def rhs_from_transport(self, uint, vint, dt: float, flops: FlopCounter) -> np.ndarray:
         """RHS = div(<U*>)/dt in finite-volume form (~8 flops/column).

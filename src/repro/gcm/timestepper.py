@@ -395,10 +395,9 @@ class Model:
     def _cg_hooks(self, decomp):
         """Solver communication hooks for the precision config, for a
         CG running on ``decomp``: a wire-quantizing global sum when the
-        gsum stream is float32, a wire-casting exchange when the
-        pressure halo payload is.  ``(None, None)`` — the solver's
-        cost-free defaults — whenever the config leaves those wires at
-        the seed's float64."""
+        gsum stream is float32 (else None: the solver's default), and a
+        width-1 exchange casting through the pressure halo's wire dtype
+        (cast-free at the seed's float64)."""
         gsum_hook = None
         if self._gsum_nbytes == 4:
 
@@ -406,13 +405,9 @@ class Model:
                 quantized = quantize_gsum(partials, np.float32)
                 return float(np.float32(_default_gsum(quantized)))
 
-        exch_hook = None
-        if self._solver_wire is not None:
-            wire = self._solver_wire
-
-            def exch_hook(field_groups):
-                for f in field_groups:
-                    exchange_halos(decomp, f, width=1, wire_dtype=wire)
+        def exch_hook(fields):
+            for f in fields:
+                exchange_halos(decomp, f, width=1, wire_dtype=self._solver_wire)
 
         return gsum_hook, exch_hook
 
@@ -445,13 +440,8 @@ class Model:
             rhs = rhs.astype(self._cg_dtype)
         gsum_hook, exch_hook = self._cg_hooks(self.ds_decomp)
         result = preconditioned_cg(
-            operator,
-            rhs,
-            fc,
-            tol=self.config.cg_tol,
-            maxiter=self.config.cg_maxiter,
-            global_sum=gsum_hook,
-            exchange=exch_hook,
+            operator, rhs, fc, tol=self.config.cg_tol, maxiter=self.config.cg_maxiter,
+            global_sum=gsum_hook, exchange=exch_hook,
         )
         # regrid solution DS -> PS and refresh halos (shared memory)
         ps = self.state["ps"]
@@ -470,8 +460,9 @@ class Model:
     def _solve_nonhydrostatic(self, stats: StepStats) -> None:
         """3-D Poisson projection of (u, v, w) to non-divergence.
 
-        Same communication structure as DS — one two-field halo-1
-        exchange and two global sums per iteration — but over 3-D
+        Same communication structure as DS — charged as one two-field
+        halo-1 exchange and two global sums per iteration, of which the
+        host fills the search direction's halo only — but over 3-D
         fields on the PS decomposition.
         """
         cfg = self.config
@@ -500,7 +491,7 @@ class Model:
         stats.flops_nh = fc.total
         stats.nh_converged = result.converged
 
-        # per iteration one 2-field 3-D halo-1 exchange + 2 gsums
+        # charged per iteration: one 2-field 3-D halo-1 exchange + 2 gsums
         rt = self.runtime
         self._charge_solver(
             "nh", result.iterations, fc.total, self.decomp, self.grid.nz,

@@ -11,9 +11,10 @@ strongest end-to-end check that the NIU/fabric models preserve data.
 The exchange is one :mod:`repro.collectives.des_exec` phase: the x-pass
 slab round, a dissemination barrier's rounds (so corner data is
 coherent before the y pass), the y-pass slab round, the barrier again.
-The slabs are the copies of :func:`repro.parallel.exchange.copy_plans`,
-taken when a rank reaches its round; a periodic self-wrap is a local
-copy, never a message.  Two delivery modes are supported:
+The slabs are the strips of :func:`repro.parallel.exchange.halo_slabs`,
+one message per rank and side, taken when a rank reaches its round; a
+periodic self-wrap is a local copy, never a message.  Two delivery
+modes are supported:
 
 * the default **raw** mode ships slabs on the raw wire (PIO below 88 B,
   VI beyond, priced like every collective) and assumes the fabric is
@@ -43,7 +44,7 @@ from repro.collectives.schedules import build
 from repro.hardware.cluster import HyadesCluster
 from repro.niu.demux import VIDemux
 from repro.niu.reliable import ReliableMailbox, get_reliable
-from repro.parallel.exchange import copy_plans
+from repro.parallel.exchange import halo_slabs
 from repro.parallel.tiling import Decomposition
 
 
@@ -111,14 +112,16 @@ class DESExchanger:
         """
         n = self.decomp.n_ranks
         w = self.decomp.olx if width is None else width
-        tile_plan, _ = copy_plans(self.decomp, w)
+        passes = halo_slabs(self.decomp, w)
         if w == 0:
             return 0.0
         start = self.engine.now
         self._round += 1
         barrier = wire_rounds(build("barrier", "dissemination", n, 0))
         rounds, slabs = [], []
-        for copies in tile_plan:
+        for sides in passes:  # by side, then by sending rank
+            copies = [(nbr, di, r, si) for side, (di, si) in sides.items() for r in range(n)
+                      if (nbr := self.decomp.neighbor(r, side)) is not None]
             rounds.append((
                 [src for _, _, src, _ in copies],
                 [dst for dst, _, _, _ in copies],

@@ -21,21 +21,12 @@ import numpy as np
 from repro.parallel.tiling import Decomposition
 
 
-def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
-    """Precompute the copy schedules of a width-``w`` exchange.
-
-    Tiles are uniform, so every copy of one tile side has the same
-    slices and differs only in the ranks it joins: a rank's strip on
-    side ``d`` lands in the opposite halo of its ``d`` neighbour.  Two
-    spellings of the same schedule come back: ``tile_plan``, per pass
-    (x, then y) one ``(dst_rank, dst_index, src_rank, src_index)`` slice
-    copy per strip for a sequence of tiles, ordered by side and then by
-    sending rank, and ``stack_plan``, one ``(dst_index, src_index)``
-    advanced-index copy per side (the ranks lead the index) for a
-    stacked field.  Executing either in order reproduces the two-pass
-    fill exactly (x first over interior rows, then y over the full width
-    including fresh x halos); within a pass every copy reads interiors
-    (or pass-1 halos) and writes halos, so the copies of a pass commute.
+def halo_slabs(decomp: Decomposition, w: int) -> tuple:
+    """Per pass (x, then y) ``{side: (halo index at the neighbour on that
+    side, strip index here)}`` of a width-``w`` exchange, indices into
+    any tile (tiles are uniform): a rank's strip on side ``d`` lands in
+    the opposite halo of its ``d`` neighbour.  Within a pass every copy
+    reads interiors (or pass-1 halos) and writes halos, so they commute.
     """
     o, t = decomp.olx, decomp.tiles[0]
     if w < 0:
@@ -45,11 +36,10 @@ def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
     if w > o:
         raise ValueError(f"exchange width {w} exceeds halo {o}")
     if w == 0:
-        return [[], []], []
+        return ()
     rows = slice(o, o + t.ny)
     cols = slice(o - w, o + t.nx + w)
-    # side -> (halo index at the neighbour on that side, strip index here)
-    passes = (
+    return (
         # Pass 1: x-direction (west/east), interior rows only.
         {"west": ((Ellipsis, rows, slice(o + t.nx, o + t.nx + w)),
                   (Ellipsis, rows, slice(o, o + w))),
@@ -61,26 +51,32 @@ def _build_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
          "north": ((Ellipsis, slice(o - w, o), cols),
                    (Ellipsis, slice(o + t.ny - w, o + t.ny), cols))},
     )
-    tile_plan, stack_plan = [[], []], []
-    for copies, slabs in zip(tile_plan, passes):
-        for side, (dst_index, src_index) in slabs.items():
-            pairs = [(decomp.neighbor(r, side), r) for r in range(decomp.n_ranks)]
-            pairs = [(n, r) for n, r in pairs if n is not None]
-            if pairs:
-                copies += [(n, dst_index, r, src_index) for n, r in pairs]
-                dst, src = np.array(pairs, dtype=np.intp).T
-                stack_plan.append(((dst,) + dst_index, (src,) + src_index))
-    return tile_plan, stack_plan
 
 
-def copy_plans(decomp: Decomposition, w: int) -> tuple[list, list]:
-    """:func:`_build_plans` of ``(decomp, w)``, built once and cached on
-    the decomposition (the CG solver exchanges at every iteration, so
-    the per-call slice arithmetic is a measured hot path)."""
+def copy_plan(decomp: Decomposition, w: int) -> list:
+    """The ``(dst_index, src_index)`` slice copies of a width-``w``
+    exchange on the ``(py, px, ...)`` tile-grid view of a stack: per
+    side of :func:`halo_slabs`, the tiles with a neighbour inside the
+    grid at once, then the periodic wrap of the edge column (or row) of
+    tiles — six copies at a periodic-x, wall-y tiling.  Cached on the
+    decomposition (the CG solver exchanges at every iteration)."""
     plans = decomp.__dict__.setdefault("_exchange_plans", {})
-    if w not in plans:
-        plans[w] = _build_plans(decomp, w)
-    return plans[w]
+    if w in plans:
+        return plans[w]
+    plan = []
+    for slabs in halo_slabs(decomp, w):
+        for side, (dst_index, src_index) in slabs.items():
+            along_x = side in ("west", "east")
+            n = decomp.px if along_x else decomp.py
+            periodic = decomp.periodic_x if along_x else decomp.periodic_y
+            copies = [(slice(0, n - 1), slice(1, n))] * (n > 1)
+            copies += [(slice(n - 1, n), slice(0, 1))] * periodic
+            lead = (slice(None),) * along_x
+            for dst, src in copies:
+                if side in ("east", "north"):  # strips travel up the grid
+                    dst, src = src, dst
+                plan.append((lead + (dst,) + dst_index, lead + (src,) + src_index))
+    return plans.setdefault(w, plan)
 
 
 def exchange_halos(
@@ -96,41 +92,30 @@ def exchange_halos(
     request a narrower exchange than the allocated halo (e.g. width-1
     exchanges in DS within width-3 halos).
 
-    ``fields`` given as one array stacked on a leading rank axis (how
-    the model state and the CG vectors are stored) is filled with one
-    advanced-index copy per direction — four per exchange; a sequence
-    of unrelated per-tile arrays is filled slice copy by slice copy.
+    A field stacked on a leading rank axis (the model state, the CG
+    buffers) is filled by the slice copies of :func:`copy_plan` on its
+    tile-grid view; a sequence of tiles is stacked, filled and written
+    back.
 
     ``wire_dtype`` models a reduced-precision wire payload: every copied
-    halo slab passes through that dtype before landing, exactly as if it
-    had been packed at 4 bytes per element and upcast by the receiver
-    (see :mod:`repro.precision`).  The pass-2 corner re-send of pass-1
-    halo data is safe because the cast is idempotent (float32 values
-    survive a float64 round trip bit-exactly).  ``None`` keeps the
-    seed's cast-free copies.
-
-    The copy schedules depend only on the decomposition and the width
-    (:func:`copy_plans`).
+    slab passes through that dtype, as if packed at 4 bytes per element
+    and upcast by the receiver (see :mod:`repro.precision`); the pass-2
+    corner re-send of pass-1 halo data is safe because the cast is
+    idempotent.  ``None`` keeps the copies cast-free.
     """
     if len(fields) != decomp.n_ranks:
         raise ValueError(
             f"expected {decomp.n_ranks} tile arrays, got {len(fields)}"
         )
-    tile_plan, stack_plan = copy_plans(decomp, decomp.olx if width is None else width)
-    if wire_dtype is not None:
-        wire_dtype = np.dtype(wire_dtype)
-    if isinstance(fields, np.ndarray):
-        for dst, src in stack_plan:
-            slab = fields[src]
-            fields[dst] = slab if wire_dtype is None else slab.astype(wire_dtype)
-    elif wire_dtype is None:
-        for copies in tile_plan:
-            for dst, di, src, si in copies:
-                fields[dst][di] = fields[src][si]
-    else:
-        for copies in tile_plan:
-            for dst, di, src, si in copies:
-                fields[dst][di] = fields[src][si].astype(wire_dtype)
+    plan = copy_plan(decomp, decomp.olx if width is None else width)
+    stack = fields if isinstance(fields, np.ndarray) else np.stack(fields)
+    # splitting the rank axis in two is always a view, contiguous or not
+    grid = stack.reshape((decomp.py, decomp.px) + stack.shape[1:])
+    for dst, src in plan:
+        grid[dst] = grid[src] if wire_dtype is None else grid[src].astype(wire_dtype)
+    if stack is not fields:  # tiles given one by one: write them back
+        for tile, filled in zip(fields, stack):
+            tile[...] = filled
 
 
 class HaloExchanger:
@@ -148,25 +133,12 @@ class HaloExchanger:
 
     def gather_global(self, fields: Sequence[np.ndarray]) -> np.ndarray:
         """Assemble the global (interior-only) field from the tiles."""
-        sample = fields[0]
-        o = self.decomp.olx
-        out = np.zeros(
-            sample.shape[:-2] + (self.decomp.ny, self.decomp.nx), dtype=sample.dtype
-        )
-        for r, t in enumerate(self.decomp.tiles):
-            out[..., t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx] = fields[r][
-                ..., o : o + t.ny, o : o + t.nx
-            ]
-        return out
+        return self.decomp.to_global(np.stack(fields))
 
     def scatter_global(self, global_field: np.ndarray) -> list[np.ndarray]:
         """Split a global field into tile-local arrays (halos unfilled)."""
-        o = self.decomp.olx
-        out = []
-        for t in self.decomp.tiles:
-            arr = np.zeros(global_field.shape[:-2] + t.shape2d, global_field.dtype)
-            arr[..., o : o + t.ny, o : o + t.nx] = global_field[
-                ..., t.y0 : t.y0 + t.ny, t.x0 : t.x0 + t.nx
-            ]
-            out.append(arr)
-        return out
+        shape = global_field.shape[:-2] + self.decomp.tiles[0].shape2d
+        stack = np.zeros((self.decomp.n_ranks,) + shape, global_field.dtype)
+        view = self.decomp.global_view(stack)
+        view[...] = global_field.reshape(view.shape)
+        return list(stack)

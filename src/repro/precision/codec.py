@@ -48,15 +48,10 @@ class CastingOperator:
     def decomp(self):
         return self._operator.decomp
 
-    def _cast(self, out):
-        if isinstance(out, np.ndarray):
-            return out.astype(self.dtype, copy=False)
-        return [a.astype(self.dtype, copy=False) for a in out]
+    def apply_interior(self, p, flops):
+        """Interior A p, cast back to the working dtype."""
+        return self._operator.apply_interior(p, flops).astype(self.dtype, copy=False)
 
-    def apply_stacked(self, x, flops):
-        """Stacked-tile A x, cast back to the working dtype."""
-        return self._cast(self._operator.apply_stacked(x, flops))
-
-    def precondition_stacked(self, r, flops):
-        """Stacked-tile M^-1 r, cast back to the working dtype."""
-        return self._cast(self._operator.precondition_stacked(r, flops))
+    def precondition_interior(self, r, flops):
+        """Interior M^-1 r, cast back to the working dtype."""
+        return self._operator.precondition_interior(r, flops).astype(self.dtype, copy=False)

@@ -138,16 +138,18 @@ class _Breakdown:
         self._left -= 1
         return self._left < 0
 
-    def apply_stacked(self, x, flops):
-        return np.zeros_like(x) if self._zero() else self._operator.apply_stacked(x, flops)
+    def apply_interior(self, x, flops):
+        if self._zero():
+            return np.zeros_like(x[(Ellipsis,) + self.decomp.tiles[0].interior])
+        return self._operator.apply_interior(x, flops)
 
     def apply(self, tiles, flops):
         if self._zero():
             return [np.zeros_like(t) for t in tiles]
         return tile_apply(self._operator, tiles, flops)
 
-    def precondition_stacked(self, r, flops):
-        return self._operator.precondition_stacked(r, flops)
+    def precondition_interior(self, r, flops):
+        return self._operator.precondition_interior(r, flops)
 
     def precondition(self, tiles, flops):
         return tile_precondition(self._operator, tiles, flops)

@@ -97,12 +97,12 @@ def nh_precondition(self: NonHydrostaticOperator, r_tiles: List[np.ndarray], flo
 
 def casting_apply(self: CastingOperator, x, flops):
     """A x, cast back to the working dtype."""
-    return self._cast(tile_apply(self._operator, x, flops))
+    return [a.astype(self.dtype, copy=False) for a in tile_apply(self._operator, x, flops)]
 
 
 def casting_precondition(self: CastingOperator, r, flops):
     """M^-1 r, cast back to the working dtype."""
-    return self._cast(tile_precondition(self._operator, r, flops))
+    return [a.astype(self.dtype, copy=False) for a in tile_precondition(self._operator, r, flops)]
 
 
 #: (operator class, per-tile apply, per-tile precondition)

@@ -1,11 +1,13 @@
 """Checkpoint round trips as a property.
 
-A model saved after any few steps, at any precision preset, on either
-tiling, through either store — the global archive or one shard per
-rank — and restored into a freshly built model continues exactly as the
-run that was never interrupted: the same state digest and the same
-``StepStats``.  Shards keep tiles with their halos, including cells the
-step no longer computes, so this also guards what the step leaves there.
+A model saved after any few steps, at any precision preset or the
+mixed ``theta64`` config, on either tiling, through any store — the
+global archive, one shard per rank, or the coordinated store's shards
+committed and restored through its manifest — and restored into a
+freshly built model continues exactly as the run that was never
+interrupted: the same state digest and the same ``StepStats``.  Shards
+keep tiles with their halos, including cells the step no longer
+computes, so this also guards what the step leaves there.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import functools
 import pathlib
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,21 +26,30 @@ from repro.gcm.checkpoint import (
     save_state_shard,
 )
 from repro.gcm.ocean import ocean_model
-from repro.gcm.state import model_digest
+from repro.gcm.state import FIELDS_2D, FIELDS_3D, model_digest
 from repro.gcm.topography import midlatitude_ridge
+from repro.precision import PrecisionConfig
+from repro.recover import CoordinatedCheckpointStore
 
 NX, NY, NZ = 32, 16, 3
 MAX_SAVE_AT, RESUMED = 4, 2
 #: virtual-time phase durations: differences of the runtime clock, which
 #: a restored model restarts from zero, so equal to rounding only
 CLOCK_FIELDS = {"t_ps_exch", "t_ps_compute", "t_ds", "t_step", "t_nh"}
+#: float32 everywhere but theta's storage, as in the step equivalence test
+MIXED = {
+    "theta64": PrecisionConfig.preset("all32").with_cells(
+        [("theta", "state")], "float64", name="theta64"
+    ),
+}
 
 
 def _model(precision, tiling):
     px, py = tiling
     depth = midlatitude_ridge(NX, NY, ridge_height=2900.0)
     return ocean_model(
-        nx=NX, ny=NY, nz=NZ, px=px, py=py, dt=600.0, depth=depth, precision=precision
+        nx=NX, ny=NY, nz=NZ, px=px, py=py, dt=600.0, depth=depth,
+        precision=MIXED.get(precision, precision),
     )
 
 
@@ -64,12 +76,18 @@ def _restore_from_shards(model, fresh, directory):
     fresh._first_step = metas[0]["first_step"]
 
 
+def _restore_through_manifest(model, fresh, directory):
+    store = CoordinatedCheckpointStore(directory)
+    store.checkpoint({"ocn": model}, window=model.state.step_count)
+    store.restore({"ocn": fresh}, store.latest_good())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     save_at=st.integers(1, MAX_SAVE_AT),
-    precision=st.sampled_from(["all64", "wire32", "all32"]),
+    precision=st.sampled_from(["all64", "wire32", "all32", "theta64"]),
     tiling=st.sampled_from([(2, 2), (4, 2)]),
-    store=st.sampled_from(["archive", "shards"]),
+    store=st.sampled_from(["archive", "shards", "coordinated"]),
 )
 def test_a_restored_model_continues_as_the_uninterrupted_run(save_at, precision, tiling, store):
     digests, stats = _uninterrupted(precision, tiling)
@@ -80,8 +98,10 @@ def test_a_restored_model_continues_as_the_uninterrupted_run(save_at, precision,
     with tempfile.TemporaryDirectory() as tmp:
         if store == "archive":
             load_checkpoint(fresh, save_checkpoint(model, pathlib.Path(tmp) / "ckpt"))
-        else:
+        elif store == "shards":
             _restore_from_shards(model, fresh, pathlib.Path(tmp))
+        else:
+            _restore_through_manifest(model, fresh, pathlib.Path(tmp))
     resumed = fresh.run(RESUMED)
     assert model_digest(fresh) == digests[save_at + RESUMED - 1]
     for got, want in zip(resumed, stats[save_at:]):
@@ -91,3 +111,23 @@ def test_a_restored_model_continues_as_the_uninterrupted_run(save_at, precision,
                 assert abs(a - b) <= 1e-12 * abs(b), f.name
             else:
                 assert a == b, f.name
+
+
+def test_a_shard_is_priced_by_its_arrays_bytes_not_by_how_they_compress():
+    """The DES disk phase prices the raw bytes a shard holds: noise in
+    the halo cells compresses worse than zeros but costs the same."""
+    model = _model("all64", (2, 2))
+    model.run(1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, priced, _ = save_state_shard(model, 0, pathlib.Path(tmp) / "clean")
+        with np.load(path) as data:
+            assert priced == sum(data[key].nbytes for key in data.files)
+        rng = np.random.default_rng(0)
+        interior = (Ellipsis,) + model.decomp.tiles[0].interior
+        for name in FIELDS_3D + FIELDS_2D:
+            tile = model.state[name][0]
+            noisy = rng.standard_normal(tile.shape).astype(tile.dtype)
+            noisy[interior] = tile[interior]
+            tile[...] = noisy
+        _, priced_noisy, _ = save_state_shard(model, 0, pathlib.Path(tmp) / "noisy")
+    assert priced_noisy == priced

@@ -19,6 +19,14 @@ def setup(nx=32, ny=16, nz=3, px=2, py=2, olx=1, depth=None):
     return g, EllipticOperator(g)
 
 
+def apply(ell, tiles, fc):
+    """A x: the operator's interiors, set in tiles with zero halos."""
+    stack = np.stack(tiles)
+    out = np.zeros_like(stack)
+    out[(Ellipsis,) + ell.decomp.tiles[0].interior] = ell.apply_interior(stack, fc)
+    return out
+
+
 def manufactured_rhs(grid, ell, seed=0):
     """b = A x_true for a random zero-mean x_true (guaranteed compatible)."""
     rng = np.random.default_rng(seed)
@@ -30,7 +38,7 @@ def manufactured_rhs(grid, ell, seed=0):
         x_true.append(a)
     exchange_halos(grid.decomp, x_true)
     fc = FlopCounter()
-    rhs = ell.apply_stacked(np.stack(x_true), fc)
+    rhs = apply(ell, x_true, fc)
     return x_true, rhs
 
 
@@ -53,8 +61,8 @@ class TestOperator:
         fc = FlopCounter()
         x, _ = manufactured_rhs(g, ell, seed=1)
         y, _ = manufactured_rhs(g, ell, seed=2)
-        ax = ell.apply_stacked(np.stack(x), fc)
-        ay = ell.apply_stacked(np.stack(y), fc)
+        ax = apply(ell, x, fc)
+        ay = apply(ell, y, fc)
         o = g.decomp.olx
 
         def dot(a, b):
@@ -70,7 +78,7 @@ class TestOperator:
         fc = FlopCounter()
         for seed in range(3):
             x, _ = manufactured_rhs(g, ell, seed=seed)
-            ax = ell.apply_stacked(np.stack(x), fc)
+            ax = apply(ell, x, fc)
             quad = sum(
                 float(np.sum(x[r][t.interior] * ax[r][t.interior]))
                 for r, t in enumerate(g.decomp.tiles)
@@ -82,7 +90,7 @@ class TestOperator:
         g, ell = setup()
         fc = FlopCounter()
         ones = [np.ones(t.shape2d) for t in g.decomp.tiles]
-        a1 = ell.apply_stacked(np.stack(ones), fc)
+        a1 = apply(ell, ones, fc)
         o = g.decomp.olx
         for r, t in enumerate(g.decomp.tiles):
             wet = ell.wet[r][t.interior]
@@ -93,7 +101,7 @@ class TestOperator:
         g, ell = setup(depth=depth)
         fc = FlopCounter()
         p = [np.full(t.shape2d, 3.0) for t in g.decomp.tiles]
-        ap = ell.apply_stacked(np.stack(p), fc)
+        ap = apply(ell, p, fc)
         for r, t in enumerate(g.decomp.tiles):
             dry = ~ell.wet[r][t.interior]
             if np.any(dry):
@@ -129,7 +137,7 @@ class TestCGSolver:
                 e = [t.alloc2d()]
                 e[0][o + j, o + i] = 1.0
                 exchange_halos(g.decomp, e)
-                a = ell.apply_stacked(np.stack(e), fc)[0][t.interior].ravel()
+                a = apply(ell, e, fc)[0][t.interior].ravel()
                 cols.append(a)
         A = np.array(cols).T
         rng = np.random.default_rng(3)
@@ -153,8 +161,8 @@ class TestCGSolver:
             assert np.all(a == 0)
 
     def test_communication_counts_two_gsums_one_exchange_per_iter(self):
-        """The paper's DS accounting: 2 global sums + 1 two-field
-        exchange per solver iteration, the two fields as one stack."""
+        """The paper's DS accounting: 2 global sums + 1 exchange call per
+        solver iteration (the runtime charges it as two fields)."""
         g, ell = setup()
         fc = FlopCounter()
         _, rhs = manufactured_rhs(g, ell)
@@ -172,10 +180,11 @@ class TestCGSolver:
         res = preconditioned_cg(ell, rhs, fc, tol=1e-12, maxiter=300, global_sum=gsum, exchange=exch)
         ni = res.iterations
         n_ranks, tile = g.decomp.n_ranks, g.decomp.tiles[0].shape2d
-        # +1 initial gsum; exchanges: one (p, r) stack per iteration, then
-        # the single-field solution refresh
+        # +1 initial gsum; exchanges: the search direction per iteration,
+        # then the solution's refresh, each one single-field stack (the
+        # residual's halo is never read, so the host never fills it)
         assert len(gsums) == 2 * ni + 1
-        assert shapes == [(n_ranks, 2) + tile] * ni + [(n_ranks,) + tile]
+        assert shapes == [(n_ranks,) + tile] * (ni + 1)
 
     def test_converges_with_island_topography(self):
         depth = double_basin(32, 16, depth=900.0, continent_width=4, polar_caps=1)

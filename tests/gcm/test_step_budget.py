@@ -11,7 +11,7 @@ change that raises one has to say why.
 import numpy as np
 import pytest
 
-from repro.gcm import cg, prognostic, timestepper
+from repro.gcm import cg, operators, prognostic, timestepper
 from repro.gcm.coupled import coupled_model
 from repro.gcm.operators import FlopCounter
 from repro.parallel import globalsum
@@ -132,14 +132,17 @@ def test_each_batch_copies_its_windows_once(monkeypatch, reduced, component):
 
 
 @pytest.mark.parametrize("shape", [(8,), ()], ids=["3d", "2d"])
-def test_a_stacked_exchange_is_four_copies(shape):
+def test_a_stacked_exchange_is_six_copies(shape):
     decomp = Decomposition(64, 32, 4, 4, olx=3)
     tile = decomp.tiles[0]
     stack = np.zeros((decomp.n_ranks,) + shape + tile.shape2d).view(_CountingStack)
     for width in (1, 3):
         _CountingStack.copies = 0
         exchange_halos(decomp, stack, width)
-        assert _CountingStack.copies == 4  # west, east, south, north
+        # slice copies on the tile grid: west and east each shift the
+        # inner tiles and wrap the periodic edge, south and north only
+        # shift (walls in y)
+        assert _CountingStack.copies == 6
 
 
 def test_exchange_quotes_per_ps_exchange(monkeypatch, reduced):
@@ -179,21 +182,53 @@ def test_one_ds_solve_exchanges_once_per_iteration_and_counts_flops_once(monkeyp
     monkeypatch.setattr(timestepper, "preconditioned_cg", captured)
     model.step()
     (operator, rhs, _), kwargs = solves[0]
+    # the solver's default exchange, or the model's hook
     halos = _count_calls(monkeypatch, cg, "exchange_halos")
+    hooked = _count_calls(monkeypatch, timestepper, "exchange_halos")
+    shifts = [_count_calls(monkeypatch, operators, name) for name in ("xm", "xp", "ym", "yp")]
     # wherever the butterfly is bound (the solver's module used to import it)
     butterflies = [
         _count_calls(monkeypatch, module, "butterfly_global_sum")
         for module in (globalsum, cg) if hasattr(module, "butterfly_global_sum")
     ]
     for maxiter in (kwargs["maxiter"], 3):
-        for calls in [halos] + butterflies:
+        for calls in [halos, hooked] + butterflies + shifts:
             calls.clear()
         flops = _CountingFlops()
         res = cg.preconditioned_cg(operator, rhs, flops, **{**kwargs, "maxiter": maxiter})
+        halos.extend(hooked)
         ni = res.iterations
         assert ni == 3 if maxiter == 3 else ni > 3
-        # one (p, r) stack per iteration, then the solution's refresh
+        # the search direction per iteration, then the solution's
+        # refresh: each one single-field stack of whole tiles
         assert len(halos) == ni + 1
+        assert [np.shape(fields) for _, fields, *_ in halos] == [
+            (len(rhs),) + rhs[0].shape
+        ] * (ni + 1)
         assert sum(map(len, butterflies)) == 0
+        # the interior apply reads flat offsets, not wrapped shifts
+        assert sum(map(len, shifts)) == 0
         # exact counts added once per solve, however many iterations
         assert (flops.calls["cg_dot"], flops.calls["cg_update"]) == (1, 1)
+
+
+def test_a_ds_solve_is_charged_two_exchanges_and_two_gsums_per_iteration(monkeypatch, reduced):
+    """The host exchanges one field per iteration; the runtime still
+    records the paper's two-field exchange and two global sums."""
+    model = reduced.ocean
+    stats = model.runtime.stats
+    charged = []
+    charge = model._charge_ds
+
+    def counted(cg_res, counter):
+        before = [(st.n_exchanges, st.n_gsums) for st in stats]
+        charge(cg_res, counter)
+        after = [(st.n_exchanges, st.n_gsums) for st in stats]
+        charged.append((cg_res.iterations, before, after))
+
+    monkeypatch.setattr(model, "_charge_ds", counted)
+    model.step()
+    ((ni, before, after),) = charged
+    assert ni > 0
+    for (ex0, gs0), (ex1, gs1) in zip(before, after):
+        assert (ex1 - ex0, gs1 - gs0) == (2 * ni, 2 * ni)

@@ -198,9 +198,9 @@ def test_property_decomposition_invariance_of_stencil(seed):
 
 
 # -- one field, three spellings ----------------------------------------------
-# A stack is filled with one advanced-index copy per direction, a list of
-# tiles slice copy by slice copy; the per-entry plan both replaced lives on
-# in tests/gcm/_reference_step.py.
+# A stack is filled by slice copies on its tile-grid view, a list of tiles
+# through a stack; the per-rank plan both replaced lives on in
+# tests/gcm/_reference_step.py.
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "gcm"))
 from _reference_step import reference_exchange_halos  # noqa: E402
@@ -222,3 +222,46 @@ def test_stack_list_and_oracle_plan_agree(px, py, width, nz, wire_dtype):
     reference_exchange_halos(d, as_oracle, width, wire_dtype=wire_dtype)
     np.testing.assert_array_equal(stack, np.stack(as_oracle))
     np.testing.assert_array_equal(np.stack(as_list), np.stack(as_oracle))
+
+
+def _stack(d, layout, rng):
+    """A field of ``d``'s tiles with noise in its halos, laid out as a
+    2-D or 3-D contiguous stack or as a non-contiguous ``(n_ranks, 2,
+    ...)`` view of a ``(2, n_ranks, ...)`` buffer."""
+    tile = d.tiles[0].shape2d
+    if layout == "moveaxis":
+        return np.moveaxis(rng.standard_normal((2, d.n_ranks) + tile), 0, 1)
+    return rng.standard_normal((d.n_ranks,) + ((5,) if layout == "3d" else ()) + tile)
+
+
+@pytest.mark.parametrize("wire_dtype", [None, np.float32], ids=["f64", "wire32"])
+@pytest.mark.parametrize("layout", ["2d", "3d", "moveaxis"])
+@pytest.mark.parametrize("width", [0, 1, 2, 3])
+@pytest.mark.parametrize("px,py", [(1, 1), (1, 4), (4, 1), (2, 2), (4, 4)])
+@pytest.mark.parametrize(
+    "periodic_x,periodic_y", [(True, False), (False, False), (False, True), (True, True)]
+)
+def test_one_plan_fills_every_geometry(periodic_x, periodic_y, px, py, width, layout, wire_dtype):
+    """The tile-grid slice plan (its wrap copies exist only on periodic
+    axes, its shift copies only where the grid has two tiles along the
+    axis) fills a stack, and a list through the stack, as the per-rank
+    oracle does, on every periodicity, tiling, width and layout."""
+    d = Decomposition(32, 16, px, py, olx=3, periodic_x=periodic_x, periodic_y=periodic_y)
+    rng = np.random.default_rng([px, py, width, periodic_x, periodic_y])
+    stack = _stack(d, layout, rng)
+    as_list = [tile.copy() for tile in stack]
+    as_oracle = [tile.copy() for tile in stack]
+    exchange_halos(d, stack, width, wire_dtype=wire_dtype)
+    exchange_halos(d, as_list, width, wire_dtype=wire_dtype)
+    reference_exchange_halos(d, as_oracle, width, wire_dtype=wire_dtype)
+    np.testing.assert_array_equal(stack, np.stack(as_oracle))
+    np.testing.assert_array_equal(np.stack(as_list), np.stack(as_oracle))
+
+
+def test_a_rejected_width_stays_rejected():
+    """A width the plan refuses is refused on every call, not cached."""
+    d = Decomposition(16, 16, 2, 2, olx=1)
+    stack = np.zeros((d.n_ranks,) + d.tiles[0].shape2d)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds halo"):
+            exchange_halos(d, stack, width=2)
