@@ -3,9 +3,9 @@
 # line ledger, the one-durable-writer, one-route-reader, one-geometry,
 # one-rank-loop and one-table-formatter checks, the DES event-count and per-hop,
 # per-wake and per-message call-count, GCM step call-count, service
-# fork-count, cold-quote call-count and knob-count budgets, the tier-1
-# test suite, an import check of every example, a run of every python
-# block in README.md and docs/*.md, the fault/recovery and
+# fork-count, worker import-set, cold-quote call-count and knob-count
+# budgets, the tier-1 test suite, an import check of every example, a
+# run of every python block in README.md and docs/*.md, the fault/recovery and
 # cross-validation smokes, the regenerate-and-diff of benchmarks/out/
 # (virtual time), `repro report` against the seven paper artefacts, and
 # the host-time benchmark's smoke run.
@@ -106,6 +106,10 @@ python -m pytest -q -p no:cacheprovider tests/gcm/test_step_equivalence.py -k wi
 echo
 echo "== service spawn budget (exact counts: a fork per attempt fails here, not by timing) =="
 python -m pytest -q -p no:cacheprovider tests/service/test_spawn_budget.py
+
+echo
+echo "== service import budget (exact set: the repro modules an analytic-tier ocean job adds to a worker forked from a parent that imported only repro.service, and none of numpy or repro.gcm in the serving parent; a package __init__ that imports its submodules again, or the DES stack on the job's path, fails here by name, not by timing) =="
+python -m pytest -q -p no:cacheprovider tests/service/test_import_budget.py tests/test_lazy_exports.py
 
 echo
 echo "== cold quote budget (exact counts: a per-Send pricing loop, a per-tuner schedule rebuild, or a Send / item rule run by a quote fails here, not by timing) =="

@@ -22,31 +22,20 @@ butterfly global sum — Sections 4.1/4.2) into a reusable layer:
 
 from .cost import cost_table, schedule_cost
 from .des_exec import des_run_schedule, des_time_schedule
-from .schedules import (
-    BUILDERS,
-    OPS,
-    Schedule,
-    Send,
-    build,
-    candidates,
-)
-from .semantics import reference_result, run_schedule
-from .tuner import Autotuner, CollectivePlan, default_tuner
+from .schedules import BUILDERS, Schedule, Send, build
+from .semantics import run_schedule
+from .tuner import Autotuner, default_tuner
 
 __all__ = [
     "Autotuner",
     "BUILDERS",
-    "CollectivePlan",
-    "OPS",
     "Schedule",
     "Send",
     "build",
-    "candidates",
     "cost_table",
     "default_tuner",
     "des_run_schedule",
     "des_time_schedule",
-    "reference_result",
     "run_schedule",
     "schedule_cost",
 ]

@@ -34,18 +34,9 @@ from repro.faults.plan import (
     SlowdownEvent,
     StallEvent,
 )
-from repro.faults.degrade import (
-    CLEAN_WIRE,
-    DegradationSchedule,
-    WireDegradation,
-)
+from repro.faults.degrade import DegradationSchedule
 from repro.faults.inject import FaultInjector
-from repro.faults.demo import (
-    CrashRecoveryResult,
-    FaultDemoResult,
-    run_coupled_fault_demo,
-    run_crash_recovery_demo,
-)
+from repro.faults.demo import run_coupled_fault_demo, run_crash_recovery_demo
 
 __all__ = [
     "BandwidthEvent",
@@ -55,12 +46,8 @@ __all__ = [
     "LinkFaultModel",
     "SlowdownEvent",
     "StallEvent",
-    "CLEAN_WIRE",
     "DegradationSchedule",
-    "WireDegradation",
     "FaultInjector",
-    "CrashRecoveryResult",
-    "FaultDemoResult",
     "run_coupled_fault_demo",
     "run_crash_recovery_demo",
 ]

@@ -15,37 +15,19 @@ Each time step has two blocks (Fig. 6):
   exchange per step (the simulated machine computes and is charged for
   the whole halo; the host computes the two rings the interiors read).
 * **DS (diagnostic step)** — 2-D: the elliptic surface-pressure equation
-  (eq. 3) solved by preconditioned conjugate gradients; per iteration one
-  halo-1 exchange of two fields (search direction and residual, held as
-  one stack) and two global sums (each one reduction tree).
+  (eq. 3) solved by preconditioned conjugate gradients; per iteration
+  one halo-1 exchange of two fields and two global sums are charged (the
+  host fills only the search direction's halo; each sum is one tree).
 
 All kernels count their floating-point operations analytically; the
 performance model divides those counts by the measured per-phase flop
 rates exactly as the paper's eq. (5)/(8) do.
 """
 
-from repro.gcm.constants import EARTH, PhysicalConstants
-from repro.gcm.grid import Grid, GridParams
-from repro.gcm.eos import LinearEOS, IdealGasEOS
-from repro.gcm.state import ModelState
-from repro.gcm.timestepper import Model, ModelConfig, StepStats
-from repro.gcm.atmosphere import atmosphere_model
-from repro.gcm.ocean import ocean_model
-from repro.gcm.coupled import CoupledModel, coupled_model
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EARTH",
-    "PhysicalConstants",
-    "Grid",
-    "GridParams",
-    "LinearEOS",
-    "IdealGasEOS",
-    "ModelState",
-    "Model",
-    "ModelConfig",
-    "StepStats",
-    "atmosphere_model",
-    "ocean_model",
-    "CoupledModel",
-    "coupled_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "atmosphere": ["atmosphere_model"],
+    "ocean": ["ocean_model"],
+    "coupled": ["coupled_model"],
+})

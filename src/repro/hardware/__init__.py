@@ -5,20 +5,14 @@ and one StarT-X PCI NIU into the Arctic Switch Fabric; total hardware
 cost under $100k, split about evenly between nodes and interconnect.
 """
 
-from repro.hardware.smp import SMPParams, SMPNode
+from repro.hardware.smp import SMPParams
 from repro.hardware.cluster import HyadesConfig, HyadesCluster
-from repro.hardware.vector_machines import (
-    VECTOR_MACHINES,
-    MachinePerformance,
-    fig10_reference_rows,
-)
+from repro.hardware.vector_machines import VECTOR_MACHINES, fig10_reference_rows
 
 __all__ = [
     "SMPParams",
-    "SMPNode",
     "HyadesConfig",
     "HyadesCluster",
     "VECTOR_MACHINES",
-    "MachinePerformance",
     "fig10_reference_rows",
 ]

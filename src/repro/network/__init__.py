@@ -14,40 +14,14 @@ Implements the paper's system-area network substrate (Section 2.2):
 * :mod:`repro.network.topology` — the machine shapes (fat tree, grids,
   hyper-crossbar, hub), each stating its wiring and its route once.
 * :mod:`repro.network.fabrics` — the one DES fabric built from them.
-* :mod:`repro.network.ethernet` / :mod:`repro.network.myrinet` — analytic
+* :mod:`repro.network.costmodel` / :mod:`repro.network.myrinet` — analytic
   cost models of the Fast Ethernet, Gigabit Ethernet (Fig. 12) and
   HPVM/Myrinet (Section 6) baselines.
 """
 
-from repro.network.packet import Packet, Priority, MAX_PAYLOAD_WORDS, MIN_PAYLOAD_WORDS
-from repro.network.crc import crc16
-from repro.network.router import ArcticRouter, Link, LinkStats
-from repro.network.fabrics import Fabric, FabricParams, FatTreeParams
-from repro.network.topology import FatTree
-from repro.network.costmodel import (
-    CommCostModel,
-    arctic_cost_model,
-    fast_ethernet_cost_model,
-    gigabit_ethernet_cost_model,
-)
-from repro.network.myrinet import myrinet_hpvm_cost_model
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packet",
-    "Priority",
-    "MAX_PAYLOAD_WORDS",
-    "MIN_PAYLOAD_WORDS",
-    "crc16",
-    "ArcticRouter",
-    "Link",
-    "LinkStats",
-    "Fabric",
-    "FabricParams",
-    "FatTree",
-    "FatTreeParams",
-    "CommCostModel",
-    "arctic_cost_model",
-    "fast_ethernet_cost_model",
-    "gigabit_ethernet_cost_model",
-    "myrinet_hpvm_cost_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fabrics": ["FatTreeParams"],
+    "topology": ["FatTree"],
+})

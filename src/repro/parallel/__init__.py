@@ -20,25 +20,16 @@ pairwise exchange leg); packet-level global sums run as schedules
 through :mod:`repro.collectives.des_exec`.
 """
 
-from repro.parallel.tiling import Decomposition, Tile
+from repro.parallel.tiling import Decomposition
 from repro.parallel.exchange import HaloExchanger, exchange_halos
-from repro.parallel.globalsum import GlobalSummer, butterfly_global_sum
-from repro.parallel.runtime import (
-    LockstepRuntime,
-    MachineModel,
-    RankStats,
-    StragglerMitigator,
-)
+from repro.parallel.globalsum import butterfly_global_sum
+from repro.parallel.runtime import LockstepRuntime, StragglerMitigator
 
 __all__ = [
     "Decomposition",
-    "Tile",
     "HaloExchanger",
     "exchange_halos",
-    "GlobalSummer",
     "butterfly_global_sum",
     "LockstepRuntime",
     "StragglerMitigator",
-    "MachineModel",
-    "RankStats",
 ]

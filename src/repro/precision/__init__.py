@@ -25,7 +25,6 @@ and load on demand.
 
 from repro.precision.codec import CastingOperator, quantize_gsum
 from repro.precision.config import (
-    GLOBAL_SITES,
     PRECISION_FIELDS,
     SITES,
     PrecisionConfig,
@@ -34,7 +33,6 @@ from repro.precision.config import (
 
 __all__ = [
     "CastingOperator",
-    "GLOBAL_SITES",
     "PRECISION_FIELDS",
     "PrecisionConfig",
     "SITES",

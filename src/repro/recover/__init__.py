@@ -30,31 +30,10 @@ Two overlapping failures that exhaust the spare pool raise
 :class:`UnrecoverableError` — a structured end, never a hang.
 """
 
-from repro.recover.membership import (
-    HeartbeatConfig,
-    HeartbeatService,
-    Membership,
-    NodeFailure,
-    PhiAccrualDetector,
-    UnrecoverableError,
-)
-from repro.recover.checkpoint import (
-    CheckpointLockTimeout,
-    CoordinatedCheckpointStore,
-    FileLock,
-)
-from repro.recover.manager import RecoveryConfig, RecoveryManager
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HeartbeatConfig",
-    "HeartbeatService",
-    "Membership",
-    "NodeFailure",
-    "PhiAccrualDetector",
-    "UnrecoverableError",
-    "CheckpointLockTimeout",
-    "CoordinatedCheckpointStore",
-    "FileLock",
-    "RecoveryConfig",
-    "RecoveryManager",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "membership": ["HeartbeatConfig", "Membership", "NodeFailure", "UnrecoverableError"],
+    "checkpoint": ["CheckpointLockTimeout", "CoordinatedCheckpointStore", "FileLock"],
+    "manager": ["RecoveryConfig", "RecoveryManager"],
+})

@@ -29,7 +29,7 @@ feature is its fault story, built on the robustness stack of PRs 1–4:
 
 from .api import EnsembleService, ServiceClient, ServiceConfig, run_batch, run_jobs
 from .chaos import ChaosConfig, ChaosReport, build_ensemble, run_chaos
-from .jobs import JobPriority, JobSpec, JobState, JobStatus, model_digest
+from .jobs import JobPriority, JobSpec, model_digest
 from .journal import Journal, JournalError, JournalWarning
 from .metrics import ServiceMetrics
 from .queue import JobQueue
@@ -43,8 +43,6 @@ __all__ = [
     "JobPriority",
     "JobQueue",
     "JobSpec",
-    "JobState",
-    "JobStatus",
     "Journal",
     "JournalError",
     "JournalWarning",

@@ -2,8 +2,10 @@
 
 A worker process (:func:`worker_loop`) runs job attempts one after
 another, for as long as each is clean and the supervisor has a next one
-for it, so the model stack (54 ``repro.*`` modules, ~120 ms) is imported
-once per process and not once per ~30 ms job.  An attempt that raises
+for it, so what a job imports is imported once per process and not once
+per ~20 ms job: for an analytic-tier ocean job numpy and 37 ``repro.*``
+modules (package exports load on first use, so the DES stack is not
+among them).  An attempt that raises
 ends the process.  Serial jobs share an address space and warm module
 caches, and nothing a job computes may depend on that; every attempt
 leaves its whole story on disk, so the supervisor can reconstruct what

@@ -13,7 +13,7 @@ ties), so simulations are exactly reproducible run-to-run.
 """
 
 from repro.sim.engine import DeadlockError, Engine, Interrupt, SimTimeError
-from repro.sim.process import Process, Timeout, AllOf, AnyOf
+from repro.sim.process import AllOf, AnyOf
 from repro.sim.resources import Store, PriorityStore, Resource, Signal
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "Engine",
     "Interrupt",
     "SimTimeError",
-    "Process",
-    "Timeout",
     "AllOf",
     "AnyOf",
     "Store",

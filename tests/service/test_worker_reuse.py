@@ -9,9 +9,13 @@ a forked sibling lives), and a worker whose service was SIGKILLed
 notices by ``os.getppid()`` and exits by itself.
 """
 
+import json
 import os
 import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -199,6 +203,39 @@ class TestSerialJobsMatchInline:
         assert [r["digest"] for r in results] == [
             execute_job(spec)["digest"] for spec in specs
         ]
+
+    def test_digests_do_not_depend_on_the_modules_earlier_jobs_loaded(self, tmp_path):
+        """Package exports load on first use, so what a worker has
+        imported depends on the jobs it ran before.  The service runs in
+        a fresh interpreter that imported only ``repro.service`` (this
+        one has imported everything); its one worker first runs a
+        DES-tier ocean job and a DES-tier fault-campaign candidate,
+        which load the packet-level stack, then an analytic ocean job.
+        Each digest must equal the one computed inline here."""
+        specs = [
+            JobSpec(kind="ocean", name="1-des", priority=JobPriority.HIGH,
+                    params=dict(OCEAN, px=2, backend="des")),
+            JobSpec(kind="campaign", name="2-campaign", priority=JobPriority.HIGH,
+                    params={"kind": "stall", "tier": "des", "n_ranks": 4,
+                            "magnitude": 4.0}),
+            JobSpec(kind="ocean", name="3-analytic", params=dict(OCEAN, perturb_seed=5)),
+        ]
+        code = textwrap.dedent("""
+            import json, pathlib, sys
+            from repro.service import JobSpec, ServiceConfig, SupervisorConfig, run_jobs
+            specs = [JobSpec.from_dict(d) for d in json.loads(sys.argv[2])]
+            _, results, summary = run_jobs(
+                pathlib.Path(sys.argv[1]), specs,
+                ServiceConfig(supervisor=SupervisorConfig(max_workers=1)), max_wall_s=120.0)
+            print(json.dumps([summary["workers_spawned"], [r["digest"] for r in results]]))
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path),
+             json.dumps([spec.to_dict() for spec in specs])],
+            capture_output=True, text=True, timeout=180, check=True)
+        spawned, digests = json.loads(out.stdout)
+        assert spawned == 1
+        assert digests == [execute_job(spec)["digest"] for spec in specs]
 
 
 class TestNoWorkerOutlivesItsService:
