@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point: lint, the docs' module names, the
 # line ledger, the one-durable-writer, one-route-reader, one-geometry,
-# one-rank-loop and one-table-formatter checks, the DES event-count and per-hop,
+# one-rank-loop, one-table-formatter and one-calibration-constant checks,
+# the DES event-count and per-hop,
 # per-wake and per-message call-count, GCM step call-count, service
 # fork-count, worker import-set, cold-quote call-count and knob-count
 # budgets, the tier-1 test suite, an import check of every example, a
@@ -30,7 +31,8 @@ python scripts/check_docs_modules.py
 echo
 echo "== loc (the ROADMAP line ledger: Python/shell lines per tree) =="
 for tree in src src/repro/cli.py src/repro/network src/repro/collectives src/repro/gcm src/repro/parallel \
-            src/repro/recover src/repro/service src/repro/faults src/repro/niu tests benchmarks scripts; do
+            src/repro/recover src/repro/service src/repro/faults src/repro/hardware src/repro/niu \
+            tests benchmarks scripts; do
   label="$tree"; [ -d "$tree" ] && label="$tree/"
   echo "$label $(find "$tree" -name '*.py' -o -name '*.sh' | xargs cat | wc -l)"
 done
@@ -93,6 +95,18 @@ if grep -rnE '\{[^{}]*:[<>^]?[1-9][0-9]*(\.[0-9]+)?[sdfeg%]?\}' src/repro --incl
   exit 1
 fi
 echo "tables-once: clean ($(printf '%s\n' "$formatters" | grep 'def format_table'))"
+
+echo
+echo "== calibration-once (each Hyades calibration number is stated once under src/repro, as a named module constant its readers import) =="
+for lit in 0.93e-6 0.18e-6 110e6 120e6 150e6 0.15e-6 100e6 50e6 60e6; do
+  hits="$(grep -rnwF --include='*.py' -e "$lit" src/repro || true)"
+  if [ "$(printf '%s\n' "$hits" | grep -c .)" -ne 1 ]; then
+    echo "calibration-once: state $lit once, as a named constant, and read that name:" >&2
+    echo "$hits" >&2
+    exit 1
+  fi
+done
+echo "calibration-once: clean"
 
 echo
 echo "== DES event budget (exact counts: a per-hop relay, an unconditional tail-off event, or a Python call put back on the hop, on a process wake-up or on an NIU message fails here, not by timing; plus the engine clock invariants) =="

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.perf_model import DSPhaseParams, PSPhaseParams
+from repro.parallel.runtime import DS_FLOP_RATE, PS_FLOP_RATE
 
 US = 1e-6
 MINUTE = 60.0
@@ -18,9 +19,9 @@ MINUTE = 60.0
 # -- Fig. 11: performance-model parameters at 2.8125 degrees ---------------
 
 
-ATM_PS_PARAMS = PSPhaseParams(nps=781, nxyz=5120, texchxyz=1640 * US, fps=50e6)
-OCN_PS_PARAMS = PSPhaseParams(nps=751, nxyz=15360, texchxyz=4573 * US, fps=50e6)
-DS_PARAMS = DSPhaseParams(nds=36, nxy=1024, tgsum=13.5 * US, texchxy=115 * US, fds=60e6)
+ATM_PS_PARAMS = PSPhaseParams(nps=781, nxyz=5120, texchxyz=1640 * US, fps=PS_FLOP_RATE)
+OCN_PS_PARAMS = PSPhaseParams(nps=751, nxyz=15360, texchxyz=4573 * US, fps=PS_FLOP_RATE)
+DS_PARAMS = DSPhaseParams(nds=36, nxy=1024, tgsum=13.5 * US, texchxy=115 * US, fds=DS_FLOP_RATE)
 
 
 # -- Fig. 12: stand-alone interconnect benchmark values --------------------

@@ -50,6 +50,7 @@ from repro.faults.plan import (
     SlowdownEvent,
     StallEvent,
 )
+from repro.network.router import ARCTIC_LINK_BANDWIDTH
 from repro.recover.membership import HeartbeatConfig
 
 #: Fault kinds a scenario can inject (``crash``/``stall`` exercise the
@@ -313,7 +314,7 @@ def _degraded_interval(sc: Scenario, rng: random.Random) -> float:
     if sc.kind == "cpu_slow":
         return HB_PERIOD + 2e-6 * sc.magnitude
     if sc.kind == "link_bw":
-        ser = 8.0 / 150e6  # one beacon at nominal Arctic bandwidth
+        ser = 8.0 / ARCTIC_LINK_BANDWIDTH  # one beacon at nominal Arctic bandwidth
         return HB_PERIOD + ser * max(sc.magnitude - 1.0, 0.0)
     if sc.kind == "nic_jitter":
         return HB_PERIOD + rng.random() * sc.magnitude * 1e-6

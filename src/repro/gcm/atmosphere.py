@@ -18,7 +18,6 @@ from repro.gcm.grid import GridParams
 from repro.gcm.physics import AtmospherePhysics
 from repro.gcm.prognostic import DynamicsParams
 from repro.gcm.timestepper import Model, ModelConfig
-from repro.parallel.runtime import MachineModel
 
 #: Scale height of the model atmosphere column, m.
 ATMOS_COLUMN_HEIGHT = 20_000.0
@@ -53,7 +52,6 @@ def atmosphere_config(
         dynamics=DynamicsParams(ah=2.0e5, az=1.0e-2, kh=2.0e4, kz=1.0e-2),
         physics=AtmospherePhysics() if physics == "default" else physics,
         tracer_name="q",
-        machine=MachineModel(),
     )
     for k, v in overrides.items():
         setattr(cfg, k, v)

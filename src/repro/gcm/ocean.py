@@ -17,7 +17,6 @@ from repro.gcm.physics import OceanForcing
 from repro.gcm.prognostic import DynamicsParams
 from repro.gcm.timestepper import Model, ModelConfig
 from repro.gcm.topography import flat_bottom
-from repro.parallel.runtime import MachineModel
 
 OCEAN_DEPTH = 4000.0
 
@@ -48,7 +47,6 @@ def ocean_config(
         dynamics=DynamicsParams(ah=2.0e5, az=1.0e-3, kh=1.0e3, kz=3.0e-5),
         physics=OceanForcing() if physics == "default" else physics,
         tracer_name="salt",
-        machine=MachineModel(),
     )
     for k, v in overrides.items():
         setattr(cfg, k, v)

@@ -36,7 +36,6 @@ from repro.gcm import operators as op
 from repro.gcm.cg import CGResult, _default_gsum, preconditioned_cg
 from repro.gcm.eos import IdealGasEOS, LinearEOS
 from repro.gcm.grid import Grid, GridParams
-from repro.gcm.nonhydrostatic import NonHydrostaticOperator, compute_g_w
 from repro.gcm.operators import FlopCounter
 from repro.gcm.pressure import EllipticOperator, depth_integrate
 from repro.gcm.prognostic import (
@@ -48,7 +47,7 @@ from repro.gcm.prognostic import (
 )
 from repro.gcm.state import ModelState
 from repro.parallel.exchange import exchange_halos
-from repro.parallel.runtime import LockstepRuntime, MachineModel
+from repro.parallel.runtime import DS_FLOP_RATE, LockstepRuntime
 from repro.parallel.tiling import Decomposition
 from repro.precision import CastingOperator, quantize_gsum, resolve_precision
 
@@ -102,7 +101,6 @@ class ModelConfig:
     #: "hybrid"), a :class:`repro.backend.CommBackend` instance, or
     #: ``None`` for the measured-table analytic default.
     backend: Any = None
-    machine: MachineModel = dc_field(default_factory=MachineModel)
     tracer_name: str = "salt"  # "salt" (ocean) or "q" (atmosphere)
     #: Restore the non-hydrostatic pressure component (Section 3.1):
     #: w becomes prognostic and a 3-D Poisson solve projects the full
@@ -188,7 +186,6 @@ class Model:
             self.decomp,
             backend=config.backend,
             cpus_per_node=cpn,
-            machine=config.machine,
         )
         self.runtime.trace_label = config.name
         # DS decomposition (one tile per SMP master by default).
@@ -199,9 +196,11 @@ class Model:
             self.ds_decomp = Decomposition(nx, ny, ds_px, ds_py, olx=1)
         self.ds_grid = Grid(config.grid, self.ds_decomp, depth=depth, dtype=prec.grid_dtype())
         self.elliptic = EllipticOperator(self.ds_grid)
-        self.nh_operator = (
-            NonHydrostaticOperator(self.grid, self.decomp) if config.nonhydrostatic else None
-        )
+        self.nh_operator = None
+        if config.nonhydrostatic:  # the 3-D solver loads only for a config that runs it
+            from repro.gcm.nonhydrostatic import NonHydrostaticOperator
+
+            self.nh_operator = NonHydrostaticOperator(self.grid, self.decomp)
         self.grid.geometry  # static kernel factors: built here, not in step 1
         self._batches = tile_batches(self.decomp.n_ranks, self.grid.hfac_c[0].size)
         # Every PS flop count is a per-cell coefficient times an array's
@@ -335,6 +334,8 @@ class Model:
         st["phy"][sl][win] = phy
         if self.nh_operator is not None:
             # non-hydrostatic: w is prognostic (vertical momentum)
+            from repro.gcm.nonhydrostatic import compute_g_w
+
             w = st["w"][sl][win].copy()
             ut, vt = op.transports(u, v, grid, sl, fc)
             gw = compute_g_w(sl, grid, w, ut, vt, wflux, b, cfg.dynamics.ah, cfg.dynamics.az, fc)
@@ -520,7 +521,7 @@ class Model:
         t_gsum = ni * 2 * be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode)
         rt.sync()
         rt.charge_phase(
-            compute=ni * per_iter_flops / rt.machine.fds,
+            compute=ni * per_iter_flops / DS_FLOP_RATE,
             exchange=t_exch,
             gsum=t_gsum,
             flops=flops,

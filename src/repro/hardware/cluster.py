@@ -1,7 +1,7 @@
 """Assembly of the full Hyades cluster (paper Section 2).
 
-Builds the discrete-event engine, the Arctic fat tree, one StarT-X NIU
-per node and the SMP nodes around them, plus the cost accounting the
+Builds the discrete-event engine, the Arctic fat tree and one StarT-X
+NIU (with its node's PCI bus) per node, plus the cost accounting the
 paper leads with: "total cost of the hardware is less than $100,000,
 about evenly divided between the processing nodes and the interconnect".
 """
@@ -15,14 +15,17 @@ from repro.sim import Engine
 from repro.network.errors import EndpointCountError
 from repro.network.fabrics import FabricParams
 from repro.network.topology import FatTree
-from repro.niu.pci import PCIBus, PCIParams
 from repro.niu.startx import StarTX
-from repro.hardware.smp import SMPNode, SMPParams
+
+#: Per-node prices (1999 dollars): a two-way PII/400 SMP, and its share
+#: of the interconnect (StarT-X card plus Arctic ports).
+NODE_PRICE_USD = 3_100.0
+INTERCONNECT_PRICE_PER_NODE_USD = 3_100.0
 
 
 @dataclass(frozen=True)
 class HyadesConfig:
-    """Cluster shape and per-unit prices (1999 dollars).
+    """Cluster shape.
 
     ``n_spares`` reserves the highest ``n_spares`` node ids as hot
     spares: they are wired into the fabric and powered (they heartbeat
@@ -31,11 +34,7 @@ class HyadesConfig:
     """
 
     n_nodes: int = 16
-    smp: SMPParams = field(default_factory=SMPParams)
-    pci: PCIParams = field(default_factory=PCIParams)
     fabric: FabricParams = field(default_factory=FabricParams)
-    node_price_usd: float = 3_100.0
-    interconnect_price_per_node_usd: float = 3_100.0
     n_spares: int = 0
 
     def __post_init__(self) -> None:
@@ -63,12 +62,8 @@ class HyadesConfig:
         return tuple(range(self.n_nodes - self.n_spares, self.n_nodes))
 
     @property
-    def total_cpus(self) -> int:
-        return self.n_nodes * self.smp.cpus_per_node
-
-    @property
     def hardware_cost_usd(self) -> float:
-        return self.n_nodes * (self.node_price_usd + self.interconnect_price_per_node_usd)
+        return self.n_nodes * (NODE_PRICE_USD + INTERCONNECT_PRICE_PER_NODE_USD)
 
 
 class HyadesCluster:
@@ -78,27 +73,17 @@ class HyadesCluster:
         self.config = config or HyadesConfig()
         self.engine = Engine()
         self.fabric = FatTree(self.engine, self.config.n_nodes, self.config.fabric)
-        self.nodes: list[SMPNode] = []
-        for nid in range(self.config.n_nodes):
-            pci = PCIBus(self.engine, self.config.pci)
-            niu = StarTX(self.engine, self.fabric, nid, pci=pci)
-            self.nodes.append(SMPNode(self.engine, nid, niu, self.config.smp))
+        self.nius = [
+            StarTX(self.engine, self.fabric, nid) for nid in range(self.config.n_nodes)
+        ]
 
     @property
     def n_nodes(self) -> int:
         return self.config.n_nodes
 
-    @property
-    def total_cpus(self) -> int:
-        return self.config.total_cpus
-
-    def node(self, nid: int) -> SMPNode:
-        """The SMP node with id ``nid``."""
-        return self.nodes[nid]
-
     def niu(self, nid: int) -> StarTX:
         """Node ``nid``'s StarT-X network interface."""
-        return self.nodes[nid].niu
+        return self.nius[nid]
 
     @property
     def spare_ids(self) -> tuple[int, ...]:

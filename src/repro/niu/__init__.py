@@ -16,12 +16,11 @@ its mechanisms are used by the GCM code and modelled here:
   overhead of Section 4.1), then streamed as max-size packets.
 """
 
-from repro.niu.pci import PCIParams, PCIBus
+from repro.niu.pci import PCIBus
 from repro.niu.startx import StarTX, VITransfer, PIO_COST_MODEL
 from repro.niu.reliable import DeliveryError, Message, ReliableNIU, get_reliable
 
 __all__ = [
-    "PCIParams",
     "PCIBus",
     "StarTX",
     "VITransfer",

@@ -2,34 +2,24 @@
 
 The SMPs (Intel 82801AB-class chipsets) present a 32-bit 33-MHz PCI bus
 whose measured characteristics directly govern interprocessor
-communication performance:
-
-* sustained device DMA: > 120 MB/s,
-* 8-byte uncached mmap *read* of a device register: 0.93 us,
-* minimum gap between back-to-back 8-byte mmap *writes*: 0.18 us.
+communication performance.  Each is stated once, here, and read alike
+by :class:`PCIBus`, the StarT-X and reliable NIUs and the closed-form
+PIO costs of :data:`repro.niu.startx.PIO_COST_MODEL` (a test that needs
+another machine monkeypatches the constant).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim import Engine, Resource
 
-
-@dataclass(frozen=True)
-class PCIParams:
-    """Measured host I/O characteristics (Section 2.1)."""
-
-    mmap_read_latency: float = 0.93e-6
-    mmap_write_gap: float = 0.18e-6
-    dma_bandwidth: float = 120e6
-    bus_clock_hz: float = 33e6
-    bus_width_bytes: int = 4
-
-    @property
-    def peak_bandwidth(self) -> float:
-        """Theoretical 32-bit/33-MHz burst peak (132 MB/s)."""
-        return self.bus_clock_hz * self.bus_width_bytes
+#: 8-byte uncached mmap *read* of a device register.
+MMAP_READ_LATENCY = 0.93e-6
+#: Minimum gap between back-to-back 8-byte mmap *writes*.
+MMAP_WRITE_GAP = 0.18e-6
+#: Sustained device DMA (the paper: "> 120 MB/s").
+DMA_BANDWIDTH = 120e6
+#: Theoretical 32-bit/33-MHz burst peak (132 MB/s).
+PEAK_BANDWIDTH = 33e6 * 4
 
 
 class PCIBus:
@@ -41,9 +31,8 @@ class PCIBus:
     exchange primitive runs its two directions sequentially, Section 4.1).
     """
 
-    def __init__(self, engine: Engine, params: PCIParams | None = None) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.params = params or PCIParams()
         self._bus = Resource(engine, capacity=1)
         self.total_dma_bytes = 0
         self.total_mmap_reads = 0
@@ -54,12 +43,12 @@ class PCIBus:
     def mmap_read_cost(self) -> float:
         """Time for the CPU to read one 8-byte device register."""
         self.total_mmap_reads += 1
-        return self.params.mmap_read_latency
+        return MMAP_READ_LATENCY
 
     def mmap_write_cost(self) -> float:
         """Time for the CPU to write one 8-byte device register."""
         self.total_mmap_writes += 1
-        return self.params.mmap_write_gap
+        return MMAP_WRITE_GAP
 
     # -- device-side DMA ---------------------------------------------------
 
@@ -68,6 +57,6 @@ class PCIBus:
         yield self._bus.acquire()
         try:
             self.total_dma_bytes += nbytes
-            yield self.engine.timeout(nbytes / self.params.dma_bandwidth)
+            yield self.engine.timeout(nbytes / DMA_BANDWIDTH)
         finally:
             self._bus.release()

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.network.packet import MAX_PAYLOAD_WORDS, Packet, Priority, WORD_BYTES
+from repro.niu import pci
 from repro.niu.startx import PIO_COST_MODEL, StarTX
 from repro.obs import trace as obs_trace
 from repro.sim import AnyOf, Resource, Signal, Store
@@ -447,7 +448,7 @@ class ReliableNIU:
         msg: Message = yield self.channel(channel).get()
         accesses = PIO_COST_MODEL.accesses(max(len(msg.data), 8))
         self.niu.pci.total_mmap_reads += accesses
-        yield self.engine.timeout(accesses * self.niu.pci.params.mmap_read_latency)
+        yield self.engine.timeout(accesses * pci.MMAP_READ_LATENCY)
         return msg
 
     # -- reporting -------------------------------------------------------

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import trace as obs_trace
 from repro.sim import Engine, Signal, Store
 from repro.network.fabrics import Fabric
+from repro.network.overheads import TRANSFER_BANDWIDTH
 from repro.network.packet import (
     HEADER_WORDS,
     MAX_PAYLOAD_WORDS,
@@ -39,15 +40,14 @@ from repro.network.packet import (
     Priority,
     WORD_BYTES,
 )
-from repro.niu.pci import PCIBus, PCIParams
+from repro.niu import pci
+from repro.niu.pci import PCIBus
 
 # Reserved user tags (11-bit space).
 TAG_VI_DATA = 0x7FF
 TAG_VI_REQ = 0x7FE
 TAG_VI_ACK = 0x7FD
 
-#: Effective VI streaming payload bandwidth (Section 2.3: 110 MB/s peak).
-VI_STREAM_BANDWIDTH = 110e6
 #: Software cost, per side, to stage/post the pinned VI buffer descriptors
 #: for one transfer.  Together with the negotiation round trip this
 #: composes the 8.6 us one-time exchange overhead of Section 4.1.
@@ -58,11 +58,8 @@ VI_FRAG_BYTES = MAX_PAYLOAD_WORDS * WORD_BYTES
 PIO_RX_CAPACITY = 256
 
 
-@dataclass(frozen=True)
 class PIOCostModel:
-    """Analytic CPU costs of PIO messaging, from the PCI parameters."""
-
-    pci: PCIParams = dc_field(default_factory=PCIParams)
+    """Analytic CPU costs of PIO messaging, from the PCI constants."""
 
     def accesses(self, payload_bytes: int) -> int:
         """8-byte register accesses per message: 1 header + payload."""
@@ -70,11 +67,11 @@ class PIOCostModel:
 
     def os_time(self, payload_bytes: int) -> float:
         """Send overhead Os (CPU busy time)."""
-        return self.accesses(payload_bytes) * self.pci.mmap_write_gap
+        return self.accesses(payload_bytes) * pci.MMAP_WRITE_GAP
 
     def or_time(self, payload_bytes: int) -> float:
         """Receive overhead Or (CPU busy time)."""
-        return self.accesses(payload_bytes) * self.pci.mmap_read_latency
+        return self.accesses(payload_bytes) * pci.MMAP_READ_LATENCY
 
 
 PIO_COST_MODEL = PIOCostModel()
@@ -124,12 +121,11 @@ class StarTX:
         engine: Engine,
         fabric: Fabric,
         node_id: int,
-        pci: Optional[PCIBus] = None,
     ) -> None:
         self.engine = engine
         self.fabric = fabric
         self.node_id = node_id
-        self.pci = pci or PCIBus(engine)
+        self.pci = PCIBus(engine)
         self.pio_rx: Store = Store(engine, capacity=PIO_RX_CAPACITY, name=f"pio-rx[node{node_id}]")
         self._vi_rx: Dict[int, VITransfer] = {}
         self._vi_complete = _Signals(engine, "vi-complete")
@@ -232,7 +228,7 @@ class StarTX:
         """Process: enqueue one PIO message (CPU pays the mmap writes)."""
         accesses = PIO_COST_MODEL.accesses(len(payload_words) * WORD_BYTES)
         self.pci.total_mmap_writes += accesses
-        yield self.engine.timeout(accesses * self.pci.params.mmap_write_gap)
+        yield self.engine.timeout(accesses * pci.MMAP_WRITE_GAP)
         pkt = Packet(
             src=self.node_id,
             dst=dst,
@@ -256,16 +252,16 @@ class StarTX:
         pkt: Packet = yield self.pio_rx.get()
         accesses = PIO_COST_MODEL.accesses(len(pkt.payload_words) * WORD_BYTES)
         self.pci.total_mmap_reads += accesses
-        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency)
+        yield self.engine.timeout(accesses * pci.MMAP_READ_LATENCY)
         return pkt
 
     def pio_try_recv(self):
         """Process: poll for a message; returns None after one status read."""
         ok, pkt = self.pio_rx.try_get()
         if not ok:
-            yield self.engine.timeout(self.pci.params.mmap_read_latency)
+            yield self.engine.timeout(pci.MMAP_READ_LATENCY)
             return None
-        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
+        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * pci.MMAP_READ_LATENCY
         yield self.engine.timeout(cost)
         return pkt
 
@@ -304,14 +300,14 @@ class StarTX:
         # poll the ack status + stage the VI buffer descriptors + kick the
         # Tx DMA engine (2 writes) ----------------------------------------
         yield self.engine.timeout(
-            self.pci.params.mmap_read_latency + VI_SETUP_COST
-            + 2 * self.pci.params.mmap_write_gap
+            pci.MMAP_READ_LATENCY + VI_SETUP_COST
+            + 2 * pci.MMAP_WRITE_GAP
         )
         # -- stream fragments at the effective DMA payload rate -----------
         offset = 0
         while offset < nbytes:
             frag = min(VI_FRAG_BYTES, nbytes - offset)
-            yield self.engine.timeout(frag / VI_STREAM_BANDWIDTH)
+            yield self.engine.timeout(frag / TRANSFER_BANDWIDTH)
             words = [xid, offset, frag] + [0] * (max(math.ceil(frag / WORD_BYTES), 3) - 3)
             rider = data[offset : offset + frag] if data is not None else None
             pkt = Packet(
@@ -325,7 +321,7 @@ class StarTX:
             self.fabric.inject(pkt)
             offset += frag
         # completion status poll
-        yield self.engine.timeout(self.pci.params.mmap_read_latency)
+        yield self.engine.timeout(pci.MMAP_READ_LATENCY)
         return xid
 
     def vi_serve_request(self):
@@ -336,7 +332,7 @@ class StarTX:
         """
         pkt: Packet = yield self._vi_requests.get()
         accesses = PIO_COST_MODEL.accesses(len(pkt.payload_words) * WORD_BYTES)
-        yield self.engine.timeout(accesses * self.pci.params.mmap_read_latency)
+        yield self.engine.timeout(accesses * pci.MMAP_READ_LATENCY)
         xid, nbytes = pkt.payload_words[0], pkt.payload_words[1]
         # post the receive buffer
         yield self.engine.timeout(VI_SETUP_COST)
@@ -351,5 +347,5 @@ class StarTX:
             yield self._vi_complete[xid].wait()
             xfer = self._vi_rx[xid]
         # final status read
-        yield self.engine.timeout(self.pci.params.mmap_read_latency)
+        yield self.engine.timeout(pci.MMAP_READ_LATENCY)
         return xfer

@@ -165,6 +165,7 @@ def phase_crosscheck(model) -> list[dict]:
     sums per solver iteration.
     """
     from repro.core.pfpp import comm_terms
+    from repro.parallel.runtime import PS_FLOP_RATE
 
     rt = model.runtime
     rec = rt.metrics
@@ -196,7 +197,7 @@ def phase_crosscheck(model) -> list[dict]:
     ds_gsum_pred = ni_total * 2 * tgsum
 
     # PS compute: counted flops at Fps, exact by construction.
-    ps_comp_pred = ps.flops / rt.machine.fps if rt.n_ranks == 1 else None
+    ps_comp_pred = ps.flops / PS_FLOP_RATE if rt.n_ranks == 1 else None
 
     rows = [
         {

@@ -122,9 +122,11 @@ class GlobalSummer:
     first combine locally through shared memory, one master per SMP
     enters the system-wide butterfly, and the result is redistributed
     locally (Section 4.2).  Any node count is accepted; non-power-of-two
-    counts fold per :func:`butterfly_global_sum`.  Every all-reduce
-    schedule the collectives tuner can pick reduces in this canonical
-    order, so the value never depends on the plan that prices it.
+    counts fold per :func:`butterfly_global_sum`.  The butterfly leaves
+    every node the :func:`canonical_fold_reduce` of the masters' values,
+    so that is what the sum computes; every all-reduce schedule the
+    collectives tuner can pick reduces in this canonical order, so the
+    value never depends on the plan that prices it.
     """
 
     def __init__(self, n_ranks: int, cpus_per_node: int = 1) -> None:
@@ -141,15 +143,13 @@ class GlobalSummer:
             raise ValueError(f"expected {self.n_ranks} values, got {len(values)}")
         k = self.cpus_per_node
         if k == 1:
-            results, _ = butterfly_global_sum(values)
-            return results[0]
+            return canonical_fold_reduce(values)
         # Local shared-memory combine, in rank order for determinism.
         local = [
             float(np.sum(np.asarray(values[node * k : (node + 1) * k], dtype=float)))
             for node in range(self.n_nodes)
         ]
-        results, _ = butterfly_global_sum(local)
-        return results[0]
+        return canonical_fold_reduce(local)
 
     def message_count(self) -> int:
         """Fabric messages per sum: m log2 m plus 2 per folded extra."""

@@ -30,6 +30,7 @@ from typing import Any, Dict, Optional
 from repro.hardware.cluster import HyadesCluster
 from repro.network.overheads import COPY_BANDWIDTH
 from repro.network.packet import Packet, Priority
+from repro.niu import pci
 from repro.niu.startx import VI_FRAG_BYTES
 from repro.sim import Signal
 
@@ -129,7 +130,7 @@ class MPIComm:
                 dest, [source, tag, nbytes, 0, 0], tag=self.TRANSPORT_TAG + 1,
                 priority=Priority.HIGH,
             )
-            yield self.engine.timeout(2 * 0.93e-6)  # poll the CTS
+            yield self.engine.timeout(2 * pci.MMAP_READ_LATENCY)  # poll the CTS
         # stream the payload as max-size packets (wire-level fragmentation)
         frags = max(1, -(-nbytes // VI_FRAG_BYTES))
         for i in range(frags):

@@ -40,25 +40,10 @@ from repro.parallel.globalsum import GlobalSummer
 from repro.parallel.tiling import Decomposition
 
 
-@dataclass(frozen=True)
-class MachineModel:
-    """Per-phase sustained flop rates (flops/second).
-
-    Defaults are the paper's measured single-CPU kernel rates (Fig. 11):
-    Fps = 50 MFlop/s for the 3-D prognostic kernel, Fds = 60 MFlop/s for
-    the 2-D solver kernel.
-    """
-
-    fps: float = 50e6
-    fds: float = 60e6
-
-    def rate(self, phase: str) -> float:
-        """Flop rate of phase ``"ps"`` or ``"ds"``."""
-        if phase == "ps":
-            return self.fps
-        if phase == "ds":
-            return self.fds
-        raise ValueError(f"unknown phase {phase!r}")
+#: The paper's measured single-CPU kernel rates (flops/second, Fig. 11):
+#: Fps for the 3-D prognostic kernel, Fds for the 2-D solver kernel.
+PS_FLOP_RATE = 50e6
+DS_FLOP_RATE = 60e6
 
 
 @dataclass
@@ -87,7 +72,6 @@ class LockstepRuntime:
         decomp: Decomposition,
         backend=None,
         cpus_per_node: int = 1,
-        machine: Optional[MachineModel] = None,
         n_nodes: Optional[int] = None,
     ) -> None:
         if cpus_per_node < 1:
@@ -110,7 +94,6 @@ class LockstepRuntime:
         #: communication cost this runtime charges.
         self.backend = resolve_backend(backend)
         self.cpus_per_node = cpus_per_node
-        self.machine = machine or MachineModel()
         self.n_ranks = decomp.n_ranks
         self.n_nodes = n_nodes or self.n_ranks // cpus_per_node
         self.mixmode = cpus_per_node > 1
@@ -215,7 +198,12 @@ class LockstepRuntime:
 
     def charge_compute(self, flops_per_rank: Sequence[float] | float, phase: str) -> None:
         """Advance every rank's clock by its compute time for this stage."""
-        rate = self.machine.rate(phase)
+        if phase == "ps":
+            rate = PS_FLOP_RATE
+        elif phase == "ds":
+            rate = DS_FLOP_RATE
+        else:
+            raise ValueError(f"unknown phase {phase!r}")
         flops = np.broadcast_to(np.asarray(flops_per_rank, dtype=float), (self.n_ranks,))
         t_start = self.elapsed
         dt = flops / rate

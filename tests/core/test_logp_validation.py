@@ -7,6 +7,7 @@ from repro.core.constants import FIG2_PAPER
 from repro.core.logp import analytic_logp, fig2_table, measure_logp
 from repro.core.sustained import fig10_table, hyades_sustained
 from repro.core.validation import observed_from_simulation, section53_validation
+from repro.parallel.runtime import DS_FLOP_RATE, PS_FLOP_RATE
 
 US = 1e-6
 MIN = 60.0
@@ -84,14 +85,14 @@ class TestValidation:
                 nps=flops_ps / m.decomp.n_ranks / 1,  # folded: flops per rank
                 nxyz=1,
                 texchxyz=texchxyz,
-                fps=m.runtime.machine.fps,
+                fps=PS_FLOP_RATE,
             ),
             ds=DSPhaseParams(
                 nds=flops_ds / m.ds_decomp.n_ranks / max(ni, 1),
                 nxy=1,
                 tgsum=cm.gsum_time(m.runtime.n_nodes, smp=m.runtime.mixmode),
                 texchxy=texchxy,
-                fds=m.runtime.machine.fds,
+                fds=DS_FLOP_RATE,
             ),
         )
         predicted = pm.trun(nt, ni)

@@ -40,6 +40,7 @@ from repro.gcm.physics import AtmospherePhysics
 from repro.gcm.prognostic import DynamicsParams
 from repro.gcm.timestepper import StepStats
 from repro.parallel.exchange import HaloExchanger
+from repro.parallel.runtime import DS_FLOP_RATE
 from repro.parallel.tiling import Decomposition
 from repro.precision import CastingOperator
 
@@ -1303,7 +1304,7 @@ def _solve_nonhydrostatic(model, stats: StepStats) -> None:
     )
     rt.sync()
     rt.charge_phase(
-        compute=ni * per_iter / rt.machine.fds,
+        compute=ni * per_iter / DS_FLOP_RATE,
         exchange=ni * 2 * be.exchange_time(edges, mixmode=rt.mixmode, n_ranks=rt.n_ranks),
         gsum=ni * 2 * be.gsum_time(rt.n_nodes, model._gsum_nbytes, smp=rt.mixmode),
         flops=fc.total,

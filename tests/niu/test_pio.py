@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.core.logp import measure_logp
 from repro.hardware import HyadesCluster
+from repro.niu import pci
 from repro.niu.startx import PIO_COST_MODEL
 
 US = 1e-6
 
 
 class TestPIOCostModel:
-    """Analytic Os/Or from the PCI parameters (Sections 2.1/2.3)."""
+    """Analytic Os/Or from the PCI constants (Sections 2.1/2.3)."""
 
     def test_8_byte_send_overhead(self):
         # "two 8-byte (header plus payload) mmap accesses" -> 0.36 us.
@@ -29,6 +31,20 @@ class TestPIOCostModel:
     def test_accesses_counts_header(self):
         assert PIO_COST_MODEL.accesses(8) == 2
         assert PIO_COST_MODEL.accesses(64) == 9
+
+    def test_closed_form_and_des_read_one_mmap_read_constant(self, monkeypatch):
+        """The mmap read is stated once: another machine moves the
+        closed-form Or and the DES-measured receive overhead alike."""
+        base_or = PIO_COST_MODEL.or_time(8)
+        base = measure_logp(8)
+        monkeypatch.setattr(pci, "MMAP_READ_LATENCY", 1.5 * pci.MMAP_READ_LATENCY)
+        assert PIO_COST_MODEL.or_time(8) == pytest.approx(1.5 * base_or, rel=1e-12)
+        patched = measure_logp(8)
+        # the wire latency and Os do not read the constant, so the DES
+        # half round trip grows by exactly the extra receive overhead
+        des_or = base_or + (patched.half_rtt - base.half_rtt)
+        assert des_or == pytest.approx(1.5 * base_or, rel=1e-9)
+        assert patched.os_ == base.os_
 
 
 def ping_pong(src, dst, payload_words):

@@ -143,6 +143,20 @@ class TestGlobalSummer:
         # fold messages: m log2 m + 2 extras = 4*2 + 2*2
         assert gs.message_count() == 12
 
+    @pytest.mark.parametrize("cpus_per_node", [1, 2])
+    def test_bitwise_equals_butterfly_node_zero(self, cpus_per_node):
+        """The summer's fold-then-pairwise sum is the value the butterfly
+        leaves on node 0, bit for bit, at every node count."""
+        rng = np.random.default_rng(40 + cpus_per_node)
+        k = cpus_per_node
+        for n in range(1, 34):
+            vals = (rng.standard_normal(n * k) * 10.0 ** rng.integers(-8, 9, n * k)).tolist()
+            local = [float(np.sum(np.asarray(vals[i * k:(i + 1) * k], dtype=float)))
+                     for i in range(n)]
+            got = GlobalSummer(n * k, cpus_per_node=k)(vals)
+            assert type(got) is float
+            assert got.hex() == butterfly_global_sum(local)[0][0].hex(), n
+
 
 def _des_gsum_time(n):
     cluster = HyadesCluster(HyadesConfig(n_nodes=max(n, 16)))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.runtime import LockstepRuntime, MachineModel
+from repro.parallel import runtime
+from repro.parallel.runtime import LockstepRuntime
 from repro.parallel.tiling import Decomposition
 
 US = 1e-6
@@ -40,11 +41,14 @@ class TestComputeCharging:
         rt.charge_compute(flops, phase="ps")
         assert rt.elapsed == pytest.approx(2.0)
 
-    def test_custom_machine_model(self):
-        d = Decomposition(128, 64, 4, 4, olx=3)
-        rt = LockstepRuntime(d, machine=MachineModel(fps=100e6, fds=120e6))
+    def test_custom_machine_model(self, monkeypatch):
+        monkeypatch.setattr(runtime, "PS_FLOP_RATE", 100e6)
+        monkeypatch.setattr(runtime, "DS_FLOP_RATE", 120e6)
+        rt = LockstepRuntime(Decomposition(128, 64, 4, 4, olx=3))
         rt.charge_compute(100e6, phase="ps")
         assert rt.elapsed == pytest.approx(1.0)
+        rt.charge_compute(120e6, phase="ds")
+        assert rt.elapsed == pytest.approx(2.0)
 
 
 class TestExchangeAccounting:

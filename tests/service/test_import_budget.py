@@ -28,8 +28,7 @@ OCEAN_JOB_MODULES = (
     "repro.backend.crossval", "repro.backend.des", "repro.backend.hybrid",
     "repro.backend.sweep",
     "repro.gcm", "repro.gcm.cg", "repro.gcm.checkpoint", "repro.gcm.constants",
-    "repro.gcm.eos", "repro.gcm.grid", "repro.gcm.nonhydrostatic",
-    "repro.gcm.ocean", "repro.gcm.operators", "repro.gcm.physics",
+    "repro.gcm.eos", "repro.gcm.grid", "repro.gcm.ocean", "repro.gcm.operators", "repro.gcm.physics",
     "repro.gcm.pressure", "repro.gcm.prognostic", "repro.gcm.state",
     "repro.gcm.timestepper", "repro.gcm.topography",
     "repro.network", "repro.network.costmodel", "repro.network.overheads",
@@ -41,10 +40,13 @@ OCEAN_JOB_MODULES = (
 )
 
 #: what an analytic-tier job never runs: the DES engine, the fabric and
-#: the NIUs under it, crash recovery, and the coupled atmosphere.
-NOT_RUN = ("repro.sim", "repro.niu", "repro.network.router", "repro.network.fabrics",
+#: the NIUs under it, the machine assembled from them, crash recovery,
+#: the coupled atmosphere and the non-hydrostatic solver.
+NOT_RUN = ("repro.sim", "repro.niu", "repro.hardware", "repro.core",
+           "repro.network.router", "repro.network.fabrics",
            "repro.network.fattree", "repro.network.topology", "repro.recover.manager",
-           "repro.recover.membership", "repro.gcm.coupled", "repro.gcm.atmosphere")
+           "repro.recover.membership", "repro.gcm.coupled", "repro.gcm.atmosphere",
+           "repro.gcm.nonhydrostatic")
 
 # Runs in a fresh interpreter: this test process has imported everything.
 PROBE = textwrap.dedent("""

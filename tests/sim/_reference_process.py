@@ -27,8 +27,10 @@ from collections import deque
 from typing import Any, Callable, Dict, Optional
 
 from repro.network.fabrics import Fabric
+from repro.network.overheads import TRANSFER_BANDWIDTH
 from repro.network.packet import MAX_PAYLOAD_WORDS, Packet, Priority, WORD_BYTES
 from repro.niu import demux as live_demux
+from repro.niu import pci
 from repro.niu import reliable as live_reliable
 from repro.niu import startx as live_startx
 from repro.niu.pci import PCIBus
@@ -40,7 +42,6 @@ from repro.niu.startx import (
     TAG_VI_REQ,
     VI_FRAG_BYTES,
     VI_SETUP_COST,
-    VI_STREAM_BANDWIDTH,
     VITransfer,
 )
 from repro.obs import trace as obs_trace
@@ -579,7 +580,7 @@ class ReferenceStarTX(live_startx.StarTX):
     ):
         """Process: enqueue one PIO message (CPU pays the mmap writes)."""
         payload_bytes = len(payload_words) * WORD_BYTES
-        cost = PIO_COST_MODEL.accesses(payload_bytes) * self.pci.params.mmap_write_gap
+        cost = PIO_COST_MODEL.accesses(payload_bytes) * pci.MMAP_WRITE_GAP
         self.pci.total_mmap_writes += PIO_COST_MODEL.accesses(payload_bytes)
         yield self.engine.timeout(cost * self.cpu_factor)
         pkt = Packet(
@@ -603,7 +604,7 @@ class ReferenceStarTX(live_startx.StarTX):
     def pio_recv(self):
         """Process: dequeue the next PIO message (CPU pays the reads)."""
         pkt: Packet = yield self.pio_rx.get()
-        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
+        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * pci.MMAP_READ_LATENCY
         self.pci.total_mmap_reads += PIO_COST_MODEL.accesses(pkt.payload_bytes)
         yield self.engine.timeout(cost * self.cpu_factor)
         return pkt
@@ -613,10 +614,10 @@ class ReferenceStarTX(live_startx.StarTX):
         ok, pkt = self.pio_rx.try_get()
         if not ok:
             yield self.engine.timeout(
-                self.pci.params.mmap_read_latency * self.cpu_factor
+                pci.MMAP_READ_LATENCY * self.cpu_factor
             )
             return None
-        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
+        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * pci.MMAP_READ_LATENCY
         yield self.engine.timeout(cost * self.cpu_factor)
         return pkt
 
@@ -658,14 +659,14 @@ class ReferenceStarTX(live_startx.StarTX):
         # poll the ack status + stage the VI buffer descriptors + kick the
         # Tx DMA engine (2 writes) ----------------------------------------
         yield self.engine.timeout(
-            (self.pci.params.mmap_read_latency + VI_SETUP_COST
-             + 2 * self.pci.params.mmap_write_gap) * self.cpu_factor
+            (pci.MMAP_READ_LATENCY + VI_SETUP_COST
+             + 2 * pci.MMAP_WRITE_GAP) * self.cpu_factor
         )
         # -- stream fragments at the effective DMA payload rate -----------
         offset = 0
         while offset < nbytes:
             frag = min(VI_FRAG_BYTES, nbytes - offset)
-            yield self.engine.timeout(frag / VI_STREAM_BANDWIDTH)
+            yield self.engine.timeout(frag / TRANSFER_BANDWIDTH)
             words = [xid, offset, frag] + [0] * max(0, math.ceil(frag / WORD_BYTES) - 3)
             words = words[:MAX_PAYLOAD_WORDS]
             if len(words) < 3:
@@ -682,7 +683,7 @@ class ReferenceStarTX(live_startx.StarTX):
             self.fabric.inject(pkt)
             offset += frag
         # completion status poll
-        yield self.engine.timeout(self.pci.params.mmap_read_latency)
+        yield self.engine.timeout(pci.MMAP_READ_LATENCY)
         return xid
 
     def vi_serve_request(self):
@@ -692,7 +693,7 @@ class ReferenceStarTX(live_startx.StarTX):
         with a high-priority ack.  Returns the :class:`VITransfer`.
         """
         pkt: Packet = yield self._vi_requests.get()
-        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * self.pci.params.mmap_read_latency
+        cost = PIO_COST_MODEL.accesses(pkt.payload_bytes) * pci.MMAP_READ_LATENCY
         yield self.engine.timeout(cost * self.cpu_factor)
         xid, nbytes = pkt.payload_words[0], pkt.payload_words[1]
         # post the receive buffer
@@ -711,7 +712,7 @@ class ReferenceStarTX(live_startx.StarTX):
             yield sig.wait()
             xfer = self._vi_rx[xid]
         # final status read
-        yield self.engine.timeout(self.pci.params.mmap_read_latency)
+        yield self.engine.timeout(pci.MMAP_READ_LATENCY)
         return xfer
 
 
@@ -788,7 +789,7 @@ class ReferenceReliableNIU(live_reliable.ReliableNIU):
         mmap reads, as in :meth:`StarTX.pio_recv`)."""
         msg: Message = yield self.channel(channel).get()
         nbytes = max(len(msg.data), 8)
-        cost = PIO_COST_MODEL.accesses(nbytes) * self.niu.pci.params.mmap_read_latency
+        cost = PIO_COST_MODEL.accesses(nbytes) * pci.MMAP_READ_LATENCY
         self.niu.pci.total_mmap_reads += PIO_COST_MODEL.accesses(nbytes)
         yield self.engine.timeout(cost)
         return msg

@@ -73,3 +73,25 @@ def test_no_module_shadows_stdlib():
     stdlib = {"time", "math", "random", "types", "io", "os", "sys"}
     leaves = {name.rsplit(".", 1)[-1] for name in ALL_MODULES}
     assert not (leaves & stdlib)
+
+
+def test_declared_dependencies_are_what_src_imports():
+    """``pyproject`` declares exactly the third-party packages that
+    ``src/repro`` imports (at module level or inside a function)."""
+    import ast
+    import re
+    import sys
+    import tomllib
+
+    imported = set()
+    for path in PACKAGE_ROOT.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    pyproject = tomllib.loads((PACKAGE_ROOT.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower()
+                for d in pyproject["project"]["dependencies"]}
+    assert third_party == declared

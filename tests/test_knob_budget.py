@@ -1,6 +1,7 @@
 """Knob budget: the settable values of the degraded-mode stack, of the
-two communication primitives, of the whole library and of the ``repro``
-command line, counted.
+two communication primitives, of the simulated machine's and the GCM's
+configurations, of the whole library and of the ``repro`` command line,
+counted.
 
 A value stays settable only if a caller outside tests and examples sets
 it, or two such callers need different values; every other tuning value
@@ -43,10 +44,27 @@ PINNED = {
     ("repro.parallel.runtime", "StragglerMitigator", ("runtime",)): 0,
     ("repro.parallel.exchange", "HaloExchanger", ("decomp",)): 0,
     ("repro.parallel.globalsum", "GlobalSummer", ("n_ranks",)): 1,
+    # the simulated machine: its calibration numbers are module constants
+    # (repro.niu.pci, repro.network.overheads, repro.parallel.runtime)
+    ("repro.hardware.cluster", "HyadesConfig", ()): 3,
+    ("repro.network.fabrics", "FabricParams", ()): 3,
+    ("repro.niu.pci", "PCIBus", ("engine",)): 0,
+    ("repro.niu.startx", "PIOCostModel", ()): 0,
+    ("repro.niu.startx", "StarTX", ("engine", "fabric", "node_id")): 0,
+    ("repro.parallel.runtime", "LockstepRuntime", ("decomp",)): 3,
+    # the GCM's configuration, counted: its science parameters
+    ("repro.gcm.timestepper", "ModelConfig", ()): 18,
+    ("repro.gcm.grid", "GridParams", ()): 11,
+    ("repro.gcm.prognostic", "DynamicsParams", ()): 7,
+    ("repro.gcm.coupled", "CouplerParams", ()): 3,
+    ("repro.gcm.eos", "LinearEOS", ()): 6,
+    ("repro.gcm.eos", "IdealGasEOS", ()): 4,
+    ("repro.gcm.physics", "AtmospherePhysics", ()): 15,
+    ("repro.gcm.physics", "OceanForcing", ()): 6,
 }
 
 #: Defaulted parameters of every public def under ``src/repro``.
-LIBRARY_PINNED = 353
+LIBRARY_PINNED = 349
 
 #: ``repro`` subcommand -> its flags and positionals
 CLI_PINNED = {
